@@ -8,11 +8,12 @@ GO ?= go
 # walk, reclaim coupling and function billing must stay covered.
 COVER_SPECS = internal/cloud:85 internal/pilot:80 internal/core:80
 
-# Parser fuzz targets exercised by fuzz-smoke.
-FUZZ_TARGETS = FuzzParseFasta FuzzParseFastq FuzzParseSFA
+# Parser fuzz targets exercised by fuzz-smoke, as package:target.
+FUZZ_TARGETS = internal/seq:FuzzParseFasta internal/seq:FuzzParseFastq internal/seq:FuzzParseSFA \
+	internal/assembler/contrail:FuzzParseRecord
 FUZZ_TIME ?= 10s
 
-.PHONY: all build test vet lint lint-fixtures race cover fuzz-smoke sweep-determinism journal-determinism overload-determinism check bench bench-gate bench-baseline clean
+.PHONY: all build test vet lint lint-fixtures race cover fuzz-smoke sweep-determinism oracle-determinism journal-determinism overload-determinism check bench bench-gate bench-baseline clean
 
 # Coverage profiles land here instead of littering the repo root.
 BUILD_DIR = build
@@ -82,10 +83,10 @@ cover:
 	done
 
 # fuzz-smoke runs each parser fuzz target briefly; failures minimize
-# into internal/seq/testdata/fuzz as regression inputs.
+# into the target package's testdata/fuzz as regression inputs.
 fuzz-smoke:
-	@for tgt in $(FUZZ_TARGETS); do \
-		$(GO) test ./internal/seq -run '^$$' -fuzz "^$$tgt$$" -fuzztime=$(FUZZ_TIME) || exit 1; \
+	@for spec in $(FUZZ_TARGETS); do \
+		$(GO) test ./$${spec%%:*} -run '^$$' -fuzz "^$${spec##*:}$$" -fuzztime=$(FUZZ_TIME) || exit 1; \
 	done
 
 # sweep-determinism pins the parallel-executor contract under the
@@ -93,6 +94,14 @@ fuzz-smoke:
 # dataset generation per profile however many cells ask for it.
 sweep-determinism:
 	$(GO) test -race -run 'TestMapDeterminismAcrossWorkerCounts|TestDatasetCacheSingleGeneration' ./internal/sweep
+
+# oracle-determinism pins the MapReduce engine's data path against the
+# map-based reference it replaced, under the race detector: over seeded
+# random jobs the Result (output, elapsed, shuffle bytes, task counts)
+# must be exactly the reference's at GOMAXPROCS 1, 2 and 8 — however
+# many host goroutines run the map splits and reduce partitions.
+oracle-determinism:
+	$(GO) test -race -count=1 -cpu 1,2,8 -run 'TestEngineMatchesReference' ./internal/mapreduce
 
 # journal-determinism pins the checkpoint/resume contract: a run is
 # killed at three injected virtual-time points (mid-PA, mid-PB,
@@ -126,10 +135,10 @@ overload-determinism:
 
 # check is the gate a change must pass before review: static analysis
 # (go vet plus the rnavet determinism analyzer), the full test suite
-# under the race detector, the coverage floors, the sweep determinism
-# contract, the journal resume contract, a fuzz smoke pass and the
-# kernel benchmark regression gate.
-check: vet lint race cover sweep-determinism journal-determinism overload-determinism fuzz-smoke bench-gate
+# under the race detector, the coverage floors, the sweep and
+# MapReduce-engine determinism contracts, the journal resume contract,
+# a fuzz smoke pass and the kernel benchmark regression gate.
+check: vet lint race cover sweep-determinism oracle-determinism journal-determinism overload-determinism fuzz-smoke bench-gate
 
 # bench regenerates the paper tables at quick scale and refreshes
 # BENCH_results.json (per-stage TTC/cost snapshots, plus the pass's

@@ -31,6 +31,7 @@ import (
 	"rnascale/internal/assembler"
 	"rnascale/internal/dbg"
 	"rnascale/internal/mapreduce"
+	"rnascale/internal/obs/perf"
 	"rnascale/internal/seq"
 	"rnascale/internal/vclock"
 )
@@ -75,45 +76,79 @@ type record struct {
 	l, r  string
 }
 
+// marshal serializes the record in one allocation. The encoded length
+// is what the engine bills, so the format must not change.
 func (rec record) marshal() string {
-	return rec.seq + "|" + strconv.FormatInt(rec.count, 10) + "|" + rec.l + "|" + rec.r
+	var sb strings.Builder
+	var num [20]byte
+	sb.Grow(len(rec.seq) + len(num) + len(rec.l) + len(rec.r) + 3)
+	sb.WriteString(rec.seq)
+	sb.WriteByte('|')
+	sb.Write(strconv.AppendInt(num[:0], rec.count, 10))
+	sb.WriteByte('|')
+	sb.WriteString(rec.l)
+	sb.WriteByte('|')
+	sb.WriteString(rec.r)
+	return sb.String()
 }
 
+// parseRecord splits s at its three separators; the returned fields
+// alias s.
 func parseRecord(s string) (record, error) {
-	parts := strings.Split(s, "|")
-	if len(parts) != 4 {
+	var f [3]string
+	rest := s
+	for i := range f {
+		var ok bool
+		if f[i], rest, ok = strings.Cut(rest, "|"); !ok {
+			return record{}, fmt.Errorf("contrail: bad record %q", s)
+		}
+	}
+	if strings.IndexByte(rest, '|') >= 0 {
 		return record{}, fmt.Errorf("contrail: bad record %q", s)
 	}
-	n, err := strconv.ParseInt(parts[1], 10, 64)
+	n, err := strconv.ParseInt(f[1], 10, 64)
 	if err != nil {
 		return record{}, fmt.Errorf("contrail: bad count in %q", s)
 	}
-	return record{seq: parts[0], count: n, l: parts[2], r: parts[3]}, nil
+	return record{seq: f[0], count: n, l: f[2], r: rest}, nil
 }
 
 // addBase inserts b into the sorted base set s.
 func addBase(s string, b byte) string {
-	if strings.IndexByte(s, b) >= 0 {
+	i := 0
+	for i < len(s) && s[i] < b {
+		i++
+	}
+	if i < len(s) && s[i] == b {
 		return s
 	}
-	out := []byte(s + string(b))
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return string(out)
+	return s[:i] + string(b) + s[i:]
 }
 
-// canonString returns the canonical form of a k-mer given as a string.
+// canonString returns the canonical form of a k-mer given as a
+// string: the smaller of s and its reverse complement. The two are
+// compared in place, so only a winning reverse complement allocates.
 func canonString(s string) string {
-	rc := seq.ReverseComplement([]byte(s))
-	if string(rc) < s {
-		return string(rc)
+	n := len(s)
+	for i := 0; i < n; i++ {
+		if c := seq.Complement(s[n-1-i]); c != s[i] {
+			if c > s[i] {
+				return s
+			}
+			var buf [64]byte // k ≤ 63: stays on the stack
+			rc := buf[:0]
+			for j := n - 1; j >= 0; j-- {
+				rc = append(rc, seq.Complement(s[j]))
+			}
+			return string(rc)
+		}
 	}
 	return s
 }
 
-var comp = map[byte]byte{'A': 'T', 'C': 'G', 'G': 'C', 'T': 'A'}
-
 // Assemble implements assembler.Assembler.
 func (ct *Contrail) Assemble(req assembler.Request) (assembler.Result, error) {
+	defer perf.Region("contrail.assemble").End()
 	if err := req.Validate(ct.Info()); err != nil {
 		return assembler.Result{}, err
 	}
@@ -135,10 +170,7 @@ func (ct *Contrail) Assemble(req assembler.Request) (assembler.Result, error) {
 		input[i] = mapreduce.KV{Key: req.Reads[i].ID, Value: string(req.Reads[i].Seq)}
 	}
 	scaledBytes := mapreduce.TotalBytes(input)
-	volumeScale := float64(req.FullScale.SeqDataBytes) / float64(scaledBytes)
-	if volumeScale < 1 {
-		volumeScale = 1
-	}
+	volumeScale := max(1, float64(req.FullScale.SeqDataBytes)/float64(scaledBytes))
 	cfg := mapreduce.Config{
 		Workers:        req.Nodes,
 		SlotsPerWorker: req.CoresPerNode,
@@ -146,61 +178,12 @@ func (ct *Contrail) Assemble(req assembler.Request) (assembler.Result, error) {
 		TaskOverhead:   4,
 		MapRate:        mustRate(ct.MapRate, defaultMapRate),
 		ReduceRate:     mustRate(ct.ReduceRate, defaultReduceRate),
-		SplitBytes:     maxI64(1024, int64(64e6/volumeScale)),
+		SplitBytes:     max(1024, int64(64e6/volumeScale)),
 		VolumeScale:    volumeScale,
 	}
 	engine, err := mapreduce.NewEngine(cfg)
 	if err != nil {
 		return assembler.Result{}, err
-	}
-
-	// --- Job 1: build k-mer node records with edge sets ---
-	build := mapreduce.Job{
-		Name:        "contrail-build",
-		NumReducers: req.Nodes * req.CoresPerNode,
-		Map: func(kv mapreduce.KV, emit func(mapreduce.KV)) {
-			read := kv.Value
-			for i := 0; i+k <= len(read); i++ {
-				w := read[i : i+k]
-				c := canonString(w)
-				fwd := c == w
-				rec := record{seq: c, count: 1}
-				if i+k < len(read) {
-					b := read[i+k]
-					if fwd {
-						rec.r = addBase(rec.r, b)
-					} else {
-						rec.l = addBase(rec.l, comp[b])
-					}
-				}
-				if i > 0 {
-					a := read[i-1]
-					if fwd {
-						rec.l = addBase(rec.l, comp[a])
-					} else {
-						rec.r = addBase(rec.r, a)
-					}
-				}
-				emit(mapreduce.KV{Key: c, Value: rec.marshal()})
-			}
-		},
-		Reduce: func(key string, values []string, emit func(mapreduce.KV)) {
-			merged := record{seq: key}
-			for _, v := range values {
-				rec, err := parseRecord(v)
-				if err != nil {
-					continue
-				}
-				merged.count += rec.count
-				for i := 0; i < len(rec.l); i++ {
-					merged.l = addBase(merged.l, rec.l[i])
-				}
-				for i := 0; i < len(rec.r); i++ {
-					merged.r = addBase(merged.r, rec.r[i])
-				}
-			}
-			emit(mapreduce.KV{Key: key, Value: merged.marshal()})
-		},
 	}
 
 	// --- Job 2: coverage filter ---
@@ -223,7 +206,7 @@ func (ct *Contrail) Assemble(req assembler.Request) (assembler.Result, error) {
 	if rounds <= 0 {
 		rounds = defaultRounds
 	}
-	jobs := []mapreduce.Job{build, filter}
+	jobs := []mapreduce.Job{buildJob(k, req.Nodes*req.CoresPerNode), filter}
 	for r := 0; r < rounds; r++ {
 		jobs = append(jobs, compressionJob(k, r, req.Nodes*req.CoresPerNode))
 	}
@@ -251,7 +234,7 @@ func (ct *Contrail) Assemble(req assembler.Request) (assembler.Result, error) {
 				if err != nil {
 					continue
 				}
-				per := uint32(rec.count / int64(maxI(1, len(rec.seq)-k+1)))
+				per := uint32(rec.count / int64(max(1, len(rec.seq)-k+1)))
 				if per == 0 {
 					per = 1
 				}
@@ -303,6 +286,62 @@ func (ct *Contrail) Assemble(req assembler.Request) (assembler.Result, error) {
 	}, nil
 }
 
+// buildJob is the first job of the chain: reads → k-mer node records
+// with their edge sets.
+func buildJob(k, reducers int) mapreduce.Job {
+	return mapreduce.Job{
+		Name:        "contrail-build",
+		NumReducers: reducers,
+		Map: func(kv mapreduce.KV, emit func(mapreduce.KV)) {
+			// An ambiguous base (only AllowN lets one in) ends the read
+			// there: each ACGT stretch is windowed on its own.
+			for _, read := range strings.FieldsFunc(kv.Value, notBase) {
+				for i := 0; i+k <= len(read); i++ {
+					w := read[i : i+k]
+					c := canonString(w)
+					fwd := c == w
+					rec := record{seq: c, count: 1}
+					if i+k < len(read) {
+						if b := read[i+k]; fwd {
+							rec.r = string(b)
+						} else {
+							rec.l = string(seq.Complement(b))
+						}
+					}
+					if i > 0 {
+						if a := read[i-1]; fwd {
+							rec.l = string(seq.Complement(a))
+						} else {
+							rec.r = string(a)
+						}
+					}
+					// The key is the value's prefix: one string to
+					// retain per record, not two.
+					v := rec.marshal()
+					emit(mapreduce.KV{Key: v[:k], Value: v})
+				}
+			}
+		},
+		Reduce: func(key string, values []string, emit func(mapreduce.KV)) {
+			merged := record{seq: key}
+			for _, v := range values {
+				rec, err := parseRecord(v)
+				if err != nil {
+					continue
+				}
+				merged.count += rec.count
+				for i := 0; i < len(rec.l); i++ {
+					merged.l = addBase(merged.l, rec.l[i])
+				}
+				for i := 0; i < len(rec.r); i++ {
+					merged.r = addBase(merged.r, rec.r[i])
+				}
+			}
+			emit(mapreduce.KV{Key: key, Value: merged.marshal()})
+		},
+	}
+}
+
 // compressionJob builds one coin-flip chain-merge round. A node whose
 // right edge is unique "flips tails" and mails itself to its successor
 // (addressed by the canonical boundary k-mer); a "heads" successor
@@ -322,6 +361,9 @@ func compressionJob(k, round, reducers int) mapreduce.Job {
 	return mapreduce.Job{
 		Name:        fmt.Sprintf("contrail-compress-%02d", round),
 		NumReducers: reducers,
+		// Records come from marshal, so re-marshalling a parsed one
+		// would reproduce its bytes: unchanged records are forwarded
+		// as they arrived.
 		Map: func(kv mapreduce.KV, emit func(mapreduce.KV)) {
 			rec, err := parseRecord(kv.Value)
 			if err != nil {
@@ -333,14 +375,19 @@ func compressionJob(k, round, reducers int) mapreduce.Job {
 				boundary := rec.seq[len(rec.seq)-k+1:] + rec.r
 				target := canonString(boundary)
 				if coin(target) && target != anchor {
-					emit(mapreduce.KV{Key: target, Value: "REQ " + rec.marshal()})
+					emit(mapreduce.KV{Key: target, Value: "REQ " + kv.Value})
 					return
 				}
 			}
-			emit(mapreduce.KV{Key: anchor, Value: "NODE " + rec.marshal()})
+			emit(mapreduce.KV{Key: anchor, Value: "NODE " + kv.Value})
 		},
 		Reduce: func(key string, values []string, emit func(mapreduce.KV)) {
-			var nodes, reqs []record
+			type arrival struct {
+				record
+				wire string
+			}
+			var nbuf, rbuf [2]arrival // the common key holds one or two
+			nodes, reqs := nbuf[:0], rbuf[:0]
 			for _, v := range values {
 				body := v[strings.IndexByte(v, ' ')+1:]
 				rec, err := parseRecord(body)
@@ -348,13 +395,10 @@ func compressionJob(k, round, reducers int) mapreduce.Job {
 					continue
 				}
 				if strings.HasPrefix(v, "REQ ") {
-					reqs = append(reqs, rec)
+					reqs = append(reqs, arrival{rec, body})
 				} else {
-					nodes = append(nodes, rec)
+					nodes = append(nodes, arrival{rec, body})
 				}
-			}
-			bounce := func(rec record) {
-				emit(mapreduce.KV{Key: canonString(rec.seq[:k]), Value: "NODE " + rec.marshal()})
 			}
 			if len(nodes) == 1 && len(reqs) == 1 {
 				v, u := nodes[0], reqs[0]
@@ -372,11 +416,8 @@ func compressionJob(k, round, reducers int) mapreduce.Job {
 					return
 				}
 			}
-			for _, n := range nodes {
-				bounce(n)
-			}
-			for _, r := range reqs {
-				bounce(r)
+			for _, a := range append(nodes, reqs...) {
+				emit(mapreduce.KV{Key: canonString(a.seq[:k]), Value: "NODE " + a.wire})
 			}
 		},
 	}
@@ -406,10 +447,7 @@ func (ct *Contrail) EstimateTTC(req assembler.Request) (vclock.Duration, error) 
 	bases := assembler.FullScaleBases(req.FullScale)
 	winFrac := 1.0
 	if rl := req.FullScale.ReadLen; rl > 0 {
-		winFrac = (float64(rl) - k + 1) / float64(rl)
-		if winFrac < 0.02 {
-			winFrac = 0.02
-		}
+		winFrac = max(0.02, (float64(rl)-k+1)/float64(rl))
 	}
 	windows := bases * winFrac
 	recordBytes := 2*k + 40
@@ -422,6 +460,12 @@ func (ct *Contrail) EstimateTTC(req assembler.Request) (vclock.Duration, error) 
 	finalize := nodeVolume/(10*mapRate*slots) + nodeVolume/(25*redRate)
 	setups := (3 + rounds) * setup
 	return vclock.Duration(build + filter + compress + finalize + setups), nil
+}
+
+// notBase reports whether r is anything but A, C, G or T.
+func notBase(r rune) bool {
+	_, ok := seq.Code(byte(r))
+	return !ok || r > 0x7F
 }
 
 // passThroughReduce re-emits every value under its key.
@@ -443,18 +487,4 @@ func mustDur(v, def float64) vclock.Duration {
 		return vclock.Duration(v)
 	}
 	return vclock.Duration(def)
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,11 +1,17 @@
 package contrail
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
 	"rnascale/internal/assembler"
+	"rnascale/internal/cloud"
 	"rnascale/internal/mapreduce"
+	"rnascale/internal/preprocess"
 	"rnascale/internal/seq"
 	"rnascale/internal/simdata"
 )
@@ -144,5 +150,138 @@ func TestNCheckToggle(t *testing.T) {
 	if _, err := (&Contrail{AllowN: true}).Assemble(req); err != nil &&
 		!strings.Contains(err.Error(), "no contigs") {
 		t.Errorf("AllowN: unexpected error %v", err)
+	}
+}
+
+// Under AllowN an ambiguous base must not reach the graph: no window
+// spans it, and it never lands in a neighbour's edge set (it used to,
+// as a NUL from the complement lookup). Every byte the build and
+// compression jobs emit is a base, a digit, a separator or a tag.
+func TestAllowNKeepsRecordsClean(t *testing.T) {
+	const k = 5
+	input := []mapreduce.KV{
+		{Key: "mid", Value: "ACGTTNGCATG"},  // both stretches long enough to window
+		{Key: "edge", Value: "NACGTTGN"},    // N as the only neighbour on each side
+		{Key: "short", Value: "ACGNNACNGT"}, // no stretch reaches k
+		{Key: "clean", Value: "ACGTTGCATG"},
+	}
+	e, err := mapreduce.NewEngine(mapreduce.DefaultConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _, err := e.RunChain([]mapreduce.Job{buildJob(k, 4), compressionJob(k, 0, 4), compressionJob(k, 1, 4)}, input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) == 0 {
+		t.Fatal("no records")
+	}
+	for _, kv := range out {
+		if i := strings.IndexFunc(kv.Key+kv.Value, func(r rune) bool { return !strings.ContainsRune("ACGT0123456789| NODEREQ", r) }); i >= 0 {
+			t.Errorf("record %q holds byte %q", kv, (kv.Key + kv.Value)[i])
+		}
+	}
+}
+
+// splitParseRecord is the strings.Split parser the index-based one
+// replaced, kept as its oracle.
+func splitParseRecord(s string) (record, error) {
+	parts := strings.Split(s, "|")
+	if len(parts) != 4 {
+		return record{}, fmt.Errorf("contrail: bad record %q", s)
+	}
+	n, err := strconv.ParseInt(parts[1], 10, 64)
+	if err != nil {
+		return record{}, fmt.Errorf("contrail: bad count in %q", s)
+	}
+	return record{seq: parts[0], count: n, l: parts[2], r: parts[3]}, nil
+}
+
+// FuzzParseRecord: the parser accepts and rejects exactly what the
+// strings.Split version did, with the same fields and the same error
+// text, and marshal is its inverse.
+func FuzzParseRecord(f *testing.F) {
+	for _, s := range []string{
+		"ACGTACG|42|AC|T", "ACG|1||", "|0||", "NODE ACG|7|A|", // well-formed
+		"", "a|b", "a|1|A", "a|1|A|C|extra", "||||", // 1-, 2-, 3- and 5-field
+		"seq|notanumber|A|C", "seq||A|C", "seq|1.5|A|C", "seq|99999999999999999999|A|C", // bad counts
+		"seq|+5|A|C", "seq|-3|A|C", "seq|007|A|C", // counts ParseInt takes but marshal would not write
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := parseRecord(s)
+		want, werr := splitParseRecord(s)
+		if (err == nil) != (werr == nil) || got != want || (err != nil && err.Error() != werr.Error()) {
+			t.Fatalf("parseRecord(%q) = %+v, %v; the split parser gives %+v, %v", s, got, err, want, werr)
+		}
+		if err != nil {
+			return
+		}
+		if strings.Contains(got.r, "|") || strings.Contains(got.seq+got.l, "|") {
+			t.Fatalf("parseRecord(%q) left a separator in a field: %+v", s, got)
+		}
+		if back, err := parseRecord(got.marshal()); err != nil || back != got {
+			t.Fatalf("parseRecord(marshal(%+v)) = %+v, %v", got, back, err)
+		}
+	})
+}
+
+// bglumaePins are Assemble's results on the bglumae profile's N-free
+// cleaned reads at 16 nodes × C32XLarge.Cores, recorded on the commit
+// before the flat-run shuffle and the allocation-lean codec landed.
+// The record lengths are the virtual-time cost model, so the TTCs pin
+// the wire format byte for byte; the digest covers every contig ID
+// and sequence over all seven k.
+var bglumaePins = []struct {
+	k, contigs int
+	ttc        string
+}{
+	{35, 97, "3923.895888852"},
+	{37, 95, "3919.930289987"},
+	{39, 94, "3921.595547806"},
+	{41, 78, "3922.238844840"},
+	{43, 79, "3916.284144739"},
+	{45, 66, "3908.029341168"},
+	{47, 50, "3913.527360995"},
+}
+
+const bglumaeContigsSHA256 = "38c5c3eefcfd247672674996c433135612df969bad7f27171299e538efa97b2a"
+
+func TestBGlumaePins(t *testing.T) {
+	if testing.Short() {
+		t.Skip("seven full-profile assemblies")
+	}
+	ds, err := simdata.Generate(simdata.BGlumae())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cleaned, _ := preprocess.Run(ds.Reads, preprocess.DefaultOptions())
+	var reads []seq.Read
+	for _, r := range cleaned.Reads {
+		if seq.CountN(r.Seq) == 0 {
+			reads = append(reads, r)
+		}
+	}
+	fs := ds.Profile.FullScale
+	fs.SeqDataBytes = fs.PostPreprocessBytes
+	h := sha256.New()
+	for _, pin := range bglumaePins {
+		res, err := (&Contrail{}).Assemble(assembler.Request{
+			Reads: reads, Params: assembler.Params{K: pin.k},
+			Nodes: 16, CoresPerNode: cloud.C32XLarge.Cores, FullScale: fs,
+		})
+		if err != nil {
+			t.Fatalf("k=%d: %v", pin.k, err)
+		}
+		if got := fmt.Sprintf("%.9f", res.TTC.Seconds()); len(res.Contigs) != pin.contigs || got != pin.ttc {
+			t.Errorf("k=%d: %d contigs, TTC %s s; want %d, %s", pin.k, len(res.Contigs), got, pin.contigs, pin.ttc)
+		}
+		for _, c := range res.Contigs {
+			fmt.Fprintf(h, "%s\n%s\n", c.ID, c.Seq)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != bglumaeContigsSHA256 {
+		t.Errorf("contigs digest %s, want %s", got, bglumaeContigsSHA256)
 	}
 }

@@ -5,9 +5,10 @@
 // Each kernel is one of the hot paths the ROADMAP's "raw speed" line
 // targets — k-mer counting and DBG construction, FASTA/FASTQ parsing,
 // the vclock slot scheduler, MPI collective rendezvous, the spot
-// market's price walk, journal appends — run over a deterministic
-// workload (a splitmix64-seeded
-// synthetic genome, never math/rand), so that allocsPerOp and
+// market's price walk, journal appends, a MapReduce job and the
+// Contrail chain on top of it — run over a deterministic workload (a
+// splitmix64-seeded synthetic genome, never math/rand), so that
+// allocsPerOp and
 // bytesPerOp are stable across runs and only nsPerOp carries
 // machine noise. The gate (Compare) exploits that split: wall time
 // gets a generous tolerance, allocation counts a tight one, which is
@@ -19,15 +20,20 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 
+	"rnascale/internal/assembler"
+	"rnascale/internal/assembler/contrail"
 	"rnascale/internal/cloud"
 	"rnascale/internal/dbg"
 	"rnascale/internal/journal"
+	"rnascale/internal/mapreduce"
 	"rnascale/internal/mpi"
 	"rnascale/internal/obs/perf"
 	"rnascale/internal/seq"
+	"rnascale/internal/simdata"
 	"rnascale/internal/vclock"
 )
 
@@ -353,6 +359,85 @@ func Kernels() []Kernel {
 					wg.Wait()
 					if err := w.Close(); err != nil {
 						panic(err)
+					}
+				}
+			},
+		},
+		{
+			// One MapReduce job through the Combine path: count canonical
+			// k-mers (the first thing Contrail does with its reads) over
+			// several map splits and reducers, so the sort-group combiner,
+			// partition-at-emit shuffle and per-partition sort all run.
+			Name:  "mapreduce.kmercount",
+			Iters: 20,
+			Setup: func() func() {
+				const k = 25
+				reads := shred(genome(8, 8192), 80, 3)
+				input := make([]mapreduce.KV, len(reads))
+				for i, r := range reads {
+					input[i] = mapreduce.KV{Key: r.ID, Value: string(r.Seq)}
+				}
+				cfg := mapreduce.DefaultConfig(4)
+				cfg.SplitBytes = 4 << 10
+				engine, err := mapreduce.NewEngine(cfg)
+				if err != nil {
+					panic(err)
+				}
+				sum := func(values []string) string {
+					total := 0
+					for _, v := range values {
+						n, _ := strconv.Atoi(v)
+						total += n
+					}
+					return strconv.Itoa(total)
+				}
+				job := mapreduce.Job{
+					Name: "kernelbench-kmercount",
+					Map: func(kv mapreduce.KV, emit func(mapreduce.KV)) {
+						for i := 0; i+k <= len(kv.Value); i++ {
+							w := kv.Value[i : i+k]
+							if rc := string(seq.ReverseComplement([]byte(w))); rc < w {
+								w = rc
+							}
+							emit(mapreduce.KV{Key: w, Value: "1"})
+						}
+					},
+					Combine: func(_ string, values []string) []string { return []string{sum(values)} },
+					Reduce: func(key string, values []string, emit func(mapreduce.KV)) {
+						emit(mapreduce.KV{Key: key, Value: sum(values)})
+					},
+				}
+				return func() {
+					res, err := engine.Run(job, input)
+					if err != nil {
+						panic(err)
+					}
+					if len(res.Output) == 0 || res.MapTasks < 2 {
+						panic("kernelbench: degenerate k-mer count job")
+					}
+				}
+			},
+		},
+		{
+			// The whole Contrail chain — build, filter, compression
+			// rounds, finalize — on a small cluster: the record codec
+			// and the engine's no-Combine path under real job shapes.
+			Name:  "contrail.assemble",
+			Iters: 5,
+			Setup: func() func() {
+				req := assembler.Request{
+					Reads:  shred(genome(9, 8192), 80, 6),
+					Params: assembler.Params{K: 31},
+					Nodes:  4, CoresPerNode: 8,
+					FullScale: simdata.FullScaleStats{SeqDataBytes: 64 << 20},
+				}
+				return func() {
+					res, err := (&contrail.Contrail{}).Assemble(req)
+					if err != nil {
+						panic(err)
+					}
+					if len(res.Contigs) == 0 {
+						panic("kernelbench: no contigs")
 					}
 				}
 			},

@@ -17,9 +17,13 @@ package mapreduce
 
 import (
 	"fmt"
-	"os"
-	"sort"
+	"runtime"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
 
+	"rnascale/internal/obs/perf"
 	"rnascale/internal/vclock"
 )
 
@@ -41,17 +45,25 @@ func TotalBytes(kvs []KV) int64 {
 	return n
 }
 
-// Job is one MapReduce job.
+// Job is one MapReduce job. The engine runs independent map splits,
+// and then independent reduce partitions, on several host goroutines:
+// Map, Combine and Reduce may each be called concurrently for
+// different tasks (never for the same task), so they must not write
+// shared state without synchronization.
 type Job struct {
 	Name string
 	// Map transforms one input record into zero or more intermediate
 	// records.
 	Map func(kv KV, emit func(KV))
 	// Reduce folds all values of one key into zero or more output
-	// records. Values arrive sorted for determinism.
+	// records. Values arrive sorted for determinism, in a slice the
+	// engine reuses for the next key: Reduce must not retain it past
+	// the call (the strings in it may be kept).
 	Reduce func(key string, values []string, emit func(KV))
-	// Combine optionally pre-folds values map-side, cutting shuffle
-	// volume. Same contract as Reduce's folding (must be associative).
+	// Combine optionally pre-folds one split's values for a key
+	// map-side, cutting shuffle volume. Same contract as Reduce's
+	// folding (must be associative, must not retain values); it may
+	// return its argument.
 	Combine func(key string, values []string) []string
 	// NumReducers overrides the reducer task count (default: one per
 	// worker).
@@ -118,9 +130,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	return &Engine{cfg: cfg}, nil
 }
 
-// Workers reports the configured worker count.
-func (e *Engine) Workers() int { return e.cfg.Workers }
-
 // volumeScale normalizes the cost multiplier.
 func (e *Engine) volumeScale() float64 {
 	if e.cfg.VolumeScale <= 0 {
@@ -141,7 +150,14 @@ type Result struct {
 }
 
 // Run executes one job over the input and returns its sorted output.
+//
+// Records move through flat per-reducer runs (partitioned at emit,
+// sorted once, reduced over consecutive equal keys). Map splits, then
+// reduce partitions, execute on up to GOMAXPROCS host goroutines; the
+// virtual-time accounting happens afterwards from integer byte
+// totals, so neither Output nor Elapsed depends on how many ran.
 func (e *Engine) Run(job Job, input []KV) (Result, error) {
+	defer perf.Region("mapreduce.run").End()
 	if job.Map == nil || job.Reduce == nil {
 		return Result{}, fmt.Errorf("mapreduce: job %q missing map or reduce", job.Name)
 	}
@@ -149,100 +165,133 @@ func (e *Engine) Run(job Job, input []KV) (Result, error) {
 	if reducers <= 0 {
 		reducers = e.cfg.Workers
 	}
-
-	// --- Split input ---
 	splits := splitInput(input, e.cfg.SplitBytes)
-	slots := vclock.NewSlotPool(e.cfg.Workers * e.cfg.SlotsPerWorker)
 
-	// When billing a scaled stand-in dataset at full scale
-	// (VolumeScale > 1), per-task costs are smoothed to the phase
-	// mean: the full-scale job has VolumeScale× more records of
-	// ordinary size, so the skew of individual oversized stand-in
-	// records is an artifact that must not masquerade as straggler
-	// tasks.
-	smooth := e.volumeScale() > 1
-	totalInput := float64(TotalBytes(input))
-
-	// --- Map phase (real execution + virtual scheduling) ---
-	interm := make([]map[string][]string, len(splits))
-	for i, sp := range splits {
-		m := make(map[string][]string)
-		for _, kv := range sp {
-			job.Map(kv, func(out KV) {
-				m[out.Key] = append(m[out.Key], out.Value)
-			})
+	// --- Map phase: runs[split][partition] ---
+	mapBytes := make([]int64, len(splits))
+	runs := make([][][]KV, len(splits))
+	parallel(len(splits), func(i int) {
+		mapBytes[i] = TotalBytes(splits[i])
+		parts := make([][]KV, reducers)
+		runs[i] = parts
+		toPartition := func(out KV) {
+			p := keyHash(out.Key) % uint64(reducers)
+			parts[p] = append(parts[p], out)
 		}
-		if job.Combine != nil {
-			for k, vs := range m {
-				sort.Strings(vs)
-				m[k] = job.Combine(k, vs)
+		if job.Combine == nil {
+			for _, kv := range splits[i] {
+				job.Map(kv, toPartition)
 			}
+			return
 		}
-		interm[i] = m
-		taskBytes := float64(TotalBytes(sp))
-		if smooth {
-			taskBytes = totalInput / float64(len(splits))
+		var emitted []KV
+		for _, kv := range splits[i] {
+			job.Map(kv, func(out KV) { emitted = append(emitted, out) })
 		}
-		cost := e.cfg.TaskOverhead + vclock.Duration(e.volumeScale()*taskBytes/e.cfg.MapRate)
-		slots.Acquire(1, 0, cost)
-	}
-	mapDone := slots.Horizon()
-
-	// --- Shuffle: partition by key hash ---
-	partitions := make([]map[string][]string, reducers)
-	for i := range partitions {
-		partitions[i] = make(map[string][]string)
-	}
-	var shuffleBytes int64
-	for _, m := range interm {
-		for k, vs := range m {
-			p := partitions[keyHash(k)%uint64(reducers)]
-			p[k] = append(p[k], vs...)
-			for _, v := range vs {
-				shuffleBytes += int64(len(k) + len(v) + 16)
+		slices.SortFunc(emitted, compareKV)
+		forEachKey(emitted, func(key string, values []string) {
+			for _, v := range job.Combine(key, values) {
+				toPartition(KV{key, v})
 			}
-		}
-	}
-
-	// --- Reduce phase ---
-	rslots := vclock.NewSlotPool(e.cfg.Workers * e.cfg.SlotsPerWorker)
-	var output []KV
-	for _, p := range partitions {
-		keys := make([]string, 0, len(p))
-		var pbytes float64
-		for k, vs := range p {
-			keys = append(keys, k)
-			for _, v := range vs {
-				pbytes += float64(len(k) + len(v) + 16)
-			}
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			vs := p[k]
-			sort.Strings(vs)
-			job.Reduce(k, vs, func(out KV) { output = append(output, out) })
-		}
-		if smooth {
-			pbytes = float64(shuffleBytes) / float64(reducers)
-		}
-		cost := e.cfg.TaskOverhead + vclock.Duration(e.volumeScale()*pbytes/e.cfg.ReduceRate)
-		rslots.Acquire(1, 0, cost)
-	}
-	reduceDone := rslots.Horizon()
-
-	sort.Slice(output, func(a, b int) bool {
-		if output[a].Key != output[b].Key {
-			return output[a].Key < output[b].Key
-		}
-		return output[a].Value < output[b].Value
+		})
 	})
+
+	// --- Shuffle + reduce phase: one sorted run per partition ---
+	partBytes := make([]int64, reducers)
+	outputs := make([][]KV, reducers)
+	parallel(reducers, func(p int) {
+		run := runs[0][p]
+		runs[0][p] = nil // a finished partition's records are garbage
+		for _, parts := range runs[1:] {
+			run = append(run, parts[p]...)
+			parts[p] = nil
+		}
+		partBytes[p] = TotalBytes(run)
+		slices.SortFunc(run, compareKV)
+		var out []KV
+		emit := func(kv KV) { out = append(out, kv) }
+		forEachKey(run, func(key string, values []string) { job.Reduce(key, values, emit) })
+		outputs[p] = out
+	})
+	output := slices.Concat(outputs...)
+	slices.SortFunc(output, compareKV)
+
+	mapDone, _ := e.phase(e.cfg.MapRate, mapBytes)
+	reduceDone, shuffleBytes := e.phase(e.cfg.ReduceRate, partBytes)
 	return Result{
 		Output:       output,
-		Elapsed:      e.cfg.JobSetup + vclock.Duration(mapDone) + vclock.Duration(reduceDone),
+		Elapsed:      e.cfg.JobSetup + mapDone + reduceDone,
 		MapTasks:     len(splits),
 		ReduceTasks:  reducers,
 		ShuffleBytes: shuffleBytes,
 	}, nil
+}
+
+// phase list-schedules one task per entry of taskBytes over the
+// cluster's slots and returns the phase's virtual duration and its
+// byte total.
+//
+// When billing a scaled stand-in dataset at full scale
+// (VolumeScale > 1), per-task costs are smoothed to the phase mean:
+// the full-scale job has VolumeScale× more records of ordinary size,
+// so the skew of individual oversized stand-in records is an artifact
+// that must not masquerade as straggler tasks.
+func (e *Engine) phase(rate float64, taskBytes []int64) (vclock.Duration, int64) {
+	var total int64
+	for _, b := range taskBytes {
+		total += b
+	}
+	scale := e.volumeScale()
+	slots := vclock.NewSlotPool(e.cfg.Workers * e.cfg.SlotsPerWorker)
+	for _, b := range taskBytes {
+		bytes := float64(b)
+		if scale > 1 {
+			bytes = float64(total) / float64(len(taskBytes))
+		}
+		slots.Acquire(1, 0, e.cfg.TaskOverhead+vclock.Duration(scale*bytes/rate))
+	}
+	return vclock.Duration(slots.Horizon()), total
+}
+
+// compareKV orders records by key, then value.
+func compareKV(a, b KV) int {
+	if c := strings.Compare(a.Key, b.Key); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Value, b.Value)
+}
+
+// forEachKey calls fn once per run of consecutive equal keys in the
+// sorted records, with the run's values in a scratch slice that is
+// reused for the next key.
+func forEachKey(sorted []KV, fn func(key string, values []string)) {
+	var values []string
+	for i := 0; i < len(sorted); {
+		key := sorted[i].Key
+		values = values[:0]
+		for ; i < len(sorted) && sorted[i].Key == key; i++ {
+			values = append(values, sorted[i].Value)
+		}
+		fn(key, values)
+	}
+}
+
+// parallel runs task(0) … task(n-1) on up to GOMAXPROCS goroutines
+// and returns when all have finished. Tasks write only to their own
+// index of the caller's result slices.
+func parallel(n int, task func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(n, runtime.GOMAXPROCS(0)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				task(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // RunChain executes jobs sequentially, feeding each job's output to
@@ -258,10 +307,6 @@ func (e *Engine) RunChain(jobs []Job, input []KV) ([]KV, vclock.Duration, error)
 		}
 		cur = res.Output
 		total += res.Elapsed
-		if os.Getenv("MR_DEBUG") != "" {
-			fmt.Fprintf(os.Stderr, "MRDBG job=%s elapsed=%v in=%d out=%d maps=%d reds=%d shuffle=%d\n",
-				jobs[i].Name, res.Elapsed, len(cur), len(res.Output), res.MapTasks, res.ReduceTasks, res.ShuffleBytes)
-		}
 	}
 	return cur, total, nil
 }

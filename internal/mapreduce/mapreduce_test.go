@@ -2,6 +2,8 @@ package mapreduce
 
 import (
 	"fmt"
+	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -247,5 +249,197 @@ func TestElapsedScalesWithVolume(t *testing.T) {
 	if big.Elapsed <= small.Elapsed {
 		t.Errorf("big input %v not slower than small %v", big.Elapsed, small.Elapsed)
 	}
-	_ = vclock.Duration(0)
+}
+
+// referenceRun is the engine's original data path, kept as the
+// oracle: two levels of map[string][]string per job, serial tasks,
+// accounting interleaved with execution.
+func referenceRun(e *Engine, job Job, input []KV) Result {
+	reducers := job.NumReducers
+	if reducers <= 0 {
+		reducers = e.cfg.Workers
+	}
+	splits := splitInput(input, e.cfg.SplitBytes)
+	slots := vclock.NewSlotPool(e.cfg.Workers * e.cfg.SlotsPerWorker)
+	smooth := e.volumeScale() > 1
+	totalInput := float64(TotalBytes(input))
+
+	interm := make([]map[string][]string, len(splits))
+	for i, sp := range splits {
+		m := make(map[string][]string)
+		for _, kv := range sp {
+			job.Map(kv, func(out KV) { m[out.Key] = append(m[out.Key], out.Value) })
+		}
+		if job.Combine != nil {
+			for k, vs := range m {
+				sort.Strings(vs)
+				m[k] = job.Combine(k, vs)
+			}
+		}
+		interm[i] = m
+		taskBytes := float64(TotalBytes(sp))
+		if smooth {
+			taskBytes = totalInput / float64(len(splits))
+		}
+		slots.Acquire(1, 0, e.cfg.TaskOverhead+vclock.Duration(e.volumeScale()*taskBytes/e.cfg.MapRate))
+	}
+
+	partitions := make([]map[string][]string, reducers)
+	for i := range partitions {
+		partitions[i] = make(map[string][]string)
+	}
+	var shuffleBytes int64
+	for _, m := range interm {
+		for k, vs := range m {
+			p := partitions[keyHash(k)%uint64(reducers)]
+			p[k] = append(p[k], vs...)
+			for _, v := range vs {
+				shuffleBytes += int64(len(k) + len(v) + 16)
+			}
+		}
+	}
+
+	rslots := vclock.NewSlotPool(e.cfg.Workers * e.cfg.SlotsPerWorker)
+	var output []KV
+	for _, p := range partitions {
+		keys := make([]string, 0, len(p))
+		var pbytes float64
+		for k, vs := range p {
+			keys = append(keys, k)
+			for _, v := range vs {
+				pbytes += float64(len(k) + len(v) + 16)
+			}
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			sort.Strings(p[k])
+			job.Reduce(k, p[k], func(out KV) { output = append(output, out) })
+		}
+		if smooth {
+			pbytes = float64(shuffleBytes) / float64(reducers)
+		}
+		rslots.Acquire(1, 0, e.cfg.TaskOverhead+vclock.Duration(e.volumeScale()*pbytes/e.cfg.ReduceRate))
+	}
+	sort.Slice(output, func(a, b int) bool {
+		if output[a].Key != output[b].Key {
+			return output[a].Key < output[b].Key
+		}
+		return output[a].Value < output[b].Value
+	})
+	return Result{
+		Output:       output,
+		Elapsed:      e.cfg.JobSetup + vclock.Duration(slots.Horizon()) + vclock.Duration(rslots.Horizon()),
+		MapTasks:     len(splits),
+		ReduceTasks:  reducers,
+		ShuffleBytes: shuffleBytes,
+	}
+}
+
+// splitmix is the seeded generator behind the oracle's random jobs.
+type splitmix struct{ s uint64 }
+
+func (r *splitmix) intn(n int) int {
+	r.s += 0x9E3779B97F4A7C15
+	z := r.s
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return int((z ^ (z >> 31)) % uint64(n))
+}
+
+// oracleJob is a counting job whose map fans every record out under
+// several keys (so one split feeds many partitions and one key gets
+// values from many splits) and whose reduce emits under a key other
+// than the one it was given (so the output sort has work to do).
+func oracleJob(combine int) Job {
+	sum := func(values []string) string {
+		total := 0
+		for _, v := range values {
+			n, _ := strconv.Atoi(v)
+			total += n
+		}
+		return strconv.Itoa(total)
+	}
+	job := Job{
+		Name: "oracle",
+		Map: func(kv KV, emit func(KV)) {
+			for i := 0; i+3 <= len(kv.Value); i++ {
+				emit(KV{Key: kv.Value[i : i+3], Value: strconv.Itoa(1 + i%3)})
+			}
+		},
+		Reduce: func(key string, values []string, emit func(KV)) {
+			emit(KV{Key: key[1:] + key[:1], Value: sum(values)})
+			if len(values) > 2 {
+				emit(KV{Key: "big", Value: key + "=" + values[0] + ".." + values[len(values)-1]})
+			}
+		},
+	}
+	switch combine {
+	case 1: // fold to one value
+		job.Combine = func(_ string, values []string) []string { return []string{sum(values)} }
+	case 2: // hand the engine its own scratch slice back, shortened
+		job.Combine = func(_ string, values []string) []string {
+			values[0] = sum(values)
+			return values[:1]
+		}
+	}
+	return job
+}
+
+// Property: over seeded random inputs, cluster shapes and job
+// variants, the engine's Result equals the reference data path's in
+// every field — the flat-run shuffle, the parallel tasks and the
+// accounting done afterwards change nothing a caller can observe.
+// `make oracle-determinism` runs it under the race detector with
+// -cpu 1,2,8.
+func TestEngineMatchesReference(t *testing.T) {
+	const alphabet = "abcd"
+	for seed := uint64(1); seed <= 120; seed++ {
+		r := &splitmix{s: seed}
+		var input []KV // empty for one seed in six
+		if r.intn(6) > 0 {
+			input = make([]KV, 1+r.intn(60))
+		}
+		for i := range input {
+			v := make([]byte, r.intn(12))
+			for j := range v {
+				v[j] = alphabet[r.intn(len(alphabet))]
+			}
+			input[i] = KV{Key: strconv.Itoa(i), Value: string(v)}
+		}
+		cfg := DefaultConfig(1 + r.intn(5))
+		cfg.SlotsPerWorker = 1 + r.intn(3)
+		switch r.intn(3) {
+		case 0:
+			cfg.SplitBytes = 1 // every record its own split
+		case 1:
+			cfg.SplitBytes = int64(20 + r.intn(200))
+		default:
+			cfg.SplitBytes = 1 << 30 // everything in one split
+		}
+		cfg.VolumeScale = []float64{0, 0.5, 1, 3.7, 22}[r.intn(5)]
+		e, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		combine := r.intn(3)
+		reducers := r.intn(18) // 0 = one per worker
+		name := fmt.Sprintf("seed=%d records=%d split=%d scale=%g combine=%d reducers=%d",
+			seed, len(input), cfg.SplitBytes, cfg.VolumeScale, combine, reducers)
+
+		job := oracleJob(combine)
+		job.NumReducers = reducers
+		got, err := e.Run(job, input)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ref := oracleJob(combine)
+		ref.NumReducers = reducers
+		want := referenceRun(e, ref, input)
+		if len(got.Output) == 0 && len(want.Output) == 0 {
+			got.Output, want.Output = nil, nil
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s:\n got %+v\nwant %+v", name, got, want)
+		}
+	}
 }

@@ -81,6 +81,10 @@ func CountN(s []byte) int {
 	return n
 }
 
+// Complement returns the complement of an ASCII base; any other byte
+// maps to itself.
+func Complement(b byte) byte { return complement[b] }
+
 // ReverseComplement returns the reverse complement of s in a new
 // slice. Ambiguous bases map to themselves, so N stays N.
 func ReverseComplement(s []byte) []byte {
