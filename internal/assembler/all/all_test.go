@@ -69,16 +69,14 @@ func kmerPrecision(t *testing.T, contigs []seq.FastaRecord, truth []seq.FastaRec
 	coder := seq.MustKmerCoder(k)
 	ref := map[seq.Kmer]bool{}
 	for _, tx := range truth {
-		coder.ForEach(tx.Seq, func(_ int, km seq.Kmer) bool {
-			c, _ := coder.Canonical(km)
+		coder.ForEachCanonical(tx.Seq, func(_ int, c seq.Kmer) bool {
 			ref[c] = true
 			return true
 		})
 	}
 	var hit, total int
 	for _, c := range contigs {
-		coder.ForEach(c.Seq, func(_ int, km seq.Kmer) bool {
-			canon, _ := coder.Canonical(km)
+		coder.ForEachCanonical(c.Seq, func(_ int, canon seq.Kmer) bool {
 			total++
 			if ref[canon] {
 				hit++

@@ -238,8 +238,7 @@ func (ct *Contrail) Assemble(req assembler.Request) (assembler.Result, error) {
 				if per == 0 {
 					per = 1
 				}
-				coder.ForEach([]byte(rec.seq), func(_ int, km seq.Kmer) bool {
-					canon, _ := coder.Canonical(km)
+				coder.ForEachCanonical([]byte(rec.seq), func(_ int, canon seq.Kmer) bool {
 					g.AddCount(canon, per)
 					return true
 				})

@@ -80,8 +80,7 @@ func (a *IDBA) Assemble(req assembler.Request) (assembler.Result, error) {
 		coder := g.Coder()
 		for _, c := range carried {
 			// Carried contigs count as MinCoverage-fold evidence.
-			coder.ForEach(c.Seq, func(_ int, km seq.Kmer) bool {
-				canon, _ := coder.Canonical(km)
+			coder.ForEachCanonical(c.Seq, func(_ int, canon seq.Kmer) bool {
 				g.AddCount(canon, uint32(p.MinCoverage))
 				return true
 			})

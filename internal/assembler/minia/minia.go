@@ -62,8 +62,7 @@ func (m *Minia) Assemble(req assembler.Request) (assembler.Result, error) {
 
 	// Pass 1: stream k-mers through the counting Bloom filter.
 	for i := range req.Reads {
-		coder.ForEach(req.Reads[i].Seq, func(_ int, km seq.Kmer) bool {
-			canon, _ := coder.Canonical(km)
+		coder.ForEachCanonical(req.Reads[i].Seq, func(_ int, canon seq.Kmer) bool {
 			cbf.Add(canon)
 			return true
 		})
@@ -78,8 +77,7 @@ func (m *Minia) Assemble(req assembler.Request) (assembler.Result, error) {
 	}
 	exact := map[seq.Kmer]uint32{}
 	for i := range req.Reads {
-		coder.ForEach(req.Reads[i].Seq, func(_ int, km seq.Kmer) bool {
-			canon, _ := coder.Canonical(km)
+		coder.ForEachCanonical(req.Reads[i].Seq, func(_ int, canon seq.Kmer) bool {
 			if cbf.Count(canon) >= uint8(min(p.MinCoverage, 15)) {
 				exact[canon]++
 			}
@@ -109,13 +107,6 @@ func (m *Minia) Assemble(req assembler.Request) (assembler.Result, error) {
 		PeakMemoryGBPerNode: 1.0 + assembler.DistinctKmers(req.FullScale)*4/1e9,
 		N50:                 dbg.N50(contigs),
 	}, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // countingBloom is a 4-bit counting Bloom filter: counts saturate at

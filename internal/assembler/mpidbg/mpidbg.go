@@ -2,10 +2,9 @@
 // algorithm shared by the two MPI assemblers (Ray and ABySS):
 //
 //  1. every rank streams its shard of reads and counts canonical
-//     k-mers locally;
-//  2. an all-to-all exchange routes each k-mer to its owner rank
-//     (hash partitioning), which merges counts and applies the
-//     coverage cutoff;
+//     k-mers locally, one table per owner rank (hash partitioning);
+//  2. an all-to-all exchange hands each table to its owner, which
+//     merges counts and applies the coverage cutoff;
 //  3. survivors are gathered and the graph is simplified and walked
 //     into contigs by rank 0 (the serial phase that, together with
 //     the exchange, limits MPI assemblers' scale-out in the paper's
@@ -101,6 +100,12 @@ func Estimate(req assembler.Request, prof Profile) (vclock.Duration, error) {
 	return serial + parallel + alltoall + gather, nil
 }
 
+// kmerCount is one surviving k-mer of an owner's partition.
+type kmerCount struct {
+	km seq.Kmer
+	n  uint32
+}
+
 // Run executes the distributed assembly for a request under a profile.
 func Run(req assembler.Request, info assembler.Info, prof Profile) (assembler.Result, error) {
 	if err := req.Validate(info); err != nil {
@@ -142,58 +147,61 @@ func Run(req assembler.Request, info assembler.Info, prof Profile) (assembler.Re
 	var contigs []seq.FastaRecord
 	res, err := mpi.Run(cfg, func(c *mpi.Comm) error {
 		size := c.Size()
-		// Phase 1: local counting over this rank's read shard.
-		local := make(map[seq.Kmer]uint32)
+		// Phase 1: count this rank's read shard, each k-mer straight
+		// into the table bound for its owner (hash partitioning).
+		tabs := make([]*seq.KmerTable, size)
+		for d := range tabs {
+			tabs[d] = seq.NewKmerTable(0)
+		}
 		for i := c.Rank(); i < len(req.Reads); i += size {
-			coder.ForEach(req.Reads[i].Seq, func(_ int, km seq.Kmer) bool {
-				canon, _ := coder.Canonical(km)
-				local[canon]++
+			coder.ForEachCanonical(req.Reads[i].Seq, func(_ int, canon seq.Kmer) bool {
+				tabs[canon.Hash()%uint64(size)].Add(canon, 1)
 				return true
 			})
 		}
 		c.ComputeUnits(parallelUnits/float64(size), prof.BasesPerCoreSecond)
 
-		// Phase 2: route k-mers to owners (hash partitioning).
-		outM := make([]map[seq.Kmer]uint32, size)
-		for d := range outM {
-			outM[d] = make(map[seq.Kmer]uint32)
-		}
-		for km, cnt := range local {
-			outM[int(km.Hash()%uint64(size))][km] += cnt
-		}
+		// Phase 2: the tables are the all-to-all payloads.
 		payloads := make([]any, size)
 		bytes := make([]int64, size)
 		perPair := int64(wireTotal / float64(size) / float64(size))
 		for d := range payloads {
-			payloads[d] = outM[d]
+			payloads[d] = tabs[d]
 			bytes[d] = perPair
 		}
 		incoming := c.AlltoAll(payloads, bytes)
 
 		// Phase 3: owner-side merge + coverage cutoff.
-		owned := make(map[seq.Kmer]uint32)
+		total := 0
 		for _, in := range incoming {
-			for km, cnt := range in.(map[seq.Kmer]uint32) {
-				owned[km] += cnt
-			}
+			total += in.(*seq.KmerTable).Len()
 		}
-		for km, cnt := range owned {
-			if cnt < uint32(p.MinCoverage) {
-				delete(owned, km)
-			}
+		owned := seq.NewKmerTable(total)
+		for _, in := range incoming {
+			in.(*seq.KmerTable).Each(func(_ int, km seq.Kmer, cnt uint32) { owned.Add(km, cnt) })
 		}
+		var survivors []kmerCount
+		owned.Each(func(_ int, km seq.Kmer, cnt uint32) {
+			if cnt >= uint32(p.MinCoverage) {
+				survivors = append(survivors, kmerCount{km, cnt})
+			}
+		})
 
 		// Phase 4: gather survivors; rank 0 simplifies and walks.
 		survivorBytes := int64(assembler.DistinctKmers(req.FullScale) * 18 / float64(size))
-		all := c.AllGather(owned, survivorBytes)
+		all := c.AllGather(survivors, survivorBytes)
 		if c.Rank() == 0 {
-			g, gerr := dbg.New(p.K)
+			gathered := 0
+			for _, part := range all {
+				gathered += len(part.([]kmerCount))
+			}
+			g, gerr := dbg.NewSized(p.K, gathered)
 			if gerr != nil {
 				return gerr
 			}
 			for _, part := range all {
-				for km, cnt := range part.(map[seq.Kmer]uint32) {
-					g.AddCount(km, cnt)
+				for _, kc := range part.([]kmerCount) {
+					g.AddCount(kc.km, kc.n)
 				}
 			}
 			c.ComputeUnits(serialUnits, prof.BasesPerCoreSecond)

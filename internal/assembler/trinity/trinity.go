@@ -50,8 +50,7 @@ func (tr *Trinity) Assemble(req assembler.Request) (assembler.Result, error) {
 	// Count canonical k-mers.
 	counts := make(map[seq.Kmer]uint32)
 	for i := range req.Reads {
-		coder.ForEach(req.Reads[i].Seq, func(_ int, km seq.Kmer) bool {
-			c, _ := coder.Canonical(km)
+		coder.ForEachCanonical(req.Reads[i].Seq, func(_ int, c seq.Kmer) bool {
 			counts[c]++
 			return true
 		})

@@ -1102,10 +1102,3 @@ func dropNReads(reads []seq.Read) []seq.Read {
 	}
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -645,10 +645,3 @@ func sortPlansByTTC(plans []Plan) {
 		}
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -12,8 +12,9 @@
 package dbg
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"rnascale/internal/obs/perf"
 	"rnascale/internal/seq"
@@ -22,23 +23,33 @@ import (
 // Graph is a canonical-k-mer De Bruijn graph.
 type Graph struct {
 	coder seq.KmerCoder
-	nodes map[seq.Kmer]uint32 // canonical k-mer -> coverage
+	nodes *seq.KmerTable // canonical k-mer -> coverage
+	// order lists the slots of nodes in canonical k-mer order, the
+	// order every traversal visits them in. The first traversal builds
+	// it and the rest reuse it: deleting a k-mer leaves it valid
+	// (traversals skip slots whose key is gone), adding a new one may
+	// move every key to another slot and drops it.
+	order []int32
 }
 
 // New returns an empty graph for k-mer size k.
-func New(k int) (*Graph, error) {
+func New(k int) (*Graph, error) { return NewSized(k, 0) }
+
+// NewSized is New with room for n distinct k-mers, for callers that
+// know how many they are about to add.
+func NewSized(k, n int) (*Graph, error) {
 	coder, err := seq.NewKmerCoder(k)
 	if err != nil {
 		return nil, err
 	}
-	return &Graph{coder: coder, nodes: make(map[seq.Kmer]uint32)}, nil
+	return &Graph{coder: coder, nodes: seq.NewKmerTable(n)}, nil
 }
 
 // K reports the k-mer size.
 func (g *Graph) K() int { return g.coder.K }
 
 // Len reports the number of distinct canonical k-mers.
-func (g *Graph) Len() int { return len(g.nodes) }
+func (g *Graph) Len() int { return g.nodes.Len() }
 
 // Coder exposes the graph's k-mer codec.
 func (g *Graph) Coder() seq.KmerCoder { return g.coder }
@@ -46,9 +57,8 @@ func (g *Graph) Coder() seq.KmerCoder { return g.coder }
 // AddRead counts every k-mer of the read (N-containing windows are
 // skipped by the codec).
 func (g *Graph) AddRead(read []byte) {
-	g.coder.ForEach(read, func(_ int, km seq.Kmer) bool {
-		canon, _ := g.coder.Canonical(km)
-		g.nodes[canon]++
+	g.coder.ForEachCanonical(read, func(_ int, canon seq.Kmer) bool {
+		g.AddCount(canon, 1)
 		return true
 	})
 }
@@ -56,11 +66,24 @@ func (g *Graph) AddRead(read []byte) {
 // AddCount merges an externally-counted canonical k-mer (used by the
 // distributed assemblers, whose ranks count partitions separately).
 func (g *Graph) AddCount(canonical seq.Kmer, count uint32) {
-	g.nodes[canonical] += count
+	if g.nodes.Add(canonical, count) {
+		g.order = nil
+	}
 }
 
 // Coverage reports a canonical k-mer's count (0 if absent).
-func (g *Graph) Coverage(canonical seq.Kmer) uint32 { return g.nodes[canonical] }
+func (g *Graph) Coverage(canonical seq.Kmer) uint32 {
+	slot := g.nodes.Find(canonical)
+	if slot < 0 {
+		return 0
+	}
+	return g.coverageAt(slot)
+}
+
+func (g *Graph) coverageAt(slot int) uint32 {
+	_, c, _ := g.nodes.At(slot)
+	return c
+}
 
 // Build constructs a graph from reads and drops k-mers below
 // minCount (sequencing-error removal).
@@ -79,43 +102,58 @@ func Build(reads []seq.Read, k, minCount int) (*Graph, error) {
 
 // DropBelow removes k-mers with coverage below min.
 func (g *Graph) DropBelow(min uint32) {
-	for km, c := range g.nodes {
+	g.nodes.Each(func(_ int, km seq.Kmer, c uint32) {
 		if c < min {
-			delete(g.nodes, km)
+			g.nodes.Delete(km)
 		}
-	}
+	})
 }
 
-// has reports whether the canonical form of km is present.
-func (g *Graph) has(km seq.Kmer) bool {
+// sorted returns the traversal order, building it if no traversal has
+// since the last new k-mer.
+func (g *Graph) sorted() []int32 {
+	if g.order == nil {
+		g.order = make([]int32, 0, g.nodes.Len())
+		g.nodes.Each(func(slot int, _ seq.Kmer, _ uint32) { g.order = append(g.order, int32(slot)) })
+		slices.SortFunc(g.order, func(a, b int32) int {
+			ka, _, _ := g.nodes.At(int(a))
+			kb, _, _ := g.nodes.At(int(b))
+			return ka.Compare(kb)
+		})
+	}
+	return g.order
+}
+
+// slotOf returns the slot of the canonical form of km, or -1 if the
+// graph does not hold it.
+func (g *Graph) slotOf(km seq.Kmer) int {
 	canon, _ := g.coder.Canonical(km)
-	_, ok := g.nodes[canon]
-	return ok
+	return g.nodes.Find(canon)
 }
 
 // successors returns the forward extensions of the oriented k-mer fwd
-// that exist in the graph, as oriented k-mers.
-func (g *Graph) successors(fwd seq.Kmer) []seq.Kmer {
-	var out []seq.Kmer
+// that exist in the graph, as oriented k-mers, and how many there are.
+func (g *Graph) successors(fwd seq.Kmer) (out [4]seq.Kmer, n int) {
 	for _, b := range [4]byte{'A', 'C', 'G', 'T'} {
 		next, _ := g.coder.Next(fwd, b)
-		if g.has(next) {
-			out = append(out, next)
+		if g.slotOf(next) >= 0 {
+			out[n] = next
+			n++
 		}
 	}
-	return out
+	return out, n
 }
 
 // predecessors returns the backward extensions of the oriented k-mer.
-func (g *Graph) predecessors(fwd seq.Kmer) []seq.Kmer {
-	var out []seq.Kmer
+func (g *Graph) predecessors(fwd seq.Kmer) (out [4]seq.Kmer, n int) {
 	for _, b := range [4]byte{'A', 'C', 'G', 'T'} {
 		prev, _ := g.coder.Prev(fwd, b)
-		if g.has(prev) {
-			out = append(out, prev)
+		if g.slotOf(prev) >= 0 {
+			out[n] = prev
+			n++
 		}
 	}
-	return out
+	return out, n
 }
 
 // Unitig is one maximal non-branching path.
@@ -129,20 +167,14 @@ type Unitig struct {
 // bases long, in deterministic order.
 func (g *Graph) Unitigs(minLen int) []Unitig {
 	defer perf.Region("dbg.unitigs").End()
-	visited := make(map[seq.Kmer]bool, len(g.nodes))
-	// Deterministic iteration: sort the canonical k-mers.
-	order := make([]seq.Kmer, 0, len(g.nodes))
-	for km := range g.nodes {
-		order = append(order, km)
-	}
-	sort.Slice(order, func(a, b int) bool { return order[a].Less(order[b]) })
-
+	w := walker{g: g, visited: make([]bool, g.nodes.Slots())}
 	var out []Unitig
-	for _, start := range order {
-		if visited[start] {
+	for _, slot := range g.sorted() {
+		start, _, ok := g.nodes.At(int(slot))
+		if !ok || w.visited[slot] {
 			continue
 		}
-		u := g.walk(start, visited)
+		u := w.walk(start, int(slot))
 		if len(u.Seq) >= minLen {
 			out = append(out, u)
 		}
@@ -150,65 +182,53 @@ func (g *Graph) Unitigs(minLen int) []Unitig {
 	return out
 }
 
+// walker is the state of one Unitigs pass: the canonical k-mers
+// already on a path, by slot, and the bases the current walk has
+// collected on either side of its start.
+type walker struct {
+	g           *Graph
+	visited     []bool
+	left, right []byte
+}
+
 // walk extends from start (canonical) in both directions while the
 // path is non-branching, marking visited canonical k-mers.
-func (g *Graph) walk(start seq.Kmer, visited map[seq.Kmer]bool) Unitig {
-	visited[start] = true
-	chain := []seq.Kmer{start} // oriented k-mers along the walk
-	var covSum float64 = float64(g.nodes[start])
-
-	// Extend right from the start orientation.
-	cur := start
-	for {
-		succ := g.successors(cur)
-		if len(succ) != 1 {
-			break
+func (w *walker) walk(start seq.Kmer, slot int) Unitig {
+	g := w.g
+	w.visited[slot] = true
+	covSum := float64(g.coverageAt(slot))
+	// extend walks from start while the only neighbour ahead is
+	// unvisited and has the walk's end as its only neighbour behind,
+	// and collects the base each k-mer it takes adds to the path.
+	extend := func(ahead, behind func(seq.Kmer) ([4]seq.Kmer, int), base int, bases []byte) []byte {
+		for cur := start; ; {
+			nb, n := ahead(cur)
+			if n != 1 {
+				return bases
+			}
+			next := g.slotOf(nb[0])
+			if w.visited[next] {
+				return bases
+			}
+			if _, back := behind(nb[0]); back != 1 {
+				return bases
+			}
+			w.visited[next] = true
+			covSum += float64(g.coverageAt(next))
+			cur = nb[0]
+			bases = append(bases, seq.BaseByte(g.coder.BaseAt(cur, base)))
 		}
-		next := succ[0]
-		canon, _ := g.coder.Canonical(next)
-		if visited[canon] {
-			break
-		}
-		if len(g.predecessors(next)) != 1 {
-			break
-		}
-		visited[canon] = true
-		covSum += float64(g.nodes[canon])
-		chain = append(chain, next)
-		cur = next
 	}
-	// Extend left from the start orientation.
-	cur = start
-	var left []seq.Kmer
-	for {
-		pred := g.predecessors(cur)
-		if len(pred) != 1 {
-			break
-		}
-		prev := pred[0]
-		canon, _ := g.coder.Canonical(prev)
-		if visited[canon] {
-			break
-		}
-		if len(g.successors(prev)) != 1 {
-			break
-		}
-		visited[canon] = true
-		covSum += float64(g.nodes[canon])
-		left = append(left, prev)
-		cur = prev
-	}
-	// Assemble sequence: leftmost k-mer fully, then one 3' base per step.
-	full := make([]seq.Kmer, 0, len(left)+len(chain))
-	for i := len(left) - 1; i >= 0; i-- {
-		full = append(full, left[i])
-	}
-	full = append(full, chain...)
-	sq := g.coder.Decode(full[0])
-	for _, km := range full[1:] {
-		sq = append(sq, seq.BaseByte(g.coder.BaseAt(km, g.coder.K-1)))
-	}
-	return Unitig{Seq: sq, MeanCoverage: covSum / float64(len(full)), Kmers: len(full)}
+	// Right of the start orientation each k-mer adds its 3' base, left
+	// of it its 5' base (collected nearest first).
+	w.right = extend(g.successors, g.predecessors, g.coder.K-1, w.right[:0])
+	w.left = extend(g.predecessors, g.successors, 0, w.left[:0])
+	sq := make([]byte, 0, len(w.left)+g.coder.K+len(w.right))
+	sq = append(sq, w.left...)
+	slices.Reverse(sq)
+	sq = append(append(sq, g.coder.Decode(start)...), w.right...)
+	kmers := len(sq) - g.coder.K + 1
+	return Unitig{Seq: sq, MeanCoverage: covSum / float64(kmers), Kmers: kmers}
 }
 
 // ClipTips removes dead-end chains of at most maxKmers k-mers that
@@ -229,38 +249,31 @@ func (g *Graph) ClipTips(maxKmers, rounds int) int {
 }
 
 func (g *Graph) clipOnce(maxKmers int) int {
-	order := make([]seq.Kmer, 0, len(g.nodes))
-	for km := range g.nodes {
-		order = append(order, km)
-	}
-	sort.Slice(order, func(a, b int) bool { return order[a].Less(order[b]) })
-	var doomed []seq.Kmer
-	for _, km := range order {
-		if _, ok := g.nodes[km]; !ok {
+	var doomed, chain []seq.Kmer
+	for _, slot := range g.sorted() {
+		km, _, ok := g.nodes.At(int(slot))
+		if !ok {
 			continue
 		}
 		// A tip starts at a k-mer with no predecessors (in some
 		// orientation) and runs through a short unary chain.
-		for _, fwd := range []seq.Kmer{km, g.coder.ReverseComplement(km)} {
-			if len(g.predecessors(fwd)) != 0 {
+		for _, fwd := range [2]seq.Kmer{km, g.coder.ReverseComplement(km)} {
+			if _, n := g.predecessors(fwd); n != 0 {
 				continue
 			}
-			chain := []seq.Kmer{fwd}
+			chain = append(chain[:0], fwd)
 			cur := fwd
 			isTip := false
 			for len(chain) <= maxKmers {
-				succ := g.successors(cur)
-				if len(succ) == 0 {
-					// Isolated short chain: drop it too.
-					isTip = true
-					break
-				}
-				if len(succ) > 1 {
+				succ, n := g.successors(cur)
+				if n != 1 {
+					// A branch ends the tip; an isolated short chain
+					// (no successor) is dropped too.
 					isTip = true
 					break
 				}
 				next := succ[0]
-				if len(g.predecessors(next)) > 1 {
+				if _, n := g.predecessors(next); n > 1 {
 					// The chain merges into a through-path: tip ends here.
 					isTip = true
 					break
@@ -279,8 +292,7 @@ func (g *Graph) clipOnce(maxKmers int) int {
 	}
 	removed := 0
 	for _, km := range doomed {
-		if _, ok := g.nodes[km]; ok {
-			delete(g.nodes, km)
+		if g.nodes.Delete(km) {
 			removed++
 		}
 	}
@@ -292,19 +304,15 @@ func (g *Graph) clipOnce(maxKmers int) int {
 // It returns the number of k-mers removed.
 func (g *Graph) PopBubbles(maxArm int) int {
 	defer perf.Region("dbg.popbubbles").End()
-	order := make([]seq.Kmer, 0, len(g.nodes))
-	for km := range g.nodes {
-		order = append(order, km)
-	}
-	sort.Slice(order, func(a, b int) bool { return order[a].Less(order[b]) })
 	removed := 0
-	for _, km := range order {
-		if _, ok := g.nodes[km]; !ok {
+	for _, slot := range g.sorted() {
+		km, _, ok := g.nodes.At(int(slot))
+		if !ok {
 			continue
 		}
-		for _, fwd := range []seq.Kmer{km, g.coder.ReverseComplement(km)} {
-			succ := g.successors(fwd)
-			if len(succ) != 2 {
+		for _, fwd := range [2]seq.Kmer{km, g.coder.ReverseComplement(km)} {
+			succ, n := g.successors(fwd)
+			if n != 2 {
 				continue
 			}
 			pathA, endA, okA := g.unaryPath(succ[0], maxArm)
@@ -324,8 +332,7 @@ func (g *Graph) PopBubbles(maxArm int) int {
 			}
 			for _, p := range drop {
 				canon, _ := g.coder.Canonical(p)
-				if _, ok := g.nodes[canon]; ok {
-					delete(g.nodes, canon)
+				if g.nodes.Delete(canon) {
 					removed++
 				}
 			}
@@ -340,9 +347,9 @@ func (g *Graph) PopBubbles(maxArm int) int {
 func (g *Graph) unaryPath(fwd seq.Kmer, max int) (path []seq.Kmer, end seq.Kmer, ok bool) {
 	cur := fwd
 	for steps := 0; steps < max; steps++ {
-		succ := g.successors(cur)
-		preds := g.predecessors(cur)
-		if len(succ) != 1 || len(preds) > 1 {
+		succ, ns := g.successors(cur)
+		_, np := g.predecessors(cur)
+		if ns != 1 || np > 1 {
 			return path, cur, true
 		}
 		path = append(path, cur)
@@ -356,7 +363,7 @@ func (g *Graph) pathCoverage(path []seq.Kmer) float64 {
 	var s float64
 	for _, p := range path {
 		canon, _ := g.coder.Canonical(p)
-		s += float64(g.nodes[canon])
+		s += float64(g.Coverage(canon))
 	}
 	return s
 }
@@ -372,7 +379,7 @@ func (g *Graph) Contigs(prefix string, minLen int) []seq.FastaRecord {
 // RecordsFromUnitigs renders unitigs as FASTA records, longest first,
 // with the standard "<prefix>_contigNNNNN len=L cov=C" IDs.
 func RecordsFromUnitigs(prefix string, unitigs []Unitig) []seq.FastaRecord {
-	sort.SliceStable(unitigs, func(a, b int) bool { return len(unitigs[a].Seq) > len(unitigs[b].Seq) })
+	slices.SortStableFunc(unitigs, func(a, b Unitig) int { return cmp.Compare(len(b.Seq), len(a.Seq)) })
 	out := make([]seq.FastaRecord, len(unitigs))
 	for i, u := range unitigs {
 		out[i] = seq.FastaRecord{
@@ -396,7 +403,7 @@ func N50(contigs []seq.FastaRecord) int {
 		lens[i] = len(c.Seq)
 		total += len(c.Seq)
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(lens)))
+	slices.SortFunc(lens, func(a, b int) int { return cmp.Compare(b, a) })
 	acc := 0
 	for _, l := range lens {
 		acc += l

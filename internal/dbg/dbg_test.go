@@ -186,16 +186,14 @@ func TestContigsPipeline(t *testing.T) {
 	coder := seq.MustKmerCoder(21)
 	truth := map[seq.Kmer]bool{}
 	for _, tx := range ds.Transcripts {
-		coder.ForEach(tx.Seq, func(_ int, km seq.Kmer) bool {
-			c, _ := coder.Canonical(km)
+		coder.ForEachCanonical(tx.Seq, func(_ int, c seq.Kmer) bool {
 			truth[c] = true
 			return true
 		})
 	}
 	var hit, total int
 	for _, c := range contigs {
-		coder.ForEach(c.Seq, func(_ int, km seq.Kmer) bool {
-			canon, _ := coder.Canonical(km)
+		coder.ForEachCanonical(c.Seq, func(_ int, canon seq.Kmer) bool {
 			total++
 			if truth[canon] {
 				hit++
@@ -219,18 +217,16 @@ func TestAddCountMergesPartitions(t *testing.T) {
 	half2, _ := Build(reads[len(reads)/2:], 21, 1)
 	merged, _ := New(21)
 	for _, h := range []*Graph{half1, half2} {
-		for km, c := range h.nodes {
-			merged.AddCount(km, c)
-		}
+		h.nodes.Each(func(_ int, km seq.Kmer, c uint32) { merged.AddCount(km, c) })
 	}
 	if merged.Len() != ref.Len() {
 		t.Fatalf("merged %d nodes, reference %d", merged.Len(), ref.Len())
 	}
-	for km, c := range ref.nodes {
-		if merged.nodes[km] != c {
+	ref.nodes.Each(func(_ int, km seq.Kmer, c uint32) {
+		if merged.Coverage(km) != c {
 			t.Fatal("coverage mismatch after merge")
 		}
-	}
+	})
 }
 
 func TestN50(t *testing.T) {

@@ -25,8 +25,7 @@ func TestUnitigPartitionProperty(t *testing.T) {
 		want := g.Len()
 		seen := map[seq.Kmer]int{}
 		for _, u := range g.Unitigs(0) {
-			coder.ForEach(u.Seq, func(_ int, km seq.Kmer) bool {
-				canon, _ := coder.Canonical(km)
+			coder.ForEachCanonical(u.Seq, func(_ int, canon seq.Kmer) bool {
 				seen[canon]++
 				return true
 			})

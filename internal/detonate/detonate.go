@@ -72,8 +72,7 @@ func Evaluate(contigs []seq.FastaRecord, refs []seq.FastaRecord, expr []float64,
 	// Index reference k-mers (canonical).
 	refSet := map[seq.Kmer]struct{}{}
 	for _, r := range refs {
-		coder.ForEach(r.Seq, func(_ int, km seq.Kmer) bool {
-			c, _ := coder.Canonical(km)
+		coder.ForEachCanonical(r.Seq, func(_ int, c seq.Kmer) bool {
 			refSet[c] = struct{}{}
 			return true
 		})
@@ -83,8 +82,7 @@ func Evaluate(contigs []seq.FastaRecord, refs []seq.FastaRecord, expr []float64,
 	var m Metrics
 	for _, c := range contigs {
 		m.AssemblyBases += int64(len(c.Seq))
-		coder.ForEach(c.Seq, func(_ int, km seq.Kmer) bool {
-			canon, _ := coder.Canonical(km)
+		coder.ForEachCanonical(c.Seq, func(_ int, canon seq.Kmer) bool {
 			asmSet[canon] = struct{}{}
 			return true
 		})
@@ -123,8 +121,7 @@ func Evaluate(contigs []seq.FastaRecord, refs []seq.FastaRecord, expr []float64,
 
 		// k-mer recall of this transcript.
 		var hit, tot float64
-		coder.ForEach(r.Seq, func(_ int, km seq.Kmer) bool {
-			canon, _ := coder.Canonical(km)
+		coder.ForEachCanonical(r.Seq, func(_ int, canon seq.Kmer) bool {
 			tot++
 			if _, ok := asmSet[canon]; ok {
 				hit++
@@ -160,8 +157,7 @@ func Evaluate(contigs []seq.FastaRecord, refs []seq.FastaRecord, expr []float64,
 // window present in set.
 func coverMask(coder seq.KmerCoder, s []byte, set map[seq.Kmer]struct{}) []bool {
 	covered := make([]bool, len(s))
-	coder.ForEach(s, func(pos int, km seq.Kmer) bool {
-		canon, _ := coder.Canonical(km)
+	coder.ForEachCanonical(s, func(pos int, canon seq.Kmer) bool {
 		if _, ok := set[canon]; ok {
 			for i := pos; i < pos+coder.K; i++ {
 				covered[i] = true

@@ -3,16 +3,17 @@
 // bench-gate`.
 //
 // Each kernel is one of the hot paths the ROADMAP's "raw speed" line
-// targets — k-mer counting and DBG construction, FASTA/FASTQ parsing,
-// the vclock slot scheduler, MPI collective rendezvous, the spot
-// market's price walk, journal appends, a MapReduce job and the
-// Contrail chain on top of it — run over a deterministic workload (a
-// splitmix64-seeded synthetic genome, never math/rand), so that
-// allocsPerOp and
-// bytesPerOp are stable across runs and only nsPerOp carries
-// machine noise. The gate (Compare) exploits that split: wall time
-// gets a generous tolerance, allocation counts a tight one, which is
-// how an alloc regression is caught even on a noisy CI machine.
+// targets — k-mer scanning, counting and DBG construction, FASTA/FASTQ
+// parsing, the vclock slot scheduler, MPI collective rendezvous and
+// the distributed assembly on top of it, the spot market's price walk,
+// journal appends, a MapReduce job and the Contrail chain on top of it
+// — run over a deterministic workload (a splitmix64-seeded synthetic
+// genome, never math/rand), so that allocsPerOp and bytesPerOp are
+// stable across runs and only nsPerOp carries machine noise. The gate
+// (Compare) exploits that split: allocation counts get a tight
+// tolerance, and wall time is printed but gated only on request, which
+// is how an alloc regression is caught even on a noisy CI machine
+// without the noise failing untouched kernels.
 package kernelbench
 
 import (
@@ -26,6 +27,7 @@ import (
 
 	"rnascale/internal/assembler"
 	"rnascale/internal/assembler/contrail"
+	"rnascale/internal/assembler/ray"
 	"rnascale/internal/cloud"
 	"rnascale/internal/dbg"
 	"rnascale/internal/journal"
@@ -133,6 +135,29 @@ func Kernels() []Kernel {
 				coder := seq.MustKmerCoder(25)
 				return func() {
 					if coder.CountDistinct(reads) == 0 {
+						panic("kernelbench: no k-mers")
+					}
+				}
+			},
+		},
+		{
+			// The rolling canonical window every k-mer consumer scans
+			// its reads with, at a two-word k and with nothing behind
+			// the callback.
+			Name:  "seq.canonical_scan",
+			Iters: 200,
+			Setup: func() func() {
+				reads := shred(genome(10, 8192), 80, 3)
+				coder := seq.MustKmerCoder(47)
+				return func() {
+					var acc uint64
+					for i := range reads {
+						coder.ForEachCanonical(reads[i].Seq, func(_ int, canon seq.Kmer) bool {
+							acc ^= canon.Lo
+							return true
+						})
+					}
+					if acc == 0 {
 						panic("kernelbench: no k-mers")
 					}
 				}
@@ -267,6 +292,31 @@ func Kernels() []Kernel {
 					})
 					if err != nil {
 						panic(err)
+					}
+				}
+			},
+		},
+		{
+			// The distributed DBG assembly both MPI assemblers run: 8
+			// ranks count their shards into per-owner tables, exchange
+			// them, merge, gather the survivors, and rank 0 simplifies
+			// and walks the graph.
+			Name:  "mpidbg.assemble",
+			Iters: 10,
+			Setup: func() func() {
+				req := assembler.Request{
+					Reads:  shred(genome(11, 8192), 80, 6),
+					Params: assembler.Params{K: 31, MinCoverage: 2},
+					Nodes:  1, CoresPerNode: 8,
+					FullScale: simdata.FullScaleStats{SeqDataBytes: 64 << 20},
+				}
+				return func() {
+					res, err := (&ray.Ray{}).Assemble(req)
+					if err != nil {
+						panic(err)
+					}
+					if len(res.Contigs) == 0 {
+						panic("kernelbench: no contigs")
 					}
 				}
 			},
@@ -462,20 +512,22 @@ func RunAll() []Result {
 }
 
 // Tolerance bounds the acceptable regression per column, as a
-// fraction of the baseline (0.5 = +50%). Wall time needs headroom
-// for machine noise; allocation counts are deterministic for a fixed
-// workload and toolchain, so they get tight bounds — which is what
-// catches an alloc regression that wall-time jitter would hide.
+// fraction of the baseline (0.5 = +50%). Allocation counts are
+// deterministic for a fixed workload and toolchain, so they get tight
+// bounds — which is what catches an alloc regression that wall-time
+// jitter would hide. Time 0 leaves wall time ungated: on a shared
+// machine identical code has measured 50-80% apart, so only a quiet
+// one can hold it to a bound.
 type Tolerance struct {
 	Time   float64
 	Allocs float64
 	Bytes  float64
 }
 
-// DefaultTolerance is the gate's default: +50% wall time, +10%
-// allocations, +25% allocated bytes.
+// DefaultTolerance is the gate's default: wall time informational,
+// +10% allocations, +25% allocated bytes.
 func DefaultTolerance() Tolerance {
-	return Tolerance{Time: 0.50, Allocs: 0.10, Bytes: 0.25}
+	return Tolerance{Allocs: 0.10, Bytes: 0.25}
 }
 
 // Compare judges current kernel results against a baseline. It
@@ -503,12 +555,12 @@ func Compare(baseline, current []Result, tol Tolerance) (string, error) {
 			failures = append(failures, fmt.Sprintf("%s: missing from current results", br.Name))
 			continue
 		}
-		dTime := delta(br.NsPerOp, cr.NsPerOp)
-		dAllocs := delta(br.AllocsPerOp, cr.AllocsPerOp)
-		dBytes := delta(br.BytesPerOp, cr.BytesPerOp)
+		dTime := delta(br.NsPerOp, cr.NsPerOp, 1)
+		dAllocs := delta(br.AllocsPerOp, cr.AllocsPerOp, 1)
+		dBytes := delta(br.BytesPerOp, cr.BytesPerOp, 4096)
 		status := "ok"
 		var why []string
-		if dTime > tol.Time {
+		if tol.Time > 0 && dTime > tol.Time {
 			why = append(why, fmt.Sprintf("time %+.0f%% > %+.0f%%", dTime*100, tol.Time*100))
 		}
 		if dAllocs > tol.Allocs {
@@ -537,14 +589,12 @@ func Compare(baseline, current []Result, tol Tolerance) (string, error) {
 	return b.String(), nil
 }
 
-// delta returns (cur-base)/base, treating a zero baseline as "any
-// growth is infinite" unless current is also zero.
-func delta(base, cur float64) float64 {
-	if base == 0 {
-		if cur == 0 {
-			return 0
-		}
-		return 1e9
-	}
-	return (cur - base) / base
+// delta returns the growth from base to cur as a fraction of base,
+// or of floor if base is smaller. The floors — one allocation, one
+// page — are what keep a kernel that allocates nothing gateable: the
+// runtime's own background allocations put a hundredth of an
+// allocation per op into a measurement now and then, which is an
+// unbounded growth of zero but half a percent of one allocation.
+func delta(base, cur, floor float64) float64 {
+	return (cur - base) / max(base, floor)
 }

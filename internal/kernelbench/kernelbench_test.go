@@ -113,14 +113,20 @@ func baselineFixture() []Result {
 }
 
 // TestCompareGateFailsOnSyntheticSlowdown is the gate's self-test:
-// inject a synthetic 2x slowdown into one kernel and assert the gate
-// reports failure naming that kernel.
+// inject a synthetic 2x slowdown into one kernel and assert the gate,
+// asked to hold wall time to +50%, reports failure naming that kernel
+// — and that by default the time column is printed, not gated.
 func TestCompareGateFailsOnSyntheticSlowdown(t *testing.T) {
 	base := baselineFixture()
 	cur := baselineFixture()
-	cur[0].NsPerOp *= 2 // +100% against a +50% tolerance
+	cur[0].NsPerOp *= 2
 
-	table, err := Compare(base, cur, DefaultTolerance())
+	if table, err := Compare(base, cur, DefaultTolerance()); err != nil || !strings.Contains(table, "100%") {
+		t.Fatalf("default gate must print a 2x slowdown and pass: %v\n%s", err, table)
+	}
+	timed := DefaultTolerance()
+	timed.Time = 0.5
+	table, err := Compare(base, cur, timed)
 	if err == nil {
 		t.Fatalf("gate passed a 2x slowdown; table:\n%s", table)
 	}
@@ -156,7 +162,7 @@ func TestCompareGatePassesWithinTolerance(t *testing.T) {
 	cur[1].NsPerOp *= 0.5   // improvements never fail
 	cur[1].AllocsPerOp -= 1 // nor do alloc drops
 
-	table, err := Compare(base, cur, DefaultTolerance())
+	table, err := Compare(base, cur, Tolerance{Time: 0.5, Allocs: 0.10, Bytes: 0.25})
 	if err != nil {
 		t.Fatalf("gate failed within tolerance: %v\n%s", err, table)
 	}
@@ -209,5 +215,21 @@ func TestCaptureEnv(t *testing.T) {
 	}
 	if env.Workers != 7 {
 		t.Fatalf("Workers = %d, want 7", env.Workers)
+	}
+}
+
+// TestCompareGateZeroAllocKernel: a kernel that allocates nothing
+// passes when the runtime's background allocations leak a fraction of
+// an allocation into the measurement, and fails when it starts
+// allocating once per op.
+func TestCompareGateZeroAllocKernel(t *testing.T) {
+	base := []Result{{Name: "seq.canonical_scan", Measurement: perf.Measurement{Iters: 200, NsPerOp: 1000}}}
+	cur := []Result{{Name: "seq.canonical_scan", Measurement: perf.Measurement{Iters: 200, NsPerOp: 1000, AllocsPerOp: 0.005, BytesPerOp: 0.1}}}
+	if table, err := Compare(base, cur, DefaultTolerance()); err != nil {
+		t.Fatalf("gate failed on background allocation noise: %v\n%s", err, table)
+	}
+	cur[0].AllocsPerOp, cur[0].BytesPerOp = 1, 16
+	if _, err := Compare(base, cur, DefaultTolerance()); err == nil || !strings.Contains(err.Error(), "allocs") {
+		t.Fatalf("gate passed a zero-alloc kernel that now allocates per op: %v", err)
 	}
 }

@@ -76,8 +76,7 @@ func ConsensusMerge(perAssembler [][]seq.FastaRecord, opts ConsensusOptions) ([]
 	for _, set := range perAssembler {
 		seen := map[seq.Kmer]bool{}
 		for _, c := range set {
-			coder.ForEach(c.Seq, func(_ int, km seq.Kmer) bool {
-				canon, _ := coder.Canonical(km)
+			coder.ForEachCanonical(c.Seq, func(_ int, canon seq.Kmer) bool {
 				if !seen[canon] {
 					seen[canon] = true
 					support[canon]++
@@ -91,8 +90,7 @@ func ConsensusMerge(perAssembler [][]seq.FastaRecord, opts ConsensusOptions) ([]
 	for si, set := range perAssembler {
 		for _, c := range set {
 			var total, supported int
-			coder.ForEach(c.Seq, func(_ int, km seq.Kmer) bool {
-				canon, _ := coder.Canonical(km)
+			coder.ForEachCanonical(c.Seq, func(_ int, canon seq.Kmer) bool {
 				total++
 				if int(support[canon]) >= opts.MinSupport {
 					supported++

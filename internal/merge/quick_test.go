@@ -48,8 +48,7 @@ func TestMergeConservativeProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			s := randSeq(rng, 60+rng.Intn(120))
 			set = append(set, rec(s))
-			coder.ForEach([]byte(s), func(_ int, km seq.Kmer) bool {
-				c, _ := coder.Canonical(km)
+			coder.ForEachCanonical([]byte(s), func(_ int, c seq.Kmer) bool {
 				inKmers[c] = true
 				return true
 			})
@@ -57,8 +56,7 @@ func TestMergeConservativeProperty(t *testing.T) {
 		out, _ := Merge([][]seq.FastaRecord{set}, DefaultOptions())
 		for _, c := range out {
 			bad := false
-			coder.ForEach(c.Seq, func(_ int, km seq.Kmer) bool {
-				canon, _ := coder.Canonical(km)
+			coder.ForEachCanonical(c.Seq, func(_ int, canon seq.Kmer) bool {
 				if !inKmers[canon] {
 					bad = true
 					return false

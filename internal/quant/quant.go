@@ -65,8 +65,7 @@ func Quantify(transcripts []seq.FastaRecord, reads []seq.Read, opts Options) (*R
 	// Index: canonical k-mer -> transcript indices (small lists).
 	index := map[seq.Kmer][]int32{}
 	for ti, tx := range transcripts {
-		coder.ForEach(tx.Seq, func(_ int, km seq.Kmer) bool {
-			canon, _ := coder.Canonical(km)
+		coder.ForEachCanonical(tx.Seq, func(_ int, canon seq.Kmer) bool {
 			lst := index[canon]
 			if len(lst) == 0 || lst[len(lst)-1] != int32(ti) {
 				index[canon] = append(lst, int32(ti))
@@ -82,8 +81,7 @@ func Quantify(transcripts []seq.FastaRecord, reads []seq.Read, opts Options) (*R
 		for k := range votes {
 			delete(votes, k)
 		}
-		coder.ForEach(reads[i].Seq, func(_ int, km seq.Kmer) bool {
-			canon, _ := coder.Canonical(km)
+		coder.ForEachCanonical(reads[i].Seq, func(_ int, canon seq.Kmer) bool {
 			for _, ti := range index[canon] {
 				votes[ti]++
 			}

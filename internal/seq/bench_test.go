@@ -19,7 +19,7 @@ func benchReads(n, l int) []Read {
 	return reads
 }
 
-func BenchmarkKmerForEach(b *testing.B) {
+func BenchmarkKmerForEachCanonical(b *testing.B) {
 	c := MustKmerCoder(31)
 	reads := benchReads(100, 100)
 	b.ReportAllocs()
@@ -27,7 +27,7 @@ func BenchmarkKmerForEach(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var n int
 		for j := range reads {
-			c.ForEach(reads[j].Seq, func(_ int, km Kmer) bool {
+			c.ForEachCanonical(reads[j].Seq, func(_ int, _ Kmer) bool {
 				n++
 				return true
 			})

@@ -1,7 +1,9 @@
 package seq
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 
 	"rnascale/internal/obs/perf"
 )
@@ -105,6 +107,12 @@ func (c KmerCoder) Prev(km Kmer, b byte) (Kmer, bool) {
 	if !ok {
 		return Kmer{}, false
 	}
+	return c.shiftPrepend(km, code), true
+}
+
+// shiftPrepend shifts the k-mer right by one base, dropping the 3'
+// base, and puts code at the 5' end.
+func (c KmerCoder) shiftPrepend(km Kmer, code byte) Kmer {
 	km.Lo = km.Lo>>2 | km.Hi<<62
 	km.Hi >>= 2
 	shift := 2 * (c.K - 1)
@@ -113,7 +121,7 @@ func (c KmerCoder) Prev(km Kmer, b byte) (Kmer, bool) {
 	} else {
 		km.Lo |= uint64(code) << uint(shift)
 	}
-	return km, true
+	return km
 }
 
 // BaseAt returns the 2-bit code of base i (0 = 5' end) of the k-mer.
@@ -143,13 +151,26 @@ func (c KmerCoder) String(km Kmer) string { return string(c.Decode(km)) }
 // ReverseComplement returns the reverse complement of the k-mer: the
 // 3' base of the input, complemented, becomes the 5' base of the
 // result.
+//
+// The complement of a 2-bit code is its bitwise NOT, so the whole
+// k-mer is complemented at once; reversing all 128 bits then puts the
+// bases in reverse order at the top of the register with the two bits
+// of each base swapped, which revPairs undoes, and one shift by the
+// 128-2K unused bits brings them back down.
 func (c KmerCoder) ReverseComplement(km Kmer) Kmer {
-	var rc Kmer
-	for i := c.K - 1; i >= 0; i-- {
-		code := c.BaseAt(km, i)
-		rc = c.shiftAppend(rc, 3-code) // complement of 2-bit code is 3-code
+	hi, lo := revPairs(^km.Lo), revPairs(^km.Hi)
+	s := uint(128 - 2*c.K) // 2..126: MaxK keeps one base spare
+	if s >= 64 {
+		return Kmer{Lo: hi >> (s - 64)}
 	}
-	return rc
+	return Kmer{Hi: hi >> s, Lo: lo>>s | hi<<(64-s)}
+}
+
+// revPairs reverses the order of the 32 2-bit groups of x, keeping the
+// bit order inside each group.
+func revPairs(x uint64) uint64 {
+	x = bits.Reverse64(x)
+	return (x&0x5555555555555555)<<1 | (x>>1)&0x5555555555555555
 }
 
 // Less reports whether a sorts before b as a 128-bit integer, which
@@ -160,6 +181,14 @@ func (km Kmer) Less(other Kmer) bool {
 		return km.Hi < other.Hi
 	}
 	return km.Lo < other.Lo
+}
+
+// Compare is the three-way form of Less.
+func (km Kmer) Compare(other Kmer) int {
+	if c := cmp.Compare(km.Hi, other.Hi); c != 0 {
+		return c
+	}
+	return cmp.Compare(km.Lo, other.Lo)
 }
 
 // Canonical returns the smaller of the k-mer and its reverse
@@ -186,26 +215,34 @@ func (km Kmer) Hash() uint64 {
 	return x
 }
 
-// ForEach iterates every k-mer window of s, skipping windows that
-// contain ambiguous bases, and calls fn with the window's start index
-// and packed k-mer. Iteration stops early if fn returns false.
-func (c KmerCoder) ForEach(s []byte, fn func(pos int, km Kmer) bool) {
+// ForEachCanonical iterates every k-mer window of s, skipping windows
+// that contain ambiguous bases, and calls fn with the window's start
+// index and its canonical k-mer. Iteration stops early if fn returns
+// false. The window and its reverse complement are carried together —
+// each base is appended to one and its complement prepended to the
+// other — so a window costs two shifts and a compare whatever K is.
+func (c KmerCoder) ForEachCanonical(s []byte, fn func(pos int, canon Kmer) bool) {
 	if len(s) < c.K {
 		return
 	}
-	var km Kmer
+	var km, rc Kmer
 	valid := 0 // number of consecutive unambiguous bases ending at i
 	for i := 0; i < len(s); i++ {
 		code, ok := Code(s[i])
 		if !ok {
 			valid = 0
-			km = Kmer{}
+			km, rc = Kmer{}, Kmer{}
 			continue
 		}
 		km = c.shiftAppend(km, code)
+		rc = c.shiftPrepend(rc, 3-code)
 		valid++
 		if valid >= c.K {
-			if !fn(i-c.K+1, km) {
+			canon := km
+			if rc.Less(km) {
+				canon = rc
+			}
+			if !fn(i-c.K+1, canon) {
 				return
 			}
 		}
@@ -219,8 +256,7 @@ func (c KmerCoder) CountDistinct(reads []Read) int {
 	defer perf.Region("seq.count_distinct").End()
 	set := make(map[Kmer]struct{})
 	for i := range reads {
-		c.ForEach(reads[i].Seq, func(_ int, km Kmer) bool {
-			canon, _ := c.Canonical(km)
+		c.ForEachCanonical(reads[i].Seq, func(_ int, canon Kmer) bool {
 			set[canon] = struct{}{}
 			return true
 		})
