@@ -10,10 +10,11 @@ COVER_SPECS = internal/cloud:85 internal/pilot:80 internal/core:80
 
 # Parser fuzz targets exercised by fuzz-smoke, as package:target.
 FUZZ_TARGETS = internal/seq:FuzzParseFasta internal/seq:FuzzParseFastq internal/seq:FuzzParseSFA \
-	internal/seq:FuzzForEachCanonical internal/assembler/contrail:FuzzParseRecord
+	internal/seq:FuzzForEachCanonical internal/assembler/contrail:FuzzParseRecord \
+	internal/journal:FuzzScan
 FUZZ_TIME ?= 10s
 
-.PHONY: all build test vet lint lint-fixtures race cover fuzz-smoke sweep-determinism oracle-determinism journal-determinism overload-determinism check bench bench-gate bench-baseline clean
+.PHONY: all build test vet lint lint-fixtures race cover fuzz-smoke sweep-determinism oracle-determinism journal-determinism overload-determinism check bench bench-gate bench-baseline bench-smoke clean
 
 # Coverage profiles land here instead of littering the repo root.
 BUILD_DIR = build
@@ -104,12 +105,17 @@ sweep-determinism:
 # the rolling canonical window against the base-by-base loops, the
 # k-mer table against a Go map, contigs against every insertion order,
 # and Ray/ABySS on both full profiles against the contig counts, TTCs,
-# traffic and digests recorded before the kernel was rebuilt.
+# traffic and digests recorded before the kernel was rebuilt. The
+# journal reader: the single-pass scan against the line-by-line reader
+# it replaced, over every byte flip and truncation of a small journal
+# and a sample of a real one — same verified prefix, records, damage
+# report, chain head and Merkle root.
 oracle-determinism:
 	$(GO) test -race -count=1 -cpu 1,2,8 -run 'TestEngineMatchesReference' ./internal/mapreduce
 	$(GO) test -race -count=1 -cpu 1,2,8 -run 'MatchesReference|TestKmerTableMatchesMapModel' ./internal/seq
 	$(GO) test -race -count=1 -cpu 1,2,8 -run 'TestContigsIndependentOfInsertionOrder' ./internal/dbg
 	$(GO) test -race -count=1 -cpu 1,2,8 -run 'TestPCrispaPins' ./internal/assembler/mpidbg
+	$(GO) test -race -count=1 -cpu 1,2,8 -run 'TestScanMatchesReference' ./internal/journal
 
 # journal-determinism pins the checkpoint/resume contract: a run is
 # killed at three injected virtual-time points (mid-PA, mid-PB,
@@ -145,8 +151,9 @@ overload-determinism:
 # (go vet plus the rnavet determinism analyzer), the full test suite
 # under the race detector, the coverage floors, the sweep and
 # MapReduce-engine determinism contracts, the journal resume contract,
-# a fuzz smoke pass and the kernel benchmark regression gate.
-check: vet lint race cover sweep-determinism oracle-determinism journal-determinism overload-determinism fuzz-smoke bench-gate
+# a fuzz smoke pass, the kernel benchmark regression gate and a smoke
+# run of the whole-system benchmark.
+check: vet lint race cover sweep-determinism oracle-determinism journal-determinism overload-determinism fuzz-smoke bench-gate bench-smoke
 
 # bench regenerates the paper tables at quick scale and refreshes
 # BENCH_results.json (per-stage TTC/cost snapshots, plus the pass's
@@ -172,6 +179,17 @@ bench-gate:
 bench-baseline:
 	$(GO) run ./cmd/benchtab -kernels -json BENCH_baseline.json
 	@echo "BENCH_baseline.json rewritten; review and commit it."
+
+# bench-smoke builds and runs the whole-system benchmark (bench/, a
+# module of its own that `go build ./...` never compiles although it
+# imports internal/... packages) at smoke scale, then its self-tests.
+# It fails when the yardstick no longer builds, an operation fails or
+# an output check mismatches; the wall times it prints are
+# informational. Everything it writes lands in the git-ignored
+# .bench_build/ and bench/out/.
+bench-smoke:
+	bash bench/run.sh -scale smoke
+	cd bench && $(GO) test .
 
 clean:
 	rm -rf $(BUILD_DIR)

@@ -292,6 +292,12 @@ func (c *Cluster) Clock() *vclock.Clock { return c.provider.Clock() }
 // SharedStore is the NFS-like shared filesystem every node mounts.
 // Contents live in memory; paths are flat strings by convention
 // ("data/raw.fastq", "asm/ray/k35.contigs.fa").
+//
+// A stored file is an immutable blob: Put takes ownership of the slice
+// it is handed, nothing ever writes to it again, and copies between
+// stores (CopyAll) share the blob instead of duplicating it. Get is
+// the one place bytes are copied, so no caller can reach a stored
+// blob's memory.
 type SharedStore struct {
 	files map[string][]byte
 }
@@ -301,16 +307,18 @@ func NewSharedStore() *SharedStore {
 	return &SharedStore{files: make(map[string][]byte)}
 }
 
-// Put writes a file, replacing any previous content.
+// Put writes a file, replacing any previous content. The store takes
+// ownership of data: the caller must not modify it afterwards. The
+// same slice may be Put under several paths.
 func (s *SharedStore) Put(path string, data []byte) error {
 	if path == "" {
 		return fmt.Errorf("cluster: empty store path")
 	}
-	s.files[path] = append([]byte(nil), data...)
+	s.files[path] = data
 	return nil
 }
 
-// Get reads a file.
+// Get reads a file into a copy the caller owns.
 func (s *SharedStore) Get(path string) ([]byte, error) {
 	data, ok := s.files[path]
 	if !ok {
@@ -354,16 +362,12 @@ func (s *SharedStore) List(prefix string) []string {
 	return out
 }
 
-// CopyTo moves a file into another store (cross-pilot data movement
-// under the S1 scheme) and reports its size for transfer-cost
-// accounting.
-func (s *SharedStore) CopyTo(dst *SharedStore, path string) (int64, error) {
-	data, err := s.Get(path)
-	if err != nil {
-		return 0, err
+// CopyAll carries every file into another store (cross-pilot data
+// movement: an S1 transfer or an S2 carry-over), replacing same-named
+// files there. The stores share the immutable blobs, so the cost is
+// per path, not per byte.
+func (s *SharedStore) CopyAll(dst *SharedStore) {
+	for path, data := range s.files {
+		dst.files[path] = data
 	}
-	if err := dst.Put(path, data); err != nil {
-		return 0, err
-	}
-	return int64(len(data)), nil
 }

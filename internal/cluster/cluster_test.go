@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"rnascale/internal/cloud"
@@ -175,18 +176,63 @@ func TestSharedStore(t *testing.T) {
 	s.Delete("data/other") // no-op
 }
 
-func TestStoreCopyTo(t *testing.T) {
-	a, b := NewSharedStore(), NewSharedStore()
-	a.Put("f", []byte("1234"))
-	n, err := a.CopyTo(b, "f")
-	if err != nil || n != 4 {
-		t.Fatalf("copy: %d %v", n, err)
+// TestPutTakesOwnership: Put stores the caller's slice itself — the
+// seven callers in core hand over a buffer they never touch again —
+// so staging a file costs no allocation however large it is, and the
+// same blob may sit under several paths.
+func TestPutTakesOwnership(t *testing.T) {
+	s := NewSharedStore()
+	blob := bytes.Repeat([]byte("ACGT"), 1<<18) // 1 MiB
+	s.Put("warm", nil)                          // the map's first bucket is not Put's cost
+	if n := testing.AllocsPerRun(10, func() {
+		if err := s.Put("data/a.sfa", blob); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Put("data/b.sfa", blob); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Put of a 1 MiB blob under two paths allocated %.0f times, want 0", n)
 	}
-	if !b.Exists("f") {
-		t.Error("copy missing at destination")
+	if &s.files["data/a.sfa"][0] != &blob[0] || &s.files["data/b.sfa"][0] != &blob[0] {
+		t.Error("Put copied the blob instead of taking ownership")
 	}
-	if _, err := a.CopyTo(b, "missing"); err == nil {
-		t.Error("copied missing file")
+	if s.TotalBytes() != 2*int64(len(blob)) {
+		t.Errorf("total %d, want the logical size of both paths", s.TotalBytes())
+	}
+}
+
+// TestCopyAllShares: a copy between pilots' stores carries every file,
+// replaces same-named ones, and shares the immutable blobs — its
+// allocation is per path (the destination's map), not per byte.
+func TestCopyAllShares(t *testing.T) {
+	src, dst := NewSharedStore(), NewSharedStore()
+	const files = 16
+	for i := 0; i < files; i++ {
+		src.Put(fmt.Sprintf("asm/k%d.fa", i), bytes.Repeat([]byte{'A' + byte(i)}, 1<<20))
+	}
+	dst.Put("asm/k0.fa", []byte("stale"))
+	dst.Put("post/kept", []byte("kept"))
+	src.CopyAll(dst)
+	for _, path := range src.List("") {
+		if &dst.files[path][0] != &src.files[path][0] {
+			t.Fatalf("%s was duplicated, not shared", path)
+		}
+	}
+	if got, _ := dst.Get("post/kept"); string(got) != "kept" || len(dst.List("")) != files+1 {
+		t.Errorf("destination holds %v, want the %d copied files plus its own", dst.List(""), files)
+	}
+	// 16 MiB of files: a byte-wise copy would allocate at least once per
+	// file; sharing allocates only when the destination map grows.
+	n := testing.AllocsPerRun(10, func() { src.CopyAll(NewSharedStore()) })
+	if n > files {
+		t.Errorf("copying %d files of 1 MiB allocated %.0f times: O(bytes), want O(paths)", files, n)
+	}
+	// Get still hands out a private copy of a shared blob.
+	got, _ := dst.Get("asm/k1.fa")
+	got[0] = 'X'
+	if again, _ := src.Get("asm/k1.fa"); again[0] != 'B' {
+		t.Error("Get exposed a blob two stores share")
 	}
 }
 

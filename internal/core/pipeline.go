@@ -263,7 +263,9 @@ func (pl *Pipeline) Run(ds *simdata.Dataset) (rep *Report, err error) {
 						})
 					},
 					replay: func(rec journal.Record, _ *pilot.ExecEnv) (pilot.WorkResult, error) {
-						var p paPayload
+						// Pre-processing only drops or trims reads, so the
+						// shard's input count bounds the journaled output.
+						p := paPayload{Reads: make([]seq.Read, 0, len(shardReads[s].Reads))}
 						if err := json.Unmarshal(rec.Payload, &p); err != nil {
 							return pilot.WorkResult{}, err
 						}
@@ -294,11 +296,13 @@ func (pl *Pipeline) Run(ds *simdata.Dataset) (rep *Report, err error) {
 			return rep, err
 		}
 	}
-	cleaned := seq.ReadSet{Paired: ds.Reads.Paired}
 	var preStats preprocess.Stats
 	for s := 0; s < shards; s++ {
-		cleaned.Reads = append(cleaned.Reads, shardClean[s].Reads...)
 		preStats = combineStats(preStats, shardStats[s])
+	}
+	cleaned := seq.ReadSet{Paired: ds.Reads.Paired, Reads: make([]seq.Read, 0, preStats.OutputReads)}
+	for s := 0; s < shards; s++ {
+		cleaned.Reads = append(cleaned.Reads, shardClean[s].Reads...)
 	}
 	if preStats.OutputReads == 0 {
 		err := fmt.Errorf("core: pre-processing removed every read")
@@ -311,8 +315,8 @@ func (pl *Pipeline) Run(ds *simdata.Dataset) (rep *Report, err error) {
 		Add(float64(preStats.OutputReads))
 	pl.counter(MetricBasesProcessed, "Bases surviving pre-processing.", nil).
 		Add(float64(preStats.OutputBases))
-	var fq bytes.Buffer
-	if err := seq.WriteFastq(&fq, cleaned.Reads); err != nil {
+	fq := bytes.NewBuffer(make([]byte, 0, seq.FastqSize(cleaned.Reads)))
+	if err := seq.WriteFastq(fq, cleaned.Reads); err != nil {
 		return rep, err
 	}
 	if err := pa.store().Put("data/clean.fastq", fq.Bytes()); err != nil {
@@ -379,6 +383,25 @@ func (pl *Pipeline) Run(ds *simdata.Dataset) (rep *Report, err error) {
 		k    int
 	}
 	outputs := map[asmKey][]seq.FastaRecord{}
+	// Contrail cannot handle N bases (the paper pre-processes P. Crispa
+	// for exactly this reason): it is fed the N-free subset, via the SFA
+	// conversion the paper charges 1 min for. Both are the same for
+	// every k, so the first Contrail unit to need them, live or
+	// replayed, makes them for the run (units run one at a time on the
+	// event loop) and each unit stages the one blob under its own name.
+	var nFree []seq.Read
+	var sfa []byte
+	stageSFA := func(store *cluster.SharedStore, k int) error {
+		if sfa == nil {
+			nFree = dropNReads(cleaned.Reads)
+			buf := bytes.NewBuffer(make([]byte, 0, seq.SFASize(nFree)))
+			if err := seq.WriteSFA(buf, nFree); err != nil {
+				return err
+			}
+			sfa = buf.Bytes()
+		}
+		return store.Put(fmt.Sprintf("data/clean.k%d.sfa", k), sfa)
+	}
 	var descs []pilot.UnitDescription
 	for _, name := range cfg.Assemblers {
 		name := name
@@ -409,18 +432,10 @@ func (pl *Pipeline) Run(ds *simdata.Dataset) (rep *Report, err error) {
 				extra := vclock.Duration(0)
 				jobReads := cleaned.Reads
 				if name == "contrail" {
-					// Contrail cannot handle N bases (the paper
-					// pre-processes P. Crispa for exactly this
-					// reason): feed it the N-free subset, via the
-					// SFA conversion the paper charges 1 min for.
-					jobReads = dropNReads(jobReads)
-					var buf bytes.Buffer
-					if err := seq.WriteSFA(&buf, jobReads); err != nil {
+					if err := stageSFA(env.Store, k); err != nil {
 						return pilot.WorkResult{}, err
 					}
-					if err := env.Store.Put(fmt.Sprintf("data/clean.k%d.sfa", k), buf.Bytes()); err != nil {
-						return pilot.WorkResult{}, err
-					}
+					jobReads = nFree
 					extra = 60 * vclock.Second
 				}
 				res, err := a.Assemble(assembler.Request{
@@ -434,11 +449,7 @@ func (pl *Pipeline) Run(ds *simdata.Dataset) (rep *Report, err error) {
 					return pilot.WorkResult{}, err
 				}
 				outputs[asmKey{name, k}] = res.Contigs
-				var buf bytes.Buffer
-				if err := seq.WriteFasta(&buf, res.Contigs, 80); err != nil {
-					return pilot.WorkResult{}, err
-				}
-				if err := env.Store.Put(fmt.Sprintf("asm/%s/k%d.contigs.fa", name, k), buf.Bytes()); err != nil {
+				if err := stageFasta(env.Store, fmt.Sprintf("asm/%s/k%d.contigs.fa", name, k), res.Contigs); err != nil {
 					return pilot.WorkResult{}, err
 				}
 				return pilot.WorkResult{
@@ -465,22 +476,14 @@ func (pl *Pipeline) Run(ds *simdata.Dataset) (rep *Report, err error) {
 						return pilot.WorkResult{}, err
 					}
 					if p.Assembler == "contrail" {
-						// Re-derive the SFA conversion the original unit
+						// Re-stage the SFA conversion the original unit
 						// staged, so the shared store's contents match.
-						var buf bytes.Buffer
-						if err := seq.WriteSFA(&buf, dropNReads(cleaned.Reads)); err != nil {
-							return pilot.WorkResult{}, err
-						}
-						if err := env.Store.Put(fmt.Sprintf("data/clean.k%d.sfa", p.K), buf.Bytes()); err != nil {
+						if err := stageSFA(env.Store, p.K); err != nil {
 							return pilot.WorkResult{}, err
 						}
 					}
 					outputs[asmKey{p.Assembler, p.K}] = p.Contigs
-					var buf bytes.Buffer
-					if err := seq.WriteFasta(&buf, p.Contigs, 80); err != nil {
-						return pilot.WorkResult{}, err
-					}
-					if err := env.Store.Put(fmt.Sprintf("asm/%s/k%d.contigs.fa", p.Assembler, p.K), buf.Bytes()); err != nil {
+					if err := stageFasta(env.Store, fmt.Sprintf("asm/%s/k%d.contigs.fa", p.Assembler, p.K), p.Contigs); err != nil {
 						return pilot.WorkResult{}, err
 					}
 					res := assembler.Result{
@@ -610,11 +613,7 @@ func (pl *Pipeline) Run(ds *simdata.Dataset) (rep *Report, err error) {
 			rep.MergeStats = mstats
 		}
 		rep.Transcripts = final
-		var buf bytes.Buffer
-		if err := seq.WriteFasta(&buf, final, 80); err != nil {
-			return pilot.WorkResult{}, err
-		}
-		if err := env.Store.Put("post/transcripts.fa", buf.Bytes()); err != nil {
+		if err := stageFasta(env.Store, "post/transcripts.fa", final); err != nil {
 			return pilot.WorkResult{}, err
 		}
 		q, err := quant.Quantify(final, cleaned.Reads, quant.DefaultOptions())
@@ -681,14 +680,7 @@ func (pl *Pipeline) Run(ds *simdata.Dataset) (rep *Report, err error) {
 			rep.Quant = p.Quant
 			rep.QuantB = p.QuantB
 			rep.DiffExpr = p.DiffExpr
-			var buf bytes.Buffer
-			if err := seq.WriteFasta(&buf, p.Transcripts, 80); err != nil {
-				return pilot.WorkResult{}, err
-			}
-			if err := env.Store.Put("post/transcripts.fa", buf.Bytes()); err != nil {
-				return pilot.WorkResult{}, err
-			}
-			return pilot.WorkResult{}, nil
+			return pilot.WorkResult{}, stageFasta(env.Store, "post/transcripts.fa", p.Transcripts)
 		},
 	}
 	pcUnits, err := pcUM.Submit([]pilot.UnitDescription{{
@@ -954,7 +946,7 @@ func (pl *Pipeline) nextStage(name string, prev *stageExec, nodes int, backend c
 		}
 		d := pl.provider.InterNodeTransfer(stageBytes)
 		pl.clock.Advance(d)
-		copyStore(prevStore, fr.Store())
+		prevStore.CopyAll(fr.Store())
 		if err := pl.release(prev, true); err != nil {
 			return nil, "", err
 		}
@@ -988,7 +980,7 @@ func (pl *Pipeline) nextStage(name string, prev *stageExec, nodes int, backend c
 		}
 		// Shared filesystem persists across pilots under S2: no
 		// transfer, just carry the files over.
-		copyStore(prevStore, p.Cluster.Store())
+		prevStore.CopyAll(p.Cluster.Store())
 		return &stageExec{pilot: p}, "", nil
 	}
 	// S1 — or the previous stage ran serverless, leaving no VMs to
@@ -1008,7 +1000,7 @@ func (pl *Pipeline) nextStage(name string, prev *stageExec, nodes int, backend c
 	// release the previous stage's resources.
 	d := pl.provider.InterNodeTransfer(stageBytes)
 	pl.clock.Advance(d)
-	copyStore(prevStore, p.Cluster.Store())
+	prevStore.CopyAll(p.Cluster.Store())
 	if err := pl.release(prev, false); err != nil {
 		return nil, "", err
 	}
@@ -1040,14 +1032,14 @@ func (r *Report) finish(pl *Pipeline) {
 	pl.finishObs(r)
 }
 
-// copyStore copies every file between shared stores.
-func copyStore(src, dst *cluster.SharedStore) {
-	if src == dst || src == nil || dst == nil {
-		return
+// stageFasta renders records at 80 columns into a buffer of exactly
+// their FASTA length and hands the blob to the store.
+func stageFasta(store *cluster.SharedStore, path string, recs []seq.FastaRecord) error {
+	buf := bytes.NewBuffer(make([]byte, 0, seq.FastaSize(recs, 80)))
+	if err := seq.WriteFasta(buf, recs, 80); err != nil {
+		return err
 	}
-	for _, path := range src.List("") {
-		_, _ = src.CopyTo(dst, path)
-	}
+	return store.Put(path, buf.Bytes())
 }
 
 // asmOutput threads an assembly unit's identity and result through
@@ -1061,13 +1053,14 @@ type asmOutput struct {
 // shardReadSet splits reads into n fragment-preserving shards by
 // round-robin over fragments.
 func shardReadSet(rs seq.ReadSet, n int) []seq.ReadSet {
-	out := make([]seq.ReadSet, n)
-	for i := range out {
-		out[i].Paired = rs.Paired
-	}
 	stride := 1
 	if rs.Paired {
 		stride = 2
+	}
+	out := make([]seq.ReadSet, n)
+	perShard := (len(rs.Reads)/stride/n + 1) * stride
+	for i := range out {
+		out[i] = seq.ReadSet{Paired: rs.Paired, Reads: make([]seq.Read, 0, perShard)}
 	}
 	for f := 0; f*stride < len(rs.Reads); f++ {
 		s := f % n

@@ -270,14 +270,11 @@ func (s *Server) handleProof(w http.ResponseWriter, r *http.Request, id string) 
 		writeErr(w, http.StatusConflict, "run %s has no journal (gateway journaling is disabled)", id)
 		return
 	}
-	vr, err := journal.Verify(path)
-	if err != nil {
-		writeErr(w, http.StatusConflict, "run %s has no surviving journal: %v", id, err)
-		return
-	}
+	// One read serves both halves of the answer, so the report and the
+	// proof describe the same records even while the run is appending.
 	lg, err := journal.Inspect(path)
 	if err != nil {
-		writeErr(w, http.StatusConflict, "run %s: %v", id, err)
+		writeErr(w, http.StatusConflict, "run %s has no verifiable journal: %v", id, err)
 		return
 	}
 	seq := len(lg.Records) - 1
@@ -294,5 +291,5 @@ func (s *Server) handleProof(w http.ResponseWriter, r *http.Request, id string) 
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"verify": vr, "proof": proof})
+	writeJSON(w, http.StatusOK, map[string]any{"verify": lg.Verified(), "proof": proof})
 }

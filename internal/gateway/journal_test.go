@@ -263,6 +263,74 @@ func TestProofEndpoint(t *testing.T) {
 	}
 }
 
+// TestProofConsistentWhileAppending: the proof endpoint answers from
+// one read of the journal. It used to verify the file and then read
+// it again for the proof, so a record appended between the two reads
+// made verify.records/verify.root disagree with proof.records/
+// proof.root inside one response. Here a writer appends to the run's
+// journal while each request is in flight; every response must
+// describe a single state of the file.
+func TestProofConsistentWhileAppending(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newJournaledServer(t, dir)
+	view := submitRun(t, ts, RunRequest{Profile: "tiny", Assemblers: []string{"ray"}})
+	s.Wait()
+
+	_, w, err := journal.Continue(filepath.Join(dir, view.ID+".journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The writer may append this many records per request, topped up
+	// just before each one is sent: appends land while the handler runs,
+	// and the file stays small however slow the reads are (the race
+	// detector slows them far more than the appends).
+	budget, appended := make(chan struct{}, 16), make(chan error, 1)
+	go func() {
+		for range budget {
+			if _, err := w.Append(journal.Record{Kind: journal.KindEvent, Note: "appended after the run"}); err != nil {
+				appended <- err
+				return
+			}
+		}
+		appended <- w.Close()
+	}()
+	var first, last int
+	for i := 0; i < 40; i++ {
+		for len(budget) < cap(budget) {
+			budget <- struct{}{}
+		}
+		var body struct {
+			Verify journal.VerifyResult `json:"verify"`
+			Proof  journal.Proof        `json:"proof"`
+		}
+		if code := getJSON(t, ts.URL+"/api/runs/"+view.ID+"/proof", &body); code != 200 {
+			t.Errorf("request %d: proof status %d", i, code)
+			break
+		}
+		if body.Verify.Records != body.Proof.Records || body.Verify.Root != body.Proof.Root ||
+			body.Verify.ChainHead != body.Proof.ChainHead {
+			t.Errorf("request %d answered from two states of the journal:\n verify %d records, root %s\n proof  %d records, root %s",
+				i, body.Verify.Records, body.Verify.Root, body.Proof.Records, body.Proof.Root)
+			break
+		}
+		if err := journal.VerifyInclusion(body.Proof); err != nil {
+			t.Errorf("request %d: %v", i, err)
+			break
+		}
+		if i == 0 {
+			first = body.Proof.Records
+		}
+		last = body.Proof.Records
+	}
+	close(budget)
+	if err := <-appended; err != nil {
+		t.Fatal(err)
+	}
+	if !t.Failed() && last <= first {
+		t.Errorf("journal held %d records at the first request and %d at the last: no append raced a read", first, last)
+	}
+}
+
 // TestResumeEndpoint pins the resume endpoint's contract: one resume
 // of a failed run with a surviving journal is accepted; everything
 // else — a double resume, a finished run, a run without a journal —

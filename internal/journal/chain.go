@@ -1,11 +1,12 @@
 package journal
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash"
+	"io"
 	"os"
 )
 
@@ -31,84 +32,110 @@ func ChainSeed() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// chainNext folds one record body into the chain.
-func chainNext(prev string, body []byte) string {
-	h := sha256.New()
-	h.Write([]byte(prev))
-	h.Write([]byte{'\n'})
-	h.Write(body)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // chainBody marshals the record as the chain and Merkle leaves see
 // it: with the Chain field empty. Because Chain is the struct's last
-// field, the writer's spliced line is exactly this body with the
-// chain appended, and an unmarshal/marshal round trip reproduces it
-// byte-for-byte (encoding/json emits canonical shortest floats and
-// preserves RawMessage payloads verbatim).
+// field, the writer's stored line is exactly this body with the chain
+// spliced in before the closing brace, so an auditor holding a record
+// (RecordLeaf) recomputes the stored body byte-for-byte
+// (encoding/json emits canonical shortest floats and preserves
+// RawMessage payloads verbatim).
 func chainBody(rec Record) ([]byte, error) {
 	rec.Chain = ""
 	return json.Marshal(rec)
 }
 
-// spliceChain turns a chainless marshalled body into the stored line
-// by inserting the chain as the final JSON field. Equivalent to
-// re-marshalling the record with Chain set, without the second pass.
-func spliceChain(body []byte, chain string) []byte {
-	line := make([]byte, 0, len(body)+len(chain)+12)
-	line = append(line, body[:len(body)-1]...)
-	line = append(line, `,"chain":"`...)
-	line = append(line, chain...)
-	line = append(line, '"', '}', '\n')
-	return line
+// A stored line is the record's body with the chain digest spliced in
+// as the final JSON field: body[:len-1] + chainOpen + hex + chainClose.
+const (
+	chainOpen      = `,"chain":"`
+	chainClose     = `"}`
+	chainHexLen    = sha256.Size * 2
+	chainSuffixLen = len(chainOpen) + chainHexLen + len(chainClose)
+)
+
+var (
+	newline    = []byte{'\n'}
+	closeBrace = []byte{'}'}
+	leafPrefix = []byte{0x00}
+)
+
+// storedLine decodes a journal line exactly as Record does, except
+// that the payload is captured where it lies: its Payload field
+// shadows the embedded Record's, and payloadRef keeps the sub-slice of
+// the line json.Unmarshal hands it where json.RawMessage would copy.
+type storedLine struct {
+	*Record
+	Payload payloadRef `json:"payload"`
 }
 
-// splitChain undoes spliceChain on a stored line: it returns the raw
-// chainless body and the chain digest. ok is false when the line does
-// not end in a chain field.
-func splitChain(line []byte) (body []byte, chain string, ok bool) {
-	const suffixLen = len(`,"chain":""}`) + sha256.Size*2
-	if len(line) < suffixLen {
-		return nil, "", false
-	}
-	tail := line[len(line)-suffixLen:]
-	if !bytes.HasPrefix(tail, []byte(`,"chain":"`)) || !bytes.HasSuffix(tail, []byte(`"}`)) {
-		return nil, "", false
-	}
-	chain = string(tail[len(`,"chain":"`) : len(tail)-len(`"}`)])
-	body = append(make([]byte, 0, len(line)-suffixLen+1), line[:len(line)-suffixLen]...)
-	return append(body, '}'), chain, true
+type payloadRef []byte
+
+func (p *payloadRef) UnmarshalJSON(b []byte) error {
+	*p = b
+	return nil
+}
+
+// lineVerifier carries the one SHA-256 state a scan reuses for every
+// chain link and Merkle leaf.
+type lineVerifier struct {
+	h   hash.Hash
+	sum [sha256.Size]byte
+	hex [chainHexLen]byte
 }
 
 // verifyLine parses and verifies one journal line as record idx with
-// the given predecessor chain digest. The chain is checked over the
-// line's raw body bytes, not a re-marshalled record, so any raw
-// single-byte change is detected — including ones json.Unmarshal
-// would normalize away (a mangled field name parses as an ignored
-// unknown field and would re-marshal back to the original body).
-func verifyLine(line []byte, idx int, prev string) (Record, error) {
+// the given predecessor chain digest, and returns the record with its
+// Merkle leaf. The chain is checked over the line's raw body bytes,
+// not a re-marshalled record, so any raw single-byte change is
+// detected — including ones json.Unmarshal would normalize away (a
+// mangled field name parses as an ignored unknown field and would
+// re-marshal back to the original body). The body is the line minus
+// its chain suffix plus the closing brace; both hashes stream those
+// two pieces, so it is never assembled.
+func (v *lineVerifier) verifyLine(line []byte, idx int, prev string) (Record, [sha256.Size]byte, error) {
 	var rec Record
-	if err := json.Unmarshal(line, &rec); err != nil {
-		return rec, fmt.Errorf("journal: record %d: %w", idx, err)
+	var leaf [sha256.Size]byte
+	if len(line) == 0 {
+		return rec, leaf, fmt.Errorf("journal: record %d: blank line", idx)
 	}
+	lr := storedLine{Record: &rec}
+	if err := json.Unmarshal(line, &lr); err != nil {
+		return rec, leaf, fmt.Errorf("journal: record %d: %w", idx, err)
+	}
+	rec.Payload = json.RawMessage(lr.Payload)
 	if rec.Seq != idx {
-		return rec, fmt.Errorf("journal: record %d carries seq %d", idx, rec.Seq)
+		return rec, leaf, fmt.Errorf("journal: record %d carries seq %d", idx, rec.Seq)
 	}
 	if len(rec.Payload) > 0 {
 		if got := Digest(rec.Payload); got != rec.Digest {
-			return rec, fmt.Errorf("journal: record %d payload digest %s does not match stored %s",
+			return rec, leaf, fmt.Errorf("journal: record %d payload digest %s does not match stored %s",
 				idx, got, rec.Digest)
 		}
 	}
-	body, chain, ok := splitChain(line)
-	if !ok {
-		return rec, fmt.Errorf("journal: record %d has no chain digest", idx)
+	if len(line) < chainSuffixLen {
+		return rec, leaf, fmt.Errorf("journal: record %d has no chain digest", idx)
 	}
-	if want := chainNext(prev, body); chain != want {
-		return rec, fmt.Errorf("journal: record %d chain digest does not verify (stored %.12s…, computed %.12s…): record tampered, reordered or torn",
-			idx, chain, want)
+	head, tail := line[:len(line)-chainSuffixLen], line[len(line)-chainSuffixLen:]
+	stored := tail[len(chainOpen) : len(chainOpen)+chainHexLen]
+	if string(tail[:len(chainOpen)]) != chainOpen || string(tail[len(chainOpen)+chainHexLen:]) != chainClose {
+		return rec, leaf, fmt.Errorf("journal: record %d has no chain digest", idx)
 	}
-	return rec, nil
+	v.h.Reset()
+	io.WriteString(v.h, prev)
+	v.h.Write(newline)
+	v.h.Write(head)
+	v.h.Write(closeBrace)
+	hex.Encode(v.hex[:], v.h.Sum(v.sum[:0]))
+	if string(stored) != string(v.hex[:]) {
+		return rec, leaf, fmt.Errorf("journal: record %d chain digest does not verify (stored %.12s…, computed %.12s…): record tampered, reordered or torn",
+			idx, stored, v.hex[:])
+	}
+	v.h.Reset()
+	v.h.Write(leafPrefix)
+	v.h.Write(head)
+	v.h.Write(closeBrace)
+	v.h.Sum(leaf[:0])
+	return rec, leaf, nil
 }
 
 // VerifyResult is the forensic report of a chain verification pass.
@@ -157,21 +184,20 @@ func Verify(path string) (VerifyResult, error) {
 	if err != nil {
 		return VerifyResult{}, err
 	}
-	res := scan(b)
-	vr := VerifyResult{
-		Records:       len(res.recs),
-		BadSeq:        -1,
-		TrailingBytes: res.total - res.goodEnd,
-		ChainHead:     ChainSeed(),
+	lg, _, _ := scan(b)
+	return lg.Verified(), nil
+}
+
+// Verified is the verification report of the bytes a tolerant read
+// (Inspect, Continue) took the log from — what Verify returns for the
+// same bytes — so one read can serve a report and proofs that agree.
+func (l *Log) Verified() VerifyResult {
+	vr := VerifyResult{Records: len(l.Records), BadSeq: -1, ChainHead: l.ChainHead(), Root: l.Root()}
+	if r := l.Repair; r != nil {
+		vr.TrailingBytes, vr.MissingNewline = r.TruncatedBytes, r.RepairedNewline
+		if r.TruncatedBytes > 0 {
+			vr.BadSeq, vr.Reason = len(l.Records), r.Reason
+		}
 	}
-	if res.goodEnd < res.total {
-		vr.BadSeq = len(res.recs)
-		vr.Reason = res.reason
-	}
-	vr.MissingNewline = res.missingNewline
-	if len(res.recs) > 0 {
-		vr.ChainHead = res.recs[len(res.recs)-1].Chain
-	}
-	vr.Root = (&Log{Records: res.recs}).Root()
-	return vr, nil
+	return vr
 }

@@ -11,7 +11,7 @@ import (
 
 // writeFixture writes a small complete journal and returns its path
 // and records.
-func writeFixture(t *testing.T, n int) (string, []Record) {
+func writeFixture(t testing.TB, n int) (string, []Record) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "run.journal")
 	w, err := Create(path)

@@ -43,11 +43,10 @@
 package journal
 
 import (
-	"bufio"
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 )
@@ -78,6 +77,10 @@ const (
 // SHA-256 hash chain digest covering this record's content and the
 // previous record's chain digest. It must be the last field so the
 // Writer can splice it into the marshalled body.
+//
+// The Payload of a record read back from storage is a sub-slice of
+// the buffer the journal was read into, not a copy: treat it as
+// read-only.
 type Record struct {
 	Seq             int             `json:"seq"`
 	Kind            string          `json:"kind"`
@@ -99,18 +102,31 @@ type Record struct {
 // does not rest on it — that is the SHA-256 chain — it is the cheap
 // per-payload checksum core's replay verification compares.
 func Digest(b []byte) string {
-	h := fnv.New64a()
-	h.Write(b)
-	return fmt.Sprintf("%016x", h.Sum64())
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	const hexDigits = "0123456789abcdef"
+	var d [16]byte
+	for i := len(d) - 1; i >= 0; i-- {
+		d[i] = hexDigits[h&0xf]
+		h >>= 4
+	}
+	return string(d[:])
 }
 
-// Log is a journal read back from storage.
+// Log is a journal read back from storage: the chain-verified records
+// and, for each, the Merkle leaf taken over its stored bytes while
+// they were being verified. Root and Proof commit to what was read; a
+// Log assembled by hand has no leaves to commit to.
 type Log struct {
 	Records []Record
 	// Repair is non-nil when a tolerant open (Inspect, Continue) found
 	// tail damage: it describes what was dropped or fixed. Strict
 	// reads (Open, Read) never set it — they error instead.
 	Repair *Repair
+
+	leaves [][sha256.Size]byte
 }
 
 // Repair describes the damage a tolerant open found at a journal's
@@ -140,56 +156,43 @@ func (r *Repair) String() string {
 }
 
 // Open reads the journal at path strictly: any damage — a torn tail,
-// a missing newline, a broken chain — is an error. Use Inspect for a
-// tolerant read or Continue to repair and resume.
+// a broken chain — is an error. Use Inspect for a tolerant read or
+// Continue to repair and resume.
 func Open(path string) (*Log, error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return Read(f)
+	return readStrict(b)
 }
 
 // Read parses a journal from r, verifying sequence numbers, payload
-// digests and the hash chain of every record. The line loop reads
-// through a bufio.Reader, not a Scanner, so records are not subject
-// to any token-size cap; read and verification errors name the
-// record index they occurred at.
+// digests and the hash chain of every record. Records are not subject
+// to any size cap; verification errors name the record index they
+// occurred at.
 func Read(r io.Reader) (*Log, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var recs []Record
-	prev := ChainSeed()
-	for {
-		line, err := br.ReadBytes('\n')
-		atEOF := err == io.EOF
-		if err != nil && !atEOF {
-			return nil, fmt.Errorf("journal: record %d: read: %w", len(recs), err)
-		}
-		line = bytes.TrimSuffix(line, []byte("\n"))
-		if len(line) == 0 {
-			if atEOF {
-				break
-			}
-			return nil, fmt.Errorf("journal: record %d: blank line", len(recs))
-		}
-		rec, err := verifyLine(line, len(recs), prev)
-		if err != nil {
-			return nil, err
-		}
-		recs = append(recs, rec)
-		prev = rec.Chain
-		if atEOF {
-			break
-		}
+	var buf bytes.Buffer
+	if sized, ok := r.(interface{ Len() int }); ok {
+		// A bytes.Reader or Buffer says how much is coming: read it
+		// into one allocation instead of growing into it.
+		buf.Grow(sized.Len() + bytes.MinRead)
 	}
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("journal: empty")
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, fmt.Errorf("journal: read: %w", err)
 	}
-	if recs[0].Kind != KindHeader {
-		return nil, fmt.Errorf("journal: first record is %q, want %q", recs[0].Kind, KindHeader)
+	return readStrict(buf.Bytes())
+}
+
+func readStrict(b []byte) (*Log, error) {
+	lg, _, bad := scan(b)
+	if bad != nil {
+		return nil, bad
 	}
-	return &Log{Records: recs}, nil
+	if err := lg.usable(""); err != nil {
+		return nil, err
+	}
+	lg.Repair = nil // a final record without its newline still reads
+	return lg, nil
 }
 
 // Inspect reads the journal at path tolerantly: the chain-verified
@@ -202,83 +205,69 @@ func Inspect(path string) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := scan(b)
-	return res.log(path)
-}
-
-// scanResult is the outcome of a tolerant scan over journal bytes.
-type scanResult struct {
-	recs []Record
-	// goodEnd is the byte offset just past the last chain-verified
-	// record (past its newline when it had one).
-	goodEnd int
-	// missingNewline is set when the final verified record reached
-	// goodEnd without a trailing newline.
-	missingNewline bool
-	// reason is the verification failure that ended the prefix, empty
-	// when the whole input verified.
-	reason string
-	total  int
-}
-
-// scan walks journal bytes, verifying records until the first
-// failure. Everything after the last verified record is the
-// (possibly empty) damaged tail.
-func scan(b []byte) scanResult {
-	res := scanResult{total: len(b)}
-	prev := ChainSeed()
-	off := 0
-	for off < len(b) {
-		nl := bytes.IndexByte(b[off:], '\n')
-		var line []byte
-		complete := nl >= 0
-		if complete {
-			line = b[off : off+nl]
-		} else {
-			line = b[off:]
-		}
-		if len(line) == 0 {
-			res.reason = fmt.Sprintf("record %d: blank line", len(res.recs))
-			return res
-		}
-		rec, err := verifyLine(line, len(res.recs), prev)
-		if err != nil {
-			res.reason = err.Error()
-			return res
-		}
-		res.recs = append(res.recs, rec)
-		prev = rec.Chain
-		if complete {
-			off += nl + 1
-		} else {
-			off = len(b)
-			res.missingNewline = true
-		}
-		res.goodEnd = off
-	}
-	return res
-}
-
-// log folds a scan into a Log, failing when nothing verified.
-func (res scanResult) log(path string) (*Log, error) {
-	if len(res.recs) == 0 {
-		if res.reason != "" {
-			return nil, fmt.Errorf("journal: %s: no verifiable records (%s)", path, res.reason)
-		}
-		return nil, fmt.Errorf("journal: empty")
-	}
-	if res.recs[0].Kind != KindHeader {
-		return nil, fmt.Errorf("journal: first record is %q, want %q", res.recs[0].Kind, KindHeader)
-	}
-	lg := &Log{Records: res.recs}
-	if res.goodEnd < res.total || res.missingNewline {
-		lg.Repair = &Repair{
-			TruncatedBytes:  res.total - res.goodEnd,
-			RepairedNewline: res.missingNewline,
-			Reason:          res.reason,
-		}
+	lg, _, _ := scan(b)
+	if err := lg.usable(path); err != nil {
+		return nil, err
 	}
 	return lg, nil
+}
+
+// scan is the one pass behind every reader (Read, Open, Inspect,
+// Continue, Verify): it walks journal bytes line by line, verifying
+// each record in place (verifyLine) until the first failure. It
+// returns the verified prefix as a Log — Repair describing the
+// (possibly empty) damaged tail after it — the byte offset just past
+// that prefix, and the failure that ended it, nil when every byte
+// verified. Nothing is copied out of b: the records' payloads alias
+// it.
+func scan(b []byte) (lg *Log, goodEnd int, bad error) {
+	lg = &Log{}
+	v := lineVerifier{h: sha256.New()}
+	prev := ChainSeed()
+	missingNewline := false
+	for goodEnd < len(b) {
+		line := b[goodEnd:]
+		nl := bytes.IndexByte(line, '\n')
+		if nl >= 0 {
+			line = line[:nl]
+		}
+		rec, leaf, err := v.verifyLine(line, len(lg.Records), prev)
+		if err != nil {
+			bad = err
+			break
+		}
+		lg.Records = append(lg.Records, rec)
+		lg.leaves = append(lg.leaves, leaf)
+		prev = rec.Chain
+		goodEnd += len(line)
+		if nl >= 0 {
+			goodEnd++
+		} else {
+			missingNewline = true
+		}
+	}
+	if goodEnd < len(b) || missingNewline {
+		lg.Repair = &Repair{TruncatedBytes: len(b) - goodEnd, RepairedNewline: missingNewline}
+		if bad != nil {
+			lg.Repair.Reason = bad.Error()
+		}
+	}
+	return lg, goodEnd, bad
+}
+
+// usable reports whether the verified prefix is a journal a caller
+// can work with: at least one record, the first of them a header.
+func (l *Log) usable(path string) error {
+	if len(l.Records) == 0 {
+		if l.Repair != nil && l.Repair.Reason != "" {
+			return fmt.Errorf("journal: %s: no verifiable records (%s)", path, l.Repair.Reason)
+		}
+		return fmt.Errorf("journal: empty")
+	}
+	if l.Records[0].Kind != KindHeader {
+		return fmt.Errorf("journal: first record is %q, want %q", l.Records[0].Kind, KindHeader)
+	}
+	return nil
 }
 
 // Header returns the journal's header record.

@@ -114,8 +114,8 @@ func chainedLine(t *testing.T, rec Record, prev string) ([]byte, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain := chainNext(prev, body)
-	return spliceChain(body, chain), chain
+	chain := refChainNext(prev, body)
+	return refSpliceChain(body, chain), chain
 }
 
 func TestReadRejectsCorruption(t *testing.T) {

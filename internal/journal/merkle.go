@@ -40,19 +40,6 @@ func emptyRoot() [sha256.Size]byte {
 	return sha256.Sum256([]byte(Schema + "/empty-tree"))
 }
 
-// leaves computes the Merkle leaves of the log's records.
-func (l *Log) leaves() ([][sha256.Size]byte, error) {
-	out := make([][sha256.Size]byte, len(l.Records))
-	for i, rec := range l.Records {
-		body, err := chainBody(rec)
-		if err != nil {
-			return nil, fmt.Errorf("journal: record %d: re-marshal: %w", i, err)
-		}
-		out[i] = leafHash(body)
-	}
-	return out, nil
-}
-
 func merkleRoot(level [][sha256.Size]byte) [sha256.Size]byte {
 	if len(level) == 0 {
 		return emptyRoot()
@@ -73,13 +60,7 @@ func merkleRoot(level [][sha256.Size]byte) [sha256.Size]byte {
 
 // Root returns the Merkle root over the log's records, hex-encoded.
 func (l *Log) Root() string {
-	leaves, err := l.leaves()
-	if err != nil {
-		// A record that unmarshalled cannot fail to re-marshal; keep
-		// the accessor ergonomic and let Proof surface real errors.
-		return ""
-	}
-	root := merkleRoot(leaves)
+	root := merkleRoot(l.leaves)
 	return hex.EncodeToString(root[:])
 }
 
@@ -106,16 +87,13 @@ type Proof struct {
 
 // Proof builds the inclusion proof for record seq.
 func (l *Log) Proof(seq int) (Proof, error) {
-	if seq < 0 || seq >= len(l.Records) {
-		return Proof{}, fmt.Errorf("journal: proof: seq %d out of range [0,%d)", seq, len(l.Records))
-	}
-	leaves, err := l.leaves()
-	if err != nil {
-		return Proof{}, err
+	leaves := l.leaves
+	if seq < 0 || seq >= len(leaves) {
+		return Proof{}, fmt.Errorf("journal: proof: seq %d out of range [0,%d)", seq, len(leaves))
 	}
 	p := Proof{
 		Seq:       seq,
-		Records:   len(l.Records),
+		Records:   len(leaves),
 		Leaf:      hex.EncodeToString(leaves[seq][:]),
 		ChainHead: l.ChainHead(),
 	}
@@ -144,7 +122,9 @@ func (l *Log) Proof(seq int) (Proof, error) {
 }
 
 // RecordLeaf computes the Merkle leaf of a record an auditor holds,
-// for comparison against Proof.Leaf.
+// for comparison against Proof.Leaf. A log's own leaves are taken
+// over the stored bytes as they are read; for a record the Writer
+// wrote, re-marshalling reproduces those bytes.
 func RecordLeaf(rec Record) (string, error) {
 	body, err := chainBody(rec)
 	if err != nil {

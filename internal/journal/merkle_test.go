@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -81,13 +82,31 @@ func TestProofOutOfRange(t *testing.T) {
 	}
 }
 
-// TestRootChangesWithAnyRecord: the root commits to every record.
+// TestRootChangesWithAnyRecord: the root commits to every record —
+// a journal that differs in any one record reads back with a
+// different root.
 func TestRootChangesWithAnyRecord(t *testing.T) {
-	lg := buildLog(t, 5)
+	path, recs := writeFixture(t, 5)
+	lg, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	root := lg.Root()
-	for i := range lg.Records {
-		mut := &Log{Records: append([]Record(nil), lg.Records...)}
-		mut.Records[i].Note = "x"
+	for i := range recs {
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		for j, rec := range recs {
+			if j == i {
+				rec.Note = "x"
+			}
+			if _, err := w.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mut, err := Read(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if mut.Root() == root {
 			t.Fatalf("mutating record %d left the root unchanged", i)
 		}

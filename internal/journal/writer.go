@@ -1,9 +1,13 @@
 package journal
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"os"
 	"sync"
@@ -69,10 +73,20 @@ type Writer struct {
 	file    *os.File     // non-nil when file-backed
 	syncFn  func() error // nil = no durability beyond the sink
 	seq     int
-	chain   string
-	err     error // sticky fail-stop error
+	chain   [chainHexLen]byte // hex chain digest of the last stamped record
+	err     error             // sticky fail-stop error
 	closed  bool
 	pending []pendingAppend
+
+	// Append's scratch, guarded by mu and reused for every record: the
+	// record being marshalled, the encoder and buffer its line is built
+	// in (let go after a line larger than maxKeptLine), and the SHA-256
+	// state and sum of its chain link.
+	rec  Record
+	line bytes.Buffer
+	enc  *json.Encoder
+	h    hash.Hash
+	sum  [sha256.Size]byte
 
 	// Group-commit machinery, nil for unsynced (sink-only) writers —
 	// with no fsync to amortize they write synchronously instead.
@@ -81,20 +95,39 @@ type Writer struct {
 	buf         []byte // flusher's reusable coalescing buffer
 }
 
+// maxKeptLine bounds the line buffer a Writer keeps between appends.
+// A larger record — a stage's worth of reads or contigs — gets a
+// buffer that is released with it, so a writer that outlives its run
+// (the gateway holds one per finished run) never pins its largest
+// record.
+const maxKeptLine = 64 << 10
+
 // NewWriter returns a Writer over an arbitrary sink (no durability
 // beyond the sink itself). With no fsync to amortize, appends write
 // through synchronously. Used by tests and in-memory callers.
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: w, chain: ChainSeed(), opts: Options{}.withDefaults()}
+	return newWriter(w, nil, nil, 0, ChainSeed(), Options{})
+}
+
+// newWriter arms a writer that appends after seq records whose chain
+// head is chain; a sync hook makes it group-committing.
+func newWriter(sink io.Writer, file *os.File, syncFn func() error, seq int, chain string, opts Options) *Writer {
+	w := &Writer{w: sink, file: file, syncFn: syncFn, seq: seq, opts: opts.withDefaults(), h: sha256.New()}
+	copy(w.chain[:], chain)
+	w.enc = json.NewEncoder(&w.line)
+	if syncFn != nil {
+		w.wake = make(chan struct{}, 1)
+		w.flusherDone = make(chan struct{})
+		go w.flusher()
+	}
+	return w
 }
 
 // NewSyncedWriter returns a group-committing Writer over a sink with
 // an explicit sync hook — the seam benchmarks and tests use to count
 // or simulate fsyncs.
 func NewSyncedWriter(w io.Writer, sync func() error, opts Options) *Writer {
-	wr := &Writer{w: w, syncFn: sync, chain: ChainSeed(), opts: opts.withDefaults()}
-	wr.startFlusher()
-	return wr
+	return newWriter(w, nil, sync, 0, ChainSeed(), opts)
 }
 
 // Create creates (truncating) a file-backed journal at path with
@@ -107,15 +140,7 @@ func CreateOptions(path string, opts Options) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &Writer{w: f, file: f, syncFn: f.Sync, chain: ChainSeed(), opts: opts.withDefaults()}
-	w.startFlusher()
-	return w, nil
-}
-
-func (w *Writer) startFlusher() {
-	w.wake = make(chan struct{}, 1)
-	w.flusherDone = make(chan struct{})
-	go w.flusher()
+	return newWriter(f, f, f.Sync, 0, ChainSeed(), opts), nil
 }
 
 // Continue opens an existing journal for resumption: it reads the
@@ -135,25 +160,24 @@ func ContinueOptions(path string, opts Options) (*Log, *Writer, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	res := scan(b)
-	lg, err := res.log(path)
-	if err != nil {
+	lg, goodEnd, _ := scan(b)
+	if err := lg.usable(path); err != nil {
 		return nil, nil, err
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
-	if res.goodEnd < res.total {
+	if goodEnd < len(b) {
 		// Unverifiable tail: cut back to the chain-verified prefix.
 		// (ftruncate addresses an absolute offset; O_APPEND only
 		// affects where subsequent writes land.)
-		if err := f.Truncate(int64(res.goodEnd)); err != nil {
+		if err := f.Truncate(int64(goodEnd)); err != nil {
 			f.Close()
 			return nil, nil, fmt.Errorf("journal: truncate damaged tail: %w", err)
 		}
 	}
-	if res.missingNewline {
+	if lg.Repair != nil && lg.Repair.RepairedNewline {
 		if _, err := f.Write([]byte("\n")); err != nil {
 			f.Close()
 			return nil, nil, fmt.Errorf("journal: restore final newline: %w", err)
@@ -165,14 +189,7 @@ func ContinueOptions(path string, opts Options) (*Log, *Writer, error) {
 			return nil, nil, fmt.Errorf("journal: sync repair: %w", err)
 		}
 	}
-	w := &Writer{
-		w: f, file: f, syncFn: f.Sync,
-		seq:   len(lg.Records),
-		chain: lg.ChainHead(),
-		opts:  opts.withDefaults(),
-	}
-	w.startFlusher()
-	return lg, w, nil
+	return lg, newWriter(f, f, f.Sync, len(lg.Records), lg.ChainHead(), opts), nil
 }
 
 // Append stamps the record's sequence number and chain digest,
@@ -199,17 +216,36 @@ func (w *Writer) Append(rec Record) (Record, error) {
 		// carries a payload; stamp it for callers that did not.
 		rec.Digest = Digest(rec.Payload)
 	}
-	body, err := json.Marshal(rec)
-	if err != nil {
+	// The encoder writes what json.Marshal returns plus a newline: the
+	// chainless body the chain and Merkle leaves are defined over.
+	w.rec = rec
+	w.line.Reset()
+	if err := w.enc.Encode(&w.rec); err != nil {
 		// Nothing reached the sink: the writer stays usable and the
 		// sequence number is not consumed.
 		w.mu.Unlock()
 		return rec, fmt.Errorf("journal: marshal record %d: %w", rec.Seq, err)
 	}
-	rec.Chain = chainNext(w.chain, body)
-	line := spliceChain(body, rec.Chain)
+	body := w.line.Bytes()[:w.line.Len()-1]
+	w.h.Reset()
+	w.h.Write(w.chain[:])
+	w.h.Write(newline)
+	w.h.Write(body)
+	hex.Encode(w.chain[:], w.h.Sum(w.sum[:0]))
+	// Splice the chain in as the body's final field, in place.
+	w.line.Truncate(len(body) - 1)
+	w.line.WriteString(chainOpen)
+	w.line.Write(w.chain[:])
+	w.line.WriteString(chainClose + "\n")
+	rec.Chain = string(w.chain[:])
 	w.seq++
-	w.chain = rec.Chain
+	w.rec.Payload = nil
+	line := w.line.Bytes()
+	if w.line.Cap() > maxKeptLine {
+		w.line = bytes.Buffer{} // the line leaves with its buffer
+	} else if w.wake != nil {
+		line = bytes.Clone(line) // the flusher reads it after the next append reuses the buffer
+	}
 
 	if w.wake == nil {
 		// Unsynced sink: write through synchronously.
@@ -346,7 +382,7 @@ func (w *Writer) Seq() int {
 func (w *Writer) ChainHead() string {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.chain
+	return string(w.chain[:])
 }
 
 // Err returns the writer's sticky append error, nil while healthy.

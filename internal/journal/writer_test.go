@@ -229,7 +229,10 @@ func TestAppendAfterClose(t *testing.T) {
 
 // TestLargePayloadRoundTrip: payloads beyond bufio.Scanner's default
 // 64 KiB token cap — which used to fail the read with an opaque
-// "token too long" — round-trip through the bufio.Reader line loop.
+// "token too long" — round-trip through the reader's line scan, and
+// the writer lets go of a record that size instead of pinning it in
+// its reusable line buffer (the gateway holds a writer per finished
+// run).
 func TestLargePayloadRoundTrip(t *testing.T) {
 	big := make([]byte, 0, 1<<20+64)
 	big = append(big, `{"blob":"`...)
@@ -245,6 +248,9 @@ func TestLargePayloadRoundTrip(t *testing.T) {
 	}
 	if _, err := w.Append(Record{Kind: KindUnit, Digest: Digest(big), Payload: big}); err != nil {
 		t.Fatal(err)
+	}
+	if w.line.Cap() > maxKeptLine || w.rec.Payload != nil {
+		t.Errorf("writer still holds the 1 MiB record: line buffer %d bytes, payload %d", w.line.Cap(), len(w.rec.Payload))
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

@@ -6,10 +6,11 @@
 // targets — k-mer scanning, counting and DBG construction, FASTA/FASTQ
 // parsing, the vclock slot scheduler, MPI collective rendezvous and
 // the distributed assembly on top of it, the spot market's price walk,
-// journal appends, a MapReduce job and the Contrail chain on top of it
-// — run over a deterministic workload (a splitmix64-seeded synthetic
-// genome, never math/rand), so that allocsPerOp and bytesPerOp are
-// stable across runs and only nsPerOp carries machine noise. The gate
+// journal appends and the verifying read, a MapReduce job and the
+// Contrail chain on top of it — run over a deterministic workload (a
+// splitmix64-seeded synthetic genome, never math/rand), so that
+// allocsPerOp and bytesPerOp are stable across runs and only nsPerOp
+// carries machine noise. The gate
 // (Compare) exploits that split: allocation counts get a tight
 // tolerance, and wall time is printed but gated only on request, which
 // is how an alloc regression is caught even on a noisy CI machine
@@ -409,6 +410,34 @@ func Kernels() []Kernel {
 					wg.Wait()
 					if err := w.Close(); err != nil {
 						panic(err)
+					}
+				}
+			},
+		},
+		{
+			// Journal read side: the single verifying scan (JSON validity,
+			// payload digest, hash chain and Merkle leaf per record) over
+			// 64 records carrying 64 KB payloads, from memory — the shape
+			// of a pipeline journal, whose bytes are nearly all payload.
+			Name:  "journal.verify",
+			Iters: 20,
+			Setup: func() func() {
+				payload := append(append([]byte{'"'}, genome(9, 64<<10)...), '"')
+				var data bytes.Buffer
+				w := journal.NewWriter(&data)
+				for i := 0; i < 64; i++ {
+					rec := journal.Record{Kind: journal.KindUnit, Stage: "PB", Unit: "unit-0001", VTime: float64(i), Payload: payload}
+					if i == 0 {
+						rec = journal.Record{Kind: journal.KindHeader}
+					}
+					if _, err := w.Append(rec); err != nil {
+						panic(err)
+					}
+				}
+				return func() {
+					lg, err := journal.Read(bytes.NewReader(data.Bytes()))
+					if err != nil || len(lg.Records) != 64 {
+						panic(fmt.Sprintf("kernelbench: journal read back %v", err))
 					}
 				}
 			},

@@ -50,19 +50,24 @@ func TestKernelNamesUnique(t *testing.T) {
 // allocation columns — which depend only on the workload, not the
 // machine — are stable to well within the gate's alloc tolerance.
 // (Exact equality is too strong: the runtime occasionally charges an
-// op with a map-growth or mutex-shim allocation.)
+// op with a map-growth or mutex-shim allocation, and under the race
+// detector sync.Pool drops a random quarter of what is put back, so
+// encoding/json's pooled encoder state — buffer and all — is
+// re-allocated at random: on journal.append, at two allocations an
+// append, that wobble is 2–3 % over a few ops, hence 24 ops and a 5 %
+// line, half the gate's tightest tolerance.)
 func TestWorkloadsDeterministic(t *testing.T) {
 	for _, name := range []string{"seq.count_distinct", "journal.append"} {
 		k, ok := find(name)
 		if !ok {
 			t.Fatalf("kernel %q not registered", name)
 		}
-		k.Iters = 3
+		k.Iters = 24
 		a, b := Run(k), Run(k)
-		if drift(a.AllocsPerOp, b.AllocsPerOp) > 0.02 {
+		if drift(a.AllocsPerOp, b.AllocsPerOp) > 0.05 {
 			t.Errorf("%s: allocsPerOp drifts across runs: %v vs %v", name, a.AllocsPerOp, b.AllocsPerOp)
 		}
-		if drift(a.BytesPerOp, b.BytesPerOp) > 0.02 {
+		if drift(a.BytesPerOp, b.BytesPerOp) > 0.05 {
 			t.Errorf("%s: bytesPerOp drifts across runs: %v vs %v", name, a.BytesPerOp, b.BytesPerOp)
 		}
 	}

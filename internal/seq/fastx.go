@@ -57,6 +57,20 @@ func WriteFasta(w io.Writer, recs []FastaRecord, width int) error {
 	return bw.Flush()
 }
 
+// FastaSize is the exact byte count WriteFasta emits, so a caller
+// rendering into memory can allocate the buffer once.
+func FastaSize(recs []FastaRecord, width int) int {
+	n := 0
+	for i := range recs {
+		lines := 1
+		if width > 0 {
+			lines = (len(recs[i].Seq) + width - 1) / width
+		}
+		n += len(recs[i].ID) + 2 + len(recs[i].Seq) + lines
+	}
+	return n
+}
+
 // ParseFasta reads all records from r. Sequence lines are
 // concatenated; blank lines are ignored.
 func ParseFasta(r io.Reader) ([]FastaRecord, error) {
@@ -113,6 +127,18 @@ func WriteFastq(w io.Writer, reads []Read) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// FastqSize is the exact byte count WriteFastq emits.
+func FastqSize(reads []Read) int {
+	n := 0
+	for i := range reads {
+		n += len(reads[i].ID) + 2*len(reads[i].Seq) + 6
+		if reads[i].Qual != nil {
+			n += len(reads[i].Qual) - len(reads[i].Seq)
+		}
+	}
+	return n
 }
 
 // ParseFastq reads 4-line FASTQ records.
@@ -224,6 +250,15 @@ func WriteSFA(w io.Writer, reads []Read) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// SFASize is the exact byte count WriteSFA emits.
+func SFASize(reads []Read) int {
+	n := 0
+	for i := range reads {
+		n += len(reads[i].ID) + len(reads[i].Seq) + 3
+	}
+	return n
 }
 
 // ParseSFA reads the Contrail SFA format.

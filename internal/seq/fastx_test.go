@@ -194,3 +194,34 @@ func TestFragmentID(t *testing.T) {
 		t.Error("fragmentID")
 	}
 }
+
+// TestWriterSizesExact: the *Size functions predict the writers' byte
+// counts exactly (core presizes its staging buffers with them, so an
+// underestimate would silently double an allocation).
+func TestWriterSizesExact(t *testing.T) {
+	reads := []Read{
+		{ID: "r1", Seq: []byte("ACGTACGT"), Qual: []byte("IIIIIIII")},
+		{ID: "read/2", Seq: []byte("TTTTN")}, // no qualities: WriteFastq synthesizes them
+		{ID: "r3", Seq: []byte("A"), Qual: []byte("#")},
+	}
+	recs := []FastaRecord{
+		{ID: "c1", Seq: bytes.Repeat([]byte("ACGT"), 40)}, // exactly two 80-base lines
+		{ID: "contig2", Seq: bytes.Repeat([]byte("G"), 81)},
+		{ID: "empty"},
+		{ID: "c4", Seq: []byte("ACG")},
+	}
+	var buf bytes.Buffer
+	if err := WriteFastq(&buf, reads); err != nil || buf.Len() != FastqSize(reads) {
+		t.Errorf("FastqSize = %d, WriteFastq wrote %d (%v)", FastqSize(reads), buf.Len(), err)
+	}
+	buf.Reset()
+	if err := WriteSFA(&buf, reads); err != nil || buf.Len() != SFASize(reads) {
+		t.Errorf("SFASize = %d, WriteSFA wrote %d (%v)", SFASize(reads), buf.Len(), err)
+	}
+	for _, width := range []int{0, 1, 3, 80} {
+		buf.Reset()
+		if err := WriteFasta(&buf, recs, width); err != nil || buf.Len() != FastaSize(recs, width) {
+			t.Errorf("width %d: FastaSize = %d, WriteFasta wrote %d (%v)", width, FastaSize(recs, width), buf.Len(), err)
+		}
+	}
+}
