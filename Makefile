@@ -8,10 +8,11 @@ GO ?= go
 # walk, reclaim coupling and function billing must stay covered.
 COVER_SPECS = internal/cloud:85 internal/pilot:80 internal/core:80
 
-# Parser fuzz targets exercised by fuzz-smoke, as package:target.
+# Fuzz targets exercised by fuzz-smoke, as package:target: the parsers,
+# and the seeded containment check against its reference.
 FUZZ_TARGETS = internal/seq:FuzzParseFasta internal/seq:FuzzParseFastq internal/seq:FuzzParseSFA \
 	internal/seq:FuzzForEachCanonical internal/assembler/contrail:FuzzParseRecord \
-	internal/journal:FuzzScan
+	internal/journal:FuzzScan internal/merge:FuzzDropContained
 FUZZ_TIME ?= 10s
 
 .PHONY: all build test vet lint lint-fixtures race cover fuzz-smoke sweep-determinism oracle-determinism journal-determinism overload-determinism check bench bench-gate bench-baseline bench-smoke clean
@@ -83,7 +84,7 @@ cover:
 			{ echo "FAIL: $$pkg coverage $$pct% below floor $$floor%"; exit 1; }; \
 	done
 
-# fuzz-smoke runs each parser fuzz target briefly; failures minimize
+# fuzz-smoke runs each fuzz target briefly; failures minimize
 # into the target package's testdata/fuzz as regression inputs.
 fuzz-smoke:
 	@for spec in $(FUZZ_TARGETS); do \
@@ -106,6 +107,11 @@ sweep-determinism:
 # k-mer table against a Go map, contigs against every insertion order,
 # and Ray/ABySS on both full profiles against the contig counts, TTCs,
 # traffic and digests recorded before the kernel was rebuilt. The
+# post-counting tail: the edge-bit graph's tip clipping, bubble popping
+# and unitig walk against the Find-per-question traversals (and its
+# adjacency bytes against a rebuild after every deletion), the seeded
+# containment check against the all-pairs substring search, the
+# table-indexed quantifier against the map-indexed one. The
 # journal reader: the single-pass scan against the line-by-line reader
 # it replaced, over every byte flip and truncation of a small journal
 # and a sample of a real one — same verified prefix, records, damage
@@ -113,7 +119,9 @@ sweep-determinism:
 oracle-determinism:
 	$(GO) test -race -count=1 -cpu 1,2,8 -run 'TestEngineMatchesReference' ./internal/mapreduce
 	$(GO) test -race -count=1 -cpu 1,2,8 -run 'MatchesReference|TestKmerTableMatchesMapModel' ./internal/seq
-	$(GO) test -race -count=1 -cpu 1,2,8 -run 'TestContigsIndependentOfInsertionOrder' ./internal/dbg
+	$(GO) test -race -count=1 -cpu 1,2,8 -run 'TestContigsIndependentOfInsertionOrder|TestEdgeBit|TestClipTipsLengthBoundary' ./internal/dbg
+	$(GO) test -race -count=1 -cpu 1,2,8 -run 'TestDropContainedMatchesReference' ./internal/merge
+	$(GO) test -race -count=1 -cpu 1,2,8 -run 'TestAssignMatchesReference' ./internal/quant
 	$(GO) test -race -count=1 -cpu 1,2,8 -run 'TestPCrispaPins' ./internal/assembler/mpidbg
 	$(GO) test -race -count=1 -cpu 1,2,8 -run 'TestScanMatchesReference' ./internal/journal
 

@@ -428,6 +428,12 @@ func (pl *Pipeline) Run(ds *simdata.Dataset) (rep *Report, err error) {
 		for _, k := range kmers {
 			k := k
 			jobNodes := jobNodes
+			// The pilot runs the work before it learns whether the job's
+			// node outlived it, so a unit that loses its node comes back
+			// for another attempt. The assembly depends on nothing an
+			// attempt changes: it is computed once and every attempt
+			// repeats only the effects.
+			var assembled *assembler.Result
 			work := func(env *pilot.ExecEnv) (pilot.WorkResult, error) {
 				extra := vclock.Duration(0)
 				jobReads := cleaned.Reads
@@ -438,16 +444,20 @@ func (pl *Pipeline) Run(ds *simdata.Dataset) (rep *Report, err error) {
 					jobReads = nFree
 					extra = 60 * vclock.Second
 				}
-				res, err := a.Assemble(assembler.Request{
-					Reads:        jobReads,
-					Params:       assembler.Params{K: k, MinCoverage: cfg.MinCoverage},
-					Nodes:        jobNodes,
-					CoresPerNode: cores,
-					FullScale:    asmFS,
-				})
-				if err != nil {
-					return pilot.WorkResult{}, err
+				if assembled == nil {
+					res, err := a.Assemble(assembler.Request{
+						Reads:        jobReads,
+						Params:       assembler.Params{K: k, MinCoverage: cfg.MinCoverage},
+						Nodes:        jobNodes,
+						CoresPerNode: cores,
+						FullScale:    asmFS,
+					})
+					if err != nil {
+						return pilot.WorkResult{}, err
+					}
+					assembled = &res
 				}
+				res := *assembled
 				outputs[asmKey{name, k}] = res.Contigs
 				if err := stageFasta(env.Store, fmt.Sprintf("asm/%s/k%d.contigs.fa", name, k), res.Contigs); err != nil {
 					return pilot.WorkResult{}, err

@@ -33,8 +33,10 @@ import (
 	"rnascale/internal/dbg"
 	"rnascale/internal/journal"
 	"rnascale/internal/mapreduce"
+	"rnascale/internal/merge"
 	"rnascale/internal/mpi"
 	"rnascale/internal/obs/perf"
+	"rnascale/internal/quant"
 	"rnascale/internal/seq"
 	"rnascale/internal/simdata"
 	"rnascale/internal/vclock"
@@ -121,6 +123,58 @@ func shred(g []byte, readLen, cov int) []seq.Read {
 	return reads
 }
 
+// miscall substitutes a base in about one per thousand positions of
+// the reads, in place: the sequencing errors that give a graph its tips
+// and bubbles.
+func miscall(reads []seq.Read, seed uint64) []seq.Read {
+	r := &rng{s: seed}
+	for i := range reads {
+		for j := range reads[i].Seq {
+			if r.intn(1000) == 0 {
+				reads[i].Seq[j] = "ACGT"[r.intn(4)]
+			}
+		}
+	}
+	return reads
+}
+
+// assemblies cuts n contig sets out of the transcripts, the way
+// assemblies at n k-mer sizes cover the same genes: each set breaks
+// every transcript at its own places, into pieces that overlap their
+// neighbours, every third one on the reverse strand.
+func assemblies(seed uint64, transcripts [][]byte, n int) [][]seq.FastaRecord {
+	r := &rng{s: seed}
+	sets := make([][]seq.FastaRecord, n)
+	for s := range sets {
+		for _, tx := range transcripts {
+			for from := 0; from < len(tx); {
+				to := min(from+150+r.intn(400), len(tx))
+				piece := append([]byte(nil), tx[from:to]...)
+				if r.intn(3) == 0 {
+					piece = seq.ReverseComplement(piece)
+				}
+				sets[s] = append(sets[s], seq.FastaRecord{ID: fmt.Sprintf("a%d_%d", s, len(sets[s])), Seq: piece})
+				if to == len(tx) {
+					break
+				}
+				from = to - 30 - r.intn(60)
+			}
+		}
+	}
+	return sets
+}
+
+// transcriptome cuts n transcripts of 400-1400 bases out of a genome.
+func transcriptome(seed uint64, n int) [][]byte {
+	r := &rng{s: seed}
+	g := genome(seed, 1500*n)
+	out := make([][]byte, n)
+	for i := range out {
+		out[i] = g[1500*i:][:400+r.intn(1000)]
+	}
+	return out
+}
+
 // Kernels returns the benchmark registry in its canonical order. The
 // iteration counts are fixed (not time-calibrated) so the allocation
 // columns are deterministic for a given Go toolchain.
@@ -199,6 +253,46 @@ func Kernels() []Kernel {
 				return func() {
 					if len(g.Unitigs(100)) == 0 {
 						panic("kernelbench: no unitigs")
+					}
+				}
+			},
+		},
+		{
+			// Graph simplification as rank 0 of an MPI assembly runs it:
+			// tip clipping, bubble popping and the unitig walk over a
+			// graph the size pcrispa's are (~10^5 k-mers), with the tips
+			// and bubbles of miscalled reads. Simplification consumes the
+			// graph, so each op first re-adds the counted k-mers to a
+			// pre-sized one, as mpidbg does with the gathered survivors.
+			Name:  "dbg.contigs",
+			Iters: 8,
+			Setup: func() func() {
+				counted, err := dbg.Build(miscall(shred(genome(13, 100_000), 100, 12), 14), 31, 1)
+				if err != nil {
+					panic(err)
+				}
+				type kmerCount struct {
+					km seq.Kmer
+					n  uint32
+				}
+				var kmers []kmerCount
+				coder := counted.Coder()
+				for _, u := range counted.Unitigs(0) {
+					coder.ForEachCanonical(u.Seq, func(_ int, canon seq.Kmer) bool {
+						kmers = append(kmers, kmerCount{canon, counted.Coverage(canon)})
+						return true
+					})
+				}
+				return func() {
+					g, err := dbg.NewSized(31, len(kmers))
+					if err != nil {
+						panic(err)
+					}
+					for _, kc := range kmers {
+						g.AddCount(kc.km, kc.n)
+					}
+					if len(g.Contigs("bench", 62)) == 0 {
+						panic("kernelbench: no contigs")
 					}
 				}
 			},
@@ -318,6 +412,52 @@ func Kernels() []Kernel {
 					}
 					if len(res.Contigs) == 0 {
 						panic("kernelbench: no contigs")
+					}
+				}
+			},
+		},
+		{
+			// The post-assembly merge at the shape pcrispa gives it: 4
+			// assemblies of 60 transcripts (~600 contigs, ~200k bases),
+			// most contigs contained in a longer one from another
+			// assembly, the rest joined by their overlaps.
+			Name:  "merge.merge",
+			Iters: 8,
+			Setup: func() func() {
+				sets := assemblies(15, transcriptome(16, 60), 4)
+				return func() {
+					out, st := merge.Merge(sets, merge.DefaultOptions())
+					if len(out) == 0 || st.Contained == 0 || st.Joined == 0 {
+						panic("kernelbench: merge did nothing")
+					}
+				}
+			},
+		},
+		{
+			// Quantification: index ~100 transcripts, pseudo-align 12k
+			// miscalled 100-base reads off both strands by k-mer votes.
+			Name:  "quant.quantify",
+			Iters: 8,
+			Setup: func() func() {
+				var transcripts []seq.FastaRecord
+				var reads []seq.Read
+				for i, tx := range transcriptome(17, 100) {
+					transcripts = append(transcripts, seq.FastaRecord{ID: fmt.Sprintf("t%d", i), Seq: tx})
+					reads = append(reads, shred(tx, 100, 14)...)
+				}
+				for i := range reads {
+					if i%2 == 1 {
+						reads[i].Seq = seq.ReverseComplement(reads[i].Seq)
+					}
+				}
+				miscall(reads, 18)
+				return func() {
+					res, err := quant.Quantify(transcripts, reads, quant.DefaultOptions())
+					if err != nil {
+						panic(err)
+					}
+					if res.MappingRate() < 0.9 {
+						panic("kernelbench: reads did not map")
 					}
 				}
 			},

@@ -111,28 +111,122 @@ func dropContained(pool []string, st *Stats) []string {
 		}
 		return pool[a] < pool[b]
 	})
-	var kept []string
+	// Room for every window the whole pool could file: past the first
+	// round little of a pool is contained, so little of it goes unused.
+	windows := 0
 	for _, c := range pool {
-		rc := string(seq.ReverseComplement([]byte(c)))
-		contained := false
-		for _, k := range kept {
-			if len(k) < len(c) {
-				break // kept is sorted; nothing shorter can contain c
-			}
-			if strings.Contains(k, c) || strings.Contains(k, rc) {
-				contained = true
-				break
-			}
-		}
-		if contained {
+		windows += len(c)/seedStep + 1
+	}
+	idx := seedIndex{
+		coder: seq.MustKmerCoder(seedLen),
+		heads: seq.NewKmerTable(windows),
+		posts: make([]seedPosting, 0, windows),
+	}
+	for _, c := range pool {
+		if idx.contains(c) {
 			st.Contained++
 			continue
 		}
-		kept = append(kept, c)
-		// Keep kept sorted by length descending (insertion point is
-		// always the end because pool is sorted).
+		idx.keep(c)
 	}
-	return kept
+	return idx.kept
+}
+
+// A seedIndex files kept contigs under seeds of seedLen bases — 32, the
+// most one word of 2-bit codes holds, so that few seeds outside a true
+// containment repeat (paralogs apart) — taken at every seedStep-th
+// position. A contig needs seedLen+seedStep-1 = 47 bases to be looked
+// up through the index; assemblers emit contigs of 2k bases or more, so
+// at k >= 24 (every k of the two benchmark profiles) all of them are.
+const (
+	seedLen  = 32
+	seedStep = 16
+)
+
+// seedIndex answers whether a contig is a substring of a kept contig
+// or of its reverse complement, exactly. The windows of a kept contig
+// that start at a multiple of seedStep are filed under the canonical
+// form of their 2-bit code. Wherever a contig lies in a kept one, on
+// either strand, one of its first seedStep windows falls on such a
+// position: looking all of them up and comparing the whole contig at
+// each hit, on both strands, finds every containment and accepts
+// nothing else.
+type seedIndex struct {
+	coder seq.KmerCoder
+	kept  []string
+	heads *seq.KmerTable // canonical seed -> 1 + its first posting in posts
+	posts []seedPosting
+}
+
+// seedPosting is one filed window of a kept contig; next chains the
+// postings of one seed and is -1 at the end.
+type seedPosting struct{ contig, pos, next int32 }
+
+// keep adds c to the kept contigs and files its windows.
+func (x *seedIndex) keep(c string) {
+	contig := int32(len(x.kept))
+	x.kept = append(x.kept, c)
+	x.coder.ForEachCanonical([]byte(c), func(pos int, seed seq.Kmer) bool {
+		if pos%seedStep != 0 {
+			return true
+		}
+		p := seedPosting{contig, int32(pos), -1}
+		if slot := x.heads.Find(seed); slot < 0 {
+			x.heads.Add(seed, uint32(len(x.posts)+1))
+		} else {
+			// The head stays where the table points; p goes in behind it.
+			_, head, _ := x.heads.At(slot)
+			p.next, x.posts[head-1].next = x.posts[head-1].next, int32(len(x.posts))
+		}
+		x.posts = append(x.posts, p)
+		return true
+	})
+}
+
+// contains reports whether c or its reverse complement is a substring
+// of a kept contig.
+func (x *seedIndex) contains(c string) bool {
+	rc := string(seq.ReverseComplement([]byte(c)))
+	found, windows := false, 0
+	x.coder.ForEachCanonical([]byte(c[:min(len(c), seedLen+seedStep-1)]), func(off int, seed seq.Kmer) bool {
+		windows++
+		found = x.at(seed, off, c, rc)
+		return !found
+	})
+	if found || windows == seedStep {
+		return found
+	}
+	// c is shorter than seedStep windows, or one of them has a byte
+	// outside ACGT and so no code: a kept contig holding c would have
+	// left the matching window unfiled.
+	for _, k := range x.kept {
+		if strings.Contains(k, c) || strings.Contains(k, rc) {
+			return true
+		}
+	}
+	return false
+}
+
+// at reports whether a kept contig holds c, or its reverse complement
+// rc, where a window filed under seed — c's window at off — puts it.
+func (x *seedIndex) at(seed seq.Kmer, off int, c, rc string) bool {
+	slot := x.heads.Find(seed)
+	if slot < 0 {
+		return false
+	}
+	_, head, _ := x.heads.At(slot)
+	for p := int32(head) - 1; p >= 0; p = x.posts[p].next {
+		k, pos := x.kept[x.posts[p].contig], int(x.posts[p].pos)
+		// Forward, c starts off bases before the window; reversed, it
+		// ends off bases after it.
+		if from := pos - off; from >= 0 && from+len(c) <= len(k) && k[from:from+len(c)] == c {
+			return true
+		}
+		if to := pos + seedLen + off; to <= len(k) && to >= len(c) && k[to-len(c):to] == rc {
+			return true
+		}
+	}
+	return false
 }
 
 // joinOverlaps splices contig pairs sharing a unique exact

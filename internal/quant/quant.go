@@ -60,45 +60,7 @@ func Quantify(transcripts []seq.FastaRecord, reads []seq.Read, opts Options) (*R
 	if opts.MinVotes < 1 {
 		opts.MinVotes = 1
 	}
-	coder := seq.MustKmerCoder(opts.K)
-
-	// Index: canonical k-mer -> transcript indices (small lists).
-	index := map[seq.Kmer][]int32{}
-	for ti, tx := range transcripts {
-		coder.ForEachCanonical(tx.Seq, func(_ int, canon seq.Kmer) bool {
-			lst := index[canon]
-			if len(lst) == 0 || lst[len(lst)-1] != int32(ti) {
-				index[canon] = append(lst, int32(ti))
-			}
-			return true
-		})
-	}
-
-	counts := make([]int64, len(transcripts))
-	var assigned int64
-	votes := map[int32]int{}
-	for i := range reads {
-		for k := range votes {
-			delete(votes, k)
-		}
-		coder.ForEachCanonical(reads[i].Seq, func(_ int, canon seq.Kmer) bool {
-			for _, ti := range index[canon] {
-				votes[ti]++
-			}
-			return true
-		})
-		// Winner: most votes; deterministic tie-break by index.
-		best, bestVotes := int32(-1), 0
-		for ti, v := range votes {
-			if v > bestVotes || (v == bestVotes && best >= 0 && ti < best) {
-				best, bestVotes = ti, v
-			}
-		}
-		if best >= 0 && bestVotes >= opts.MinVotes {
-			counts[best]++
-			assigned++
-		}
-	}
+	counts, assigned := assign(seq.MustKmerCoder(opts.K), transcripts, reads, opts.MinVotes)
 
 	// TPM: rate = count / length; TPM = rate / Σrate × 1e6.
 	var rateSum float64
@@ -123,6 +85,102 @@ func Quantify(transcripts []seq.FastaRecord, reads []seq.Read, opts Options) (*R
 		return res.Abundances[a].Count > res.Abundances[b].Count
 	})
 	return res, nil
+}
+
+// assign gives each read to the transcript most of its k-mers vote for,
+// if at least minVotes do, and returns the reads per transcript and
+// their total.
+func assign(coder seq.KmerCoder, transcripts []seq.FastaRecord, reads []seq.Read, minVotes int) (counts []int64, assigned int64) {
+	idx := newIndex(coder, transcripts)
+	counts = make([]int64, len(transcripts))
+	// votes holds the current read's votes per transcript and touched
+	// the transcripts that have any, so clearing costs what was cast.
+	votes := make([]int32, len(transcripts))
+	var touched []int32
+	for i := range reads {
+		coder.ForEachCanonical(reads[i].Seq, func(_ int, canon seq.Kmer) bool {
+			for _, ti := range idx.lookup(canon) {
+				if votes[ti] == 0 {
+					touched = append(touched, ti)
+				}
+				votes[ti]++
+			}
+			return true
+		})
+		// Winner: most votes; deterministic tie-break by index.
+		best, bestVotes := int32(-1), int32(0)
+		for _, ti := range touched {
+			if v := votes[ti]; v > bestVotes || (v == bestVotes && ti < best) {
+				best, bestVotes = ti, v
+			}
+			votes[ti] = 0
+		}
+		touched = touched[:0]
+		if best >= 0 && int(bestVotes) >= minVotes {
+			counts[best]++
+			assigned++
+		}
+	}
+	return counts, assigned
+}
+
+// index maps a canonical k-mer to the transcripts that hold it: the
+// k-mer's slot in table picks its run of postings, ascending
+// transcript indices with none repeated.
+type index struct {
+	table    *seq.KmerTable // canonical k-mer -> its windows over all transcripts
+	runs     []run          // by slot of table
+	postings []int32
+}
+
+// run is postings[start : start+n].
+type run struct{ start, n uint32 }
+
+func newIndex(coder seq.KmerCoder, transcripts []seq.FastaRecord) *index {
+	windows := 0
+	for _, tx := range transcripts {
+		windows += max(len(tx.Seq)-coder.K+1, 0)
+	}
+	x := &index{table: seq.NewKmerTable(windows), postings: make([]int32, windows)}
+	each := func(fn func(ti int32, canon seq.Kmer)) {
+		for ti, tx := range transcripts {
+			coder.ForEachCanonical(tx.Seq, func(_ int, canon seq.Kmer) bool {
+				fn(int32(ti), canon)
+				return true
+			})
+		}
+	}
+	// One pass counts each k-mer's windows, which bounds its run; the
+	// table is then final and slots stay put. A second pass opens a
+	// k-mer's run where it first meets the k-mer, so runs lie in
+	// transcript order and a read walks them front to back, and fills
+	// it, skipping a transcript that holds the k-mer twice.
+	each(func(_ int32, canon seq.Kmer) { x.table.Add(canon, 1) })
+	x.runs = make([]run, x.table.Slots())
+	var next uint32
+	each(func(ti int32, canon seq.Kmer) {
+		slot := x.table.Find(canon)
+		r := &x.runs[slot]
+		if r.n == 0 {
+			_, windows, _ := x.table.At(slot)
+			r.start, next = next, next+windows
+		}
+		if end := r.start + r.n; r.n == 0 || x.postings[end-1] != ti {
+			x.postings[end] = ti
+			r.n++
+		}
+	})
+	return x
+}
+
+// lookup returns the transcripts that hold the canonical k-mer.
+func (x *index) lookup(canon seq.Kmer) []int32 {
+	slot := x.table.Find(canon)
+	if slot < 0 {
+		return nil
+	}
+	r := x.runs[slot]
+	return x.postings[r.start : r.start+r.n]
 }
 
 // CostModel gives the stage's virtual runtime and footprint; the
