@@ -131,14 +131,17 @@ oracle-determinism:
 # report, metrics and Chrome trace must be byte-identical to an
 # uninterrupted run's — with zero journaled units re-executed. The
 # driver-crash chaos soak races resume against worker faults, and the
-# torn-tail test resumes through crash-shaped journal damage. The
+# torn-tail test resumes through crash-shaped journal damage, and the
+# stage-bracket pins hold every exit of a stage (complete, unit
+# failure, launch failure, cutoff, breaker fallback, crash + resume)
+# to recorded digests of its artifacts and journal file. The
 # whole contract is pinned at group-commit batch sizes 1 (fsync per
 # append), 8 and 64: batching changes when fsyncs happen, never what
 # resumes read.
 journal-determinism:
 	@for b in 1 8 64; do \
 		echo "journal-determinism: JOURNAL_BATCH=$$b"; \
-		JOURNAL_BATCH=$$b $(GO) test -race -run 'TestKillAndResumeByteIdentical|TestResumeOfCompleteJournal|TestResumeAfterTornTail|TestChaosDriverCrashResumeSoak' ./internal/core || exit 1; \
+		JOURNAL_BATCH=$$b $(GO) test -race -run 'TestKillAndResumeByteIdentical|TestResumeOfCompleteJournal|TestResumeAfterTornTail|TestChaosDriverCrashResumeSoak|TestStageBracketPins' ./internal/core || exit 1; \
 	done
 
 # overload-determinism pins the overload-protection contract: the
