@@ -171,9 +171,8 @@ type benchResults struct {
 }
 
 // runKernels is the -kernels mode: measure every registered kernel at
-// its fixed seed and iteration count (probes disabled, so the numbers
-// exclude probe overhead) and write the results with the environment
-// block that makes them comparable.
+// its fixed seed and iteration count and write the results with the
+// environment block that makes them comparable.
 func runKernels(path string, workers int) error {
 	start := time.Now() //rnavet:allow wallclock — kernel benchmarks measure real elapsed time by definition
 	results := kernelbench.RunAll()

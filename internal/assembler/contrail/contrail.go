@@ -31,7 +31,6 @@ import (
 	"rnascale/internal/assembler"
 	"rnascale/internal/dbg"
 	"rnascale/internal/mapreduce"
-	"rnascale/internal/obs/perf"
 	"rnascale/internal/seq"
 	"rnascale/internal/vclock"
 )
@@ -148,7 +147,6 @@ func canonString(s string) string {
 
 // Assemble implements assembler.Assembler.
 func (ct *Contrail) Assemble(req assembler.Request) (assembler.Result, error) {
-	defer perf.Region("contrail.assemble").End()
 	if err := req.Validate(ct.Info()); err != nil {
 		return assembler.Result{}, err
 	}

@@ -237,18 +237,6 @@ func (b StageBackends) AnyServerless() bool {
 	return b.PA == cloud.Serverless || b.PB == cloud.Serverless || b.PC == cloud.Serverless
 }
 
-// For resolves a stage name (PA/PB/PC) to its backend.
-func (b StageBackends) For(stage string) cloud.Backend {
-	switch stage {
-	case "PB":
-		return b.PB
-	case "PC":
-		return b.PC
-	default:
-		return b.PA
-	}
-}
-
 // String renders the per-stage assignment ("PA=spot,PB=serverless,PC=on-demand").
 func (b StageBackends) String() string {
 	return fmt.Sprintf("PA=%s,PB=%s,PC=%s", b.PA, b.PB, b.PC)
@@ -340,6 +328,15 @@ func (c Config) withDefaults() Config {
 		}
 	}
 	return c
+}
+
+// cloudOptions is the provider configuration: the override, or the
+// defaults.
+func (c Config) cloudOptions() cloud.Options {
+	if c.Cloud != nil {
+		return *c.Cloud
+	}
+	return cloud.DefaultOptions()
 }
 
 // Outcome classifies how a run ended, beyond error/no-error: overload

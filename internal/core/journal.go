@@ -317,21 +317,7 @@ func (jr *runJournal) header(digest string, seed uint64, profile string) {
 }
 
 func (jr *runJournal) stageStart(name string) {
-	if jr == nil {
-		return
-	}
-	vt, cost := float64(jr.pl.clock.Now()), jr.pl.provider.TotalCost()
-	if jr.recording() {
-		key := journal.KindStageStart + "\x00" + name
-		if rec, ok := jr.pendingStage[key]; ok {
-			jr.verify(rec, vt, cost, "")
-			delete(jr.pendingStage, key)
-			jr.consumed()
-		} else {
-			jr.append(journal.Record{Kind: journal.KindStageStart, Stage: name, VTime: vt, CostUSD: cost})
-		}
-	}
-	jr.maybeCrash(vt)
+	jr.stageBoundary(journal.KindStageStart, name, "", "")
 }
 
 // stageEnd checkpoints a stage boundary with the digest of the
@@ -340,7 +326,6 @@ func (jr *runJournal) stageEnd(name, note string) {
 	if jr == nil {
 		return
 	}
-	vt, cost := float64(jr.pl.clock.Now()), jr.pl.provider.TotalCost()
 	var combined string
 	if ds := jr.stageDigests[name]; len(ds) > 0 {
 		var b []byte
@@ -350,15 +335,23 @@ func (jr *runJournal) stageEnd(name, note string) {
 		}
 		combined = journal.Digest(b)
 	}
+	jr.stageBoundary(journal.KindStageEnd, name, combined, note)
+}
+
+// stageBoundary replays or appends one stage-start or stage-end record.
+func (jr *runJournal) stageBoundary(kind, name, digest, note string) {
+	if jr == nil {
+		return
+	}
+	vt, cost := float64(jr.pl.clock.Now()), jr.pl.provider.TotalCost()
 	if jr.recording() {
-		key := journal.KindStageEnd + "\x00" + name
+		key := kind + "\x00" + name
 		if rec, ok := jr.pendingStage[key]; ok {
-			jr.verify(rec, vt, cost, combined)
+			jr.verify(rec, vt, cost, digest)
 			delete(jr.pendingStage, key)
 			jr.consumed()
 		} else {
-			jr.append(journal.Record{Kind: journal.KindStageEnd, Stage: name, VTime: vt, CostUSD: cost,
-				Digest: combined, Note: note})
+			jr.append(journal.Record{Kind: kind, Stage: name, VTime: vt, CostUSD: cost, Digest: digest, Note: note})
 		}
 	}
 	jr.maybeCrash(vt)

@@ -28,8 +28,6 @@ type stageScope struct {
 	pl         *Pipeline
 	span       *obs.Span
 	costBefore float64
-	done       bool
-	note       string
 }
 
 // beginStage opens a stage span at the current virtual time and
@@ -47,23 +45,18 @@ func (pl *Pipeline) beginStage(name string) *stageScope {
 func (sc *stageScope) attr(key, value string) { sc.span.SetAttr(key, value) }
 
 // end closes the stage at the current virtual time, attributing the
-// bill growth since beginStage to it, and checkpoints the boundary in
-// the run journal. Idempotent, so failure paths can end defensively.
-func (sc *stageScope) end() {
-	if sc.done {
-		return
-	}
-	sc.done = true
+// bill growth since beginStage to it, and checkpoints the boundary —
+// with note, empty unless the stage failed — in the run journal.
+func (sc *stageScope) end(note string) {
 	sc.span.SetAttr(obs.AttrCostUSD, fmt.Sprintf("%.4f", sc.pl.provider.TotalCost()-sc.costBefore))
 	sc.span.End(sc.pl.clock.Now())
-	sc.pl.jr.stageEnd(sc.span.Name, sc.note)
+	sc.pl.jr.stageEnd(sc.span.Name, note)
 }
 
 // fail marks and closes the stage after a stage-level failure.
 func (sc *stageScope) fail(err error) {
 	sc.span.SetAttr("error", err.Error())
-	sc.note = err.Error()
-	sc.end()
+	sc.end(err.Error())
 }
 
 // counter is shorthand for a pipeline-level counter.

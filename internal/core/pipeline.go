@@ -49,16 +49,17 @@ type Pipeline struct {
 	budget        *pilot.RetryBudget
 	cutoff        vclock.Time
 	cutoffOutcome Outcome
+
+	// sxs are the stage vehicles launched so far, in stage order (the
+	// conventional pattern's one pilot appears once per stage).
+	sxs []*stageExec
 }
 
 // New builds a pipeline with a fresh simulated cloud.
 func New(cfg Config) *Pipeline {
 	cfg = cfg.withDefaults()
 	clock := vclock.NewClock(0)
-	copts := cloud.DefaultOptions()
-	if cfg.Cloud != nil {
-		copts = *cfg.Cloud
-	}
+	copts := cfg.cloudOptions()
 	// Stage backends may need markets the caller didn't configure:
 	// default them. The spot market is seeded from FaultSeed so a run
 	// is a pure function of its config.
@@ -179,209 +180,237 @@ func (pl *Pipeline) Run(ds *simdata.Dataset) (rep *Report, err error) {
 	xferScope := pl.beginStage("transfer")
 	xferScope.attr("bytes", fmt.Sprintf("%d", fs.SeqDataBytes))
 	pl.provider.UploadFromLocal(fs.SeqDataBytes)
-	xferScope.end()
+	xferScope.end("")
 	rep.Stages = append(rep.Stages, StageReport{
 		Name: "transfer", Start: t0, End: pl.clock.Now(),
 		Note: fmt.Sprintf("%.1f GB to cloud", float64(fs.SeqDataBytes)/1e9),
 	})
 
 	// --- PA: pre-processing ---
-	preModel := preprocess.DefaultCostModel()
-	paBackend, paFallback := pl.routeBackend(cfg.Backends.PA)
-	paType := cfg.InstanceType
-	if paBackend == cloud.Serverless {
-		paType = "serverless"
-	} else if cfg.Pattern == DistributedDynamic {
-		it, err := ChooseInstanceType(pl.provider, preModel.MemoryGB(fs), 8)
-		if err != nil {
-			return rep, err
-		}
-		paType = it.Name
-	}
-	shards := cfg.ParallelPreprocessShards
-	if shards < 1 {
-		shards = 1
-	}
-	paNodes := shards
-	if cfg.Pattern == Conventional {
-		// One pilot hosts everything: size it for the whole workflow
-		// up front (the pattern's defining inflexibility).
-		kmers := pl.kmerPlan(ds, nil)
-		if n := pl.assemblyNodes(kmers); n > paNodes {
-			paNodes = n
-		}
-	}
-	paScope := pl.beginStage("PA")
-	paScope.attr(obs.AttrInstanceType, paType)
-	paScope.attr(obs.AttrNodes, fmt.Sprintf("%d", paNodes))
-	if pl.cutoffReached() {
-		return pl.cutoffCancel(rep, paScope, "PA", "", pl.clock.Now())
-	}
-	pa, err := pl.firstStage("PA", paType, paNodes, paBackend)
+	cleaned, err := pl.preprocess(ds, rep)
 	if err != nil {
-		err = fmt.Errorf("core: launching PA: %w", err)
-		paScope.fail(err)
-		pl.teardown()
-		rep.finish(pl)
+		return rep, err
+	}
+	// The k-mer plan is now known — the information the dynamic
+	// workflow waits for.
+	rep.KmersUsed = kmerPlan(cfg, ds, &rep.PreStats)
+
+	// --- PB: multiple-k-mer, multi-assembler transcript assembly ---
+	outputs, err := pl.assemble(fs, cleaned, rep)
+	if err != nil {
 		return rep, err
 	}
 
-	// Shard the raw reads (fragment-preserving) for data-parallel
-	// pre-processing; a single shard is the paper's stock single-VM PA.
-	shardReads := shardReadSet(ds.Reads, shards)
+	// --- PC: post-processing, quantification ---
+	if err := pl.postprocess(fs, cleaned, outputs, rep); err != nil {
+		return rep, err
+	}
+
+	// --- Wrap up: terminate everything, bill, evaluate ---
+	pl.teardown()
+	rep.Outcome = OutcomeComplete
+	rep.finish(pl)
+
+	if cfg.EvaluateAgainstTruth {
+		opts := detonate.DefaultOptions()
+		opts.ReadBases = cleaned.TotalBases()
+		// Score against the gene-annotation track when present — the
+		// paper evaluates against predicted protein gene sequences,
+		// not full mRNAs.
+		truth := ds.Annotations
+		if len(truth) == 0 {
+			truth = ds.Transcripts
+		}
+		m, err := detonate.Evaluate(rep.Transcripts, truth, ds.Expression, opts)
+		if err != nil {
+			return rep, err
+		}
+		rep.Metrics = &m
+	}
+	return rep, nil
+}
+
+// sfaConversion is Contrail's read conversion to SFA (the paper's 1 min).
+const sfaConversion = 60 * vclock.Second
+
+// kmerPlan resolves the multiple-k-mer plan (st is nil before
+// pre-processing has run).
+func kmerPlan(cfg Config, ds *simdata.Dataset, st *preprocess.Stats) []int {
+	if len(cfg.Kmers) > 0 {
+		return cfg.Kmers
+	}
+	if len(ds.Profile.FullScale.AssemblyKmers) > 0 {
+		return ds.Profile.FullScale.AssemblyKmers
+	}
+	mean := float64(ds.Profile.ReadLen)
+	if st != nil && st.MeanReadLen > 0 {
+		mean = st.MeanReadLen
+	}
+	return preprocess.KmerPlan(mean, ds.Profile.ReadLen)
+}
+
+// assemblyNodes resolves the PB cluster size.
+func assemblyNodes(cfg Config, kmers []int) int {
+	if cfg.AssemblyNodesOverride > 0 {
+		return cfg.AssemblyNodesOverride
+	}
+	return AssemblyNodesFor(kmers, cfg.Assemblers, cfg.NodesPerMPIJob, cfg.ContrailNodes)
+}
+
+// preprocessShards is the number of data-parallel PA units.
+func preprocessShards(cfg Config) int {
+	return max(cfg.ParallelPreprocessShards, 1)
+}
+
+// pbJobShape is the nodes and SGE allocation rule of each of an
+// assembler's PB jobs. A function invocation is one single-core
+// allocation: as functions the assembler runs sequentially and long
+// jobs split into parallel pieces at the duration cap instead.
+func pbJobShape(cfg Config, info assembler.Info, serverless bool) (int, sge.AllocationRule) {
+	if serverless {
+		return 1, sge.SingleNode
+	}
+	nodes, rule := cfg.NodesPerMPIJob, sge.SingleNode
+	if info.Name == "contrail" {
+		nodes, rule = cfg.ContrailNodes, sge.FillUp
+	} else if !info.MultiNode() {
+		nodes = 1
+	}
+	if nodes > 1 {
+		rule = sge.FillUp
+	}
+	return nodes, rule
+}
+
+// preprocess runs PA, sharding the raw reads (fragment-preserving) for
+// data-parallel cleaning; a single shard is the paper's stock
+// single-VM PA. It returns the cleaned reads.
+func (pl *Pipeline) preprocess(ds *simdata.Dataset, rep *Report) (seq.ReadSet, error) {
+	cfg, fs := pl.cfg, ds.Profile.FullScale
+	preModel := preprocess.DefaultCostModel()
+	shards := preprocessShards(cfg)
+	nodes := shards
+	if cfg.Pattern == Conventional {
+		// One pilot hosts everything: size it for the whole workflow
+		// up front (the pattern's defining inflexibility).
+		nodes = max(nodes, assemblyNodes(cfg, kmerPlan(cfg, ds, nil)))
+	}
 	shardClean := make([]seq.ReadSet, shards)
 	shardStats := make([]preprocess.Stats, shards)
 	fsShard := fs
 	fsShard.SeqDataBytes = fs.SeqDataBytes / int64(shards)
-
-	paUM, err := pl.newRunner(pa, "PA")
-	if err != nil {
-		return rep, err
-	}
-	paStart := pl.clock.Now()
-	var paDescs []pilot.UnitDescription
-	for s := 0; s < shards; s++ {
-		s := s
-		paDescs = append(paDescs, pilot.UnitDescription{
-			Name:  fmt.Sprintf("preprocess-%d", s),
-			Slots: min(pa.cores(), 8),
-			Rule:  sge.SingleNode,
-			Retry: cfg.Retry.PA,
-			Work: pl.jr.unit("PA", fmt.Sprintf("preprocess-%d", s),
-				func(env *pilot.ExecEnv) (pilot.WorkResult, error) {
-					shardClean[s], shardStats[s] = preprocess.Run(shardReads[s], cfg.Preprocess)
-					return pilot.WorkResult{
-						Duration:     preModel.Duration(fsShard, env.Slots),
-						PeakMemoryGB: preModel.MemoryGB(fsShard),
-					}, nil
-				},
-				unitCodec{
-					encode: func(pilot.WorkResult) (json.RawMessage, error) {
-						return json.Marshal(paPayload{
-							Shard: s, Reads: shardClean[s].Reads,
-							Paired: shardClean[s].Paired, Stats: shardStats[s],
-						})
-					},
-					replay: func(rec journal.Record, _ *pilot.ExecEnv) (pilot.WorkResult, error) {
-						// Pre-processing only drops or trims reads, so the
-						// shard's input count bounds the journaled output.
-						p := paPayload{Reads: make([]seq.Read, 0, len(shardReads[s].Reads))}
-						if err := json.Unmarshal(rec.Payload, &p); err != nil {
-							return pilot.WorkResult{}, err
-						}
-						shardClean[s] = seq.ReadSet{Reads: p.Reads, Paired: p.Paired}
-						shardStats[s] = p.Stats
-						return pilot.WorkResult{}, nil
-					},
-				}),
-		})
-	}
-	paUnits, err := paUM.Submit(paDescs)
-	if err != nil {
-		return rep, err
-	}
-	if err := paUM.Run(); err != nil {
-		return rep, err
-	}
-	for _, u := range paUnits {
-		if pl.canceledAtCutoff(u) {
-			return pl.cutoffCancel(rep, paScope, "PA", pa.id(), paStart, pa)
-		}
-		if u.State() != pilot.UnitDone {
-			rep.Stages = append(rep.Stages, StageReport{Name: "PA", Pilot: pa.id(), Start: paStart, End: pl.clock.Now(), Note: "FAILED"})
-			err := fmt.Errorf("core: PA pre-processing failed on %s: %w", paType, u.Err)
-			paScope.fail(err)
-			pl.teardown(pa)
-			rep.finish(pl)
-			return rep, err
-		}
-	}
-	var preStats preprocess.Stats
-	for s := 0; s < shards; s++ {
-		preStats = combineStats(preStats, shardStats[s])
-	}
-	cleaned := seq.ReadSet{Paired: ds.Reads.Paired, Reads: make([]seq.Read, 0, preStats.OutputReads)}
-	for s := 0; s < shards; s++ {
-		cleaned.Reads = append(cleaned.Reads, shardClean[s].Reads...)
-	}
-	if preStats.OutputReads == 0 {
-		err := fmt.Errorf("core: pre-processing removed every read")
-		paScope.fail(err)
-		pl.teardown(pa)
-		rep.finish(pl)
-		return rep, err
-	}
-	pl.counter(MetricReadsProcessed, "Reads surviving pre-processing.", nil).
-		Add(float64(preStats.OutputReads))
-	pl.counter(MetricBasesProcessed, "Bases surviving pre-processing.", nil).
-		Add(float64(preStats.OutputBases))
-	fq := bytes.NewBuffer(make([]byte, 0, seq.FastqSize(cleaned.Reads)))
-	if err := seq.WriteFastq(fq, cleaned.Reads); err != nil {
-		return rep, err
-	}
-	if err := pa.store().Put("data/clean.fastq", fq.Bytes()); err != nil {
-		return rep, err
-	}
-	rep.PreStats = preStats
-	paScope.end()
-	rep.Stages = append(rep.Stages, StageReport{
-		Name: "PA", Pilot: pa.id(), Start: paStart, End: pl.clock.Now(),
-		Note: preStats.String() + paFallback,
+	var cleaned seq.ReadSet
+	err := pl.runStage(rep, stageSpec{
+		name: "PA", backend: cfg.Backends.PA, nodes: nodes, memGB: preModel.MemoryGB(fs),
+		units: func(sx *stageExec) []pilot.UnitDescription {
+			shardReads := shardReadSet(ds.Reads, shards)
+			var descs []pilot.UnitDescription
+			for s := 0; s < shards; s++ {
+				descs = append(descs, pilot.UnitDescription{
+					Name:  fmt.Sprintf("preprocess-%d", s),
+					Slots: min(sx.cores, 8),
+					Rule:  sge.SingleNode,
+					Retry: cfg.Retry.PA,
+					Work: pl.jr.unit("PA", fmt.Sprintf("preprocess-%d", s),
+						func(env *pilot.ExecEnv) (pilot.WorkResult, error) {
+							shardClean[s], shardStats[s] = preprocess.Run(shardReads[s], cfg.Preprocess)
+							return pilot.WorkResult{
+								Duration:     preModel.Duration(fsShard, env.Slots),
+								PeakMemoryGB: preModel.MemoryGB(fsShard),
+							}, nil
+						},
+						unitCodec{
+							encode: func(pilot.WorkResult) (json.RawMessage, error) {
+								return json.Marshal(paPayload{
+									Shard: s, Reads: shardClean[s].Reads,
+									Paired: shardClean[s].Paired, Stats: shardStats[s],
+								})
+							},
+							replay: func(rec journal.Record, _ *pilot.ExecEnv) (pilot.WorkResult, error) {
+								// Pre-processing only drops or trims reads, so the
+								// shard's input count bounds the journaled output.
+								p := paPayload{Reads: make([]seq.Read, 0, len(shardReads[s].Reads))}
+								if err := json.Unmarshal(rec.Payload, &p); err != nil {
+									return pilot.WorkResult{}, err
+								}
+								shardClean[s] = seq.ReadSet{Reads: p.Reads, Paired: p.Paired}
+								shardStats[s] = p.Stats
+								return pilot.WorkResult{}, nil
+							},
+						}),
+				})
+			}
+			return descs
+		},
+		failed: func(sx *stageExec, u *pilot.Unit) error {
+			return fmt.Errorf("core: PA pre-processing failed on %s: %w", sx.instance, u.Err)
+		},
+		fold: func(sx *stageExec, _ []*pilot.Unit) (string, error) {
+			var st preprocess.Stats
+			for _, s := range shardStats {
+				st = combineStats(st, s)
+			}
+			cleaned = seq.ReadSet{Paired: ds.Reads.Paired, Reads: make([]seq.Read, 0, st.OutputReads)}
+			for _, s := range shardClean {
+				cleaned.Reads = append(cleaned.Reads, s.Reads...)
+			}
+			if st.OutputReads == 0 {
+				return "", fmt.Errorf("core: pre-processing removed every read")
+			}
+			pl.counter(MetricReadsProcessed, "Reads surviving pre-processing.", nil).
+				Add(float64(st.OutputReads))
+			pl.counter(MetricBasesProcessed, "Bases surviving pre-processing.", nil).
+				Add(float64(st.OutputBases))
+			fq := bytes.NewBuffer(make([]byte, 0, seq.FastqSize(cleaned.Reads)))
+			if err := seq.WriteFastq(fq, cleaned.Reads); err != nil {
+				return "", err
+			}
+			if err := sx.store.Put("data/clean.fastq", fq.Bytes()); err != nil {
+				return "", err
+			}
+			rep.PreStats = st
+			return st.String(), nil
+		},
 	})
+	return cleaned, err
+}
 
-	// The k-mer plan is now known — the information the dynamic
-	// workflow waits for.
-	kmers := pl.kmerPlan(ds, &preStats)
-	rep.KmersUsed = kmers
+// asmKey names one PB job: an assembler at one k.
+type asmKey struct {
+	name string
+	k    int
+}
+
+// asmOutput threads an assembly unit's identity and result through
+// the pilot framework's opaque output slot.
+type asmOutput struct {
+	asmKey
+	res assembler.Result
+}
+
+// report adds the assembly's row and its distributed traffic to the
+// run.
+func (out asmOutput) report(pl *Pipeline, rep *Report) {
+	rep.Assemblies = append(rep.Assemblies, AssemblyReport{
+		Assembler: out.name, K: out.k,
+		Contigs: len(out.res.Contigs), N50: out.res.N50,
+		TTC: out.res.TTC, MemoryGB: out.res.PeakMemoryGBPerNode,
+	})
+	if out.res.Messages > 0 || out.res.BytesSent > 0 {
+		labels := obs.Labels{"assembler": out.name} //rnavet:allow metriccard — out.name is one of the registered assembler names (Assemblers()), a closed set
+		pl.counter(MetricAssemblerMessages, "MPI/MapReduce messages sent by distributed assemblers.", labels).
+			Add(float64(out.res.Messages))
+		pl.counter(MetricAssemblerBytesSent, "MPI/MapReduce bytes sent by distributed assemblers.", labels).
+			Add(float64(out.res.BytesSent))
+	}
+}
+
+// assemble runs PB, one unit per assembler and k, and returns each
+// job's contigs.
+func (pl *Pipeline) assemble(fs simdata.FullScaleStats, cleaned seq.ReadSet, rep *Report) (map[asmKey][]seq.FastaRecord, error) {
+	cfg, kmers := pl.cfg, rep.KmersUsed
 	asmFS := fs
 	asmFS.SeqDataBytes = fs.PostPreprocessBytes
-
-	// --- PB: multiple-k-mer, multi-assembler transcript assembly ---
-	pbBackend, pbFallback := pl.routeBackend(cfg.Backends.PB)
-	nodes := pl.assemblyNodes(kmers)
-	if pbBackend == cloud.Serverless {
-		// Functions are single one-core allocations: there is no
-		// assembly cluster to size.
-		nodes = 0
-	}
-	rep.AssemblyNodes = nodes
-	pbScope := pl.beginStage("PB")
-	pbScope.attr("kmers", fmt.Sprint(kmers))
-	pbScope.attr(obs.AttrNodes, fmt.Sprintf("%d", nodes))
-	if pl.cutoffReached() {
-		return pl.cutoffCancel(rep, pbScope, "PB", "", pl.clock.Now(), pa)
-	}
-	pb, transferNote, err := pl.nextStage("PB", pa, nodes, pbBackend, func() (string, error) {
-		// Instance choice for a fresh (S1) PB pilot.
-		if cfg.Pattern != DistributedDynamic {
-			return cfg.InstanceType, nil
-		}
-		need := assembler.GraphMemoryGB(asmFS, cfg.NodesPerMPIJob)
-		it, err := ChooseInstanceType(pl.provider, need, 8)
-		if err != nil {
-			return "", err
-		}
-		return it.Name, nil
-	}, fs.PostPreprocessBytes)
-	if err != nil {
-		err = fmt.Errorf("core: launching PB: %w", err)
-		pbScope.fail(err)
-		pl.teardown(pa)
-		rep.finish(pl)
-		return rep, err
-	}
-	pbScope.attr(obs.AttrInstanceType, pb.instanceName())
-
-	pbStart := pl.clock.Now()
-	pbUM, err := pl.newRunner(pb, "PB")
-	if err != nil {
-		return rep, err
-	}
-	cores := pb.cores()
-	type asmKey struct {
-		name string
-		k    int
-	}
 	outputs := map[asmKey][]seq.FastaRecord{}
 	// Contrail cannot handle N bases (the paper pre-processes P. Crispa
 	// for exactly this reason): it is fed the N-free subset, via the SFA
@@ -402,164 +431,130 @@ func (pl *Pipeline) Run(ds *simdata.Dataset) (rep *Report, err error) {
 		}
 		return store.Put(fmt.Sprintf("data/clean.k%d.sfa", k), sfa)
 	}
-	var descs []pilot.UnitDescription
-	for _, name := range cfg.Assemblers {
-		name := name
-		a, _ := assembler.Get(name)
-		jobNodes := cfg.NodesPerMPIJob
-		rule := sge.SingleNode
-		if name == "contrail" {
-			jobNodes = cfg.ContrailNodes
-			rule = sge.FillUp
-		} else if !a.Info().MultiNode() {
-			jobNodes = 1
-		}
-		if jobNodes > 1 {
-			rule = sge.FillUp
-		}
-		if pbBackend == cloud.Serverless {
-			// A function invocation is one single-core allocation;
-			// multi-node MPI shapes don't exist on this backend, so the
-			// assembler runs sequentially and long jobs split into
-			// parallel pieces at the duration cap instead.
-			jobNodes = 1
-			rule = sge.SingleNode
-		}
-		for _, k := range kmers {
-			k := k
-			jobNodes := jobNodes
-			// The pilot runs the work before it learns whether the job's
-			// node outlived it, so a unit that loses its node comes back
-			// for another attempt. The assembly depends on nothing an
-			// attempt changes: it is computed once and every attempt
-			// repeats only the effects.
-			var assembled *assembler.Result
-			work := func(env *pilot.ExecEnv) (pilot.WorkResult, error) {
-				extra := vclock.Duration(0)
-				jobReads := cleaned.Reads
-				if name == "contrail" {
-					if err := stageSFA(env.Store, k); err != nil {
+	units := func(sx *stageExec) []pilot.UnitDescription {
+		cores := sx.cores
+		var descs []pilot.UnitDescription
+		for _, name := range cfg.Assemblers {
+			a, _ := assembler.Get(name)
+			jobNodes, rule := pbJobShape(cfg, a.Info(), sx.faas != nil)
+			for _, k := range kmers {
+				// The pilot runs the work before it learns whether the job's
+				// node outlived it, so a unit that loses its node comes back
+				// for another attempt. The assembly depends on nothing an
+				// attempt changes: it is computed once and every attempt
+				// repeats only the effects.
+				key := asmKey{name, k}
+				var assembled *assembler.Result
+				// done records an assembly, live or replayed (a replay's
+				// duration and memory come from the journal).
+				done := func(env *pilot.ExecEnv, res assembler.Result) (pilot.WorkResult, error) {
+					outputs[key] = res.Contigs
+					if err := stageFasta(env.Store, fmt.Sprintf("asm/%s/k%d.contigs.fa", name, k), res.Contigs); err != nil {
 						return pilot.WorkResult{}, err
 					}
-					jobReads = nFree
-					extra = 60 * vclock.Second
-				}
-				if assembled == nil {
-					res, err := a.Assemble(assembler.Request{
-						Reads:        jobReads,
-						Params:       assembler.Params{K: k, MinCoverage: cfg.MinCoverage},
-						Nodes:        jobNodes,
-						CoresPerNode: cores,
-						FullScale:    asmFS,
-					})
-					if err != nil {
-						return pilot.WorkResult{}, err
+					extra := vclock.Duration(0)
+					if name == "contrail" {
+						extra = sfaConversion
 					}
-					assembled = &res
+					return pilot.WorkResult{
+						Duration:     res.TTC + extra,
+						PeakMemoryGB: res.PeakMemoryGBPerNode,
+						Output:       asmOutput{key, res},
+					}, nil
 				}
-				res := *assembled
-				outputs[asmKey{name, k}] = res.Contigs
-				if err := stageFasta(env.Store, fmt.Sprintf("asm/%s/k%d.contigs.fa", name, k), res.Contigs); err != nil {
-					return pilot.WorkResult{}, err
-				}
-				return pilot.WorkResult{
-					Duration:     res.TTC + extra,
-					PeakMemoryGB: res.PeakMemoryGBPerNode,
-					Output:       asmOutput{name: name, k: k, res: res},
-				}, nil
-			}
-			codec := unitCodec{
-				encode: func(res pilot.WorkResult) (json.RawMessage, error) {
-					out := res.Output.(asmOutput)
-					return json.Marshal(pbPayload{
-						Assembler: out.name, K: out.k, Contigs: out.res.Contigs,
-						TTCSeconds:          float64(out.res.TTC),
-						PeakMemoryGBPerNode: out.res.PeakMemoryGBPerNode,
-						Messages:            out.res.Messages,
-						BytesSent:           out.res.BytesSent,
-						N50:                 out.res.N50,
-					})
-				},
-				replay: func(rec journal.Record, env *pilot.ExecEnv) (pilot.WorkResult, error) {
-					var p pbPayload
-					if err := json.Unmarshal(rec.Payload, &p); err != nil {
-						return pilot.WorkResult{}, err
-					}
-					if p.Assembler == "contrail" {
-						// Re-stage the SFA conversion the original unit
-						// staged, so the shared store's contents match.
-						if err := stageSFA(env.Store, p.K); err != nil {
+				work := func(env *pilot.ExecEnv) (pilot.WorkResult, error) {
+					jobReads := cleaned.Reads
+					if name == "contrail" {
+						if err := stageSFA(env.Store, k); err != nil {
 							return pilot.WorkResult{}, err
 						}
+						jobReads = nFree
 					}
-					outputs[asmKey{p.Assembler, p.K}] = p.Contigs
-					if err := stageFasta(env.Store, fmt.Sprintf("asm/%s/k%d.contigs.fa", p.Assembler, p.K), p.Contigs); err != nil {
-						return pilot.WorkResult{}, err
+					if assembled == nil {
+						res, err := a.Assemble(assembler.Request{
+							Reads:        jobReads,
+							Params:       assembler.Params{K: k, MinCoverage: cfg.MinCoverage},
+							Nodes:        jobNodes,
+							CoresPerNode: cores,
+							FullScale:    asmFS,
+						})
+						if err != nil {
+							return pilot.WorkResult{}, err
+						}
+						assembled = &res
 					}
-					res := assembler.Result{
-						Contigs:             p.Contigs,
-						TTC:                 vclock.Duration(p.TTCSeconds),
-						PeakMemoryGBPerNode: p.PeakMemoryGBPerNode,
-						Messages:            p.Messages,
-						BytesSent:           p.BytesSent,
-						N50:                 p.N50,
-					}
-					return pilot.WorkResult{Output: asmOutput{name: p.Assembler, k: p.K, res: res}}, nil
-				},
+					return done(env, *assembled)
+				}
+				codec := unitCodec{
+					encode: func(res pilot.WorkResult) (json.RawMessage, error) {
+						out := res.Output.(asmOutput)
+						return json.Marshal(pbPayload{
+							Assembler: out.name, K: out.k, Contigs: out.res.Contigs,
+							TTCSeconds:          float64(out.res.TTC),
+							PeakMemoryGBPerNode: out.res.PeakMemoryGBPerNode,
+							Messages:            out.res.Messages,
+							BytesSent:           out.res.BytesSent,
+							N50:                 out.res.N50,
+						})
+					},
+					replay: func(rec journal.Record, env *pilot.ExecEnv) (pilot.WorkResult, error) {
+						var p pbPayload
+						if err := json.Unmarshal(rec.Payload, &p); err != nil {
+							return pilot.WorkResult{}, err
+						}
+						if name == "contrail" {
+							// Re-stage the SFA conversion the original unit
+							// staged, so the shared store's contents match.
+							if err := stageSFA(env.Store, k); err != nil {
+								return pilot.WorkResult{}, err
+							}
+						}
+						return done(env, assembler.Result{
+							Contigs:             p.Contigs,
+							TTC:                 vclock.Duration(p.TTCSeconds),
+							PeakMemoryGBPerNode: p.PeakMemoryGBPerNode,
+							Messages:            p.Messages,
+							BytesSent:           p.BytesSent,
+							N50:                 p.N50,
+						})
+					},
+				}
+				descs = append(descs, pilot.UnitDescription{
+					Name:  fmt.Sprintf("%s-k%d", name, k),
+					Slots: jobNodes * cores,
+					Rule:  rule,
+					Retry: cfg.Retry.PB,
+					Work:  pl.jr.unit("PB", fmt.Sprintf("%s-k%d", name, k), work, codec),
+				})
 			}
-			descs = append(descs, pilot.UnitDescription{
-				Name:  fmt.Sprintf("%s-k%d", name, k),
-				Slots: jobNodes * cores,
-				Rule:  rule,
-				Retry: cfg.Retry.PB,
-				Work:  pl.jr.unit("PB", fmt.Sprintf("%s-k%d", name, k), work, codec),
-			})
 		}
+		return descs
 	}
-	pbUnits, err := pbUM.Submit(descs)
-	if err != nil {
-		return rep, err
-	}
-	if err := pbUM.Run(); err != nil {
-		return rep, err
-	}
-	for _, u := range pbUnits {
-		if pl.canceledAtCutoff(u) {
-			return pl.cutoffCancel(rep, pbScope, "PB", pb.id(), pbStart, pa, pb)
-		}
-		if u.State() != pilot.UnitDone {
-			rep.Stages = append(rep.Stages, StageReport{Name: "PB", Pilot: pb.id(), Start: pbStart, End: pl.clock.Now(), Note: "FAILED"})
-			err := fmt.Errorf("core: PB unit %s failed: %w", u.ID, u.Err)
-			pbScope.fail(err)
-			pl.teardown(pa, pb)
-			rep.finish(pl)
-			return rep, err
-		}
-		out := u.Result.Output.(asmOutput)
-		rep.Assemblies = append(rep.Assemblies, AssemblyReport{
-			Assembler: out.name, K: out.k,
-			Contigs: len(out.res.Contigs), N50: out.res.N50,
-			TTC: out.res.TTC, MemoryGB: out.res.PeakMemoryGBPerNode,
-		})
-		if out.res.Messages > 0 || out.res.BytesSent > 0 {
-			labels := obs.Labels{"assembler": out.name} //rnavet:allow metriccard — out.name is one of the registered assembler names (Assemblers()), a closed set
-			pl.counter(MetricAssemblerMessages, "MPI/MapReduce messages sent by distributed assemblers.", labels).
-				Add(float64(out.res.Messages))
-			pl.counter(MetricAssemblerBytesSent, "MPI/MapReduce bytes sent by distributed assemblers.", labels).
-				Add(float64(out.res.BytesSent))
-		}
-	}
-	pbScope.end()
-	pbNote := fmt.Sprintf("%d assembly jobs on %d nodes%s%s", len(pbUnits), nodes, transferNote, pbFallback)
-	if pb.faas != nil {
-		pbNote = fmt.Sprintf("%d assembly jobs as functions%s", len(pbUnits), transferNote)
-	}
-	rep.Stages = append(rep.Stages, StageReport{
-		Name: "PB", Pilot: pb.id(), Start: pbStart, End: pl.clock.Now(),
-		Note: pbNote,
+	err := pl.runStage(rep, stageSpec{
+		name: "PB", backend: cfg.Backends.PB, nodes: assemblyNodes(cfg, kmers), cluster: true,
+		attrs:      []string{"kmers", fmt.Sprint(kmers)},
+		memGB:      assembler.GraphMemoryGB(asmFS, cfg.NodesPerMPIJob),
+		stageBytes: fs.PostPreprocessBytes,
+		units:      units,
+		failed: func(_ *stageExec, u *pilot.Unit) error {
+			return fmt.Errorf("core: PB unit %s failed: %w", u.ID, u.Err)
+		},
+		fold: func(sx *stageExec, units []*pilot.Unit) (string, error) {
+			if sx.faas != nil {
+				return fmt.Sprintf("%d assembly jobs as functions", len(units)), nil
+			}
+			return fmt.Sprintf("%d assembly jobs on %d nodes", len(units), rep.AssemblyNodes), nil
+		},
 	})
+	return outputs, err
+}
 
-	// --- PC: post-processing, quantification ---
+// postprocess runs PC: merging, quantification and the optional
+// differential-expression test.
+func (pl *Pipeline) postprocess(fs simdata.FullScaleStats, cleaned seq.ReadSet,
+	outputs map[asmKey][]seq.FastaRecord, rep *Report) error {
+
+	cfg := pl.cfg
 	postModel := quant.DefaultCostModel()
 	var pbOutBytes int64
 	for _, set := range outputs {
@@ -567,42 +562,13 @@ func (pl *Pipeline) Run(ds *simdata.Dataset) (rep *Report, err error) {
 			pbOutBytes += int64(len(c.Seq)) + int64(len(c.ID)) + 2
 		}
 	}
-	pcBackend, pcFallback := pl.routeBackend(cfg.Backends.PC)
-	pcScope := pl.beginStage("PC")
-	pcScope.attr(obs.AttrNodes, "1")
-	if pl.cutoffReached() {
-		return pl.cutoffCancel(rep, pcScope, "PC", "", pl.clock.Now(), pa, pb)
-	}
-	pc, pcTransferNote, err := pl.nextStage("PC", pb, 1, pcBackend, func() (string, error) {
-		if cfg.Pattern != DistributedDynamic {
-			return cfg.InstanceType, nil
-		}
-		it, err := ChooseInstanceType(pl.provider, postModel.MemoryGB(fs), 8)
-		if err != nil {
-			return "", err
-		}
-		return it.Name, nil
-	}, pbOutBytes)
-	if err != nil {
-		err = fmt.Errorf("core: launching PC: %w", err)
-		pcScope.fail(err)
-		pl.teardown(pa, pb)
-		rep.finish(pl)
-		return rep, err
-	}
-	pcScope.attr(obs.AttrInstanceType, pc.instanceName())
-	pcStart := pl.clock.Now()
-	pcUM, err := pl.newRunner(pc, "PC")
-	if err != nil {
-		return rep, err
-	}
-	pcWork := func(env *pilot.ExecEnv) (pilot.WorkResult, error) {
+	work := func(env *pilot.ExecEnv) (pilot.WorkResult, error) {
 		// Merge each assembler's multi-k sets, then the MAMP union
 		// (optionally with cross-assembler consensus validation).
 		var all [][]seq.FastaRecord
 		for _, name := range cfg.Assemblers {
 			var sets [][]seq.FastaRecord
-			for _, k := range kmers {
+			for _, k := range rep.KmersUsed {
 				sets = append(sets, outputs[asmKey{name, k}])
 			}
 			perTool, _ := merge.Merge(sets, merge.DefaultOptions())
@@ -668,7 +634,7 @@ func (pl *Pipeline) Run(ds *simdata.Dataset) (rep *Report, err error) {
 			PeakMemoryGB: postModel.MemoryGB(fs),
 		}, nil
 	}
-	pcCodec := unitCodec{
+	codec := unitCodec{
 		encode: func(pilot.WorkResult) (json.RawMessage, error) {
 			return json.Marshal(pcPayload{
 				PerAssembler: rep.PerAssembler,
@@ -693,122 +659,189 @@ func (pl *Pipeline) Run(ds *simdata.Dataset) (rep *Report, err error) {
 			return pilot.WorkResult{}, stageFasta(env.Store, "post/transcripts.fa", p.Transcripts)
 		},
 	}
-	pcUnits, err := pcUM.Submit([]pilot.UnitDescription{{
-		Name:  "postprocess",
-		Slots: min(pc.cores(), 8),
-		Rule:  sge.SingleNode,
-		Retry: cfg.Retry.PC,
-		Work:  pl.jr.unit("PC", "postprocess", pcWork, pcCodec),
-	}})
-	if err != nil {
-		return rep, err
-	}
-	if err := pcUM.Run(); err != nil {
-		return rep, err
-	}
-	if pl.canceledAtCutoff(pcUnits[0]) {
-		return pl.cutoffCancel(rep, pcScope, "PC", pc.id(), pcStart, pa, pb, pc)
-	}
-	if st := pcUnits[0].State(); st != pilot.UnitDone {
-		rep.Stages = append(rep.Stages, StageReport{Name: "PC", Pilot: pc.id(), Start: pcStart, End: pl.clock.Now(), Note: "FAILED"})
-		err := fmt.Errorf("core: PC post-processing failed: %w", pcUnits[0].Err)
-		pcScope.fail(err)
-		pl.teardown(pa, pb, pc)
-		rep.finish(pl)
-		return rep, err
-	}
-	pcScope.end()
-	rep.Stages = append(rep.Stages, StageReport{
-		Name: "PC", Pilot: pc.id(), Start: pcStart, End: pl.clock.Now(),
-		Note: rep.MergeStats.String() + pcTransferNote + pcFallback,
+	return pl.runStage(rep, stageSpec{
+		name: "PC", backend: cfg.Backends.PC, nodes: 1,
+		memGB: postModel.MemoryGB(fs), stageBytes: pbOutBytes,
+		units: func(sx *stageExec) []pilot.UnitDescription {
+			return []pilot.UnitDescription{{
+				Name:  "postprocess",
+				Slots: min(sx.cores, 8),
+				Rule:  sge.SingleNode,
+				Retry: cfg.Retry.PC,
+				Work:  pl.jr.unit("PC", "postprocess", work, codec),
+			}}
+		},
+		failed: func(_ *stageExec, u *pilot.Unit) error {
+			return fmt.Errorf("core: PC post-processing failed: %w", u.Err)
+		},
+		fold: func(*stageExec, []*pilot.Unit) (string, error) {
+			return rep.MergeStats.String(), nil
+		},
 	})
+}
 
-	// --- Wrap up: terminate everything, bill, evaluate ---
-	pl.teardown(pa, pb, pc)
-	rep.Outcome = OutcomeComplete
+// stageSpec is one of PA, PB and PC as runStage runs it.
+type stageSpec struct {
+	name    string
+	backend cloud.Backend // requested; an open breaker reroutes it on-demand
+	// nodes sizes the stage's vehicle. A cluster stage (PB) has none as
+	// functions, and its size is the report's AssemblyNodes.
+	nodes   int
+	cluster bool
+	attrs   []string // extra span attributes, key/value pairs
+	// memGB sizes a fresh vehicle's instance type under the dynamic
+	// pattern; stageBytes migrate from the previous stage's vehicle.
+	memGB      float64
+	stageBytes int64
+
+	units  func(sx *stageExec) []pilot.UnitDescription
+	failed func(sx *stageExec, u *pilot.Unit) error // the stage error for an unfinished unit
+	// fold folds the finished units into the report and returns the
+	// stage note; an error fails the stage.
+	fold func(sx *stageExec, units []*pilot.Unit) (string, error)
+}
+
+// runStage runs one stage through the bracket every stage shares:
+// route, open the scope, stop at the cutoff, launch (or take over from
+// the previous stage's vehicle), submit and run the units, stop at the
+// first cancelled or failed unit, fold, close the scope and report.
+// Every early exit goes through abort.
+func (pl *Pipeline) runStage(rep *Report, sp stageSpec) error {
+	backend, fallback := pl.routeBackend(sp.backend)
+	nodes := sp.nodes
+	if sp.cluster {
+		if backend == cloud.Serverless {
+			// Functions are single one-core allocations: there is no
+			// assembly cluster to size.
+			nodes = 0
+		}
+		rep.AssemblyNodes = nodes
+	}
+	// The first stage's instance type is part of its span; a later
+	// stage's is decided only if it boots fresh nodes.
+	first := len(pl.sxs) == 0
+	var itype string
+	if first {
+		var err error
+		if itype, err = pl.instanceType(backend, sp.memGB); err != nil {
+			return err
+		}
+	}
+	sc := pl.beginStage(sp.name)
+	if first {
+		sc.attr(obs.AttrInstanceType, itype)
+	}
+	for i := 0; i+1 < len(sp.attrs); i += 2 {
+		sc.attr(sp.attrs[i], sp.attrs[i+1])
+	}
+	sc.attr(obs.AttrNodes, fmt.Sprint(nodes))
+	if pl.cutoffReached() {
+		return pl.abort(rep, sc, pl.cutoffCancel(rep, sp.name, "", pl.clock.Now()))
+	}
+
+	var sx *stageExec
+	var transferNote string
+	var err error
+	if first {
+		sx, err = pl.launch(sp.name, itype, nodes, backend)
+	} else {
+		sx, transferNote, err = pl.nextStage(sp.name, pl.sxs[len(pl.sxs)-1], nodes, backend, sp.memGB, sp.stageBytes)
+	}
+	if err != nil {
+		return pl.abort(rep, sc, fmt.Errorf("core: launching %s: %w", sp.name, err))
+	}
+	pl.sxs = append(pl.sxs, sx)
+	sc.attr(obs.AttrInstanceType, sx.instance)
+
+	start := pl.clock.Now()
+	runner, err := pl.newRunner(sx, sp.name)
+	if err != nil {
+		return err
+	}
+	units, err := runner.Submit(sp.units(sx))
+	if err != nil {
+		return err
+	}
+	if err := runner.Run(); err != nil {
+		return err
+	}
+	for _, u := range units {
+		if pl.canceledAtCutoff(u) {
+			return pl.abort(rep, sc, pl.cutoffCancel(rep, sp.name, sx.id, start))
+		}
+		if u.State() != pilot.UnitDone {
+			rep.Stages = append(rep.Stages, StageReport{Name: sp.name, Pilot: sx.id, Start: start, End: pl.clock.Now(), Note: "FAILED"})
+			return pl.abort(rep, sc, sp.failed(sx, u))
+		}
+		if out, ok := u.Result.Output.(asmOutput); ok {
+			// An assembly folds into the report when it is reached, so a
+			// PB that stops at a later unit keeps the earlier ones.
+			out.report(pl, rep)
+		}
+	}
+	note, err := sp.fold(sx, units)
+	if err != nil {
+		return pl.abort(rep, sc, err)
+	}
+	sc.end("")
+	rep.Stages = append(rep.Stages, StageReport{
+		Name: sp.name, Pilot: sx.id, Start: start, End: pl.clock.Now(),
+		Note: note + transferNote + fallback,
+	})
+	return nil
+}
+
+// abort ends the run inside a stage: the scope fails, a cutoff is
+// journaled and becomes the outcome, everything tears down, and the
+// report is stamped.
+func (pl *Pipeline) abort(rep *Report, sc *stageScope, err error) error {
+	sc.fail(err)
+	if ce, ok := err.(*CutoffError); ok {
+		pl.jr.cancelled(string(ce.Outcome))
+		rep.Outcome = ce.Outcome
+	}
+	pl.teardown()
 	rep.finish(pl)
-
-	if cfg.EvaluateAgainstTruth {
-		opts := detonate.DefaultOptions()
-		opts.ReadBases = cleaned.TotalBases()
-		// Score against the gene-annotation track when present — the
-		// paper evaluates against predicted protein gene sequences,
-		// not full mRNAs.
-		truth := ds.Annotations
-		if len(truth) == 0 {
-			truth = ds.Transcripts
-		}
-		m, err := detonate.Evaluate(rep.Transcripts, truth, ds.Expression, opts)
-		if err != nil {
-			return rep, err
-		}
-		rep.Metrics = &m
-	}
-	return rep, nil
+	return err
 }
 
-// kmerPlan resolves the multiple-k-mer plan.
-func (pl *Pipeline) kmerPlan(ds *simdata.Dataset, st *preprocess.Stats) []int {
-	if len(pl.cfg.Kmers) > 0 {
-		return pl.cfg.Kmers
+// instanceType resolves a stage's VM flavour: the dynamic pattern picks
+// the cheapest 8-core type with memGB, the others keep the configured
+// one.
+func (pl *Pipeline) instanceType(backend cloud.Backend, memGB float64) (string, error) {
+	switch {
+	case backend == cloud.Serverless:
+		return "serverless", nil
+	case pl.cfg.Pattern != DistributedDynamic:
+		return pl.cfg.InstanceType, nil
 	}
-	if len(ds.Profile.FullScale.AssemblyKmers) > 0 {
-		return ds.Profile.FullScale.AssemblyKmers
+	it, err := ChooseInstanceType(pl.provider, memGB, 8)
+	if err != nil {
+		return "", err
 	}
-	mean := float64(ds.Profile.ReadLen)
-	if st != nil && st.MeanReadLen > 0 {
-		mean = st.MeanReadLen
-	}
-	return preprocess.KmerPlan(mean, ds.Profile.ReadLen)
-}
-
-// assemblyNodes resolves the PB cluster size.
-func (pl *Pipeline) assemblyNodes(kmers []int) int {
-	if pl.cfg.AssemblyNodesOverride > 0 {
-		return pl.cfg.AssemblyNodesOverride
-	}
-	return AssemblyNodesFor(kmers, pl.cfg.Assemblers, pl.cfg.NodesPerMPIJob, pl.cfg.ContrailNodes)
+	return it.Name, nil
 }
 
 // stageExec is the execution vehicle for one pipeline stage: a
 // VM-backed pilot (on-demand or spot), or a serverless function
-// runner.
+// runner. store is NFS on a cluster, an object store for functions;
+// cores is what units size their slot requests by (one for functions).
 type stageExec struct {
-	pilot *pilot.Pilot
-	faas  *pilot.FunctionRunner
+	pilot    *pilot.Pilot
+	faas     *pilot.FunctionRunner
+	id       string
+	store    *cluster.SharedStore
+	cores    int
+	instance string
 }
 
-// id reports the vehicle's state-store ID for stage reports.
-func (sx *stageExec) id() string {
-	if sx.faas != nil {
-		return sx.faas.ID()
-	}
-	return sx.pilot.ID
+func pilotExec(p *pilot.Pilot) *stageExec {
+	it := p.Cluster.InstanceType()
+	return &stageExec{pilot: p, id: p.ID, store: p.Cluster.Store(), cores: it.Cores, instance: it.Name}
 }
 
-// store exposes the vehicle's shared filesystem (NFS on a cluster, an
-// object store for functions).
-func (sx *stageExec) store() *cluster.SharedStore {
-	if sx.faas != nil {
-		return sx.faas.Store()
-	}
-	return sx.pilot.Cluster.Store()
-}
-
-// cores reports the per-allocation core count units size their slot
-// requests by: the node flavour's cores on a pilot, one for functions.
-func (sx *stageExec) cores() int {
-	if sx.faas != nil {
-		return 1
-	}
-	return sx.pilot.Cluster.InstanceType().Cores
-}
-
-func (sx *stageExec) instanceName() string {
-	if sx.faas != nil {
-		return "serverless"
-	}
-	return sx.pilot.Cluster.InstanceType().Name
+func faasExec(fr *pilot.FunctionRunner) *stageExec {
+	return &stageExec{faas: fr, id: fr.ID(), store: fr.Store(), cores: 1, instance: "serverless"}
 }
 
 // unitRunner is the slice of the unit-execution contract the pipeline
@@ -857,29 +890,19 @@ func (pl *Pipeline) canceledAtCutoff(u *pilot.Unit) bool {
 	return pl.cutoff > 0 && u.State() == pilot.UnitCanceled
 }
 
-// cutoffCancel ends a run at its cutoff: the stage is closed with the
-// outcome, a cancelled record is journaled (so a resume replays the
-// same truncation byte-for-byte), every vehicle tears down, and the
-// truncated report is stamped and returned with a *CutoffError.
-func (pl *Pipeline) cutoffCancel(rep *Report, sc *stageScope, stage, pilotID string,
-	start vclock.Time, sxs ...*stageExec) (*Report, error) {
-
+// cutoffCancel reports a stage cut off at the run's cutoff and returns
+// the *CutoffError.
+func (pl *Pipeline) cutoffCancel(rep *Report, stage, pilotID string, start vclock.Time) error {
 	// A preempted unit leaves the clock where its attempt started;
 	// the run still waited until the cutoff expired before giving up.
 	if pl.clock.Now() < pl.cutoff {
 		pl.clock.AdvanceTo(pl.cutoff)
 	}
 	now := pl.clock.Now()
-	err := &CutoffError{Outcome: pl.cutoffOutcome, At: now, Cutoff: pl.cutoff}
 	rep.Stages = append(rep.Stages, StageReport{
 		Name: stage, Pilot: pilotID, Start: start, End: now, Note: string(pl.cutoffOutcome),
 	})
-	sc.fail(err)
-	pl.jr.cancelled(string(pl.cutoffOutcome))
-	pl.teardown(sxs...)
-	rep.Outcome = pl.cutoffOutcome
-	rep.finish(pl)
-	return rep, err
+	return &CutoffError{Outcome: pl.cutoffOutcome, At: now, Cutoff: pl.cutoff}
 }
 
 // routeBackend applies the circuit breaker to a stage's requested
@@ -894,16 +917,16 @@ func (pl *Pipeline) routeBackend(backend cloud.Backend) (cloud.Backend, string) 
 	return cloud.OnDemand, fmt.Sprintf("; %s breaker open, on-demand fallback", backend)
 }
 
-// firstStage provisions the workflow's first execution vehicle: a
-// pilot on the requested purchasing backend, or a function runner when
-// the stage is serverless.
-func (pl *Pipeline) firstStage(name, itype string, nodes int, backend cloud.Backend) (*stageExec, error) {
+// launch provisions a fresh execution vehicle: a pilot on the
+// requested purchasing backend, or a function runner when the stage is
+// serverless.
+func (pl *Pipeline) launch(name, itype string, nodes int, backend cloud.Backend) (*stageExec, error) {
 	if backend == cloud.Serverless {
 		fr, err := pilot.NewFunctionRunner(pl.provider, pl.pm.Store(), name)
 		if err != nil {
 			return nil, err
 		}
-		return &stageExec{faas: fr}, nil
+		return faasExec(fr), nil
 	}
 	p, err := pl.pm.SubmitPilot(pilot.PilotDescription{
 		Name: name, InstanceType: itype, Nodes: nodes, Backend: backend,
@@ -913,7 +936,7 @@ func (pl *Pipeline) firstStage(name, itype string, nodes int, backend cloud.Back
 	if err != nil {
 		return nil, err
 	}
-	return &stageExec{pilot: p}, nil
+	return pilotExec(p), nil
 }
 
 // release completes a finished stage's execution vehicle. When
@@ -939,30 +962,13 @@ func (pl *Pipeline) release(sx *stageExec, terminateVMs bool) error {
 // store. It returns the vehicle and a human-readable note about any
 // data transfer performed.
 func (pl *Pipeline) nextStage(name string, prev *stageExec, nodes int, backend cloud.Backend,
-	chooseType func() (string, error), stageBytes int64) (*stageExec, string, error) {
+	memGB float64, stageBytes int64) (*stageExec, string, error) {
 
 	if pl.cfg.Pattern == Conventional {
 		// Single-pilot workflow: reuse the original pilot untouched.
 		return prev, "", nil
 	}
-	prevStore := prev.store()
-	if backend == cloud.Serverless {
-		// The stage runs as functions: its data moves to the object
-		// store, and any VMs the previous stage retained have no
-		// successor to adopt them, so they terminate now.
-		fr, err := pilot.NewFunctionRunner(pl.provider, pl.pm.Store(), name)
-		if err != nil {
-			return nil, "", err
-		}
-		d := pl.provider.InterNodeTransfer(stageBytes)
-		pl.clock.Advance(d)
-		prevStore.CopyAll(fr.Store())
-		if err := pl.release(prev, true); err != nil {
-			return nil, "", err
-		}
-		return &stageExec{faas: fr}, fmt.Sprintf("; %v transfer to object store", d), nil
-	}
-	if pl.cfg.Scheme == S2 && prev.pilot != nil {
+	if pl.cfg.Scheme == S2 && prev.pilot != nil && backend != cloud.Serverless {
 		// Reuse the previous pilot's VMs; grow or shrink to size.
 		if err := pl.pm.CompletePilot(prev.pilot); err != nil {
 			return nil, "", err
@@ -990,44 +996,36 @@ func (pl *Pipeline) nextStage(name string, prev *stageExec, nodes int, backend c
 		}
 		// Shared filesystem persists across pilots under S2: no
 		// transfer, just carry the files over.
-		prevStore.CopyAll(p.Cluster.Store())
-		return &stageExec{pilot: p}, "", nil
+		prev.store.CopyAll(p.Cluster.Store())
+		return pilotExec(p), "", nil
 	}
-	// S1 — or the previous stage ran serverless, leaving no VMs to
-	// reuse: boot fresh nodes on the requested backend.
-	itype, err := chooseType()
+	// S1, functions, or no VMs to reuse: launch fresh, migrate the data
+	// and release the previous stage (VMs it retained have no successor
+	// to adopt them when this stage runs as functions).
+	itype, err := pl.instanceType(backend, memGB)
 	if err != nil {
 		return nil, "", err
 	}
-	p, err := pl.pm.SubmitPilot(pilot.PilotDescription{
-		Name: name, InstanceType: itype, Nodes: nodes, Backend: backend,
-		RetainVMs: pl.cfg.Scheme == S2,
-	})
+	sx, err := pl.launch(name, itype, nodes, backend)
 	if err != nil {
 		return nil, "", err
 	}
-	// Migrate data between the old and new stages' filesystems, then
-	// release the previous stage's resources.
 	d := pl.provider.InterNodeTransfer(stageBytes)
 	pl.clock.Advance(d)
-	prevStore.CopyAll(p.Cluster.Store())
-	if err := pl.release(prev, false); err != nil {
+	prev.store.CopyAll(sx.store)
+	if err := pl.release(prev, sx.faas != nil); err != nil {
 		return nil, "", err
 	}
-	return &stageExec{pilot: p}, fmt.Sprintf("; %v inter-pilot data transfer", d), nil
+	if sx.faas != nil {
+		return sx, fmt.Sprintf("; %v transfer to object store", d), nil
+	}
+	return sx, fmt.Sprintf("; %v inter-pilot data transfer", d), nil
 }
 
 // teardown completes every stage vehicle and terminates all VMs.
-func (pl *Pipeline) teardown(sxs ...*stageExec) {
-	for _, sx := range sxs {
-		if sx == nil {
-			continue
-		}
-		if sx.faas != nil {
-			_ = sx.faas.Complete()
-		} else if sx.pilot != nil {
-			_ = pl.pm.CompletePilot(sx.pilot)
-		}
+func (pl *Pipeline) teardown() {
+	for _, sx := range pl.sxs {
+		_ = pl.release(sx, false)
 	}
 	pl.provider.TerminateAll()
 }
@@ -1050,14 +1048,6 @@ func stageFasta(store *cluster.SharedStore, path string, recs []seq.FastaRecord)
 		return err
 	}
 	return store.Put(path, buf.Bytes())
-}
-
-// asmOutput threads an assembly unit's identity and result through
-// the pilot framework's opaque output slot.
-type asmOutput struct {
-	name string
-	k    int
-	res  assembler.Result
 }
 
 // shardReadSet splits reads into n fragment-preserving shards by

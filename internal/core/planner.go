@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"rnascale/internal/assembler"
 	"rnascale/internal/cloud"
@@ -82,25 +84,11 @@ func Predict(ds *simdata.Dataset, cfg Config) (Plan, error) {
 		return predictBackends(ds, cfg)
 	}
 	fs := ds.Profile.FullScale
-	copts := cloud.DefaultOptions()
-	if cfg.Cloud != nil {
-		copts = *cfg.Cloud
-	}
+	copts := cfg.cloudOptions()
 	clopts := cluster.DefaultOptions()
 	plan := Plan{Config: cfg}
-
-	// Instance type (mirrors Run's dynamic choice for PA; S2 keeps it
-	// for every stage).
 	preModel := preprocess.DefaultCostModel()
-	itName := cfg.InstanceType
-	if cfg.Pattern == DistributedDynamic {
-		it, err := ChooseInstanceType(cloud.NewProvider(vclock.NewClock(0), copts), preModel.MemoryGB(fs), 8)
-		if err != nil {
-			return plan, err
-		}
-		itName = it.Name
-	}
-	it, err := cloud.NewProvider(vclock.NewClock(0), copts).LookupType(itName)
+	it, err := planInstanceType(cfg, copts, fs)
 	if err != nil {
 		return plan, err
 	}
@@ -108,10 +96,7 @@ func Predict(ds *simdata.Dataset, cfg Config) (Plan, error) {
 	cores := it.Cores
 
 	// Memory feasibility (the prediction-time Table IV check).
-	shards := cfg.ParallelPreprocessShards
-	if shards < 1 {
-		shards = 1
-	}
+	shards := preprocessShards(cfg)
 	fsShard := fs
 	fsShard.SeqDataBytes /= int64(shards)
 	if preModel.MemoryGB(fsShard) > it.MemoryGB {
@@ -128,72 +113,20 @@ func Predict(ds *simdata.Dataset, cfg Config) (Plan, error) {
 
 	// PB: predict each assembly job and list-schedule them on the PB
 	// cluster exactly as SGE will.
-	kmers := cfg.Kmers
-	if len(kmers) == 0 {
-		kmers = fs.AssemblyKmers
-	}
-	if len(kmers) == 0 {
-		kmers = preprocess.KmerPlan(float64(ds.Profile.ReadLen), ds.Profile.ReadLen)
-	}
-	nodes := cfg.AssemblyNodesOverride
-	if nodes <= 0 {
-		nodes = AssemblyNodesFor(kmers, cfg.Assemblers, cfg.NodesPerMPIJob, cfg.ContrailNodes)
-	}
+	kmers := kmerPlan(cfg, ds, nil)
+	nodes := assemblyNodes(cfg, kmers)
 	plan.AssemblyNodes = nodes
 	asmFS := fs
 	asmFS.SeqDataBytes = fs.PostPreprocessBytes
 
-	specs := make([]sge.NodeSpec, nodes)
-	for i := range specs {
-		specs[i] = sge.NodeSpec{Name: fmt.Sprintf("n%03d", i), Slots: cores, MemoryGB: it.MemoryGB}
-	}
-	sched, err := sge.New(specs)
+	sched, err := pbScheduler(nodes, it)
 	if err != nil {
 		return plan, err
 	}
-	for _, name := range cfg.Assemblers {
-		a, err := assembler.Get(name)
-		if err != nil {
-			return plan, err
-		}
-		est, ok := a.(assembler.TTCEstimator)
-		if !ok {
-			return plan, fmt.Errorf("core: %s offers no TTC estimation", name)
-		}
-		jobNodes := cfg.NodesPerMPIJob
-		rule := sge.SingleNode
-		if name == "contrail" {
-			jobNodes = cfg.ContrailNodes
-		} else if !a.Info().MultiNode() {
-			jobNodes = 1
-		}
-		if jobNodes > 1 {
-			rule = sge.FillUp
-		}
-		for _, k := range kmers {
-			d, err := est.EstimateTTC(assembler.Request{
-				Params: assembler.Params{K: k, MinCoverage: cfg.MinCoverage},
-				Nodes:  jobNodes, CoresPerNode: cores,
-				FullScale: asmFS,
-			})
-			if err != nil {
-				return plan, fmt.Errorf("core: estimating %s k=%d: %w", name, k, err)
-			}
-			// Memory feasibility per job.
-			if mem := assembler.GraphMemoryGB(asmFS, jobNodes); mem > it.MemoryGB {
-				return plan, fmt.Errorf("core: plan infeasible: %s needs %.1f GB/node on %d node(s), %s offers %.1f GB",
-					name, mem, jobNodes, it.Name, it.MemoryGB)
-			}
-			if name == "contrail" {
-				d += 60 * vclock.Second // SFA conversion
-			}
-			if _, err := sched.Submit(sge.JobSpec{
-				Name: fmt.Sprintf("%s-k%d", name, k), Slots: jobNodes * cores,
-				Rule: rule, Duration: d,
-			}, 0); err != nil {
-				return plan, err
-			}
-		}
+	if err := forEachPBJob(cfg, kmers, asmFS, cores, false, func(j pbJobEst) error {
+		return schedulePBJob(sched, it, j)
+	}); err != nil {
+		return plan, err
 	}
 	plan.PB = vclock.Duration(sched.Makespan())
 
@@ -218,7 +151,7 @@ func Predict(ds *simdata.Dataset, cfg Config) (Plan, error) {
 	price := it.PricePerHour
 	fullWindow := plan.TTC - plan.Transfer
 	pbWindow := vclock.Duration(growBoot) + plan.PB
-	plan.CostUSD = price*fullWindow.Hours()*float64(max(1, shards)) +
+	plan.CostUSD = price*fullWindow.Hours()*float64(shards) +
 		price*pbWindow.Hours()*float64(nodes-1)
 	// Avoid double-counting the PA shards beyond the head node during
 	// the non-PA window: refine to head (full) + extra shards (PA
@@ -242,112 +175,42 @@ func Predict(ds *simdata.Dataset, cfg Config) (Plan, error) {
 // will see.
 func predictBackends(ds *simdata.Dataset, cfg Config) (Plan, error) {
 	fs := ds.Profile.FullScale
-	copts := cloud.DefaultOptions()
-	if cfg.Cloud != nil {
-		copts = *cfg.Cloud
-	}
+	copts := cfg.cloudOptions()
 	clopts := cluster.DefaultOptions()
 	b := cfg.Backends
 	plan := Plan{Config: cfg}
 	if cfg.Pattern == Conventional && b.AnyServerless() {
 		return plan, fmt.Errorf("core: the conventional pattern shares one cluster across stages and cannot host serverless stages (%s)", b)
 	}
-
-	// Markets, defaulted exactly as New does.
-	var market *cloud.SpotMarket
-	if b.AnySpot() {
-		sopts := cloud.SpotOptions{Seed: cfg.FaultSeed}
-		if copts.Spot != nil {
-			sopts = *copts.Spot
-		}
-		market = cloud.NewSpotMarket(sopts)
-	}
-	so := cloud.DefaultServerlessOptions()
-	if copts.Serverless != nil {
-		so = copts.Serverless.WithDefaults()
-	}
-
-	// Instance type (mirrors Run's dynamic choice for PA).
 	preModel := preprocess.DefaultCostModel()
-	itName := cfg.InstanceType
-	if cfg.Pattern == DistributedDynamic && b.PA != cloud.Serverless {
-		it, err := ChooseInstanceType(cloud.NewProvider(vclock.NewClock(0), copts), preModel.MemoryGB(fs), 8)
-		if err != nil {
-			return plan, err
-		}
-		itName = it.Name
-	}
-	it, err := cloud.NewProvider(vclock.NewClock(0), copts).LookupType(itName)
+	it, err := planInstanceType(cfg, copts, fs)
 	if err != nil {
 		return plan, err
 	}
 	plan.InstanceType = it.Name
 	cores := it.Cores
-	price := it.PricePerHour
 	boot := copts.BootLatency + clopts.ConfigPerNode
+	bill := newBackendBill(cfg, copts, it.PricePerHour)
+	var t vclock.Time
 
-	shards := cfg.ParallelPreprocessShards
-	if shards < 1 {
-		shards = 1
-	}
+	shards := preprocessShards(cfg)
 	fsShard := fs
 	fsShard.SeqDataBytes /= int64(shards)
-
-	var (
-		t        vclock.Time
-		cost     float64
-		reclaims float64 // expected spot reclaims across all stages
-	)
-	// vmWindow prices n nodes across [from, to) on a backend, and
-	// accumulates the reclaim expectation for spot windows.
-	vmWindow := func(be cloud.Backend, n int, from, to vclock.Time) float64 {
-		hours := to.Sub(from).Hours()
-		if be == cloud.Spot {
-			az := market.CheapestAZ(from)
-			reclaims += float64(n) * market.ExpectedReclaims(az, from, to)
-			return price * market.AvgFrac(az, from, to) * hours * float64(n)
-		}
-		return price * hours * float64(n)
-	}
-	// fnStage prices one class of serverless units: each of n parallel
-	// units runs `dur` of compute at `memGB`, split at the duration cap
-	// into parallel pieces. Returns the stage wall time (every first
-	// burst is cold).
-	fnStage := func(stage string, n int, dur vclock.Duration, memGB float64) (vclock.Duration, error) {
-		tier, ok := so.TierFor(memGB)
-		if !ok {
-			return 0, fmt.Errorf("core: plan infeasible: %s needs %.1f GB, largest function tier is %.0f GB",
-				stage, memGB, so.MaxTierGB())
-		}
-		pieces := splitPieces(dur, so.MaxDuration)
-		piece := dur / vclock.Duration(pieces)
-		cost += float64(n*pieces) * so.InvocationUSD(tier, piece)
-		return so.ColdStart + piece, nil
-	}
 
 	// Stage 0: upload.
 	plan.Transfer = copts.Ingress.Transfer(fs.SeqDataBytes)
 	t = t.Add(plan.Transfer)
 
 	// K-mer plan and PB sizing, needed up front for Conventional.
-	kmers := cfg.Kmers
-	if len(kmers) == 0 {
-		kmers = fs.AssemblyKmers
-	}
-	if len(kmers) == 0 {
-		kmers = preprocess.KmerPlan(float64(ds.Profile.ReadLen), ds.Profile.ReadLen)
-	}
-	nodes := cfg.AssemblyNodesOverride
-	if nodes <= 0 {
-		nodes = AssemblyNodesFor(kmers, cfg.Assemblers, cfg.NodesPerMPIJob, cfg.ContrailNodes)
-	}
+	kmers := kmerPlan(cfg, ds, nil)
+	nodes := assemblyNodes(cfg, kmers)
 	asmFS := fs
 	asmFS.SeqDataBytes = fs.PostPreprocessBytes
 
 	// PA.
 	paMem := preModel.MemoryGB(fsShard)
 	if b.PA == cloud.Serverless {
-		wall, err := fnStage("pre-processing", shards, preModel.Duration(fsShard, 1), paMem)
+		wall, err := bill.fnStage("pre-processing", shards, preModel.Duration(fsShard, 1), paMem)
 		if err != nil {
 			return plan, err
 		}
@@ -358,76 +221,30 @@ func predictBackends(ds *simdata.Dataset, cfg Config) (Plan, error) {
 			return plan, fmt.Errorf("core: plan infeasible: pre-processing needs %.1f GB, %s offers %.1f GB",
 				paMem, it.Name, it.MemoryGB)
 		}
-		paNodes := shards
-		if cfg.Pattern == Conventional && nodes > paNodes {
-			paNodes = nodes // one cluster sized for the whole workflow
-		}
 		start := t
 		t = t.Add(boot)
 		plan.PA = preModel.Duration(fsShard, min(cores, 8))
 		t = t.Add(plan.PA)
+		// Conventional bills the whole run in one window below.
 		if cfg.Pattern != Conventional {
-			cost += vmWindow(b.PA, paNodes, start, t)
-		} else {
-			_ = paNodes // Conventional bills the whole run in one window below.
+			bill.vmWindow(b.PA, shards, start, t)
 		}
 	}
 
 	// PB: per-job estimates, then either an SGE schedule on the cluster
 	// or an all-parallel function burst.
-	type jobEst struct {
-		name     string
-		jobNodes int
-		rule     sge.AllocationRule
-		d        vclock.Duration
-		memGB    float64
-	}
-	var jobs []jobEst
-	for _, name := range cfg.Assemblers {
-		a, err := assembler.Get(name)
-		if err != nil {
-			return plan, err
-		}
-		est, ok := a.(assembler.TTCEstimator)
-		if !ok {
-			return plan, fmt.Errorf("core: %s offers no TTC estimation", name)
-		}
-		jobNodes := cfg.NodesPerMPIJob
-		rule := sge.SingleNode
-		if name == "contrail" {
-			jobNodes = cfg.ContrailNodes
-		} else if !a.Info().MultiNode() {
-			jobNodes = 1
-		}
-		if jobNodes > 1 {
-			rule = sge.FillUp
-		}
-		jobCores := cores
-		if b.PB == cloud.Serverless {
-			jobNodes, jobCores, rule = 1, 1, sge.SingleNode
-		}
-		for _, k := range kmers {
-			d, err := est.EstimateTTC(assembler.Request{
-				Params: assembler.Params{K: k, MinCoverage: cfg.MinCoverage},
-				Nodes:  jobNodes, CoresPerNode: jobCores,
-				FullScale: asmFS,
-			})
-			if err != nil {
-				return plan, fmt.Errorf("core: estimating %s k=%d: %w", name, k, err)
-			}
-			if name == "contrail" {
-				d += 60 * vclock.Second // SFA conversion
-			}
-			jobs = append(jobs, jobEst{name: name, jobNodes: jobNodes, rule: rule, d: d,
-				memGB: assembler.GraphMemoryGB(asmFS, jobNodes)})
-		}
+	var jobs []pbJobEst
+	if err := forEachPBJob(cfg, kmers, asmFS, cores, b.PB == cloud.Serverless, func(j pbJobEst) error {
+		jobs = append(jobs, j)
+		return nil
+	}); err != nil {
+		return plan, err
 	}
 	if b.PB == cloud.Serverless {
-		nodes = 0
 		plan.AssemblyNodes = 0
 		var wall vclock.Duration
 		for _, j := range jobs {
-			w, err := fnStage(j.name+" assembly", 1, j.d, j.memGB)
+			w, err := bill.fnStage(j.name+" assembly", 1, j.d, j.memGB)
 			if err != nil {
 				return plan, err
 			}
@@ -441,22 +258,12 @@ func predictBackends(ds *simdata.Dataset, cfg Config) (Plan, error) {
 		t = t.Add(d).Add(wall)
 	} else {
 		plan.AssemblyNodes = nodes
-		specs := make([]sge.NodeSpec, nodes)
-		for i := range specs {
-			specs[i] = sge.NodeSpec{Name: fmt.Sprintf("n%03d", i), Slots: cores, MemoryGB: it.MemoryGB}
-		}
-		sched, err := sge.New(specs)
+		sched, err := pbScheduler(nodes, it)
 		if err != nil {
 			return plan, err
 		}
 		for _, j := range jobs {
-			if j.memGB > it.MemoryGB {
-				return plan, fmt.Errorf("core: plan infeasible: %s needs %.1f GB/node on %d node(s), %s offers %.1f GB",
-					j.name, j.memGB, j.jobNodes, it.Name, it.MemoryGB)
-			}
-			if _, err := sched.Submit(sge.JobSpec{
-				Name: j.name, Slots: j.jobNodes * cores, Rule: j.rule, Duration: j.d,
-			}, 0); err != nil {
+			if err := schedulePBJob(sched, it, j); err != nil {
 				return plan, err
 			}
 		}
@@ -470,7 +277,7 @@ func predictBackends(ds *simdata.Dataset, cfg Config) (Plan, error) {
 		}
 		t = t.Add(plan.PB)
 		if cfg.Pattern != Conventional {
-			cost += vmWindow(b.PB, nodes, start, t)
+			bill.vmWindow(b.PB, nodes, start, t)
 		}
 	}
 
@@ -482,7 +289,7 @@ func predictBackends(ds *simdata.Dataset, cfg Config) (Plan, error) {
 		pcRuns = 2
 	}
 	if b.PC == cloud.Serverless {
-		wall, err := fnStage("post-processing", 1, postModel.Duration(fs, 1)*vclock.Duration(pcRuns), pcMem)
+		wall, err := bill.fnStage("post-processing", 1, postModel.Duration(fs, 1)*vclock.Duration(pcRuns), pcMem)
 		if err != nil {
 			return plan, err
 		}
@@ -500,30 +307,166 @@ func predictBackends(ds *simdata.Dataset, cfg Config) (Plan, error) {
 		plan.PC = postModel.Duration(fs, min(cores, 8)) * vclock.Duration(pcRuns)
 		t = t.Add(plan.PC)
 		if cfg.Pattern != Conventional {
-			cost += vmWindow(b.PC, 1, start, t)
+			bill.vmWindow(b.PC, 1, start, t)
 		}
 	}
 
 	if cfg.Pattern == Conventional {
 		// One cluster, sized for the whole workflow, from first boot to
 		// the end of PC, on PA's backend (the only pilot there is).
-		n := shards
-		if nodes > n {
-			n = nodes
-		}
-		cost += vmWindow(b.PA, n, vclock.Time(0).Add(plan.Transfer), t)
+		bill.vmWindow(b.PA, max(shards, nodes), vclock.Time(0).Add(plan.Transfer), t)
 	}
 
 	plan.TTC = vclock.Duration(t)
-	if reclaims > 0 {
+	if bill.reclaims > 0 {
 		// Each expected reclaim boots one replacement node and re-runs
 		// the work it interrupted (roughly half a boot window of rework).
-		over := vclock.Duration(reclaims * float64(boot))
+		over := vclock.Duration(bill.reclaims * float64(boot))
 		plan.TTC += over
-		cost += price * over.Hours()
+		bill.cost += bill.price * over.Hours()
 	}
-	plan.CostUSD = cost
+	plan.CostUSD = bill.cost
 	return plan, nil
+}
+
+// backendBill accumulates predictBackends' bill.
+type backendBill struct {
+	price    float64 // per node-hour
+	market   *cloud.SpotMarket
+	so       cloud.ServerlessOptions
+	cost     float64
+	reclaims float64 // expected spot reclaims across all stages
+}
+
+// newBackendBill defaults the markets exactly as New does.
+func newBackendBill(cfg Config, copts cloud.Options, price float64) *backendBill {
+	bill := &backendBill{price: price, so: cloud.DefaultServerlessOptions()}
+	if cfg.Backends.AnySpot() {
+		sopts := cloud.SpotOptions{Seed: cfg.FaultSeed}
+		if copts.Spot != nil {
+			sopts = *copts.Spot
+		}
+		bill.market = cloud.NewSpotMarket(sopts)
+	}
+	if copts.Serverless != nil {
+		bill.so = copts.Serverless.WithDefaults()
+	}
+	return bill
+}
+
+// vmWindow bills n nodes across [from, to) on a backend, and
+// accumulates the reclaim expectation for spot windows (the float64
+// rounding keeps the window's price unfused, as a return value was).
+func (bill *backendBill) vmWindow(be cloud.Backend, n int, from, to vclock.Time) {
+	hours := to.Sub(from).Hours()
+	if be == cloud.Spot {
+		az := bill.market.CheapestAZ(from)
+		bill.reclaims += float64(n) * bill.market.ExpectedReclaims(az, from, to)
+		bill.cost += float64(bill.price * bill.market.AvgFrac(az, from, to) * hours * float64(n))
+		return
+	}
+	bill.cost += float64(bill.price * hours * float64(n))
+}
+
+// fnStage bills one class of serverless units: each of n parallel
+// units runs `dur` of compute at `memGB`, split at the duration cap
+// into parallel pieces. Returns the stage wall time (every first burst
+// is cold).
+func (bill *backendBill) fnStage(stage string, n int, dur vclock.Duration, memGB float64) (vclock.Duration, error) {
+	tier, ok := bill.so.TierFor(memGB)
+	if !ok {
+		return 0, fmt.Errorf("core: plan infeasible: %s needs %.1f GB, largest function tier is %.0f GB",
+			stage, memGB, bill.so.MaxTierGB())
+	}
+	pieces := splitPieces(dur, bill.so.MaxDuration)
+	piece := dur / vclock.Duration(pieces)
+	bill.cost += float64(n*pieces) * bill.so.InvocationUSD(tier, piece)
+	return bill.so.ColdStart + piece, nil
+}
+
+// pbScheduler is the SGE queue of the PB cluster.
+func pbScheduler(nodes int, it cloud.InstanceType) (*sge.Scheduler, error) {
+	specs := make([]sge.NodeSpec, nodes)
+	for i := range specs {
+		specs[i] = sge.NodeSpec{Name: fmt.Sprintf("n%03d", i), Slots: it.Cores, MemoryGB: it.MemoryGB}
+	}
+	return sge.New(specs)
+}
+
+// planInstanceType mirrors Run's choice for PA (S2 keeps it for every
+// stage).
+func planInstanceType(cfg Config, copts cloud.Options, fs simdata.FullScaleStats) (cloud.InstanceType, error) {
+	p := cloud.NewProvider(vclock.NewClock(0), copts)
+	name := cfg.InstanceType
+	if cfg.Pattern == DistributedDynamic && cfg.Backends.PA != cloud.Serverless {
+		it, err := ChooseInstanceType(p, preprocess.DefaultCostModel().MemoryGB(fs), 8)
+		if err != nil {
+			return cloud.InstanceType{}, err
+		}
+		name = it.Name
+	}
+	return p.LookupType(name)
+}
+
+// pbJobEst is one estimated PB job.
+type pbJobEst struct {
+	name     string
+	k        int
+	jobNodes int
+	rule     sge.AllocationRule
+	d        vclock.Duration
+	memGB    float64
+}
+
+// forEachPBJob estimates each assembler's job at each k, in Run's
+// submission order.
+func forEachPBJob(cfg Config, kmers []int, asmFS simdata.FullScaleStats, cores int, serverless bool,
+	fn func(pbJobEst) error) error {
+
+	if serverless {
+		cores = 1
+	}
+	for _, name := range cfg.Assemblers {
+		a, err := assembler.Get(name)
+		if err != nil {
+			return err
+		}
+		est, ok := a.(assembler.TTCEstimator)
+		if !ok {
+			return fmt.Errorf("core: %s offers no TTC estimation", name)
+		}
+		jobNodes, rule := pbJobShape(cfg, a.Info(), serverless)
+		for _, k := range kmers {
+			d, err := est.EstimateTTC(assembler.Request{
+				Params: assembler.Params{K: k, MinCoverage: cfg.MinCoverage},
+				Nodes:  jobNodes, CoresPerNode: cores,
+				FullScale: asmFS,
+			})
+			if err != nil {
+				return fmt.Errorf("core: estimating %s k=%d: %w", name, k, err)
+			}
+			if name == "contrail" {
+				d += sfaConversion
+			}
+			if err := fn(pbJobEst{name: name, k: k, jobNodes: jobNodes, rule: rule, d: d,
+				memGB: assembler.GraphMemoryGB(asmFS, jobNodes)}); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// schedulePBJob queues a job that fits its nodes' memory.
+func schedulePBJob(sched *sge.Scheduler, it cloud.InstanceType, j pbJobEst) error {
+	if j.memGB > it.MemoryGB {
+		return fmt.Errorf("core: plan infeasible: %s needs %.1f GB/node on %d node(s), %s offers %.1f GB",
+			j.name, j.memGB, j.jobNodes, it.Name, it.MemoryGB)
+	}
+	_, err := sched.Submit(sge.JobSpec{
+		Name: fmt.Sprintf("%s-k%d", j.name, j.k), Slots: j.jobNodes * it.Cores, Rule: j.rule, Duration: j.d,
+	}, 0)
+	return err
 }
 
 // splitPieces reports how many parallel invocations a unit of duration
@@ -628,20 +571,9 @@ func Frontier(ds *simdata.Dataset, candidates []Config) ([]Plan, error) {
 			frontier = append(frontier, p)
 		}
 	}
-	sortPlansByTTC(frontier)
+	// Fastest first, ties by cost.
+	slices.SortStableFunc(frontier, func(a, b Plan) int {
+		return cmp.Or(cmp.Compare(a.TTC, b.TTC), cmp.Compare(a.CostUSD, b.CostUSD))
+	})
 	return frontier, nil
-}
-
-// sortPlansByTTC orders plans fastest-first (ties by cost).
-func sortPlansByTTC(plans []Plan) {
-	for i := 1; i < len(plans); i++ {
-		for j := i; j > 0; j-- {
-			a, b := plans[j-1], plans[j]
-			if b.TTC < a.TTC || (b.TTC == a.TTC && b.CostUSD < a.CostUSD) {
-				plans[j-1], plans[j] = b, a
-				continue
-			}
-			break
-		}
-	}
 }

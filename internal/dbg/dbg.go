@@ -17,7 +17,6 @@ import (
 	"math/bits"
 	"slices"
 
-	"rnascale/internal/obs/perf"
 	"rnascale/internal/seq"
 )
 
@@ -97,7 +96,6 @@ func (g *Graph) coverageAt(slot int) uint32 {
 // Build constructs a graph from reads and drops k-mers below
 // minCount (sequencing-error removal).
 func Build(reads []seq.Read, k, minCount int) (*Graph, error) {
-	defer perf.Region("dbg.build").End()
 	g, err := New(k)
 	if err != nil {
 		return nil, err
@@ -262,7 +260,6 @@ type Unitig struct {
 // Unitigs extracts every maximal non-branching path at least minLen
 // bases long, in deterministic order.
 func (g *Graph) Unitigs(minLen int) []Unitig {
-	defer perf.Region("dbg.unitigs").End()
 	g.edges()
 	w := walker{g: g, visited: make([]bool, g.nodes.Slots())}
 	var out []Unitig
@@ -338,7 +335,6 @@ func (w *walker) extend(cur node, letters string, out []byte) []byte {
 // the number of k-mers removed and iterates to a fixed point (bounded
 // by rounds).
 func (g *Graph) ClipTips(maxKmers, rounds int) int {
-	defer perf.Region("dbg.cliptips").End()
 	g.edges()
 	removedTotal := 0
 	for r := 0; r < rounds; r++ {
@@ -403,7 +399,6 @@ func (g *Graph) clipOnce(maxKmers int) int {
 // (divergence at one branch node, reconvergence within maxArm k-mers).
 // It returns the number of k-mers removed.
 func (g *Graph) PopBubbles(maxArm int) int {
-	defer perf.Region("dbg.popbubbles").End()
 	g.edges()
 	removed := 0
 	var arms [2][]int32

@@ -12,8 +12,6 @@ import (
 	"os"
 	"sync"
 	"time"
-
-	"rnascale/internal/obs/perf"
 )
 
 // DefaultBatchSize is the group-commit batch bound when the caller
@@ -198,7 +196,6 @@ func ContinueOptions(path string, opts Options) (*Log, *Writer, error) {
 // each still only returns once its own record is down. The stamped
 // record is returned.
 func (w *Writer) Append(rec Record) (Record, error) {
-	defer perf.Region("journal.append").End()
 	w.mu.Lock()
 	if w.err != nil {
 		err := w.err

@@ -3,8 +3,6 @@ package kernelbench
 import (
 	"strings"
 	"testing"
-
-	"rnascale/internal/obs/perf"
 )
 
 // TestKernelsRun runs every registered kernel once (at reduced
@@ -98,22 +96,39 @@ func find(name string) (Kernel, bool) {
 	return Kernel{}, false
 }
 
-// TestProbesStayDisabled: running the benchmarks must not leave the
-// perf probes enabled (they are measured with probes off so the
-// numbers exclude probe overhead).
-func TestProbesStayDisabled(t *testing.T) {
-	k, _ := find("journal.append")
-	k.Iters = 1
-	Run(k)
-	if perf.Enabled() {
-		t.Fatal("perf probes enabled after kernel run")
+// sink defeats dead-store elimination in allocation tests.
+var sink []byte
+
+func TestMeasure(t *testing.T) {
+	m := Measure(10, func() {
+		sink = make([]byte, 4096)
+	})
+	if m.Iters != 10 {
+		t.Errorf("iters: %d", m.Iters)
 	}
+	if m.NsPerOp <= 0 {
+		t.Errorf("nsPerOp: %v", m.NsPerOp)
+	}
+	// One 4 KiB slice per op: allocs ≈ 1, bytes ≥ 4096.
+	if m.AllocsPerOp < 0.9 || m.AllocsPerOp > 2 {
+		t.Errorf("allocsPerOp: %v", m.AllocsPerOp)
+	}
+	if m.BytesPerOp < 4096 {
+		t.Errorf("bytesPerOp: %v", m.BytesPerOp)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("Measure with 0 iters did not panic")
+		}
+	}()
+	Measure(0, func() {})
 }
 
 func baselineFixture() []Result {
 	return []Result{
-		{Name: "seq.count_distinct", Measurement: perf.Measurement{Iters: 10, NsPerOp: 1000, AllocsPerOp: 100, BytesPerOp: 4096}},
-		{Name: "dbg.build", Measurement: perf.Measurement{Iters: 10, NsPerOp: 2000, AllocsPerOp: 200, BytesPerOp: 8192}},
+		{Name: "seq.count_distinct", Measurement: Measurement{Iters: 10, NsPerOp: 1000, AllocsPerOp: 100, BytesPerOp: 4096}},
+		{Name: "dbg.build", Measurement: Measurement{Iters: 10, NsPerOp: 2000, AllocsPerOp: 200, BytesPerOp: 8192}},
 	}
 }
 
@@ -228,8 +243,8 @@ func TestCaptureEnv(t *testing.T) {
 // an allocation into the measurement, and fails when it starts
 // allocating once per op.
 func TestCompareGateZeroAllocKernel(t *testing.T) {
-	base := []Result{{Name: "seq.canonical_scan", Measurement: perf.Measurement{Iters: 200, NsPerOp: 1000}}}
-	cur := []Result{{Name: "seq.canonical_scan", Measurement: perf.Measurement{Iters: 200, NsPerOp: 1000, AllocsPerOp: 0.005, BytesPerOp: 0.1}}}
+	base := []Result{{Name: "seq.canonical_scan", Measurement: Measurement{Iters: 200, NsPerOp: 1000}}}
+	cur := []Result{{Name: "seq.canonical_scan", Measurement: Measurement{Iters: 200, NsPerOp: 1000, AllocsPerOp: 0.005, BytesPerOp: 0.1}}}
 	if table, err := Compare(base, cur, DefaultTolerance()); err != nil {
 		t.Fatalf("gate failed on background allocation noise: %v\n%s", err, table)
 	}

@@ -23,7 +23,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"rnascale/internal/obs/perf"
 	"rnascale/internal/vclock"
 )
 
@@ -157,7 +156,6 @@ type Result struct {
 // virtual-time accounting happens afterwards from integer byte
 // totals, so neither Output nor Elapsed depends on how many ran.
 func (e *Engine) Run(job Job, input []KV) (Result, error) {
-	defer perf.Region("mapreduce.run").End()
 	if job.Map == nil || job.Reduce == nil {
 		return Result{}, fmt.Errorf("mapreduce: job %q missing map or reduce", job.Name)
 	}

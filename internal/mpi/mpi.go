@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"sync"
 
-	"rnascale/internal/obs/perf"
 	"rnascale/internal/vclock"
 )
 
@@ -107,7 +106,6 @@ type Comm struct {
 // ranks return. The first rank error (lowest rank number) is
 // returned; the Result is valid either way.
 func Run(cfg Config, fn func(*Comm) error) (Result, error) {
-	defer perf.Region("mpi.run").End()
 	if cfg.Ranks <= 0 {
 		return Result{}, fmt.Errorf("mpi: world size %d", cfg.Ranks)
 	}
@@ -225,7 +223,6 @@ func (c *Comm) Recv(src int) (any, int64) {
 // fill w.collOut / w.collOutM and set w.collTime (the synchronized
 // post-collective clock). All ranks leave with vt = collTime.
 func (c *Comm) collective(in any, row []any, finish func(w *World)) (any, []any) {
-	defer perf.Region("mpi.collective").End()
 	w := c.world
 	w.collMu.Lock()
 	gen := w.collGen

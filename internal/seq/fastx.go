@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-
-	"rnascale/internal/obs/perf"
 )
 
 // This file implements FASTA and FASTQ serialization. The pipeline's
@@ -74,7 +72,6 @@ func FastaSize(recs []FastaRecord, width int) int {
 // ParseFasta reads all records from r. Sequence lines are
 // concatenated; blank lines are ignored.
 func ParseFasta(r io.Reader) ([]FastaRecord, error) {
-	defer perf.Region("seq.parse_fasta").End()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	var recs []FastaRecord
@@ -143,7 +140,6 @@ func FastqSize(reads []Read) int {
 
 // ParseFastq reads 4-line FASTQ records.
 func ParseFastq(r io.Reader) ([]Read, error) {
-	defer perf.Region("seq.parse_fastq").End()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	var reads []Read

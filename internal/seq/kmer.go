@@ -4,8 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"math/bits"
-
-	"rnascale/internal/obs/perf"
 )
 
 // MaxK is the largest supported k-mer size. Two uint64 words hold 2
@@ -253,7 +251,6 @@ func (c KmerCoder) ForEachCanonical(s []byte, fn func(pos int, canon Kmer) bool)
 // the reads. It is the driver of the memory-footprint model used for
 // Table IV.
 func (c KmerCoder) CountDistinct(reads []Read) int {
-	defer perf.Region("seq.count_distinct").End()
 	set := make(map[Kmer]struct{})
 	for i := range reads {
 		c.ForEachCanonical(reads[i].Seq, func(_ int, canon Kmer) bool {

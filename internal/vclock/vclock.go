@@ -23,8 +23,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"rnascale/internal/obs/perf"
 )
 
 // Time is a point in virtual time, in seconds since the start of a
@@ -176,7 +174,6 @@ func (p *SlotPool) Size() int { return len(p.avail) }
 // pool size; callers model oversized requests as failures before
 // scheduling.
 func (p *SlotPool) Acquire(k int, at Time, d Duration) (start Time) {
-	defer perf.Region("vclock.slotpool_acquire").End()
 	if k <= 0 || k > len(p.avail) {
 		panic(fmt.Sprintf("vclock: acquire %d of %d slots", k, len(p.avail)))
 	}
