@@ -103,24 +103,27 @@ sweep-determinism:
 # and unitig walk against the Find-per-question traversals (and its
 # adjacency bytes against a rebuild after every deletion), the seeded
 # containment check against the all-pairs substring search, the
-# table-indexed quantifier against the map-indexed one. The
+# table-indexed quantifier against the map-indexed one, every owner's
+# k-mer count against a single-threaded map count. The
 # journal reader: the single-pass scan against the line-by-line reader
 # it replaced, over every byte flip and truncation of a small journal
 # and a sample of a real one — same verified prefix, records, damage
-# report, chain head and Merkle root. The pipeline: every stage-bracket
-# exit, the store manifests and the one-assembly-per-unit count pinned
-# at any host core count, a resume assembling exactly the units its
-# journal lacks, a cut-off PB computing at most one assembly per core
-# beyond the units it reached, and no goroutine outliving a run.
+# report, chain head and Merkle root. The pipeline, whose PB computes
+# assemblies ahead of the event loop: every stage-bracket exit, the
+# store manifests and the one-assembly-per-unit count pinned at any host
+# core count, a resume assembling exactly the units its journal lacks,
+# a cut-off PB computing at most one assembly per core beyond the units
+# it reached, the futures' budget, order and join, and no goroutine
+# outliving a run.
 oracle-determinism:
 	$(GO) test -race -count=1 -cpu 1,2,8 -run 'TestEngineMatchesReference' ./internal/mapreduce
 	$(GO) test -race -count=1 -cpu 1,2,8 -run 'MatchesReference|TestKmerTableMatchesMapModel' ./internal/seq
 	$(GO) test -race -count=1 -cpu 1,2,8 -run 'TestContigsIndependentOfInsertionOrder|TestEdgeBit|TestClipTipsLengthBoundary' ./internal/dbg
 	$(GO) test -race -count=1 -cpu 1,2,8 -run 'TestDropContainedMatchesReference' ./internal/merge
 	$(GO) test -race -count=1 -cpu 1,2,8 -run 'TestAssignMatchesReference' ./internal/quant
-	$(GO) test -race -count=1 -cpu 1,2,8 -run 'TestPCrispaPins' ./internal/assembler/mpidbg
+	$(GO) test -race -count=1 -cpu 1,2,8 -run 'TestPCrispaPins|TestOwnerCountsMatchReference' ./internal/assembler/mpidbg
 	$(GO) test -race -count=1 -cpu 1,2,8 -run 'TestScanMatchesReference' ./internal/journal
-	$(GO) test -race -count=1 -cpu 1,2,8 -run 'TestStageBracketPins|TestRetriedUnitAssemblesOnce|TestStoreManifest|TestResumeOfCompleteJournalAssemblesNothing|TestResumeAssemblesOnlyUnjournaledUnits|TestCutoffMidPBBoundsAssembles|TestRunLeavesNoGoroutines' ./internal/core
+	$(GO) test -race -count=1 -cpu 1,2,8 -run 'TestStageBracketPins|TestRetriedUnitAssemblesOnce|TestStoreManifest|TestResumeOfCompleteJournalAssemblesNothing|TestResumeAssemblesOnlyUnjournaledUnits|TestCutoffMidPBBoundsAssembles|TestRunLeavesNoGoroutines|TestAssemblies' ./internal/core
 
 # journal-determinism pins the checkpoint/resume contract: a run is
 # killed at three injected virtual-time points (mid-PA, mid-PB,

@@ -57,3 +57,6 @@ func (a *ABySS) EstimateTTC(req assembler.Request) (vclock.Duration, error) {
 	}
 	return mpidbg.Estimate(req, prof)
 }
+
+// EstimateHostBytes implements assembler.HostMemoryEstimator.
+func (a *ABySS) EstimateHostBytes(req assembler.Request) int64 { return mpidbg.HostBytes(req) }

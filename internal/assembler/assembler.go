@@ -124,6 +124,15 @@ type TTCEstimator interface {
 	EstimateTTC(req Request) (vclock.Duration, error)
 }
 
+// HostMemoryEstimator is optionally implemented by assemblers that can
+// bound, from the request alone, the host bytes one Assemble call holds
+// at its peak. The pipeline overlaps assemblies on the host only as far
+// as these estimates fit its memory budget; an assembler without one
+// runs alone.
+type HostMemoryEstimator interface {
+	EstimateHostBytes(req Request) int64
+}
+
 // FullScaleBases estimates the base count of the full-scale dataset
 // from its FASTQ volume (sequence is roughly 45% of a FASTQ file).
 func FullScaleBases(fs simdata.FullScaleStats) float64 {

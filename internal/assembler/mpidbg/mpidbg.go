@@ -1,10 +1,10 @@
 // Package mpidbg implements the distributed De Bruijn graph assembly
 // algorithm shared by the two MPI assemblers (Ray and ABySS):
 //
-//  1. every rank streams its shard of reads and counts canonical
-//     k-mers locally, one table per owner rank (hash partitioning);
-//  2. an all-to-all exchange hands each table to its owner, which
-//     merges counts and applies the coverage cutoff;
+//  1. every rank streams its shard of reads and counts each canonical
+//     k-mer into its owner rank's table (hash partitioning);
+//  2. an all-to-all exchange, timed as the routing of those counts,
+//     ends the counting, and each owner applies the coverage cutoff;
 //  3. survivors are gathered and the graph is simplified and walked
 //     into contigs by rank 0 (the serial phase that, together with
 //     the exchange, limits MPI assemblers' scale-out in the paper's
@@ -17,6 +17,8 @@ package mpidbg
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"rnascale/internal/assembler"
 	"rnascale/internal/dbg"
@@ -100,10 +102,114 @@ func Estimate(req assembler.Request, prof Profile) (vclock.Duration, error) {
 	return serial + parallel + alltoall + gather, nil
 }
 
+// HostBytes estimates the host memory Run holds at its peak for a
+// request: the owner tables, and the survivors and graph built beside
+// them. The peak follows the read bases more closely than the windows:
+// sampled live heap peaks at 3.5-4.8 bytes per base on pcrispa (k 51-63:
+// 7-12 per window) and 2.3-4.6 on bglumae (k 35-47: 13-29 per window,
+// since its short reads leave most k-mers distinct and the tables
+// grow), so 5 bytes per base bounds both.
+func HostBytes(req assembler.Request) int64 {
+	var bases int64
+	for _, r := range req.Reads {
+		bases += int64(len(r.Seq))
+	}
+	return 5 * bases
+}
+
 // kmerCount is one surviving k-mer of an owner's partition.
 type kmerCount struct {
 	km seq.Kmer
 	n  uint32
+}
+
+// stageLen is the most k-mers a rank stages for one owner before it
+// takes the owner's lock to add them: about fifty flushes per rank and
+// owner on pcrispa, and at most 8 KB staged per (rank, owner) pair.
+const stageLen = 512
+
+// owners is the distributed k-mer count: one table per owner rank,
+// filled by every rank under the owner's mutex. A k-mer's owner is
+// Hash()%ranks.
+type owners struct {
+	mu   []sync.Mutex
+	tabs []*seq.KmerTable
+	// stage is each rank's staging capacity per owner: stageLen, or a
+	// rank's even share of an owner's windows when that is smaller (a
+	// world of hundreds of ranks would otherwise stage megabytes).
+	stage int
+}
+
+// newOwners sizes one table per owner for 0.2 distinct k-mers per
+// window of the whole request, spread evenly over the owners. Measured
+// distinct/windows is 0.18 on pcrispa at k=51 (309 K k-mers in 1.72 M
+// windows) and less at larger k, so there no table grows; bglumae's
+// shorter windows repeat less and grow once or twice.
+func newOwners(reads []seq.Read, k, ranks int) *owners {
+	windows := 0
+	for _, r := range reads {
+		windows += max(len(r.Seq)-k+1, 0)
+	}
+	o := &owners{
+		mu: make([]sync.Mutex, ranks), tabs: make([]*seq.KmerTable, ranks),
+		stage: min(stageLen, windows/(ranks*ranks)+1),
+	}
+	for d := range o.tabs {
+		o.tabs[d] = seq.NewKmerTable(windows / 5 / ranks)
+	}
+	return o
+}
+
+// count adds every canonical k-mer of this rank's read shard to its
+// owner's table, staging up to o.stage per owner between lock
+// acquisitions.
+func (o *owners) count(c *mpi.Comm, coder seq.KmerCoder, reads []seq.Read) {
+	size := c.Size()
+	staged := make([][]seq.Kmer, size)
+	for d := range staged {
+		staged[d] = make([]seq.Kmer, 0, o.stage)
+	}
+	flush := func(d int) {
+		o.mu[d].Lock()
+		for _, km := range staged[d] {
+			o.tabs[d].Add(km, 1)
+		}
+		o.mu[d].Unlock()
+		staged[d] = staged[d][:0]
+	}
+	for i := c.Rank(); i < len(reads); i += size {
+		coder.ForEachCanonical(reads[i].Seq, func(_ int, canon seq.Kmer) bool {
+			d := int(canon.Hash() % uint64(size))
+			if staged[d] = append(staged[d], canon); len(staged[d]) == o.stage {
+				flush(d)
+			}
+			return true
+		})
+	}
+	for d := range staged {
+		flush(d)
+	}
+}
+
+// survivors returns the k-mers of owner's table counted at least
+// minCov times, sorted by key, in a slice of exactly their number. It
+// must not run before every rank's count has returned.
+func (o *owners) survivors(owner int, minCov uint32) []kmerCount {
+	tab := o.tabs[owner]
+	n := 0
+	tab.Each(func(_ int, _ seq.Kmer, cnt uint32) {
+		if cnt >= minCov {
+			n++
+		}
+	})
+	out := make([]kmerCount, 0, n)
+	tab.Each(func(_ int, km seq.Kmer, cnt uint32) {
+		if cnt >= minCov {
+			out = append(out, kmerCount{km, cnt})
+		}
+	})
+	slices.SortFunc(out, func(a, b kmerCount) int { return a.km.Compare(b.km) })
+	return out
 }
 
 // Run executes the distributed assembly for a request under a profile.
@@ -145,64 +251,27 @@ func Run(req assembler.Request, info assembler.Info, prof Profile) (assembler.Re
 	wireTotal := fullBases * prof.WireBytesPerBase * winFrac
 
 	var contigs []seq.FastaRecord
+	own := newOwners(req.Reads, p.K, ranks)
 	res, err := mpi.Run(cfg, func(c *mpi.Comm) error {
 		size := c.Size()
 		// Phase 1: count this rank's read shard, each k-mer straight
-		// into the table bound for its owner (hash partitioning).
-		// A table starts with room for 0.4 distinct k-mers per window
-		// this rank will route to its owner. Measured over a shard,
-		// distinct/windows is 0.33-0.39 on pcrispa (k 51-63) and
-		// 0.43-0.73 on bglumae (k 35-47, a few windows per read): up
-		// to 0.4 a table never grows, and NewKmerTable's rounding to a
-		// power of two leaves at most one doubling for the rest.
-		windows := 0
-		for i := c.Rank(); i < len(req.Reads); i += size {
-			windows += max(len(req.Reads[i].Seq)-p.K+1, 0)
-		}
-		tabs := make([]*seq.KmerTable, size)
-		for d := range tabs {
-			tabs[d] = seq.NewKmerTable(windows / size * 2 / 5)
-		}
-		for i := c.Rank(); i < len(req.Reads); i += size {
-			coder.ForEachCanonical(req.Reads[i].Seq, func(_ int, canon seq.Kmer) bool {
-				tabs[canon.Hash()%uint64(size)].Add(canon, 1)
-				return true
-			})
-		}
+		// into its owner's table (hash partitioning).
+		own.count(c, coder, req.Reads)
 		c.ComputeUnits(parallelUnits/float64(size), prof.BasesPerCoreSecond)
 
-		// Phase 2: the tables are the all-to-all payloads.
-		payloads := make([]any, size)
+		// Phase 2: the exchange. The counts already sit with their
+		// owners, so it carries no payload; it is timed and billed as
+		// the routing it stands for, and as a collective it also orders
+		// every rank's last flush before any owner reads its table.
 		bytes := make([]int64, size)
 		perPair := int64(wireTotal / float64(size) / float64(size))
-		for d := range payloads {
-			payloads[d] = tabs[d]
+		for d := range bytes {
 			bytes[d] = perPair
 		}
-		incoming := c.AlltoAll(payloads, bytes)
+		c.AlltoAll(make([]any, size), bytes)
 
-		// Phase 3: owner-side merge + coverage cutoff.
-		// The union of the incoming tables is at least the largest of
-		// them and at most their sum; a k-mer worth keeping reaches
-		// its owner from several ranks, and measured at 8 ranks the
-		// union is 0.38-0.55 of the sum. Room for 0.6 of it spares the
-		// power of two the sum would round up to, and growth covers a
-		// world too small to repeat anything.
-		total, largest := 0, 0
-		for _, in := range incoming {
-			n := in.(*seq.KmerTable).Len()
-			total, largest = total+n, max(largest, n)
-		}
-		owned := seq.NewKmerTable(max(largest, total*3/5))
-		for _, in := range incoming {
-			in.(*seq.KmerTable).Each(func(_ int, km seq.Kmer, cnt uint32) { owned.Add(km, cnt) })
-		}
-		var survivors []kmerCount
-		owned.Each(func(_ int, km seq.Kmer, cnt uint32) {
-			if cnt >= uint32(p.MinCoverage) {
-				survivors = append(survivors, kmerCount{km, cnt})
-			}
-		})
+		// Phase 3: owner-side coverage cutoff.
+		survivors := own.survivors(c.Rank(), uint32(p.MinCoverage))
 
 		// Phase 4: gather survivors; rank 0 simplifies and walks.
 		survivorBytes := int64(assembler.DistinctKmers(req.FullScale) * 18 / float64(size))

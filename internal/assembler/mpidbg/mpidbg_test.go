@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rnascale/internal/assembler"
+	"rnascale/internal/mpi"
 	"rnascale/internal/seq"
 	"rnascale/internal/simdata"
 	"rnascale/internal/vclock"
@@ -59,6 +60,82 @@ func TestDistributedEqualsSingleRank(t *testing.T) {
 	for i := range single {
 		if string(single[i].Seq) != string(multi[i].Seq) {
 			t.Fatal("distributed assembly diverges from single-rank result")
+		}
+	}
+}
+
+// Counting every k-mer once, on its owner, from every rank at once must
+// give each owner exactly the single-threaded count of its partition,
+// and the survivors it hands to AllGather must be that partition's
+// k-mers at or above the cutoff, sorted by key — on the tiny profile's
+// reads and on seeded reads sprinkled with N, at 1, 3, 8 and 16 ranks.
+func TestOwnerCountsMatchReference(t *testing.T) {
+	ds, err := simdata.Generate(simdata.Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	_, shredded := shred(rng, 3000, 60, 3)
+	var withN []seq.Read
+	for _, r := range shredded {
+		s := append([]byte(nil), r.Seq...)
+		for rng.Intn(3) == 0 {
+			s[rng.Intn(len(s))] = 'N'
+		}
+		withN = append(withN, seq.Read{ID: r.ID, Seq: s})
+	}
+	const minCov = 2
+	for name, reads := range map[string][]seq.Read{"tiny": ds.Reads.Reads, "seeded-N": withN} {
+		for _, k := range []int{21, 31} {
+			coder, err := seq.NewKmerCoder(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := map[seq.Kmer]uint32{}
+			for _, r := range reads {
+				coder.ForEachCanonical(r.Seq, func(_ int, km seq.Kmer) bool {
+					ref[km]++
+					return true
+				})
+			}
+			for _, ranks := range []int{1, 3, 8, 16} {
+				own := newOwners(reads, k, ranks)
+				survivors := make([][]kmerCount, ranks)
+				if _, err := mpi.Run(mpi.DefaultConfig(ranks), func(c *mpi.Comm) error {
+					own.count(c, coder, reads)
+					c.Barrier()
+					survivors[c.Rank()] = own.survivors(c.Rank(), minCov)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				counted := 0
+				for d, tab := range own.tabs {
+					want := 0
+					tab.Each(func(_ int, km seq.Kmer, n uint32) {
+						counted++
+						if ref[km] != n || km.Hash()%uint64(ranks) != uint64(d) {
+							t.Fatalf("%s k=%d ranks=%d: owner %d holds %v×%d, reference %d (owner %d)",
+								name, k, ranks, d, km, n, ref[km], km.Hash()%uint64(ranks))
+						}
+						if n >= minCov {
+							want++
+						}
+					})
+					got := survivors[d]
+					if len(got) != want {
+						t.Fatalf("%s k=%d ranks=%d: owner %d hands over %d survivors, %d reach the cutoff", name, k, ranks, d, len(got), want)
+					}
+					for i, kc := range got {
+						if kc.n < minCov || ref[kc.km] != kc.n || (i > 0 && got[i-1].km.Compare(kc.km) >= 0) {
+							t.Fatalf("%s k=%d ranks=%d: owner %d survivor %d is %v×%d after %v", name, k, ranks, d, i, kc.km, kc.n, got[max(i-1, 0)].km)
+						}
+					}
+				}
+				if counted != len(ref) {
+					t.Fatalf("%s k=%d ranks=%d: owners hold %d k-mers, reference %d", name, k, ranks, counted, len(ref))
+				}
+			}
 		}
 	}
 }

@@ -59,3 +59,6 @@ func (r *Ray) EstimateTTC(req assembler.Request) (vclock.Duration, error) {
 	}
 	return mpidbg.Estimate(req, prof)
 }
+
+// EstimateHostBytes implements assembler.HostMemoryEstimator.
+func (r *Ray) EstimateHostBytes(req assembler.Request) int64 { return mpidbg.HostBytes(req) }

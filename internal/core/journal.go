@@ -435,6 +435,13 @@ func (jr *runJournal) unit(stage, name string, work pilot.WorkFunc, c unitCodec)
 	}
 }
 
+// replays reports whether the journal holds a unit's completion
+// record: every attempt of the unit is then served from it, and its
+// work never runs.
+func (jr *runJournal) replays(stage, name string) bool {
+	return jr != nil && len(jr.pendingUnits[unitKey(stage, name)]) > 0
+}
+
 // onUnitDone returns the UnitManager callback that checkpoints unit
 // completions for one stage (nil when not journaling).
 func (jr *runJournal) onUnitDone(stage string) func(u *pilot.Unit, at vclock.Time) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 
 	"rnascale/internal/assembler"
@@ -415,22 +416,32 @@ func (pl *Pipeline) assemble(fs simdata.FullScaleStats, cleaned seq.ReadSet, rep
 	// Contrail cannot handle N bases (the paper pre-processes P. Crispa
 	// for exactly this reason): it is fed the N-free subset, via the SFA
 	// conversion the paper charges 1 min for. Both are the same for
-	// every k, so the first Contrail unit to need them, live or
-	// replayed, makes them for the run (units run one at a time on the
-	// event loop) and each unit stages the one blob under its own name.
+	// every k: the subset is made before any assembly is computed, and
+	// the first Contrail unit to need the SFA, live or replayed, renders
+	// it for the run and each unit stages the one blob under its own
+	// name.
 	var nFree []seq.Read
+	nFreeReads := func() []seq.Read {
+		if nFree == nil {
+			nFree = dropNReads(cleaned.Reads)
+		}
+		return nFree
+	}
 	var sfa []byte
 	stageSFA := func(store *cluster.SharedStore, k int) error {
 		if sfa == nil {
-			nFree = dropNReads(cleaned.Reads)
-			buf := bytes.NewBuffer(make([]byte, 0, seq.SFASize(nFree)))
-			if err := seq.WriteSFA(buf, nFree); err != nil {
+			reads := nFreeReads()
+			buf := bytes.NewBuffer(make([]byte, 0, seq.SFASize(reads)))
+			if err := seq.WriteSFA(buf, reads); err != nil {
 				return err
 			}
 			sfa = buf.Bytes()
 		}
 		return store.Put(fmt.Sprintf("data/clean.k%d.sfa", k), sfa)
 	}
+	// A unit's assembly is a future, computed ahead of the event loop
+	// within the budget; a unit the journal replays gets none.
+	futures := newAssemblies(pbBytesPerBase * cleaned.TotalBases())
 	units := func(sx *stageExec) []pilot.UnitDescription {
 		cores := sx.cores
 		var descs []pilot.UnitDescription
@@ -438,13 +449,26 @@ func (pl *Pipeline) assemble(fs simdata.FullScaleStats, cleaned seq.ReadSet, rep
 			a, _ := assembler.Get(name)
 			jobNodes, rule := pbJobShape(cfg, a.Info(), sx.faas != nil)
 			for _, k := range kmers {
-				// The pilot runs the work before it learns whether the job's
-				// node outlived it, so a unit that loses its node comes back
-				// for another attempt. The assembly depends on nothing an
-				// attempt changes: it is computed once and every attempt
-				// repeats only the effects.
 				key := asmKey{name, k}
-				var assembled *assembler.Result
+				unit := fmt.Sprintf("%s-k%d", name, k)
+				future := -1
+				if !pl.jr.replays("PB", unit) {
+					req := assembler.Request{
+						Reads:        cleaned.Reads,
+						Params:       assembler.Params{K: k, MinCoverage: cfg.MinCoverage},
+						Nodes:        jobNodes,
+						CoresPerNode: cores,
+						FullScale:    asmFS,
+					}
+					if name == "contrail" {
+						req.Reads = nFreeReads()
+					}
+					hostBytes := int64(math.MaxInt64) // unknown: runs alone
+					if est, ok := a.(assembler.HostMemoryEstimator); ok {
+						hostBytes = est.EstimateHostBytes(req)
+					}
+					future = futures.add(hostBytes, func() (assembler.Result, error) { return a.Assemble(req) })
+				}
 				// done records an assembly, live or replayed (a replay's
 				// duration and memory come from the journal).
 				done := func(env *pilot.ExecEnv, res assembler.Result) (pilot.WorkResult, error) {
@@ -462,28 +486,21 @@ func (pl *Pipeline) assemble(fs simdata.FullScaleStats, cleaned seq.ReadSet, rep
 						Output:       asmOutput{key, res},
 					}, nil
 				}
+				// The pilot runs the work before it learns whether the job's
+				// node outlived it, so a unit that loses its node comes back
+				// for another attempt; every attempt awaits the same future
+				// and repeats only the effects.
 				work := func(env *pilot.ExecEnv) (pilot.WorkResult, error) {
-					jobReads := cleaned.Reads
 					if name == "contrail" {
 						if err := stageSFA(env.Store, k); err != nil {
 							return pilot.WorkResult{}, err
 						}
-						jobReads = nFree
 					}
-					if assembled == nil {
-						res, err := a.Assemble(assembler.Request{
-							Reads:        jobReads,
-							Params:       assembler.Params{K: k, MinCoverage: cfg.MinCoverage},
-							Nodes:        jobNodes,
-							CoresPerNode: cores,
-							FullScale:    asmFS,
-						})
-						if err != nil {
-							return pilot.WorkResult{}, err
-						}
-						assembled = &res
+					res, err := futures.await(future)
+					if err != nil {
+						return pilot.WorkResult{}, err
 					}
-					return done(env, *assembled)
+					return done(env, res)
 				}
 				codec := unitCodec{
 					encode: func(res pilot.WorkResult) (json.RawMessage, error) {
@@ -520,11 +537,11 @@ func (pl *Pipeline) assemble(fs simdata.FullScaleStats, cleaned seq.ReadSet, rep
 					},
 				}
 				descs = append(descs, pilot.UnitDescription{
-					Name:  fmt.Sprintf("%s-k%d", name, k),
+					Name:  unit,
 					Slots: jobNodes * cores,
 					Rule:  rule,
 					Retry: cfg.Retry.PB,
-					Work:  pl.jr.unit("PB", fmt.Sprintf("%s-k%d", name, k), work, codec),
+					Work:  pl.jr.unit("PB", unit, work, codec),
 				})
 			}
 		}
@@ -536,6 +553,7 @@ func (pl *Pipeline) assemble(fs simdata.FullScaleStats, cleaned seq.ReadSet, rep
 		memGB:      assembler.GraphMemoryGB(asmFS, cfg.NodesPerMPIJob),
 		stageBytes: fs.PostPreprocessBytes,
 		units:      units,
+		release:    futures.stop,
 		failed: func(_ *stageExec, u *pilot.Unit) error {
 			return fmt.Errorf("core: PB unit %s failed: %w", u.ID, u.Err)
 		},
@@ -699,6 +717,9 @@ type stageSpec struct {
 	// fold folds the finished units into the report and returns the
 	// stage note; an error fails the stage.
 	fold func(sx *stageExec, units []*pilot.Unit) (string, error)
+	// release, when set, runs however the stage ends: it joins what the
+	// units started beside the event loop.
+	release func()
 }
 
 // runStage runs one stage through the bracket every stage shares:
@@ -707,6 +728,9 @@ type stageSpec struct {
 // first cancelled or failed unit, fold, close the scope and report.
 // Every early exit goes through abort.
 func (pl *Pipeline) runStage(rep *Report, sp stageSpec) error {
+	if sp.release != nil {
+		defer sp.release()
+	}
 	backend, fallback := pl.routeBackend(sp.backend)
 	nodes := sp.nodes
 	if sp.cluster {

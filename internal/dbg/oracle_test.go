@@ -126,7 +126,7 @@ func referenceClipTips(g *Graph, maxKmers, rounds int) int {
 		}
 		removed := 0
 		for _, km := range doomed {
-			if g.nodes.Delete(km) {
+			if deleteKey(g, km) {
 				removed++
 			}
 		}
@@ -186,7 +186,7 @@ func referencePopBubbles(g *Graph, maxArm int) int {
 			}
 			for _, p := range drop {
 				canon, _ := g.coder.Canonical(p)
-				if g.nodes.Delete(canon) {
+				if deleteKey(g, canon) {
 					removed++
 				}
 			}
@@ -195,10 +195,20 @@ func referencePopBubbles(g *Graph, maxArm int) int {
 	return removed
 }
 
+// deleteKey removes km from the graph's table and reports whether it
+// was there.
+func deleteKey(g *Graph, km seq.Kmer) bool {
+	slot := g.nodes.Find(km)
+	if slot >= 0 {
+		g.nodes.DeleteAt(slot)
+	}
+	return slot >= 0
+}
+
 func referenceDropBelow(g *Graph, min uint32) {
 	g.nodes.Each(func(_ int, km seq.Kmer, c uint32) {
 		if c < min {
-			g.nodes.Delete(km)
+			deleteKey(g, km)
 		}
 	})
 }

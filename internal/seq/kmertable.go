@@ -105,16 +105,6 @@ func (t *KmerTable) At(slot int) (km Kmer, n uint32, ok bool) {
 	return km, t.vals[slot], isKey(km)
 }
 
-// Delete removes km and reports whether it was present.
-func (t *KmerTable) Delete(km Kmer) bool {
-	i := t.Find(km)
-	if i < 0 {
-		return false
-	}
-	t.DeleteAt(i)
-	return true
-}
-
 // DeleteAt removes the key held in slot, which must hold one. The slot
 // becomes a tombstone that the next growth reclaims.
 func (t *KmerTable) DeleteAt(slot int) {
