@@ -83,11 +83,34 @@ fuzz-smoke:
 		$(GO) test ./$${spec%%:*} -run '^$$' -fuzz "^$${spec##*:}$$" -fuzztime=$(FUZZ_TIME) || exit 1; \
 	done
 
+# determinism expands to one `go test -race` recipe line per
+# environment setting in $(1) and package:pattern spec in $(3), settings
+# outermost, with extra test flags $(2). A setting joins its VAR=value
+# assignments with `+`; an empty $(1) runs each spec once in the
+# inherited environment. Every line is a recipe line of its own, so
+# `make -n` prints the exact commands and the first failure stops make.
+define determinism
+$(foreach env,$(or $(1),+),$(if $(filter-out +,$(env)),@echo "$@: $(subst +, ,$(env))"
+)$(foreach spec,$(3),$(strip $(subst +, ,$(filter-out +,$(env))) $(GO) test -race $(2) -run '$(word 2,$(subst :, ,$(spec)))' ./$(word 1,$(subst :, ,$(spec))))
+))
+endef
+
+# The rebuilt data paths oracle-determinism checks, as package:pattern.
+ORACLE_FLAGS = -count=1 -cpu 1,2,8
+ORACLE_SPECS = internal/mapreduce:TestEngineMatchesReference \
+	internal/seq:MatchesReference|TestKmerTableMatchesMapModel \
+	internal/dbg:TestContigsIndependentOfInsertionOrder|TestEdgeBit|TestClipTipsLengthBoundary \
+	internal/merge:TestDropContainedMatchesReference \
+	internal/quant:TestAssignMatchesReference \
+	internal/assembler/mpidbg:TestPCrispaPins|TestOwnerCountsMatchReference \
+	internal/journal:TestScanMatchesReference \
+	internal/core:TestStageBracketPins|TestRetriedUnitAssemblesOnce|TestStoreManifest|TestResumeOfCompleteJournalAssemblesNothing|TestResumeAssemblesOnlyUnjournaledUnits|TestCutoffMidPBBoundsAssembles|TestRunLeavesNoGoroutines|TestAssemblies
+
 # sweep-determinism pins the parallel-executor contract under the
 # race detector: byte-identical results for any worker count, and one
 # dataset generation per profile however many cells ask for it.
 sweep-determinism:
-	$(GO) test -race -run 'TestMapDeterminismAcrossWorkerCounts|TestDatasetCacheSingleGeneration' ./internal/sweep
+	$(call determinism,,,internal/sweep:TestMapDeterminismAcrossWorkerCounts|TestDatasetCacheSingleGeneration)
 
 # oracle-determinism pins each rebuilt data path against the reference
 # it replaced, under the race detector at GOMAXPROCS 1, 2 and 8. The
@@ -116,14 +139,7 @@ sweep-determinism:
 # it reached, the futures' budget, order and join, and no goroutine
 # outliving a run.
 oracle-determinism:
-	$(GO) test -race -count=1 -cpu 1,2,8 -run 'TestEngineMatchesReference' ./internal/mapreduce
-	$(GO) test -race -count=1 -cpu 1,2,8 -run 'MatchesReference|TestKmerTableMatchesMapModel' ./internal/seq
-	$(GO) test -race -count=1 -cpu 1,2,8 -run 'TestContigsIndependentOfInsertionOrder|TestEdgeBit|TestClipTipsLengthBoundary' ./internal/dbg
-	$(GO) test -race -count=1 -cpu 1,2,8 -run 'TestDropContainedMatchesReference' ./internal/merge
-	$(GO) test -race -count=1 -cpu 1,2,8 -run 'TestAssignMatchesReference' ./internal/quant
-	$(GO) test -race -count=1 -cpu 1,2,8 -run 'TestPCrispaPins|TestOwnerCountsMatchReference' ./internal/assembler/mpidbg
-	$(GO) test -race -count=1 -cpu 1,2,8 -run 'TestScanMatchesReference' ./internal/journal
-	$(GO) test -race -count=1 -cpu 1,2,8 -run 'TestStageBracketPins|TestRetriedUnitAssemblesOnce|TestStoreManifest|TestResumeOfCompleteJournalAssemblesNothing|TestResumeAssemblesOnlyUnjournaledUnits|TestCutoffMidPBBoundsAssembles|TestRunLeavesNoGoroutines|TestAssemblies' ./internal/core
+	$(call determinism,,$(ORACLE_FLAGS),$(ORACLE_SPECS))
 
 # journal-determinism pins the checkpoint/resume contract: a run is
 # killed at three injected virtual-time points (mid-PA, mid-PB,
@@ -139,10 +155,7 @@ oracle-determinism:
 # append), 8 and 64: batching changes when fsyncs happen, never what
 # resumes read.
 journal-determinism:
-	@for b in 1 8 64; do \
-		echo "journal-determinism: JOURNAL_BATCH=$$b"; \
-		JOURNAL_BATCH=$$b $(GO) test -race -run 'TestKillAndResumeByteIdentical|TestResumeOfCompleteJournal|TestResumeAfterTornTail|TestChaosDriverCrashResumeSoak|TestStageBracketPins' ./internal/core || exit 1; \
-	done
+	$(call determinism,JOURNAL_BATCH=1 JOURNAL_BATCH=8 JOURNAL_BATCH=64,,internal/core:TestKillAndResumeByteIdentical|TestResumeOfCompleteJournal|TestResumeAfterTornTail|TestChaosDriverCrashResumeSoak|TestStageBracketPins)
 
 # overload-determinism pins the overload-protection contract: the
 # chaos soak (deadlines, cancellation, retry budgets, breakers, and
@@ -153,10 +166,7 @@ journal-determinism:
 # Pinned across 2 worker counts × 2 group-commit batch sizes: neither
 # scheduling nor fsync batching may leak into overload decisions.
 overload-determinism:
-	@for w in 1 4; do for b in 1 64; do \
-		echo "overload-determinism: OVERLOAD_WORKERS=$$w JOURNAL_BATCH=$$b"; \
-		OVERLOAD_WORKERS=$$w JOURNAL_BATCH=$$b $(GO) test -race -run 'TestChaosOverloadSoak|TestDeadlineCancelResumeByteIdentical|TestBreakerConvertsReclaimStorm' ./internal/core || exit 1; \
-	done; done
+	$(call determinism,OVERLOAD_WORKERS=1+JOURNAL_BATCH=1 OVERLOAD_WORKERS=1+JOURNAL_BATCH=64 OVERLOAD_WORKERS=4+JOURNAL_BATCH=1 OVERLOAD_WORKERS=4+JOURNAL_BATCH=64,,internal/core:TestChaosOverloadSoak|TestDeadlineCancelResumeByteIdentical|TestBreakerConvertsReclaimStorm)
 
 # check is the gate a change must pass before review: static analysis
 # (go vet plus the rnavet determinism analyzer), the full test suite

@@ -7,11 +7,8 @@ import (
 	"rnascale/internal/assembler"
 	"rnascale/internal/assembler/abyss"
 	"rnascale/internal/assembler/contrail"
-	"rnascale/internal/assembler/idba"
-	"rnascale/internal/assembler/minia"
 	"rnascale/internal/assembler/oases"
 	"rnascale/internal/assembler/ray"
-	"rnascale/internal/assembler/swap"
 	"rnascale/internal/assembler/trinity"
 	"rnascale/internal/assembler/velvet"
 )
@@ -21,15 +18,9 @@ func init() {
 	assembler.Register(&ray.Ray{})
 	assembler.Register(&abyss.ABySS{})
 	assembler.Register(&contrail.Contrail{})
-	// Rnnotator's stock single-node k-mer assemblers ("assemblers
-	// such as Velvet, Oases, Ray, IDBA, and Minia can be used").
+	// The single-node Velvet/Oases baselines.
 	assembler.Register(&velvet.Velvet{})
 	assembler.Register(&oases.Oases{})
-	assembler.Register(&idba.IDBA{})
-	assembler.Register(&minia.Minia{})
 	// The Table V external comparator.
 	assembler.Register(&trinity.Trinity{})
-	// Tested-and-excluded in the paper (k ≤ 31 only); registered so
-	// the exclusion is reproducible.
-	assembler.Register(&swap.SWAP{})
 }

@@ -15,9 +15,9 @@ func TestEstimatesTrackMeasurements(t *testing.T) {
 	reads := cleanReads(ds)
 	fs := simdata.BGlumae().FullScale
 	tolerance := map[string]float64{
-		"ray": 0.15, "abyss": 0.15, "swap": 0.25,
+		"ray": 0.15, "abyss": 0.15,
 		"contrail": 0.40, // its record volumes are approximated
-		"velvet":   0.01, "oases": 0.01, "idba": 0.01, "minia": 0.01, "trinity": 0.01,
+		"velvet":   0.01, "oases": 0.01, "trinity": 0.01,
 	}
 	for _, a := range assembler.List() {
 		name := a.Info().Name
@@ -30,13 +30,14 @@ func TestEstimatesTrackMeasurements(t *testing.T) {
 		if !a.Info().MultiNode() {
 			nodes = 1
 		}
-		k := 21
-		if name == "swap" {
-			k = 25
+		tol, ok := tolerance[name]
+		if !ok {
+			t.Errorf("%s has no tolerance entry", name)
+			continue
 		}
 		req := assembler.Request{
 			Reads:  reads,
-			Params: assembler.Params{K: k, MinCoverage: 2},
+			Params: assembler.Params{K: 21, MinCoverage: 2},
 			Nodes:  nodes, CoresPerNode: 8,
 			FullScale: fs,
 		}
@@ -51,7 +52,6 @@ func TestEstimatesTrackMeasurements(t *testing.T) {
 			continue
 		}
 		ratio := predicted.Seconds() / res.TTC.Seconds()
-		tol := tolerance[name]
 		if ratio < 1-tol || ratio > 1+tol {
 			t.Errorf("%s: predicted %v vs measured %v (ratio %.2f, tol %.0f%%)",
 				name, predicted, res.TTC, ratio, tol*100)

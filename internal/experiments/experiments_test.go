@@ -12,6 +12,10 @@ func TestTable1ListsPaperTools(t *testing.T) {
 			t.Errorf("table1 missing %q:\n%s", want, s)
 		}
 	}
+	// A title line and a column header, then one row per assembler.
+	if rows := strings.Count(s, "\n") - 2; rows != 6 {
+		t.Errorf("table1 has %d data rows, want 6:\n%s", rows, s)
+	}
 }
 
 func TestTable2MatchesPaperColumns(t *testing.T) {

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"rnascale/internal/assembler"
 )
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
@@ -49,8 +51,14 @@ func TestProfilesAndAssemblers(t *testing.T) {
 	}
 	var tools []map[string]any
 	getJSON(t, ts.URL+"/api/assemblers", &tools)
-	if len(tools) < 8 {
-		t.Errorf("%d assemblers", len(tools))
+	registered := assembler.List()
+	if len(tools) != len(registered) {
+		t.Fatalf("%d assemblers, registry has %d", len(tools), len(registered))
+	}
+	for i, a := range registered {
+		if tools[i]["name"] != a.Info().Name {
+			t.Errorf("assembler %d: %v, want %s", i, tools[i]["name"], a.Info().Name)
+		}
 	}
 }
 

@@ -35,6 +35,7 @@ package rnascale
 import (
 	"fmt"
 
+	"rnascale/internal/assembler"
 	_ "rnascale/internal/assembler/all" // register the Table I assemblers
 	"rnascale/internal/cloud"
 	"rnascale/internal/core"
@@ -284,9 +285,13 @@ func Resume(ds *Dataset, cfg Config, path string) (*Report, error) {
 	return core.Resume(ds, cfg, path)
 }
 
-// Assemblers lists the names of the integrated de novo assemblers:
-// the paper's three distributed tools (Table I), Rnnotator's stock
-// single-node k-mer assemblers, and the Trinity comparator.
+// Assemblers lists the names of the registered de novo assemblers,
+// sorted: the paper's three distributed tools (Table I), the
+// Velvet/Oases baselines, and the Trinity comparator.
 func Assemblers() []string {
-	return []string{"ray", "abyss", "contrail", "velvet", "oases", "idba", "minia", "trinity"}
+	var names []string
+	for _, a := range assembler.List() {
+		names = append(names, a.Info().Name)
+	}
+	return names
 }

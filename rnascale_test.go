@@ -3,10 +3,12 @@
 package rnascale_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"rnascale"
+	"rnascale/internal/assembler"
 )
 
 func TestPublicQuickstartFlow(t *testing.T) {
@@ -53,17 +55,16 @@ func TestPublicProfiles(t *testing.T) {
 
 func TestPublicAssemblerList(t *testing.T) {
 	names := rnascale.Assemblers()
-	if len(names) != 8 {
-		t.Fatalf("assemblers %v", names)
+	want := []string{"abyss", "contrail", "oases", "ray", "trinity", "velvet"}
+	if !slices.Equal(names, want) {
+		t.Fatalf("assemblers %v, want %v", names, want)
 	}
-	want := map[string]bool{
-		"ray": true, "abyss": true, "contrail": true, "velvet": true,
-		"oases": true, "idba": true, "minia": true, "trinity": true,
+	var registered []string
+	for _, a := range assembler.List() {
+		registered = append(registered, a.Info().Name)
 	}
-	for _, n := range names {
-		if !want[n] {
-			t.Errorf("unexpected assembler %q", n)
-		}
+	if !slices.Equal(names, registered) {
+		t.Fatalf("assemblers %v, registry %v", names, registered)
 	}
 	// Every listed assembler must actually run end-to-end through the
 	// pipeline as a single-assembler option.
