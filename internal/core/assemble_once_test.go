@@ -258,9 +258,10 @@ func leakedGoroutines(before map[string]string) []string {
 
 // No goroutine a run starts outlives it, however the run ends: it
 // completes, is cut off in PB, fails a PB unit after assembling an
-// earlier one, or crashes mid-PB and is resumed. slowRay holds k=25
-// four times 50 ms longer than k=21, so a k=25 assembly left running
-// beside a failed stage is still there to be seen.
+// earlier one, or crashes mid-PB and is resumed. No goroutine a Predict
+// starts outlives it either. slowRay holds k=25 four times 50 ms longer
+// than k=21, so a k=25 assembly left running beside a failed stage is
+// still there to be seen.
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	ds, err := simdata.GenerateCached(simdata.Tiny())
 	if err != nil {
@@ -294,6 +295,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 	isNil := func(err error) bool { return err == nil }
 
 	check("complete", func() error { _, err := Run(ds, base); return err }, isNil)
+	check("predict", func() error { _, err := Predict(ds, base); return err }, isNil)
 
 	cut := base
 	cut.Deadline = vclock.Duration(midPB)

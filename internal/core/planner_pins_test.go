@@ -36,10 +36,17 @@ func planPinConfigs() []Config {
 	return cfgs
 }
 
-// planPins renders every pinned prediction, one line per (profile,
-// config), with exact float values.
-func planPins() string {
+// planLine renders a plan's numbers with exact float values.
+func planLine(p Plan) string {
 	exact := func(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
+	return fmt.Sprintf("transfer=%s pa=%s pb=%s pc=%s ttc=%s cost=%s nodes=%d type=%s",
+		exact(float64(p.Transfer)), exact(float64(p.PA)), exact(float64(p.PB)), exact(float64(p.PC)),
+		exact(float64(p.TTC)), exact(p.CostUSD), p.AssemblyNodes, p.InstanceType)
+}
+
+// planPins renders every pinned prediction, one line per (profile,
+// config).
+func planPins() string {
 	var b strings.Builder
 	for _, prof := range []simdata.Profile{simdata.Tiny(), simdata.BGlumae(), simdata.PCrispa()} {
 		ds := &simdata.Dataset{Profile: prof}
@@ -51,9 +58,7 @@ func planPins() string {
 				fmt.Fprintf(&b, "error %v\n", err)
 				continue
 			}
-			fmt.Fprintf(&b, "transfer=%s pa=%s pb=%s pc=%s ttc=%s cost=%s nodes=%d type=%s\n",
-				exact(float64(p.Transfer)), exact(float64(p.PA)), exact(float64(p.PB)), exact(float64(p.PC)),
-				exact(float64(p.TTC)), exact(p.CostUSD), p.AssemblyNodes, p.InstanceType)
+			fmt.Fprintf(&b, "%s\n", planLine(p))
 		}
 	}
 	return b.String()

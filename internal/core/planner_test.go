@@ -1,10 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
 
+	"rnascale/internal/cloud"
+	"rnascale/internal/faults"
+	"rnascale/internal/journal"
+	"rnascale/internal/obs"
 	"rnascale/internal/simdata"
 )
 
@@ -41,6 +46,74 @@ func TestPredictTracksRun(t *testing.T) {
 		}
 		if !strings.Contains(plan.String(), "TTC") {
 			t.Error("plan string malformed")
+		}
+	}
+}
+
+// Predict prices the uncut, fault-free run and executes none of it. A
+// deadline, a cancellation point, a fault plan, a journal, a caller's
+// tracer and truth evaluation leave the plan bit-identical; the journal
+// gets no record, the tracer no span and the assembler no call; and a
+// dataset without reads plans.
+func TestPredictRunsNothing(t *testing.T) {
+	ds := tinyDS(t)
+	crash, err := faults.ParseSpec("crash:at=900,vm=2;drivercrash:at=1200")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := tinyConfig()
+	base.Assemblers = []string{"countray", "contrail"}
+	base.EvaluateAgainstTruth = false
+	spot := base
+	spot.Scheme = S1
+	spot.Backends = StageBackends{PA: cloud.Spot, PB: cloud.Spot, PC: cloud.Spot}
+	mixed := base
+	mixed.Assemblers = []string{"countray"}
+	mixed.Backends = StageBackends{PA: cloud.Spot, PB: cloud.Serverless, PC: cloud.OnDemand}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"on-demand", base}, {"spot", spot}, {"mixed", mixed}} {
+		name, cfg := tc.name, tc.cfg
+		countRay.calls.Store(0)
+		want, err := Predict(ds, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var sink bytes.Buffer
+		w := journal.NewWriter(&sink)
+		o := obs.New()
+		cut := cfg
+		cut.Deadline = want.TTC / 2
+		cut.CancelAt = want.TTC / 3
+		cut.FaultPlan = crash
+		cut.Journal = w
+		cut.Obs = o
+		cut.EvaluateAgainstTruth = true
+		got, err := Predict(ds, cut)
+		if err != nil {
+			t.Fatalf("%s with every run-only knob: %v", name, err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if planLine(got) != planLine(want) {
+			t.Errorf("%s: the run-only knobs moved the plan:\n got %s\nwant %s", name, planLine(got), planLine(want))
+		}
+		if sink.Len() != 0 {
+			t.Errorf("%s: Predict wrote %d journal bytes", name, sink.Len())
+		}
+		if n := o.Tracer.Len(); n != 0 {
+			t.Errorf("%s: Predict left %d spans on the caller's tracer", name, n)
+		}
+		if n := countRay.calls.Load(); n != 0 {
+			t.Errorf("%s: Predict made %d Assemble calls", name, n)
+		}
+		readless, err := Predict(&simdata.Dataset{Profile: ds.Profile}, cfg)
+		if err != nil {
+			t.Errorf("%s: a dataset without reads does not plan: %v", name, err)
+		} else if planLine(readless) != planLine(want) {
+			t.Errorf("%s: the reads moved the plan:\n got %s\nwant %s", name, planLine(readless), planLine(want))
 		}
 	}
 }
