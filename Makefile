@@ -104,7 +104,7 @@ ORACLE_SPECS = internal/mapreduce:TestEngineMatchesReference \
 	internal/quant:TestAssignMatchesReference \
 	internal/assembler/mpidbg:TestPCrispaPins|TestOwnerCountsMatchReference \
 	internal/journal:TestScanMatchesReference \
-	internal/core:TestStageBracketPins|TestRetriedUnitAssemblesOnce|TestStoreManifest|TestResumeOfCompleteJournalAssemblesNothing|TestResumeAssemblesOnlyUnjournaledUnits|TestCutoffMidPBBoundsAssembles|TestRunLeavesNoGoroutines|TestAssemblies
+	internal/core:TestStageBracketPins|TestRetriedUnitAssemblesOnce|TestStoreManifest|TestResumeOfCompleteJournalAssemblesNothing|TestResumeAssemblesOnlyUnjournaledUnits|TestCutoffMidPBBoundsAssembles|TestRunLeavesNoGoroutines|TestAssemblies|TestPlanPins|TestPredictRunsNothing|TestPredictTracksRun
 
 # sweep-determinism pins the parallel-executor contract under the
 # race detector: byte-identical results for any worker count, and one
@@ -137,7 +137,9 @@ sweep-determinism:
 # core count, a resume assembling exactly the units its journal lacks,
 # a cut-off PB computing at most one assembly per core beyond the units
 # it reached, the futures' budget, order and join, and no goroutine
-# outliving a run.
+# outliving a run. The planner, a dry run of the same pilot and SGE
+# machinery: every pinned plan, a Predict that runs nothing, and plans
+# that track their runs, independent of host cores.
 oracle-determinism:
 	$(call determinism,,$(ORACLE_FLAGS),$(ORACLE_SPECS))
 

@@ -282,17 +282,3 @@ func (m *SpotMarket) ReclaimAt(vmID, az string, from vclock.Time) (vclock.Time, 
 	}
 	return 0, false
 }
-
-// ExpectedReclaims sums the per-step reclaim probabilities over a
-// window — the RNG-free reclaim-pressure estimate the planner uses to
-// inflate spot TTC/cost predictions without consuming any stream.
-func (m *SpotMarket) ExpectedReclaims(az string, from, to vclock.Time) float64 {
-	if to <= from {
-		return 0
-	}
-	var sum float64
-	for i := m.step(from) + 1; i <= m.step(to); i++ {
-		sum += m.reclaimP(m.fracAt(az, i))
-	}
-	return sum
-}

@@ -170,31 +170,6 @@ func TestSpotReclaimCoupledToPrice(t *testing.T) {
 	}
 }
 
-func TestSpotExpectedReclaims(t *testing.T) {
-	m := NewSpotMarket(SpotOptions{Seed: 2, InitialFrac: 1.0, FloorFrac: 0.99, CeilFrac: 1.01, ReclaimKnee: 0.5, MaxReclaimPerStep: 0.1})
-	if got := m.ExpectedReclaims("a", 100, 100); got != 0 {
-		t.Errorf("empty window expectation = %v", got)
-	}
-	step := m.Options().Step
-	// Ten full steps above the knee ≈ 10 × ~0.1 (walk hovers at ~1.0,
-	// near the top of the knee→ceiling ramp).
-	e := m.ExpectedReclaims("a", 0, vclock.Time(float64(step)*10))
-	if e < 0.5 || e > 1.1 {
-		t.Errorf("expectation over 10 hot steps = %v, want ≈1", e)
-	}
-	// RNG-free: computing it twice (and on a fresh same-seed market)
-	// gives the same value, and it does not disturb reclaim draws.
-	m2 := NewSpotMarket(SpotOptions{Seed: 2, InitialFrac: 1.0, FloorFrac: 0.99, CeilFrac: 1.01, ReclaimKnee: 0.5, MaxReclaimPerStep: 0.1})
-	at1, ok1 := m.ReclaimAt("i-000009", "a", 0)
-	at2, ok2 := m2.ReclaimAt("i-000009", "a", 0)
-	if ok1 != ok2 || at1 != at2 {
-		t.Error("ExpectedReclaims perturbed reclaim draws")
-	}
-	if e2 := m2.ExpectedReclaims("a", 0, vclock.Time(float64(step)*10)); e2 != e {
-		t.Errorf("expectation not reproducible: %v vs %v", e2, e)
-	}
-}
-
 func TestRunInstancesOnSpot(t *testing.T) {
 	p := newSpotProvider(21)
 	vms, err := p.RunInstancesOn("c3.2xlarge", 2, Spot)

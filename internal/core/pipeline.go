@@ -54,6 +54,11 @@ type Pipeline struct {
 	// sxs are the stage vehicles launched so far, in stage order (the
 	// conventional pattern's one pilot appears once per stage).
 	sxs []*stageExec
+
+	// estimate makes the run Predict's dry run: each unit's work returns
+	// its cost model instead of computing, and no stage touches the reads
+	// or the stores.
+	estimate bool
 }
 
 // New builds a pipeline with a fresh simulated cloud.
@@ -283,6 +288,24 @@ func pbJobShape(cfg Config, info assembler.Info, serverless bool) (int, sge.Allo
 	return nodes, rule
 }
 
+// estimateAssembly is a PB unit's work in a dry run: the assembler's
+// TTC estimate for the request (plus Contrail's SFA conversion), at the
+// graph's per-node memory.
+func estimateAssembly(a assembler.Assembler, req assembler.Request) (pilot.WorkResult, error) {
+	est, ok := a.(assembler.TTCEstimator)
+	if !ok {
+		return pilot.WorkResult{}, fmt.Errorf("core: %s offers no TTC estimation", a.Info().Name)
+	}
+	d, err := est.EstimateTTC(req)
+	if err != nil {
+		return pilot.WorkResult{}, err
+	}
+	if a.Info().Name == "contrail" {
+		d += sfaConversion
+	}
+	return pilot.WorkResult{Duration: d, PeakMemoryGB: assembler.GraphMemoryGB(req.FullScale, req.Nodes)}, nil
+}
+
 // preprocess runs PA, sharding the raw reads (fragment-preserving) for
 // data-parallel cleaning; a single shard is the paper's stock
 // single-VM PA. It returns the cleaned reads.
@@ -304,7 +327,10 @@ func (pl *Pipeline) preprocess(ds *simdata.Dataset, rep *Report) (seq.ReadSet, e
 	err := pl.runStage(rep, stageSpec{
 		name: "PA", backend: cfg.Backends.PA, nodes: nodes, memGB: preModel.MemoryGB(fs),
 		units: func(sx *stageExec) []pilot.UnitDescription {
-			shardReads := shardReadSet(ds.Reads, shards)
+			var shardReads []seq.ReadSet
+			if !pl.estimate {
+				shardReads = shardReadSet(ds.Reads, shards)
+			}
 			var descs []pilot.UnitDescription
 			for s := 0; s < shards; s++ {
 				descs = append(descs, pilot.UnitDescription{
@@ -314,7 +340,9 @@ func (pl *Pipeline) preprocess(ds *simdata.Dataset, rep *Report) (seq.ReadSet, e
 					Retry: cfg.Retry.PA,
 					Work: pl.jr.unit("PA", fmt.Sprintf("preprocess-%d", s),
 						func(env *pilot.ExecEnv) (pilot.WorkResult, error) {
-							shardClean[s], shardStats[s] = preprocess.Run(shardReads[s], cfg.Preprocess)
+							if !pl.estimate {
+								shardClean[s], shardStats[s] = preprocess.Run(shardReads[s], cfg.Preprocess)
+							}
 							return pilot.WorkResult{
 								Duration:     preModel.Duration(fsShard, env.Slots),
 								PeakMemoryGB: preModel.MemoryGB(fsShard),
@@ -347,6 +375,10 @@ func (pl *Pipeline) preprocess(ds *simdata.Dataset, rep *Report) (seq.ReadSet, e
 			return fmt.Errorf("core: PA pre-processing failed on %s: %w", sx.instance, u.Err)
 		},
 		fold: func(sx *stageExec, _ []*pilot.Unit) (string, error) {
+			if pl.estimate {
+				// No statistics, so Run keeps the a-priori k-mer plan.
+				return "estimated", nil
+			}
 			var st preprocess.Stats
 			for _, s := range shardStats {
 				st = combineStats(st, s)
@@ -451,15 +483,15 @@ func (pl *Pipeline) assemble(fs simdata.FullScaleStats, cleaned seq.ReadSet, rep
 			for _, k := range kmers {
 				key := asmKey{name, k}
 				unit := fmt.Sprintf("%s-k%d", name, k)
+				req := assembler.Request{
+					Params:       assembler.Params{K: k, MinCoverage: cfg.MinCoverage},
+					Nodes:        jobNodes,
+					CoresPerNode: cores,
+					FullScale:    asmFS,
+				}
 				future := -1
-				if !pl.jr.replays("PB", unit) {
-					req := assembler.Request{
-						Reads:        cleaned.Reads,
-						Params:       assembler.Params{K: k, MinCoverage: cfg.MinCoverage},
-						Nodes:        jobNodes,
-						CoresPerNode: cores,
-						FullScale:    asmFS,
-					}
+				if !pl.estimate && !pl.jr.replays("PB", unit) {
+					req.Reads = cleaned.Reads
 					if name == "contrail" {
 						req.Reads = nFreeReads()
 					}
@@ -491,6 +523,9 @@ func (pl *Pipeline) assemble(fs simdata.FullScaleStats, cleaned seq.ReadSet, rep
 				// for another attempt; every attempt awaits the same future
 				// and repeats only the effects.
 				work := func(env *pilot.ExecEnv) (pilot.WorkResult, error) {
+					if pl.estimate {
+						return estimateAssembly(a, req)
+					}
 					if name == "contrail" {
 						if err := stageSFA(env.Store, k); err != nil {
 							return pilot.WorkResult{}, err
@@ -581,6 +616,15 @@ func (pl *Pipeline) postprocess(fs simdata.FullScaleStats, cleaned seq.ReadSet,
 		}
 	}
 	work := func(env *pilot.ExecEnv) (pilot.WorkResult, error) {
+		res := pilot.WorkResult{Duration: postModel.Duration(fs, env.Slots), PeakMemoryGB: postModel.MemoryGB(fs)}
+		if cfg.ConditionB != nil {
+			// The differential-expression step is charged as a second
+			// quantification pass.
+			res.Duration *= 2
+		}
+		if pl.estimate {
+			return res, nil
+		}
 		// Merge each assembler's multi-k sets, then the MAMP union
 		// (optionally with cross-assembler consensus validation).
 		var all [][]seq.FastaRecord
@@ -615,11 +659,9 @@ func (pl *Pipeline) postprocess(fs simdata.FullScaleStats, cleaned seq.ReadSet,
 			return pilot.WorkResult{}, err
 		}
 		rep.Quant = q
-		dur := postModel.Duration(fs, env.Slots)
 		if cfg.ConditionB != nil {
 			// Optional differential-expression step: clean and
-			// quantify the second condition, then test — charged as
-			// a second quantification pass.
+			// quantify the second condition, then test.
 			cleanB, _ := preprocess.Run(*cfg.ConditionB, cfg.Preprocess)
 			qb, err := quant.Quantify(final, cleanB.Reads, quant.DefaultOptions())
 			if err != nil {
@@ -645,12 +687,8 @@ func (pl *Pipeline) postprocess(fs simdata.FullScaleStats, cleaned seq.ReadSet,
 				return pilot.WorkResult{}, fmt.Errorf("differential expression: %w", err)
 			}
 			rep.DiffExpr = rows
-			dur += postModel.Duration(fs, env.Slots)
 		}
-		return pilot.WorkResult{
-			Duration:     dur,
-			PeakMemoryGB: postModel.MemoryGB(fs),
-		}, nil
+		return res, nil
 	}
 	codec := unitCodec{
 		encode: func(pilot.WorkResult) (json.RawMessage, error) {

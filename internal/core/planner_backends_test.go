@@ -151,8 +151,9 @@ func TestFrontierEdgeCases(t *testing.T) {
 }
 
 // Backend-aware predictions must track the simulation the same way the
-// on-demand path does (tolerances widened: the spot walk and cold-start
-// bursts add variance the closed-form path doesn't have).
+// on-demand path does: the dry run walks the same spot market and the
+// same function runner, so only the assembler TTC estimates separate
+// plan from run, and the bands are TestPredictTracksRun's.
 func TestPredictTracksRunBackends(t *testing.T) {
 	ds := tinyDS(t)
 	for _, tc := range []struct {
@@ -187,11 +188,11 @@ func TestPredictTracksRunBackends(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		ttcRatio := plan.TTC.Seconds() / rep.TTC.Seconds()
-		if ttcRatio < 0.5 || ttcRatio > 2.0 {
+		if ttcRatio < 0.95 || ttcRatio > 1.25 {
 			t.Errorf("%s: predicted TTC %v vs actual %v (ratio %.2f)", tc.name, plan.TTC, rep.TTC, ttcRatio)
 		}
 		costRatio := plan.CostUSD / rep.CostUSD
-		if costRatio < 0.4 || costRatio > 2.5 {
+		if costRatio < 0.95 || costRatio > 1.4 {
 			t.Errorf("%s: predicted cost $%.4f vs actual $%.4f (ratio %.2f)", tc.name, plan.CostUSD, rep.CostUSD, costRatio)
 		}
 		if plan.AssemblyNodes != rep.AssemblyNodes {

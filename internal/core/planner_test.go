@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"rnascale/internal/cloud"
@@ -11,10 +12,16 @@ import (
 	"rnascale/internal/journal"
 	"rnascale/internal/obs"
 	"rnascale/internal/simdata"
+	"rnascale/internal/vclock"
 )
 
 // The planner's reason for existing: its predictions must track the
-// simulation closely enough to base scheduling decisions on.
+// simulation closely enough to base scheduling decisions on. On-demand
+// and fault-free, the dry run is the run for every stage whose work
+// has an exact cost model: the upload, PA, PC, the PB cluster size and
+// the first stage's flavour match exactly. Only PB's assembler TTC
+// estimates differ from the assemblies (Contrail's overshoots most), and
+// the TTC and cost bands are set by them.
 func TestPredictTracksRun(t *testing.T) {
 	ds := tinyDS(t)
 	for _, cfg := range []Config{
@@ -27,22 +34,31 @@ func TestPredictTracksRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", cfg.Assemblers, err)
 		}
-		rep, err := Run(ds, cfg)
+		pl := New(cfg)
+		rep, err := pl.Run(ds)
 		if err != nil {
 			t.Fatalf("%v: %v", cfg.Assemblers, err)
 		}
 		ttcRatio := plan.TTC.Seconds() / rep.TTC.Seconds()
-		if ttcRatio < 0.75 || ttcRatio > 1.35 {
+		if ttcRatio < 0.95 || ttcRatio > 1.25 {
 			t.Errorf("%v %v: predicted TTC %v vs actual %v (ratio %.2f)",
 				cfg.Assemblers, cfg.Scheme, plan.TTC, rep.TTC, ttcRatio)
 		}
 		costRatio := plan.CostUSD / rep.CostUSD
-		if costRatio < 0.6 || costRatio > 1.6 {
+		if costRatio < 0.95 || costRatio > 1.4 {
 			t.Errorf("%v %v: predicted cost $%.2f vs actual $%.2f (ratio %.2f)",
 				cfg.Assemblers, cfg.Scheme, plan.CostUSD, rep.CostUSD, costRatio)
 		}
+		for name, d := range map[string]vclock.Duration{"transfer": plan.Transfer, "PA": plan.PA, "PC": plan.PC} {
+			if s, _ := rep.Stage(name); d != s.Duration() {
+				t.Errorf("%v %v: predicted %s %v, actual %v", cfg.Assemblers, cfg.Scheme, name, d, s.Duration())
+			}
+		}
 		if plan.AssemblyNodes != rep.AssemblyNodes {
 			t.Errorf("predicted %d PB nodes, actual %d", plan.AssemblyNodes, rep.AssemblyNodes)
+		}
+		if plan.InstanceType != pl.sxs[0].instance {
+			t.Errorf("predicted instance type %s, actual %s", plan.InstanceType, pl.sxs[0].instance)
 		}
 		if !strings.Contains(plan.String(), "TTC") {
 			t.Error("plan string malformed")
@@ -114,6 +130,27 @@ func TestPredictRunsNothing(t *testing.T) {
 			t.Errorf("%s: a dataset without reads does not plan: %v", name, err)
 		} else if planLine(readless) != planLine(want) {
 			t.Errorf("%s: the reads moved the plan:\n got %s\nwant %s", name, planLine(readless), planLine(want))
+		}
+	}
+	// Dry runs share only the dataset and the assemblers, as the
+	// gateway's concurrent admissions do: concurrent ones agree.
+	lines := make([]string, 4)
+	var wg sync.WaitGroup
+	for i := range lines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p, err := Predict(ds, mixed)
+			if err != nil {
+				t.Error(err)
+			}
+			lines[i] = planLine(p)
+		}()
+	}
+	wg.Wait()
+	for _, l := range lines[1:] {
+		if l != lines[0] {
+			t.Errorf("concurrent dry runs disagree:\n%s\n%s", l, lines[0])
 		}
 	}
 }
@@ -255,6 +292,10 @@ func TestOptimizeErrors(t *testing.T) {
 	bad.Assemblers = []string{"nope"}
 	if _, err := Optimize(ds, []Config{bad}, MinimizeTTC); err == nil {
 		t.Error("all-infeasible candidates accepted")
+	}
+	// Frontier says why no candidate is feasible, as Optimize does.
+	if _, err := Frontier(ds, []Config{bad}); err == nil || !strings.Contains(err.Error(), `"nope"`) {
+		t.Errorf("all-infeasible frontier error does not carry the cause: %v", err)
 	}
 	if MinimizeTTC.String() != "TTC" || MinimizeCost.String() != "cost" {
 		t.Error("objective strings")

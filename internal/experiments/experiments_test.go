@@ -273,17 +273,19 @@ func TestBackendGridFrontier(t *testing.T) {
 	if !sawSpot || !sawFn {
 		t.Errorf("frontier lacks a spot or serverless point (spot=%v serverless=%v)", sawSpot, sawFn)
 	}
-	// Every frontier point was simulated, and the plan tracks the run
-	// (loose: the serverless single-core estimates carry known bias).
+	// Every frontier point was simulated, and the plan tracks the run.
+	// TTC tracks closely; function-heavy bills over-forecast, since the
+	// plan prices each invocation from the single-core TTC estimate
+	// (Contrail's overshoots most).
 	for _, r := range rows {
 		if r.Report == nil {
 			t.Fatalf("%s: frontier point not simulated", r.Plan.Config.Backends)
 		}
-		if ratio := r.Plan.TTC.Seconds() / r.Report.TTC.Seconds(); ratio < 0.5 || ratio > 2 {
+		if ratio := r.Plan.TTC.Seconds() / r.Report.TTC.Seconds(); ratio < 0.95 || ratio > 1.2 {
 			t.Errorf("%s: plan TTC %v vs simulated %v (ratio %.2f)",
 				r.Plan.Config.Backends, r.Plan.TTC, r.Report.TTC, ratio)
 		}
-		if ratio := r.Plan.CostUSD / r.Report.CostUSD; ratio < 0.2 || ratio > 6 {
+		if ratio := r.Plan.CostUSD / r.Report.CostUSD; ratio < 0.95 || ratio > 5 {
 			t.Errorf("%s: plan cost $%.2f vs simulated $%.2f (ratio %.2f)",
 				r.Plan.Config.Backends, r.Plan.CostUSD, r.Report.CostUSD, ratio)
 		}

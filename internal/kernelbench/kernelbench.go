@@ -515,9 +515,9 @@ func Kernels() []Kernel {
 		{
 			// Spot-market price walk: the memoized per-AZ multiplicative
 			// walk plus the windowed averages and launch-time reclaim
-			// draws every spot bill and backend-aware plan funnels
-			// through. A fresh market per op keeps the memoization from
-			// turning later iterations into lookups.
+			// draws every spot bill funnels through. A fresh market per
+			// op keeps the memoization from turning later iterations
+			// into lookups.
 			Name:  "cloud.spot_walk",
 			Iters: 50,
 			Setup: func() func() {
@@ -531,7 +531,6 @@ func Kernels() []Kernel {
 						az := m.CheapestAZ(from)
 						acc += m.Price(it, az, from)
 						acc += m.AvgFrac(az, from, to)
-						acc += m.ExpectedReclaims(az, from, to)
 						if _, ok := m.ReclaimAt(fmt.Sprintf("i-%06d", i), az, from); ok {
 							acc++
 						}
