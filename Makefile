@@ -104,7 +104,7 @@ ORACLE_SPECS = internal/mapreduce:TestEngineMatchesReference \
 	internal/quant:TestAssignMatchesReference \
 	internal/assembler/mpidbg:TestPCrispaPins|TestOwnerCountsMatchReference \
 	internal/journal:TestScanMatchesReference \
-	internal/core:TestStageBracketPins|TestRetriedUnitAssemblesOnce|TestStoreManifest|TestResumeOfCompleteJournalAssemblesNothing|TestResumeAssemblesOnlyUnjournaledUnits|TestCutoffMidPBBoundsAssembles|TestRunLeavesNoGoroutines|TestAssemblies|TestPlanPins|TestPredictRunsNothing|TestPredictTracksRun
+	internal/core:TestStageBracketPins|TestRetriedUnitAssemblesOnce|TestStoreManifest|TestResumeOfCompleteJournalAssemblesNothing|TestResumeAssemblesOnlyUnjournaledUnits|TestCutoffMidPBBoundsAssembles|TestRunLeavesNoGoroutines|TestAssemblies|TestPlanPins|TestPredictRunsNothing|TestPredictTracksRun|TestJournalPayloadRoundTrip|TestResumedReadsAreReadOnly
 
 # sweep-determinism pins the parallel-executor contract under the
 # race detector: byte-identical results for any worker count, and one

@@ -95,6 +95,26 @@ type pbPayload struct {
 	N50                 int               `json:"n50,omitempty"`
 }
 
+// encodePA renders a PA unit's outputs as its journal payload;
+// decodePA is its exact inverse.
+func encodePA(p paPayload) ([]byte, error) { return json.Marshal(p) }
+
+func decodePA(b []byte) (paPayload, error) {
+	var p paPayload
+	err := json.Unmarshal(b, &p)
+	return p, err
+}
+
+// encodePB renders a PB unit's outputs as its journal payload;
+// decodePB is its exact inverse.
+func encodePB(p pbPayload) ([]byte, error) { return json.Marshal(p) }
+
+func decodePB(b []byte) (pbPayload, error) {
+	var p pbPayload
+	err := json.Unmarshal(b, &p)
+	return p, err
+}
+
 type pcPayload struct {
 	PerAssembler map[string][]seq.FastaRecord `json:"perAssembler"`
 	Transcripts  []seq.FastaRecord            `json:"transcripts"`

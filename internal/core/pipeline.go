@@ -350,16 +350,14 @@ func (pl *Pipeline) preprocess(ds *simdata.Dataset, rep *Report) (seq.ReadSet, e
 						},
 						unitCodec{
 							encode: func(pilot.WorkResult) (json.RawMessage, error) {
-								return json.Marshal(paPayload{
+								return encodePA(paPayload{
 									Shard: s, Reads: shardClean[s].Reads,
 									Paired: shardClean[s].Paired, Stats: shardStats[s],
 								})
 							},
 							replay: func(rec journal.Record, _ *pilot.ExecEnv) (pilot.WorkResult, error) {
-								// Pre-processing only drops or trims reads, so the
-								// shard's input count bounds the journaled output.
-								p := paPayload{Reads: make([]seq.Read, 0, len(shardReads[s].Reads))}
-								if err := json.Unmarshal(rec.Payload, &p); err != nil {
+								p, err := decodePA(rec.Payload)
+								if err != nil {
 									return pilot.WorkResult{}, err
 								}
 								shardClean[s] = seq.ReadSet{Reads: p.Reads, Paired: p.Paired}
@@ -540,7 +538,7 @@ func (pl *Pipeline) assemble(fs simdata.FullScaleStats, cleaned seq.ReadSet, rep
 				codec := unitCodec{
 					encode: func(res pilot.WorkResult) (json.RawMessage, error) {
 						out := res.Output.(asmOutput)
-						return json.Marshal(pbPayload{
+						return encodePB(pbPayload{
 							Assembler: out.name, K: out.k, Contigs: out.res.Contigs,
 							TTCSeconds:          float64(out.res.TTC),
 							PeakMemoryGBPerNode: out.res.PeakMemoryGBPerNode,
@@ -550,8 +548,8 @@ func (pl *Pipeline) assemble(fs simdata.FullScaleStats, cleaned seq.ReadSet, rep
 						})
 					},
 					replay: func(rec journal.Record, env *pilot.ExecEnv) (pilot.WorkResult, error) {
-						var p pbPayload
-						if err := json.Unmarshal(rec.Payload, &p); err != nil {
+						p, err := decodePB(rec.Payload)
+						if err != nil {
 							return pilot.WorkResult{}, err
 						}
 						if name == "contrail" {

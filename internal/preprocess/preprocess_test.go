@@ -1,6 +1,8 @@
 package preprocess
 
 import (
+	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -153,6 +155,32 @@ func TestRunOnSyntheticDataset(t *testing.T) {
 	}
 	if err := out.Validate(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRunNeverWritesInput: Run trims by re-slicing and filters by
+// copying read headers, never writing the read set it is given, so a
+// caller may pass a set it shares (the pipeline's single PA shard is
+// the dataset's own reads).
+func TestRunNeverWritesInput(t *testing.T) {
+	ds, err := simdata.GenerateCached(simdata.Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := ds.Reads
+	in.Reads = append(in.Reads[:len(in.Reads):len(in.Reads)],
+		read("lowq/1", "ACGTACGT", 30, 30, 30, 30, 30, 2, 2, 2), read("lowq/2", strings.Repeat("N", 40)))
+	want := make([]seq.Read, len(in.Reads))
+	for i, r := range in.Reads {
+		want[i] = seq.Read{ID: r.ID, Seq: bytes.Clone(r.Seq), Qual: bytes.Clone(r.Qual)}
+	}
+	for _, opts := range []Options{DefaultOptions(), {TrimQuality: 40, MinLength: 1, MaxNFraction: 1}} {
+		if _, st := Run(in, opts); st.OutputReads == 0 {
+			t.Fatal("all reads filtered")
+		}
+		if !reflect.DeepEqual(in.Reads, want) {
+			t.Fatalf("Run(%+v) wrote into its input", opts)
+		}
 	}
 }
 
