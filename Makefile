@@ -128,16 +128,18 @@ sweep-determinism:
 # containment check against the all-pairs substring search, the
 # table-indexed quantifier against the map-indexed one, every owner's
 # k-mer count against a single-threaded map count. The
-# journal reader: the single-pass scan against the line-by-line reader
-# it replaced, over every byte flip and truncation of a small journal
-# and a sample of a real one — same verified prefix, records, damage
-# report, chain head and Merkle root. The pipeline, whose PB computes
-# assemblies ahead of the event loop: every stage-bracket exit, the
-# store manifests and the one-assembly-per-unit count pinned at any host
-# core count, a resume assembling exactly the units its journal lacks,
+# journal reader: the single-pass scan against a copying reference
+# reader, over every byte flip and truncation of a small journal, its
+# mis-declared payload lengths and a sample of a real one — same
+# verified prefix, records, damage report, chain head and Merkle root.
+# The pipeline, whose PB computes assemblies ahead of the event loop:
+# every stage-bracket exit, the store manifests and the
+# one-assembly-per-unit count pinned at any host core count, a resume assembling exactly the units its journal lacks,
 # a cut-off PB computing at most one assembly per core beyond the units
 # it reached, the futures' budget, order and join, and no goroutine
-# outliving a run. The planner, a dry run of the same pilot and SGE
+# outliving a run, the PA/PB journal payload codecs as exact inverses,
+# and replayed reads that never write into the journal bytes they
+# alias. The planner, a dry run of the same pilot and SGE
 # machinery: every pinned plan, a Predict that runs nothing, and plans
 # that track their runs, independent of host cores.
 oracle-determinism:

@@ -1,20 +1,18 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
 
-	"rnascale/internal/diffexpr"
+	"rnascale/internal/detonate"
 	"rnascale/internal/faults"
 	"rnascale/internal/journal"
-	"rnascale/internal/merge"
 	"rnascale/internal/obs"
 	"rnascale/internal/pilot"
-	"rnascale/internal/preprocess"
-	"rnascale/internal/quant"
-	"rnascale/internal/seq"
 	"rnascale/internal/simdata"
 	"rnascale/internal/vclock"
 )
@@ -69,59 +67,8 @@ type JournalStats struct {
 // unitCodec serializes one unit's outputs into a journal payload and
 // replays them back into run state without re-executing the work.
 type unitCodec struct {
-	encode func(res pilot.WorkResult) (json.RawMessage, error)
+	encode func(res pilot.WorkResult) ([]byte, error)
 	replay func(rec journal.Record, env *pilot.ExecEnv) (pilot.WorkResult, error)
-}
-
-// Journal payload schemas, one per stage. These are JSON encodings of
-// the stage outputs themselves (reads, contigs, stats tables), not of
-// the FASTA/FASTQ renderings, so replay cannot drift through a text
-// round-trip.
-type paPayload struct {
-	Shard  int              `json:"shard"`
-	Reads  []seq.Read       `json:"reads"`
-	Paired bool             `json:"paired"`
-	Stats  preprocess.Stats `json:"stats"`
-}
-
-type pbPayload struct {
-	Assembler           string            `json:"assembler"`
-	K                   int               `json:"k"`
-	Contigs             []seq.FastaRecord `json:"contigs"`
-	TTCSeconds          float64           `json:"ttcSeconds"`
-	PeakMemoryGBPerNode float64           `json:"peakMemoryGBPerNode"`
-	Messages            int64             `json:"messages,omitempty"`
-	BytesSent           int64             `json:"bytesSent,omitempty"`
-	N50                 int               `json:"n50,omitempty"`
-}
-
-// encodePA renders a PA unit's outputs as its journal payload;
-// decodePA is its exact inverse.
-func encodePA(p paPayload) ([]byte, error) { return json.Marshal(p) }
-
-func decodePA(b []byte) (paPayload, error) {
-	var p paPayload
-	err := json.Unmarshal(b, &p)
-	return p, err
-}
-
-// encodePB renders a PB unit's outputs as its journal payload;
-// decodePB is its exact inverse.
-func encodePB(p pbPayload) ([]byte, error) { return json.Marshal(p) }
-
-func decodePB(b []byte) (pbPayload, error) {
-	var p pbPayload
-	err := json.Unmarshal(b, &p)
-	return p, err
-}
-
-type pcPayload struct {
-	PerAssembler map[string][]seq.FastaRecord `json:"perAssembler"`
-	Transcripts  []seq.FastaRecord            `json:"transcripts"`
-	MergeStats   merge.Stats                  `json:"mergeStats"`
-	Quant        *quant.Result                `json:"quant"`
-	QuantB       *quant.Result                `json:"quantB,omitempty"`
-	DiffExpr     []diffexpr.Row               `json:"diffExpr,omitempty"`
 }
 
 // configDigest fingerprints everything a resumed run must share with
@@ -167,7 +114,7 @@ func configDigest(cfg Config, ds *simdata.Dataset) string {
 // it appends a record at every checkpoint (stage boundary or unit
 // completion); in a resumed run it first consumes the surviving
 // prefix — verifying the replayed execution reproduces each record's
-// virtual time, accrued cost and artifact digest exactly — and then
+// virtual time, accrued cost and stage digest exactly — and then
 // switches to appending, so the finished journal is the same record
 // sequence an uninterrupted run would have written. It also arms the
 // drivercrash fault class against the checkpoints. All methods are
@@ -187,8 +134,10 @@ type runJournal struct {
 	pendingCancelled *journal.Record
 	pendingCount     int
 
-	codecs       map[string]unitCodec
-	stageDigests map[string][]string
+	codecs map[string]unitCodec
+	// unitChains holds each stage's unit records' chain digests, in
+	// completion order, for the stage-end digest.
+	unitChains map[string][]string
 	// armed holds drivercrash times not yet covered by the journal,
 	// ascending; the head fires at the first checkpoint at/after it.
 	armed []vclock.Time
@@ -207,7 +156,7 @@ func newRunJournal(pl *Pipeline, cfg Config, inj *faults.Injector) *runJournal {
 		pendingUnits: map[string][]journal.Record{},
 		pendingStage: map[string]journal.Record{},
 		codecs:       map[string]unitCodec{},
-		stageDigests: map[string][]string{},
+		unitChains:   map[string][]string{},
 	}
 	armed := inj.DriverCrashTimes()
 	if cfg.Resume != nil {
@@ -274,14 +223,19 @@ func (jr *runJournal) consumed() {
 	jr.countRecord()
 }
 
-func (jr *runJournal) append(rec journal.Record) {
+// append writes a live record and returns its chain digest (empty
+// when there is no writer).
+func (jr *runJournal) append(rec journal.Record) string {
 	if jr.w != nil {
-		if _, err := jr.w.Append(rec); err != nil {
+		stamped, err := jr.w.Append(rec)
+		if err != nil {
 			jr.drift("append failed: %v", err)
 		}
+		rec = stamped
 	}
 	jr.stats.RecordsAppended++
 	jr.countRecord()
+	return rec.Chain
 }
 
 // maybeCrash fires the armed drivercrash rule once the checkpoint's
@@ -341,19 +295,19 @@ func (jr *runJournal) stageStart(name string) {
 }
 
 // stageEnd checkpoints a stage boundary with the digest of the
-// stage's unit artifacts (in completion order).
+// stage's unit records: the SHA-256 of their chain digests in
+// completion order, each of which covers its record's payload.
 func (jr *runJournal) stageEnd(name, note string) {
 	if jr == nil {
 		return
 	}
 	var combined string
-	if ds := jr.stageDigests[name]; len(ds) > 0 {
-		var b []byte
-		for _, d := range ds {
-			b = append(b, d...)
-			b = append(b, '\n')
+	if chains := jr.unitChains[name]; len(chains) > 0 {
+		h := sha256.New()
+		for _, c := range chains {
+			io.WriteString(h, c)
 		}
-		combined = journal.Digest(b)
+		combined = hex.EncodeToString(h.Sum(nil))
 	}
 	jr.stageBoundary(journal.KindStageEnd, name, combined, note)
 }
@@ -401,9 +355,11 @@ func (jr *runJournal) cancelled(outcome string) {
 	jr.maybeCrash(vt)
 }
 
-// complete records the run's final outcome. It runs in Run's deferred
-// epilogue, so invariant violations are returned rather than panicked.
-func (jr *runJournal) complete(now vclock.Time, cost float64, runErr error) error {
+// complete records the run's final outcome and, when the run scored
+// its transcripts, the DETONATE metrics as the record's payload. It
+// runs in Run's deferred epilogue, so invariant violations are
+// returned rather than panicked.
+func (jr *runJournal) complete(now vclock.Time, cost float64, metrics *detonate.Metrics, runErr error) error {
 	if !jr.recording() {
 		return nil
 	}
@@ -420,12 +376,34 @@ func (jr *runJournal) complete(now vclock.Time, cost float64, runErr error) erro
 		}
 		jr.consumed()
 	} else {
-		jr.append(journal.Record{Kind: journal.KindComplete, VTime: vt, CostUSD: cost, Note: note})
+		rec := journal.Record{Kind: journal.KindComplete, VTime: vt, CostUSD: cost, Note: note}
+		if metrics != nil {
+			b, err := json.Marshal(metrics)
+			if err != nil {
+				return fmt.Errorf("core: journal: complete record: %w", err)
+			}
+			rec.Payload = b
+		}
+		jr.append(rec)
 	}
 	if jr.pendingCount > 0 {
 		return fmt.Errorf("core: journal: %d prefix records were never replayed (journal does not match this run)", jr.pendingCount)
 	}
 	return nil
+}
+
+// journaledMetrics returns the DETONATE metrics the journal's complete
+// record carries, nil when the run is not resuming a journal that
+// holds them.
+func (jr *runJournal) journaledMetrics() (*detonate.Metrics, error) {
+	if jr == nil || jr.pendingComplete == nil || len(jr.pendingComplete.Payload) == 0 {
+		return nil, nil
+	}
+	var m detonate.Metrics
+	if err := json.Unmarshal(jr.pendingComplete.Payload, &m); err != nil {
+		return nil, fmt.Errorf("core: journal: complete record: %w", err)
+	}
+	return &m, nil
 }
 
 // unit registers a unit's payload codec and wraps its work function:
@@ -479,7 +457,7 @@ func (jr *runJournal) unitDone(stage string, u *pilot.Unit, at vclock.Time) {
 			rec := recs[0]
 			jr.pendingUnits[key] = recs[1:]
 			jr.verify(rec, vt, cost, "")
-			jr.stageDigests[stage] = append(jr.stageDigests[stage], rec.Digest)
+			jr.unitChains[stage] = append(jr.unitChains[stage], rec.Chain)
 			jr.stats.UnitsReplayed++
 			jr.consumed()
 		} else {
@@ -491,15 +469,14 @@ func (jr *runJournal) unitDone(stage string, u *pilot.Unit, at vclock.Time) {
 			if err != nil {
 				jr.drift("encoding %s/%s outputs: %v", stage, u.Desc.Name, err)
 			}
-			digest := journal.Digest(payload)
-			jr.stageDigests[stage] = append(jr.stageDigests[stage], digest)
-			jr.append(journal.Record{
+			chain := jr.append(journal.Record{
 				Kind: journal.KindUnit, Stage: stage, Unit: u.Desc.Name,
 				VTime: vt, CostUSD: cost,
 				DurationSeconds: float64(u.Result.Duration),
 				PeakMemoryGB:    u.Result.PeakMemoryGB,
-				Digest:          digest, Payload: payload,
+				Payload:         payload,
 			})
+			jr.unitChains[stage] = append(jr.unitChains[stage], chain)
 		}
 	}
 	jr.maybeCrash(vt)

@@ -89,17 +89,19 @@ func capture(t *testing.T, rep *Report, pl *Pipeline) runArtifacts {
 	return a
 }
 
-// chainRE matches a record's hash-chain field for stripping in
-// journal-body comparisons.
-var chainRE = regexp.MustCompile(`,"chain":"[0-9a-f]{64}"`)
+// chainRE matches a record's hash-chain field, and a stage-end record's
+// digest over its units' chain digests, for stripping in journal-body
+// comparisons. (The header's config digest is 16 hex digits.)
+var chainRE = regexp.MustCompile(`,"(chain|digest)":"[0-9a-f]{64}"`)
 
-// journalBody returns a journal file's record lines after the header,
-// with the chain digests stripped. The header is excluded because its
+// journalBody returns a journal file's records after the header, with
+// the chain digests stripped. The header is excluded because its
 // config digest covers the fault plan string, which legitimately
 // differs between a run armed with a drivercrash rule and its
 // crash-free twin — and since every record's chain digest folds in
 // the previous one, that single header delta cascades into every
-// chain value, so the chains are stripped before comparison too.
+// chain value and every stage digest made of them, so those are
+// stripped before comparison too.
 func journalBody(t *testing.T, path string) string {
 	t.Helper()
 	b, err := os.ReadFile(path)
@@ -331,8 +333,10 @@ func TestResumeAfterTornTail(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lastNL := bytes.LastIndexByte(b[:len(b)-1], '\n')
-			keep := lastNL + 1 + (len(b)-lastNL-1)/2
+			// The final record starts at the last header line; no
+			// payload line opens with `{"seq":`.
+			last := bytes.LastIndex(b, []byte("\n{\"seq\":")) + 1
+			keep := last + (len(b)-last)/2
 			if err := os.Truncate(path, int64(keep)); err != nil {
 				t.Fatal(err)
 			}
@@ -590,4 +594,70 @@ func TestChaosDriverCrashResumeSoak(t *testing.T) {
 		t.Error("no cell actually exercised a driver crash")
 	}
 	t.Logf("%d/%d cells crashed and resumed", crashed, len(results))
+}
+
+// TestResumeTakesJournaledMetrics: a finished run's complete record
+// carries its DETONATE scores, and a resume of that journal reports
+// them instead of scoring again; a resume whose journal lacks the
+// record scores live. Resuming against a dataset whose expression
+// weights were dropped tells the two apart: only a live evaluation
+// sees the change.
+func TestResumeTakesJournaledMetrics(t *testing.T) {
+	ds, err := simdata.GenerateCached(simdata.Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cfg := tinyConfig()
+	path := filepath.Join(dir, "run.journal")
+	orig, _, err := journalRun(t, ds, cfg, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uniform := *ds
+	uniform.Expression = nil
+	live, err := Run(&uniform, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *live.Metrics == *orig.Metrics {
+		t.Fatal("dropping the expression weights left the scores unchanged; the test cannot tell a replay from a live evaluation")
+	}
+
+	// Everything but the complete record, for the live-scoring resume.
+	full, err := journal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := filepath.Join(dir, "cut.journal")
+	w, err := journal.Create(cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range full.Records[:len(full.Records)-1] {
+		if _, err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		path string
+		want *Report
+	}{{path, orig}, {cut, live}} {
+		cfg.Obs = obs.New()
+		rep, err := Resume(&uniform, cfg, c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Journal.UnitsExecuted != 0 || *rep.Metrics != *c.want.Metrics {
+			t.Errorf("%s: resumed with %d units executed and scores %+v, want none executed and %+v",
+				filepath.Base(c.path), rep.Journal.UnitsExecuted, *rep.Metrics, *c.want.Metrics)
+		}
+	}
+	if lg, err := journal.Open(cut); err != nil || !lg.Complete() || len(lg.Records[len(lg.Records)-1].Payload) == 0 {
+		t.Errorf("the live-scoring resume did not journal its scores in a complete record (%v)", err)
+	}
 }

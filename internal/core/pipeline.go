@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"rnascale/internal/assembler"
@@ -157,7 +158,7 @@ func (pl *Pipeline) Run(ds *simdata.Dataset) (rep *Report, err error) {
 			}
 			return
 		}
-		if cerr := pl.jr.complete(pl.clock.Now(), pl.provider.TotalCost(), err); cerr != nil && err == nil {
+		if cerr := pl.jr.complete(pl.clock.Now(), pl.provider.TotalCost(), rep.Metrics, err); cerr != nil && err == nil {
 			err = cerr
 		}
 	}()
@@ -218,6 +219,10 @@ func (pl *Pipeline) Run(ds *simdata.Dataset) (rep *Report, err error) {
 	rep.finish(pl)
 
 	if cfg.EvaluateAgainstTruth {
+		// A resume of a finished run takes the scores its journal holds.
+		if rep.Metrics, err = pl.jr.journaledMetrics(); err != nil || rep.Metrics != nil {
+			return rep, err
+		}
 		opts := detonate.DefaultOptions()
 		opts.ReadBases = cleaned.TotalBases()
 		// Score against the gene-annotation track when present — the
@@ -321,6 +326,10 @@ func (pl *Pipeline) preprocess(ds *simdata.Dataset, rep *Report) (seq.ReadSet, e
 	}
 	shardClean := make([]seq.ReadSet, shards)
 	shardStats := make([]preprocess.Stats, shards)
+	// shardBlob is each shard's journal payload, rendered by its live
+	// work or replayed from the journal: the FASTQ in it is what the
+	// fold stages as data/clean.fastq.
+	shardBlob := make([][]byte, shards)
 	fsShard := fs
 	fsShard.SeqDataBytes = fs.SeqDataBytes / int64(shards)
 	var cleaned seq.ReadSet
@@ -328,20 +337,40 @@ func (pl *Pipeline) preprocess(ds *simdata.Dataset, rep *Report) (seq.ReadSet, e
 		name: "PA", backend: cfg.Backends.PA, nodes: nodes, memGB: preModel.MemoryGB(fs),
 		units: func(sx *stageExec) []pilot.UnitDescription {
 			var shardReads []seq.ReadSet
-			if !pl.estimate {
-				shardReads = shardReadSet(ds.Reads, shards)
-			}
 			var descs []pilot.UnitDescription
 			for s := 0; s < shards; s++ {
+				name := fmt.Sprintf("preprocess-%d", s)
+				// Only a unit that runs needs its input shard, and a single
+				// shard is the dataset's own reads: preprocess.Run never
+				// writes its input.
+				var in seq.ReadSet
+				switch {
+				case pl.estimate || pl.jr.replays("PA", name):
+				case shards == 1:
+					in = ds.Reads
+				default:
+					if shardReads == nil {
+						shardReads = shardReadSet(ds.Reads, shards)
+					}
+					in = shardReads[s]
+				}
 				descs = append(descs, pilot.UnitDescription{
-					Name:  fmt.Sprintf("preprocess-%d", s),
+					Name:  name,
 					Slots: min(sx.cores, 8),
 					Rule:  sge.SingleNode,
 					Retry: cfg.Retry.PA,
-					Work: pl.jr.unit("PA", fmt.Sprintf("preprocess-%d", s),
+					Work: pl.jr.unit("PA", name,
 						func(env *pilot.ExecEnv) (pilot.WorkResult, error) {
 							if !pl.estimate {
-								shardClean[s], shardStats[s] = preprocess.Run(shardReads[s], cfg.Preprocess)
+								shardClean[s], shardStats[s] = preprocess.Run(in, cfg.Preprocess)
+								blob, err := encodePA(paPayload{
+									Shard: s, Reads: shardClean[s].Reads,
+									Paired: shardClean[s].Paired, Stats: shardStats[s],
+								})
+								if err != nil {
+									return pilot.WorkResult{}, err
+								}
+								shardBlob[s] = blob
 							}
 							return pilot.WorkResult{
 								Duration:     preModel.Duration(fsShard, env.Slots),
@@ -349,12 +378,7 @@ func (pl *Pipeline) preprocess(ds *simdata.Dataset, rep *Report) (seq.ReadSet, e
 							}, nil
 						},
 						unitCodec{
-							encode: func(pilot.WorkResult) (json.RawMessage, error) {
-								return encodePA(paPayload{
-									Shard: s, Reads: shardClean[s].Reads,
-									Paired: shardClean[s].Paired, Stats: shardStats[s],
-								})
-							},
+							encode: func(pilot.WorkResult) ([]byte, error) { return shardBlob[s], nil },
 							replay: func(rec journal.Record, _ *pilot.ExecEnv) (pilot.WorkResult, error) {
 								p, err := decodePA(rec.Payload)
 								if err != nil {
@@ -362,6 +386,7 @@ func (pl *Pipeline) preprocess(ds *simdata.Dataset, rep *Report) (seq.ReadSet, e
 								}
 								shardClean[s] = seq.ReadSet{Reads: p.Reads, Paired: p.Paired}
 								shardStats[s] = p.Stats
+								shardBlob[s] = rec.Payload
 								return pilot.WorkResult{}, nil
 							},
 						}),
@@ -381,9 +406,16 @@ func (pl *Pipeline) preprocess(ds *simdata.Dataset, rep *Report) (seq.ReadSet, e
 			for _, s := range shardStats {
 				st = combineStats(st, s)
 			}
-			cleaned = seq.ReadSet{Paired: ds.Reads.Paired, Reads: make([]seq.Read, 0, st.OutputReads)}
-			for _, s := range shardClean {
-				cleaned.Reads = append(cleaned.Reads, s.Reads...)
+			// One shard's reads and FASTQ are the stage's; several are
+			// concatenated in shard order.
+			cleaned = seq.ReadSet{Paired: ds.Reads.Paired, Reads: shardClean[0].Reads}
+			fq := paFastq(shardBlob[0])
+			if shards > 1 {
+				reads, parts := make([][]seq.Read, shards), make([][]byte, shards)
+				for s := range shards {
+					reads[s], parts[s] = shardClean[s].Reads, paFastq(shardBlob[s])
+				}
+				cleaned.Reads, fq = slices.Concat(reads...), bytes.Join(parts, nil)
 			}
 			if st.OutputReads == 0 {
 				return "", fmt.Errorf("core: pre-processing removed every read")
@@ -392,11 +424,7 @@ func (pl *Pipeline) preprocess(ds *simdata.Dataset, rep *Report) (seq.ReadSet, e
 				Add(float64(st.OutputReads))
 			pl.counter(MetricBasesProcessed, "Bases surviving pre-processing.", nil).
 				Add(float64(st.OutputBases))
-			fq := bytes.NewBuffer(make([]byte, 0, seq.FastqSize(cleaned.Reads)))
-			if err := seq.WriteFastq(fq, cleaned.Reads); err != nil {
-				return "", err
-			}
-			if err := sx.store.Put("data/clean.fastq", fq.Bytes()); err != nil {
+			if err := sx.store.Put("data/clean.fastq", fq); err != nil {
 				return "", err
 			}
 			rep.PreStats = st
@@ -536,10 +564,10 @@ func (pl *Pipeline) assemble(fs simdata.FullScaleStats, cleaned seq.ReadSet, rep
 					return done(env, res)
 				}
 				codec := unitCodec{
-					encode: func(res pilot.WorkResult) (json.RawMessage, error) {
+					encode: func(res pilot.WorkResult) ([]byte, error) {
 						out := res.Output.(asmOutput)
 						return encodePB(pbPayload{
-							Assembler: out.name, K: out.k, Contigs: out.res.Contigs,
+							Contigs:             out.res.Contigs,
 							TTCSeconds:          float64(out.res.TTC),
 							PeakMemoryGBPerNode: out.res.PeakMemoryGBPerNode,
 							Messages:            out.res.Messages,
@@ -689,7 +717,7 @@ func (pl *Pipeline) postprocess(fs simdata.FullScaleStats, cleaned seq.ReadSet,
 		return res, nil
 	}
 	codec := unitCodec{
-		encode: func(pilot.WorkResult) (json.RawMessage, error) {
+		encode: func(pilot.WorkResult) ([]byte, error) {
 			return json.Marshal(pcPayload{
 				PerAssembler: rep.PerAssembler,
 				Transcripts:  rep.Transcripts,

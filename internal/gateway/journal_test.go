@@ -403,3 +403,30 @@ func metricValue(t *testing.T, s *Server, name string) float64 {
 	}
 	return 0
 }
+
+// TestRestartRefusesLegacyJournalDir: a gateway restarted on a journal
+// directory written in the legacy record format refuses it with an
+// error naming both formats, and leaves the directory as it was.
+func TestRestartRefusesLegacyJournalDir(t *testing.T) {
+	legacy, err := os.ReadFile(filepath.Join("..", "journal", "testdata", "tiny-contrail.v2.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	seg := filepath.Join(dir, eventsPrefix+"-000000.journal")
+	if err := os.WriteFile(seg, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(1)
+	defer s.Close()
+	err = s.EnableJournal(dir)
+	if err == nil || !strings.Contains(err.Error(), "rnascale.journal/v2") || !strings.Contains(err.Error(), journal.Schema) {
+		t.Fatalf("EnableJournal on a legacy directory: %v, want an error naming rnascale.journal/v2 and %s", err, journal.Schema)
+	}
+	if b, err := os.ReadFile(seg); err != nil || !bytes.Equal(b, legacy) {
+		t.Fatalf("legacy segment changed (%v)", err)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 {
+		t.Fatalf("journal directory holds %d entries after the refusal, want the legacy segment alone (%v)", len(ents), err)
+	}
+}

@@ -27,8 +27,7 @@ func writeFixture(t testing.TB, n int) (string, []Record) {
 	for i := 1; i < n; i++ {
 		payload := []byte(fmt.Sprintf(`{"unit":%d}`, i))
 		rec, err := w.Append(Record{Kind: KindUnit, Stage: "PA",
-			Unit: fmt.Sprintf("u-%d", i), VTime: float64(i),
-			Digest: Digest(payload), Payload: payload})
+			Unit: fmt.Sprintf("u-%d", i), VTime: float64(i), Payload: payload})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,8 +48,8 @@ func TestContinueRepairsTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lastNL := bytes.LastIndexByte(b[:len(b)-1], '\n')
-	torn := b[:lastNL+1+12] // 12 bytes of the final record: mid-JSON
+	ends := recordEnds(t, b)
+	torn := b[:ends[len(ends)-2]+12] // 12 bytes of the final record: mid-header
 	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -140,14 +139,12 @@ func TestVerifyPinpointsTamperedRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Tamper inside record 3: find its line and flip a payload byte.
-	lines := bytes.SplitAfter(b, []byte("\n"))
-	tampered := bytes.Replace(lines[3], []byte(`"unit":3`), []byte(`"unit":9`), 1)
-	if bytes.Equal(tampered, lines[3]) {
+	// Tamper inside record 3's payload.
+	tampered := bytes.Replace(b, []byte(`{"unit":3}`), []byte(`{"unit":9}`), 1)
+	if bytes.Equal(tampered, b) {
 		t.Fatal("fixture: tamper target not found")
 	}
-	lines[3] = tampered
-	if err := os.WriteFile(path, bytes.Join(lines, nil), 0o644); err != nil {
+	if err := os.WriteFile(path, tampered, 0o644); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,9 +1,12 @@
 // Package journal implements a deterministic, tamper-evident
 // write-ahead run journal.
 //
-// A journal is a sequence of JSON lines, one Record per line. The
-// pipeline appends a record at every stage boundary and at every unit
-// completion, capturing the virtual clock, the accrued cost and a
+// A journal is a sequence of records. Each is a JSON header line that
+// names its payload's length, followed by the payload's raw bytes and
+// a newline (a record without a payload is its header line alone), so
+// a reader decodes headers as JSON and slices payloads where they lie.
+// The pipeline appends a record at every stage boundary and at every
+// unit completion, capturing the virtual clock, the accrued cost and a
 // digest of the stage artifacts; each append is durable (flushed and,
 // when file-backed, fsynced) before Append returns, so the prefix on
 // disk is always a consistent cut of the run. Resuming replays that
@@ -23,13 +26,13 @@
 //     bytes (fail-stop).
 //
 //   - A hash chain. Every record's chain digest (SHA-256) covers its
-//     own content and the previous record's chain digest, so any
-//     single-byte change to a committed record breaks verification
-//     from that record onward. The chain makes torn-tail handling
-//     principled: Continue truncates a torn or newline-less tail to
-//     the last chain-verified record instead of refusing to resume
-//     or silently fusing records, Verify pinpoints the first bad
-//     sequence number, and per-log Merkle roots provide compact
+//     own header and payload and the previous record's chain digest,
+//     so any single-byte change to a committed record breaks
+//     verification from that record onward. The chain makes torn-tail
+//     handling principled: Continue truncates a torn or newline-less
+//     tail to the last chain-verified record instead of refusing to
+//     resume or silently fusing records, Verify pinpoints the first
+//     bad sequence number, and per-log Merkle roots provide compact
 //     inclusion proofs (Log.Proof) for auditable run provenance.
 //
 // Long-lived callers (the gateway's event log) use Segmented, which
@@ -46,13 +49,14 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 )
 
-// Schema identifies the journal line format.
-const Schema = "rnascale.journal/v2"
+// Schema identifies the journal record format.
+const Schema = "rnascale.journal/v3"
 
 // Record kinds, in the order they appear in a complete journal.
 const (
@@ -70,13 +74,15 @@ const (
 	KindEvent = "event"
 )
 
-// Record is one journal line. VTime and CostUSD snapshot the virtual
-// clock and the accrued bill at the moment the record was written;
-// for unit records VTime is the unit's virtual completion time.
-// Chain is stamped by the Writer (callers leave it empty): the
-// SHA-256 hash chain digest covering this record's content and the
-// previous record's chain digest. It must be the last field so the
-// Writer can splice it into the marshalled body.
+// Record is one journal record. VTime and CostUSD snapshot the
+// virtual clock and the accrued bill at the moment the record was
+// written; for unit records VTime is the unit's virtual completion
+// time. Digest is a caller's string: the header's config digest, a
+// stage's artifact digest, a segment's back-pointer. Payload is
+// opaque bytes stored after the header line, not inside it. Chain is
+// stamped by the Writer (callers leave it empty): the SHA-256 hash
+// chain digest covering this record's header and payload and the
+// previous record's chain digest.
 //
 // The Payload of a record read back from storage is a sub-slice of
 // the buffer the journal was read into, not a copy: treat it as
@@ -93,27 +99,26 @@ type Record struct {
 	Seed            uint64          `json:"seed,omitempty"`
 	Digest          string          `json:"digest,omitempty"`
 	Note            string          `json:"note,omitempty"`
-	Payload         json.RawMessage `json:"payload,omitempty"`
+	Payload         json.RawMessage `json:"-"`
 	Chain           string          `json:"chain,omitempty"`
 }
 
-// Digest returns the content digest used for journal payloads and
-// stage artifacts: 64-bit FNV-1a in hex. The tamper-evidence story
-// does not rest on it — that is the SHA-256 chain — it is the cheap
-// per-payload checksum core's replay verification compares.
-func Digest(b []byte) string {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h = (h ^ uint64(c)) * 1099511628211
-	}
-	const hexDigits = "0123456789abcdef"
-	var d [16]byte
-	for i := len(d) - 1; i >= 0; i-- {
-		d[i] = hexDigits[h&0xf]
-		h >>= 4
-	}
-	return string(d[:])
+// header is a record's stored header line: its fields, then the
+// payload's length, then the chain digest — last, so the Writer can
+// splice it in before the closing brace. Chain here shadows the
+// Record's, which never reaches the line.
+type header struct {
+	*Record
+	PayloadBytes int    `json:"payloadBytes,omitempty"`
+	Chain        string `json:"chain,omitempty"`
 }
+
+// legacySchema is the format v3 replaced, in which a record was one
+// JSON line carrying its payload inline. Journals written in it are
+// refused, never read or repaired.
+const legacySchema = "rnascale.journal/v2"
+
+var errLegacy = errors.New("journal: written as " + legacySchema + "; this build reads " + Schema + " only")
 
 // Log is a journal read back from storage: the chain-verified records
 // and, for each, the Merkle leaf taken over its stored bytes while
@@ -166,10 +171,10 @@ func Open(path string) (*Log, error) {
 	return readStrict(b)
 }
 
-// Read parses a journal from r, verifying sequence numbers, payload
-// digests and the hash chain of every record. Records are not subject
-// to any size cap; verification errors name the record index they
-// occurred at.
+// Read parses a journal from r, verifying the sequence number, the
+// payload framing and the hash chain of every record. Records are not
+// subject to any size cap; verification errors name the record index
+// they occurred at.
 func Read(r io.Reader) (*Log, error) {
 	var buf bytes.Buffer
 	if sized, ok := r.(interface{ Len() int }); ok {
@@ -188,7 +193,7 @@ func readStrict(b []byte) (*Log, error) {
 	if bad != nil {
 		return nil, bad
 	}
-	if err := lg.usable(""); err != nil {
+	if err := lg.usable("", nil); err != nil {
 		return nil, err
 	}
 	lg.Repair = nil // a final record without its newline still reads
@@ -205,46 +210,39 @@ func Inspect(path string) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	lg, _, _ := scan(b)
-	if err := lg.usable(path); err != nil {
+	lg, _, bad := scan(b)
+	if err := lg.usable(path, bad); err != nil {
 		return nil, err
 	}
 	return lg, nil
 }
 
 // scan is the one pass behind every reader (Read, Open, Inspect,
-// Continue, Verify): it walks journal bytes line by line, verifying
-// each record in place (verifyLine) until the first failure. It
+// Continue, Verify): it walks journal bytes record by record,
+// verifying each in place (verifyRecord) until the first failure. It
 // returns the verified prefix as a Log — Repair describing the
 // (possibly empty) damaged tail after it — the byte offset just past
 // that prefix, and the failure that ended it, nil when every byte
 // verified. Nothing is copied out of b: the records' payloads alias
-// it.
+// it. A journal whose very first record is in the legacy format fails
+// with errLegacy.
 func scan(b []byte) (lg *Log, goodEnd int, bad error) {
 	lg = &Log{}
-	v := lineVerifier{h: sha256.New()}
-	prev := ChainSeed()
+	v := newVerifier()
 	missingNewline := false
 	for goodEnd < len(b) {
-		line := b[goodEnd:]
-		nl := bytes.IndexByte(line, '\n')
-		if nl >= 0 {
-			line = line[:nl]
-		}
-		rec, leaf, err := v.verifyLine(line, len(lg.Records), prev)
+		rec, leaf, n, unterminated, err := v.verifyRecord(b[goodEnd:], len(lg.Records))
 		if err != nil {
 			bad = err
 			break
 		}
 		lg.Records = append(lg.Records, rec)
 		lg.leaves = append(lg.leaves, leaf)
-		prev = rec.Chain
-		goodEnd += len(line)
-		if nl >= 0 {
-			goodEnd++
-		} else {
-			missingNewline = true
-		}
+		goodEnd += n
+		missingNewline = unterminated
+	}
+	if len(lg.Records) == 0 && bad != nil && legacy(b) {
+		bad = errLegacy
 	}
 	if goodEnd < len(b) || missingNewline {
 		lg.Repair = &Repair{TruncatedBytes: len(b) - goodEnd, RepairedNewline: missingNewline}
@@ -256,11 +254,15 @@ func scan(b []byte) (lg *Log, goodEnd int, bad error) {
 }
 
 // usable reports whether the verified prefix is a journal a caller
-// can work with: at least one record, the first of them a header.
-func (l *Log) usable(path string) error {
+// can work with: at least one record, the first of them a header. bad
+// is the failure that ended the scan.
+func (l *Log) usable(path string, bad error) error {
 	if len(l.Records) == 0 {
-		if l.Repair != nil && l.Repair.Reason != "" {
-			return fmt.Errorf("journal: %s: no verifiable records (%s)", path, l.Repair.Reason)
+		switch {
+		case errors.Is(bad, errLegacy):
+			return fmt.Errorf("%s: %w", path, bad)
+		case bad != nil:
+			return fmt.Errorf("journal: %s: no verifiable records (%v)", path, bad)
 		}
 		return fmt.Errorf("journal: empty")
 	}

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,7 +20,7 @@ func TestRoundTrip(t *testing.T) {
 		{Kind: KindHeader, Seed: 42, Digest: "cfg", Note: "tiny"},
 		{Kind: KindStageStart, Stage: "PA", VTime: 30},
 		{Kind: KindUnit, Stage: "PA", Unit: "preprocess-0", VTime: 120.5, CostUSD: 0.25,
-			DurationSeconds: 90.5, Digest: Digest(payload), Payload: payload},
+			DurationSeconds: 90.5, Payload: payload},
 		{Kind: KindStageEnd, Stage: "PA", VTime: 121, CostUSD: 0.25, Digest: "abc"},
 		{Kind: KindComplete, VTime: 200, CostUSD: 0.5, Note: "ok"},
 	}
@@ -103,29 +104,29 @@ func TestContinueAppendsAfterPrefix(t *testing.T) {
 	}
 }
 
-// chainedLine builds one stored journal line whose chain digest is
-// valid for the record's (possibly deliberately wrong) content, so a
-// test can reach the seq/digest checks without tripping the chain
-// check first. It returns the line (newline included) and the
-// record's chain digest for chaining the next line.
-func chainedLine(t *testing.T, rec Record, prev string) ([]byte, string) {
+// chainedRecord builds one stored journal record whose chain digest
+// is valid for the record's (possibly deliberately wrong) content, so
+// a test can reach the seq and framing checks without tripping the
+// chain check first. It returns the stored bytes and the record's
+// chain digest for chaining the next record.
+func chainedRecord(t *testing.T, rec Record, prev [sha256.Size]byte) ([]byte, [sha256.Size]byte) {
 	t.Helper()
-	body, err := chainBody(rec)
+	head, err := refHeader(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain := refChainNext(prev, body)
-	return refSpliceChain(body, chain), chain
+	return refStore(head, rec.Payload, prev)
 }
 
 func TestReadRejectsCorruption(t *testing.T) {
-	header, headChain := chainedLine(t, Record{Kind: KindHeader}, ChainSeed())
-	noHeader, _ := chainedLine(t, Record{Kind: KindUnit}, ChainSeed())
-	badSeq, _ := chainedLine(t, Record{Seq: 5, Kind: KindStageStart}, headChain)
-	badDigest, _ := chainedLine(t, Record{Seq: 1, Kind: KindUnit,
-		Digest: "0000000000000000", Payload: []byte(`{"a":1}`)}, headChain)
+	header, headChain := chainedRecord(t, Record{Kind: KindHeader}, chainSeed())
+	noHeader, _ := chainedRecord(t, Record{Kind: KindUnit}, chainSeed())
+	badSeq, _ := chainedRecord(t, Record{Seq: 5, Kind: KindStageStart}, headChain)
+	// A payload torn short of the length its header declares.
+	pastEOF, _ := chainedRecord(t, Record{Seq: 1, Kind: KindUnit, Payload: []byte(`{"a":1,"b":[2,3,4]}`)}, headChain)
+	pastEOF = pastEOF[:len(pastEOF)-9]
 	// A record rewritten after commit keeps a stale chain digest.
-	tampered, _ := chainedLine(t, Record{Seq: 1, Kind: KindStageStart, Stage: "PA"}, headChain)
+	tampered, _ := chainedRecord(t, Record{Seq: 1, Kind: KindStageStart, Stage: "PA"}, headChain)
 	tampered = bytes.Replace(tampered, []byte(`"PA"`), []byte(`"PB"`), 1)
 
 	cases := []struct {
@@ -136,7 +137,7 @@ func TestReadRejectsCorruption(t *testing.T) {
 		{"garbage", "record 0", []byte("not json\n")},
 		{"no-header", "first record", noHeader},
 		{"bad-seq", "carries seq 5", append(append([]byte{}, header...), badSeq...)},
-		{"bad-digest", "digest", append(append([]byte{}, header...), badDigest...)},
+		{"payload-past-eof", "payload runs past the end", append(append([]byte{}, header...), pastEOF...)},
 		{"tampered", "chain digest does not verify", append(append([]byte{}, header...), tampered...)},
 	}
 	for _, tc := range cases {
@@ -153,7 +154,7 @@ func TestTornTrailingLineIsAnError(t *testing.T) {
 	// A crash between write and sync can leave a torn final line; the
 	// strict Open refuses it (Continue is the repairing path).
 	path := filepath.Join(t.TempDir(), "run.journal")
-	header, _ := chainedLine(t, Record{Kind: KindHeader}, ChainSeed())
+	header, _ := chainedRecord(t, Record{Kind: KindHeader}, chainSeed())
 	body := append(header, `{"seq":1,"kind":"stage`...)
 	if err := os.WriteFile(path, body, 0o644); err != nil {
 		t.Fatal(err)
@@ -163,14 +164,64 @@ func TestTornTrailingLineIsAnError(t *testing.T) {
 	}
 }
 
-func TestDigestStable(t *testing.T) {
-	if Digest([]byte("abc")) != Digest([]byte("abc")) {
-		t.Error("digest not deterministic")
+// TestLegacyJournalRefused: a journal written in the legacy format —
+// one JSON line per record, payloads inline — is refused by every
+// reader with one error naming both formats, and never repaired: the
+// legacy chain does not verify under the current rule, and without
+// this check Continue would treat the file as damage. The fixture is
+// a real run's journal from the build before the current format:
+//
+//	rnapipe -profile tiny -assemblers contrail -evaluate=false -journal internal/journal/testdata/tiny-contrail.v2.journal
+func TestLegacyJournalRefused(t *testing.T) {
+	orig, err := os.ReadFile(filepath.Join("testdata", "tiny-contrail.v2.journal"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if Digest([]byte("abc")) == Digest([]byte("abd")) {
-		t.Error("digest does not separate inputs")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.journal")
+	if err := os.WriteFile(path, orig, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if len(Digest(nil)) != 16 {
-		t.Errorf("digest %q not 16 hex chars", Digest(nil))
+	segs := filepath.Join(dir, "segments")
+	if err := os.Mkdir(segs, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"events-000000.journal", "events-000001.journal"} {
+		if err := os.WriteFile(filepath.Join(segs, name), orig, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, open := range map[string]func() error{
+		"Open":    func() error { _, err := Open(path); return err },
+		"Read":    func() error { _, err := Read(bytes.NewReader(orig)); return err },
+		"Inspect": func() error { _, err := Inspect(path); return err },
+		"Verify":  func() error { _, err := Verify(path); return err },
+		"Continue": func() error {
+			_, w, err := Continue(path)
+			if err == nil {
+				w.Close()
+			}
+			return err
+		},
+		"OpenSegmented": func() error {
+			s, _, err := OpenSegmented(segs, "events", SegmentedOptions{})
+			if err == nil {
+				s.Close()
+			}
+			return err
+		},
+	} {
+		err := open()
+		if err == nil || !strings.Contains(err.Error(), "rnascale.journal/v2") || !strings.Contains(err.Error(), Schema) {
+			t.Errorf("%s of a legacy journal: %v, want an error naming rnascale.journal/v2 and %s", name, err, Schema)
+		}
+	}
+	for _, p := range []string{path, filepath.Join(segs, "events-000000.journal"), filepath.Join(segs, "events-000001.journal")} {
+		if b, err := os.ReadFile(p); err != nil || !bytes.Equal(b, orig) {
+			t.Fatalf("%s changed after the legacy journal was refused (%v)", p, err)
+		}
+	}
+	if ents, err := os.ReadDir(segs); err != nil || len(ents) != 2 {
+		t.Fatalf("segment directory holds %d entries after the refusal, want the 2 segments untouched (%v)", len(ents), err)
 	}
 }

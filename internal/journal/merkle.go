@@ -16,12 +16,15 @@ import (
 // gateway's GET /api/runs/{id}/proof serves so a user can pin a run's
 // provenance without downloading the journal.
 
-func leafHash(body []byte) [sha256.Size]byte {
+// leafHash is a record's Merkle leaf, from its chainless header and
+// its payload.
+func leafHash(head, payload []byte) [sha256.Size]byte {
 	h := sha256.New()
-	h.Write([]byte{0x00})
-	h.Write(body)
+	h.Write(leafPrefix)
+	h.Write(head)
+	h.Write(payload)
 	var sum [sha256.Size]byte
-	copy(sum[:], h.Sum(nil))
+	h.Sum(sum[:0])
 	return sum
 }
 
@@ -124,13 +127,13 @@ func (l *Log) Proof(seq int) (Proof, error) {
 // RecordLeaf computes the Merkle leaf of a record an auditor holds,
 // for comparison against Proof.Leaf. A log's own leaves are taken
 // over the stored bytes as they are read; for a record the Writer
-// wrote, re-marshalling reproduces those bytes.
+// wrote, re-marshalling its header reproduces those bytes.
 func RecordLeaf(rec Record) (string, error) {
-	body, err := chainBody(rec)
+	head, err := marshalHeader(rec)
 	if err != nil {
 		return "", err
 	}
-	sum := leafHash(body)
+	sum := leafHash(head, rec.Payload)
 	return hex.EncodeToString(sum[:]), nil
 }
 

@@ -6,46 +6,57 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 )
 
-// The reader this package shipped before the single-pass scanner,
-// kept verbatim as the reference the new one is held to: a line is
-// unmarshalled into a Record (payload copied), its body is
-// materialised by splitChain and hashed by chainNext, and the Merkle
-// leaves are taken afterwards by re-marshalling every record.
+// The reference reader the single-pass scanner is held to: a plain
+// decoding of the record format that copies every payload out of the
+// buffer, materialises each hashed body and hashes it with one-shot
+// sha256.Sum256 calls, and takes the Merkle leaves afterwards by
+// re-marshalling every record with an encoder of its own (refHeader).
+// Headers decode into the package's header type, so a JSON error reads
+// the same in both.
 
-func refDigest(b []byte) string {
-	h := fnv.New64a()
-	h.Write(b)
-	return fmt.Sprintf("%016x", h.Sum64())
+func refLeaf(head, payload []byte) [sha256.Size]byte {
+	return sha256.Sum256(append(append([]byte{0x00}, head...), payload...))
 }
 
-func refChainNext(prev string, body []byte) string {
-	h := sha256.New()
-	h.Write([]byte(prev))
-	h.Write([]byte{'\n'})
-	h.Write(body)
-	return hex.EncodeToString(h.Sum(nil))
+func refLink(prev, leaf [sha256.Size]byte) [sha256.Size]byte {
+	return sha256.Sum256(append(prev[:], leaf[:]...))
 }
 
-func refSpliceChain(body []byte, chain string) []byte {
-	line := make([]byte, 0, len(body)+len(chain)+12)
-	line = append(line, body[:len(body)-1]...)
-	line = append(line, `,"chain":"`...)
-	line = append(line, chain...)
-	line = append(line, '"', '}', '\n')
-	return line
+// refHeader marshals a record's chainless header without the package's
+// header type: the record on its own (Payload is no JSON field, Chain
+// is emptied) with payloadBytes appended as its last field.
+func refHeader(rec Record) ([]byte, error) {
+	rec.Chain = ""
+	b, err := json.Marshal(rec)
+	if err != nil || len(rec.Payload) == 0 {
+		return b, err
+	}
+	return fmt.Appendf(b[:len(b)-1], `,"payloadBytes":%d}`, len(rec.Payload)), nil
 }
 
-func refSplitChain(line []byte) (body []byte, chain string, ok bool) {
+// refStore renders a chainless header and payload as the writer
+// stores them after a record whose chain digest is prev, and returns
+// the stored bytes and the new chain digest.
+func refStore(head, payload []byte, prev [sha256.Size]byte) ([]byte, [sha256.Size]byte) {
+	chain := refLink(prev, refLeaf(head, payload))
+	out := fmt.Appendf(bytes.Clone(head[:len(head)-1]), `,"chain":"%x"}`+"\n", chain)
+	if len(payload) > 0 {
+		out = append(append(out, payload...), '\n')
+	}
+	return out, chain
+}
+
+// refSplitChain cuts a stored header line into its chainless header
+// and its chain digest.
+func refSplitChain(line []byte) (head []byte, chain string, ok bool) {
 	const suffixLen = len(`,"chain":""}`) + sha256.Size*2
 	if len(line) < suffixLen {
 		return nil, "", false
@@ -55,37 +66,73 @@ func refSplitChain(line []byte) (body []byte, chain string, ok bool) {
 		return nil, "", false
 	}
 	chain = string(tail[len(`,"chain":"`) : len(tail)-len(`"}`)])
-	body = append(make([]byte, 0, len(line)-suffixLen+1), line[:len(line)-suffixLen]...)
-	return append(body, '}'), chain, true
+	return append(bytes.Clone(line[:len(line)-suffixLen]), '}'), chain, true
 }
 
-func refVerifyLine(line []byte, idx int, prev string) (Record, error) {
-	var rec Record
-	if err := json.Unmarshal(line, &rec); err != nil {
-		return rec, fmt.Errorf("journal: record %d: %w", idx, err)
+// refRecord is one record as the reference reads it.
+type refRecord struct {
+	rec          Record
+	n            int // bytes the record spans
+	unterminated bool
+	chain        [sha256.Size]byte
+}
+
+func refVerifyRecord(b []byte, idx int, prev [sha256.Size]byte) (refRecord, error) {
+	fail := func(format string, args ...any) (refRecord, error) {
+		return refRecord{}, fmt.Errorf("journal: record %d"+format, append([]any{idx}, args...)...)
 	}
-	if rec.Seq != idx {
-		return rec, fmt.Errorf("journal: record %d carries seq %d", idx, rec.Seq)
+	line, rest, complete := bytes.Cut(b, []byte("\n"))
+	if len(line) == 0 {
+		return fail(": blank line")
 	}
-	if len(rec.Payload) > 0 {
-		if got := refDigest(rec.Payload); got != rec.Digest {
-			return rec, fmt.Errorf("journal: record %d payload digest %s does not match stored %s",
-				idx, got, rec.Digest)
+	var r refRecord
+	hd := header{Record: &r.rec}
+	if err := json.Unmarshal(line, &hd); err != nil {
+		return fail(": %w", err)
+	}
+	if r.rec.Seq != idx {
+		return fail(" carries seq %d", r.rec.Seq)
+	}
+	head, chain, ok := refSplitChain(line)
+	if !ok {
+		return fail(" has no chain digest")
+	}
+	pb := hd.PayloadBytes
+	switch {
+	case pb < 0:
+		return fail(" declares a negative payload length %d", pb)
+	case pb == 0:
+		r.n, r.unterminated = len(line), !complete
+		if complete {
+			r.n++
+		}
+	case !complete || len(rest) < pb:
+		return fail(" payload runs past the end of the journal (%d bytes declared, %d present)", pb, len(rest))
+	default:
+		r.rec.Payload = bytes.Clone(rest[:pb])
+		after := rest[pb:]
+		r.n = len(line) + 1 + pb
+		switch {
+		case len(after) == 0:
+			r.unterminated = true
+		case after[0] != '\n':
+			return fail(" payload is not newline-terminated")
+		default:
+			r.n++
 		}
 	}
-	body, chain, ok := refSplitChain(line)
-	if !ok {
-		return rec, fmt.Errorf("journal: record %d has no chain digest", idx)
+	r.chain = refLink(prev, refLeaf(head, r.rec.Payload))
+	if want := hex.EncodeToString(r.chain[:]); chain != want {
+		return fail(" chain digest does not verify (stored %.12s…, computed %.12s…): record tampered, reordered or torn",
+			chain, want)
 	}
-	if want := refChainNext(prev, body); chain != want {
-		return rec, fmt.Errorf("journal: record %d chain digest does not verify (stored %.12s…, computed %.12s…): record tampered, reordered or torn",
-			idx, chain, want)
-	}
-	return rec, nil
+	r.rec.Chain = chain
+	return r, nil
 }
 
 type refScanResult struct {
 	recs           []Record
+	ends           []int // offset just past each record
 	goodEnd        int
 	missingNewline bool
 	reason         string
@@ -94,98 +141,58 @@ type refScanResult struct {
 
 func refScan(b []byte) refScanResult {
 	res := refScanResult{total: len(b)}
-	prev := ChainSeed()
-	off := 0
-	for off < len(b) {
-		nl := bytes.IndexByte(b[off:], '\n')
-		var line []byte
-		complete := nl >= 0
-		if complete {
-			line = b[off : off+nl]
-		} else {
-			line = b[off:]
-		}
-		if len(line) == 0 {
-			res.reason = fmt.Sprintf("record %d: blank line", len(res.recs))
-			return res
-		}
-		rec, err := refVerifyLine(line, len(res.recs), prev)
+	prev := sha256.Sum256([]byte(Schema + "/chain-seed"))
+	for res.goodEnd < len(b) {
+		r, err := refVerifyRecord(b[res.goodEnd:], len(res.recs), prev)
 		if err != nil {
 			res.reason = err.Error()
-			return res
+			break
 		}
-		res.recs = append(res.recs, rec)
-		prev = rec.Chain
-		if complete {
-			off += nl + 1
-		} else {
-			off = len(b)
-			res.missingNewline = true
-		}
-		res.goodEnd = off
+		res.recs = append(res.recs, r.rec)
+		res.goodEnd += r.n
+		res.ends = append(res.ends, res.goodEnd)
+		res.missingNewline = r.unterminated
+		prev = r.chain
 	}
 	return res
 }
 
-func refLeaves(recs []Record) ([][sha256.Size]byte, error) {
-	out := make([][sha256.Size]byte, len(recs))
-	for i, rec := range recs {
-		body, err := chainBody(rec)
-		if err != nil {
-			return nil, fmt.Errorf("journal: record %d: re-marshal: %w", i, err)
-		}
-		out[i] = leafHash(body)
-	}
-	return out, nil
-}
-
-// refVerify is the old Verify over bytes.
+// refVerify is Verify over bytes.
 func refVerify(t testing.TB, b []byte) (VerifyResult, []Record) {
 	t.Helper()
 	res := refScan(b)
 	vr := VerifyResult{
-		Records:       len(res.recs),
-		BadSeq:        -1,
-		TrailingBytes: res.total - res.goodEnd,
-		ChainHead:     ChainSeed(),
+		Records:        len(res.recs),
+		BadSeq:         -1,
+		TrailingBytes:  res.total - res.goodEnd,
+		MissingNewline: res.missingNewline,
+		ChainHead:      ChainSeed(),
 	}
 	if res.goodEnd < res.total {
 		vr.BadSeq = len(res.recs)
 		vr.Reason = res.reason
 	}
-	vr.MissingNewline = res.missingNewline
-	if len(res.recs) > 0 {
-		vr.ChainHead = res.recs[len(res.recs)-1].Chain
-	}
-	leaves, err := refLeaves(res.recs)
-	if err != nil {
-		t.Fatal(err)
+	leaves := make([][sha256.Size]byte, len(res.recs))
+	for i, rec := range res.recs {
+		head, err := refHeader(rec)
+		if err != nil {
+			t.Fatalf("record %d: re-marshal: %v", i, err)
+		}
+		leaves[i] = refLeaf(head, rec.Payload)
+		vr.ChainHead = rec.Chain
 	}
 	root := merkleRoot(leaves)
 	vr.Root = hex.EncodeToString(root[:])
 	return vr, res.recs
 }
 
-// scannerWording rewrites a reference reason into the scanner's words.
-func scannerWording(reason string) string {
-	if strings.HasSuffix(reason, "blank line") {
-		reason = "journal: " + reason
-	}
-	return strings.NewReplacer("type journal.Record", "type journal.storedLine",
-		"struct field Record.", "struct field storedLine.Record.").Replace(reason)
-}
-
 // agree holds the scanner to the reference on one input: the same
 // verified prefix (count, byte length, records deeply equal — so every
 // aliased payload carries the bytes the reference copied), the same
-// damage report, chain head and Merkle root. Two wordings of a reason
-// are tolerated: the reference reports a blank line without the
-// "journal: " prefix every other reason has, and a JSON type error
-// names the Go type decoded into (Record there, the scanner's
-// storedLine wrapper here). canonical says every line that can verify was written
-// by a Writer, so re-marshalling a record reproduces its stored body
-// and the two definitions of a leaf (stored bytes, re-marshalled
-// record) must give one root.
+// damage report, chain head and Merkle root. canonical says every
+// record that can verify was written by a Writer, so re-marshalling a
+// record reproduces its stored header and the two definitions of a
+// leaf (stored bytes, re-marshalled record) must give one root.
 func agree(t testing.TB, what string, b []byte, canonical bool) {
 	t.Helper()
 	want, wantRecs := refVerify(t, b)
@@ -195,7 +202,6 @@ func agree(t testing.TB, what string, b []byte, canonical bool) {
 		t.Fatalf("%s: scan stopped at byte %d (%v), reference left %d trailing bytes (bad seq %d)",
 			what, goodEnd, bad, want.TrailingBytes, want.BadSeq)
 	}
-	want.Reason = scannerWording(want.Reason)
 	if !canonical {
 		want.Root = got.Root
 	}
@@ -207,48 +213,59 @@ func agree(t testing.TB, what string, b []byte, canonical bool) {
 	}
 }
 
-// agreeLine holds verifyLine to the reference on one line under a
-// given predecessor chain: same verdict, same words, same record.
-func agreeLine(t testing.TB, what string, line []byte, idx int, prev string) {
+// agreeRecord holds verifyRecord to the reference on the record at the
+// start of b under a given predecessor chain: same verdict, same words,
+// same record and extent.
+func agreeRecord(t testing.TB, what string, b []byte, idx int, prev [sha256.Size]byte) {
 	t.Helper()
-	wantRec, wantErr := refVerifyLine(line, idx, prev)
-	v := lineVerifier{h: sha256.New()}
-	gotRec, _, gotErr := v.verifyLine(line, idx, prev)
-	if (gotErr == nil) != (wantErr == nil) || (wantErr != nil && gotErr.Error() != scannerWording(wantErr.Error())) {
-		t.Fatalf("%s: verifyLine says %v, reference %v", what, gotErr, wantErr)
+	want, wantErr := refVerifyRecord(b, idx, prev)
+	v := newVerifier()
+	v.prev = prev
+	rec, _, n, unterminated, err := v.verifyRecord(b, idx)
+	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+		t.Fatalf("%s: verifyRecord says %v, reference %v", what, err, wantErr)
 	}
-	if !reflect.DeepEqual(gotRec, wantRec) {
-		t.Fatalf("%s: records differ\n got  %+v\n want %+v", what, gotRec, wantRec)
+	if !reflect.DeepEqual(rec, want.rec) || n != want.n || unterminated != want.unterminated {
+		t.Fatalf("%s: records differ\n got  %+v (%d bytes, unterminated %t)\n want %+v (%d bytes, unterminated %t)",
+			what, rec, n, unterminated, want.rec, want.n, want.unterminated)
 	}
 }
 
-// rechain rewrites every line's chain suffix so the chain verifies
-// over whatever the lines now say — what an adversary who can rewrite
-// a whole journal would do — letting mutated content reach the
-// decode, seq and payload-digest checks behind the chain check. Lines
-// too short to carry a suffix are left alone.
+// rechain rewrites every record's chain digest so the chain verifies
+// over whatever the records now say — what an adversary who can
+// rewrite a whole journal would do — letting mutated content reach the
+// decode, seq and framing checks behind the chain check. A header
+// line's declared payload is carried along when it fits; a line too
+// short to carry a chain is left alone.
 func rechain(b []byte) []byte {
 	var out []byte
-	prev := ChainSeed()
+	prev := sha256.Sum256([]byte(Schema + "/chain-seed"))
 	for len(b) > 0 {
-		line := b
-		if nl := bytes.IndexByte(b, '\n'); nl >= 0 {
-			line, b = b[:nl], b[nl+1:]
-		} else {
-			b = nil
+		line, rest, complete := bytes.Cut(b, []byte("\n"))
+		var hd struct {
+			PayloadBytes int `json:"payloadBytes"`
 		}
-		if body, _, ok := refSplitChain(line); ok {
-			prev = refChainNext(prev, body)
-			line = bytes.TrimSuffix(refSpliceChain(body, prev), []byte("\n"))
+		var payload []byte
+		if json.Unmarshal(line, &hd) == nil && complete && hd.PayloadBytes > 0 && hd.PayloadBytes <= len(rest) {
+			payload, rest = rest[:hd.PayloadBytes], rest[hd.PayloadBytes:]
 		}
-		out = append(append(out, line...), '\n')
+		if head, _, ok := refSplitChain(line); ok {
+			prev = refLink(prev, refLeaf(head, payload))
+			line = fmt.Appendf(head[:len(head)-1], `,"chain":"%x"}`, prev)
+		}
+		out = append(out, line...)
+		if complete {
+			out = append(out, '\n')
+		}
+		out = append(out, payload...)
+		b = rest
 	}
 	return out
 }
 
 // realJournal returns the journal of a real pipeline run, so the
-// reader is exercised on production bytes — a 238 KB pre-processing
-// payload of base64 reads, Contrail contig sets, stage brackets:
+// reader is exercised on production bytes — a 160 KB pre-processing
+// payload of FASTQ, Contrail contig sets, stage brackets:
 //
 //	rnapipe -profile tiny -assemblers contrail -evaluate=false -journal internal/journal/testdata/tiny-contrail.journal
 func realJournal(t testing.TB) []byte {
@@ -258,6 +275,55 @@ func realJournal(t testing.TB) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// recordEnds returns the offset just past each record of an intact
+// journal.
+func recordEnds(t testing.TB, b []byte) []int {
+	t.Helper()
+	res := refScan(b)
+	if res.goodEnd != len(b) {
+		t.Fatalf("journal does not verify: %s", res.reason)
+	}
+	return res.ends
+}
+
+// editRecord replaces old with new in the header line of record i and
+// rechains the journal, so the edit reaches the checks behind the
+// chain.
+func editRecord(t testing.TB, b []byte, i int, old, new string) []byte {
+	t.Helper()
+	start := 0
+	if i > 0 {
+		start = recordEnds(t, b)[i-1]
+	}
+	end := start + bytes.IndexByte(b[start:], '\n')
+	if !bytes.Contains(b[start:end], []byte(old)) {
+		t.Fatalf("record %d header has no %s", i, old)
+	}
+	line := bytes.Replace(b[start:end], []byte(old), []byte(new), 1)
+	return rechain(append(append(bytes.Clone(b[:start]), line...), b[end:]...))
+}
+
+// payloadBytesEdits are header edits that mis-declare the payload
+// length of a record carrying a payload of n bytes: negative, beyond
+// any buffer, one byte short of its newline, over it, and past the end
+// of the journal.
+func payloadBytesEdits(n int) map[string][2]string {
+	field := func(v string) string { return `"payloadBytes":` + v }
+	was := field(fmt.Sprint(n))
+	return map[string][2]string{
+		"negative payloadBytes":      {was, field("-1")},
+		"huge payloadBytes":          {was, field("9223372036854775807")},
+		"overflowing payloadBytes":   {was, field("92233720368547758070")},
+		"payloadBytes one short":     {was, field(fmt.Sprint(n - 1))},
+		"payloadBytes one over":      {was, field(fmt.Sprint(n + 1))},
+		"payloadBytes past the end":  {was, field(fmt.Sprint(n + 1000))},
+		"payloadBytes zero":          {was, field("0")},
+		"duplicate payloadBytes":     {was, field("3") + "," + was},
+		"case-folded payloadBytes":   {was, `"PAYLOADBYTES":` + fmt.Sprint(n)},
+		"whitespace in payloadBytes": {was, `"payloadBytes" : ` + fmt.Sprint(n)},
+	}
 }
 
 // TestScanMatchesReference is the differential oracle for the
@@ -284,58 +350,52 @@ func TestScanMatchesReference(t *testing.T) {
 		agree(t, fmt.Sprintf("small truncated to %d", i), small[:i], true)
 	}
 
-	// Shapes no single flip reaches: blank lines, a null payload, a
-	// duplicated key, a case-folded key, an unknown field, whitespace —
-	// each with a chain that verifies, so acceptance is decided by the
-	// decode, seq and digest checks.
-	lines := bytes.SplitAfter(small, []byte("\n"))
-	splice := func(i int, line string) []byte {
-		mut := append([][]byte{}, lines...)
-		mut[i] = []byte(line)
-		return rechain(bytes.Join(mut, nil))
-	}
-	edit := func(i int, old, new string) []byte {
-		if !bytes.Contains(lines[i], []byte(old)) {
-			t.Fatalf("fixture line %d has no %s", i, old)
-		}
-		return splice(i, string(bytes.Replace(lines[i], []byte(old), []byte(new), 1)))
-	}
-	for name, b := range map[string][]byte{
-		"blank line":         splice(2, "\n"),
+	// Shapes no single flip reaches: blank lines, mis-declared payload
+	// lengths, a duplicated key, case-folded keys, unknown fields,
+	// whitespace — each with a chain that verifies, so acceptance is
+	// decided by the decode, seq and framing checks.
+	ends := recordEnds(t, small)
+	shapes := map[string][]byte{
+		"blank line":         rechain(append(append(bytes.Clone(small[:ends[1]]), '\n'), small[ends[1]:]...)),
 		"leading blank line": append([]byte("\n"), small...),
-		"null payload":       edit(2, `"payload":{"unit":2}`, `"payload":null`),
-		"duplicate payload":  edit(2, `"payload":{"unit":2}`, `"payload":{"unit":9},"payload":{"unit":2}`),
-		"duplicate seq":      edit(2, `"seq":2`, `"seq":7,"seq":2`),
-		"case-folded keys":   edit(2, `"payload":`, `"PAYLOAD":`),
-		"case-folded chain":  edit(2, `"kind":`, `"CHAIN":"x","kind":`),
-		"unknown field":      edit(2, `"kind":`, `"extra":[1,{"a":null}],"kind":`),
-		"inner whitespace":   edit(2, `"payload":{"unit":2}`, `"payload": {"unit" : 2}`),
-		"top-level null":     splice(2, "null\n"),
-		"top-level array":    splice(2, "[]\n"),
-		"empty object":       splice(2, "{}\n"),
-		"not a header":       rechain(bytes.Join(lines[1:], nil)),
+		"duplicate seq":      editRecord(t, small, 2, `"seq":2`, `"seq":7,"seq":2`),
+		"case-folded chain":  editRecord(t, small, 2, `"kind":`, `"CHAIN":"x","kind":`),
+		"unknown field":      editRecord(t, small, 2, `"kind":`, `"extra":[1,{"a":null}],"kind":`),
+		"inline payload":     editRecord(t, small, 2, `"kind":`, `"payload":{"unit":2},"kind":`),
+		"top-level null":     rechain(append(append(bytes.Clone(small[:ends[1]]), "null\n"...), small[ends[2]:]...)),
+		"top-level array":    rechain(append(append(bytes.Clone(small[:ends[1]]), "[]\n"...), small[ends[2]:]...)),
+		"empty object":       rechain(append(append(bytes.Clone(small[:ends[1]]), "{}\n"...), small[ends[2]:]...)),
+		"not a header":       rechain(bytes.Clone(small[ends[0]:])),
 		"only newlines":      []byte("\n\n"),
 		"empty":              nil,
-	} {
+	}
+	for name, e := range payloadBytesEdits(len(`{"unit":2}`)) {
+		shapes[name] = editRecord(t, small, 2, e[0], e[1])
+	}
+	for name, e := range payloadBytesEdits(len(`{"unit":5}`)) {
+		shapes[name+", last record"] = editRecord(t, small, 5, e[0], e[1])
+	}
+	for name, b := range shapes {
 		agree(t, name, b, false)
 	}
 
 	// The real journal: whole-journal agreement at every record
-	// boundary and its neighbours, flipped and truncated. Inside
-	// records a flip can only change the verdict on the line it lands
-	// in — the intact pass has covered everything before it — so the
-	// ≈2 000 sampled flips are checked line against line under the
-	// true predecessor chain, and drawn per record so the 238 KB
-	// pre-processing payload does not take nine tenths of them.
+	// boundary, header newline and their neighbours, flipped and
+	// truncated. Inside records a flip can only change the verdict on
+	// the record it lands in — the intact pass has covered everything
+	// before it — so the ≈2 000 sampled flips are checked record
+	// against record under the true predecessor chain, and drawn per
+	// record so the pre-processing payload does not take most of them.
 	real := realJournal(t)
 	agree(t, "real intact", real, true)
-	intact, _, _ := scan(real)
+	ends = recordEnds(t, real)
 	mut := bytes.Clone(real)
 	rng := rand.New(rand.NewSource(2121))
-	prev := ChainSeed()
-	for idx, off := 0, 0; off < len(real); idx++ {
-		end := off + bytes.IndexByte(real[off:], '\n')
-		for _, p := range []int{off - 1, off, off + 1, end - 1, end, end + 1} {
+	prev := chainSeed()
+	for idx, off := range append([]int{0}, ends[:len(ends)-1]...) {
+		end := ends[idx]
+		nl := off + bytes.IndexByte(real[off:], '\n')
+		for _, p := range []int{off - 1, off, off + 1, nl - 1, nl, nl + 1, end - 2, end - 1, end} {
 			if p < 0 || p >= len(real) {
 				continue
 			}
@@ -344,23 +404,24 @@ func TestScanMatchesReference(t *testing.T) {
 			mut[p] ^= 0x04
 			agree(t, fmt.Sprintf("real truncated to %d", p), real[:p], true)
 		}
-		for n := 0; n < 2000/len(intact.Records); n++ {
+		for n := 0; n < 2000/len(ends); n++ {
 			p, mask := off+rng.Intn(end-off), byte(1)<<rng.Intn(8)
 			mut[p] ^= mask
-			agreeLine(t, fmt.Sprintf("real record %d byte %d ^ %#x", idx, p-off, mask), mut[off:end], idx, prev)
+			agreeRecord(t, fmt.Sprintf("real record %d byte %d ^ %#x", idx, p-off, mask), mut[off:], idx, prev)
 			mut[p] ^= mask
 		}
-		prev = intact.Records[idx].Chain
-		off = end + 1
+		r, err := refVerifyRecord(real[off:], idx, prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev = r.chain
 	}
 }
 
 // TestPayloadAliasesReadBuffer pins the zero-copy contract: a record's
-// payload is a sub-slice of the bytes that were scanned (json.Unmarshal
-// hands an Unmarshaler a slice of its input; if a toolchain ever
-// copied instead, the scan would be retaining a decoder scratch
-// buffer and this fails), and reading a journal costs a small
-// multiple of its size however large its payloads are.
+// payload is a sub-slice of the bytes that were scanned, capped at its
+// own end, and reading a journal costs a small multiple of its size
+// however large its payloads are.
 func TestPayloadAliasesReadBuffer(t *testing.T) {
 	b := realJournal(t)
 	lg, goodEnd, bad := scan(b)
@@ -376,6 +437,9 @@ func TestPayloadAliasesReadBuffer(t *testing.T) {
 		off := bytes.Index(b, rec.Payload)
 		if off < 0 || &b[off] != &rec.Payload[0] {
 			t.Fatalf("record %d payload is a copy, not a sub-slice of the read buffer", i)
+		}
+		if cap(rec.Payload) != len(rec.Payload) {
+			t.Fatalf("record %d payload can grow into the bytes after it", i)
 		}
 	}
 	if payloads == 0 {
@@ -406,22 +470,9 @@ func TestPayloadAliasesReadBuffer(t *testing.T) {
 	}
 }
 
-// TestDigestMatchesReference: the allocation-free FNV-1a rendering is
-// the hash/fnv + Sprintf digest every existing journal carries.
-func TestDigestMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for n := 0; n < 300; n++ {
-		b := make([]byte, n)
-		rng.Read(b)
-		if got, want := Digest(b), refDigest(b); got != want {
-			t.Fatalf("Digest of %d bytes = %s, reference %s", n, got, want)
-		}
-	}
-}
-
 // FuzzScan throws arbitrary bytes at the reader, bare and with the
 // chain recomputed over them (so mutated content gets past the chain
-// check to the decode, seq and digest checks): it must never panic,
+// check to the decode, seq and framing checks): it must never panic,
 // never return a record the reference reader rejects (agree demands
 // the identical verified prefix), and Continue must be idempotent —
 // a second Continue of what the first left behind repairs nothing,
@@ -436,13 +487,15 @@ func FuzzScan(f *testing.F) {
 	f.Add(small[:len(small)-9])
 	// Production bytes, cut to a size the fuzzer can mutate usefully:
 	// the real journal's first four records and a torn 2 KB of its
-	// 238 KB pre-processing record.
+	// pre-processing record.
 	real := realJournal(f)
-	head := 0
-	for n := 0; n < 4; n++ {
-		head += bytes.IndexByte(real[head:], '\n') + 1
+	f.Add(real[:recordEnds(f, real)[3]+2048])
+	// Mis-declared payload lengths, on a middle and on the last record.
+	for _, i := range []int{2, 3} {
+		for _, e := range payloadBytesEdits(len(fmt.Sprintf(`{"unit":%d}`, i))) {
+			f.Add(editRecord(f, small, i, e[0], e[1]))
+		}
 	}
-	f.Add(real[:head+2048])
 	path = filepath.Join(f.TempDir(), "fuzz.journal")
 	f.Fuzz(func(t *testing.T, b []byte) {
 		agree(t, "fuzz input", b, false)
@@ -450,7 +503,7 @@ func FuzzScan(f *testing.F) {
 
 		// The rest is on disk (Continue fsyncs its repair): skip it when
 		// there is no verifiable prefix and so nothing to continue.
-		if lg, _, _ := scan(b); lg.usable(path) != nil {
+		if lg, _, bad := scan(b); lg.usable(path, bad) != nil {
 			return
 		}
 		if err := os.WriteFile(path, b, 0o644); err != nil {

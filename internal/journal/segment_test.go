@@ -31,9 +31,7 @@ func TestSegmentedRotationAndReplay(t *testing.T) {
 	}
 	const n = 10
 	for i := 0; i < n; i++ {
-		rec := eventRec(i)
-		rec.Digest = Digest(rec.Payload)
-		if _, err := s.Append(rec); err != nil {
+		if _, err := s.Append(eventRec(i)); err != nil {
 			t.Fatal(err)
 		}
 	}

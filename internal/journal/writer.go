@@ -71,20 +71,22 @@ type Writer struct {
 	file    *os.File     // non-nil when file-backed
 	syncFn  func() error // nil = no durability beyond the sink
 	seq     int
-	chain   [chainHexLen]byte // hex chain digest of the last stamped record
+	chain   [sha256.Size]byte // chain digest of the last stamped record
 	err     error             // sticky fail-stop error
 	closed  bool
 	pending []pendingAppend
 
 	// Append's scratch, guarded by mu and reused for every record: the
-	// record being marshalled, the encoder and buffer its line is built
-	// in (let go after a line larger than maxKeptLine), and the SHA-256
-	// state and sum of its chain link.
-	rec  Record
-	line bytes.Buffer
-	enc  *json.Encoder
-	h    hash.Hash
-	sum  [sha256.Size]byte
+	// record and header being marshalled, the encoder and buffer its
+	// bytes are built in (let go after a record larger than
+	// maxKeptLine), and the SHA-256 state, leaf and hex chain digest.
+	rec      Record
+	hdr      header
+	line     bytes.Buffer
+	enc      *json.Encoder
+	h        hash.Hash
+	leaf     [sha256.Size]byte
+	chainHex [chainHexLen]byte
 
 	// Group-commit machinery, nil for unsynced (sink-only) writers —
 	// with no fsync to amortize they write synchronously instead.
@@ -93,7 +95,7 @@ type Writer struct {
 	buf         []byte // flusher's reusable coalescing buffer
 }
 
-// maxKeptLine bounds the line buffer a Writer keeps between appends.
+// maxKeptLine bounds the record buffer a Writer keeps between appends.
 // A larger record — a stage's worth of reads or contigs — gets a
 // buffer that is released with it, so a writer that outlives its run
 // (the gateway holds one per finished run) never pins its largest
@@ -111,7 +113,9 @@ func NewWriter(w io.Writer) *Writer {
 // head is chain; a sync hook makes it group-committing.
 func newWriter(sink io.Writer, file *os.File, syncFn func() error, seq int, chain string, opts Options) *Writer {
 	w := &Writer{w: sink, file: file, syncFn: syncFn, seq: seq, opts: opts.withDefaults(), h: sha256.New()}
-	copy(w.chain[:], chain)
+	copy(w.chainHex[:], chain)
+	hex.Decode(w.chain[:], w.chainHex[:]) // a verified chain digest or the seed: always 64 hex digits
+	w.hdr.Record = &w.rec
 	w.enc = json.NewEncoder(&w.line)
 	if syncFn != nil {
 		w.wake = make(chan struct{}, 1)
@@ -158,8 +162,8 @@ func ContinueOptions(path string, opts Options) (*Log, *Writer, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	lg, goodEnd, _ := scan(b)
-	if err := lg.usable(path); err != nil {
+	lg, goodEnd, bad := scan(b)
+	if err := lg.usable(path, bad); err != nil {
 		return nil, nil, err
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -191,7 +195,8 @@ func ContinueOptions(path string, opts Options) (*Log, *Writer, error) {
 }
 
 // Append stamps the record's sequence number and chain digest,
-// writes it as one JSON line and makes it durable before returning.
+// writes its header line and payload and makes them durable before
+// returning.
 // Concurrent appends may share a single write+fsync (group commit);
 // each still only returns once its own record is down. The stamped
 // record is returned.
@@ -208,33 +213,40 @@ func (w *Writer) Append(rec Record) (Record, error) {
 	}
 	rec.Seq = w.seq
 	rec.Chain = ""
-	if rec.Digest == "" && len(rec.Payload) > 0 {
-		// Readers verify the payload digest on every record that
-		// carries a payload; stamp it for callers that did not.
-		rec.Digest = Digest(rec.Payload)
-	}
-	// The encoder writes what json.Marshal returns plus a newline: the
-	// chainless body the chain and Merkle leaves are defined over.
+	// The encoder writes what marshalHeader returns plus a newline: the
+	// chainless header the chain and Merkle leaves begin with.
 	w.rec = rec
+	w.hdr.PayloadBytes = len(rec.Payload)
 	w.line.Reset()
-	if err := w.enc.Encode(&w.rec); err != nil {
+	if err := w.enc.Encode(&w.hdr); err != nil {
 		// Nothing reached the sink: the writer stays usable and the
 		// sequence number is not consumed.
 		w.mu.Unlock()
 		return rec, fmt.Errorf("journal: marshal record %d: %w", rec.Seq, err)
 	}
-	body := w.line.Bytes()[:w.line.Len()-1]
+	head := w.line.Bytes()[:w.line.Len()-1]
+	w.h.Reset()
+	w.h.Write(leafPrefix)
+	w.h.Write(head)
+	w.h.Write(rec.Payload)
+	w.h.Sum(w.leaf[:0])
 	w.h.Reset()
 	w.h.Write(w.chain[:])
-	w.h.Write(newline)
-	w.h.Write(body)
-	hex.Encode(w.chain[:], w.h.Sum(w.sum[:0]))
-	// Splice the chain in as the body's final field, in place.
-	w.line.Truncate(len(body) - 1)
+	w.h.Write(w.leaf[:])
+	w.h.Sum(w.chain[:0])
+	hex.Encode(w.chainHex[:], w.chain[:])
+	// Splice the chain in as the header's final field, in place, then
+	// lay the payload and its newline after the header line.
+	w.line.Truncate(len(head) - 1)
+	w.line.Grow(chainSuffixLen + 2 + len(rec.Payload))
 	w.line.WriteString(chainOpen)
-	w.line.Write(w.chain[:])
+	w.line.Write(w.chainHex[:])
 	w.line.WriteString(chainClose + "\n")
-	rec.Chain = string(w.chain[:])
+	if len(rec.Payload) > 0 {
+		w.line.Write(rec.Payload)
+		w.line.WriteByte('\n')
+	}
+	rec.Chain = string(w.chainHex[:])
 	w.seq++
 	w.rec.Payload = nil
 	line := w.line.Bytes()
@@ -379,7 +391,7 @@ func (w *Writer) Seq() int {
 func (w *Writer) ChainHead() string {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return string(w.chain[:])
+	return string(w.chainHex[:])
 }
 
 // Err returns the writer's sticky append error, nil while healthy.

@@ -229,7 +229,7 @@ func TestAppendAfterClose(t *testing.T) {
 
 // TestLargePayloadRoundTrip: payloads beyond bufio.Scanner's default
 // 64 KiB token cap — which used to fail the read with an opaque
-// "token too long" — round-trip through the reader's line scan, and
+// "token too long" — round-trip through the reader's scan, and
 // the writer lets go of a record that size instead of pinning it in
 // its reusable line buffer (the gateway holds a writer per finished
 // run).
@@ -246,7 +246,7 @@ func TestLargePayloadRoundTrip(t *testing.T) {
 	if _, err := w.Append(Record{Kind: KindHeader}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Append(Record{Kind: KindUnit, Digest: Digest(big), Payload: big}); err != nil {
+	if _, err := w.Append(Record{Kind: KindUnit, Payload: big}); err != nil {
 		t.Fatal(err)
 	}
 	if w.line.Cap() > maxKeptLine || w.rec.Payload != nil {

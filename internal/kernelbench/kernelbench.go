@@ -542,21 +542,19 @@ func Kernels() []Kernel {
 			},
 		},
 		{
-			// Journal append without fsync: the marshal+digest+write
-			// path (durability cost is the disk's, not the kernel's).
+			// Journal append without fsync: the marshal+hash+write path
+			// (durability cost is the disk's, not the kernel's).
 			Name:  "journal.append",
 			Iters: 100,
 			Setup: func() func() {
-				payload := genome(6, 256)
 				return func() {
 					w := journal.NewWriter(io.Discard)
 					for i := 0; i < 256; i++ {
 						if _, err := w.Append(journal.Record{
-							Kind:   journal.KindUnit,
-							Stage:  "PB",
-							Unit:   "unit-0001",
-							VTime:  float64(i),
-							Digest: journal.Digest(payload),
+							Kind:  journal.KindUnit,
+							Stage: "PB",
+							Unit:  "unit-0001",
+							VTime: float64(i),
 						}); err != nil {
 							panic(err)
 						}
@@ -573,8 +571,6 @@ func Kernels() []Kernel {
 			Name:  "journal.append_contended",
 			Iters: 50,
 			Setup: func() func() {
-				payload := genome(7, 256)
-				digest := journal.Digest(payload)
 				return func() {
 					w := journal.NewSyncedWriter(io.Discard, func() error { return nil },
 						journal.Options{BatchSize: 64})
@@ -585,11 +581,10 @@ func Kernels() []Kernel {
 							defer wg.Done()
 							for i := 0; i < 32; i++ {
 								if _, err := w.Append(journal.Record{
-									Kind:   journal.KindUnit,
-									Stage:  "PB",
-									Unit:   fmt.Sprintf("unit-%d", g),
-									VTime:  float64(i),
-									Digest: digest,
+									Kind:  journal.KindUnit,
+									Stage: "PB",
+									Unit:  fmt.Sprintf("unit-%d", g),
+									VTime: float64(i),
 								}); err != nil {
 									panic(err)
 								}
@@ -604,14 +599,15 @@ func Kernels() []Kernel {
 			},
 		},
 		{
-			// Journal read side: the single verifying scan (JSON validity,
-			// payload digest, hash chain and Merkle leaf per record) over
-			// 64 records carrying 64 KB payloads, from memory — the shape
-			// of a pipeline journal, whose bytes are nearly all payload.
+			// Journal read side: the single verifying scan (header JSON,
+			// payload framing, one hash per record's bytes, chain link
+			// and Merkle leaf) over 64 records carrying 64 KB payloads,
+			// from memory — the shape of a pipeline journal, whose bytes
+			// are nearly all payload.
 			Name:  "journal.verify",
 			Iters: 20,
 			Setup: func() func() {
-				payload := append(append([]byte{'"'}, genome(9, 64<<10)...), '"')
+				payload := genome(9, 64<<10)
 				var data bytes.Buffer
 				w := journal.NewWriter(&data)
 				for i := 0; i < 64; i++ {
