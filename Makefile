@@ -180,30 +180,27 @@ overload-determinism:
 # run of the whole-system benchmark.
 check: vet lint race cover sweep-determinism oracle-determinism journal-determinism overload-determinism fuzz-smoke bench-gate bench-smoke
 
-# bench regenerates the paper tables at quick scale and refreshes
-# BENCH_results.json (per-stage TTC/cost snapshots, plus the pass's
-# wall-clock seconds and worker count for throughput tracking).
+# bench regenerates the paper tables at quick scale.
 bench:
 	$(GO) run ./cmd/benchtab -experiment all
 
-# bench-gate measures the hot kernels (fixed-seed microbenchmarks in
-# internal/kernelbench) and fails if any regressed beyond tolerance
-# against the committed BENCH_baseline.json, or is missing. The gate
-# is allocation counts and bytes (deterministic for a fixed toolchain);
-# the wall-time column is printed for information and gated only on
-# request, for a quiet machine: BENCH_GATE_FLAGS='-tol-time 0.5'.
-# Improvements never fail — lock them in with bench-baseline.
+# bench-gate measures the hot kernels (internal/kernelbench's
+# fixed-seed BenchmarkKernels, 10 ops each) and fails if any regressed
+# beyond tolerance against the committed BENCH_baseline.txt, or is
+# missing. The gate is allocation counts and bytes (deterministic for
+# a fixed toolchain); wall time is printed, never gated. Improvements
+# never fail — lock them in with bench-baseline.
 bench-gate:
 	@mkdir -p $(BUILD_DIR)
-	$(GO) run ./cmd/benchtab -kernels -json $(BUILD_DIR)/BENCH_results.json
-	$(GO) run ./cmd/benchgate -baseline BENCH_baseline.json -current $(BUILD_DIR)/BENCH_results.json $(BENCH_GATE_FLAGS)
+	$(GO) test -run '^$$' -bench Kernels -benchmem -benchtime 10x ./internal/kernelbench > $(BUILD_DIR)/kernels.txt || { cat $(BUILD_DIR)/kernels.txt; exit 1; }
+	$(GO) run ./cmd/benchgate BENCH_baseline.txt $(BUILD_DIR)/kernels.txt
 
 # bench-baseline re-measures the kernels and rewrites the committed
-# baseline. Run on a quiet machine after a deliberate performance
-# change, and commit the result.
+# baseline, the raw `go test` output. Run on a quiet machine after a
+# deliberate performance change, and commit the result.
 bench-baseline:
-	$(GO) run ./cmd/benchtab -kernels -json BENCH_baseline.json
-	@echo "BENCH_baseline.json rewritten; review and commit it."
+	$(GO) test -run '^$$' -bench Kernels -benchmem -benchtime 10x ./internal/kernelbench > BENCH_baseline.txt || { cat BENCH_baseline.txt; exit 1; }
+	@echo "BENCH_baseline.txt rewritten; review and commit it."
 
 # bench-smoke builds and runs the whole-system benchmark (bench/, a
 # module of its own that `go build ./...` never compiles although it
@@ -218,5 +215,5 @@ bench-smoke:
 
 clean:
 	rm -rf $(BUILD_DIR)
-	rm -f BENCH_results.json cover.*.out
+	rm -f cover.*.out
 	$(GO) clean ./...

@@ -10,8 +10,7 @@
 //
 // -workers fans experiment grids across the sweep engine; the printed
 // tables are byte-identical for every worker count (ordered
-// collection), so parallelism only changes wall-clock time — which is
-// recorded in the -json document for trajectory tracking.
+// collection), so parallelism only changes wall-clock time.
 //
 // Experiments: table1 table2 table3 table4 table5 fig1 fig2 fig3
 // fig4a fig4b fig5 backends ablations all
@@ -20,55 +19,25 @@
 // execution backend (on-demand / spot / serverless), prints the
 // planner's cost–TTC Pareto frontier and validates every frontier
 // point against the simulation.
-//
-// Alongside the printed tables, benchtab executes a canonical set of
-// quick pipeline runs and writes their observability snapshots
-// (per-stage TTC and cost) to -json (default BENCH_results.json), so
-// the performance trajectory is machine-comparable across revisions.
-//
-// -kernels switches to the per-kernel microbenchmark mode: instead of
-// experiment tables it runs internal/kernelbench's fixed-seed kernels
-// (k-mer counting, DBG build, FASTX parsing, slot scheduling, MPI
-// collectives, journal appends) and writes their
-// {nsPerOp, allocsPerOp, bytesPerOp} plus an environment block into
-// the kernels section of -json. `make bench-gate` compares that
-// document against the committed BENCH_baseline.json.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
-	"rnascale/internal/core"
 	"rnascale/internal/experiments"
-	"rnascale/internal/kernelbench"
-	"rnascale/internal/obs"
-	"rnascale/internal/simdata"
-	"rnascale/internal/sweep"
 )
 
 func main() {
 	var (
-		exp      = flag.String("experiment", "all", "experiment to run (table1..table5, fig1..fig5, ablations, all)")
-		scale    = flag.String("scale", "quick", "dataset scale: quick or full")
-		workers  = flag.Int("workers", 0, "sweep workers for experiment grids (<1 uses GOMAXPROCS)")
-		jsonPath = flag.String("json", "BENCH_results.json", "write machine-readable stage TTC/cost snapshots here (empty disables)")
-		kernels  = flag.Bool("kernels", false, "run per-kernel microbenchmarks instead of experiments; record them in -json")
+		exp     = flag.String("experiment", "all", "experiment to run (table1..table5, fig1..fig5, ablations, all)")
+		scale   = flag.String("scale", "quick", "dataset scale: quick or full")
+		workers = flag.Int("workers", 0, "sweep workers for experiment grids (<1 uses GOMAXPROCS)")
 	)
 	flag.Parse()
 	experiments.Workers = *workers
-
-	if *kernels {
-		if err := runKernels(*jsonPath, *workers); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	sc := experiments.Quick
 	if strings.ToLower(*scale) == "full" {
@@ -118,7 +87,6 @@ func main() {
 	if names[0] == "all" {
 		names = order
 	}
-	start := time.Now() //rnavet:allow wallclock — bench records real elapsed seconds for throughput tracking
 	for _, name := range names {
 		run, ok := runners[name]
 		if !ok {
@@ -133,127 +101,4 @@ func main() {
 		fmt.Println("================================================================")
 		fmt.Println(out)
 	}
-
-	if *jsonPath != "" {
-		//rnavet:allow wallclock — wall-clock seconds are the quantity BENCH_results.json exists to record
-		if err := writeBenchResults(*jsonPath, *workers, time.Since(start).Seconds()); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *jsonPath)
-	}
-}
-
-// benchSchema identifies the BENCH_results.json format. v2 added the
-// env and kernels sections and changed workers from the raw flag
-// value to the resolved worker count.
-const benchSchema = "rnascale.bench-results/v2"
-
-// benchRun is one canonical configuration tracked across revisions.
-type benchRun struct {
-	Name     string           `json:"name"`
-	Snapshot *obs.RunSnapshot `json:"snapshot"`
-}
-
-// benchResults is the BENCH_results.json document. WallClockSeconds
-// is the real elapsed time of the pass (virtual TTCs live in the
-// snapshots), and Workers is the resolved sweep worker count — not
-// the raw flag, which is 0 for "use GOMAXPROCS" — so throughput is
-// comparable across revisions. Runs is populated in experiment mode,
-// Kernels in -kernels mode; Env is recorded in both.
-type benchResults struct {
-	Schema           string               `json:"schema"`
-	Workers          int                  `json:"workers"`
-	WallClockSeconds float64              `json:"wallClockSeconds"`
-	Runs             []benchRun           `json:"runs,omitempty"`
-	Env              *kernelbench.Env     `json:"env,omitempty"`
-	Kernels          []kernelbench.Result `json:"kernels,omitempty"`
-}
-
-// runKernels is the -kernels mode: measure every registered kernel at
-// its fixed seed and iteration count and write the results with the
-// environment block that makes them comparable.
-func runKernels(path string, workers int) error {
-	start := time.Now() //rnavet:allow wallclock — kernel benchmarks measure real elapsed time by definition
-	results := kernelbench.RunAll()
-	fmt.Printf("%-22s %12s %12s %14s\n", "kernel", "ns/op", "allocs/op", "bytes/op")
-	for _, r := range results {
-		fmt.Printf("%-22s %12.0f %12.1f %14.1f\n", r.Name, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp)
-	}
-	if path == "" {
-		return nil
-	}
-	env := kernelbench.CaptureEnv(sweep.ResolveWorkers(workers))
-	doc := benchResults{
-		Schema:  benchSchema,
-		Workers: env.Workers,
-		//rnavet:allow wallclock — wall-clock seconds are the quantity BENCH_results.json exists to record
-		WallClockSeconds: time.Since(start).Seconds(),
-		Env:              &env,
-		Kernels:          results,
-	}
-	if err := writeJSON(path, doc); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
-}
-
-// writeBenchResults executes the canonical quick runs on the sweep
-// engine and dumps their snapshots in fixed order. The set spans the
-// design space's corners: the paper's sample setup (S2 dynamic), its
-// S1 counterpart, and the conventional single-pilot baseline.
-func writeBenchResults(path string, workers int, wallSeconds float64) error {
-	cases := []struct {
-		name    string
-		scheme  core.MatchingScheme
-		pattern core.WorkflowPattern
-	}{
-		{"conventional", core.S1, core.Conventional},
-		{"static-S1", core.S1, core.DistributedStatic},
-		{"dynamic-S1", core.S1, core.DistributedDynamic},
-		{"dynamic-S2", core.S2, core.DistributedDynamic},
-	}
-	runs, err := sweep.Map(len(cases), func(i int) (benchRun, error) {
-		c := cases[i]
-		ds, err := simdata.GenerateCached(simdata.Tiny())
-		if err != nil {
-			return benchRun{}, err
-		}
-		cfg := core.DefaultConfig()
-		cfg.Scheme = c.scheme
-		cfg.Pattern = c.pattern
-		cfg.ContrailNodes = 2
-		rep, err := core.Run(ds, cfg)
-		if err != nil {
-			return benchRun{}, fmt.Errorf("bench run %s: %w", c.name, err)
-		}
-		return benchRun{Name: c.name, Snapshot: rep.Snapshot}, nil
-	}, sweep.Options{Workers: workers})
-	if err != nil {
-		return err
-	}
-	env := kernelbench.CaptureEnv(sweep.ResolveWorkers(workers))
-	doc := benchResults{
-		Schema:           benchSchema,
-		Workers:          env.Workers,
-		WallClockSeconds: wallSeconds,
-		Runs:             runs,
-		Env:              &env,
-	}
-	return writeJSON(path, doc)
-}
-
-func writeJSON(path string, doc any) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

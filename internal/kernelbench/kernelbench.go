@@ -1,6 +1,7 @@
-// Package kernelbench defines the fixed-seed microbenchmarks behind
-// `benchtab -kernels` and the regression gate behind `make
-// bench-gate`.
+// Package kernelbench is the registry of fixed-seed microbenchmarks
+// behind `make bench-gate`: BenchmarkKernels runs every kernel under
+// `go test -bench -benchmem`, and cmd/benchgate compares that output
+// with the committed BENCH_baseline.txt.
 //
 // Each kernel is one of the hot paths the ROADMAP's "raw speed" line
 // targets — k-mer scanning, counting and DBG construction, FASTA/FASTQ
@@ -9,23 +10,16 @@
 // journal appends and the verifying read, a MapReduce job and the
 // Contrail chain on top of it — run over a deterministic workload (a
 // splitmix64-seeded synthetic genome, never math/rand), so that
-// allocsPerOp and bytesPerOp are stable across runs and only nsPerOp
-// carries machine noise. The gate
-// (Compare) exploits that split: allocation counts get a tight
-// tolerance, and wall time is printed but gated only on request, which
-// is how an alloc regression is caught even on a noisy CI machine
-// without the noise failing untouched kernels.
+// allocs/op and B/op are stable across runs and only ns/op carries
+// machine noise; that split is what the gate's tolerances rest on.
 package kernelbench
 
 import (
 	"bytes"
 	"fmt"
 	"io"
-	"runtime"
 	"strconv"
-	"strings"
 	"sync"
-	"time"
 
 	"rnascale/internal/assembler"
 	"rnascale/internal/assembler/contrail"
@@ -42,89 +36,10 @@ import (
 	"rnascale/internal/vclock"
 )
 
-// Result is one kernel's measurement, as recorded in the `kernels`
-// section of BENCH_results.json.
-type Result struct {
-	Name string `json:"name"`
-	Measurement
-}
-
-// Measurement is one microbenchmark result: per-operation averages
-// over a fixed iteration count. Times are wall-clock; allocation
-// counts are deterministic for a fixed-seed workload, which is what
-// lets the bench gate hold them to a tight tolerance.
-type Measurement struct {
-	Iters       int     `json:"iters"`
-	NsPerOp     float64 `json:"nsPerOp"`
-	AllocsPerOp float64 `json:"allocsPerOp"`
-	BytesPerOp  float64 `json:"bytesPerOp"`
-}
-
-// Measure runs fn iters times (after one untimed warm-up call and a
-// GC to settle the heap) and reports per-op wall time and allocation
-// deltas. iters must be positive.
-func Measure(iters int, fn func()) Measurement {
-	if iters < 1 {
-		panic(fmt.Sprintf("kernelbench: measure with %d iters", iters))
-	}
-	fn()
-	runtime.GC()
-	objects0, bytes0 := readAllocs()
-	//rnavet:allow wallclock — the microbenchmark harness exists to measure real elapsed time
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		fn()
-	}
-	//rnavet:allow wallclock — closing the measurement window opened above
-	elapsed := time.Since(start)
-	objects1, bytes1 := readAllocs()
-	n := float64(iters)
-	return Measurement{
-		Iters:       iters,
-		NsPerOp:     float64(elapsed.Nanoseconds()) / n,
-		AllocsPerOp: float64(objects1-objects0) / n,
-		BytesPerOp:  float64(bytes1-bytes0) / n,
-	}
-}
-
-// readAllocs reads the cumulative heap-allocation counters via
-// runtime.ReadMemStats. The runtime/metrics package would be cheaper
-// (no stop-the-world) but its allocation counters aggregate per-P
-// caches lazily and under-report small deltas; ReadMemStats flushes
-// them, which is what makes allocsPerOp deterministic enough for the
-// bench gate to hold to a tight tolerance.
-func readAllocs() (objects, bytes uint64) {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.Mallocs, ms.TotalAlloc
-}
-
-// Env is the environment block recorded next to the kernel results:
-// the facts needed to judge whether two measurements are comparable.
-type Env struct {
-	GoVersion  string `json:"goVersion"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	// Workers is the resolved sweep worker count of the pass (not the
-	// raw -workers flag, which is 0 for "use GOMAXPROCS").
-	Workers int `json:"workers"`
-}
-
-// CaptureEnv records the current environment with the given resolved
-// worker count.
-func CaptureEnv(workers int) Env {
-	return Env{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Workers:    workers,
-	}
-}
-
 // Kernel is one named microbenchmark: Setup builds the fixed-seed
-// workload (untimed), and the returned op is the measured unit.
+// workload (unmeasured), and the returned op is the measured unit.
+// Iters is the op count the whole-system benchmark (bench/) loops a
+// kernel it times as a layer; the gate runs every kernel at 10 ops.
 type Kernel struct {
 	Name  string
 	Iters int
@@ -225,9 +140,7 @@ func transcriptome(seed uint64, n int) [][]byte {
 	return out
 }
 
-// Kernels returns the benchmark registry in its canonical order. The
-// iteration counts are fixed (not time-calibrated) so the allocation
-// columns are deterministic for a given Go toolchain.
+// Kernels returns the benchmark registry in its canonical order.
 func Kernels() []Kernel {
 	return []Kernel{
 		{
@@ -707,108 +620,4 @@ func Kernels() []Kernel {
 			},
 		},
 	}
-}
-
-// Run measures one kernel.
-func Run(k Kernel) Result {
-	op := k.Setup()
-	return Result{Name: k.Name, Measurement: Measure(k.Iters, op)}
-}
-
-// RunAll measures every registered kernel in canonical order.
-func RunAll() []Result {
-	ks := Kernels()
-	out := make([]Result, len(ks))
-	for i, k := range ks {
-		out[i] = Run(k)
-	}
-	return out
-}
-
-// Tolerance bounds the acceptable regression per column, as a
-// fraction of the baseline (0.5 = +50%). Allocation counts are
-// deterministic for a fixed workload and toolchain, so they get tight
-// bounds — which is what catches an alloc regression that wall-time
-// jitter would hide. Time 0 leaves wall time ungated: on a shared
-// machine identical code has measured 50-80% apart, so only a quiet
-// one can hold it to a bound.
-type Tolerance struct {
-	Time   float64
-	Allocs float64
-	Bytes  float64
-}
-
-// DefaultTolerance is the gate's default: wall time informational,
-// +10% allocations, +25% allocated bytes.
-func DefaultTolerance() Tolerance {
-	return Tolerance{Allocs: 0.10, Bytes: 0.25}
-}
-
-// Compare judges current kernel results against a baseline. It
-// returns a human-readable delta table and, when any baseline kernel
-// regressed beyond tolerance or is missing from current, an error
-// listing every failure. Kernels present only in current are listed
-// as new and do not fail the gate (they have no baseline yet).
-func Compare(baseline, current []Result, tol Tolerance) (string, error) {
-	cur := make(map[string]Result, len(current))
-	for _, r := range current {
-		cur[r.Name] = r
-	}
-	base := make(map[string]bool, len(baseline))
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-22s %12s %12s %8s %8s %8s  %s\n",
-		"kernel", "base ns/op", "cur ns/op", "Δtime", "Δallocs", "Δbytes", "status")
-	var failures []string
-	for _, br := range baseline {
-		base[br.Name] = true
-		cr, ok := cur[br.Name]
-		if !ok {
-			fmt.Fprintf(&b, "%-22s %12.0f %12s %8s %8s %8s  MISSING\n",
-				br.Name, br.NsPerOp, "-", "-", "-", "-")
-			failures = append(failures, fmt.Sprintf("%s: missing from current results", br.Name))
-			continue
-		}
-		dTime := delta(br.NsPerOp, cr.NsPerOp, 1)
-		dAllocs := delta(br.AllocsPerOp, cr.AllocsPerOp, 1)
-		dBytes := delta(br.BytesPerOp, cr.BytesPerOp, 4096)
-		status := "ok"
-		var why []string
-		if tol.Time > 0 && dTime > tol.Time {
-			why = append(why, fmt.Sprintf("time %+.0f%% > %+.0f%%", dTime*100, tol.Time*100))
-		}
-		if dAllocs > tol.Allocs {
-			why = append(why, fmt.Sprintf("allocs %+.0f%% > %+.0f%%", dAllocs*100, tol.Allocs*100))
-		}
-		if dBytes > tol.Bytes {
-			why = append(why, fmt.Sprintf("bytes %+.0f%% > %+.0f%%", dBytes*100, tol.Bytes*100))
-		}
-		if len(why) > 0 {
-			status = "REGRESSED"
-			failures = append(failures, fmt.Sprintf("%s: %s", br.Name, strings.Join(why, ", ")))
-		}
-		fmt.Fprintf(&b, "%-22s %12.0f %12.0f %7.0f%% %7.0f%% %7.0f%%  %s\n",
-			br.Name, br.NsPerOp, cr.NsPerOp, dTime*100, dAllocs*100, dBytes*100, status)
-	}
-	for _, r := range current {
-		if !base[r.Name] {
-			fmt.Fprintf(&b, "%-22s %12s %12.0f %8s %8s %8s  new\n",
-				r.Name, "-", r.NsPerOp, "-", "-", "-")
-		}
-	}
-	if len(failures) > 0 {
-		return b.String(), fmt.Errorf("kernelbench: %d kernel(s) regressed beyond tolerance:\n  %s",
-			len(failures), strings.Join(failures, "\n  "))
-	}
-	return b.String(), nil
-}
-
-// delta returns the growth from base to cur as a fraction of base,
-// or of floor if base is smaller. The floors — one allocation, one
-// page — are what keep a kernel that allocates nothing gateable: the
-// runtime's own background allocations put a hundredth of an
-// allocation per op into a measurement now and then, which is an
-// unbounded growth of zero but half a percent of one allocation.
-func delta(base, cur, floor float64) float64 {
-	return (cur - base) / max(base, floor)
 }

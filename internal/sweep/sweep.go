@@ -1,7 +1,7 @@
 // Package sweep is the deterministic parallel executor behind the
 // repository's own evaluation: the experiment grids (Tables III/V,
-// Figs. 3–5), the chaos-soak seed matrix, benchtab's canonical
-// snapshot runs and the gateway's batch-submit path.
+// Figs. 3–5), the chaos-soak seed matrix and the gateway's
+// batch-submit path.
 //
 // Every one of those workloads is a slice of fully isolated cells —
 // each simulated run owns its own vclock.Clock, cloud provider and
@@ -46,14 +46,12 @@ type Options struct {
 	OnProgress func(done, total int)
 }
 
-// ResolveWorkers reports the effective worker count for a Workers
+// resolveWorkers reports the effective worker count for a Workers
 // option value: values < 1 resolve to runtime.GOMAXPROCS(0), the
-// documented default. Callers that record "how parallel was this
-// pass" (benchtab's BENCH_results.json) must record this resolution,
-// not the raw flag value. A sweep additionally never runs more
-// workers than it has cells; that cap is per-call and intentionally
-// not part of this resolution.
-func ResolveWorkers(workers int) int {
+// documented default. A sweep additionally never runs more workers
+// than it has cells; that cap is per-call and applied by
+// Options.workers.
+func resolveWorkers(workers int) int {
 	if workers < 1 {
 		return runtime.GOMAXPROCS(0)
 	}
@@ -61,7 +59,7 @@ func ResolveWorkers(workers int) int {
 }
 
 func (o Options) workers(n int) int {
-	w := ResolveWorkers(o.Workers)
+	w := resolveWorkers(o.Workers)
 	if w > n {
 		w = n
 	}

@@ -15,10 +15,9 @@ import (
 
 // TestMapDeterminismAcrossWorkerCounts is the engine's core contract:
 // the same cell list produces byte-identical marshalled results with
-// 1, 2 and 8 workers. The cells are real pipeline runs (the smallest
-// canonical benchtab configurations), so this is the determinism the
-// experiment tables and BENCH_results.json lean on. Run under -race
-// via `make check`.
+// 1, 2 and 8 workers. The cells are real pipeline runs at the tiny
+// profile, so this is the determinism the experiment tables lean on.
+// Run under -race via `make check`.
 func TestMapDeterminismAcrossWorkerCounts(t *testing.T) {
 	type cell struct {
 		Scheme  core.MatchingScheme
