@@ -88,8 +88,8 @@ func TestSubmitFloodBounded(t *testing.T) {
 }
 
 // TestBatchEndpoint submits a mixed batch and expects ordered,
-// finished views: the gateway shares the experiments' sweep engine,
-// so a batch is one deterministic fan-out rather than N polls.
+// finished views: the batch's runs go through the same queue and
+// worker pool as single submissions, and one request replaces N polls.
 func TestBatchEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
 	payload := map[string]any{"runs": []RunRequest{
@@ -121,7 +121,7 @@ func TestBatchEndpoint(t *testing.T) {
 			t.Errorf("batch run %d summary %+v", i, v)
 		}
 	}
-	// Views come back in submission order (the sweep engine collects
+	// Views come back in submission order (the handler collects them
 	// by index), and the requests round-trip.
 	if views[0].Request.Scheme != "S2" || views[1].Request.Scheme != "S1" {
 		t.Errorf("batch order lost: %+v", views)

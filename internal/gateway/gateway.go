@@ -6,6 +6,7 @@
 //
 //	GET  /api/profiles          list dataset profiles
 //	GET  /api/assemblers        list integrated assemblers
+//	POST /api/plans             predict a run's TTC and cost without running it
 //	POST /api/runs              submit a pipeline run
 //	POST /api/batch             submit a batch, wait for ordered results
 //	GET  /api/runs              list runs and statuses
@@ -16,15 +17,17 @@
 //	GET  /api/runs/{id}/proof   journal chain verification + Merkle proof
 //	GET  /api/metrics           Prometheus text exposition
 //
-// Submitted runs execute asynchronously on a fixed pool of worker
-// goroutines fed by a bounded queue: when the queue is full, POST
-// /api/runs answers 429 Too Many Requests instead of accepting
-// unbounded backlog. Each run gets its own simulated cloud (and its
-// own span tree and metric registry), so concurrent users cannot
-// interfere. The /api/metrics endpoint serves the server-level
-// registry: gateway counters plus aggregate TTC/cost histograms over
-// finished runs (per-run values stay in the run views, keeping metric
-// cardinality constant under sustained load).
+// Submitted runs, single or batched, execute asynchronously on a
+// fixed pool of worker goroutines fed by a bounded queue: when the
+// queue is full, POST /api/runs and /api/batch answer 429 Too Many
+// Requests instead of accepting unbounded backlog. Every change to a
+// run's state goes through one transition function, applyLocked. Each
+// run gets its own simulated cloud (and its own span tree and metric
+// registry), so concurrent users cannot interfere. The /api/metrics
+// endpoint serves the server-level registry: gateway counters plus
+// aggregate TTC/cost histograms over finished runs (per-run values
+// stay in the run views, keeping metric cardinality constant under
+// sustained load).
 //
 // With EnableJournal the gateway itself survives loss: the run table
 // and bounded queue persist through an event log, every run executes
@@ -40,6 +43,7 @@ import (
 	"math"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -53,7 +57,6 @@ import (
 	"rnascale/internal/obs"
 	"rnascale/internal/seq"
 	"rnascale/internal/simdata"
-	"rnascale/internal/sweep"
 	"rnascale/internal/vclock"
 )
 
@@ -259,19 +262,23 @@ type RunView struct {
 }
 
 // run is the internal record. cfg and ds hold the prepared work for a
-// queued run; the worker that picks it up clears ds so the dataset is
-// not pinned past the run (profiles are memoized in simdata anyway).
-// Under EnableJournal, journalPath is the run's pipeline journal and
+// queued run (cfg.Obs is the run's own span tree and registry); the
+// run leaving the queue clears ds so the dataset is not pinned past
+// the run (profiles are memoized in simdata anyway). Under
+// EnableJournal, journalPath is the run's pipeline journal and
 // resumeFrom (when set) tells the worker to continue that journal
 // instead of starting over.
 type run struct {
 	view        RunView
 	report      *core.Report
-	obs         *obs.Obs
 	cfg         core.Config
 	ds          *simdata.Dataset
 	journalPath string
 	resumeFrom  string
+	// done is non-nil exactly while the run is live in this process
+	// (queued or running, counted by Wait and the inflight gauge); the
+	// terminal transition closes it, waking anyone waiting on the run.
+	done chan struct{}
 	// enqueuedAt is the wall-clock instant the run (re-)entered the
 	// queue; the queue-wait histogram observes the gap to worker
 	// pickup. Wall clock, not vclock: queue wait happens outside any
@@ -313,9 +320,7 @@ type Server struct {
 // most DefaultMaxQueued submissions waiting for a worker (tune with
 // SetMaxQueued). Call Close to drain the queue and stop the workers.
 func NewServer(maxConcurrent int) *Server {
-	if maxConcurrent < 1 {
-		maxConcurrent = 1
-	}
+	maxConcurrent = max(maxConcurrent, 1)
 	s := &Server{
 		runs:          map[string]*run{},
 		maxQueued:     DefaultMaxQueued,
@@ -354,11 +359,8 @@ func (s *Server) SetBrownout(watermark time.Duration) { //rnavet:allow vtimeleak
 // ErrQueueFull (HTTP 429). Zero rejects every submission outright;
 // there is no unbounded setting.
 func (s *Server) SetMaxQueued(n int) {
-	if n < 0 {
-		n = 0
-	}
 	s.mu.Lock()
-	s.maxQueued = n
+	s.maxQueued = max(n, 0)
 	s.mu.Unlock()
 }
 
@@ -385,35 +387,20 @@ func (s *Server) worker() {
 			s.mu.Unlock()
 			return
 		}
-		id := s.queue[0]
-		s.queue = s.queue[1:]
-		rn := s.runs[id]
-		cfg, ds := rn.cfg, rn.ds
-		journalPath, resumeFrom := rn.journalPath, rn.resumeFrom
-		rn.ds = nil
-		rn.resumeFrom = ""
+		rn := s.runs[s.queue[0]]
+		cfg, ds, journalPath, resumeFrom := rn.cfg, rn.ds, rn.journalPath, rn.resumeFrom
+		_ = s.applyLocked(rn, event{kind: evStarted}) // the queue holds only live queued runs
 		s.mu.Unlock()
 
-		s.setStatus(id, StatusRunning, nil, "")
 		rep, err := executeRun(cfg, ds, journalPath, resumeFrom)
-		if err != nil {
-			s.setStatus(id, StatusFailed, rep, err.Error())
-			continue
-		}
-		s.setStatus(id, StatusDone, rep, "")
+		s.mu.Lock()
+		_ = s.applyLocked(rn, event{kind: evFinished, rep: rep, err: err}) // only this worker finishes rn
+		s.mu.Unlock()
 	}
 }
 
 // Metrics exposes the server-level registry.
 func (s *Server) Metrics() *obs.Registry { return s.metrics }
-
-// runsInflight moves the queued-or-running gauge by delta. Every
-// transition site (submit, batch, re-adoption, resume, settle) goes
-// through here so the metric's name and help stay single-sourced and
-// the balance is auditable in one place.
-func (s *Server) runsInflight(delta int) {
-	s.metrics.Gauge(MetricRunsInflight, "Gateway runs queued or running.", nil).Add(float64(delta))
-}
 
 // queueClock reads the wall clock for queue-wait accounting. This is
 // the only wall-clock read in the package: everything inside a run is
@@ -425,13 +412,13 @@ func queueClock() time.Time {
 // Handler returns the HTTP handler for the API.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/api/profiles", s.handleProfiles)
-	mux.HandleFunc("/api/assemblers", s.handleAssemblers)
-	mux.HandleFunc("/api/plans", s.handlePlan)
+	mux.HandleFunc("/api/profiles", only(http.MethodGet, s.handleProfiles))
+	mux.HandleFunc("/api/assemblers", only(http.MethodGet, s.handleAssemblers))
+	mux.HandleFunc("/api/plans", only(http.MethodPost, s.handlePlan))
 	mux.HandleFunc("/api/runs", s.handleRuns)
 	mux.HandleFunc("/api/runs/", s.handleRun)
-	mux.HandleFunc("/api/batch", s.handleBatch)
-	mux.HandleFunc("/api/metrics", s.handleMetrics)
+	mux.HandleFunc("/api/batch", only(http.MethodPost, s.handleBatch))
+	mux.HandleFunc("/api/metrics", only(http.MethodGet, s.handleMetrics))
 	return mux
 }
 
@@ -495,13 +482,7 @@ func (s *Server) retryAfterLocked() int {
 		mean = sum / float64(s.serviceN)
 	}
 	secs := int(math.Ceil(float64(len(s.queue)+1) / float64(s.maxConcurrent) * mean))
-	if secs < minRetryAfter {
-		secs = minRetryAfter
-	}
-	if secs > maxRetryAfter {
-		secs = maxRetryAfter
-	}
-	return secs
+	return min(max(secs, minRetryAfter), maxRetryAfter)
 }
 
 // recordServiceLocked feeds one finished run's wall duration into the
@@ -509,24 +490,29 @@ func (s *Server) retryAfterLocked() int {
 func (s *Server) recordServiceLocked(secs float64) {
 	s.serviceSecs[s.serviceIdx] = secs
 	s.serviceIdx = (s.serviceIdx + 1) % serviceRing
-	if s.serviceN < serviceRing {
-		s.serviceN++
-	}
+	s.serviceN = min(s.serviceN+1, serviceRing)
 }
 
-// writeTooManyRequests answers 429 with a live Retry-After header and
-// the usual JSON error body, so both header-driven and body-driven
-// clients can back off.
-func writeTooManyRequests(w http.ResponseWriter, retryAfterSecs int, format string, args ...any) {
+// writeRetryAfter answers a load rejection (429 or 503) with a live
+// Retry-After header and the usual JSON error body, so both
+// header-driven and body-driven clients can back off.
+func writeRetryAfter(w http.ResponseWriter, status, retryAfterSecs int, format string, args ...any) {
 	w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfterSecs))
-	writeErr(w, http.StatusTooManyRequests, format, args...)
+	writeErr(w, status, format, args...)
+}
+
+// only answers 405 to every method but m.
+func only(m string, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != m {
+			writeErr(w, http.StatusMethodNotAllowed, "%s only", m)
+			return
+		}
+		h(w, r)
+	}
 }
 
 func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	type profileView struct {
 		Name     string `json:"name"`
 		Organism string `json:"organism"`
@@ -546,10 +532,6 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleAssemblers(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	type toolView struct {
 		Name        string `json:"name"`
 		GraphType   string `json:"graphType"`
@@ -586,42 +568,36 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 		var sh *ShedError
 		var ae *AdmissionError
 		switch {
+		case err == nil:
+			writeJSON(w, http.StatusAccepted, view)
 		case errors.As(err, &qf):
-			writeTooManyRequests(w, qf.RetryAfterSecs, "%v", err)
-			return
+			writeRetryAfter(w, http.StatusTooManyRequests, qf.RetryAfterSecs, "%v", err)
 		case errors.As(err, &sh):
 			// Brownout is load, not a malformed request: 503 with the
 			// same honest backoff hint a 429 carries.
-			w.Header().Set("Retry-After", fmt.Sprintf("%d", sh.RetryAfterSecs))
-			writeErr(w, http.StatusServiceUnavailable, "%v", err)
-			return
+			writeRetryAfter(w, http.StatusServiceUnavailable, sh.RetryAfterSecs, "%v", err)
 		case errors.As(err, &ae):
 			// Infeasible by prediction: retrying cannot help, so no
 			// Retry-After — the client must change the request.
 			writeErr(w, http.StatusUnprocessableEntity, "%v", err)
-			return
 		case errors.Is(err, errClosed):
 			writeErr(w, http.StatusServiceUnavailable, "%v", err)
-			return
-		case err != nil:
+		default:
 			writeErr(w, http.StatusBadRequest, "%v", err)
-			return
 		}
-		writeJSON(w, http.StatusAccepted, view)
 	default:
 		writeErr(w, http.StatusMethodNotAllowed, "GET or POST")
 	}
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/api/runs/")
-	parts := strings.Split(rest, "/")
-	if len(parts) == 2 && parts[1] == "resume" {
+	id, sub, nested := strings.Cut(strings.TrimPrefix(r.URL.Path, "/api/runs/"), "/")
+	if sub == "resume" {
 		if r.Method != http.MethodPost {
 			writeErr(w, http.StatusMethodNotAllowed, "POST only")
 			return
 		}
-		s.handleResume(w, parts[0])
+		s.handleResume(w, id)
 		return
 	}
 	if r.Method != http.MethodGet {
@@ -629,56 +605,39 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	rn, ok := s.runs[parts[0]]
+	rn, ok := s.runs[id]
+	var view RunView
+	var rep *core.Report
+	var o *obs.Obs
+	if ok {
+		view, rep, o = rn.view, rn.report, rn.cfg.Obs
+	}
 	s.mu.Unlock()
-	if !ok {
-		writeErr(w, http.StatusNotFound, "no run %q", parts[0])
-		return
-	}
-	if len(parts) == 1 {
-		s.mu.Lock()
-		view := rn.view
-		s.mu.Unlock()
+	switch {
+	case !ok:
+		writeErr(w, http.StatusNotFound, "no run %q", id)
+	case !nested:
 		writeJSON(w, http.StatusOK, view)
-		return
-	}
-	if len(parts) == 2 && parts[1] == "transcripts" {
-		s.mu.Lock()
-		rep := rn.report
-		status := rn.view.Status
-		s.mu.Unlock()
-		if status != StatusDone || rep == nil {
-			writeErr(w, http.StatusConflict, "run %s is %s", parts[0], status)
-			return
-		}
+	case sub == "transcripts" && (view.Status != StatusDone || rep == nil):
+		writeErr(w, http.StatusConflict, "run %s is %s", id, view.Status)
+	case sub == "transcripts":
 		w.Header().Set("Content-Type", "text/x-fasta")
 		_ = seq.WriteFasta(w, rep.Transcripts, 80)
-		return
-	}
-	if len(parts) == 2 && parts[1] == "trace" {
-		s.mu.Lock()
-		o := rn.obs
-		s.mu.Unlock()
+	case sub == "trace":
 		// The tracer is safe to export mid-run: unfinished spans are
 		// marked open, so a user can watch a run take shape.
 		w.Header().Set("Content-Type", "application/json")
 		_ = o.Tracer.WriteChromeTrace(w)
-		return
+	case sub == "proof":
+		s.handleProof(w, r, id)
+	default:
+		writeErr(w, http.StatusNotFound, "unknown resource")
 	}
-	if len(parts) == 2 && parts[1] == "proof" {
-		s.handleProof(w, r, parts[0])
-		return
-	}
-	writeErr(w, http.StatusNotFound, "unknown resource")
 }
 
 // handleMetrics serves the server-level registry in the Prometheus
 // text exposition format.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.metrics.WritePrometheus(w)
 }
@@ -686,10 +645,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // handlePlan predicts a run's stage TTCs and cost without executing
 // it — what a gateway UI shows the user before they commit budget.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	var req RunRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad JSON: %v", err)
@@ -751,20 +706,6 @@ func admit(req RunRequest, cfg core.Config, ds *simdata.Dataset) error {
 	return nil
 }
 
-// shedVictimLocked picks the queued run brownout should evict: the
-// lowest priority, ties broken toward the most recent arrival (it has
-// sunk the least waiting). Returns -1 when the queue is empty. Caller
-// holds s.mu.
-func (s *Server) shedVictimLocked() int {
-	victim := -1
-	for i, id := range s.queue {
-		if victim == -1 || s.runs[id].view.Request.Priority <= s.runs[s.queue[victim]].view.Request.Priority {
-			victim = i
-		}
-	}
-	return victim
-}
-
 // submit validates and enqueues a run. A full queue rejects the
 // submission with ErrQueueFull rather than accepting unbounded
 // backlog (the old per-run-goroutine design held every submission
@@ -785,79 +726,45 @@ func (s *Server) submit(req RunRequest) (RunView, error) {
 		}
 		return RunView{}, err
 	}
-	cfg.Obs = obs.New()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return RunView{}, errClosed
 	}
-	var shedID string
 	if s.brownout > 0 && len(s.queue) > 0 &&
 		queueClock().Sub(s.runs[s.queue[0]].enqueuedAt) > s.brownout {
-		idx := s.shedVictimLocked()
-		victim := s.runs[s.queue[idx]]
+		// The victim is the lowest-priority queued run, ties broken toward
+		// the most recent arrival (it has sunk the least waiting).
+		var victim *run
+		for _, id := range s.queue {
+			if rn := s.runs[id]; victim == nil || rn.view.Request.Priority <= victim.view.Request.Priority {
+				victim = rn
+			}
+		}
 		if victim.view.Request.Priority >= req.Priority {
 			// Nothing queued ranks below the arrival: it is itself the
 			// lowest-priority work, so brownout turns it away.
-			retry := s.retryAfterLocked()
-			s.mu.Unlock()
 			s.shedCount()
-			return RunView{}, &ShedError{RetryAfterSecs: retry}
+			return RunView{}, &ShedError{RetryAfterSecs: s.retryAfterLocked()}
 		}
-		shedID = s.queue[idx]
-		s.queue = append(s.queue[:idx], s.queue[idx+1:]...)
-		victim.view.Status = StatusShed
-		victim.view.Outcome = string(StatusShed)
-		victim.view.Error = "shed under brownout: queue wait exceeded watermark"
-		victim.ds = nil
-		s.logEventLocked(shedID)
+		_ = s.applyLocked(victim, event{kind: evShed}) // a queued run
 	}
 	if len(s.queue) >= s.maxQueued {
-		retry := s.retryAfterLocked()
-		s.mu.Unlock()
 		s.rejected(RejectQueue)
-		// shedID can't be set here: shedding freed a slot.
-		return RunView{}, &QueueFullError{RetryAfterSecs: retry}
+		return RunView{}, &QueueFullError{RetryAfterSecs: s.retryAfterLocked()}
 	}
-	s.nextID++
-	id := fmt.Sprintf("run-%05d", s.nextID)
-	view := RunView{ID: id, Status: StatusQueued, Request: req}
-	rn := &run{view: view, obs: cfg.Obs, cfg: cfg, ds: ds, enqueuedAt: queueClock()}
-	if s.journalDir != "" {
-		rn.journalPath = filepath.Join(s.journalDir, id+".journal")
-	}
-	s.runs[id] = rn
-	s.order = append(s.order, id)
-	s.queue = append(s.queue, id)
-	s.runsWG.Add(1)
-	s.logEventLocked(id)
-	s.mu.Unlock()
-	if shedID != "" {
-		// Settle the evicted run's accounting now that the lock is
-		// released: it was inflight from its own submit. Shed runs are
-		// counted by the dedicated shed counter, not the per-status runs
-		// counter, so that counter's label set stays fixed.
-		s.shedCount()
-		s.runsInflight(-1)
-		s.runsWG.Done()
-	}
-	s.runsInflight(1)
-	s.cond.Signal()
-	// Return the pre-enqueue snapshot: a worker may already be
-	// mutating rn.view under the lock.
-	return view, nil
+	rn := s.newRunLocked(req, cfg, ds)
+	_ = s.applyLocked(rn, event{kind: evSubmitted}) // a new run
+	return rn.view, nil
 }
 
-// handleBatch accepts {"runs": [...]} and executes the whole batch
-// synchronously on the sweep engine, answering with the finished run
-// views in submission order. Every request is validated before any
-// work starts (one bad entry rejects the batch), and the batch size
-// is capped by the queue bound.
+// handleBatch accepts {"runs": [...]} and answers, once every run is
+// terminal, with their views in submission order. A batch shares the
+// bounded queue and the worker pool with POST /api/runs: every request
+// is validated before any is enqueued (one bad entry rejects the batch
+// with 400), and a batch larger than the queue's free room is refused
+// whole with 429.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	var req struct {
 		Runs []RunRequest `json:"runs"`
 	}
@@ -869,156 +776,212 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "empty batch")
 		return
 	}
-	s.mu.Lock()
-	maxQueued, closed := s.maxQueued, s.closed
-	s.mu.Unlock()
-	if closed {
-		writeErr(w, http.StatusServiceUnavailable, "%v", errClosed)
-		return
-	}
-	if len(req.Runs) > maxQueued {
-		s.mu.Lock()
-		retry := s.retryAfterLocked()
-		s.mu.Unlock()
-		s.rejected(RejectQueue)
-		writeTooManyRequests(w, retry, "batch of %d exceeds queue bound %d", len(req.Runs), maxQueued)
-		return
-	}
 	cfgs := make([]core.Config, len(req.Runs))
 	dss := make([]*simdata.Dataset, len(req.Runs))
 	for i, rr := range req.Runs {
-		cfg, ds, err := buildConfig(rr)
-		if err != nil {
+		var err error
+		if cfgs[i], dss[i], err = buildConfig(rr); err != nil {
 			writeErr(w, http.StatusBadRequest, "run %d: %v", i, err)
 			return
 		}
-		cfg.Obs = obs.New()
-		cfgs[i] = cfg
-		dss[i] = ds
 	}
-	ids := make([]string, len(req.Runs))
-	paths := make([]string, len(req.Runs))
 	s.mu.Lock()
-	for i := range req.Runs {
-		s.nextID++
-		ids[i] = fmt.Sprintf("run-%05d", s.nextID)
-		rn := &run{
-			view:       RunView{ID: ids[i], Status: StatusQueued, Request: req.Runs[i]},
-			obs:        cfgs[i].Obs,
-			enqueuedAt: queueClock(),
-		}
-		if s.journalDir != "" {
-			rn.journalPath = filepath.Join(s.journalDir, ids[i]+".journal")
-			paths[i] = rn.journalPath
-		}
-		s.runs[ids[i]] = rn
-		s.order = append(s.order, ids[i])
-		s.runsWG.Add(1)
-		s.logEventLocked(ids[i])
-	}
-	s.mu.Unlock()
-	s.runsInflight(len(ids))
-	views, err := sweep.Map(len(ids), func(i int) (RunView, error) {
-		s.setStatus(ids[i], StatusRunning, nil, "")
-		rep, runErr := executeRun(cfgs[i], dss[i], paths[i], "")
-		if runErr != nil {
-			s.setStatus(ids[i], StatusFailed, rep, runErr.Error())
-		} else {
-			s.setStatus(ids[i], StatusDone, rep, "")
-		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.runs[ids[i]].view, nil
-	}, sweep.Options{Workers: s.maxConcurrent})
-	if err != nil {
-		// Only a panicking pipeline lands here; the cells themselves
-		// fold run failures into their views. Settle any run the
-		// panic left non-terminal so Wait and the inflight gauge
-		// stay balanced.
-		for _, id := range ids {
-			s.mu.Lock()
-			st := s.runs[id].view.Status
-			s.mu.Unlock()
-			if st != StatusDone && st != StatusFailed {
-				s.setStatus(id, StatusFailed, nil, err.Error())
-			}
-		}
-		writeErr(w, http.StatusInternalServerError, "%v", err)
+	if s.closed {
+		s.mu.Unlock()
+		writeErr(w, http.StatusServiceUnavailable, "%v", errClosed)
 		return
 	}
+	if room := s.maxQueued - len(s.queue); len(req.Runs) > room {
+		retry := s.retryAfterLocked()
+		s.mu.Unlock()
+		s.rejected(RejectQueue)
+		writeRetryAfter(w, http.StatusTooManyRequests, retry, "batch of %d exceeds the queue's free room %d", len(req.Runs), room)
+		return
+	}
+	runs := make([]*run, len(req.Runs))
+	done := make([]chan struct{}, len(req.Runs))
+	for i := range runs {
+		runs[i] = s.newRunLocked(req.Runs[i], cfgs[i], dss[i])
+		_ = s.applyLocked(runs[i], event{kind: evSubmitted}) // a new run
+		done[i] = runs[i].done
+	}
+	s.mu.Unlock()
+	for _, d := range done {
+		<-d
+	}
+	views := make([]RunView, len(runs))
+	s.mu.Lock()
+	for i, rn := range runs {
+		views[i] = rn.view
+	}
+	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, views)
 }
 
-// setStatus updates a run's view under the lock. The queued→running
-// transition observes the run's queue wait; terminal statuses settle
-// the run's accounting: the status counter, the inflight gauge, the
-// aggregate TTC/cost histograms and the Wait group.
-func (s *Server) setStatus(id string, status RunStatus, rep *core.Report, errMsg string) {
-	if status == StatusRunning {
-		now := queueClock()
-		s.mu.Lock()
-		enqueuedAt := s.runs[id].enqueuedAt
-		s.runs[id].startedAt = now
-		s.mu.Unlock()
-		if !enqueuedAt.IsZero() {
+// newRunLocked allocates the next run id and records a new run, not
+// yet queued, holding req's prepared work. Caller holds s.mu.
+func (s *Server) newRunLocked(req RunRequest, cfg core.Config, ds *simdata.Dataset) *run {
+	s.nextID++
+	id := fmt.Sprintf("run-%05d", s.nextID)
+	rn := &run{view: RunView{ID: id, Request: req}, cfg: cfg, ds: ds}
+	if s.journalDir != "" {
+		rn.journalPath = filepath.Join(s.journalDir, id+".journal")
+	}
+	s.runs[id] = rn
+	s.order = append(s.order, id)
+	return rn
+}
+
+// eventKind names a run-table transition; applyLocked accepts this
+// closed set and nothing else.
+type eventKind string
+
+const (
+	evSubmitted eventKind = "submitted" // new → queued
+	evStarted   eventKind = "started"   // queued → running
+	evFinished  eventKind = "finished"  // running → done, or failed with an error
+	evShed      eventKind = "shed"      // queued → shed, evicted by brownout
+	evRequeued  eventKind = "requeued"  // failed → queued (resume); replayed queued/running → queued (re-adoption)
+	evAbandoned eventKind = "abandoned" // replayed queued/running → failed: re-adoption cannot rebuild the request
+)
+
+// event is one transition: its kind plus, for evFinished, the
+// pipeline's report and error, and for evAbandoned, the cause.
+type event struct {
+	kind eventKind
+	rep  *core.Report
+	err  error
+}
+
+// applyLocked is the run table's one transition function. It checks
+// the event against the run's state and refuses an illegal one with an
+// error and no change. Otherwise it is the only code that sets a run's
+// status, moves it into or out of the queue, counts it in Wait and the
+// inflight gauge, feeds the terminal counters, histograms and the
+// service-time ring, appends its event-log record and wakes a worker.
+// A queued or running record that is not live was replayed from the
+// event log and awaits re-adoption. Caller holds s.mu.
+func (s *Server) applyLocked(rn *run, ev event) error {
+	id := rn.view.ID
+	from, live := rn.view.Status, rn.done != nil
+	replayed := !live && (from == StatusQueued || from == StatusRunning)
+	var to RunStatus
+	switch {
+	case ev.kind == evSubmitted && from == "":
+		to = StatusQueued
+	case ev.kind == evStarted && live && from == StatusQueued:
+		to = StatusRunning
+	case ev.kind == evFinished && live && from == StatusRunning && ev.err == nil:
+		to = StatusDone
+	case ev.kind == evFinished && live && from == StatusRunning:
+		to = StatusFailed
+	case ev.kind == evShed && live && from == StatusQueued:
+		to = StatusShed
+	case ev.kind == evRequeued && (from == StatusFailed || replayed):
+		to = StatusQueued
+	case ev.kind == evAbandoned && replayed:
+		to = StatusFailed
+	default:
+		return fmt.Errorf("gateway: run %s is %s; cannot apply %s", id, from, ev.kind)
+	}
+	now := queueClock()
+	rn.view.Status = to
+	switch ev.kind {
+	case evSubmitted, evRequeued:
+		rn.view.Error = ""
+		rn.enqueuedAt = now
+		s.queue = append(s.queue, id)
+	case evStarted, evShed:
+		i := slices.Index(s.queue, id)
+		s.queue = slices.Delete(s.queue, i, i+1)
+		rn.ds, rn.resumeFrom = nil, ""
+		if ev.kind == evStarted {
+			rn.startedAt = now
 			s.metrics.Histogram(MetricRunsQueueWait,
 				"Real seconds from enqueue to worker pickup.", queueWaitBuckets(), nil).
-				Observe(now.Sub(enqueuedAt).Seconds())
+				Observe(now.Sub(rn.enqueuedAt).Seconds())
+		} else {
+			rn.view.Outcome = string(StatusShed)
+			rn.view.Error = "shed under brownout: queue wait exceeded watermark"
+			s.shedCount()
 		}
-	}
-	if status == StatusDone || status == StatusFailed {
-		s.metrics.Counter(MetricRuns, "Gateway runs by terminal status.",
-			obs.Labels{"status": string(status)}).Inc()
-		s.runsInflight(-1)
-		defer s.runsWG.Done()
-		now := queueClock()
-		s.mu.Lock()
-		if startedAt := s.runs[id].startedAt; !startedAt.IsZero() {
-			s.recordServiceLocked(now.Sub(startedAt).Seconds())
+	case evFinished:
+		s.recordServiceLocked(now.Sub(rn.startedAt).Seconds())
+		rn.report = ev.rep
+		if ev.err != nil {
+			rn.view.Error = ev.err.Error()
 		}
-		s.mu.Unlock()
-	}
-	if rep != nil && status == StatusDone {
-		s.metrics.Histogram(MetricRunTTC, "Finished run TTC, virtual seconds.", nil, nil).
-			Observe(rep.TTC.Seconds())
-		s.metrics.Histogram(MetricRunCost, "Finished run cloud bill, USD.", costBuckets(), nil).
-			Observe(rep.CostUSD)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rn := s.runs[id]
-	rn.view.Status = status
-	rn.view.Error = errMsg
-	rn.report = rep
-	if rep != nil && rep.Outcome != "" {
-		rn.view.Outcome = string(rep.Outcome)
-	}
-	if rep != nil {
-		rn.view.TTCSeconds = rep.TTC.Seconds()
-		rn.view.CostUSD = rep.CostUSD
-		rn.view.Transcripts = len(rep.Transcripts)
-		rn.view.Stages = map[string]string{}
-		for _, st := range rep.Stages {
-			rn.view.Stages[st.Name] = st.Duration().String()
-		}
-		if rep.Config.FaultPlan != nil {
-			rn.view.Recovery = rep.Recovery.String()
-		}
-		if rep.Metrics != nil {
-			rn.view.Metrics = map[string]float64{
-				"precision":          rep.Metrics.Precision,
-				"recall":             rep.Metrics.Recall,
-				"f1":                 rep.Metrics.F1,
-				"weightedKmerRecall": rep.Metrics.WeightedKmerRecall,
-				"kcScore":            rep.Metrics.KCScore,
+		if rep := ev.rep; rep != nil {
+			if rep.Outcome != "" {
+				rn.view.Outcome = string(rep.Outcome)
+			}
+			rn.view.TTCSeconds = rep.TTC.Seconds()
+			rn.view.CostUSD = rep.CostUSD
+			rn.view.Transcripts = len(rep.Transcripts)
+			rn.view.Stages = map[string]string{}
+			for _, st := range rep.Stages {
+				rn.view.Stages[st.Name] = st.Duration().String()
+			}
+			if rep.Config.FaultPlan != nil {
+				rn.view.Recovery = rep.Recovery.String()
+			}
+			if rep.Metrics != nil {
+				rn.view.Metrics = map[string]float64{
+					"precision":          rep.Metrics.Precision,
+					"recall":             rep.Metrics.Recall,
+					"f1":                 rep.Metrics.F1,
+					"weightedKmerRecall": rep.Metrics.WeightedKmerRecall,
+					"kcScore":            rep.Metrics.KCScore,
+				}
+			}
+			if to == StatusDone {
+				s.metrics.Histogram(MetricRunTTC, "Finished run TTC, virtual seconds.", nil, nil).
+					Observe(rep.TTC.Seconds())
+				s.metrics.Histogram(MetricRunCost, "Finished run cloud bill, USD.", costBuckets(), nil).
+					Observe(rep.CostUSD)
 			}
 		}
+	case evAbandoned:
+		rn.view.Error = fmt.Sprintf("re-adoption: %v", ev.err)
 	}
-	s.logEventLocked(id)
+	// Shed runs count on the shed counter alone, keeping this one's
+	// label set fixed.
+	if to == StatusDone || to == StatusFailed {
+		s.metrics.Counter(MetricRuns, "Gateway runs by terminal status.",
+			obs.Labels{"status": string(to)}).Inc()
+	}
+	// Entering the queue makes a run live and a terminal status ends
+	// that; a replayed run abandoned at restart was never live here.
+	inflight := s.metrics.Gauge(MetricRunsInflight, "Gateway runs queued or running.", nil)
+	switch {
+	case !live && to == StatusQueued:
+		rn.done = make(chan struct{})
+		s.runsWG.Add(1)
+		inflight.Add(1)
+		s.cond.Signal()
+	case live && to != StatusQueued && to != StatusRunning:
+		close(rn.done)
+		rn.done = nil
+		s.runsWG.Done()
+		inflight.Add(-1)
+	}
+	// The event log holds the view after the transition; replay is
+	// last-wins per id, and s.mu orders one run's records. The record
+	// is durable (group-committed) when Append returns. The writer is
+	// fail-stop: after an append error the log stops growing and
+	// replay falls back to the last durable state, which re-adoption
+	// re-executes, so the error is not fatal here.
+	if s.events != nil {
+		if b, err := json.Marshal(rn.view); err == nil {
+			_, _ = s.events.Append(journal.Record{Kind: journal.KindEvent, Note: id, Payload: b}) //rnavet:allow errdrop — fail-stop by design: after an append error the log stops growing and replay falls back to the last durable state (see the comment above)
+		}
+	}
+	return nil
 }
 
 // buildConfig translates a request into a pipeline configuration and
-// dataset.
+// dataset. The configuration carries a fresh span tree and metric
+// registry (cfg.Obs), so every run it prepares observes only itself.
 func buildConfig(req RunRequest) (core.Config, *simdata.Dataset, error) {
 	name := req.Profile
 	if name == "" {
@@ -1096,5 +1059,6 @@ func buildConfig(req RunRequest) (core.Config, *simdata.Dataset, error) {
 		cfg.FaultPlan = plan
 		cfg.FaultSeed = req.FaultSeed
 	}
+	cfg.Obs = obs.New()
 	return cfg, ds, nil
 }

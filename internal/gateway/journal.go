@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"path/filepath"
@@ -33,7 +34,7 @@ const eventsPrefix = "gateway"
 // then compacted into a fresh snapshot segment, so the event log's
 // disk footprint resets on every restart instead of growing with the
 // gateway's whole history. Call once, before accepting submissions.
-func (s *Server) EnableJournal(dir string) error {
+func (s *Server) EnableJournal(dir string) (err error) {
 	s.mu.Lock()
 	rotate := s.rotateEvery
 	s.mu.Unlock()
@@ -42,30 +43,28 @@ func (s *Server) EnableJournal(dir string) error {
 	if err != nil {
 		return err
 	}
+	defer func() {
+		if err != nil {
+			// Every error exit leaves the log unadopted and unwritten:
+			// close it, keeping the enable error first.
+			err = errors.Join(err, seg.Close())
+		}
+	}()
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.events != nil {
-		s.mu.Unlock()
-		seg.Close() //rnavet:allow errdrop — error-path cleanup of a log we never wrote to; the enable error wins
 		return fmt.Errorf("gateway: journal already enabled")
 	}
 	if len(s.runs) > 0 {
-		s.mu.Unlock()
-		seg.Close() //rnavet:allow errdrop — error-path cleanup of a log we never wrote to; the enable error wins
 		return fmt.Errorf("gateway: enable the journal before accepting submissions")
 	}
-	s.journalDir = dir
-	s.events = seg
-
 	for _, rec := range prior {
 		if rec.Kind != journal.KindEvent || rec.Note == "" {
 			continue
 		}
 		var view RunView
 		if err := json.Unmarshal(rec.Payload, &view); err != nil {
-			s.events = nil
-			s.mu.Unlock()
-			seg.Close() //rnavet:allow errdrop — error-path cleanup; the unmarshal error wins and nothing was appended yet
 			return fmt.Errorf("gateway: event record for %s: %w", rec.Note, err)
 		}
 		id := rec.Note
@@ -79,25 +78,23 @@ func (s *Server) EnableJournal(dir string) error {
 		}
 		s.runs[id].view = view
 	}
-	var adopted, resumed int
+	// Re-adopt the replayed in-flight runs. The log is not yet attached,
+	// so these transitions append nothing: the compaction below writes
+	// their outcome.
+	var resumed int
 	for _, id := range s.order {
 		rn := s.runs[id]
-		switch rn.view.Status {
-		case StatusQueued, StatusRunning:
-		default:
+		if rn.view.Status != StatusQueued && rn.view.Status != StatusRunning {
 			continue // terminal: history only
 		}
 		cfg, ds, err := buildConfig(rn.view.Request)
 		if err != nil {
 			// The request can no longer be rebuilt (e.g. a profile was
 			// removed); settle it rather than wedging the queue.
-			rn.view.Status = StatusFailed
-			rn.view.Error = fmt.Sprintf("re-adoption: %v", err)
-			s.logEventLocked(id)
+			_ = s.applyLocked(rn, event{kind: evAbandoned, err: err}) // a replayed run
 			continue
 		}
-		cfg.Obs = obs.New()
-		rn.obs, rn.cfg, rn.ds = cfg.Obs, cfg, ds
+		rn.cfg, rn.ds = cfg, ds
 		rn.journalPath = filepath.Join(dir, id+".journal")
 		if rn.view.Status == StatusRunning {
 			// The previous gateway died with this run in flight; if its
@@ -109,13 +106,7 @@ func (s *Server) EnableJournal(dir string) error {
 				resumed++
 			}
 		}
-		rn.view.Status = StatusQueued
-		rn.view.Error = ""
-		rn.enqueuedAt = queueClock()
-		s.queue = append(s.queue, id)
-		s.runsWG.Add(1)
-		adopted++
-		s.logEventLocked(id)
+		_ = s.applyLocked(rn, event{kind: evRequeued}) // a replayed run
 	}
 	if len(prior) > 0 {
 		// Fold the whole inherited history into one snapshot segment:
@@ -129,40 +120,15 @@ func (s *Server) EnableJournal(dir string) error {
 			snapshot = append(snapshot, journal.Record{Kind: journal.KindEvent, Note: id, Payload: b})
 		}
 		if err := seg.Compact(snapshot); err != nil {
-			s.events = nil
-			s.mu.Unlock()
-			seg.Close() //rnavet:allow errdrop — error-path cleanup; the compact error wins and already names the failed log
 			return fmt.Errorf("gateway: compact event log: %w", err)
 		}
 	}
-	s.mu.Unlock()
-
-	if adopted > 0 {
-		s.runsInflight(adopted)
-	}
+	s.journalDir, s.events = dir, seg
 	if resumed > 0 {
 		s.metrics.Counter(obs.MetricRunsResumed,
 			"Runs re-adopted from a surviving pipeline journal after gateway loss.", nil).Add(float64(resumed))
 	}
-	s.cond.Broadcast()
 	return nil
-}
-
-// logEventLocked appends the run's current view to the event log;
-// the record is durable (group-committed) when Append returns.
-// Callers hold s.mu, which also orders same-run events for last-wins
-// replay. The event writer is fail-stop: after an append error the
-// log stops growing and replay falls back to the last durable state,
-// which re-adoption re-executes — so errors are not fatal here.
-func (s *Server) logEventLocked(id string) {
-	if s.events == nil {
-		return
-	}
-	b, err := json.Marshal(s.runs[id].view)
-	if err != nil {
-		return
-	}
-	_, _ = s.events.Append(journal.Record{Kind: journal.KindEvent, Note: id, Payload: b}) //rnavet:allow errdrop — fail-stop by design: after an append error the log stops growing and replay falls back to the last durable state (see doc comment)
 }
 
 // executeRun runs one pipeline run, honoring the run's journal and
@@ -171,7 +137,14 @@ func (s *Server) logEventLocked(id string) {
 // A close error on the run's journal fails the run: Close flushes the
 // final group commit, so an error there means the journal's tail may
 // not be durable and a later resume could replay stale state.
+//
+// A panicking pipeline fails its own run, not the worker that ran it.
 func executeRun(cfg core.Config, ds *simdata.Dataset, journalPath, resumeFrom string) (rep *core.Report, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			rep, err = nil, fmt.Errorf("gateway: pipeline panicked: %v", p)
+		}
+	}()
 	if resumeFrom != "" {
 		return core.Resume(ds, cfg, resumeFrom)
 	}
@@ -201,50 +174,49 @@ func executeRun(cfg core.Config, ds *simdata.Dataset, journalPath, resumeFrom st
 func (s *Server) handleResume(w http.ResponseWriter, id string) {
 	s.mu.Lock()
 	rn, ok := s.runs[id]
+	var view RunView
+	var path string
+	if ok {
+		view, path = rn.view, rn.journalPath
+	}
+	s.mu.Unlock()
 	if !ok {
-		s.mu.Unlock()
 		writeErr(w, http.StatusNotFound, "no run %q", id)
 		return
 	}
-	if rn.view.Status != StatusFailed {
-		status := rn.view.Status
-		s.mu.Unlock()
-		writeErr(w, http.StatusConflict, "run %s is %s, not resumable", id, status)
+	if view.Status != StatusFailed {
+		writeErr(w, http.StatusConflict, "run %s is %s, not resumable", id, view.Status)
 		return
 	}
-	lg, err := journal.Inspect(rn.journalPath)
+	// Read the journal and rebuild the request without the lock: a run
+	// that changes meanwhile is refused by the transition below.
+	lg, err := journal.Inspect(path)
 	if err != nil {
-		s.mu.Unlock()
 		writeErr(w, http.StatusConflict, "run %s has no surviving journal", id)
 		return
 	}
 	if lg.Complete() {
-		s.mu.Unlock()
 		writeErr(w, http.StatusConflict, "run %s's journal is complete; nothing to resume", id)
 		return
 	}
-	cfg, ds, err := buildConfig(rn.view.Request)
+	cfg, ds, err := buildConfig(view.Request)
 	if err != nil {
-		s.mu.Unlock()
 		writeErr(w, http.StatusInternalServerError, "rebuild request: %v", err)
 		return
 	}
-	cfg.Obs = obs.New()
-	rn.obs, rn.cfg, rn.ds = cfg.Obs, cfg, ds
-	rn.resumeFrom = rn.journalPath
-	rn.view.Status = StatusQueued
-	rn.view.Error = ""
-	rn.enqueuedAt = queueClock()
-	s.queue = append(s.queue, id)
-	s.runsWG.Add(1)
-	s.logEventLocked(id)
-	view := rn.view
+	s.mu.Lock()
+	if err := s.applyLocked(rn, event{kind: evRequeued}); err != nil {
+		s.mu.Unlock()
+		writeErr(w, http.StatusConflict, "%v", err)
+		return
+	}
+	// The worker cannot pick the run up before the lock is released.
+	rn.cfg, rn.ds, rn.resumeFrom = cfg, ds, path
+	view = rn.view
 	s.mu.Unlock()
 
-	s.runsInflight(1)
 	s.metrics.Counter(obs.MetricRunsResumed,
 		"Runs re-adopted from a surviving pipeline journal after gateway loss.", nil).Inc()
-	s.cond.Signal()
 	writeJSON(w, http.StatusAccepted, view)
 }
 

@@ -81,9 +81,9 @@ func TestMetricCardinalityConstant(t *testing.T) {
 }
 
 // TestQueueWaitObservedPerRun: every run contributes exactly one
-// queue-wait observation, whether it entered through the async queue
-// or the synchronous batch path — and the waits are non-negative real
-// seconds, not virtual time.
+// queue-wait observation, whether it was submitted alone or in a
+// batch (both pass through the one queue) — and the waits are
+// non-negative real seconds, not virtual time.
 func TestQueueWaitObservedPerRun(t *testing.T) {
 	s, ts := newTestServer(t)
 	submitRun(t, ts, RunRequest{Profile: "tiny", Assemblers: []string{"velvet"}})
