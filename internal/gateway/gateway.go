@@ -960,10 +960,12 @@ func (s *Server) applyLocked(rn *run, ev event) error {
 		inflight.Add(1)
 		s.cond.Signal()
 	case live && to != StatusQueued && to != StatusRunning:
+		// The gauge settles before Wait or a batch waiting on the run
+		// can return and scrape it.
+		inflight.Add(-1)
 		close(rn.done)
 		rn.done = nil
 		s.runsWG.Done()
-		inflight.Add(-1)
 	}
 	// The event log holds the view after the transition; replay is
 	// last-wins per id, and s.mu orders one run's records. The record

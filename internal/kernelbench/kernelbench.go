@@ -544,7 +544,7 @@ func Kernels() []Kernel {
 			// One MapReduce job through the Combine path: count canonical
 			// k-mers (the first thing Contrail does with its reads) over
 			// several map splits and reducers, so the sort-group combiner,
-			// partition-at-emit shuffle and per-partition sort all run.
+			// copy-once shuffle, per-partition sort and output merge all run.
 			Name:  "mapreduce.kmercount",
 			Iters: 20,
 			Setup: func() func() {

@@ -150,11 +150,17 @@ type Result struct {
 
 // Run executes one job over the input and returns its sorted output.
 //
-// Records move through flat per-reducer runs (partitioned at emit,
-// sorted once, reduced over consecutive equal keys). Map splits, then
-// reduce partitions, execute on up to GOMAXPROCS host goroutines; the
-// virtual-time accounting happens afterwards from integer byte
-// totals, so neither Output nor Elapsed depends on how many ran.
+// Each record is copied once between map and reduce. A map task
+// spills its records by partition, into chunks that grow without
+// copying; a reduce task gathers its partition's chunks, in split
+// order and then emission order as a Hadoop reducer fetches them, into
+// one exact-size run, sorts it in place, reduces consecutive equal keys
+// writing its output over the records already read, and sorts that
+// output. The job's output is a k-way merge of those sorted outputs
+// into one exact-size slice. Map splits, then reduce partitions,
+// execute on up to GOMAXPROCS host goroutines; the virtual-time
+// accounting happens afterwards from integer byte totals, so neither
+// Output nor Elapsed depends on how many ran.
 func (e *Engine) Run(job Job, input []KV) (Result, error) {
 	if job.Map == nil || job.Reduce == nil {
 		return Result{}, fmt.Errorf("mapreduce: job %q missing map or reduce", job.Name)
@@ -165,20 +171,17 @@ func (e *Engine) Run(job Job, input []KV) (Result, error) {
 	}
 	splits := splitInput(input, e.cfg.SplitBytes)
 
-	// --- Map phase: runs[split][partition] ---
+	// --- Map phase: one spill per split ---
 	mapBytes := make([]int64, len(splits))
-	runs := make([][][]KV, len(splits))
+	spills := make([]spill, len(splits))
 	parallel(len(splits), func(i int) {
 		mapBytes[i] = TotalBytes(splits[i])
-		parts := make([][]KV, reducers)
-		runs[i] = parts
-		toPartition := func(out KV) {
-			p := keyHash(out.Key) % uint64(reducers)
-			parts[p] = append(parts[p], out)
-		}
+		sp := make(spill, reducers)
+		spills[i] = sp
+		toSpill := func(out KV) { sp.add(int(keyHash(out.Key)%uint64(reducers)), out) }
 		if job.Combine == nil {
 			for _, kv := range splits[i] {
-				job.Map(kv, toPartition)
+				job.Map(kv, toSpill)
 			}
 			return
 		}
@@ -189,7 +192,7 @@ func (e *Engine) Run(job Job, input []KV) (Result, error) {
 		slices.SortFunc(emitted, compareKV)
 		forEachKey(emitted, func(key string, values []string) {
 			for _, v := range job.Combine(key, values) {
-				toPartition(KV{key, v})
+				toSpill(KV{key, v})
 			}
 		})
 	})
@@ -198,21 +201,37 @@ func (e *Engine) Run(job Job, input []KV) (Result, error) {
 	partBytes := make([]int64, reducers)
 	outputs := make([][]KV, reducers)
 	parallel(reducers, func(p int) {
-		run := runs[0][p]
-		runs[0][p] = nil // a finished partition's records are garbage
-		for _, parts := range runs[1:] {
-			run = append(run, parts[p]...)
-			parts[p] = nil
-		}
+		run := gather(spills, p)
 		partBytes[p] = TotalBytes(run)
 		slices.SortFunc(run, compareKV)
-		var out []KV
-		emit := func(kv KV) { out = append(out, kv) }
-		forEachKey(run, func(key string, values []string) { job.Reduce(key, values, emit) })
+		read, w := 0, 0 // records grouped so far; output in run[:w]
+		var extra []KV  // output once it outgrows the records read
+		emit := func(kv KV) {
+			if w < read && extra == nil {
+				run[w] = kv
+				w++
+				return
+			}
+			extra = append(extra, kv)
+		}
+		forEachKey(run, func(key string, values []string) {
+			read += len(values)
+			job.Reduce(key, values, emit)
+		})
+		out := append(run[:w], extra...)
+		switch {
+		case len(out) > len(run): // out has an array of its own
+		case 2*len(out) < len(run):
+			out = slices.Clone(out) // keep at most twice the output alive
+		default:
+			clear(run[len(out):]) // drop the reduced records' strings
+		}
+		if !slices.IsSortedFunc(out, compareKV) {
+			slices.SortFunc(out, compareKV)
+		}
 		outputs[p] = out
 	})
-	output := slices.Concat(outputs...)
-	slices.SortFunc(output, compareKV)
+	output := mergeSorted(outputs)
 
 	mapDone, _ := e.phase(e.cfg.MapRate, mapBytes)
 	reduceDone, shuffleBytes := e.phase(e.cfg.ReduceRate, partBytes)
@@ -257,6 +276,97 @@ func compareKV(a, b KV) int {
 		return c
 	}
 	return strings.Compare(a.Value, b.Value)
+}
+
+// spillChunk caps the records per chunk of a spill.
+const spillChunk = 1 << 12
+
+// spill is one map task's output: per partition, its records in
+// emission order, in chunks that double up to spillChunk so that
+// collecting them never copies one.
+type spill [][][]KV // [partition][chunk][record]
+
+// add appends kv to partition p.
+func (sp spill) add(p int, kv KV) {
+	chunks := sp[p]
+	last := len(chunks) - 1
+	if last < 0 || len(chunks[last]) == cap(chunks[last]) {
+		size := 16
+		if last >= 0 {
+			size = min(2*cap(chunks[last]), spillChunk)
+		}
+		chunks = append(chunks, make([]KV, 0, size))
+		last++
+	}
+	chunks[last] = append(chunks[last], kv)
+	sp[p] = chunks
+}
+
+// gather moves partition p's records out of the spills, in split
+// order, into one exact-size run, and releases their chunks.
+func gather(spills []spill, p int) []KV {
+	n := 0
+	for _, sp := range spills {
+		for _, chunk := range sp[p] {
+			n += len(chunk)
+		}
+	}
+	run := make([]KV, 0, n)
+	for _, sp := range spills {
+		for _, chunk := range sp[p] {
+			run = append(run, chunk...)
+		}
+		sp[p] = nil
+	}
+	return run
+}
+
+// mergeSorted merges sorted runs into a new sorted slice of exactly
+// their total length, nil if that is zero. A winner tree over the run
+// heads picks each next record in ⌈log2 len(runs)⌉ comparisons; equal
+// records are identical, so which run supplies one is invisible.
+func mergeSorted(runs [][]KV) []KV {
+	total := 0
+	for _, run := range runs {
+		total += len(run)
+	}
+	if total == 0 {
+		return nil
+	}
+	leaves := 1
+	for leaves < len(runs) {
+		leaves *= 2
+	}
+	// play returns the run whose head sorts first; an exhausted run, or
+	// a padding leaf past the last run, never wins.
+	play := func(a, b int) int {
+		switch {
+		case a >= len(runs) || len(runs[a]) == 0:
+			return b
+		case b >= len(runs) || len(runs[b]) == 0:
+			return a
+		case compareKV(runs[b][0], runs[a][0]) < 0:
+			return b
+		}
+		return a
+	}
+	tree := make([]int, 2*leaves) // tree[n] is the winner of node n; leaves at leaves+r
+	for r := range leaves {
+		tree[leaves+r] = r
+	}
+	for n := leaves - 1; n > 0; n-- {
+		tree[n] = play(tree[2*n], tree[2*n+1])
+	}
+	out := make([]KV, total)
+	for i := range out {
+		w := tree[1]
+		out[i] = runs[w][0]
+		runs[w] = runs[w][1:]
+		for n := (leaves + w) / 2; n > 0; n /= 2 {
+			tree[n] = play(tree[2*n], tree[2*n+1])
+		}
+	}
+	return out
 }
 
 // forEachKey calls fn once per run of consecutive equal keys in the

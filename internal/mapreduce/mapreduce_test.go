@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -335,6 +336,41 @@ func referenceRun(e *Engine, job Job, input []KV) Result {
 	}
 }
 
+// The shuffle copies each record once: a job whose map and reduce pass
+// records through allocates the spilled chunks, the exact-size
+// partition runs and the job output, about 112 bytes per record.
+// Growing per-partition slices by append, concatenating them and
+// appending reduce output allocated 345.
+func TestShuffleCopiesOnce(t *testing.T) {
+	const n = 1 << 16
+	input := make([]KV, n)
+	for i := range input {
+		input[i] = KV{Key: strconv.Itoa(i * 7919 % n), Value: "v"}
+	}
+	cfg := DefaultConfig(8)
+	cfg.SplitBytes = 1 << 18 // six splits
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := Job{
+		Name:   "identity",
+		Map:    func(kv KV, emit func(KV)) { emit(kv) },
+		Reduce: func(key string, values []string, emit func(KV)) { emit(KV{key, values[0]}) },
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := e.Run(job, input)
+	runtime.ReadMemStats(&after)
+	if err != nil || len(res.Output) != n {
+		t.Fatalf("%d records out, %v", len(res.Output), err)
+	}
+	if perRecord := float64(after.TotalAlloc-before.TotalAlloc) / n; perRecord > 128 {
+		t.Errorf("Run allocated %.0f bytes per record, want ≤ 128", perRecord)
+	}
+}
+
 // splitmix is the seeded generator behind the oracle's random jobs.
 type splitmix struct{ s uint64 }
 
@@ -349,7 +385,8 @@ func (r *splitmix) intn(n int) int {
 // oracleJob is a counting job whose map fans every record out under
 // several keys (so one split feeds many partitions and one key gets
 // values from many splits) and whose reduce emits under a key other
-// than the one it was given (so the output sort has work to do).
+// than the one it was given (so the output sort has work to do), and
+// for a lone value emits more records than it read.
 func oracleJob(combine int) Job {
 	sum := func(values []string) string {
 		total := 0
@@ -368,8 +405,11 @@ func oracleJob(combine int) Job {
 		},
 		Reduce: func(key string, values []string, emit func(KV)) {
 			emit(KV{Key: key[1:] + key[:1], Value: sum(values)})
-			if len(values) > 2 {
+			switch {
+			case len(values) > 2:
 				emit(KV{Key: "big", Value: key + "=" + values[0] + ".." + values[len(values)-1]})
+			case len(values) == 1:
+				emit(KV{Key: "lone", Value: key})
 			}
 		},
 	}
@@ -387,8 +427,9 @@ func oracleJob(combine int) Job {
 
 // Property: over seeded random inputs, cluster shapes and job
 // variants, the engine's Result equals the reference data path's in
-// every field — the flat-run shuffle, the parallel tasks and the
-// accounting done afterwards change nothing a caller can observe.
+// every field — the copy-once shuffle, the in-place reduce output, the
+// merged job output, the parallel tasks and the accounting done
+// afterwards change nothing a caller can observe.
 // `make oracle-determinism` runs it under the race detector with
 // -cpu 1,2,8.
 func TestEngineMatchesReference(t *testing.T) {
