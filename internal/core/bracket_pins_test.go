@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -104,6 +105,30 @@ func wantCutoff(stage string, launched bool) func(*Report, error) error {
 	}
 }
 
+// wantUnitEvent asserts some unit whose ID contains substr entered
+// state to with a note starting with note.
+func wantUnitEvent(rep *Report, substr string, to pilot.UnitState, note string) error {
+	for _, e := range rep.Events {
+		if e.Kind == pilot.KindUnit && strings.Contains(e.ID, substr) &&
+			e.To == string(to) && strings.HasPrefix(e.Note, note) {
+			return nil
+		}
+	}
+	return fmt.Errorf("no %q unit entered %s with note %q", substr, to, note)
+}
+
+// unitEnds reports the earliest and latest DONE time of the units
+// whose IDs contain substr.
+func unitEnds(rep *Report, substr string) (first, last vclock.Time) {
+	first = vclock.Time(math.Inf(1))
+	for _, e := range rep.Events {
+		if e.Kind == pilot.KindUnit && strings.Contains(e.ID, substr) && e.To == string(pilot.UnitDone) {
+			first, last = min(first, e.At), max(last, e.At)
+		}
+	}
+	return first, last
+}
+
 // bracketBase is the pinned runs' common configuration: all three
 // distributed assemblers on the tiny profile, S1 static so every stage
 // boots its own vehicle, no DETONATE scoring.
@@ -175,6 +200,21 @@ func bracketScenarios(t *testing.T) []bracketScenario {
 			})
 		}
 	}
+
+	// A serverless PB under its own retry policy: every unit's first
+	// two invocations flake, so each recovers on its third through the
+	// function path's backoff.
+	add("serverless/PB-unitflake-retry", ds, func(rep *Report, err error) error {
+		if err := wantComplete(rep, err); err != nil {
+			return err
+		}
+		return wantUnitEvent(rep, "-k", pilot.UnitRetrying, "attempt 2 failed")
+	}, func(c *Config) {
+		c.Scheme, c.Pattern = S1, DistributedDynamic
+		c.Backends.PB = cloud.Serverless
+		c.FaultPlan = spec("unitflake:p=1,n=2")
+		c.Retry.PB = pilot.RetryPolicy{MaxRetries: 2, Backoff: 20 * vclock.Second, Factor: 3}
+	})
 
 	// TestBreakerConvertsReclaimStorm's calibrated storm: the spot
 	// breaker trips mid-PB and PC falls back on-demand.
@@ -271,6 +311,31 @@ func bracketScenarios(t *testing.T) []bracketScenario {
 	add("cutoff/PB-mid-units", ds, wantCutoff("PB", true), func(c *Config) {
 		c.AssemblyNodesOverride = 2
 		c.CancelAt = vclock.Duration(pb.Start + vclock.Time(pb.Duration()/2))
+	})
+
+	// A serverless PB bursts every unit at once; a cutoff between the
+	// first and the last unit's end lets some finish and preempts the
+	// rest at the cutoff.
+	fnCfg := bracketBase()
+	fnCfg.Pattern = DistributedDynamic
+	fnCfg.Backends.PB = cloud.Serverless
+	cleanFn, err := Run(ds, fnCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, last := unitEnds(cleanFn, "-k")
+	add("serverless/PB-cutoff-mid-units", ds, func(rep *Report, err error) error {
+		if err := wantCutoff("PB", true)(rep, err); err != nil {
+			return err
+		}
+		if err := wantUnitEvent(rep, "-k", pilot.UnitDone, "exit 0"); err != nil {
+			return err
+		}
+		return wantUnitEvent(rep, "-k", pilot.UnitCanceled, "run cutoff preempted execution")
+	}, func(c *Config) {
+		c.Pattern = DistributedDynamic
+		c.Backends.PB = cloud.Serverless
+		c.CancelAt = vclock.Duration(first + (last-first)/2)
 	})
 
 	condB, err := ds.Resample(ds.Expression, ds.Profile.Seed+7)
