@@ -48,8 +48,8 @@ func MultiKMakespan(ds *simdata.Dataset, asmName string, kmers []int, nodes, nod
 		return MultiKResult{}, err
 	}
 	cores := p.Cluster.InstanceType().Cores
-	um := pilot.NewUnitManager(pm.Store(), clock, pilot.RoundRobin)
-	if err := um.AddPilots(p); err != nil {
+	um, err := pilot.NewUnitManager(p)
+	if err != nil {
 		return MultiKResult{}, err
 	}
 	start := clock.Now()

@@ -911,12 +911,12 @@ func (pl *Pipeline) instanceType(backend cloud.Backend, memGB float64) (string, 
 }
 
 // stageExec is the execution vehicle for one pipeline stage: a
-// VM-backed pilot (on-demand or spot), or a serverless function
-// runner. store is NFS on a cluster, an object store for functions;
+// VM-backed pilot (on-demand or spot), or a function-backed unit
+// manager. store is NFS on a cluster, an object store for functions;
 // cores is what units size their slot requests by (one for functions).
 type stageExec struct {
 	pilot    *pilot.Pilot
-	faas     *pilot.FunctionRunner
+	faas     *pilot.UnitManager
 	id       string
 	store    *cluster.SharedStore
 	cores    int
@@ -928,40 +928,25 @@ func pilotExec(p *pilot.Pilot) *stageExec {
 	return &stageExec{pilot: p, id: p.ID, store: p.Cluster.Store(), cores: it.Cores, instance: it.Name}
 }
 
-func faasExec(fr *pilot.FunctionRunner) *stageExec {
+func faasExec(fr *pilot.UnitManager) *stageExec {
 	return &stageExec{faas: fr, id: fr.ID(), store: fr.Store(), cores: 1, instance: "serverless"}
 }
 
-// unitRunner is the slice of the unit-execution contract the pipeline
-// drives, satisfied by both *pilot.UnitManager and
-// *pilot.FunctionRunner.
-type unitRunner interface {
-	SetObs(*obs.Obs)
-	SetOnUnitDone(func(*pilot.Unit, vclock.Time))
-	SetRetryBudget(*pilot.RetryBudget)
-	SetCutoff(vclock.Time)
-	Submit([]pilot.UnitDescription) ([]*pilot.Unit, error)
-	Run() error
-}
-
-// newRunner builds the unit runner for a stage vehicle, wired into the
+// newRunner builds the unit manager for a stage vehicle, wired into the
 // run's observability, journal, retry-budget and cutoff hooks.
-func (pl *Pipeline) newRunner(sx *stageExec, stage string) (unitRunner, error) {
-	var r unitRunner
-	if sx.faas != nil {
-		r = sx.faas
-	} else {
-		um := pilot.NewUnitManager(pl.pm.Store(), pl.clock, pilot.RoundRobin)
-		if err := um.AddPilots(sx.pilot); err != nil {
+func (pl *Pipeline) newRunner(sx *stageExec, stage string) (*pilot.UnitManager, error) {
+	um := sx.faas
+	if um == nil {
+		var err error
+		if um, err = pilot.NewUnitManager(sx.pilot); err != nil {
 			return nil, err
 		}
-		r = um
 	}
-	r.SetObs(pl.o)
-	r.SetOnUnitDone(pl.jr.onUnitDone(stage))
-	r.SetRetryBudget(pl.budget)
-	r.SetCutoff(pl.cutoff)
-	return r, nil
+	um.SetObs(pl.o)
+	um.SetOnUnitDone(pl.jr.onUnitDone(stage))
+	um.SetRetryBudget(pl.budget)
+	um.SetCutoff(pl.cutoff)
+	return um, nil
 }
 
 // cutoffReached reports whether the virtual clock crossed the run's
@@ -1006,8 +991,8 @@ func (pl *Pipeline) routeBackend(backend cloud.Backend) (cloud.Backend, string) 
 }
 
 // launch provisions a fresh execution vehicle: a pilot on the
-// requested purchasing backend, or a function runner when the stage is
-// serverless.
+// requested purchasing backend, or a function-backed unit manager when
+// the stage is serverless.
 func (pl *Pipeline) launch(name, itype string, nodes int, backend cloud.Backend) (*stageExec, error) {
 	if backend == cloud.Serverless {
 		fr, err := pilot.NewFunctionRunner(pl.provider, pl.pm.Store(), name)

@@ -68,7 +68,7 @@ func (o Objective) String() string {
 
 // Predict estimates the stage durations and bill of running cfg on
 // the dataset a priori. It is a dry run of Run: the same stage specs
-// drive the same cloud, SGE queues, function runner, boots, transfers
+// drive the same cloud, SGE queues, function backend, boots, transfers
 // and pilot reuse, but each unit's work returns its cost model
 // (pre-processing, the assembler's TTC estimate, post-processing)
 // instead of computing, so no read is touched and nothing is

@@ -81,7 +81,7 @@ func TestRetryPolicyBackoff(t *testing.T) {
 		{def, 2, 60 * vclock.Second},
 		{def, 3, 120 * vclock.Second},
 		{def, 6, 10 * vclock.Minute},                                 // 960 s capped to 600 s
-		{RetryPolicy{MaxRetries: 3}, 1, 0},                           // legacy: no backoff
+		{RetryPolicy{MaxRetries: 3}, 1, 0},                           // no backoff
 		{RetryPolicy{Backoff: 10, Factor: 3}, 3, 90},                 // uncapped growth
 		{RetryPolicy{Backoff: 10, Factor: 3, MaxBackoff: 50}, 3, 50}, // cap
 		{RetryPolicy{Backoff: 10}, 2, 20},                            // factor defaults to 2
@@ -97,8 +97,7 @@ func TestRetryPolicyBackoff(t *testing.T) {
 func TestRetryBackoffDelaysResubmission(t *testing.T) {
 	prov, m := newRig()
 	p := activePilot(t, m, 1)
-	um := NewUnitManager(m.Store(), prov.Clock(), RoundRobin)
-	um.AddPilots(p)
+	um := newUnitManager(t, p)
 	calls := 0
 	units, _ := um.Submit([]UnitDescription{{
 		Name: "flaky", Slots: 1,
@@ -145,56 +144,6 @@ func TestRetryBackoffDelaysResubmission(t *testing.T) {
 	}
 }
 
-func TestCancelDuringRetryBackoff(t *testing.T) {
-	prov, m := newRig()
-	p := activePilot(t, m, 1)
-	um := NewUnitManager(m.Store(), prov.Clock(), RoundRobin)
-	um.AddPilots(p)
-	ran := false
-	units, _ := um.Submit([]UnitDescription{{
-		Name: "parked", Slots: 1,
-		Work: func(env *ExecEnv) (WorkResult, error) {
-			ran = true
-			return WorkResult{Duration: 1}, nil
-		},
-	}})
-	u := units[0]
-	now := prov.Clock().Now()
-	// Drive the unit into the retry-backoff window by hand.
-	if err := m.Store().Transition(u.ID, string(UnitExecuting), now, "agent exec"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Store().Transition(u.ID, string(UnitRetrying), now, "attempt 1 failed"); err != nil {
-		t.Fatal(err)
-	}
-	// A unit parked in backoff is cancelable (unlike one mid-execution).
-	if err := um.Cancel(u); err != nil {
-		t.Fatalf("cancel during retry backoff: %v", err)
-	}
-	if u.State() != UnitCanceled {
-		t.Fatalf("state %s, want CANCELED", u.State())
-	}
-	if err := um.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ran {
-		t.Error("canceled unit re-executed")
-	}
-
-	// Contrast: an actively executing unit is not cancelable.
-	units2, _ := um.Submit([]UnitDescription{{
-		Name: "busy", Slots: 1,
-		Work: func(env *ExecEnv) (WorkResult, error) { return WorkResult{Duration: 1}, nil },
-	}})
-	u2 := units2[0]
-	if err := m.Store().Transition(u2.ID, string(UnitExecuting), prov.Clock().Now(), "agent exec"); err != nil {
-		t.Fatal(err)
-	}
-	if err := um.Cancel(u2); err == nil {
-		t.Error("cancel of executing unit accepted")
-	}
-}
-
 // counterValue reads one counter sample out of a registry, summing
 // across label sets that match all given labels.
 func counterValue(o *obs.Obs, name string, labels map[string]string) float64 {
@@ -234,9 +183,8 @@ func TestNodeLossResubmission(t *testing.T) {
 	prov := cloud.NewProvider(clock, opts)
 	m := NewManager(prov, NewStateStore(), cluster.DefaultOptions())
 	p := activePilot(t, m, 2) // VMs i-000001, i-000002
-	um := NewUnitManager(m.Store(), clock, RoundRobin)
+	um := newUnitManager(t, p)
 	um.SetObs(o)
-	um.AddPilots(p)
 	units, _ := um.Submit([]UnitDescription{{
 		Name: "asm", Slots: 8, Rule: sge.SingleNode,
 		Retry: RetryPolicy{MaxRetries: 2, Backoff: 50},
@@ -312,9 +260,8 @@ func TestRetriedUnitSpanTreeGolden(t *testing.T) {
 	prov := cloud.NewProvider(vclock.NewClock(0), cloud.DefaultOptions())
 	m := NewManager(prov, store, cluster.DefaultOptions())
 	p := activePilot(t, m, 1)
-	um := NewUnitManager(store, prov.Clock(), RoundRobin)
+	um := newUnitManager(t, p)
 	um.SetObs(o)
-	um.AddPilots(p)
 	calls := 0
 	units, _ := um.Submit([]UnitDescription{{
 		Name: "asm-k35", Slots: 8, Rule: sge.SingleNode,

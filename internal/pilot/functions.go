@@ -3,262 +3,92 @@ package pilot
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"rnascale/internal/cloud"
 	"rnascale/internal/cluster"
-	"rnascale/internal/obs"
 	"rnascale/internal/vclock"
 )
 
-// FunctionRunner executes compute units as serverless function
-// invocations instead of SGE jobs on a pilot's cluster — the
-// function-per-unit backend. It registers a pseudo-pilot in the state
-// store (so spans, transitions and the journal see the same event
-// shapes a VM-backed stage produces) and mirrors the UnitManager
-// contract the pipeline drives: Submit, Run, SetObs, SetOnUnitDone,
-// Units, Failed.
+// function is a function-backed manager's vehicle: the stage's
+// serverless function and the object store its invocations share.
+type function struct {
+	prov *cloud.Provider
+	name string
+	// fs is the object store the functions share (S3-style), standing
+	// in for the cluster's NFS store.
+	fs *cluster.SharedStore
+}
+
+// NewFunctionRunner returns a unit manager whose units run as
+// serverless function invocations instead of SGE jobs — the
+// function-per-unit backend. It registers a pseudo-pilot named for
+// the stage in the state store, so spans, transitions and the journal
+// see the same event shapes a VM-backed stage produces. The provider
+// must have the serverless backend configured.
 //
 // A unit whose reported runtime exceeds the per-invocation duration
 // cap is split into ceil(duration/cap) parallel piece invocations;
 // the unit's wall time is the slowest piece's start latency plus its
 // share of the compute.
-type FunctionRunner struct {
-	store *StateStore
-	clock *vclock.Clock
-	prov  *cloud.Provider
-	// fs is the object store the functions share (S3-style), standing
-	// in for the cluster's NFS store.
-	fs         *cluster.SharedStore
-	name       string
-	id         string
-	units      []*Unit
-	nextID     int
-	obs        *obs.Obs
-	onUnitDone func(u *Unit, at vclock.Time)
-	budget     *RetryBudget
-	cutoff     vclock.Time
-}
-
-// functionPolicy is the scheduling-note policy name, parsed by the
-// span bridge the same way UnitManager's policy names are.
-const functionPolicy = "function-per-unit"
-
-// NewFunctionRunner registers a serverless stage runner named for its
-// stage. The provider must have the serverless backend configured.
-func NewFunctionRunner(prov *cloud.Provider, store *StateStore, name string) (*FunctionRunner, error) {
+func NewFunctionRunner(prov *cloud.Provider, store *StateStore, name string) (*UnitManager, error) {
 	if prov.Serverless() == nil {
 		return nil, fmt.Errorf("pilot: serverless backend requested but Options.Serverless is not configured")
 	}
-	fr := &FunctionRunner{
-		store: store,
-		clock: prov.Clock(),
-		prov:  prov,
-		fs:    cluster.NewSharedStore(),
-		name:  name,
-		id:    fmt.Sprintf("faas(%s)", name),
+	fn := &function{prov: prov, name: name, fs: cluster.NewSharedStore()}
+	um := &UnitManager{
+		store: store, clock: prov.Clock(),
+		id: fmt.Sprintf("faas(%s)", name), policy: "function-per-unit", execNote: "function exec", fn: fn,
+		try: fn.try,
 	}
-	now := fr.clock.Now()
-	if err := store.Register(KindPilot, fr.id, string(PilotNew), now); err != nil {
+	now := um.clock.Now()
+	if err := store.Register(KindPilot, um.id, string(PilotNew), now); err != nil {
 		return nil, err
 	}
-	if err := store.Transition(fr.id, string(PilotLaunching), now, "provisioning function"); err != nil {
+	if err := store.Transition(um.id, string(PilotLaunching), now, "provisioning function"); err != nil {
 		return nil, err
 	}
 	// Functions need no boot or cluster configuration: the runner is
 	// active immediately; provisioning latency shows up per-invocation
 	// as cold starts instead.
-	if err := store.Transition(fr.id, string(PilotActive), now, "function deployed"); err != nil {
+	if err := store.Transition(um.id, string(PilotActive), now, "function deployed"); err != nil {
 		return nil, err
 	}
-	return fr, nil
+	return um, nil
 }
 
-// ID reports the pseudo-pilot's state-store ID.
-func (fr *FunctionRunner) ID() string { return fr.id }
-
-// Store exposes the runner's shared object store.
-func (fr *FunctionRunner) Store() *cluster.SharedStore { return fr.fs }
-
-// SetObs attaches an observability bundle for the retry/recovery
-// counters; nil detaches it.
-func (fr *FunctionRunner) SetObs(o *obs.Obs) { fr.obs = o }
-
-// SetOnUnitDone registers the per-unit completion callback (see
-// UnitManager.SetOnUnitDone).
-func (fr *FunctionRunner) SetOnUnitDone(f func(u *Unit, at vclock.Time)) { fr.onUnitDone = f }
-
-// SetRetryBudget attaches a run-wide retry budget (see
-// UnitManager.SetRetryBudget); nil = unlimited.
-func (fr *FunctionRunner) SetRetryBudget(b *RetryBudget) { fr.budget = b }
-
-// SetCutoff sets the virtual time past which no new attempt may start
-// (see UnitManager.SetCutoff). Zero disables it.
-func (fr *FunctionRunner) SetCutoff(t vclock.Time) { fr.cutoff = t }
-
-func (fr *FunctionRunner) count(name, help string) {
-	if fr.obs == nil || fr.obs.Metrics == nil {
-		return
+// Complete drives a function-backed manager's pseudo-pilot to DONE
+// once its stage finishes. A pilot completes through its Manager.
+func (um *UnitManager) Complete() error {
+	if um.fn == nil {
+		return fmt.Errorf("pilot: %s completes through its pilot manager", um.id)
 	}
-	fr.obs.Metrics.Counter(name, help, nil).Inc()
+	s, _ := um.store.State(um.id)
+	if PilotState(s).Final() {
+		return nil
+	}
+	return um.store.Transition(um.id, string(PilotDone), um.clock.Now(), "workload complete")
 }
 
-// Submit registers units and binds each to the function backend,
-// leaving them in AGENT_SCHEDULING. Execution happens in Run.
-func (fr *FunctionRunner) Submit(descs []UnitDescription) ([]*Unit, error) {
-	now := fr.clock.Now()
-	units := make([]*Unit, 0, len(descs))
-	for _, d := range descs {
-		if d.Work == nil {
-			return nil, fmt.Errorf("pilot: unit %q has no work function", d.Name)
-		}
-		if d.Slots <= 0 {
-			return nil, fmt.Errorf("pilot: unit %q requests %d slots", d.Name, d.Slots)
-		}
-		fr.nextID++
-		u := &Unit{ID: fmt.Sprintf("unit.%05d(%s)", fr.nextID, d.Name), Desc: d, store: fr.store}
-		if err := fr.store.Register(KindUnit, u.ID, string(UnitNew), now); err != nil {
-			return nil, err
-		}
-		if err := fr.store.Transition(u.ID, string(UnitScheduling), now, "submitted"); err != nil {
-			return nil, err
-		}
-		if err := fr.store.Transition(u.ID, string(UnitScheduled), now,
-			"bound to "+fr.id+" by "+functionPolicy); err != nil {
-			return nil, err
-		}
-		units = append(units, u)
-		fr.units = append(fr.units, u)
-	}
-	return units, nil
-}
-
-// Run invokes every scheduled unit: all units burst concurrently at
-// the current time (functions have no queue), each under its retry
-// policy. Run returns when all units are terminal, with the clock
-// advanced to the latest unit end.
-func (fr *FunctionRunner) Run() error {
-	now := fr.clock.Now()
-	type outcome struct {
-		u   *Unit
-		at  vclock.Time
-		err error
-	}
-	var outs []outcome
-	var latest vclock.Time
-	for _, u := range fr.units {
-		if u.State() != UnitScheduled {
-			continue
-		}
-		if fr.cutoff > 0 && now >= fr.cutoff {
-			if err := fr.store.Transition(u.ID, string(UnitCanceled), now, "run cutoff reached"); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := fr.store.Transition(u.ID, string(UnitExecuting), now, "function exec"); err != nil {
-			return err
-		}
-		end, err := fr.execute(u, now)
-		if err != nil {
-			u.Err = err
-			outs = append(outs, outcome{u: u, at: vclock.Max(end, now), err: err})
-			continue
-		}
-		outs = append(outs, outcome{u: u, at: end})
-		if end > latest {
-			latest = end
-		}
-	}
-	sort.SliceStable(outs, func(a, b int) bool { return outs[a].at < outs[b].at })
-	for _, o := range outs {
-		if o.u.State().Final() {
-			continue
-		}
-		if o.err != nil {
-			if err := fr.store.Transition(o.u.ID, string(UnitFailed), o.at, o.err.Error()); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := fr.store.Transition(o.u.ID, string(UnitDone), o.at, "exit 0"); err != nil {
-			return err
-		}
-		if fr.onUnitDone != nil {
-			fr.onUnitDone(o.u, o.at)
-		}
-	}
-	fr.clock.AdvanceTo(latest)
-	return nil
-}
-
-// execute runs one unit under its retry policy, mirroring
-// UnitManager.execute.
-func (fr *FunctionRunner) execute(u *Unit, at vclock.Time) (vclock.Time, error) {
-	pol := u.Desc.retryPolicy()
-	submitAt := at
-	for u.Attempts = 1; ; u.Attempts++ {
-		end, failAt, err := fr.tryOnce(u, submitAt)
-		if err == nil {
-			if fr.cutoff > 0 && end > fr.cutoff {
-				// Preempt an invocation that would outlive the run's
-				// deadline (see UnitManager.execute).
-				if terr := fr.store.Transition(u.ID, string(UnitCanceled), fr.cutoff, "run cutoff preempted execution"); terr != nil {
-					return fr.cutoff, terr
-				}
-				return fr.cutoff, fmt.Errorf("canceled at run cutoff: execution would end at %v", end)
-			}
-			fr.prov.Breaker().RecordSuccess(cloud.Serverless)
-			if u.Attempts > 1 {
-				fr.count(MetricUnitsRecovered, "Units that reached DONE after at least one retry.")
-			}
-			return end, nil
-		}
-		fr.prov.Breaker().RecordFailure(cloud.Serverless)
-		if u.Attempts > pol.MaxRetries {
-			if u.Attempts > 1 {
-				return failAt, fmt.Errorf("%w (after %d attempts)", err, u.Attempts)
-			}
-			return failAt, err
-		}
-		if !fr.budget.Allow(failAt) {
-			fr.count(MetricRetryBudgetExhausted, "Retries denied by an exhausted run retry budget.")
-			return failAt, fmt.Errorf("retry budget exhausted: %w", err)
-		}
-		backoff := pol.BackoffFor(u.Attempts)
-		if terr := fr.store.Transition(u.ID, string(UnitRetrying), failAt,
-			fmt.Sprintf("attempt %d failed: %v; retry in %v", u.Attempts, err, backoff)); terr != nil {
-			return failAt, terr
-		}
-		fr.count(MetricRetries, "Unit attempt restarts by the pilot agent.")
-		if u.State() == UnitCanceled {
-			return failAt, fmt.Errorf("canceled during retry backoff: %w", err)
-		}
-		submitAt = failAt.Add(backoff)
-		if fr.cutoff > 0 && submitAt >= fr.cutoff {
-			if terr := fr.store.Transition(u.ID, string(UnitCanceled), failAt, "run cutoff reached during retry backoff"); terr != nil {
-				return failAt, terr
-			}
-			return failAt, fmt.Errorf("canceled at run cutoff: %w", err)
-		}
-		if terr := fr.store.Transition(u.ID, string(UnitExecuting), submitAt,
-			fmt.Sprintf("retry %d", u.Attempts+1)); terr != nil {
-			return submitAt, terr
-		}
+// record reports an attempt's outcome to the serverless circuit
+// breaker; a pilot-backed manager (nil fn) records nothing here.
+func (fn *function) record(ok bool) {
+	switch {
+	case fn == nil:
+	case ok:
+		fn.prov.Breaker().RecordSuccess(cloud.Serverless)
+	default:
+		fn.prov.Breaker().RecordFailure(cloud.Serverless)
 	}
 }
 
-// tryOnce makes one attempt at a unit, submitted at `at`: the work
-// function runs (yielding the true duration and memory), the runtime
-// is split into as many pieces as the duration cap demands, and each
-// piece invokes the stage's function in parallel.
-func (fr *FunctionRunner) tryOnce(u *Unit, at vclock.Time) (end, failAt vclock.Time, err error) {
-	if fr.prov.Faults().UnitAttemptFails(u.ID, u.Attempts, at) {
-		return 0, at, fmt.Errorf("injected transient failure (attempt %d)", u.Attempts)
-	}
-	opts := fr.prov.Serverless().Options()
+// try is a function's attempt step: the work function runs (yielding
+// the true duration and memory), the runtime is split into as many
+// pieces as the duration cap demands, and each piece invokes the
+// stage's function in parallel.
+func (fn *function) try(u *Unit, at vclock.Time) (end, failAt vclock.Time, err error) {
+	opts := fn.prov.Serverless().Options()
 	env := &ExecEnv{
-		Store: fr.fs,
+		Store: fn.fs,
 		Slots: u.Desc.Slots,
 		Nodes: 1,
 		// Functions are single-node allocations shaped by the largest
@@ -266,12 +96,9 @@ func (fr *FunctionRunner) tryOnce(u *Unit, at vclock.Time) (end, failAt vclock.T
 		// below, not here.
 		InstanceType: cloud.InstanceType{Name: "serverless", Cores: u.Desc.Slots, MemoryGB: opts.MaxTierGB()},
 	}
-	res, werr := u.Desc.Work(env)
-	if werr != nil {
-		return 0, at, fmt.Errorf("work: %w", werr)
-	}
-	if res.Duration < 0 {
-		return 0, at, fmt.Errorf("work reported negative duration %v", res.Duration)
+	res, err := work(fn.prov, u, env, at)
+	if err != nil {
+		return 0, at, err
 	}
 	if _, ok := opts.TierFor(res.PeakMemoryGB); !ok {
 		return 0, at, fmt.Errorf("out of memory: peak %.1f GB exceeds the largest %.0f GB function tier",
@@ -284,7 +111,7 @@ func (fr *FunctionRunner) tryOnce(u *Unit, at vclock.Time) (end, failAt vclock.T
 	pieceDur := res.Duration / vclock.Duration(pieces)
 	var wall vclock.Duration
 	for i := 0; i < pieces; i++ {
-		inv, ierr := fr.prov.Invoke(fr.name, res.PeakMemoryGB, pieceDur)
+		inv, ierr := fn.prov.Invoke(fn.name, res.PeakMemoryGB, pieceDur)
 		if ierr != nil {
 			return 0, at, ierr
 		}
@@ -295,27 +122,4 @@ func (fr *FunctionRunner) tryOnce(u *Unit, at vclock.Time) (end, failAt vclock.T
 	u.Start, u.End = at, at.Add(wall)
 	u.Result = res
 	return u.End, 0, nil
-}
-
-// Complete drives the pseudo-pilot to DONE once its stage finishes.
-func (fr *FunctionRunner) Complete() error {
-	s, _ := fr.store.State(fr.id)
-	if PilotState(s).Final() {
-		return nil
-	}
-	return fr.store.Transition(fr.id, string(PilotDone), fr.clock.Now(), "workload complete")
-}
-
-// Units lists every unit submitted through this runner.
-func (fr *FunctionRunner) Units() []*Unit { return append([]*Unit(nil), fr.units...) }
-
-// Failed lists units in FAILED state.
-func (fr *FunctionRunner) Failed() []*Unit {
-	var out []*Unit
-	for _, u := range fr.units {
-		if u.State() == UnitFailed {
-			out = append(out, u)
-		}
-	}
-	return out
 }

@@ -56,6 +56,10 @@ func TestUnitStateMachine(t *testing.T) {
 	if UnitNew.CanTransition(UnitDone) || UnitDone.CanTransition(UnitExecuting) {
 		t.Error("shortcut transitions allowed")
 	}
+	// The run cutoff cancels a bound unit before it starts.
+	if !UnitScheduled.CanTransition(UnitCanceled) {
+		t.Error("scheduled unit cannot be canceled")
+	}
 	for _, s := range []UnitState{UnitNew, UnitScheduling, UnitScheduled, UnitExecuting} {
 		if s != UnitNew && !s.CanTransition(UnitFailed) {
 			t.Errorf("%s cannot fail", s)
@@ -189,13 +193,19 @@ func activePilot(t *testing.T, m *Manager, nodes int) *Pilot {
 	return p
 }
 
+func newUnitManager(t *testing.T, p *Pilot) *UnitManager {
+	t.Helper()
+	um, err := NewUnitManager(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return um
+}
+
 func TestUnitLifecycleHappyPath(t *testing.T) {
 	prov, m := newRig()
 	p := activePilot(t, m, 2)
-	um := NewUnitManager(m.Store(), prov.Clock(), RoundRobin)
-	if err := um.AddPilots(p); err != nil {
-		t.Fatal(err)
-	}
+	um := newUnitManager(t, p)
 	ran := false
 	units, err := um.Submit([]UnitDescription{{
 		Name: "asm-k35", Slots: 8, Rule: sge.SingleNode,
@@ -227,16 +237,18 @@ func TestUnitLifecycleHappyPath(t *testing.T) {
 	if prov.Clock().Now() != u.End {
 		t.Errorf("clock %v not advanced to %v", prov.Clock().Now(), u.End)
 	}
-	if u.Pilot != p {
+	if u.Pilot != p || um.ID() != p.ID || um.Store() != p.Cluster.Store() {
 		t.Error("unit bound to wrong pilot")
+	}
+	if err := um.Complete(); err == nil {
+		t.Error("Complete bypassed the pilot manager")
 	}
 }
 
 func TestUnitOOMFails(t *testing.T) {
-	prov, m := newRig()
+	_, m := newRig()
 	p := activePilot(t, m, 1) // c3.2xlarge: 16 GB
-	um := NewUnitManager(m.Store(), prov.Clock(), RoundRobin)
-	um.AddPilots(p)
+	um := newUnitManager(t, p)
 	units, err := um.Submit([]UnitDescription{{
 		Name: "preproc-pcrispa", Slots: 8, Rule: sge.SingleNode,
 		Work: func(env *ExecEnv) (WorkResult, error) {
@@ -256,16 +268,12 @@ func TestUnitOOMFails(t *testing.T) {
 	if u.Err == nil || !strings.Contains(u.Err.Error(), "out of memory") {
 		t.Errorf("err %v", u.Err)
 	}
-	if len(um.Failed()) != 1 {
-		t.Error("Failed() misses the unit")
-	}
 }
 
 func TestUnitInfeasibleSlotRequestFails(t *testing.T) {
-	prov, m := newRig()
+	_, m := newRig()
 	p := activePilot(t, m, 1)
-	um := NewUnitManager(m.Store(), prov.Clock(), RoundRobin)
-	um.AddPilots(p)
+	um := newUnitManager(t, p)
 	units, _ := um.Submit([]UnitDescription{{
 		Name: "too-wide", Slots: 64, Rule: sge.FillUp,
 		Work: func(env *ExecEnv) (WorkResult, error) {
@@ -281,13 +289,9 @@ func TestUnitInfeasibleSlotRequestFails(t *testing.T) {
 }
 
 func TestUnitValidation(t *testing.T) {
-	prov, m := newRig()
-	um := NewUnitManager(m.Store(), prov.Clock(), RoundRobin)
-	if _, err := um.Submit([]UnitDescription{{Name: "x", Slots: 1}}); err == nil {
-		t.Error("no pilots: submit accepted")
-	}
+	_, m := newRig()
 	p := activePilot(t, m, 1)
-	um.AddPilots(p)
+	um := newUnitManager(t, p)
 	if _, err := um.Submit([]UnitDescription{{Name: "x", Slots: 1}}); err == nil {
 		t.Error("nil work accepted")
 	}
@@ -296,86 +300,15 @@ func TestUnitValidation(t *testing.T) {
 		t.Error("zero slots accepted")
 	}
 	m.CancelPilot(p)
-	if err := um.AddPilots(p); err == nil {
-		t.Error("canceled pilot added")
-	}
-}
-
-func TestUnitCancelBeforeRun(t *testing.T) {
-	prov, m := newRig()
-	p := activePilot(t, m, 1)
-	um := NewUnitManager(m.Store(), prov.Clock(), RoundRobin)
-	um.AddPilots(p)
-	ran := false
-	units, _ := um.Submit([]UnitDescription{{
-		Name: "doomed", Slots: 1,
-		Work: func(env *ExecEnv) (WorkResult, error) {
-			ran = true
-			return WorkResult{Duration: 1}, nil
-		},
-	}})
-	if err := um.Cancel(units[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := um.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ran {
-		t.Error("canceled unit executed")
-	}
-	if units[0].State() != UnitCanceled {
-		t.Errorf("state %s", units[0].State())
-	}
-	if err := um.Cancel(units[0]); err != nil {
-		t.Errorf("cancel of final unit: %v", err)
-	}
-}
-
-func TestRoundRobinDistributesAcrossPilots(t *testing.T) {
-	prov, m := newRig()
-	p1 := activePilot(t, m, 1)
-	p2 := activePilot(t, m, 1)
-	um := NewUnitManager(m.Store(), prov.Clock(), RoundRobin)
-	um.AddPilots(p1, p2)
-	work := func(env *ExecEnv) (WorkResult, error) { return WorkResult{Duration: 10}, nil }
-	descs := make([]UnitDescription, 4)
-	for i := range descs {
-		descs[i] = UnitDescription{Name: "u", Slots: 1, Work: work}
-	}
-	units, err := um.Submit(descs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if units[0].Pilot != p1 || units[1].Pilot != p2 || units[2].Pilot != p1 || units[3].Pilot != p2 {
-		t.Error("round-robin binding broken")
-	}
-}
-
-func TestLeastLoadedPrefersIdlePilot(t *testing.T) {
-	prov, m := newRig()
-	p1 := activePilot(t, m, 1)
-	p2 := activePilot(t, m, 1)
-	// Load p1's queue directly.
-	p1.Cluster.Scheduler().Submit(sge.JobSpec{Name: "hog", Slots: 8, Rule: sge.SingleNode, Duration: 10000}, prov.Clock().Now())
-	um := NewUnitManager(m.Store(), prov.Clock(), LeastLoaded)
-	um.AddPilots(p1, p2)
-	units, err := um.Submit([]UnitDescription{{
-		Name: "u", Slots: 8, Rule: sge.SingleNode,
-		Work: func(env *ExecEnv) (WorkResult, error) { return WorkResult{Duration: 1}, nil },
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if units[0].Pilot != p2 {
-		t.Error("least-loaded picked the busy pilot")
+	if _, err := NewUnitManager(p); err == nil {
+		t.Error("canceled pilot accepted")
 	}
 }
 
 func TestParallelUnitsOverlapInVirtualTime(t *testing.T) {
 	prov, m := newRig()
 	p := activePilot(t, m, 2) // 2 nodes × 8 slots
-	um := NewUnitManager(m.Store(), prov.Clock(), RoundRobin)
-	um.AddPilots(p)
+	um := newUnitManager(t, p)
 	work := func(env *ExecEnv) (WorkResult, error) { return WorkResult{Duration: 100}, nil }
 	units, _ := um.Submit([]UnitDescription{
 		{Name: "k35", Slots: 8, Rule: sge.SingleNode, Work: work},
@@ -397,13 +330,12 @@ func TestParallelUnitsOverlapInVirtualTime(t *testing.T) {
 }
 
 func TestUnitRetryRecoversTransientFailure(t *testing.T) {
-	prov, m := newRig()
+	_, m := newRig()
 	p := activePilot(t, m, 1)
-	um := NewUnitManager(m.Store(), prov.Clock(), RoundRobin)
-	um.AddPilots(p)
+	um := newUnitManager(t, p)
 	calls := 0
 	units, _ := um.Submit([]UnitDescription{{
-		Name: "flaky", Slots: 1, MaxRetries: 3,
+		Name: "flaky", Slots: 1, Retry: RetryPolicy{MaxRetries: 3},
 		Work: func(env *ExecEnv) (WorkResult, error) {
 			calls++
 			if calls < 3 {
@@ -425,13 +357,12 @@ func TestUnitRetryRecoversTransientFailure(t *testing.T) {
 }
 
 func TestUnitRetryExhaustion(t *testing.T) {
-	prov, m := newRig()
+	_, m := newRig()
 	p := activePilot(t, m, 1)
-	um := NewUnitManager(m.Store(), prov.Clock(), RoundRobin)
-	um.AddPilots(p)
+	um := newUnitManager(t, p)
 	calls := 0
 	units, _ := um.Submit([]UnitDescription{{
-		Name: "doomed", Slots: 1, MaxRetries: 2,
+		Name: "doomed", Slots: 1, Retry: RetryPolicy{MaxRetries: 2},
 		Work: func(env *ExecEnv) (WorkResult, error) {
 			calls++
 			return WorkResult{}, fmt.Errorf("hard failure")
@@ -474,10 +405,9 @@ func TestPilotBootFailureInjection(t *testing.T) {
 // Property: every history the framework produces obeys the state
 // machines — replay all events and check edge legality.
 func TestHistoryLegalityInvariant(t *testing.T) {
-	prov, m := newRig()
+	_, m := newRig()
 	p := activePilot(t, m, 2)
-	um := NewUnitManager(m.Store(), prov.Clock(), RoundRobin)
-	um.AddPilots(p)
+	um := newUnitManager(t, p)
 	um.Submit([]UnitDescription{
 		{Name: "ok", Slots: 4, Work: func(env *ExecEnv) (WorkResult, error) {
 			return WorkResult{Duration: 5}, nil

@@ -88,10 +88,9 @@ func laneFor(t *testing.T, out, id string) string {
 }
 
 func TestRenderTimelineFromRealRun(t *testing.T) {
-	prov, m := newRig()
+	_, m := newRig()
 	p := activePilot(t, m, 1)
-	um := NewUnitManager(m.Store(), prov.Clock(), RoundRobin)
-	um.AddPilots(p)
+	um := newUnitManager(t, p)
 	um.Submit([]UnitDescription{{
 		Name: "job", Slots: 4,
 		Work: func(env *ExecEnv) (WorkResult, error) { return WorkResult{Duration: 60}, nil },

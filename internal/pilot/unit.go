@@ -96,31 +96,18 @@ type UnitDescription struct {
 	// MemoryGBPerSlot is the declared per-slot memory demand used for
 	// placement feasibility (0 = unconstrained).
 	MemoryGBPerSlot float64
-	// MaxRetries is how many times the agent restarts a failing unit
-	// before declaring it FAILED — the pilot's "starting, monitoring,
-	// and restarting" responsibility. 0 means no retries. Superseded
-	// by Retry when that is set.
-	MaxRetries int
-	// Retry, when non-zero, is the full restart policy (count plus
-	// virtual-time backoff); the zero value falls back to MaxRetries
-	// with no backoff.
+	// Retry is the restart policy — the pilot's "starting, monitoring,
+	// and restarting" responsibility. The zero value never restarts.
 	Retry RetryPolicy
 	// Work is the unit body.
 	Work WorkFunc
 }
 
-// retryPolicy resolves the effective restart policy.
-func (d UnitDescription) retryPolicy() RetryPolicy {
-	if d.Retry != (RetryPolicy{}) {
-		return d.Retry
-	}
-	return RetryPolicy{MaxRetries: d.MaxRetries}
-}
-
 // Unit is a submitted compute unit.
 type Unit struct {
-	ID    string
-	Desc  UnitDescription
+	ID   string
+	Desc UnitDescription
+	// Pilot is the unit's pilot; nil when it runs as functions.
 	Pilot *Pilot
 	store *StateStore
 
@@ -141,42 +128,30 @@ func (u *Unit) State() UnitState {
 	return UnitState(s)
 }
 
-// SchedulingPolicy selects a pilot for each unit.
-type SchedulingPolicy int
-
-const (
-	// RoundRobin cycles through pilots in submission order.
-	RoundRobin SchedulingPolicy = iota
-	// LeastLoaded binds each unit to the pilot whose SGE queue frees
-	// the requested slots earliest.
-	LeastLoaded
-)
-
-// String implements fmt.Stringer.
-func (p SchedulingPolicy) String() string {
-	switch p {
-	case RoundRobin:
-		return "round-robin"
-	case LeastLoaded:
-		return "least-loaded"
-	default:
-		return fmt.Sprintf("SchedulingPolicy(%d)", int(p))
-	}
-}
-
-// UnitManager binds compute units to pilots and executes them — the
-// UnitManager of RADICAL-Pilot.
+// UnitManager binds compute units to one execution vehicle and executes
+// them — the UnitManager of RADICAL-Pilot. The vehicle is a pilot, whose
+// attempts are SGE jobs on its cluster, or a serverless function (see
+// NewFunctionRunner), whose attempts are invocations. Submission, the
+// retry loop, the run-wide budget, the cutoff and the terminal events
+// are the same for both.
 type UnitManager struct {
-	store  *StateStore
-	clock  *vclock.Clock
-	policy SchedulingPolicy
-	pilots []*Pilot
-	units  []*Unit
-	nextID int
-	rrNext int
-	// boundSlots counts slots of units bound to each pilot but not
-	// yet executed — the pending-load signal for LeastLoaded.
-	boundSlots map[*Pilot]int
+	store *StateStore
+	clock *vclock.Clock
+	// id names the vehicle in the binding note: the pilot's ID or the
+	// function's pseudo-pilot.
+	id string
+	// policy and execNote are the vehicle's binding policy and its
+	// note on the transition to AGENT_EXECUTING.
+	policy, execNote string
+	// pilot is a pilot-backed manager's vehicle; fn a function-backed
+	// one's. Exactly one is set.
+	pilot *Pilot
+	fn    *function
+	// try makes one attempt at a unit submitted at `at`: on success it
+	// returns the unit's end, on failure the failure time and cause.
+	try        func(u *Unit, at vclock.Time) (end, failAt vclock.Time, err error)
+	units      []*Unit
+	nextID     int
 	obs        *obs.Obs
 	onUnitDone func(u *Unit, at vclock.Time)
 	// budget, when set, bounds restarts across every unit this manager
@@ -188,9 +163,31 @@ type UnitManager struct {
 	cutoff vclock.Time
 }
 
-// NewUnitManager returns a unit manager over the shared store.
-func NewUnitManager(store *StateStore, clock *vclock.Clock, policy SchedulingPolicy) *UnitManager {
-	return &UnitManager{store: store, clock: clock, policy: policy, boundSlots: map[*Pilot]int{}}
+// NewUnitManager returns a unit manager that binds every unit to the
+// active pilot p round-robin.
+func NewUnitManager(p *Pilot) (*UnitManager, error) {
+	if p.State() != PilotActive {
+		return nil, fmt.Errorf("pilot: cannot bind units to %s in state %s", p.ID, p.State())
+	}
+	um := &UnitManager{
+		store: p.store, clock: p.Cluster.Provider().Clock(),
+		id: p.ID, policy: "round-robin", execNote: "agent exec", pilot: p,
+	}
+	um.try = um.tryPilot
+	return um, nil
+}
+
+// ID reports the vehicle's state-store ID: the pilot's, or the
+// function's pseudo-pilot.
+func (um *UnitManager) ID() string { return um.id }
+
+// Store exposes the vehicle's shared store: the pilot cluster's NFS,
+// or the functions' object store.
+func (um *UnitManager) Store() *cluster.SharedStore {
+	if um.fn != nil {
+		return um.fn.fs
+	}
+	return um.pilot.Cluster.Store()
 }
 
 // SetObs attaches an observability bundle for the retry/recovery
@@ -222,24 +219,9 @@ func (um *UnitManager) count(name, help string) {
 	um.obs.Metrics.Counter(name, help, nil).Inc()
 }
 
-// AddPilots registers pilots as scheduling targets.
-func (um *UnitManager) AddPilots(ps ...*Pilot) error {
-	for _, p := range ps {
-		if p.State() != PilotActive {
-			return fmt.Errorf("pilot: cannot add %s in state %s", p.ID, p.State())
-		}
-		um.pilots = append(um.pilots, p)
-	}
-	return nil
-}
-
-// Submit registers units and binds each to a pilot according to the
-// scheduling policy, leaving them in AGENT_SCHEDULING. Execution
-// happens in Run.
+// Submit registers units and binds each to the manager's vehicle,
+// leaving them in AGENT_SCHEDULING. Execution happens in Run.
 func (um *UnitManager) Submit(descs []UnitDescription) ([]*Unit, error) {
-	if len(um.pilots) == 0 {
-		return nil, fmt.Errorf("pilot: no pilots attached to unit manager")
-	}
 	now := um.clock.Now()
 	units := make([]*Unit, 0, len(descs))
 	for _, d := range descs {
@@ -250,17 +232,15 @@ func (um *UnitManager) Submit(descs []UnitDescription) ([]*Unit, error) {
 			return nil, fmt.Errorf("pilot: unit %q requests %d slots", d.Name, d.Slots)
 		}
 		um.nextID++
-		u := &Unit{ID: fmt.Sprintf("unit.%05d(%s)", um.nextID, d.Name), Desc: d, store: um.store}
+		u := &Unit{ID: fmt.Sprintf("unit.%05d(%s)", um.nextID, d.Name), Desc: d, Pilot: um.pilot, store: um.store}
 		if err := um.store.Register(KindUnit, u.ID, string(UnitNew), now); err != nil {
 			return nil, err
 		}
 		if err := um.store.Transition(u.ID, string(UnitScheduling), now, "submitted"); err != nil {
 			return nil, err
 		}
-		u.Pilot = um.pick(u)
-		um.boundSlots[u.Pilot] += d.Slots
 		if err := um.store.Transition(u.ID, string(UnitScheduled), now,
-			"bound to "+u.Pilot.ID+" by "+um.policy.String()); err != nil {
+			"bound to "+um.id+" by "+um.policy); err != nil {
 			return nil, err
 		}
 		units = append(units, u)
@@ -269,58 +249,13 @@ func (um *UnitManager) Submit(descs []UnitDescription) ([]*Unit, error) {
 	return units, nil
 }
 
-// pick applies the scheduling policy.
-func (um *UnitManager) pick(u *Unit) *Pilot {
-	switch um.policy {
-	case LeastLoaded:
-		best := um.pilots[0]
-		bestR, bestM := um.load(best, u.Desc.Slots)
-		for _, p := range um.pilots[1:] {
-			r, m := um.load(p, u.Desc.Slots)
-			if r < bestR || (r == bestR && m < bestM) {
-				best, bestR, bestM = p, r, m
-			}
-		}
-		return best
-	default: // RoundRobin
-		p := um.pilots[um.rrNext%len(um.pilots)]
-		um.rrNext++
-		return p
-	}
-}
-
-// load scores a pilot for LeastLoaded: primary key is the pending
-// bound-but-unexecuted load relative to the pilot's slot capacity,
-// secondary key is the SGE queue's current makespan. Pilots too small
-// for the request score +inf.
-func (um *UnitManager) load(p *Pilot, slots int) (float64, vclock.Time) {
-	sched := p.Cluster.Scheduler()
-	total := sched.TotalSlots()
-	if total < slots {
-		return 1e300, vclock.Time(1e300)
-	}
-	return float64(um.boundSlots[p]) / float64(total), vclock.Max(um.clock.Now(), sched.Makespan())
-}
-
-// Cancel cancels a unit that is not actively executing: pending units
-// and units parked in the retry-backoff window (AGENT_RETRYING) are
-// cancelable; a unit mid-execution is not.
-func (um *UnitManager) Cancel(u *Unit) error {
-	st := u.State()
-	if st.Final() {
-		return nil
-	}
-	if st == UnitExecuting {
-		return fmt.Errorf("pilot: unit %s already executing", u.ID)
-	}
-	return um.store.Transition(u.ID, string(UnitCanceled), um.clock.Now(), "canceled")
-}
-
-// Run executes every scheduled unit on its bound pilot: the work
-// function runs for real, its reported duration is scheduled on the
-// pilot's SGE queue, and memory is checked against the node size.
-// Run returns when all units are terminal, with the clock advanced to
-// the latest unit end ("waiting for completion").
+// Run executes every scheduled unit on the manager's vehicle: the work
+// function runs for real and its reported duration is placed on the
+// pilot's SGE queue (or split across function invocations), with its
+// memory checked against the node (or function tier) size. All units
+// start at the current time. Run returns when all units are terminal,
+// with the clock advanced to the latest unit end ("waiting for
+// completion").
 func (um *UnitManager) Run() error {
 	now := um.clock.Now()
 	type outcome struct {
@@ -342,7 +277,7 @@ func (um *UnitManager) Run() error {
 			}
 			continue
 		}
-		if err := um.store.Transition(u.ID, string(UnitExecuting), now, "agent exec"); err != nil {
+		if err := um.store.Transition(u.ID, string(UnitExecuting), now, um.execNote); err != nil {
 			return err
 		}
 		end, err := um.execute(u, now)
@@ -361,7 +296,7 @@ func (um *UnitManager) Run() error {
 	sort.SliceStable(outs, func(a, b int) bool { return outs[a].at < outs[b].at })
 	for _, o := range outs {
 		if o.u.State().Final() {
-			// Already terminal (e.g. canceled during a retry backoff).
+			// Already canceled at the cutoff.
 			continue
 		}
 		if o.err != nil {
@@ -378,8 +313,6 @@ func (um *UnitManager) Run() error {
 		}
 	}
 	um.clock.AdvanceTo(latest)
-	// Executed units are no longer pending load.
-	um.boundSlots = map[*Pilot]int{}
 	return nil
 }
 
@@ -389,10 +322,10 @@ func (um *UnitManager) Run() error {
 // returns its virtual end time (the failure time when the error is
 // non-nil).
 func (um *UnitManager) execute(u *Unit, at vclock.Time) (vclock.Time, error) {
-	pol := u.Desc.retryPolicy()
+	pol := u.Desc.Retry
 	submitAt := at
 	for u.Attempts = 1; ; u.Attempts++ {
-		end, failAt, err := um.tryOnce(u, submitAt)
+		end, failAt, err := um.try(u, submitAt)
 		if err == nil {
 			if um.cutoff > 0 && end > um.cutoff {
 				// The attempt would outlive the run's deadline: the expired
@@ -403,11 +336,13 @@ func (um *UnitManager) execute(u *Unit, at vclock.Time) (vclock.Time, error) {
 				}
 				return um.cutoff, fmt.Errorf("canceled at run cutoff: execution would end at %v", end)
 			}
+			um.fn.record(true)
 			if u.Attempts > 1 {
 				um.count(MetricUnitsRecovered, "Units that reached DONE after at least one retry.")
 			}
 			return end, nil
 		}
+		um.fn.record(false)
 		if u.Attempts > pol.MaxRetries {
 			if u.Attempts > 1 {
 				return failAt, fmt.Errorf("%w (after %d attempts)", err, u.Attempts)
@@ -426,11 +361,6 @@ func (um *UnitManager) execute(u *Unit, at vclock.Time) (vclock.Time, error) {
 			return failAt, terr
 		}
 		um.count(MetricRetries, "Unit attempt restarts by the pilot agent.")
-		if u.State() == UnitCanceled {
-			// Canceled during the backoff window: no resubmission, and
-			// the terminal state is already recorded.
-			return failAt, fmt.Errorf("canceled during retry backoff: %w", err)
-		}
 		submitAt = failAt.Add(backoff)
 		if um.cutoff > 0 && submitAt >= um.cutoff {
 			// The backoff window crosses the run's deadline: the retry
@@ -447,21 +377,33 @@ func (um *UnitManager) execute(u *Unit, at vclock.Time) (vclock.Time, error) {
 	}
 }
 
-// tryOnce makes one attempt at a unit, submitted at `at`. On success
-// it returns the job end; on failure the virtual failure time and the
-// cause. Node losses that surface during the attempt are recovered
-// (replacement VM) before returning, so the retry lands on a healthy
-// queue.
-func (um *UnitManager) tryOnce(u *Unit, at vclock.Time) (end, failAt vclock.Time, err error) {
-	p := u.Pilot
-	prov := p.Cluster.Provider()
+// work runs the unit body once, failing an injected transient fault
+// first, and rejects a negative duration. Each vehicle checks the
+// reported memory against its own limit.
+func work(prov *cloud.Provider, u *Unit, env *ExecEnv, at vclock.Time) (WorkResult, error) {
+	if prov.Faults().UnitAttemptFails(u.ID, u.Attempts, at) {
+		return WorkResult{}, fmt.Errorf("injected transient failure (attempt %d)", u.Attempts)
+	}
+	res, err := u.Desc.Work(env)
+	if err != nil {
+		return WorkResult{}, fmt.Errorf("work: %w", err)
+	}
+	if res.Duration < 0 {
+		return WorkResult{}, fmt.Errorf("work reported negative duration %v", res.Duration)
+	}
+	return res, nil
+}
+
+// tryPilot is a pilot's attempt step: the unit runs as one SGE job on
+// the pilot's cluster. Node losses that surface during the attempt are
+// recovered (replacement VM) before returning, so the retry lands on a
+// healthy queue.
+func (um *UnitManager) tryPilot(u *Unit, at vclock.Time) (end, failAt vclock.Time, err error) {
+	p := um.pilot
 	// Interruptions that already struck this pilot's nodes are
 	// recovered first, so placement only sees live nodes.
 	um.recoverLostNodes(p, at)
 	it := p.Cluster.InstanceType()
-	if prov.Faults().UnitAttemptFails(u.ID, u.Attempts, at) {
-		return 0, at, fmt.Errorf("injected transient failure (attempt %d)", u.Attempts)
-	}
 	env := &ExecEnv{
 		Store:        p.Cluster.Store(),
 		InstanceType: it,
@@ -469,7 +411,11 @@ func (um *UnitManager) tryOnce(u *Unit, at vclock.Time) (end, failAt vclock.Time
 	}
 	// SGE reserves on submit, so the work runs first (yielding the
 	// true duration), then the job is scheduled.
-	res, err := um.attempt(u, env, it)
+	res, err := work(p.Cluster.Provider(), u, env, at)
+	if err == nil && res.PeakMemoryGB > it.MemoryGB {
+		err = fmt.Errorf("out of memory: peak %.1f GB exceeds %s's %.1f GB",
+			res.PeakMemoryGB, it.Name, it.MemoryGB)
+	}
 	if err != nil {
 		return 0, at, err
 	}
@@ -550,34 +496,4 @@ func (um *UnitManager) recoverNode(p *Pilot, iv *cloud.Interruption) {
 		_ = um.store.Transition(p.ID, string(PilotActive), prov.Clock().Now(),
 			fmt.Sprintf("replacement %s joined for %s", repl.ID, dead.ID))
 	}
-}
-
-// attempt runs the work function once and applies the result checks.
-func (um *UnitManager) attempt(u *Unit, env *ExecEnv, it cloud.InstanceType) (WorkResult, error) {
-	res, err := u.Desc.Work(env)
-	if err != nil {
-		return WorkResult{}, fmt.Errorf("work: %w", err)
-	}
-	if res.Duration < 0 {
-		return WorkResult{}, fmt.Errorf("work reported negative duration %v", res.Duration)
-	}
-	if res.PeakMemoryGB > it.MemoryGB {
-		return WorkResult{}, fmt.Errorf("out of memory: peak %.1f GB exceeds %s's %.1f GB",
-			res.PeakMemoryGB, it.Name, it.MemoryGB)
-	}
-	return res, nil
-}
-
-// Units lists every unit submitted through this manager.
-func (um *UnitManager) Units() []*Unit { return append([]*Unit(nil), um.units...) }
-
-// Failed lists units in FAILED state.
-func (um *UnitManager) Failed() []*Unit {
-	var out []*Unit
-	for _, u := range um.units {
-		if u.State() == UnitFailed {
-			out = append(out, u)
-		}
-	}
-	return out
 }
