@@ -623,6 +623,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	case sub == "transcripts":
 		w.Header().Set("Content-Type", "text/x-fasta")
 		_ = seq.WriteFasta(w, rep.Transcripts, 80)
+	case sub == "trace" && o == nil:
+		// A run replayed from the event log kept its view, not its
+		// tracer.
+		writeErr(w, http.StatusConflict, "run %s has no trace: it was replayed from the event log", id)
 	case sub == "trace":
 		// The tracer is safe to export mid-run: unfinished spans are
 		// marked open, so a user can watch a run take shape.

@@ -210,6 +210,30 @@ func TestGatewayRestartKeepsHistoryAndQueue(t *testing.T) {
 	}
 }
 
+// TestTraceOfHistoryRun: a run a restarted gateway replayed as
+// terminal history has no tracer, so its trace answers 409 naming the
+// run instead of failing the request.
+func TestTraceOfHistoryRun(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1 := newJournaledServer(t, dir)
+	done := submitRun(t, ts1, RunRequest{Profile: "tiny", Assemblers: []string{"ray"}})
+	s1.Wait()
+	s1.Close()
+	ts1.Close()
+
+	_, ts2 := newJournaledServer(t, dir)
+	resp, err := http.Get(ts2.URL + "/api/runs/" + done.ID + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body map[string]string
+	_ = json.NewDecoder(resp.Body).Decode(&body)
+	if resp.StatusCode != http.StatusConflict || !strings.Contains(body["error"], done.ID) {
+		t.Errorf("trace of a history run: %d %v, want 409 naming %s", resp.StatusCode, body, done.ID)
+	}
+}
+
 // TestProofEndpoint: a finished run's proof endpoint serves a clean
 // chain-verification report plus a Merkle inclusion proof that checks
 // out against the reported root — and rejects out-of-range seqs.
