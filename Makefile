@@ -9,10 +9,12 @@ GO ?= go
 COVER_SPECS = internal/cloud:85 internal/pilot:80 internal/core:80
 
 # Fuzz targets exercised by fuzz-smoke, as package:target: the parsers,
-# and the seeded containment check against its reference.
+# the journal payload decoders against their encoders, and the seeded
+# containment check against its reference.
 FUZZ_TARGETS = internal/seq:FuzzParseFasta internal/seq:FuzzParseFastq internal/seq:FuzzParseSFA \
 	internal/seq:FuzzForEachCanonical internal/assembler/contrail:FuzzParseRecord \
-	internal/journal:FuzzScan internal/merge:FuzzDropContained
+	internal/journal:FuzzScan internal/core:FuzzDecodePA internal/core:FuzzDecodePB \
+	internal/merge:FuzzDropContained
 FUZZ_TIME ?= 10s
 
 .PHONY: all build test vet lint lint-fixtures race cover fuzz-smoke sweep-determinism oracle-determinism journal-determinism overload-determinism check bench bench-gate bench-baseline bench-smoke clean

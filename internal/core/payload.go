@@ -102,6 +102,9 @@ func decodePA(b []byte) (paPayload, error) {
 		if fq, ok = cutLines(fq, rec[:]); !ok || len(rec[0]) == 0 || rec[0][0] != '@' || string(rec[2]) != "+" {
 			return paPayload{}, fmt.Errorf("core: PA payload: read %d is not a FASTQ record", len(p.Reads))
 		}
+		if len(rec[3]) != len(rec[1]) {
+			return paPayload{}, fmt.Errorf("core: PA payload: read %d has %d qualities for %d bases", len(p.Reads), len(rec[3]), len(rec[1]))
+		}
 		p.Reads = append(p.Reads, seq.Read{ID: string(rec[0][1:]), Seq: rec[1], Qual: rec[3]})
 	}
 	for _, i := range meta.NoQual {
