@@ -440,8 +440,9 @@ func (jr *runJournal) replays(stage, name string) bool {
 	return jr != nil && len(jr.pendingUnits[unitKey(stage, name)]) > 0
 }
 
-// onUnitDone returns the UnitManager callback that checkpoints unit
-// completions for one stage (nil when not journaling).
+// onUnitDone returns the done callback a stage's unit manager, pilot-
+// or function-backed, invokes to checkpoint each unit completion (nil
+// when not journaling).
 func (jr *runJournal) onUnitDone(stage string) func(u *pilot.Unit, at vclock.Time) {
 	if jr == nil {
 		return nil

@@ -164,7 +164,8 @@ type UnitManager struct {
 }
 
 // NewUnitManager returns a unit manager that binds every unit to the
-// active pilot p round-robin.
+// active pilot p. Its binding notes name RADICAL-Pilot's default
+// round-robin policy, which over one pilot always picks p.
 func NewUnitManager(p *Pilot) (*UnitManager, error) {
 	if p.State() != PilotActive {
 		return nil, fmt.Errorf("pilot: cannot bind units to %s in state %s", p.ID, p.State())
