@@ -1,6 +1,7 @@
 # rnascale build and verification targets.
 
 GO ?= go
+GOFMT ?= gofmt
 
 # Per-package coverage floors for the fault/recovery-critical
 # packages (current actuals are ~85-92%; floors leave headroom).
@@ -9,12 +10,13 @@ GO ?= go
 COVER_SPECS = internal/cloud:85 internal/pilot:80 internal/core:80
 
 # Fuzz targets exercised by fuzz-smoke, as package:target: the parsers,
-# the journal payload decoders against their encoders, and the seeded
-# containment check against its reference.
+# the journal payload decoders against their encoders, the fault
+# grammar against its renderer, and the seeded containment check
+# against its reference.
 FUZZ_TARGETS = internal/seq:FuzzParseFasta internal/seq:FuzzParseFastq internal/seq:FuzzParseSFA \
 	internal/seq:FuzzForEachCanonical internal/assembler/contrail:FuzzParseRecord \
 	internal/journal:FuzzScan internal/core:FuzzDecodePA internal/core:FuzzDecodePB \
-	internal/merge:FuzzDropContained
+	internal/merge:FuzzDropContained internal/faults:FuzzParseSpec
 FUZZ_TIME ?= 10s
 
 .PHONY: all build test vet lint lint-fixtures race cover fuzz-smoke sweep-determinism oracle-determinism journal-determinism overload-determinism check bench bench-gate bench-baseline bench-smoke clean
@@ -39,8 +41,14 @@ build:
 test:
 	$(GO) test ./...
 
+# vet runs go vet and fails on any Go file gofmt would change. The
+# rnavet fixtures under testdata are exempt: their goldens pin columns.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$($(GOFMT) -l $$(find . -name testdata -prune -o -name '.*' ! -name . -prune -o -name '*.go' -print)); \
+	if [ -n "$$unformatted" ]; then \
+		echo "FAIL: not gofmt-clean:"; echo "$$unformatted"; exit 1; \
+	fi
 
 # lint runs rnavet, the project's determinism, concurrency and
 # durability analyzer (see internal/analysis): wall-clock reads in
@@ -104,7 +112,7 @@ ORACLE_SPECS = internal/mapreduce:TestEngineMatchesReference \
 	internal/dbg:TestContigsIndependentOfInsertionOrder|TestEdgeBit|TestClipTipsLengthBoundary \
 	internal/merge:TestDropContainedMatchesReference \
 	internal/quant:TestAssignMatchesReference \
-	internal/assembler/mpidbg:TestPCrispaPins|TestOwnerCountsMatchReference \
+	internal/assembler/mpidbg:TestPCrispaPins|TestOwnerCountsMatchReference|TestSharedSpectrumMatchesPrivate|TestMemoKeysSpectrumByReadsKAndRanks \
 	internal/journal:TestScanMatchesReference \
 	internal/core:TestStageBracketPins|TestRetriedUnitAssemblesOnce|TestStoreManifest|TestResumeOfCompleteJournalAssemblesNothing|TestResumeAssemblesOnlyUnjournaledUnits|TestCutoffMidPBBoundsAssembles|TestRunLeavesNoGoroutines|TestAssemblies|TestPlanPins|TestPredictRunsNothing|TestPredictTracksRun|TestJournalPayloadRoundTrip|TestResumedReadsAreReadOnly
 
@@ -129,7 +137,8 @@ sweep-determinism:
 # adjacency bytes against a rebuild after every deletion), the seeded
 # containment check against the all-pairs substring search, the
 # table-indexed quantifier against the map-indexed one, every owner's
-# k-mer count against a single-threaded map count. The
+# k-mer count against a single-threaded map count, Ray and ABySS
+# sharing one k-mer spectrum against each counting its own. The
 # journal reader: the single-pass scan against a copying reference
 # reader, over every byte flip and truncation of a small journal, its
 # mis-declared payload lengths and a sample of a real one — same
@@ -175,7 +184,7 @@ overload-determinism:
 	$(call determinism,OVERLOAD_WORKERS=1+JOURNAL_BATCH=1 OVERLOAD_WORKERS=1+JOURNAL_BATCH=64 OVERLOAD_WORKERS=4+JOURNAL_BATCH=1 OVERLOAD_WORKERS=4+JOURNAL_BATCH=64,,internal/core:TestChaosOverloadSoak|TestDeadlineCancelResumeByteIdentical|TestBreakerConvertsReclaimStorm)
 
 # check is the gate a change must pass before review: static analysis
-# (go vet plus the rnavet determinism analyzer), the full test suite
+# (go vet, gofmt and the rnavet determinism analyzer), the full test suite
 # under the race detector, the coverage floors, the sweep and
 # MapReduce-engine determinism contracts, the journal resume contract,
 # a fuzz smoke pass, the kernel benchmark regression gate and a smoke

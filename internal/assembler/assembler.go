@@ -75,6 +75,70 @@ type Request struct {
 	// FullScale carries the paper-scale dataset statistics that drive
 	// the virtual cost models.
 	FullScale simdata.FullScaleStats
+	// Memo, when set, shares intermediate results between the requests
+	// that carry the same one; an assembler that has nothing to share
+	// ignores it. Nil computes everything privately.
+	Memo *Memo
+}
+
+// Memo computes a value once per key and hands that one value to every
+// caller asking for the key, whether it arrives while the value is
+// being computed or afterwards. A panic in the computation reaches
+// every caller of its key. The zero value is ready to use; a nil *Memo
+// computes each call privately.
+type Memo struct {
+	mu    sync.Mutex
+	calls map[any]*memoCall
+}
+
+// memoCall is one key's computation: done closes once val or panicked
+// is set.
+type memoCall struct {
+	done     chan struct{}
+	val      any
+	panicked any
+}
+
+// Do returns the value computed for key, calling compute if no caller
+// has asked for key before. Keys compare by value.
+func (m *Memo) Do(key any, compute func() any) any {
+	if m == nil {
+		return compute()
+	}
+	m.mu.Lock()
+	c, ok := m.calls[key]
+	if !ok {
+		if m.calls == nil {
+			m.calls = map[any]*memoCall{}
+		}
+		c = &memoCall{done: make(chan struct{})}
+		m.calls[key] = c
+	}
+	m.mu.Unlock()
+	if ok {
+		<-c.done
+	} else {
+		returned := false
+		func() {
+			defer close(c.done)
+			defer func() {
+				if returned {
+					return
+				}
+				// recover is nil when compute called runtime.Goexit; the
+				// waiters still must not take the missing value.
+				if c.panicked = recover(); c.panicked == nil {
+					c.panicked = fmt.Sprintf("assembler: memo computation for %v exited", key)
+				}
+			}()
+			c.val = compute()
+			returned = true
+		}()
+	}
+	if c.panicked != nil {
+		panic(c.panicked)
+	}
+	return c.val
 }
 
 // Validate checks request invariants shared by all assemblers.

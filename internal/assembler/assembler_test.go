@@ -1,7 +1,10 @@
 package assembler
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"rnascale/internal/seq"
@@ -128,5 +131,71 @@ func TestFullScaleBases(t *testing.T) {
 	// 3.8 GB FASTQ → roughly 1.7 Gbases.
 	if b < 1.2e9 || b > 2.2e9 {
 		t.Errorf("bases %.2g", b)
+	}
+}
+
+// A memo computes once per key, and a nil memo every time.
+func TestMemoComputesOncePerKey(t *testing.T) {
+	calls := 0
+	compute := func() any { calls++; return calls }
+	m := &Memo{}
+	for range 3 {
+		if got := m.Do("a", compute); got != 1 {
+			t.Fatalf("key a gave %v, want the first computation's 1", got)
+		}
+	}
+	if got := m.Do("b", compute); got != 2 || calls != 2 {
+		t.Fatalf("key b gave %v after %d computations, want 2 after 2", got, calls)
+	}
+	var none *Memo
+	none.Do("a", compute)
+	none.Do("a", compute)
+	if calls != 4 {
+		t.Fatalf("nil memo computed %d times in two calls", calls-2)
+	}
+}
+
+// A computation that panics, or exits its goroutine, fails every caller
+// of its key — the one computing, those waiting and those arriving
+// later — and none of them gets a value.
+func TestMemoFailureReachesEveryCaller(t *testing.T) {
+	for name, fail := range map[string]func(){"panic": func() { panic("boom") }, "goexit": runtime.Goexit} {
+		m := &Memo{}
+		started, release := make(chan struct{}), make(chan struct{})
+		var wg sync.WaitGroup
+		results := make([]any, 5)
+		call := func(i int) {
+			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					results[i] = fmt.Sprint("panic: ", p)
+				}
+			}()
+			results[i] = m.Do("k", func() any {
+				close(started)
+				<-release
+				fail()
+				return "value"
+			})
+		}
+		wg.Add(1)
+		go call(0)
+		<-started
+		for i := 1; i < 4; i++ {
+			wg.Add(1)
+			go call(i)
+		}
+		close(release)
+		wg.Wait()
+		wg.Add(1)
+		call(4)
+		for i, r := range results {
+			if i == 0 && name == "goexit" {
+				continue // the computing goroutine exited before recording anything
+			}
+			if s, _ := r.(string); !strings.HasPrefix(s, "panic: ") {
+				t.Errorf("%s: caller %d got %v, want a panic", name, i, r)
+			}
+		}
 	}
 }

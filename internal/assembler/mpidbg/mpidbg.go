@@ -2,13 +2,17 @@
 // algorithm shared by the two MPI assemblers (Ray and ABySS):
 //
 //  1. every rank streams its shard of reads and counts each canonical
-//     k-mer into its owner rank's table (hash partitioning);
+//     k-mer into its owner rank's table (hash partitioning); the host
+//     does this outside the MPI body and keeps each owner's k-mers at
+//     or above a floor, the coverage spectrum, which requests sharing
+//     a Memo count once per read set, k and rank count;
 //  2. an all-to-all exchange, timed as the routing of those counts,
-//     ends the counting, and each owner applies the coverage cutoff;
-//  3. survivors are gathered and the graph is simplified and walked
-//     into contigs by rank 0 (the serial phase that, together with
-//     the exchange, limits MPI assemblers' scale-out in the paper's
-//     Fig. 3).
+//     ends the counting, and each rank hands over its owner's part of
+//     the spectrum;
+//  3. the parts are gathered, and rank 0 applies the coverage cutoff,
+//     simplifies the graph and walks it into contigs (the serial phase
+//     that, together with the exchange, limits MPI assemblers'
+//     scale-out in the paper's Fig. 3).
 //
 // The computation is real — the contigs come from the actual reads —
 // while virtual time accrues per rank from the profile's calibrated
@@ -17,8 +21,10 @@ package mpidbg
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"rnascale/internal/assembler"
 	"rnascale/internal/dbg"
@@ -108,7 +114,10 @@ func Estimate(req assembler.Request, prof Profile) (vclock.Duration, error) {
 // sampled live heap peaks at 3.5-4.8 bytes per base on pcrispa (k 51-63:
 // 7-12 per window) and 2.3-4.6 on bglumae (k 35-47: 13-29 per window,
 // since its short reads leave most k-mers distinct and the tables
-// grow), so 5 bytes per base bounds both.
+// grow), so 5 bytes per base bounds both. A request that takes a
+// spectrum another computed for its Memo holds less, its graph and
+// the shared lists (≈1.5 MB per k on pcrispa, not the ≈10 MB tables),
+// so it stays under the same bound.
 func HostBytes(req assembler.Request) int64 {
 	var bases int64
 	for _, r := range req.Reads {
@@ -117,42 +126,45 @@ func HostBytes(req assembler.Request) int64 {
 	return 5 * bases
 }
 
-// kmerCount is one surviving k-mer of an owner's partition.
+// kmerCount is one counted k-mer of an owner's partition.
 type kmerCount struct {
 	km seq.Kmer
 	n  uint32
 }
 
-// stageLen is the most k-mers a rank stages for one owner before it
-// takes the owner's lock to add them: about fifty flushes per rank and
-// owner on pcrispa, and at most 8 KB staged per (rank, owner) pair.
+// stageLen is the most k-mers a counting worker stages for one owner
+// before it takes the owner's lock to add them: at most 8 KB staged per
+// (worker, owner) pair.
 const stageLen = 512
 
 // owners is the distributed k-mer count: one table per owner rank,
-// filled by every rank under the owner's mutex. A k-mer's owner is
-// Hash()%ranks.
+// filled by every counting worker under the owner's mutex. A k-mer's
+// owner is Hash()%ranks.
 type owners struct {
 	mu   []sync.Mutex
 	tabs []*seq.KmerTable
-	// stage is each rank's staging capacity per owner: stageLen, or a
-	// rank's even share of an owner's windows when that is smaller (a
+	// stage is each worker's staging capacity per owner: stageLen, or a
+	// worker's even share of an owner's windows when that is smaller (a
 	// world of hundreds of ranks would otherwise stage megabytes).
 	stage int
 }
 
 // newOwners sizes one table per owner for 0.2 distinct k-mers per
-// window of the whole request, spread evenly over the owners. Measured
-// distinct/windows is 0.18 on pcrispa at k=51 (309 K k-mers in 1.72 M
-// windows) and less at larger k, so there no table grows; bglumae's
-// shorter windows repeat less and grow once or twice.
-func newOwners(reads []seq.Read, k, ranks int) *owners {
+// window of the whole read set, spread evenly over the owners, for
+// workers goroutines to count into. Measured distinct/windows is 0.18
+// on pcrispa at k=51 (309 K k-mers in 1.72 M windows) and less at
+// larger k, so there no table grows; bglumae's shorter windows repeat
+// less and grow once or twice. The tables live only while spectrum
+// counts: what outlives them is the owners' lists of k-mers at or
+// above the floor.
+func newOwners(reads []seq.Read, k, ranks, workers int) *owners {
 	windows := 0
 	for _, r := range reads {
 		windows += max(len(r.Seq)-k+1, 0)
 	}
 	o := &owners{
 		mu: make([]sync.Mutex, ranks), tabs: make([]*seq.KmerTable, ranks),
-		stage: min(stageLen, windows/(ranks*ranks)+1),
+		stage: min(stageLen, windows/(workers*ranks)+1),
 	}
 	for d := range o.tabs {
 		o.tabs[d] = seq.NewKmerTable(windows / 5 / ranks)
@@ -160,12 +172,12 @@ func newOwners(reads []seq.Read, k, ranks int) *owners {
 	return o
 }
 
-// count adds every canonical k-mer of this rank's read shard to its
-// owner's table, staging up to o.stage per owner between lock
-// acquisitions.
-func (o *owners) count(c *mpi.Comm, coder seq.KmerCoder, reads []seq.Read) {
-	size := c.Size()
-	staged := make([][]seq.Kmer, size)
+// count adds every canonical k-mer of reads to its owner's table,
+// staging up to o.stage per owner between lock acquisitions. Any number
+// of counts may run at once over disjoint parts of a read set.
+func (o *owners) count(coder seq.KmerCoder, reads []seq.Read) {
+	ranks := len(o.tabs)
+	staged := make([][]seq.Kmer, ranks)
 	for d := range staged {
 		staged[d] = make([]seq.Kmer, 0, o.stage)
 	}
@@ -177,9 +189,9 @@ func (o *owners) count(c *mpi.Comm, coder seq.KmerCoder, reads []seq.Read) {
 		o.mu[d].Unlock()
 		staged[d] = staged[d][:0]
 	}
-	for i := c.Rank(); i < len(reads); i += size {
-		coder.ForEachCanonical(reads[i].Seq, func(_ int, canon seq.Kmer) bool {
-			d := int(canon.Hash() % uint64(size))
+	for _, r := range reads {
+		coder.ForEachCanonical(r.Seq, func(_ int, canon seq.Kmer) bool {
+			d := int(canon.Hash() % uint64(ranks))
 			if staged[d] = append(staged[d], canon); len(staged[d]) == o.stage {
 				flush(d)
 			}
@@ -193,7 +205,7 @@ func (o *owners) count(c *mpi.Comm, coder seq.KmerCoder, reads []seq.Read) {
 
 // survivors returns the k-mers of owner's table counted at least
 // minCov times, sorted by key, in a slice of exactly their number. It
-// must not run before every rank's count has returned.
+// must not run before every count has returned.
 func (o *owners) survivors(owner int, minCov uint32) []kmerCount {
 	tab := o.tabs[owner]
 	n := 0
@@ -210,6 +222,66 @@ func (o *owners) survivors(owner int, minCov uint32) []kmerCount {
 	})
 	slices.SortFunc(out, func(a, b kmerCount) int { return a.km.Compare(b.km) })
 	return out
+}
+
+// spectra counts spectrum calls, so tests can see how many a memo saved.
+var spectra atomic.Int64
+
+// spectrum is the k-mer coverage spectrum of reads as ranks owners
+// hold it: element d lists the canonical k-mers whose owner is d
+// (Hash()%ranks) and that occur at least floor times, with their
+// counts, sorted by key. It counts on at most GOMAXPROCS goroutines,
+// each over a contiguous part of the reads; the lists do not depend on
+// how many.
+func spectrum(reads []seq.Read, coder seq.KmerCoder, ranks, floor int) [][]kmerCount {
+	spectra.Add(1)
+	workers := max(min(ranks, runtime.GOMAXPROCS(0), len(reads)), 1)
+	own := newOwners(reads, coder.K, ranks, workers)
+	out := make([][]kmerCount, ranks)
+	// Each worker counts its part of the reads, waits for every other
+	// worker's last flush, then lists its share of the owners.
+	var counted, listed sync.WaitGroup
+	counted.Add(workers)
+	listed.Add(workers)
+	for w := range workers {
+		go func() {
+			defer listed.Done()
+			own.count(coder, reads[w*len(reads)/workers:(w+1)*len(reads)/workers])
+			counted.Done()
+			counted.Wait()
+			for d := w; d < ranks; d += workers {
+				out[d] = own.survivors(d, uint32(floor))
+			}
+		}()
+	}
+	listed.Wait()
+	return out
+}
+
+// sharedFloor is the floor of the spectrum a memo shares: every
+// coverage cutoff at or above it is an exact filter of that spectrum,
+// and it drops the singletons, most of a read set's distinct k-mers.
+const sharedFloor = 2
+
+// spectrumKey identifies a shared spectrum: the read set, by its first
+// read and length, and the k and owner count it is counted at.
+type spectrumKey struct {
+	first       *seq.Read
+	n, k, ranks int
+}
+
+// requestSpectrum returns the spectrum of req's reads with every k-mer
+// counted at least minCov times, and possibly more: the one req.Memo
+// shares at sharedFloor when there is a memo and minCov is at or above
+// that floor, else one of its own at minCov.
+func requestSpectrum(req assembler.Request, coder seq.KmerCoder, ranks, minCov int) [][]kmerCount {
+	if req.Memo == nil || minCov < sharedFloor {
+		return spectrum(req.Reads, coder, ranks, minCov)
+	}
+	key := spectrumKey{&req.Reads[0], len(req.Reads), coder.K, ranks}
+	return req.Memo.Do(key, func() any {
+		return spectrum(req.Reads, coder, ranks, sharedFloor)
+	}).([][]kmerCount)
 }
 
 // Run executes the distributed assembly for a request under a profile.
@@ -251,18 +323,18 @@ func Run(req assembler.Request, info assembler.Info, prof Profile) (assembler.Re
 	wireTotal := fullBases * prof.WireBytesPerBase * winFrac
 
 	var contigs []seq.FastaRecord
-	own := newOwners(req.Reads, p.K, ranks)
+	spec := requestSpectrum(req, coder, ranks, p.MinCoverage)
+	minCov := uint32(p.MinCoverage)
 	res, err := mpi.Run(cfg, func(c *mpi.Comm) error {
 		size := c.Size()
-		// Phase 1: count this rank's read shard, each k-mer straight
-		// into its owner's table (hash partitioning).
-		own.count(c, coder, req.Reads)
+		// Phase 1: the counting pass over this rank's read shard. The
+		// spectrum holds its result, every k-mer counted on its owner
+		// (hash partitioning); the rank is billed its share.
 		c.ComputeUnits(parallelUnits/float64(size), prof.BasesPerCoreSecond)
 
 		// Phase 2: the exchange. The counts already sit with their
 		// owners, so it carries no payload; it is timed and billed as
-		// the routing it stands for, and as a collective it also orders
-		// every rank's last flush before any owner reads its table.
+		// the routing it stands for.
 		bytes := make([]int64, size)
 		perPair := int64(wireTotal / float64(size) / float64(size))
 		for d := range bytes {
@@ -270,16 +342,18 @@ func Run(req assembler.Request, info assembler.Info, prof Profile) (assembler.Re
 		}
 		c.AlltoAll(make([]any, size), bytes)
 
-		// Phase 3: owner-side coverage cutoff.
-		survivors := own.survivors(c.Rank(), uint32(p.MinCoverage))
-
-		// Phase 4: gather survivors; rank 0 simplifies and walks.
+		// Phase 3: gather every owner's part of the spectrum; rank 0
+		// applies the coverage cutoff, simplifies and walks.
 		survivorBytes := int64(assembler.DistinctKmers(req.FullScale) * 18 / float64(size))
-		all := c.AllGather(survivors, survivorBytes)
+		all := c.AllGather(spec[c.Rank()], survivorBytes)
 		if c.Rank() == 0 {
 			gathered := 0
 			for _, part := range all {
-				gathered += len(part.([]kmerCount))
+				for _, kc := range part.([]kmerCount) {
+					if kc.n >= minCov {
+						gathered++
+					}
+				}
 			}
 			g, gerr := dbg.NewSized(p.K, gathered)
 			if gerr != nil {
@@ -287,7 +361,9 @@ func Run(req assembler.Request, info assembler.Info, prof Profile) (assembler.Re
 			}
 			for _, part := range all {
 				for _, kc := range part.([]kmerCount) {
-					g.AddCount(kc.km, kc.n)
+					if kc.n >= minCov {
+						g.AddCount(kc.km, kc.n)
+					}
 				}
 			}
 			c.ComputeUnits(serialUnits, prof.BasesPerCoreSecond)

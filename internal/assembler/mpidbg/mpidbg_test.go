@@ -2,10 +2,12 @@ package mpidbg
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"rnascale/internal/assembler"
-	"rnascale/internal/mpi"
 	"rnascale/internal/seq"
 	"rnascale/internal/simdata"
 	"rnascale/internal/vclock"
@@ -64,11 +66,12 @@ func TestDistributedEqualsSingleRank(t *testing.T) {
 	}
 }
 
-// Counting every k-mer once, on its owner, from every rank at once must
-// give each owner exactly the single-threaded count of its partition,
-// and the survivors it hands to AllGather must be that partition's
-// k-mers at or above the cutoff, sorted by key — on the tiny profile's
-// reads and on seeded reads sprinkled with N, at 1, 3, 8 and 16 ranks.
+// Counting every k-mer once, on its owner, from several goroutines at
+// once must give each owner exactly the single-threaded count of its
+// partition, and the owner's part of the spectrum must be that
+// partition's k-mers at or above the floor, sorted by key — on the
+// tiny profile's reads and on seeded reads sprinkled with N, at 1, 3, 8
+// and 16 ranks and 1, 2 and 5 counting goroutines.
 func TestOwnerCountsMatchReference(t *testing.T) {
 	ds, err := simdata.Generate(simdata.Tiny())
 	if err != nil {
@@ -99,44 +102,85 @@ func TestOwnerCountsMatchReference(t *testing.T) {
 				})
 			}
 			for _, ranks := range []int{1, 3, 8, 16} {
-				own := newOwners(reads, k, ranks)
-				survivors := make([][]kmerCount, ranks)
-				if _, err := mpi.Run(mpi.DefaultConfig(ranks), func(c *mpi.Comm) error {
-					own.count(c, coder, reads)
-					c.Barrier()
-					survivors[c.Rank()] = own.survivors(c.Rank(), minCov)
-					return nil
-				}); err != nil {
-					t.Fatal(err)
-				}
-				counted := 0
-				for d, tab := range own.tabs {
-					want := 0
-					tab.Each(func(_ int, km seq.Kmer, n uint32) {
-						counted++
-						if ref[km] != n || km.Hash()%uint64(ranks) != uint64(d) {
-							t.Fatalf("%s k=%d ranks=%d: owner %d holds %v×%d, reference %d (owner %d)",
-								name, k, ranks, d, km, n, ref[km], km.Hash()%uint64(ranks))
-						}
-						if n >= minCov {
-							want++
-						}
-					})
-					got := survivors[d]
-					if len(got) != want {
-						t.Fatalf("%s k=%d ranks=%d: owner %d hands over %d survivors, %d reach the cutoff", name, k, ranks, d, len(got), want)
+				spec := spectrum(reads, coder, ranks, minCov)
+				for _, workers := range []int{1, 2, 5} {
+					own := newOwners(reads, k, ranks, workers)
+					var wg sync.WaitGroup
+					for w := range workers {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							own.count(coder, reads[w*len(reads)/workers:(w+1)*len(reads)/workers])
+						}()
 					}
-					for i, kc := range got {
-						if kc.n < minCov || ref[kc.km] != kc.n || (i > 0 && got[i-1].km.Compare(kc.km) >= 0) {
-							t.Fatalf("%s k=%d ranks=%d: owner %d survivor %d is %v×%d after %v", name, k, ranks, d, i, kc.km, kc.n, got[max(i-1, 0)].km)
+					wg.Wait()
+					counted := 0
+					for d, tab := range own.tabs {
+						want := 0
+						tab.Each(func(_ int, km seq.Kmer, n uint32) {
+							counted++
+							if ref[km] != n || km.Hash()%uint64(ranks) != uint64(d) {
+								t.Fatalf("%s k=%d ranks=%d workers=%d: owner %d holds %v×%d, reference %d (owner %d)",
+									name, k, ranks, workers, d, km, n, ref[km], km.Hash()%uint64(ranks))
+							}
+							if n >= minCov {
+								want++
+							}
+						})
+						got := own.survivors(d, minCov)
+						if len(got) != want {
+							t.Fatalf("%s k=%d ranks=%d workers=%d: owner %d hands over %d survivors, %d reach the cutoff",
+								name, k, ranks, workers, d, len(got), want)
+						}
+						for i, kc := range got {
+							if kc.n < minCov || ref[kc.km] != kc.n || (i > 0 && got[i-1].km.Compare(kc.km) >= 0) {
+								t.Fatalf("%s k=%d ranks=%d workers=%d: owner %d survivor %d is %v×%d after %v",
+									name, k, ranks, workers, d, i, kc.km, kc.n, got[max(i-1, 0)].km)
+							}
+						}
+						if !slices.Equal(got, spec[d]) {
+							t.Fatalf("%s k=%d ranks=%d: owner %d's part of the spectrum differs from its survivors", name, k, ranks, d)
 						}
 					}
-				}
-				if counted != len(ref) {
-					t.Fatalf("%s k=%d ranks=%d: owners hold %d k-mers, reference %d", name, k, ranks, counted, len(ref))
+					if counted != len(ref) {
+						t.Fatalf("%s k=%d ranks=%d workers=%d: owners hold %d k-mers, reference %d", name, k, ranks, workers, counted, len(ref))
+					}
 				}
 			}
 		}
+	}
+}
+
+// One memo hands each request the spectrum of its own reads, k and
+// rank count: read sets that share a first read or a length, ks and
+// rank counts each get their own, counted once.
+func TestMemoKeysSpectrumByReadsKAndRanks(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	_, reads := shred(rng, 2000, 60, 2)
+	sets := [][]seq.Read{reads, reads[:len(reads)-1], reads[1:]}
+	memo, before := &assembler.Memo{}, spectra.Load()
+	checks := 0
+	for range 2 {
+		for _, set := range sets {
+			for _, k := range []int{21, 25} {
+				coder, err := seq.NewKmerCoder(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, ranks := range []int{2, 3} {
+					checks++
+					got := requestSpectrum(assembler.Request{Reads: set, Memo: memo}, coder, ranks, 3)
+					if want := spectrum(set, coder, ranks, sharedFloor); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%d reads from %p, k=%d, %d ranks: the memo's spectrum is not theirs", len(set), &set[0], k, ranks)
+					}
+				}
+			}
+		}
+	}
+	// Every check counts its reference spectrum; the memo counts one per
+	// key, and the second round asks for each key again.
+	if counted := spectra.Load() - before; counted != int64(checks+checks/2) {
+		t.Errorf("%d checks over %d keys counted %d spectra, want %d", checks, checks/2, counted, checks+checks/2)
 	}
 }
 

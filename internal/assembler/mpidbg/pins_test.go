@@ -11,6 +11,7 @@ import (
 	"rnascale/internal/assembler/ray"
 	"rnascale/internal/cloud"
 	"rnascale/internal/preprocess"
+	"rnascale/internal/seq"
 	"rnascale/internal/simdata"
 )
 
@@ -75,18 +76,12 @@ func TestPCrispaPins(t *testing.T) {
 		{simdata.PCrispa(), pcrispaPins, pcrispaContigsSHA256},
 		{simdata.BGlumae(), bglumaePins, bglumaeContigsSHA256},
 	} {
-		ds, err := simdata.Generate(tc.profile)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cleaned, _ := preprocess.Run(ds.Reads, preprocess.DefaultOptions())
-		fs := ds.Profile.FullScale
-		fs.SeqDataBytes = fs.PostPreprocessBytes
+		reads, fs := cleanedReads(t, tc.profile)
 		tools := map[string]assembler.Assembler{"ray": &ray.Ray{}, "abyss": &abyss.ABySS{}}
 		h := sha256.New()
 		for _, pin := range tc.pins {
 			res, err := tools[pin.tool].Assemble(assembler.Request{
-				Reads: cleaned.Reads, Params: assembler.Params{K: pin.k},
+				Reads: reads, Params: assembler.Params{K: pin.k},
 				Nodes: 1, CoresPerNode: cloud.C32XLarge.Cores, FullScale: fs,
 			})
 			if err != nil {
@@ -104,4 +99,19 @@ func TestPCrispaPins(t *testing.T) {
 			t.Errorf("%s: contigs digest %s, want %s", tc.profile.Name, got, tc.sha)
 		}
 	}
+}
+
+// cleanedReads returns a profile's reads after the pipeline's
+// pre-processing, and the full-scale statistics PB assembles them
+// under.
+func cleanedReads(t *testing.T, p simdata.Profile) ([]seq.Read, simdata.FullScaleStats) {
+	t.Helper()
+	ds, err := simdata.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cleaned, _ := preprocess.Run(ds.Reads, preprocess.DefaultOptions())
+	fs := ds.Profile.FullScale
+	fs.SeqDataBytes = fs.PostPreprocessBytes
+	return cleaned.Reads, fs
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -120,51 +121,105 @@ func journalBody(t *testing.T, path string) string {
 // virtual-time points (mid-PA, mid-PB, mid-PC), resume each from its
 // surviving journal, and require the resumed run's report, metrics,
 // Chrome trace, summary and timeline to be byte-identical to the
-// uninterrupted twin's — with zero journaled units re-executed.
+// uninterrupted twin's — with zero journaled units re-executed. A
+// fourth kill runs Ray beside ABySS and lands in PB between the two
+// tools' units at one k, so the resume replays one consumer of that
+// k's shared k-mer spectrum and assembles the other live.
 func TestKillAndResumeByteIdentical(t *testing.T) {
 	ds, err := simdata.GenerateCached(simdata.Tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	base := chaosConfig()
 
-	clean, plClean, err := journalRun(t, ds, base, filepath.Join(dir, "clean.journal"))
-	if err != nil {
-		t.Fatalf("clean run: %v", err)
+	// twin is one configuration's uninterrupted run.
+	type twin struct {
+		cfg                      Config
+		want                     runArtifacts
+		wantBody                 string
+		totalRecords, totalUnits int
+		units                    map[string]float64 // PB unit → vtime of its journal record
+		pl                       *Pipeline
 	}
-	want := capture(t, clean, plClean)
-	if clean.Snapshot.Resumed {
-		t.Fatal("uninterrupted run marked resumed")
+	cleanRun := func(cfg Config, name string) twin {
+		path := filepath.Join(dir, name+".journal")
+		clean, pl, err := journalRun(t, ds, cfg, path)
+		if err != nil {
+			t.Fatalf("clean %s run: %v", name, err)
+		}
+		if clean.Snapshot.Resumed {
+			t.Fatal("uninterrupted run marked resumed")
+		}
+		if clean.Journal == nil || clean.Journal.Resumed || clean.Journal.RecordsReplayed != 0 {
+			t.Fatalf("uninterrupted run journal stats: %+v", clean.Journal)
+		}
+		lg, err := journal.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		units := map[string]float64{}
+		for _, r := range lg.Records {
+			if r.Kind == journal.KindUnit && r.Stage == "PB" {
+				units[r.Unit] = r.VTime
+			}
+		}
+		return twin{cfg, capture(t, clean, pl), journalBody(t, path),
+			clean.Journal.RecordsAppended, clean.Journal.UnitsExecuted, units, pl}
 	}
-	if clean.Journal == nil || clean.Journal.Resumed || clean.Journal.RecordsReplayed != 0 {
-		t.Fatalf("uninterrupted run journal stats: %+v", clean.Journal)
-	}
-	totalRecords := clean.Journal.RecordsAppended
-	totalUnits := clean.Journal.UnitsExecuted
-	wantBody := journalBody(t, filepath.Join(dir, "clean.journal"))
+	rayOnly := cleanRun(chaosConfig(), "clean")
+	both := chaosConfig()
+	both.Assemblers = []string{"ray", "abyss"}
+	shared := cleanRun(both, "clean-shared")
 
+	type kill struct {
+		name string
+		twin twin
+		at   float64
+		// split names the two PB units, one k's two consumers, of which
+		// only the first may be journaled at the kill.
+		split [2]string
+	}
+	var kills []kill
 	// Pick one kill point inside each stage off the clean span tree.
-	var kills []struct {
-		stage string
-		at    float64
-	}
 	for _, stage := range []string{"PA", "PB", "PC"} {
-		sp := plClean.Obs().Tracer.Find(obs.KindStage, stage)
+		sp := rayOnly.pl.Obs().Tracer.Find(obs.KindStage, stage)
 		if sp == nil {
 			t.Fatalf("no %s stage span in clean run", stage)
 		}
-		kills = append(kills, struct {
-			stage string
-			at    float64
-		}{stage, float64(sp.Start.Add(sp.Duration() / 2))})
+		kills = append(kills, kill{name: "kill-" + stage, twin: rayOnly, at: float64(sp.Start.Add(sp.Duration() / 2))})
 	}
+	// Kill halfway between the journal records of the k whose Ray and
+	// ABySS units finish furthest apart.
+	split := kill{name: "kill-PB-shared-k", twin: shared}
+	gap := 0.0
+	for unit, vt := range shared.units {
+		name, k, _ := strings.Cut(unit, "-")
+		if name != "ray" {
+			continue
+		}
+		other, ok := shared.units["abyss-"+k]
+		if !ok {
+			t.Fatalf("clean run journaled %s but not abyss-%s", unit, k)
+		}
+		first, second := unit, "abyss-"+k
+		if other < vt {
+			first, second = second, first
+		}
+		if d := math.Abs(vt - other); d > gap || d == gap && first < split.split[0] {
+			gap, split.split, split.at = d, [2]string{first, second}, (vt+other)/2
+		}
+	}
+	if gap == 0 {
+		t.Fatal("no k whose Ray and ABySS units finish at different times")
+	}
+	kills = append(kills, split)
 
 	for _, kill := range kills {
-		kill := kill
-		t.Run("kill-"+kill.stage, func(t *testing.T) {
-			path := filepath.Join(dir, "kill-"+kill.stage+".journal")
-			cfg := base
+		t.Run(kill.name, func(t *testing.T) {
+			want, wantBody := kill.twin.want, kill.twin.wantBody
+			totalRecords, totalUnits := kill.twin.totalRecords, kill.twin.totalUnits
+			path := filepath.Join(dir, kill.name+".journal")
+			cfg := kill.twin.cfg
 			plan, err := faults.ParseSpec(fmt.Sprintf("drivercrash:at=%g", kill.at))
 			if err != nil {
 				t.Fatal(err)
@@ -192,6 +247,18 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 			survivedUnits := lg.Units()
 			if survived == 0 || survived >= totalRecords {
 				t.Fatalf("crashed journal holds %d records, clean run wrote %d", survived, totalRecords)
+			}
+			if kill.split[0] != "" {
+				journaled := map[string]bool{}
+				for _, r := range lg.Records {
+					if r.Kind == journal.KindUnit && r.Stage == "PB" {
+						journaled[r.Unit] = true
+					}
+				}
+				if !journaled[kill.split[0]] || journaled[kill.split[1]] {
+					t.Fatalf("kill at t=%g journaled %s: %v, %s: %v; want only the first",
+						kill.at, kill.split[0], journaled[kill.split[0]], kill.split[1], journaled[kill.split[1]])
+				}
 			}
 
 			cfg.Obs = obs.New()

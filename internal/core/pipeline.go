@@ -500,6 +500,10 @@ func (pl *Pipeline) assemble(fs simdata.FullScaleStats, cleaned seq.ReadSet, rep
 	// A unit's assembly is a future, computed ahead of the event loop
 	// within the budget; a unit the journal replays gets none.
 	futures := newAssemblies(pbBytesPerBase * cleaned.TotalBases())
+	// The live assemblies share what tools at the same k compute alike
+	// (Ray's and ABySS's k-mer spectrum); the journal's and the
+	// planner's requests carry no memo.
+	memo := &assembler.Memo{}
 	units := func(sx *stageExec) []pilot.UnitDescription {
 		cores := sx.cores
 		var descs []pilot.UnitDescription
@@ -517,7 +521,7 @@ func (pl *Pipeline) assemble(fs simdata.FullScaleStats, cleaned seq.ReadSet, rep
 				}
 				future := -1
 				if !pl.estimate && !pl.jr.replays("PB", unit) {
-					req.Reads = cleaned.Reads
+					req.Reads, req.Memo = cleaned.Reads, memo
 					if name == "contrail" {
 						req.Reads = nFreeReads()
 					}

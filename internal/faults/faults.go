@@ -12,6 +12,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -89,7 +90,8 @@ type Plan struct {
 //	drivercrash:at=900         kill the driver at the first journal
 //	                           checkpoint at or after t=900s
 //
-// Rules compose: "crash:at=900;unitflake:p=0.2,n=1".
+// Rules compose: "crash:at=900;unitflake:p=0.2,n=1". Every value is a
+// finite, non-negative number, and vm and n are whole numbers.
 func ParseSpec(spec string) (*Plan, error) {
 	plan := &Plan{}
 	for _, part := range strings.Split(spec, ";") {
@@ -114,8 +116,15 @@ func ParseSpec(spec string) (*Plan, error) {
 					return nil, fmt.Errorf("faults: bad parameter %q in %q", kv, part)
 				}
 				f, ferr := strconv.ParseFloat(val, 64)
-				if ferr != nil {
+				switch {
+				case ferr != nil:
 					return nil, fmt.Errorf("faults: bad value %q for %s in %q", val, key, part)
+				case math.IsNaN(f) || math.IsInf(f, 0) || f < 0:
+					// NaN passes every range check below, and a NaN or
+					// infinite time poisons the virtual clock.
+					return nil, fmt.Errorf("faults: %s=%s in %q is not a finite non-negative number", key, val, part)
+				case (key == "vm" || key == "n") && (f != math.Trunc(f) || f > math.MaxInt32):
+					return nil, fmt.Errorf("faults: %s=%s in %q is not a whole number up to %d", key, val, part, math.MaxInt32)
 				}
 				switch key {
 				case "p":
@@ -172,10 +181,6 @@ func (r Rule) validate() error {
 		if r.Factor <= 0 || r.Factor > 1 {
 			return fmt.Errorf("faults: slowxfer factor %v out of (0,1]", r.Factor)
 		}
-	case ClassDriverCrash:
-		if r.At < 0 {
-			return fmt.Errorf("faults: drivercrash rule needs at=T with T >= 0")
-		}
 	}
 	return nil
 }
@@ -185,9 +190,12 @@ func (p *Plan) String() string {
 	var parts []string
 	for _, r := range p.Rules {
 		var kv []string
+		put := func(k string, v float64) {
+			kv = append(kv, k+"="+strconv.FormatFloat(v, 'g', -1, 64))
+		}
 		add := func(k string, v float64) {
 			if v != 0 {
-				kv = append(kv, k+"="+strconv.FormatFloat(v, 'g', -1, 64))
+				put(k, v)
 			}
 		}
 		add("p", r.P)
@@ -197,10 +205,12 @@ func (p *Plan) String() string {
 		add("window", float64(r.Window))
 		add("n", float64(r.N))
 		add("x", r.Factor)
-		if r.Class == ClassReclaim && r.Notice != DefaultReclaimNotice {
+		// A reclaim's notice defaults to DefaultReclaimNotice, not 0, so
+		// any other value, 0 included, must be written out.
+		if r.Class != ClassReclaim {
 			add("notice", float64(r.Notice))
-		} else if r.Class != ClassReclaim {
-			add("notice", float64(r.Notice))
+		} else if r.Notice != DefaultReclaimNotice {
+			put("notice", float64(r.Notice))
 		}
 		s := string(r.Class)
 		if len(kv) > 0 {

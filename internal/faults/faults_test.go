@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"strings"
 	"testing"
 
 	"rnascale/internal/obs"
@@ -96,6 +97,51 @@ func TestParseSpecErrors(t *testing.T) {
 		if _, err := ParseSpec(spec); err == nil {
 			t.Errorf("ParseSpec(%q) accepted a bad spec", spec)
 		}
+	}
+}
+
+// Values that pass the class checks yet would poison the virtual clock
+// or not survive String are refused, with an error naming the
+// parameter.
+func TestParseSpecRefusesUnrepresentableValues(t *testing.T) {
+	for _, tc := range []struct{ spec, param string }{
+		{"slowxfer:x=NaN", "x=NaN"},
+		{"unitflake:p=NaN", "p=NaN"},
+		{"crash:at=Inf", "at=Inf"},
+		{"crash:at=-Inf", "at=-Inf"},
+		{"drivercrash:at=-1", "at=-1"},
+		{"reclaim:p=0.1,window=-5", "window=-5"},
+		{"reclaim:p=0.1,notice=-1", "notice=-1"},
+		{"reclaim:p=0.1,after=-1", "after=-1"},
+		{"crash:at=900,vm=-2", "vm=-2"},
+		{"crash:at=900,vm=2.5", "vm=2.5"},
+		{"unitflake:p=0.3,n=1.5", "n=1.5"},
+		{"bootfail:n=1e300", "n=1e300"},
+		{"bootfail:n=4294967296", "n=4294967296"},
+		{"bootfail:n=1e400", "n"},
+	} {
+		_, err := ParseSpec(tc.spec)
+		if err == nil {
+			t.Errorf("ParseSpec(%q) accepted it", tc.spec)
+		} else if !strings.Contains(err.Error(), tc.param) {
+			t.Errorf("ParseSpec(%q): %v, want it to name %s", tc.spec, err, tc.param)
+		}
+	}
+}
+
+// A reclaim whose notice is set to 0 renders it, so the parse of its
+// String is the same rule rather than one with the default notice.
+func TestReclaimZeroNoticeRoundTrips(t *testing.T) {
+	plan, err := ParseSpec("reclaim:p=0.5,notice=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := ParseSpec(plan.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Rules[0].Notice != 0 || again.Rules[0] != plan.Rules[0] {
+		t.Fatalf("%q re-parsed as %+v, want %+v", plan.String(), again.Rules[0], plan.Rules[0])
 	}
 }
 

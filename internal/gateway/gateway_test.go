@@ -189,6 +189,26 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// A fault spec whose value would poison the virtual clock is refused
+// at submission, naming the parameter, rather than admitted to fail in
+// PB with an unrelated error.
+func TestSubmitRefusesNaNFaultSpec(t *testing.T) {
+	_, ts := newTestServer(t)
+	body, _ := json.Marshal(RunRequest{Profile: "tiny", Assemblers: []string{"velvet"}, Faults: "slowxfer:x=NaN"})
+	resp, err := http.Post(ts.URL+"/api/runs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got struct{ Error string }
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(got.Error, "x=NaN") {
+		t.Fatalf("status %d, error %q; want 400 naming x=NaN", resp.StatusCode, got.Error)
+	}
+}
+
 func TestFailedRunSurfacesError(t *testing.T) {
 	s, ts := newTestServer(t)
 	// A tiny dataset with P. Crispa's memory demands on a static

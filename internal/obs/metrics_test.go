@@ -170,8 +170,8 @@ func TestHistogramBoundaryAndOverflow(t *testing.T) {
 // garbage cumulative counts.
 func TestHistogramBadBounds(t *testing.T) {
 	for _, bounds := range [][]float64{
-		{10, 1},     // descending
-		{1, 5, 3},   // out of order past the front
+		{10, 1},      // descending
+		{1, 5, 3},    // out of order past the front
 		{5, 5},       // duplicate
 		{1, 2, 2, 3}, // duplicate mid-ladder
 	} {
