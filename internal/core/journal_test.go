@@ -547,6 +547,125 @@ func TestResumeRejectsConfigDrift(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesForgedPrefix forges one thing in a finished journal
+// and rewrites it through a fresh writer, so the hash chain still
+// verifies: only replaying the prefix against the re-executed run can
+// tell. Every forgery must make the resume fail.
+func TestResumeRefusesForgedPrefix(t *testing.T) {
+	ds, err := simdata.GenerateCached(simdata.Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	complete := chaosConfig()
+	cancelled := chaosConfig()
+	cancelled.CancelAt = cleanChaosTTC(t) / 2
+
+	// finished journals cfg's run and returns its records and the run's
+	// own error, which an unforged resume reproduces.
+	type finished struct {
+		recs []journal.Record
+		err  string
+	}
+	finish := func(name string, cfg Config) finished {
+		path := filepath.Join(dir, name+".journal")
+		_, _, runErr := journalRun(t, ds, cfg, path)
+		lg, err := journal.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !lg.Complete() {
+			t.Fatalf("%s journal is not finished", name)
+		}
+		f := finished{recs: lg.Records}
+		if runErr != nil {
+			f.err = runErr.Error()
+		}
+		return f
+	}
+	runs := map[string]finished{"complete": finish("complete", complete), "cancelled": finish("cancelled", cancelled)}
+	configs := map[string]Config{"complete": complete, "cancelled": cancelled}
+
+	// first returns the index of the first record of kind for which ok
+	// holds.
+	first := func(t *testing.T, recs []journal.Record, kind string, ok func(i int) bool) int {
+		for i, r := range recs {
+			if r.Kind == kind && ok(i) {
+				return i
+			}
+		}
+		t.Fatalf("journal holds no suitable %s record", kind)
+		return -1
+	}
+	any := func(int) bool { return true }
+
+	for _, c := range []struct {
+		name, run string
+		// forge edits recs in place and returns the index of the first
+		// record it changed.
+		forge func(t *testing.T, recs []journal.Record) int
+	}{
+		{"stage-end-digest", "complete", func(t *testing.T, recs []journal.Record) int {
+			i := first(t, recs, journal.KindStageEnd, func(i int) bool { return recs[i].Digest != "" })
+			recs[i].Digest = strings.Repeat("0", len(recs[i].Digest))
+			return i
+		}},
+		{"unit-vtime", "complete", func(t *testing.T, recs []journal.Record) int {
+			i := first(t, recs, journal.KindUnit, any)
+			recs[i].VTime++
+			return i
+		}},
+		{"cancelled-note", "cancelled", func(t *testing.T, recs []journal.Record) int {
+			i := first(t, recs, journal.KindCancelled, any)
+			recs[i].Note = "forged"
+			return i
+		}},
+		{"complete-note", "complete", func(t *testing.T, recs []journal.Record) int {
+			i := first(t, recs, journal.KindComplete, any)
+			recs[i].Note = "forged"
+			return i
+		}},
+		{"header-seed", "complete", func(t *testing.T, recs []journal.Record) int {
+			recs[0].Seed++
+			return 0
+		}},
+		{"swapped-units", "complete", func(t *testing.T, recs []journal.Record) int {
+			i := first(t, recs, journal.KindUnit, func(i int) bool {
+				return i+1 < len(recs) && recs[i+1].Kind == journal.KindUnit
+			})
+			recs[i], recs[i+1] = recs[i+1], recs[i]
+			return i
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			run := runs[c.run]
+			recs := append([]journal.Record(nil), run.recs...)
+			c.forge(t, recs)
+			path := filepath.Join(t.TempDir(), "forged.journal")
+			f, err := os.Create(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := journal.NewWriter(f)
+			for _, rec := range recs {
+				if _, err := w.Append(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			cfg := configs[c.run]
+			cfg.Obs = obs.New()
+			_, _, err = ResumePipeline(ds, cfg, path)
+			if err == nil || err.Error() == run.err {
+				t.Fatalf("resume of a journal with a forged %s returned %v", c.name, err)
+			}
+		})
+	}
+}
+
 // TestDriverCrashWithoutJournal: the fault class works standalone —
 // the run dies with a DriverCrashError even when nothing is journaled
 // (there is just nothing to resume from).
