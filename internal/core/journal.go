@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"strings"
 
 	"rnascale/internal/detonate"
 	"rnascale/internal/faults"
@@ -110,29 +111,27 @@ func configDigest(cfg Config, ds *simdata.Dataset) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// runJournal drives the pipeline's write-ahead journal: in a live run
-// it appends a record at every checkpoint (stage boundary or unit
-// completion); in a resumed run it first consumes the surviving
-// prefix — verifying the replayed execution reproduces each record's
-// virtual time, accrued cost and stage digest exactly — and then
-// switches to appending, so the finished journal is the same record
-// sequence an uninterrupted run would have written. It also arms the
-// drivercrash fault class against the checkpoints. All methods are
-// nil-receiver safe; a nil *runJournal is "not journaling".
+// runJournal drives the pipeline's write-ahead journal. Every
+// checkpoint — header, stage boundary, unit completion, cancellation,
+// completion — goes through one step: in a resumed run it first walks
+// the surviving prefix with a cursor, requiring each checkpoint to
+// reproduce the next prefix record, and past the prefix it appends, so
+// the finished journal is the same record sequence an uninterrupted
+// run would have written. It also arms the drivercrash fault class
+// against the checkpoints. All methods are nil-receiver safe; a nil
+// *runJournal is "not journaling".
 type runJournal struct {
 	pl       *Pipeline
 	w        *journal.Writer
 	injector *faults.Injector
 	resumed  bool
 
-	// Replay state, built from the resume prefix. Unit records are
-	// keyed by stage+unit; stage and lifecycle records by kind+stage.
-	pendingUnits     map[string][]journal.Record
-	pendingStage     map[string]journal.Record
-	pendingHeader    *journal.Record
-	pendingComplete  *journal.Record
-	pendingCancelled *journal.Record
-	pendingCount     int
+	// prefix is the resume journal's records; those before cursor have
+	// been replayed. units maps stage+unit to the prefix position of
+	// the unit's record, for looking a unit up before its checkpoint.
+	prefix []journal.Record
+	cursor int
+	units  map[string]int
 
 	codecs map[string]unitCodec
 	// unitChains holds each stage's unit records' chain digests, in
@@ -149,51 +148,33 @@ func unitKey(stage, unit string) string { return stage + "\x00" + unit }
 
 func newRunJournal(pl *Pipeline, cfg Config, inj *faults.Injector) *runJournal {
 	jr := &runJournal{
-		pl:           pl,
-		w:            cfg.Journal,
-		injector:     inj,
-		resumed:      cfg.Resume != nil,
-		pendingUnits: map[string][]journal.Record{},
-		pendingStage: map[string]journal.Record{},
-		codecs:       map[string]unitCodec{},
-		unitChains:   map[string][]string{},
+		pl:         pl,
+		w:          cfg.Journal,
+		injector:   inj,
+		resumed:    cfg.Resume != nil,
+		units:      map[string]int{},
+		codecs:     map[string]unitCodec{},
+		unitChains: map[string][]string{},
+		armed:      inj.DriverCrashTimes(),
 	}
-	armed := inj.DriverCrashTimes()
 	if cfg.Resume != nil {
 		if r := cfg.Resume.Repair; r != nil {
 			jr.stats.TailRepaired = true
 			jr.stats.TailTruncatedBytes = r.TruncatedBytes
 		}
-		for i := range cfg.Resume.Records {
-			rec := cfg.Resume.Records[i]
-			switch rec.Kind {
-			case journal.KindHeader:
-				jr.pendingHeader = &rec
-			case journal.KindComplete:
-				jr.pendingComplete = &rec
-			case journal.KindCancelled:
-				jr.pendingCancelled = &rec
-			case journal.KindUnit:
-				k := unitKey(rec.Stage, rec.Unit)
-				jr.pendingUnits[k] = append(jr.pendingUnits[k], rec)
-			default:
-				jr.pendingStage[rec.Kind+"\x00"+rec.Stage] = rec
+		jr.prefix = cfg.Resume.Records
+		for i, rec := range jr.prefix {
+			if rec.Kind == journal.KindUnit {
+				jr.units[unitKey(rec.Stage, rec.Unit)] = i
 			}
-			jr.pendingCount++
 		}
 		// Any drivercrash the surviving journal already covers fired in
 		// a previous life of this run: disarm it, or resume would crash
 		// at the same checkpoint forever.
-		last := cfg.Resume.LastVTime()
-		kept := make([]vclock.Time, 0, len(armed))
-		for _, at := range armed {
-			if float64(at) > last {
-				kept = append(kept, at)
-			}
+		for last := cfg.Resume.LastVTime(); len(jr.armed) > 0 && float64(jr.armed[0]) <= last; {
+			jr.armed = jr.armed[1:]
 		}
-		armed = kept
 	}
-	jr.armed = armed
 	return jr
 }
 
@@ -217,25 +198,78 @@ func (jr *runJournal) countRecord() {
 		"Run journal records, replayed from a surviving prefix or appended live.", nil).Inc()
 }
 
-func (jr *runJournal) consumed() {
-	jr.pendingCount--
+// checkpoint is the one step every checkpoint takes. While the cursor
+// is inside the resume prefix, the next prefix record must equal live
+// in every header field but Seq and Chain, and it is consumed; the
+// payload is not compared, because the chain covers it and a replayed
+// unit's outputs were read from it. Past the prefix, live is appended.
+// It returns the chain digest of the record at this checkpoint.
+func (jr *runJournal) checkpoint(live journal.Record) (string, error) {
+	if !jr.recording() {
+		return "", nil
+	}
+	if jr.cursor == len(jr.prefix) {
+		return jr.append(live)
+	}
+	rec := jr.prefix[jr.cursor]
+	for _, f := range [...][3]any{
+		{"kind", rec.Kind, live.Kind},
+		{"stage", rec.Stage, live.Stage},
+		{"unit", rec.Unit, live.Unit},
+		{"vtime", rec.VTime, live.VTime},
+		{"cost", rec.CostUSD, live.CostUSD},
+		{"duration", rec.DurationSeconds, live.DurationSeconds},
+		{"peak memory", rec.PeakMemoryGB, live.PeakMemoryGB},
+		{"seed", rec.Seed, live.Seed},
+		{"digest", rec.Digest, live.Digest},
+		{"note", rec.Note, live.Note},
+	} {
+		if f[1] != f[2] {
+			return "", fmt.Errorf("record %d (%s) has %s %v, but the replay reached it with %v",
+				rec.Seq, strings.TrimRight(rec.Kind+" "+rec.Stage+"/"+rec.Unit, " /"), f[0], f[1], f[2])
+		}
+	}
+	jr.cursor++
 	jr.stats.RecordsReplayed++
 	jr.countRecord()
+	return rec.Chain, nil
 }
 
 // append writes a live record and returns its chain digest (empty
 // when there is no writer).
-func (jr *runJournal) append(rec journal.Record) string {
+func (jr *runJournal) append(rec journal.Record) (string, error) {
 	if jr.w != nil {
 		stamped, err := jr.w.Append(rec)
 		if err != nil {
-			jr.drift("append failed: %v", err)
+			return "", fmt.Errorf("append failed: %w", err)
 		}
 		rec = stamped
 	}
 	jr.stats.RecordsAppended++
 	jr.countRecord()
-	return rec.Chain
+	return rec.Chain, nil
+}
+
+// step checkpoints a record of the running pipeline — a replay that
+// diverges from the journal aborts the run — and then lets an armed
+// drivercrash fire.
+func (jr *runJournal) step(live journal.Record) string {
+	chain, err := jr.checkpoint(live)
+	if err != nil {
+		jr.drift("%v", err)
+	}
+	jr.maybeCrash(live.VTime)
+	return chain
+}
+
+// mark steps a record stamped with the pipeline's current virtual time
+// and accrued cost.
+func (jr *runJournal) mark(rec journal.Record) {
+	if jr == nil {
+		return
+	}
+	rec.VTime, rec.CostUSD = float64(jr.pl.clock.Now()), jr.pl.provider.TotalCost()
+	jr.step(rec)
 }
 
 // maybeCrash fires the armed drivercrash rule once the checkpoint's
@@ -253,45 +287,20 @@ func (jr *runJournal) maybeCrash(vt float64) {
 	}
 }
 
-// verify checks a replayed record against the re-executed run state;
-// any mismatch means the journal and the current run are not the same
-// simulation.
-func (jr *runJournal) verify(rec journal.Record, vt, cost float64, digest string) {
-	if rec.VTime != vt || rec.CostUSD != cost {
-		jr.drift("record %d (%s %s/%s) was written at t=%v cost=%v but replay reached it at t=%v cost=%v",
-			rec.Seq, rec.Kind, rec.Stage, rec.Unit, rec.VTime, rec.CostUSD, vt, cost)
-	}
-	if digest != "" && rec.Digest != digest {
-		jr.drift("record %d (%s %s/%s) artifact digest %s does not match replayed %s",
-			rec.Seq, rec.Kind, rec.Stage, rec.Unit, rec.Digest, digest)
-	}
-}
-
 // header checkpoints the run start. On resume it verifies the journal
 // was written by the same configuration and dataset.
 func (jr *runJournal) header(digest string, seed uint64, profile string) {
 	if jr == nil {
 		return
 	}
-	if jr.recording() {
-		if h := jr.pendingHeader; h != nil {
-			if h.Digest != digest || h.Seed != seed {
-				jr.drift("journal belongs to config %s seed %d, resume attempted with config %s seed %d",
-					h.Digest, h.Seed, digest, seed)
-			}
-			jr.pendingHeader = nil
-			jr.consumed()
-		} else if jr.resumed {
-			jr.drift("resume journal has no header record")
-		} else {
-			jr.append(journal.Record{Kind: journal.KindHeader, Seed: seed, Digest: digest, Note: profile})
-		}
+	if _, err := jr.checkpoint(journal.Record{Kind: journal.KindHeader, Seed: seed, Digest: digest, Note: profile}); err != nil {
+		jr.drift("journal belongs to config %s, resume attempted with config %s: %v", jr.prefix[0].Digest, digest, err)
 	}
 	jr.maybeCrash(float64(jr.pl.clock.Now()))
 }
 
 func (jr *runJournal) stageStart(name string) {
-	jr.stageBoundary(journal.KindStageStart, name, "", "")
+	jr.mark(journal.Record{Kind: journal.KindStageStart, Stage: name})
 }
 
 // stageEnd checkpoints a stage boundary with the digest of the
@@ -309,50 +318,14 @@ func (jr *runJournal) stageEnd(name, note string) {
 		}
 		combined = hex.EncodeToString(h.Sum(nil))
 	}
-	jr.stageBoundary(journal.KindStageEnd, name, combined, note)
-}
-
-// stageBoundary replays or appends one stage-start or stage-end record.
-func (jr *runJournal) stageBoundary(kind, name, digest, note string) {
-	if jr == nil {
-		return
-	}
-	vt, cost := float64(jr.pl.clock.Now()), jr.pl.provider.TotalCost()
-	if jr.recording() {
-		key := kind + "\x00" + name
-		if rec, ok := jr.pendingStage[key]; ok {
-			jr.verify(rec, vt, cost, digest)
-			delete(jr.pendingStage, key)
-			jr.consumed()
-		} else {
-			jr.append(journal.Record{Kind: kind, Stage: name, VTime: vt, CostUSD: cost, Digest: digest, Note: note})
-		}
-	}
-	jr.maybeCrash(vt)
+	jr.mark(journal.Record{Kind: journal.KindStageEnd, Stage: name, Digest: combined, Note: note})
 }
 
 // cancelled checkpoints a run cut off at its deadline or cancellation
-// point. On resume the replayed truncation must land at the same
-// virtual time, cost and outcome — the journal of a cancelled run
-// resumes to the same truncated report byte-for-byte.
+// point — the journal of a cancelled run resumes to the same truncated
+// report byte-for-byte.
 func (jr *runJournal) cancelled(outcome string) {
-	if jr == nil {
-		return
-	}
-	vt, cost := float64(jr.pl.clock.Now()), jr.pl.provider.TotalCost()
-	if jr.recording() {
-		if rec := jr.pendingCancelled; rec != nil {
-			jr.pendingCancelled = nil
-			jr.verify(*rec, vt, cost, "")
-			if rec.Note != outcome {
-				jr.drift("cancelled record outcome %q does not match replayed %q", rec.Note, outcome)
-			}
-			jr.consumed()
-		} else {
-			jr.append(journal.Record{Kind: journal.KindCancelled, VTime: vt, CostUSD: cost, Note: outcome})
-		}
-	}
-	jr.maybeCrash(vt)
+	jr.mark(journal.Record{Kind: journal.KindCancelled, Note: outcome})
 }
 
 // complete records the run's final outcome and, when the run scored
@@ -363,47 +336,52 @@ func (jr *runJournal) complete(now vclock.Time, cost float64, metrics *detonate.
 	if !jr.recording() {
 		return nil
 	}
-	note := "ok"
+	rec := journal.Record{Kind: journal.KindComplete, VTime: float64(now), CostUSD: cost, Note: "ok"}
 	if runErr != nil {
-		note = runErr.Error()
+		rec.Note = runErr.Error()
 	}
-	vt := float64(now)
-	if rec := jr.pendingComplete; rec != nil {
-		jr.pendingComplete = nil
-		if rec.VTime != vt || rec.CostUSD != cost || rec.Note != note {
-			return fmt.Errorf("core: journal: complete record diverged (journal t=%v cost=%v %q, replay t=%v cost=%v %q)",
-				rec.VTime, rec.CostUSD, rec.Note, vt, cost, note)
+	if metrics != nil {
+		b, err := json.Marshal(metrics)
+		if err != nil {
+			return fmt.Errorf("core: journal: complete record: %w", err)
 		}
-		jr.consumed()
-	} else {
-		rec := journal.Record{Kind: journal.KindComplete, VTime: vt, CostUSD: cost, Note: note}
-		if metrics != nil {
-			b, err := json.Marshal(metrics)
-			if err != nil {
-				return fmt.Errorf("core: journal: complete record: %w", err)
-			}
-			rec.Payload = b
-		}
-		jr.append(rec)
+		rec.Payload = b
 	}
-	if jr.pendingCount > 0 {
-		return fmt.Errorf("core: journal: %d prefix records were never replayed (journal does not match this run)", jr.pendingCount)
+	if _, err := jr.checkpoint(rec); err != nil {
+		return fmt.Errorf("core: journal: %w", err)
+	}
+	if n := len(jr.prefix) - jr.cursor; n > 0 {
+		return fmt.Errorf("core: journal: %d prefix records were never replayed (journal does not match this run)", n)
 	}
 	return nil
 }
 
 // journaledMetrics returns the DETONATE metrics the journal's complete
-// record carries, nil when the run is not resuming a journal that
-// holds them.
+// record carries, nil when the run is not about to replay a complete
+// record that holds them.
 func (jr *runJournal) journaledMetrics() (*detonate.Metrics, error) {
-	if jr == nil || jr.pendingComplete == nil || len(jr.pendingComplete.Payload) == 0 {
+	if jr == nil || jr.cursor == len(jr.prefix) {
+		return nil, nil
+	}
+	rec := jr.prefix[jr.cursor]
+	if rec.Kind != journal.KindComplete || len(rec.Payload) == 0 {
 		return nil, nil
 	}
 	var m detonate.Metrics
-	if err := json.Unmarshal(jr.pendingComplete.Payload, &m); err != nil {
+	if err := json.Unmarshal(rec.Payload, &m); err != nil {
 		return nil, fmt.Errorf("core: journal: complete record: %w", err)
 	}
 	return &m, nil
+}
+
+// replayed returns the journal's record of a unit the cursor has not
+// yet reached: the unit's outputs are served from it.
+func (jr *runJournal) replayed(stage, name string) (journal.Record, bool) {
+	i, ok := jr.units[unitKey(stage, name)]
+	if !ok || i < jr.cursor {
+		return journal.Record{}, false
+	}
+	return jr.prefix[i], true
 }
 
 // unit registers a unit's payload codec and wraps its work function:
@@ -415,11 +393,9 @@ func (jr *runJournal) unit(stage, name string, work pilot.WorkFunc, c unitCodec)
 	if jr == nil {
 		return work
 	}
-	key := unitKey(stage, name)
-	jr.codecs[key] = c
+	jr.codecs[unitKey(stage, name)] = c
 	return func(env *pilot.ExecEnv) (pilot.WorkResult, error) {
-		if recs := jr.pendingUnits[key]; len(recs) > 0 {
-			rec := recs[0]
+		if rec, ok := jr.replayed(stage, name); ok {
 			res, err := c.replay(rec, env)
 			if err != nil {
 				return res, fmt.Errorf("core: journal replay of %s/%s: %w", stage, name, err)
@@ -437,7 +413,11 @@ func (jr *runJournal) unit(stage, name string, work pilot.WorkFunc, c unitCodec)
 // record: every attempt of the unit is then served from it, and its
 // work never runs.
 func (jr *runJournal) replays(stage, name string) bool {
-	return jr != nil && len(jr.pendingUnits[unitKey(stage, name)]) > 0
+	if jr == nil {
+		return false
+	}
+	_, ok := jr.replayed(stage, name)
+	return ok
 }
 
 // onUnitDone returns the done callback a stage's unit manager, pilot-
@@ -451,36 +431,31 @@ func (jr *runJournal) onUnitDone(stage string) func(u *pilot.Unit, at vclock.Tim
 }
 
 func (jr *runJournal) unitDone(stage string, u *pilot.Unit, at vclock.Time) {
-	vt, cost := float64(at), jr.pl.provider.TotalCost()
-	key := unitKey(stage, u.Desc.Name)
-	if jr.recording() {
-		if recs := jr.pendingUnits[key]; len(recs) > 0 {
-			rec := recs[0]
-			jr.pendingUnits[key] = recs[1:]
-			jr.verify(rec, vt, cost, "")
-			jr.unitChains[stage] = append(jr.unitChains[stage], rec.Chain)
-			jr.stats.UnitsReplayed++
-			jr.consumed()
-		} else {
-			c, ok := jr.codecs[key]
-			if !ok {
-				jr.drift("unit %s/%s completed without a registered codec", stage, u.Desc.Name)
-			}
-			payload, err := c.encode(u.Result)
-			if err != nil {
-				jr.drift("encoding %s/%s outputs: %v", stage, u.Desc.Name, err)
-			}
-			chain := jr.append(journal.Record{
-				Kind: journal.KindUnit, Stage: stage, Unit: u.Desc.Name,
-				VTime: vt, CostUSD: cost,
-				DurationSeconds: float64(u.Result.Duration),
-				PeakMemoryGB:    u.Result.PeakMemoryGB,
-				Payload:         payload,
-			})
-			jr.unitChains[stage] = append(jr.unitChains[stage], chain)
-		}
+	name := u.Desc.Name
+	live := journal.Record{
+		Kind: journal.KindUnit, Stage: stage, Unit: name,
+		VTime: float64(at), CostUSD: jr.pl.provider.TotalCost(),
+		DurationSeconds: float64(u.Result.Duration),
+		PeakMemoryGB:    u.Result.PeakMemoryGB,
 	}
-	jr.maybeCrash(vt)
+	// A replayed unit's outputs are already in its journal record; only
+	// executed work is encoded.
+	_, replayed := jr.replayed(stage, name)
+	if !replayed && jr.recording() {
+		c, ok := jr.codecs[unitKey(stage, name)]
+		if !ok {
+			jr.drift("unit %s/%s completed without a registered codec", stage, name)
+		}
+		payload, err := c.encode(u.Result)
+		if err != nil {
+			jr.drift("encoding %s/%s outputs: %v", stage, name, err)
+		}
+		live.Payload = payload
+	}
+	if replayed {
+		jr.stats.UnitsReplayed++
+	}
+	jr.unitChains[stage] = append(jr.unitChains[stage], jr.step(live))
 }
 
 // Resume continues an interrupted run from its write-ahead journal.

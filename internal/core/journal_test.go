@@ -550,7 +550,8 @@ func TestResumeRejectsConfigDrift(t *testing.T) {
 // TestResumeRefusesForgedPrefix forges one thing in a finished journal
 // and rewrites it through a fresh writer, so the hash chain still
 // verifies: only replaying the prefix against the re-executed run can
-// tell. Every forgery must make the resume fail.
+// tell. Every forgery must make the resume fail, naming the first
+// forged record's seq.
 func TestResumeRefusesForgedPrefix(t *testing.T) {
 	ds, err := simdata.GenerateCached(simdata.Tiny())
 	if err != nil {
@@ -640,7 +641,7 @@ func TestResumeRefusesForgedPrefix(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			run := runs[c.run]
 			recs := append([]journal.Record(nil), run.recs...)
-			c.forge(t, recs)
+			seq := c.forge(t, recs)
 			path := filepath.Join(t.TempDir(), "forged.journal")
 			f, err := os.Create(path)
 			if err != nil {
@@ -659,8 +660,8 @@ func TestResumeRefusesForgedPrefix(t *testing.T) {
 			cfg := configs[c.run]
 			cfg.Obs = obs.New()
 			_, _, err = ResumePipeline(ds, cfg, path)
-			if err == nil || err.Error() == run.err {
-				t.Fatalf("resume of a journal with a forged %s returned %v", c.name, err)
+			if err == nil || err.Error() == run.err || !strings.Contains(err.Error(), fmt.Sprintf("record %d ", seq)) {
+				t.Fatalf("resume of a journal forged at record %d returned %v, want an error naming that record", seq, err)
 			}
 		})
 	}
