@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"strings"
 
@@ -73,42 +72,24 @@ type unitCodec struct {
 }
 
 // configDigest fingerprints everything a resumed run must share with
-// the run that wrote the journal. It is stored in the header record
-// and re-verified on resume, so resuming under a drifted config fails
-// fast instead of producing a silently different run.
-func configDigest(cfg Config, ds *simdata.Dataset) string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|%s|%v|%s|%d|%d|%d|%v|%d|%t|%d|%+v|%t|%d",
-		ds.Profile.Name, cfg.Scheme, cfg.Pattern, cfg.Assemblers,
-		cfg.InstanceType, cfg.AssemblyNodesOverride, cfg.NodesPerMPIJob,
-		cfg.ContrailNodes, cfg.Kmers, cfg.MinCoverage, cfg.ConsensusMerge,
-		cfg.ParallelPreprocessShards, cfg.Preprocess,
-		cfg.EvaluateAgainstTruth, cfg.FaultSeed)
-	if cfg.FaultPlan != nil {
-		io.WriteString(h, "|"+cfg.FaultPlan.String())
+// the run that wrote the journal: the dataset profile and every value
+// field of the config, as SHA-256 over their JSON encoding. It is
+// stored in the header record and re-verified on resume, so resuming
+// under a drifted config fails fast instead of producing a silently
+// different run. The run's handles stay out: Cloud carries a func and
+// an injector, and Obs, Journal and Resume are where the run reports,
+// not what it runs.
+func configDigest(cfg Config, ds *simdata.Dataset) (string, error) {
+	cfg.Cloud, cfg.Obs, cfg.Journal, cfg.Resume = nil, nil, nil, nil
+	b, err := json.Marshal(struct {
+		Profile string
+		Config  Config
+	}{ds.Profile.Name, cfg})
+	if err != nil {
+		return "", fmt.Errorf("core: config digest: %w", err)
 	}
-	if cfg.Backends != (StageBackends{}) {
-		// Folded in only when set, so digests of pre-backend configs
-		// (and their journals) stay valid.
-		io.WriteString(h, "|backends:"+cfg.Backends.String())
-	}
-	if cfg.Deadline > 0 || cfg.CancelAt > 0 || cfg.RetryBudget > 0 || cfg.Breaker != nil {
-		// Folded in only when any overload knob is set, so digests of
-		// pre-overload configs (and their journals) stay valid.
-		fmt.Fprintf(h, "|overload:%v:%v:%d:%v", cfg.Deadline, cfg.CancelAt,
-			cfg.RetryBudget, cfg.RetryBudgetRefill)
-		if cfg.Breaker != nil {
-			fmt.Fprintf(h, ":breaker=%d,%v", cfg.Breaker.Threshold, cfg.Breaker.Cooldown)
-		}
-	}
-	if cfg.ConditionB != nil {
-		fmt.Fprintf(h, "|condB:%d:%t:", len(cfg.ConditionB.Reads), cfg.ConditionB.Paired)
-		for _, r := range cfg.ConditionB.Reads {
-			io.WriteString(h, r.ID)
-			h.Write(r.Seq)
-		}
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:]), nil
 }
 
 // runJournal drives the pipeline's write-ahead journal. Every

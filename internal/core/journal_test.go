@@ -92,7 +92,8 @@ func capture(t *testing.T, rep *Report, pl *Pipeline) runArtifacts {
 
 // chainRE matches a record's hash-chain field, and a stage-end record's
 // digest over its units' chain digests, for stripping in journal-body
-// comparisons. (The header's config digest is 16 hex digits.)
+// comparisons. (It would match the header's config digest too, but
+// journalBody drops the header.)
 var chainRE = regexp.MustCompile(`,"(chain|digest)":"[0-9a-f]{64}"`)
 
 // journalBody returns a journal file's records after the header, with
@@ -538,12 +539,22 @@ func TestResumeRejectsConfigDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	drifted := cfg
-	drifted.Assemblers = []string{"velvet"}
-	drifted.Obs = obs.New()
-	_, _, err = ResumePipeline(ds, drifted, path)
-	if err == nil || !strings.Contains(err.Error(), "journal belongs to config") {
-		t.Fatalf("resume under drifted config returned %v, want config-digest mismatch", err)
+	for _, c := range []struct {
+		name  string
+		drift func(cfg *Config)
+	}{
+		{"assemblers", func(cfg *Config) { cfg.Assemblers = []string{"velvet"} }},
+		{"retry-PB", func(cfg *Config) { cfg.Retry.PB.MaxRetries = 9 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			drifted := cfg
+			c.drift(&drifted)
+			drifted.Obs = obs.New()
+			_, _, err := ResumePipeline(ds, drifted, path)
+			if err == nil || !strings.Contains(err.Error(), "journal belongs to config") {
+				t.Fatalf("resume under drifted config returned %v, want config-digest mismatch", err)
+			}
+		})
 	}
 }
 

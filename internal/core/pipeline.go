@@ -180,7 +180,11 @@ func (pl *Pipeline) Run(ds *simdata.Dataset) (rep *Report, err error) {
 	pl.runSpan.SetAttr("pattern", cfg.Pattern.String())
 	pl.runSpan.SetAttr("assemblers", strings.Join(cfg.Assemblers, ","))
 	pl.runSpan.SetAttr("profile", ds.Profile.Name)
-	pl.jr.header(configDigest(cfg, ds), cfg.FaultSeed, ds.Profile.Name)
+	digest, err := configDigest(cfg, ds)
+	if err != nil {
+		return rep, err
+	}
+	pl.jr.header(digest, cfg.FaultSeed, ds.Profile.Name)
 
 	// --- Stage 0: upload the raw data from the local server ---
 	t0 := pl.clock.Now()
