@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	_ "rnascale/internal/assembler/all"
+	"rnascale/internal/cloud"
 	"rnascale/internal/faults"
 	"rnascale/internal/journal"
 	"rnascale/internal/obs"
@@ -673,6 +674,40 @@ func TestResumeRefusesForgedPrefix(t *testing.T) {
 			_, _, err = ResumePipeline(ds, cfg, path)
 			if err == nil || err.Error() == run.err || !strings.Contains(err.Error(), fmt.Sprintf("record %d ", seq)) {
 				t.Fatalf("resume of a journal forged at record %d returned %v, want an error naming that record", seq, err)
+			}
+		})
+	}
+}
+
+// TestRefusedRunJournalResumes: a run refused before its first stage
+// still checkpoints its header first, so its journal reads back
+// cleanly and resumes to the same refusal.
+func TestRefusedRunJournalResumes(t *testing.T) {
+	ds, err := simdata.GenerateCached(simdata.Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		refuse func(cfg *Config)
+	}{
+		{"unknown-assembler", func(cfg *Config) { cfg.Assemblers = []string{"bogus"} }},
+		{"conventional-serverless", func(cfg *Config) { cfg.Pattern, cfg.Backends.PB = Conventional, cloud.Serverless }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := chaosConfig()
+			c.refuse(&cfg)
+			path := filepath.Join(t.TempDir(), "refused.journal")
+			_, _, runErr := journalRun(t, ds, cfg, path)
+			if runErr == nil {
+				t.Fatal("refused config ran")
+			}
+			if lg := mustInspect(t, path); lg.Repair != nil || !lg.Complete() {
+				t.Fatalf("refused run's journal: repair %v, complete %t", lg.Repair, lg.Complete())
+			}
+			cfg.Obs = obs.New()
+			if _, _, err := ResumePipeline(ds, cfg, path); err == nil || err.Error() != runErr.Error() {
+				t.Fatalf("resume of the refused run returned %v, want %v", err, runErr)
 			}
 		})
 	}

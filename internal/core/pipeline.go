@@ -166,6 +166,13 @@ func (pl *Pipeline) Run(ds *simdata.Dataset) (rep *Report, err error) {
 	cfg := pl.cfg
 	fs := ds.Profile.FullScale
 	rep = &Report{Config: cfg, PerAssembler: map[string][]seq.FastaRecord{}}
+	// The header comes first, so even a refused run's journal reads back
+	// and resumes to the same refusal.
+	digest, err := configDigest(cfg, ds)
+	pl.jr.header(digest, cfg.FaultSeed, ds.Profile.Name)
+	if err != nil {
+		return rep, err
+	}
 	for _, name := range cfg.Assemblers {
 		if _, err := assembler.Get(name); err != nil {
 			return rep, err
@@ -180,11 +187,6 @@ func (pl *Pipeline) Run(ds *simdata.Dataset) (rep *Report, err error) {
 	pl.runSpan.SetAttr("pattern", cfg.Pattern.String())
 	pl.runSpan.SetAttr("assemblers", strings.Join(cfg.Assemblers, ","))
 	pl.runSpan.SetAttr("profile", ds.Profile.Name)
-	digest, err := configDigest(cfg, ds)
-	if err != nil {
-		return rep, err
-	}
-	pl.jr.header(digest, cfg.FaultSeed, ds.Profile.Name)
 
 	// --- Stage 0: upload the raw data from the local server ---
 	t0 := pl.clock.Now()
