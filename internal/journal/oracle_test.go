@@ -470,70 +470,102 @@ func TestPayloadAliasesReadBuffer(t *testing.T) {
 	}
 }
 
-// FuzzScan throws arbitrary bytes at the reader, bare and with the
-// chain recomputed over them (so mutated content gets past the chain
-// check to the decode, seq and framing checks): it must never panic,
-// never return a record the reference reader rejects (agree demands
-// the identical verified prefix), and Continue must be idempotent —
-// a second Continue of what the first left behind repairs nothing,
-// changes no byte and reads the same records.
-func FuzzScan(f *testing.F) {
+// scanSeeds are the journal readers' fuzz seeds: a small journal, whole
+// and torn; production bytes cut to a size the fuzzer can mutate
+// usefully (the real journal's first four records and a torn 2 KB of
+// its pre-processing record); and mis-declared payload lengths on a
+// middle and on the last record.
+func scanSeeds(f *testing.F) [][]byte {
 	path, _ := writeFixture(f, 4)
 	small, err := os.ReadFile(path)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(small)
-	f.Add(small[:len(small)-9])
-	// Production bytes, cut to a size the fuzzer can mutate usefully:
-	// the real journal's first four records and a torn 2 KB of its
-	// pre-processing record.
 	real := realJournal(f)
-	f.Add(real[:recordEnds(f, real)[3]+2048])
-	// Mis-declared payload lengths, on a middle and on the last record.
+	seeds := [][]byte{small, small[:len(small)-9], real[:recordEnds(f, real)[3]+2048]}
 	for _, i := range []int{2, 3} {
 		for _, e := range payloadBytesEdits(len(fmt.Sprintf(`{"unit":%d}`, i))) {
-			f.Add(editRecord(f, small, i, e[0], e[1]))
+			seeds = append(seeds, editRecord(f, small, i, e[0], e[1]))
 		}
 	}
-	path = filepath.Join(f.TempDir(), "fuzz.journal")
+	return seeds
+}
+
+// FuzzScan throws arbitrary bytes at the reader, bare and with the
+// chain recomputed over them (so mutated content gets past the chain
+// check to the decode, seq and framing checks): it must never panic
+// and never return a record the reference reader rejects (agree
+// demands the identical verified prefix).
+func FuzzScan(f *testing.F) {
+	for _, b := range scanSeeds(f) {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		agree(t, "fuzz input", b, false)
 		agree(t, "fuzz input, rechained", rechain(b), false)
-
-		// The rest is on disk (Continue fsyncs its repair): skip it when
-		// there is no verifiable prefix and so nothing to continue.
-		if lg, _, bad := scan(b); lg.usable(path, bad) != nil {
-			return
-		}
-		if err := os.WriteFile(path, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		first, w, err := Continue(path)
-		if err != nil {
-			t.Fatalf("Continue refused a journal with a verifiable prefix: %v", err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		repaired, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		second, w, err := Continue(path)
-		if err != nil {
-			t.Fatalf("second Continue: %v", err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		after, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if second.Repair != nil || !bytes.Equal(repaired, after) || !reflect.DeepEqual(first.Records, second.Records) {
-			t.Fatalf("Continue is not idempotent: second repair %v, %d -> %d bytes, %d -> %d records",
-				second.Repair, len(repaired), len(after), len(first.Records), len(second.Records))
-		}
 	})
+}
+
+// FuzzContinue holds the tolerant opens to the strict reader on
+// arbitrary journal files, bare and rechained (see FuzzScan).
+func FuzzContinue(f *testing.F) {
+	f.Add(realJournal(f))
+	for _, b := range scanSeeds(f) {
+		f.Add(b)
+	}
+	path := filepath.Join(f.TempDir(), "fuzz.journal")
+	f.Fuzz(func(t *testing.T, b []byte) {
+		continueTwice(t, path, b)
+		continueTwice(t, path, rechain(b))
+	})
+}
+
+// continueTwice writes b to path and opens it tolerantly. Inspect and
+// Continue must agree, and keep exactly the records a strict Read of
+// the prefix Continue leaves on disk returns; a second Continue must
+// repair nothing, change no byte and read the same records.
+func continueTwice(t *testing.T, path string, b []byte) {
+	t.Helper()
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	inspected, ierr := Inspect(path)
+	first, w, err := Continue(path)
+	if (ierr == nil) != (err == nil) {
+		t.Fatalf("Inspect says %v, Continue %v", ierr, err)
+	}
+	if err != nil {
+		return // no verifiable prefix: nothing to continue
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	kept, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strict, err := Read(bytes.NewReader(kept))
+	if err != nil {
+		t.Fatalf("strict Read refuses the prefix Continue kept: %v", err)
+	}
+	if !reflect.DeepEqual(inspected.Repair, first.Repair) ||
+		!reflect.DeepEqual(inspected.Records, strict.Records) || !reflect.DeepEqual(first.Records, strict.Records) {
+		t.Fatalf("Inspect (%d records, %v) and Continue (%d records, %v) differ from a strict Read of the kept prefix (%d records)",
+			len(inspected.Records), inspected.Repair, len(first.Records), first.Repair, len(strict.Records))
+	}
+	second, w, err := Continue(path)
+	if err != nil {
+		t.Fatalf("second Continue: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Repair != nil || !bytes.Equal(kept, after) || !reflect.DeepEqual(first.Records, second.Records) {
+		t.Fatalf("Continue is not idempotent: second repair %v, %d -> %d bytes, %d -> %d records",
+			second.Repair, len(kept), len(after), len(first.Records), len(second.Records))
+	}
 }
