@@ -10,12 +10,12 @@ GOFMT ?= gofmt
 COVER_SPECS = internal/cloud:85 internal/pilot:80 internal/core:80
 
 # Fuzz targets exercised by fuzz-smoke, as package:target: the parsers,
-# the journal payload decoders against their encoders, the fault
-# grammar against its renderer, and the seeded containment check
-# against its reference.
+# the tolerant journal opens against the strict reader, the journal
+# payload decoders against their encoders, the fault grammar against
+# its renderer, and the seeded containment check against its reference.
 FUZZ_TARGETS = internal/seq:FuzzParseFasta internal/seq:FuzzParseFastq internal/seq:FuzzParseSFA \
 	internal/seq:FuzzForEachCanonical internal/assembler/contrail:FuzzParseRecord \
-	internal/journal:FuzzScan internal/core:FuzzDecodePA internal/core:FuzzDecodePB \
+	internal/journal:FuzzScan internal/journal:FuzzContinue internal/core:FuzzDecodePA internal/core:FuzzDecodePB \
 	internal/merge:FuzzDropContained internal/faults:FuzzParseSpec
 FUZZ_TIME ?= 10s
 
@@ -165,12 +165,14 @@ oracle-determinism:
 # torn-tail test resumes through crash-shaped journal damage, and the
 # stage-bracket pins hold every exit of a stage (complete, unit
 # failure, launch failure, cutoff, breaker fallback, crash + resume)
-# to recorded digests of its artifacts and journal file. The
-# whole contract is pinned at group-commit batch sizes 1 (fsync per
+# to recorded digests of its artifacts and journal file. A resume must
+# refuse a prefix forged under an intact hash chain, naming the first
+# forged record, and a run refused before its first stage must leave a
+# journal that resumes to the same refusal. The whole contract is pinned at group-commit batch sizes 1 (fsync per
 # append), 8 and 64: batching changes when fsyncs happen, never what
 # resumes read.
 journal-determinism:
-	$(call determinism,JOURNAL_BATCH=1 JOURNAL_BATCH=8 JOURNAL_BATCH=64,,internal/core:TestKillAndResumeByteIdentical|TestResumeOfCompleteJournal|TestResumeAfterTornTail|TestChaosDriverCrashResumeSoak|TestStageBracketPins)
+	$(call determinism,JOURNAL_BATCH=1 JOURNAL_BATCH=8 JOURNAL_BATCH=64,,internal/core:TestKillAndResumeByteIdentical|TestResumeOfCompleteJournal|TestResumeAfterTornTail|TestChaosDriverCrashResumeSoak|TestStageBracketPins|TestResumeRefusesForgedPrefix|TestRefusedRunJournalResumes)
 
 # overload-determinism pins the overload-protection contract: the
 # chaos soak (deadlines, cancellation, retry budgets, breakers, and
