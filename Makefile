@@ -168,9 +168,9 @@ oracle-determinism:
 # to recorded digests of its artifacts and journal file. A resume must
 # refuse a prefix forged under an intact hash chain, naming the first
 # forged record, and a run refused before its first stage must leave a
-# journal that resumes to the same refusal. The whole contract is pinned at group-commit batch sizes 1 (fsync per
-# append), 8 and 64: batching changes when fsyncs happen, never what
-# resumes read.
+# journal that resumes to the same refusal. The whole contract is
+# pinned at group-commit batch sizes 1 (fsync per append), 8 and 64:
+# batching changes when fsyncs happen, never what resumes read.
 journal-determinism:
 	$(call determinism,JOURNAL_BATCH=1 JOURNAL_BATCH=8 JOURNAL_BATCH=64,,internal/core:TestKillAndResumeByteIdentical|TestResumeOfCompleteJournal|TestResumeAfterTornTail|TestChaosDriverCrashResumeSoak|TestStageBracketPins|TestResumeRefusesForgedPrefix|TestRefusedRunJournalResumes)
 

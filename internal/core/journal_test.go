@@ -570,17 +570,15 @@ func TestResumeRefusesForgedPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	complete := chaosConfig()
-	cancelled := chaosConfig()
-	cancelled.CancelAt = cleanChaosTTC(t) / 2
 
-	// finished journals cfg's run and returns its records and the run's
+	// finished is a run's config, its finished journal's records and its
 	// own error, which an unforged resume reproduces.
 	type finished struct {
+		cfg  Config
 		recs []journal.Record
 		err  string
 	}
-	finish := func(name string, cfg Config) finished {
+	finish := func(name string, cfg Config) *finished {
 		path := filepath.Join(dir, name+".journal")
 		_, _, runErr := journalRun(t, ds, cfg, path)
 		lg, err := journal.Open(path)
@@ -590,14 +588,16 @@ func TestResumeRefusesForgedPrefix(t *testing.T) {
 		if !lg.Complete() {
 			t.Fatalf("%s journal is not finished", name)
 		}
-		f := finished{recs: lg.Records}
+		f := &finished{cfg: cfg, recs: lg.Records}
 		if runErr != nil {
 			f.err = runErr.Error()
 		}
 		return f
 	}
-	runs := map[string]finished{"complete": finish("complete", complete), "cancelled": finish("cancelled", cancelled)}
-	configs := map[string]Config{"complete": complete, "cancelled": cancelled}
+	complete := finish("complete", chaosConfig())
+	cutoff := chaosConfig()
+	cutoff.CancelAt = cleanChaosTTC(t) / 2
+	cancelled := finish("cancelled", cutoff)
 
 	// first returns the index of the first record of kind for which ok
 	// holds.
@@ -610,39 +610,40 @@ func TestResumeRefusesForgedPrefix(t *testing.T) {
 		t.Fatalf("journal holds no suitable %s record", kind)
 		return -1
 	}
-	any := func(int) bool { return true }
+	always := func(int) bool { return true }
 
 	for _, c := range []struct {
-		name, run string
+		name string
+		run  *finished
 		// forge edits recs in place and returns the index of the first
 		// record it changed.
 		forge func(t *testing.T, recs []journal.Record) int
 	}{
-		{"stage-end-digest", "complete", func(t *testing.T, recs []journal.Record) int {
+		{"stage-end-digest", complete, func(t *testing.T, recs []journal.Record) int {
 			i := first(t, recs, journal.KindStageEnd, func(i int) bool { return recs[i].Digest != "" })
 			recs[i].Digest = strings.Repeat("0", len(recs[i].Digest))
 			return i
 		}},
-		{"unit-vtime", "complete", func(t *testing.T, recs []journal.Record) int {
-			i := first(t, recs, journal.KindUnit, any)
+		{"unit-vtime", complete, func(t *testing.T, recs []journal.Record) int {
+			i := first(t, recs, journal.KindUnit, always)
 			recs[i].VTime++
 			return i
 		}},
-		{"cancelled-note", "cancelled", func(t *testing.T, recs []journal.Record) int {
-			i := first(t, recs, journal.KindCancelled, any)
+		{"cancelled-note", cancelled, func(t *testing.T, recs []journal.Record) int {
+			i := first(t, recs, journal.KindCancelled, always)
 			recs[i].Note = "forged"
 			return i
 		}},
-		{"complete-note", "complete", func(t *testing.T, recs []journal.Record) int {
-			i := first(t, recs, journal.KindComplete, any)
+		{"complete-note", complete, func(t *testing.T, recs []journal.Record) int {
+			i := first(t, recs, journal.KindComplete, always)
 			recs[i].Note = "forged"
 			return i
 		}},
-		{"header-seed", "complete", func(t *testing.T, recs []journal.Record) int {
+		{"header-seed", complete, func(t *testing.T, recs []journal.Record) int {
 			recs[0].Seed++
 			return 0
 		}},
-		{"swapped-units", "complete", func(t *testing.T, recs []journal.Record) int {
+		{"swapped-units", complete, func(t *testing.T, recs []journal.Record) int {
 			i := first(t, recs, journal.KindUnit, func(i int) bool {
 				return i+1 < len(recs) && recs[i+1].Kind == journal.KindUnit
 			})
@@ -651,8 +652,7 @@ func TestResumeRefusesForgedPrefix(t *testing.T) {
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			run := runs[c.run]
-			recs := append([]journal.Record(nil), run.recs...)
+			recs := append([]journal.Record(nil), c.run.recs...)
 			seq := c.forge(t, recs)
 			path := filepath.Join(t.TempDir(), "forged.journal")
 			f, err := os.Create(path)
@@ -669,10 +669,10 @@ func TestResumeRefusesForgedPrefix(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			cfg := configs[c.run]
+			cfg := c.run.cfg
 			cfg.Obs = obs.New()
 			_, _, err = ResumePipeline(ds, cfg, path)
-			if err == nil || err.Error() == run.err || !strings.Contains(err.Error(), fmt.Sprintf("record %d ", seq)) {
+			if err == nil || err.Error() == c.run.err || !strings.Contains(err.Error(), fmt.Sprintf("record %d ", seq)) {
 				t.Fatalf("resume of a journal forged at record %d returned %v, want an error naming that record", seq, err)
 			}
 		})
