@@ -12,11 +12,12 @@ COVER_SPECS = internal/cloud:85 internal/pilot:80 internal/core:80
 # Fuzz targets exercised by fuzz-smoke, as package:target: the parsers,
 # the tolerant journal opens against the strict reader, the journal
 # payload decoders against their encoders, the fault grammar against
-# its renderer, and the seeded containment check against its reference.
+# its renderer, the stage-backend list against its rendering, and the
+# seeded containment check against its reference.
 FUZZ_TARGETS = internal/seq:FuzzParseFasta internal/seq:FuzzParseFastq internal/seq:FuzzParseSFA \
 	internal/seq:FuzzForEachCanonical internal/assembler/contrail:FuzzParseRecord \
 	internal/journal:FuzzScan internal/journal:FuzzContinue internal/core:FuzzDecodePA internal/core:FuzzDecodePB \
-	internal/merge:FuzzDropContained internal/faults:FuzzParseSpec
+	internal/core:FuzzParseStageBackends internal/merge:FuzzDropContained internal/faults:FuzzParseSpec
 FUZZ_TIME ?= 10s
 
 .PHONY: all build test vet lint lint-fixtures race cover fuzz-smoke sweep-determinism oracle-determinism journal-determinism overload-determinism check bench bench-gate bench-baseline bench-smoke clean
@@ -112,6 +113,8 @@ ORACLE_SPECS = internal/mapreduce:TestEngineMatchesReference \
 	internal/dbg:TestContigsIndependentOfInsertionOrder|TestEdgeBit|TestClipTipsLengthBoundary \
 	internal/merge:TestDropContainedMatchesReference \
 	internal/quant:TestAssignMatchesReference \
+	internal/detonate:TestEvaluateMatchesReference \
+	internal/sweep:TestRanges \
 	internal/assembler/mpidbg:TestPCrispaPins|TestOwnerCountsMatchReference|TestSharedSpectrumMatchesPrivate|TestMemoKeysSpectrumByReadsKAndRanks \
 	internal/journal:TestScanMatchesReference \
 	internal/core:TestStageBracketPins|TestRetriedUnitAssemblesOnce|TestStoreManifest|TestResumeOfCompleteJournalAssemblesNothing|TestResumeAssemblesOnlyUnjournaledUnits|TestCutoffMidPBBoundsAssembles|TestRunLeavesNoGoroutines|TestAssemblies|TestPlanPins|TestPredictRunsNothing|TestPredictTracksRun|TestJournalPayloadRoundTrip|TestResumedReadsAreReadOnly
@@ -136,7 +139,10 @@ sweep-determinism:
 # and unitig walk against the Find-per-question traversals (and its
 # adjacency bytes against a rebuild after every deletion), the seeded
 # containment check against the all-pairs substring search, the
-# table-indexed quantifier against the map-indexed one, every owner's
+# table-indexed quantifier against the map-indexed one at 1, 2, 3 and
+# 8 read ranges, DETONATE scoring on k-mer tables and parallel scans
+# against the serial map-based scorer field for field, the range
+# fan-out's cover, order, panic and no-goroutine contracts, every owner's
 # k-mer count against a single-threaded map count, Ray and ABySS
 # sharing one k-mer spectrum against each counting its own. The
 # journal reader: the single-pass scan against a copying reference
@@ -168,11 +174,12 @@ oracle-determinism:
 # to recorded digests of its artifacts and journal file. A resume must
 # refuse a prefix forged under an intact hash chain, naming the first
 # forged record, and a run refused before its first stage must leave a
-# journal that resumes to the same refusal. The whole contract is
+# journal that resumes to the same refusal, still reporting a forged
+# complete record beside it. The whole contract is
 # pinned at group-commit batch sizes 1 (fsync per append), 8 and 64:
 # batching changes when fsyncs happen, never what resumes read.
 journal-determinism:
-	$(call determinism,JOURNAL_BATCH=1 JOURNAL_BATCH=8 JOURNAL_BATCH=64,,internal/core:TestKillAndResumeByteIdentical|TestResumeOfCompleteJournal|TestResumeAfterTornTail|TestChaosDriverCrashResumeSoak|TestStageBracketPins|TestResumeRefusesForgedPrefix|TestRefusedRunJournalResumes)
+	$(call determinism,JOURNAL_BATCH=1 JOURNAL_BATCH=8 JOURNAL_BATCH=64,,internal/core:TestKillAndResumeByteIdentical|TestResumeOfCompleteJournal|TestResumeAfterTornTail|TestChaosDriverCrashResumeSoak|TestStageBracketPins|TestResumeRefusesForgedPrefix|TestRefusedRunJournalResumes|TestResumedRefusalReportsForgedComplete)
 
 # overload-determinism pins the overload-protection contract: the
 # chaos soak (deadlines, cancellation, retry budgets, breakers, and

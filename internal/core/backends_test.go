@@ -22,6 +22,8 @@ func TestParseStageBackends(t *testing.T) {
 		{in: "PA=warp-drive", wantErr: true},
 		{in: "PD=spot", wantErr: true},
 		{in: "spot,serverless", wantErr: true},
+		{in: "PA=spot,PA=od", wantErr: true},
+		{in: "pc=spot, PC=spot", wantErr: true},
 	}
 	for _, c := range cases {
 		got, err := ParseStageBackends(c.in)
@@ -39,6 +41,30 @@ func TestParseStageBackends(t *testing.T) {
 			t.Errorf("ParseStageBackends(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
+}
+
+// FuzzParseStageBackends holds ParseStageBackends to never panicking
+// and to reading back every assignment it accepts from its rendering:
+// ParseStageBackends(b.String()) == b.
+func FuzzParseStageBackends(f *testing.F) {
+	for _, s := range []string{
+		"", "spot", "od", "fn", "PA=spot,PB=serverless,PC=od", "pb=faas, pc=od",
+		"PA=on-demand,PB=spot,PC=serverless", "PA=spot,PB=serverless",
+		// Bad forms.
+		"PA=warp-drive", "PD=spot", "spot,serverless", "PA=spot,PA=od", "PA", "=spot", ",", "PA=spot,",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		b, err := ParseStageBackends(s)
+		if err != nil {
+			return
+		}
+		back, err := ParseStageBackends(b.String())
+		if err != nil || back != b {
+			t.Fatalf("%q parsed to %v, whose rendering parses to %v, %v", s, b, back, err)
+		}
+	})
 }
 
 func TestRunAllServerless(t *testing.T) {

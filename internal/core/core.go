@@ -243,8 +243,9 @@ func (b StageBackends) String() string {
 }
 
 // ParseStageBackends parses a "PA=spot,PB=serverless,PC=od" list;
-// omitted stages stay on-demand, and a bare backend name applies to
-// every stage ("spot" ≡ "PA=spot,PB=spot,PC=spot").
+// omitted stages stay on-demand, a stage named twice is refused, and a
+// bare backend name applies to every stage ("spot" ≡
+// "PA=spot,PB=spot,PC=spot").
 func ParseStageBackends(s string) (StageBackends, error) {
 	var b StageBackends
 	s = strings.TrimSpace(s)
@@ -259,6 +260,7 @@ func ParseStageBackends(s string) (StageBackends, error) {
 		b.PA, b.PB, b.PC = be, be, be
 		return b, nil
 	}
+	seen := map[string]bool{}
 	for _, part := range strings.Split(s, ",") {
 		stage, val, ok := strings.Cut(part, "=")
 		if !ok {
@@ -268,7 +270,12 @@ func ParseStageBackends(s string) (StageBackends, error) {
 		if err != nil {
 			return b, err
 		}
-		switch strings.ToUpper(strings.TrimSpace(stage)) {
+		stage = strings.ToUpper(strings.TrimSpace(stage))
+		if seen[stage] {
+			return b, fmt.Errorf("core: stage %s is assigned a backend twice", stage)
+		}
+		seen[stage] = true
+		switch stage {
 		case "PA":
 			b.PA = be
 		case "PB":

@@ -654,29 +654,37 @@ func TestResumeRefusesForgedPrefix(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			recs := append([]journal.Record(nil), c.run.recs...)
 			seq := c.forge(t, recs)
-			path := filepath.Join(t.TempDir(), "forged.journal")
-			f, err := os.Create(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w := journal.NewWriter(f)
-			for _, rec := range recs {
-				if _, err := w.Append(rec); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := f.Close(); err != nil {
-				t.Fatal(err)
-			}
+			path := rewriteJournal(t, recs)
 
 			cfg := c.run.cfg
 			cfg.Obs = obs.New()
-			_, _, err = ResumePipeline(ds, cfg, path)
+			_, _, err := ResumePipeline(ds, cfg, path)
 			if err == nil || err.Error() == c.run.err || !strings.Contains(err.Error(), fmt.Sprintf("record %d ", seq)) {
 				t.Fatalf("resume of a journal forged at record %d returned %v, want an error naming that record", seq, err)
 			}
 		})
 	}
+}
+
+// rewriteJournal writes recs through a fresh writer, which re-chains
+// them, and returns the file's path.
+func rewriteJournal(t *testing.T, recs []journal.Record) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "forged.journal")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := journal.NewWriter(f)
+	for _, rec := range recs {
+		if _, err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // TestRefusedRunJournalResumes: a run refused before its first stage
@@ -710,6 +718,39 @@ func TestRefusedRunJournalResumes(t *testing.T) {
 				t.Fatalf("resume of the refused run returned %v, want %v", err, runErr)
 			}
 		})
+	}
+}
+
+// TestResumedRefusalReportsForgedComplete: a resume that fails on its
+// own still reports a complete record it does not match. The refusal's
+// journal has its complete note forged under an intact chain; the
+// resume's error is the refusal and the drift, naming the forged seq.
+func TestResumedRefusalReportsForgedComplete(t *testing.T) {
+	ds, err := simdata.GenerateCached(simdata.Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := chaosConfig()
+	cfg.Pattern, cfg.Backends.PB = Conventional, cloud.Serverless
+	path := filepath.Join(t.TempDir(), "refused.journal")
+	if _, _, err := journalRun(t, ds, cfg, path); !errors.Is(err, errConventionalServerless) {
+		t.Fatalf("run returned %v, want the conventional-serverless refusal", err)
+	}
+	lg, err := journal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(lg.Records) - 1
+	if lg.Records[last].Kind != journal.KindComplete {
+		t.Fatalf("refused run's journal ends in a %s record", lg.Records[last].Kind)
+	}
+	lg.Records[last].Note = "forged"
+	forged := rewriteJournal(t, lg.Records)
+
+	cfg.Obs = obs.New()
+	_, _, err = ResumePipeline(ds, cfg, forged)
+	if !errors.Is(err, errConventionalServerless) || !strings.Contains(err.Error(), fmt.Sprintf("record %d ", last)) {
+		t.Fatalf("resume of the forged refusal returned %v, want the refusal and a drift naming record %d", err, last)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -23,6 +24,7 @@ import (
 	"rnascale/internal/seq"
 	"rnascale/internal/sge"
 	"rnascale/internal/simdata"
+	"rnascale/internal/sweep"
 	"rnascale/internal/vclock"
 )
 
@@ -139,6 +141,10 @@ func Run(ds *simdata.Dataset, cfg Config) (*Report, error) {
 	return New(cfg).Run(ds)
 }
 
+// errConventionalServerless refuses a config that puts a stage of the
+// conventional pattern on functions.
+var errConventionalServerless = errors.New("core: the conventional pattern shares one cluster across stages and cannot host serverless stages")
+
 // Run executes the pipeline.
 func (pl *Pipeline) Run(ds *simdata.Dataset) (rep *Report, err error) {
 	// The journal epilogue: an injected drivercrash unwinds out of an
@@ -158,8 +164,10 @@ func (pl *Pipeline) Run(ds *simdata.Dataset) (rep *Report, err error) {
 			}
 			return
 		}
-		if cerr := pl.jr.complete(pl.clock.Now(), pl.provider.TotalCost(), rep.Metrics, err); cerr != nil && err == nil {
-			err = cerr
+		// A resume that reaches its own error still reports a complete
+		// record it does not match.
+		if cerr := pl.jr.complete(pl.clock.Now(), pl.provider.TotalCost(), rep.Metrics, err); cerr != nil {
+			err = errors.Join(err, cerr)
 		}
 	}()
 
@@ -179,7 +187,7 @@ func (pl *Pipeline) Run(ds *simdata.Dataset) (rep *Report, err error) {
 		}
 	}
 	if cfg.Pattern == Conventional && cfg.Backends.AnyServerless() {
-		return rep, fmt.Errorf("core: the conventional pattern shares one cluster across stages and cannot host serverless stages (%s)", cfg.Backends)
+		return rep, fmt.Errorf("%w (%s)", errConventionalServerless, cfg.Backends)
 	}
 
 	pl.runSpan = pl.o.Tracer.StartSpan(nil, obs.KindRun, "run", pl.clock.Now())
@@ -638,6 +646,10 @@ func (pl *Pipeline) assemble(fs simdata.FullScaleStats, cleaned seq.ReadSet, rep
 	return outputs, err
 }
 
+// mergeGrainBytes is the PB output below which PC merges the
+// assemblers' sets on the caller alone.
+const mergeGrainBytes = 256 << 10
+
 // postprocess runs PC: merging, quantification and the optional
 // differential-expression test.
 func (pl *Pipeline) postprocess(fs simdata.FullScaleStats, cleaned seq.ReadSet,
@@ -661,17 +673,25 @@ func (pl *Pipeline) postprocess(fs simdata.FullScaleStats, cleaned seq.ReadSet,
 		if pl.estimate {
 			return res, nil
 		}
-		// Merge each assembler's multi-k sets, then the MAMP union
+		// Merge each assembler's multi-k sets, one assembler per range
+		// once PB's output is worth the fan-out, then the MAMP union
 		// (optionally with cross-assembler consensus validation).
-		var all [][]seq.FastaRecord
-		for _, name := range cfg.Assemblers {
-			var sets [][]seq.FastaRecord
-			for _, k := range rep.KmersUsed {
-				sets = append(sets, outputs[asmKey{name, k}])
+		all := make([][]seq.FastaRecord, len(cfg.Assemblers))
+		perRange := 1
+		if pbOutBytes < mergeGrainBytes {
+			perRange = len(all)
+		}
+		sweep.Ranges(len(all), sweep.Parts(len(all), perRange), func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				sets := make([][]seq.FastaRecord, len(rep.KmersUsed))
+				for j, k := range rep.KmersUsed {
+					sets[j] = outputs[asmKey{cfg.Assemblers[i], k}]
+				}
+				all[i], _ = merge.Merge(sets, merge.DefaultOptions())
 			}
-			perTool, _ := merge.Merge(sets, merge.DefaultOptions())
-			rep.PerAssembler[name] = perTool
-			all = append(all, perTool)
+		})
+		for i, name := range cfg.Assemblers {
+			rep.PerAssembler[name] = all[i]
 		}
 		var final []seq.FastaRecord
 		if cfg.ConsensusMerge && len(all) >= 2 {

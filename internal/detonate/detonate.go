@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"rnascale/internal/seq"
+	"rnascale/internal/sweep"
 )
 
 // Options configure the evaluator.
@@ -55,6 +56,10 @@ func (m Metrics) String() string {
 		m.Precision, m.Recall, m.F1, m.WeightedKmerRecall, m.KCScore)
 }
 
+// recordGrain is the fewest records worth a host core of their own:
+// below two of it, scoring runs on the caller alone.
+const recordGrain = 32
+
 // Evaluate scores an assembly against reference transcripts with the
 // given per-transcript expression weights (uniform if nil).
 func Evaluate(contigs []seq.FastaRecord, refs []seq.FastaRecord, expr []float64, opts Options) (Metrics, error) {
@@ -69,40 +74,49 @@ func Evaluate(contigs []seq.FastaRecord, refs []seq.FastaRecord, expr []float64,
 	}
 	coder := seq.MustKmerCoder(opts.K)
 
-	// Index reference k-mers (canonical).
-	refSet := map[seq.Kmer]struct{}{}
-	for _, r := range refs {
-		coder.ForEachCanonical(r.Seq, func(_ int, c seq.Kmer) bool {
-			refSet[c] = struct{}{}
-			return true
-		})
+	// The canonical k-mer sets of the reference and of the assembly,
+	// built side by side.
+	var refSet, asmSet *seq.KmerTable
+	perSet := 1
+	if len(refs)+len(contigs) < 2*recordGrain {
+		perSet = 2
 	}
-	// Index assembly k-mers (canonical).
-	asmSet := map[seq.Kmer]struct{}{}
-	var m Metrics
-	for _, c := range contigs {
-		m.AssemblyBases += int64(len(c.Seq))
-		coder.ForEachCanonical(c.Seq, func(_ int, canon seq.Kmer) bool {
-			asmSet[canon] = struct{}{}
-			return true
-		})
-	}
-	m.AssemblyContigs = len(contigs)
-
-	// Precision: fraction of contig bases covered by a reference-
-	// supported window.
-	var asmCovered, asmTotal int64
-	for _, c := range contigs {
-		covered := coverMask(coder, c.Seq, refSet)
-		for _, ok := range covered {
-			if ok {
-				asmCovered++
+	sweep.Ranges(2, sweep.Parts(2, perSet), func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if i == 0 {
+				refSet = kmerSet(coder, refs)
+			} else {
+				asmSet = kmerSet(coder, contigs)
 			}
 		}
-		asmTotal += int64(len(c.Seq))
+	})
+
+	// Each contig is scanned against the reference set and each
+	// reference against the assembly set, in parallel, into integer
+	// partials of its own: index i < len(contigs) is contig i, the rest
+	// are the references.
+	scans := make([]scan, len(contigs)+len(refs))
+	sweep.Ranges(len(scans), sweep.Parts(len(scans), recordGrain), func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if i < len(contigs) {
+				scans[i] = cover(coder, contigs[i].Seq, refSet)
+			} else {
+				scans[i] = cover(coder, refs[i-len(contigs)].Seq, asmSet)
+			}
+		}
+	})
+
+	// Sums in input order, so every float is the serial loop's.
+	// Precision: fraction of contig bases covered by a reference-
+	// supported window.
+	m := Metrics{AssemblyContigs: len(contigs)}
+	var asmCovered int64
+	for i, c := range contigs {
+		m.AssemblyBases += int64(len(c.Seq))
+		asmCovered += scans[i].covered
 	}
-	if asmTotal > 0 {
-		m.Precision = float64(asmCovered) / float64(asmTotal)
+	if m.AssemblyBases > 0 {
+		m.Precision = float64(asmCovered) / float64(m.AssemblyBases)
 	}
 
 	// Recall: fraction of reference bases covered by assembly-
@@ -111,29 +125,15 @@ func Evaluate(contigs []seq.FastaRecord, refs []seq.FastaRecord, expr []float64,
 	var refCovered, refTotal int64
 	var wNum, wDen float64
 	for i, r := range refs {
-		covered := coverMask(coder, r.Seq, asmSet)
-		for _, ok := range covered {
-			if ok {
-				refCovered++
-			}
-		}
+		sc := scans[len(contigs)+i]
+		refCovered += sc.covered
 		refTotal += int64(len(r.Seq))
-
-		// k-mer recall of this transcript.
-		var hit, tot float64
-		coder.ForEachCanonical(r.Seq, func(_ int, canon seq.Kmer) bool {
-			tot++
-			if _, ok := asmSet[canon]; ok {
-				hit++
-			}
-			return true
-		})
 		w := 1.0
 		if expr != nil {
 			w = expr[i]
 		}
-		if tot > 0 {
-			wNum += w * (hit / tot)
+		if sc.windows > 0 {
+			wNum += w * (float64(sc.hits) / float64(sc.windows))
 			wDen += w
 		}
 	}
@@ -148,22 +148,47 @@ func Evaluate(contigs []seq.FastaRecord, refs []seq.FastaRecord, expr []float64,
 	}
 	m.KCScore = m.WeightedKmerRecall
 	if opts.ReadBases > 0 {
-		m.KCScore -= float64(len(asmSet)) / (2 * float64(opts.ReadBases))
+		m.KCScore -= float64(asmSet.Len()) / (2 * float64(opts.ReadBases))
 	}
 	return m, nil
 }
 
-// coverMask marks the positions of s covered by at least one k-mer
-// window present in set.
-func coverMask(coder seq.KmerCoder, s []byte, set map[seq.Kmer]struct{}) []bool {
-	covered := make([]bool, len(s))
+// kmerSet returns the canonical k-mers of recs, in a table sized to
+// their windows so it never grows.
+func kmerSet(coder seq.KmerCoder, recs []seq.FastaRecord) *seq.KmerTable {
+	windows := 0
+	for _, r := range recs {
+		windows += max(len(r.Seq)-coder.K+1, 0)
+	}
+	set := seq.NewKmerTable(windows)
+	for _, r := range recs {
+		coder.ForEachCanonical(r.Seq, func(_ int, canon seq.Kmer) bool {
+			set.Add(canon, 1)
+			return true
+		})
+	}
+	return set
+}
+
+// scan is one sequence's windows scored against a k-mer set.
+type scan struct {
+	covered int64 // positions under at least one window in the set
+	hits    int64 // windows in the set
+	windows int64 // windows without an N
+}
+
+// cover scores s's windows against set.
+func cover(coder seq.KmerCoder, s []byte, set *seq.KmerTable) scan {
+	var sc scan
+	end := 0 // positions before end are covered
 	coder.ForEachCanonical(s, func(pos int, canon seq.Kmer) bool {
-		if _, ok := set[canon]; ok {
-			for i := pos; i < pos+coder.K; i++ {
-				covered[i] = true
-			}
+		sc.windows++
+		if set.Find(canon) >= 0 {
+			sc.hits++
+			sc.covered += int64(pos + coder.K - max(pos, end))
+			end = pos + coder.K
 		}
 		return true
 	})
-	return covered
+	return sc
 }

@@ -63,18 +63,23 @@ func (s Stats) String() string {
 // Run applies the filters and returns the cleaned read set.
 func Run(rs seq.ReadSet, opts Options) (seq.ReadSet, Stats) {
 	st := Stats{InputReads: len(rs.Reads), InputBases: rs.TotalBases()}
-	out := seq.ReadSet{Paired: rs.Paired}
-	seen := map[string]bool{}
-
 	stride := 1
 	if rs.Paired {
 		stride = 2
 	}
+	// Each fragment is trimmed straight into the tail of reads, which
+	// has room for every input read, and dropped by cutting it off.
+	reads := make([]seq.Read, 0, len(rs.Reads))
+	var seen map[string]bool
+	if opts.Dedup {
+		seen = make(map[string]bool, len(rs.Reads)/stride)
+	}
+	var key []byte // the fragment's dedup key, reused
 	for i := 0; i+stride <= len(rs.Reads); i += stride {
-		group := rs.Reads[i : i+stride]
-		trimmed := make([]seq.Read, stride)
+		n := len(reads)
+		reads = reads[:n+stride]
 		ok := true
-		for j, r := range group {
+		for j, r := range rs.Reads[i : i+stride] {
 			tr := trimRead(r, opts.TrimQuality)
 			st.TrimmedBases += int64(len(r.Seq) - len(tr.Seq))
 			if len(tr.Seq) < opts.MinLength {
@@ -87,25 +92,31 @@ func Run(rs seq.ReadSet, opts Options) (seq.ReadSet, Stats) {
 				ok = false
 				break
 			}
-			trimmed[j] = tr
+			reads[n+j] = tr
 		}
 		if !ok {
+			reads = reads[:n]
 			continue
 		}
 		if opts.Dedup {
-			var key strings.Builder
-			for _, r := range trimmed {
-				key.Write(r.Seq)
-				key.WriteByte('|')
+			key = key[:0]
+			for _, r := range reads[n:] {
+				key = append(key, r.Seq...)
+				key = append(key, '|')
 			}
-			k := key.String()
-			if seen[k] {
+			if seen[string(key)] {
 				st.DroppedDup += stride
+				reads = reads[:n]
 				continue
 			}
-			seen[k] = true
+			seen[string(key)] = true
 		}
-		out.Reads = append(out.Reads, trimmed...)
+	}
+	out := seq.ReadSet{Paired: rs.Paired}
+	if len(reads) > 0 {
+		// The clipped capacity keeps a caller's append from writing
+		// into the tail.
+		out.Reads = reads[:len(reads):len(reads)]
 	}
 	st.OutputReads = len(out.Reads)
 	st.OutputBases = out.TotalBases()

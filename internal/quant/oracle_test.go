@@ -50,10 +50,17 @@ func referenceAssign(coder seq.KmerCoder, transcripts []seq.FastaRecord, reads [
 func checkAssign(t *testing.T, k int, transcripts []seq.FastaRecord, reads []seq.Read, minVotes int) {
 	t.Helper()
 	coder := seq.MustKmerCoder(k)
-	counts, assigned := assign(coder, transcripts, reads, minVotes)
 	wantCounts, wantAssigned := referenceAssign(coder, transcripts, reads, minVotes)
+	counts, assigned := assign(coder, transcripts, reads, minVotes)
 	if !slices.Equal(counts, wantCounts) || assigned != wantAssigned {
 		t.Fatalf("k=%d minVotes=%d: assigned %d %v, reference %d %v", k, minVotes, assigned, counts, wantAssigned, wantCounts)
+	}
+	// Whatever the grain would pick, every split of the reads agrees.
+	for _, parts := range []int{1, 2, 3, 8} {
+		counts, assigned := assignParts(coder, transcripts, reads, minVotes, parts)
+		if !slices.Equal(counts, wantCounts) || assigned != wantAssigned {
+			t.Fatalf("k=%d minVotes=%d parts=%d: assigned %d %v, reference %d %v", k, minVotes, parts, assigned, counts, wantAssigned, wantCounts)
+		}
 	}
 }
 

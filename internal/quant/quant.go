@@ -11,6 +11,7 @@ import (
 
 	"rnascale/internal/seq"
 	"rnascale/internal/simdata"
+	"rnascale/internal/sweep"
 	"rnascale/internal/vclock"
 )
 
@@ -87,39 +88,64 @@ func Quantify(transcripts []seq.FastaRecord, reads []seq.Read, opts Options) (*R
 	return res, nil
 }
 
+// readGrain is the fewest reads worth a host core of their own: below
+// two of it, assignment runs on the caller alone.
+const readGrain = 4096
+
 // assign gives each read to the transcript most of its k-mers vote for,
 // if at least minVotes do, and returns the reads per transcript and
 // their total.
 func assign(coder seq.KmerCoder, transcripts []seq.FastaRecord, reads []seq.Read, minVotes int) (counts []int64, assigned int64) {
+	return assignParts(coder, transcripts, reads, minVotes, sweep.Parts(len(reads), readGrain))
+}
+
+// assignParts is assign over parts contiguous read ranges side by
+// side. Each range tallies its own reads; the tallies are integers, so
+// their sum is the same for any parts.
+func assignParts(coder seq.KmerCoder, transcripts []seq.FastaRecord, reads []seq.Read, minVotes, parts int) (counts []int64, assigned int64) {
 	idx := newIndex(coder, transcripts)
-	counts = make([]int64, len(transcripts))
-	// votes holds the current read's votes per transcript and touched
-	// the transcripts that have any, so clearing costs what was cast.
-	votes := make([]int32, len(transcripts))
-	var touched []int32
-	for i := range reads {
-		coder.ForEachCanonical(reads[i].Seq, func(_ int, canon seq.Kmer) bool {
-			for _, ti := range idx.lookup(canon) {
-				if votes[ti] == 0 {
-					touched = append(touched, ti)
+	nt := len(transcripts)
+	parts = max(1, min(parts, len(reads)))
+	// One block holds every range's tallies, then its votes for the
+	// current read per transcript, then the transcripts that have any,
+	// so clearing costs what was cast.
+	block := make([]int64, 3*nt*parts)
+	sweep.Ranges(len(reads), parts, func(part, lo, hi int) {
+		own := block[3*nt*part : 3*nt*(part+1) : 3*nt*(part+1)]
+		tally, votes, touched := own[:nt], own[nt:2*nt], own[2*nt:2*nt]
+		for i := lo; i < hi; i++ {
+			coder.ForEachCanonical(reads[i].Seq, func(_ int, canon seq.Kmer) bool {
+				for _, ti := range idx.lookup(canon) {
+					if votes[ti] == 0 {
+						touched = append(touched, int64(ti))
+					}
+					votes[ti]++
 				}
-				votes[ti]++
+				return true
+			})
+			// Winner: most votes; deterministic tie-break by index.
+			best, bestVotes := int64(-1), int64(0)
+			for _, ti := range touched {
+				if v := votes[ti]; v > bestVotes || (v == bestVotes && ti < best) {
+					best, bestVotes = ti, v
+				}
+				votes[ti] = 0
 			}
-			return true
-		})
-		// Winner: most votes; deterministic tie-break by index.
-		best, bestVotes := int32(-1), int32(0)
-		for _, ti := range touched {
-			if v := votes[ti]; v > bestVotes || (v == bestVotes && ti < best) {
-				best, bestVotes = ti, v
+			touched = touched[:0]
+			if best >= 0 && bestVotes >= int64(minVotes) {
+				tally[best]++
 			}
-			votes[ti] = 0
 		}
-		touched = touched[:0]
-		if best >= 0 && int(bestVotes) >= minVotes {
-			counts[best]++
-			assigned++
+	})
+	// The first range's tallies become the counts.
+	counts = block[:nt:nt]
+	for part := 1; part < parts; part++ {
+		for ti, n := range block[3*nt*part:][:nt] {
+			counts[ti] += n
 		}
+	}
+	for _, n := range counts {
+		assigned += n
 	}
 	return counts, assigned
 }

@@ -1,7 +1,9 @@
 // Package sweep is the deterministic parallel executor behind the
 // repository's own evaluation: the experiment grids (Tables III/V,
-// Figs. 3–5), the chaos-soak seed matrix and the gateway's
-// batch-submit path.
+// Figs. 3–5) and the chaos-soak seed matrix. Ranges, its second
+// entry point, fans one pure computation's index range out across
+// host cores (quantification, the per-assembler merges, DETONATE
+// scoring).
 //
 // Every one of those workloads is a slice of fully isolated cells —
 // each simulated run owns its own vclock.Clock, cloud provider and
@@ -173,4 +175,70 @@ func Map[T any](n int, fn func(i int) (T, error), opts Options) ([]T, error) {
 		}
 	}
 	return values, firstErr
+}
+
+// Parts reports how many ranges a fan-out over n items should split
+// into so that every range holds at least grain of them: at most
+// runtime.GOMAXPROCS(0), and 1 when n < 2*grain.
+func Parts(n, grain int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), n/max(grain, 1)))
+}
+
+// Ranges splits [0,n) into parts contiguous ranges in order, their
+// sizes differing by at most one, and calls fn(part, lo, hi) once for
+// each: part 0 inline on the caller, the others on goroutines of their
+// own. It returns once every range has. A panic in any range re-panics
+// on the caller with its value, the lowest panicking part's if there
+// are several. With one part (or n ≤ 1) fn(0, 0, n) is a plain call:
+// no goroutine, no allocation.
+//
+// The fan-out decides only which core computes what. A caller keeps
+// its results scheduling-independent by writing each index's result to
+// its own slot and reducing the slots in index order afterwards.
+func Ranges(n, parts int, fn func(part, lo, hi int)) {
+	parts = min(parts, n)
+	if parts <= 1 {
+		fn(0, 0, max(n, 0))
+		return
+	}
+	f := &fanout{n: n, parts: parts, first: parts, fn: fn}
+	f.wg.Add(parts - 1)
+	for p := 1; p < parts; p++ {
+		go f.run(p)
+	}
+	func() {
+		defer f.wg.Wait() // a panicking part 0 still joins the others
+		fn(0, 0, f.bound(1))
+	}()
+	if f.first < parts {
+		panic(f.panicked)
+	}
+}
+
+// fanout is one Ranges call's shared state, allocated once.
+type fanout struct {
+	n, parts int
+	fn       func(part, lo, hi int)
+	wg       sync.WaitGroup
+	mu       sync.Mutex
+	first    int // the lowest part that panicked, parts if none
+	panicked any
+}
+
+// bound is where part p's range starts.
+func (f *fanout) bound(p int) int { return p * f.n / f.parts }
+
+// run computes part p on a goroutine of its own, keeping its panic.
+func (f *fanout) run(p int) {
+	defer f.wg.Done()
+	defer func() {
+		if r := recover(); r != nil {
+			f.mu.Lock()
+			if p < f.first {
+				f.first, f.panicked = p, r
+			}
+			f.mu.Unlock()
+		}
+	}()
+	f.fn(p, f.bound(p), f.bound(p+1))
 }

@@ -1,4 +1,4 @@
-package sweep
+package sweep_test
 
 import (
 	"encoding/json"
@@ -11,6 +11,7 @@ import (
 	_ "rnascale/internal/assembler/all" // the pipeline cells pick tools by name
 	"rnascale/internal/core"
 	"rnascale/internal/simdata"
+	"rnascale/internal/sweep"
 )
 
 // TestMapDeterminismAcrossWorkerCounts is the engine's core contract:
@@ -35,7 +36,7 @@ func TestMapDeterminismAcrossWorkerCounts(t *testing.T) {
 			CostUSD     float64 `json:"cost"`
 			Transcripts int     `json:"transcripts"`
 		}
-		results, err := Map(len(cells), func(i int) (result, error) {
+		results, err := sweep.Map(len(cells), func(i int) (result, error) {
 			ds, err := simdata.GenerateCached(simdata.Tiny())
 			if err != nil {
 				return result{}, err
@@ -50,7 +51,7 @@ func TestMapDeterminismAcrossWorkerCounts(t *testing.T) {
 				return result{}, err
 			}
 			return result{rep.TTC.Seconds(), rep.CostUSD, len(rep.Transcripts)}, nil
-		}, Options{Workers: workers})
+		}, sweep.Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -82,9 +83,9 @@ func TestDatasetCacheSingleGeneration(t *testing.T) {
 
 	before := simdata.CacheGenerations()
 	const cells = 32
-	ptrs, err := Map(cells, func(i int) (*simdata.Dataset, error) {
+	ptrs, err := sweep.Map(cells, func(i int) (*simdata.Dataset, error) {
 		return simdata.GenerateCached(prof)
-	}, Options{Workers: 8})
+	}, sweep.Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,12 +125,12 @@ func TestDatasetCacheSingleGeneration(t *testing.T) {
 func TestMapReportsLowestIndexError(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
-		_, err := Map(8, func(i int) (int, error) {
+		_, err := sweep.Map(8, func(i int) (int, error) {
 			if i == 6 || i == 3 {
 				return 0, fmt.Errorf("cell-%d: %w", i, boom)
 			}
 			return i, nil
-		}, Options{Workers: workers})
+		}, sweep.Options{Workers: workers})
 		if err == nil || !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: err = %v", workers, err)
 		}
@@ -141,18 +142,18 @@ func TestMapReportsLowestIndexError(t *testing.T) {
 
 func TestCollectCapturesPanics(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		out := Collect(5, func(i int) (string, error) {
+		out := sweep.Collect(5, func(i int) (string, error) {
 			if i == 2 {
 				panic("cell exploded")
 			}
 			return fmt.Sprintf("ok-%d", i), nil
-		}, Options{Workers: workers})
+		}, sweep.Options{Workers: workers})
 		for i, o := range out {
 			if o.Index != i {
 				t.Fatalf("workers=%d: outcome %d has index %d", workers, i, o.Index)
 			}
 			if i == 2 {
-				var pe *PanicError
+				var pe *sweep.PanicError
 				if !errors.As(o.Err, &pe) {
 					t.Fatalf("workers=%d: cell 2 err = %v, want PanicError", workers, o.Err)
 				}
@@ -174,8 +175,8 @@ func TestCollectCapturesPanics(t *testing.T) {
 func TestProgressTicksExactlyOnce(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		var calls []int
-		_, err := Map(10, func(i int) (int, error) { return i * i, nil },
-			Options{Workers: workers, OnProgress: func(done, total int) {
+		_, err := sweep.Map(10, func(i int) (int, error) { return i * i, nil },
+			sweep.Options{Workers: workers, OnProgress: func(done, total int) {
 				if total != 10 {
 					t.Fatalf("total = %d", total)
 				}
@@ -196,13 +197,13 @@ func TestProgressTicksExactlyOnce(t *testing.T) {
 }
 
 func TestMapEmptyAndOversizedWorkers(t *testing.T) {
-	out, err := Map(0, func(i int) (int, error) { return i, nil }, Options{Workers: 16})
+	out, err := sweep.Map(0, func(i int) (int, error) { return i, nil }, sweep.Options{Workers: 16})
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty sweep: %v %v", out, err)
 	}
 	// More workers than cells must not deadlock or duplicate work.
 	var ran atomic.Int64
-	vals, err := Map(3, func(i int) (int, error) { ran.Add(1); return i, nil }, Options{Workers: 64})
+	vals, err := sweep.Map(3, func(i int) (int, error) { ran.Add(1); return i, nil }, sweep.Options{Workers: 64})
 	if err != nil || ran.Load() != 3 {
 		t.Fatalf("oversized workers: ran %d cells, err %v", ran.Load(), err)
 	}
