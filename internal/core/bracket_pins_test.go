@@ -129,6 +129,33 @@ func unitEnds(rep *Report, substr string) (first, last vclock.Time) {
 	return first, last
 }
 
+// wantReleased asserts a run left nothing behind: no VM still running,
+// and every pilot, pseudo-pilot and unit in the state store final.
+func wantReleased(pl *Pipeline) error {
+	if vms := pl.Provider().Running(); len(vms) > 0 {
+		return fmt.Errorf("%d VMs still running, first %s", len(vms), vms[0].ID)
+	}
+	last := map[string]pilot.Event{}
+	var ids []string
+	for _, e := range pl.pm.Store().History() {
+		if _, ok := last[e.ID]; !ok {
+			ids = append(ids, e.ID)
+		}
+		last[e.ID] = e
+	}
+	for _, id := range ids {
+		e := last[id]
+		final := pilot.UnitState(e.To).Final()
+		if e.Kind == pilot.KindPilot {
+			final = pilot.PilotState(e.To).Final()
+		}
+		if !final {
+			return fmt.Errorf("%s %s left in %s", e.Kind, id, e.To)
+		}
+	}
+	return nil
+}
+
 // bracketBase is the pinned runs' common configuration: all three
 // distributed assemblers on the tiny profile, S1 static so every stage
 // boots its own vehicle, no DETONATE scoring.
@@ -200,6 +227,16 @@ func bracketScenarios(t *testing.T) []bracketScenario {
 			})
 		}
 	}
+	// Handovers between two function stages, and from functions into a
+	// fresh pilot.
+	add("serverless/all-S2", ds, wantComplete, func(c *Config) {
+		c.Scheme, c.Pattern = S2, DistributedDynamic
+		c.Backends = StageBackends{PA: cloud.Serverless, PB: cloud.Serverless, PC: cloud.Serverless}
+	})
+	add("serverless/PA+PB-S1", ds, wantComplete, func(c *Config) {
+		c.Scheme, c.Pattern = S1, DistributedDynamic
+		c.Backends = StageBackends{PA: cloud.Serverless, PB: cloud.Serverless}
+	})
 
 	// A serverless PB under its own retry policy: every unit's first
 	// two invocations flake, so each recovers on its third through the
@@ -389,6 +426,9 @@ func computeBracketPins(t *testing.T) map[string]bracketPins {
 		if cerr := sc.check(rep, err); cerr != nil {
 			t.Fatalf("%s: %v", sc.name, cerr)
 		}
+		if rerr := wantReleased(pl); rerr != nil {
+			t.Errorf("%s: %v", sc.name, rerr)
+		}
 		got[sc.name] = pinRun(t, rep, pl, err, path)
 	}
 
@@ -419,6 +459,9 @@ func computeBracketPins(t *testing.T) map[string]bracketPins {
 	rep, pl, err = ResumePipeline(ds, cfg, path)
 	if cerr := wantComplete(rep, err); cerr != nil {
 		t.Fatalf("resume: %v", cerr)
+	}
+	if rerr := wantReleased(pl); rerr != nil {
+		t.Errorf("resume/resumed: %v", rerr)
 	}
 	got["resume/resumed"] = pinRun(t, rep, pl, err, path)
 	return got
