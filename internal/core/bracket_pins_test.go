@@ -375,6 +375,31 @@ func bracketScenarios(t *testing.T) []bracketScenario {
 		c.CancelAt = vclock.Duration(first + (last-first)/2)
 	})
 
+	// A conventional pilot loses a node mid-PA and every replacement
+	// fails to boot, so it is still degraded when PB asks it for a unit
+	// manager: the refusal ends the run through the stage bracket.
+	conv := bracketBase()
+	conv.Scheme, conv.Pattern = S2, Conventional
+	conv.Assemblers = []string{"ray"}
+	cleanConv, err := Run(ds, conv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa, _ := cleanConv.Stage("PA")
+	add("fail/conventional-degraded-pilot", ds, func(rep *Report, err error) error {
+		if err := wantErr(string(pilot.PilotDegraded))(rep, err); err != nil {
+			return err
+		}
+		if rep.TTC <= 0 || rep.CostUSD <= 0 || rep.Snapshot == nil {
+			return fmt.Errorf("unfinished report: TTC %v, cost %g, snapshot %t", rep.TTC, rep.CostUSD, rep.Snapshot != nil)
+		}
+		return nil
+	}, func(c *Config) {
+		c.Scheme, c.Pattern = S2, Conventional
+		c.Assemblers = []string{"ray"}
+		c.FaultPlan = spec(fmt.Sprintf("crash:at=%g,vm=1;bootfail:n=2", float64(pa.Start+vclock.Time(pa.Duration()/2))))
+	})
+
 	condB, err := ds.Resample(ds.Expression, ds.Profile.Seed+7)
 	if err != nil {
 		t.Fatal(err)

@@ -873,15 +873,15 @@ func (pl *Pipeline) runStage(rep *Report, sp stageSpec) error {
 
 	start := pl.clock.Now()
 	runner, err := pl.newRunner(sx, sp.name)
-	if err != nil {
-		return err
+	var units []*pilot.Unit
+	if err == nil {
+		units, err = runner.Submit(sp.units(sx))
 	}
-	units, err := runner.Submit(sp.units(sx))
-	if err != nil {
-		return err
+	if err == nil {
+		err = runner.Run()
 	}
-	if err := runner.Run(); err != nil {
-		return err
+	if err != nil {
+		return pl.abort(rep, sc, fmt.Errorf("core: running %s: %w", sp.name, err))
 	}
 	for _, u := range units {
 		if pl.canceledAtCutoff(u) {
