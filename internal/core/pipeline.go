@@ -287,26 +287,6 @@ func preprocessShards(cfg Config) int {
 	return max(cfg.ParallelPreprocessShards, 1)
 }
 
-// pbJobShape is the nodes and SGE allocation rule of each of an
-// assembler's PB jobs. A function invocation is one single-core
-// allocation: as functions the assembler runs sequentially and long
-// jobs split into parallel pieces at the duration cap instead.
-func pbJobShape(cfg Config, info assembler.Info, serverless bool) (int, sge.AllocationRule) {
-	if serverless {
-		return 1, sge.SingleNode
-	}
-	nodes, rule := cfg.NodesPerMPIJob, sge.SingleNode
-	if info.Name == "contrail" {
-		nodes, rule = cfg.ContrailNodes, sge.FillUp
-	} else if !info.MultiNode() {
-		nodes = 1
-	}
-	if nodes > 1 {
-		rule = sge.FillUp
-	}
-	return nodes, rule
-}
-
 // estimateAssembly is a PB unit's work in a dry run: the assembler's
 // TTC estimate for the request (plus Contrail's SFA conversion), at the
 // graph's per-node memory.
@@ -523,7 +503,7 @@ func (pl *Pipeline) assemble(fs simdata.FullScaleStats, cleaned seq.ReadSet, rep
 		var descs []pilot.UnitDescription
 		for _, name := range cfg.Assemblers {
 			a, _ := assembler.Get(name)
-			jobNodes, rule := pbJobShape(cfg, a.Info(), sx.faas != nil)
+			jobNodes, rule := sx.jobShape(a.Info())
 			for _, k := range kmers {
 				key := asmKey{name, k}
 				unit := fmt.Sprintf("%s-k%d", name, k)
@@ -637,10 +617,7 @@ func (pl *Pipeline) assemble(fs simdata.FullScaleStats, cleaned seq.ReadSet, rep
 			return fmt.Errorf("core: PB unit %s failed: %w", u.ID, u.Err)
 		},
 		fold: func(sx *stageExec, units []*pilot.Unit) (string, error) {
-			if sx.faas != nil {
-				return fmt.Sprintf("%d assembly jobs as functions", len(units)), nil
-			}
-			return fmt.Sprintf("%d assembly jobs on %d nodes", len(units), rep.AssemblyNodes), nil
+			return fmt.Sprintf("%d assembly jobs %s", len(units), sx.placement(rep.AssemblyNodes)), nil
 		},
 	})
 	return outputs, err
@@ -796,8 +773,8 @@ func (pl *Pipeline) postprocess(fs simdata.FullScaleStats, cleaned seq.ReadSet,
 type stageSpec struct {
 	name    string
 	backend cloud.Backend // requested; an open breaker reroutes it on-demand
-	// nodes sizes the stage's vehicle. A cluster stage (PB) has none as
-	// functions, and its size is the report's AssemblyNodes.
+	// nodes sizes the stage's vehicle. A cluster stage's (PB's) launcher
+	// sizes its cluster, and that size is the report's AssemblyNodes.
 	nodes   int
 	cluster bool
 	attrs   []string // extra span attributes, key/value pairs
@@ -825,14 +802,10 @@ func (pl *Pipeline) runStage(rep *Report, sp stageSpec) error {
 	if sp.release != nil {
 		defer sp.release()
 	}
-	backend, fallback := pl.routeBackend(sp.backend)
+	l, fallback := pl.routeBackend(sp.backend)
 	nodes := sp.nodes
 	if sp.cluster {
-		if backend == cloud.Serverless {
-			// Functions are single one-core allocations: there is no
-			// assembly cluster to size.
-			nodes = 0
-		}
+		nodes = l.clusterNodes(nodes)
 		rep.AssemblyNodes = nodes
 	}
 	// The first stage's instance type is part of its span; a later
@@ -841,7 +814,7 @@ func (pl *Pipeline) runStage(rep *Report, sp stageSpec) error {
 	var itype string
 	if first {
 		var err error
-		if itype, err = pl.instanceType(backend, sp.memGB); err != nil {
+		if itype, err = l.instanceType(sp.memGB); err != nil {
 			return err
 		}
 	}
@@ -857,14 +830,7 @@ func (pl *Pipeline) runStage(rep *Report, sp stageSpec) error {
 		return pl.abort(rep, sc, pl.cutoffCancel(rep, sp.name, "", pl.clock.Now()))
 	}
 
-	var sx *stageExec
-	var transferNote string
-	var err error
-	if first {
-		sx, err = pl.launch(sp.name, itype, nodes, backend)
-	} else {
-		sx, transferNote, err = pl.nextStage(sp.name, pl.sxs[len(pl.sxs)-1], nodes, backend, sp.memGB, sp.stageBytes)
-	}
+	sx, transferNote, err := pl.nextStage(sp, l, itype, nodes)
 	if err != nil {
 		return pl.abort(rep, sc, fmt.Errorf("core: launching %s: %w", sp.name, err))
 	}
@@ -872,13 +838,18 @@ func (pl *Pipeline) runStage(rep *Report, sp stageSpec) error {
 	sc.attr(obs.AttrInstanceType, sx.instance)
 
 	start := pl.clock.Now()
-	runner, err := pl.newRunner(sx, sp.name)
+	// The stage's unit manager runs under the run's observability,
+	// journal, retry-budget and cutoff hooks.
+	um, err := sx.runner()
 	var units []*pilot.Unit
 	if err == nil {
-		units, err = runner.Submit(sp.units(sx))
-	}
-	if err == nil {
-		err = runner.Run()
+		um.SetObs(pl.o)
+		um.SetOnUnitDone(pl.jr.onUnitDone(sp.name))
+		um.SetRetryBudget(pl.budget)
+		um.SetCutoff(pl.cutoff)
+		if units, err = um.Submit(sp.units(sx)); err == nil {
+			err = um.Run()
+		}
 	}
 	if err != nil {
 		return pl.abort(rep, sc, fmt.Errorf("core: running %s: %w", sp.name, err))
@@ -923,60 +894,16 @@ func (pl *Pipeline) abort(rep *Report, sc *stageScope, err error) error {
 	return err
 }
 
-// instanceType resolves a stage's VM flavour: the dynamic pattern picks
-// the cheapest 8-core type with memGB, the others keep the configured
-// one.
-func (pl *Pipeline) instanceType(backend cloud.Backend, memGB float64) (string, error) {
-	switch {
-	case backend == cloud.Serverless:
-		return "serverless", nil
-	case pl.cfg.Pattern != DistributedDynamic:
-		return pl.cfg.InstanceType, nil
-	}
-	it, err := ChooseInstanceType(pl.provider, memGB, 8)
-	if err != nil {
-		return "", err
-	}
-	return it.Name, nil
-}
-
-// stageExec is the execution vehicle for one pipeline stage: a
-// VM-backed pilot (on-demand or spot), or a function-backed unit
-// manager. store is NFS on a cluster, an object store for functions;
-// cores is what units size their slot requests by (one for functions).
+// stageExec is one stage's launched vehicle: what every kind shares,
+// and the launcher that made it, which knows the rest. store is NFS on
+// a cluster, an object store for functions; cores is what units size
+// their slot requests by.
 type stageExec struct {
-	pilot    *pilot.Pilot
-	faas     *pilot.UnitManager
+	launcher
 	id       string
 	store    *cluster.SharedStore
 	cores    int
 	instance string
-}
-
-func pilotExec(p *pilot.Pilot) *stageExec {
-	it := p.Cluster.InstanceType()
-	return &stageExec{pilot: p, id: p.ID, store: p.Cluster.Store(), cores: it.Cores, instance: it.Name}
-}
-
-func faasExec(fr *pilot.UnitManager) *stageExec {
-	return &stageExec{faas: fr, id: fr.ID(), store: fr.Store(), cores: 1, instance: "serverless"}
-}
-
-// newRunner builds the unit manager for a stage vehicle, wired into the
-// run's observability, journal, retry-budget and cutoff hooks.
-func (pl *Pipeline) newRunner(sx *stageExec, stage string) (*pilot.UnitManager, error) {
-	um := sx.faas
-	if um == nil {
-		var err error
-		if um, err = pilot.NewUnitManager(sx.pilot); err != nil {
-			return nil, err
-		}
-	}
-	um.SetObs(pl.o)
-	um.SetOnUnitDone(pl.jr.onUnitDone(stage))
-	um.SetRetryBudget(pl.budget)
-	um.SetCutoff(pl.cutoff)
-	return um, nil
 }
 
 // cutoffReached reports whether the virtual clock crossed the run's
@@ -1009,126 +936,218 @@ func (pl *Pipeline) cutoffCancel(rep *Report, stage, pilotID string, start vcloc
 }
 
 // routeBackend applies the circuit breaker to a stage's requested
-// backend: a tripped spot or serverless circuit routes the stage to
-// the on-demand fallback. It returns the effective backend and a
-// human-readable note suffix when a fallback happened.
-func (pl *Pipeline) routeBackend(backend cloud.Backend) (cloud.Backend, string) {
-	cb := pl.provider.Breaker()
-	if cb == nil || backend == cloud.OnDemand || cb.Allow(backend) {
-		return backend, ""
+// backend — a tripped spot or serverless circuit routes the stage to
+// the on-demand fallback — and returns the launcher for the effective
+// backend, with a human-readable note suffix when a fallback happened.
+func (pl *Pipeline) routeBackend(backend cloud.Backend) (launcher, string) {
+	var note string
+	if cb := pl.provider.Breaker(); cb != nil && backend != cloud.OnDemand && !cb.Allow(backend) {
+		backend, note = cloud.OnDemand, fmt.Sprintf("; %s breaker open, on-demand fallback", backend)
 	}
-	return cloud.OnDemand, fmt.Sprintf("; %s breaker open, on-demand fallback", backend)
+	if backend == cloud.Serverless {
+		return &functionLauncher{pl: pl}, note
+	}
+	return &pilotLauncher{pl: pl, backend: backend}, note
 }
 
-// launch provisions a fresh execution vehicle: a pilot on the
-// requested purchasing backend, or a function-backed unit manager when
-// the stage is serverless.
-func (pl *Pipeline) launch(name, itype string, nodes int, backend cloud.Backend) (*stageExec, error) {
-	if backend == cloud.Serverless {
-		fr, err := pilot.NewFunctionRunner(pl.provider, pl.pm.Store(), name)
-		if err != nil {
-			return nil, err
-		}
-		return faasExec(fr), nil
+// A launcher provisions one kind of stage vehicle — a pilot on
+// on-demand or spot VMs, or functions — then runs and releases it.
+// routeBackend picks it once per stage, and only it knows the kinds.
+type launcher interface {
+	instanceType(memGB float64) (string, error) // a fresh vehicle's flavour
+	clusterNodes(nodes int) int                 // a cluster stage's size
+	// launch provisions the vehicle fresh; adopt instead takes over the
+	// VMs prev retained, resized to nodes, and is nil when there are none.
+	launch(name, itype string, nodes int) (*stageExec, error)
+	adopt(name string, prev *stageExec, nodes int) (*stageExec, error)
+	retained() *pilot.Pilot                                 // the pilot holding its VMs
+	jobShape(info assembler.Info) (int, sge.AllocationRule) // each PB job's
+	runner() (*pilot.UnitManager, error)                    // a stage's unit manager
+	// release completes the vehicle; terminateVMs shuts down the VMs it
+	// retained too, when nothing will adopt them.
+	release(terminateVMs bool) error
+	placement(nodes int) string            // where PB's jobs ran
+	transferNote(d vclock.Duration) string // the previous stage's data moving in
+}
+
+// pilotLauncher launches a pilot on a purchasing backend's VMs.
+type pilotLauncher struct {
+	pl      *Pipeline
+	backend cloud.Backend
+	p       *pilot.Pilot // once launched
+}
+
+// instanceType: the dynamic pattern picks the cheapest 8-core type with
+// memGB, the others keep the configured one.
+func (l *pilotLauncher) instanceType(memGB float64) (string, error) {
+	if l.pl.cfg.Pattern != DistributedDynamic {
+		return l.pl.cfg.InstanceType, nil
 	}
-	p, err := pl.pm.SubmitPilot(pilot.PilotDescription{
-		Name: name, InstanceType: itype, Nodes: nodes, Backend: backend,
+	it, err := ChooseInstanceType(l.pl.provider, memGB, 8)
+	return it.Name, err
+}
+
+func (l *pilotLauncher) launch(name, itype string, nodes int) (*stageExec, error) {
+	return l.submit(pilot.PilotDescription{
+		Name: name, InstanceType: itype, Nodes: nodes, Backend: l.backend,
 		// Under S2, VM lifetime belongs to the scheme, not the pilot.
-		RetainVMs: pl.cfg.Scheme == S2 && pl.cfg.Pattern != Conventional,
+		RetainVMs: l.pl.cfg.Scheme == S2 && l.pl.cfg.Pattern != Conventional,
 	})
+}
+
+func (l *pilotLauncher) submit(desc pilot.PilotDescription) (*stageExec, error) {
+	p, err := l.pl.pm.SubmitPilot(desc)
 	if err != nil {
 		return nil, err
 	}
-	return pilotExec(p), nil
+	l.p = p
+	it := p.Cluster.InstanceType()
+	return &stageExec{launcher: l, id: p.ID, store: p.Cluster.Store(), cores: it.Cores, instance: it.Name}, nil
 }
 
-// release completes a finished stage's execution vehicle. When
-// terminateVMs is set, VMs it retained under S2 are shut down too —
-// the boundary into a serverless stage, where nothing will adopt them.
-func (pl *Pipeline) release(sx *stageExec, terminateVMs bool) error {
-	if sx.faas != nil {
-		return sx.faas.Complete()
+// adopt completes the previous pilot and hands its VMs, grown or shrunk
+// to size, to a new one.
+func (l *pilotLauncher) adopt(name string, prev *stageExec, nodes int) (*stageExec, error) {
+	old, pl := prev.retained(), l.pl
+	if old == nil {
+		return nil, nil
 	}
-	vms := sx.pilot.Cluster.VMs()
-	if err := pl.pm.CompletePilot(sx.pilot); err != nil {
-		return err
+	if err := pl.pm.CompletePilot(old); err != nil {
+		return nil, err
 	}
-	if terminateVMs {
-		pl.provider.Terminate(vms...)
+	vms := old.Cluster.VMs()
+	if len(vms) > nodes {
+		// Terminate the excess (sample run: "other 35 VMs, which
+		// are not necessary for PC, are terminated").
+		pl.provider.Terminate(vms[nodes:]...)
+		vms = vms[:nodes]
+	} else if len(vms) < nodes {
+		// Growth buys on the stage's requested backend; the adopted
+		// nodes keep whichever market they were booted on.
+		extra, err := pl.provider.RunInstancesOn(old.Cluster.InstanceType().Name, nodes-len(vms), l.backend)
+		if err != nil {
+			return nil, err
+		}
+		pl.provider.WaitRunning(extra)
+		pl.clock.Advance(cluster.DefaultOptions().ConfigPerNode)
+		vms = append(vms, extra...)
 	}
-	return nil
+	sx, err := l.submit(pilot.PilotDescription{Name: name, ReuseVMs: vms})
+	if err == nil {
+		// Shared filesystem persists across pilots under S2: no
+		// transfer, just carry the files over.
+		prev.store.CopyAll(sx.store)
+	}
+	return sx, err
 }
 
-// nextStage provisions the execution vehicle for the next stage
-// according to the matching scheme, workflow pattern and requested
-// backend, migrating `stageBytes` of data from the previous stage's
-// store. It returns the vehicle and a human-readable note about any
-// data transfer performed.
-func (pl *Pipeline) nextStage(name string, prev *stageExec, nodes int, backend cloud.Backend,
-	memGB float64, stageBytes int64) (*stageExec, string, error) {
+func (l *pilotLauncher) jobShape(info assembler.Info) (int, sge.AllocationRule) {
+	nodes, rule := l.pl.cfg.NodesPerMPIJob, sge.SingleNode
+	if info.Name == "contrail" {
+		nodes, rule = l.pl.cfg.ContrailNodes, sge.FillUp
+	} else if !info.MultiNode() {
+		nodes = 1
+	}
+	if nodes > 1 {
+		rule = sge.FillUp
+	}
+	return nodes, rule
+}
 
+func (l *pilotLauncher) release(terminateVMs bool) error {
+	err := l.pl.pm.CompletePilot(l.p)
+	if err == nil && terminateVMs {
+		l.p.Cluster.Terminate()
+	}
+	return err
+}
+
+func (l *pilotLauncher) clusterNodes(nodes int) int { return nodes }
+func (l *pilotLauncher) retained() *pilot.Pilot     { return l.p }
+
+// runner binds a fresh manager each stage, so every stage a pilot
+// serves numbers its units from one.
+func (l *pilotLauncher) runner() (*pilot.UnitManager, error) { return pilot.NewUnitManager(l.p) }
+func (l *pilotLauncher) placement(nodes int) string          { return fmt.Sprintf("on %d nodes", nodes) }
+func (l *pilotLauncher) transferNote(d vclock.Duration) string {
+	return fmt.Sprintf("; %v inter-pilot data transfer", d)
+}
+
+// functionLauncher deploys a stage as functions. An invocation is one
+// single-core allocation, so there is no cluster to size, and each of
+// an assembler's jobs is one invocation, split into parallel pieces at
+// the duration cap.
+type functionLauncher struct {
+	pl *Pipeline
+	um *pilot.UnitManager // once launched
+}
+
+func (l *functionLauncher) launch(name, itype string, _ int) (*stageExec, error) {
+	um, err := pilot.NewFunctionRunner(l.pl.provider, l.pl.pm.Store(), name)
+	if err != nil {
+		return nil, err
+	}
+	l.um = um
+	return &stageExec{launcher: l, id: um.ID(), store: um.Store(), cores: 1, instance: itype}, nil
+}
+
+func (l *functionLauncher) instanceType(float64) (string, error)              { return "serverless", nil }
+func (l *functionLauncher) clusterNodes(int) int                              { return 0 }
+func (l *functionLauncher) adopt(string, *stageExec, int) (*stageExec, error) { return nil, nil }
+func (l *functionLauncher) retained() *pilot.Pilot                            { return nil }
+func (l *functionLauncher) jobShape(assembler.Info) (int, sge.AllocationRule) {
+	return 1, sge.SingleNode
+}
+func (l *functionLauncher) runner() (*pilot.UnitManager, error) { return l.um, nil }
+func (l *functionLauncher) release(bool) error                  { return l.um.Complete() }
+func (l *functionLauncher) placement(int) string                { return "as functions" }
+func (l *functionLauncher) transferNote(d vclock.Duration) string {
+	return fmt.Sprintf("; %v transfer to object store", d)
+}
+
+// nextStage provisions a stage's vehicle through its launcher: fresh
+// for the first stage, and for a later one by the matching scheme and
+// workflow pattern, migrating the stage's bytes from the previous
+// stage's store. It returns the vehicle and a note about any data
+// transfer performed.
+func (pl *Pipeline) nextStage(sp stageSpec, l launcher, itype string, nodes int) (*stageExec, string, error) {
+	if len(pl.sxs) == 0 {
+		sx, err := l.launch(sp.name, itype, nodes)
+		return sx, "", err
+	}
+	prev := pl.sxs[len(pl.sxs)-1]
 	if pl.cfg.Pattern == Conventional {
 		// Single-pilot workflow: reuse the original pilot untouched.
 		return prev, "", nil
 	}
-	if pl.cfg.Scheme == S2 && prev.pilot != nil && backend != cloud.Serverless {
-		// Reuse the previous pilot's VMs; grow or shrink to size.
-		if err := pl.pm.CompletePilot(prev.pilot); err != nil {
-			return nil, "", err
+	if pl.cfg.Scheme == S2 {
+		if sx, err := l.adopt(sp.name, prev, nodes); sx != nil || err != nil {
+			return sx, "", err
 		}
-		vms := prev.pilot.Cluster.VMs()
-		if len(vms) > nodes {
-			// Terminate the excess (sample run: "other 35 VMs, which
-			// are not necessary for PC, are terminated").
-			pl.provider.Terminate(vms[nodes:]...)
-			vms = vms[:nodes]
-		} else if len(vms) < nodes {
-			// Growth buys on the stage's requested backend; the adopted
-			// nodes keep whichever market they were booted on.
-			extra, err := pl.provider.RunInstancesOn(prev.pilot.Cluster.InstanceType().Name, nodes-len(vms), backend)
-			if err != nil {
-				return nil, "", err
-			}
-			pl.provider.WaitRunning(extra)
-			pl.clock.Advance(cluster.DefaultOptions().ConfigPerNode)
-			vms = append(vms, extra...)
-		}
-		p, err := pl.pm.SubmitPilot(pilot.PilotDescription{Name: name, ReuseVMs: vms})
-		if err != nil {
-			return nil, "", err
-		}
-		// Shared filesystem persists across pilots under S2: no
-		// transfer, just carry the files over.
-		prev.store.CopyAll(p.Cluster.Store())
-		return pilotExec(p), "", nil
 	}
-	// S1, functions, or no VMs to reuse: launch fresh, migrate the data
-	// and release the previous stage (VMs it retained have no successor
-	// to adopt them when this stage runs as functions).
-	itype, err := pl.instanceType(backend, memGB)
+	// S1, or no VMs to adopt: launch fresh, migrate the data and release
+	// the previous stage with any VMs it retained, which nothing adopts.
+	itype, err := l.instanceType(sp.memGB)
 	if err != nil {
 		return nil, "", err
 	}
-	sx, err := pl.launch(name, itype, nodes, backend)
+	sx, err := l.launch(sp.name, itype, nodes)
 	if err != nil {
 		return nil, "", err
 	}
-	d := pl.provider.InterNodeTransfer(stageBytes)
+	d := pl.provider.InterNodeTransfer(sp.stageBytes)
 	pl.clock.Advance(d)
 	prev.store.CopyAll(sx.store)
-	if err := pl.release(prev, sx.faas != nil); err != nil {
+	if err := prev.release(true); err != nil {
 		return nil, "", err
 	}
-	if sx.faas != nil {
-		return sx, fmt.Sprintf("; %v transfer to object store", d), nil
-	}
-	return sx, fmt.Sprintf("; %v inter-pilot data transfer", d), nil
+	return sx, sx.transferNote(d), nil
 }
 
 // teardown completes every stage vehicle and terminates all VMs.
 func (pl *Pipeline) teardown() {
 	for _, sx := range pl.sxs {
-		_ = pl.release(sx, false)
+		_ = sx.release(false)
 	}
 	pl.provider.TerminateAll()
 }
