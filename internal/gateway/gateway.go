@@ -185,7 +185,8 @@ func (e *AdmissionError) Error() string {
 type RunRequest struct {
 	// Profile is a built-in dataset profile name.
 	Profile string `json:"profile"`
-	// Assemblers lists the tools (default ["ray"]); >1 enables MAMP.
+	// Assemblers lists the tools (default: core.DefaultConfig's ray,
+	// abyss and contrail); >1 enables MAMP.
 	Assemblers []string `json:"assemblers"`
 	// Scheme is "S1" or "S2" (default S2).
 	Scheme string `json:"scheme"`

@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"rnascale/internal/assembler"
+	"rnascale/internal/core"
 )
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
@@ -192,6 +194,18 @@ func TestSubmitValidation(t *testing.T) {
 // A fault spec whose value would poison the virtual clock is refused
 // at submission, naming the parameter, rather than admitted to fail in
 // PB with an unrelated error.
+// TestEmptyRequestRunsDefaultAssemblers pins what a request naming no
+// assemblers runs: core.DefaultConfig's set, not ray alone.
+func TestEmptyRequestRunsDefaultAssemblers(t *testing.T) {
+	cfg, _, err := buildConfig(RunRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := core.DefaultConfig().Assemblers; !slices.Equal(cfg.Assemblers, want) {
+		t.Errorf("assemblers %v, want %v", cfg.Assemblers, want)
+	}
+}
+
 func TestSubmitRefusesNaNFaultSpec(t *testing.T) {
 	_, ts := newTestServer(t)
 	body, _ := json.Marshal(RunRequest{Profile: "tiny", Assemblers: []string{"velvet"}, Faults: "slowxfer:x=NaN"})
