@@ -20,7 +20,7 @@ FUZZ_TARGETS = internal/seq:FuzzParseFasta internal/seq:FuzzParseFastq internal/
 	internal/core:FuzzParseStageBackends internal/merge:FuzzDropContained internal/faults:FuzzParseSpec
 FUZZ_TIME ?= 10s
 
-.PHONY: all build test vet lint lint-fixtures race cover fuzz-smoke sweep-determinism oracle-determinism journal-determinism overload-determinism check bench bench-gate bench-baseline bench-smoke clean
+.PHONY: all build test vet lint lint-fixtures race cover fuzz-smoke sweep-determinism oracle-determinism journal-determinism overload-determinism check bench bench-gate bench-baseline bench-smoke size clean
 
 # Coverage profiles land here instead of littering the repo root.
 BUILD_DIR = build
@@ -232,6 +232,20 @@ bench-baseline:
 bench-smoke:
 	bash bench/run.sh -scale smoke
 	cd bench && $(GO) test .
+
+# size prints the non-test Go lines of each package outside bench/ and
+# testdata, their total, and the //rnavet:allow directives in product
+# code (standalone or trailing a code line; the analyzer's own docs
+# only mention them). It is the one source for a change's line claims
+# and stays out of check: it measures, it never fails.
+SIZE_FIND = find . \( -path ./bench -o -name testdata -o -name '.*' ! -name . \) -prune -o \
+	-name '*.go' ! -name '*_test.go' -print
+size:
+	@$(SIZE_FIND) | sort | xargs wc -l | awk '$$2 != "total" { \
+		d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\.\/?/, "", d); if (d == "") d = "."; n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'
+	@$(SIZE_FIND) | xargs grep -hE '^\s*//rnavet:allow [a-z]+|^\s*[^/[:space:]].*//rnavet:allow [a-z]+' | wc -l | \
+		awk '{ printf "%7d  //rnavet:allow directives\n", $$1 }'
 
 clean:
 	rm -rf $(BUILD_DIR)
