@@ -499,7 +499,6 @@ func (pl *Pipeline) assemble(fs simdata.FullScaleStats, cleaned seq.ReadSet, rep
 	// planner's requests carry no memo.
 	memo := &assembler.Memo{}
 	units := func(sx *stageExec) []pilot.UnitDescription {
-		cores := sx.cores
 		var descs []pilot.UnitDescription
 		for _, name := range cfg.Assemblers {
 			a, _ := assembler.Get(name)
@@ -510,7 +509,7 @@ func (pl *Pipeline) assemble(fs simdata.FullScaleStats, cleaned seq.ReadSet, rep
 				req := assembler.Request{
 					Params:       assembler.Params{K: k, MinCoverage: cfg.MinCoverage},
 					Nodes:        jobNodes,
-					CoresPerNode: cores,
+					CoresPerNode: sx.cores,
 					FullScale:    asmFS,
 				}
 				future := -1
@@ -597,7 +596,7 @@ func (pl *Pipeline) assemble(fs simdata.FullScaleStats, cleaned seq.ReadSet, rep
 				}
 				descs = append(descs, pilot.UnitDescription{
 					Name:  unit,
-					Slots: jobNodes * cores,
+					Slots: jobNodes * sx.cores,
 					Rule:  rule,
 					Retry: cfg.Retry.PB,
 					Work:  pl.jr.unit("PB", unit, work, codec),
@@ -797,7 +796,7 @@ type stageSpec struct {
 // route, open the scope, stop at the cutoff, launch (or take over from
 // the previous stage's vehicle), submit and run the units, stop at the
 // first cancelled or failed unit, fold, close the scope and report.
-// Every early exit goes through abort.
+// Once the scope is open, every early exit goes through abort.
 func (pl *Pipeline) runStage(rep *Report, sp stageSpec) error {
 	if sp.release != nil {
 		defer sp.release()
@@ -826,7 +825,7 @@ func (pl *Pipeline) runStage(rep *Report, sp stageSpec) error {
 		sc.attr(sp.attrs[i], sp.attrs[i+1])
 	}
 	sc.attr(obs.AttrNodes, fmt.Sprint(nodes))
-	if pl.cutoffReached() {
+	if pl.cutoff > 0 && pl.clock.Now() >= pl.cutoff {
 		return pl.abort(rep, sc, pl.cutoffCancel(rep, sp.name, "", pl.clock.Now()))
 	}
 
@@ -838,8 +837,7 @@ func (pl *Pipeline) runStage(rep *Report, sp stageSpec) error {
 	sc.attr(obs.AttrInstanceType, sx.instance)
 
 	start := pl.clock.Now()
-	// The stage's unit manager runs under the run's observability,
-	// journal, retry-budget and cutoff hooks.
+	// The stage's unit manager takes the run's obs, journal, budget and cutoff.
 	um, err := sx.runner()
 	var units []*pilot.Unit
 	if err == nil {
@@ -855,7 +853,9 @@ func (pl *Pipeline) runStage(rep *Report, sp stageSpec) error {
 		return pl.abort(rep, sc, fmt.Errorf("core: running %s: %w", sp.name, err))
 	}
 	for _, u := range units {
-		if pl.canceledAtCutoff(u) {
+		// The runners cancel (never fail) a unit whose attempt would start
+		// past the cutoff, and nothing else cancels units inside a run.
+		if pl.cutoff > 0 && u.State() == pilot.UnitCanceled {
 			return pl.abort(rep, sc, pl.cutoffCancel(rep, sp.name, sx.id, start))
 		}
 		if u.State() != pilot.UnitDone {
@@ -894,30 +894,15 @@ func (pl *Pipeline) abort(rep *Report, sc *stageScope, err error) error {
 	return err
 }
 
-// stageExec is one stage's launched vehicle: what every kind shares,
-// and the launcher that made it, which knows the rest. store is NFS on
-// a cluster, an object store for functions; cores is what units size
-// their slot requests by.
+// stageExec is one stage's launched vehicle: the launcher that made it,
+// and what it filled in. store is NFS on a cluster, an object store for
+// functions; cores is what units size their slot requests by; moveIn
+// names how the previous stage's data reaches the store.
 type stageExec struct {
 	launcher
-	id       string
-	store    *cluster.SharedStore
-	cores    int
-	instance string
-}
-
-// cutoffReached reports whether the virtual clock crossed the run's
-// cutoff (deadline or cancellation point).
-func (pl *Pipeline) cutoffReached() bool {
-	return pl.cutoff > 0 && pl.clock.Now() >= pl.cutoff
-}
-
-// canceledAtCutoff reports whether a unit terminated via the cutoff
-// path: the runners transition units to CANCELED (never FAILED) when
-// an attempt would start past the cutoff, and nothing else cancels
-// units inside a pipeline run.
-func (pl *Pipeline) canceledAtCutoff(u *pilot.Unit) bool {
-	return pl.cutoff > 0 && u.State() == pilot.UnitCanceled
+	id, instance, moveIn string
+	store                *cluster.SharedStore
+	cores                int
 }
 
 // cutoffCancel reports a stage cut off at the run's cutoff and returns
@@ -956,18 +941,15 @@ func (pl *Pipeline) routeBackend(backend cloud.Backend) (launcher, string) {
 type launcher interface {
 	instanceType(memGB float64) (string, error) // a fresh vehicle's flavour
 	clusterNodes(nodes int) int                 // a cluster stage's size
-	// launch provisions the vehicle fresh; adopt instead takes over the
-	// VMs prev retained, resized to nodes, and is nil when there are none.
+	// launch provisions the vehicle fresh; adopt takes over the VMs prev
+	// retained instead, resized to nodes, and is nil when there are none.
 	launch(name, itype string, nodes int) (*stageExec, error)
 	adopt(name string, prev *stageExec, nodes int) (*stageExec, error)
 	retained() *pilot.Pilot                                 // the pilot holding its VMs
 	jobShape(info assembler.Info) (int, sge.AllocationRule) // each PB job's
 	runner() (*pilot.UnitManager, error)                    // a stage's unit manager
-	// release completes the vehicle; terminateVMs shuts down the VMs it
-	// retained too, when nothing will adopt them.
-	release(terminateVMs bool) error
-	placement(nodes int) string            // where PB's jobs ran
-	transferNote(d vclock.Duration) string // the previous stage's data moving in
+	release(terminateVMs bool) error                        // completes it, VMs too if set
+	placement(nodes int) string                             // where PB's jobs ran
 }
 
 // pilotLauncher launches a pilot on a purchasing backend's VMs.
@@ -1002,7 +984,8 @@ func (l *pilotLauncher) submit(desc pilot.PilotDescription) (*stageExec, error) 
 	}
 	l.p = p
 	it := p.Cluster.InstanceType()
-	return &stageExec{launcher: l, id: p.ID, store: p.Cluster.Store(), cores: it.Cores, instance: it.Name}, nil
+	return &stageExec{launcher: l, id: p.ID, instance: it.Name, moveIn: "inter-pilot data transfer",
+		store: p.Cluster.Store(), cores: it.Cores}, nil
 }
 
 // adopt completes the previous pilot and hands its VMs, grown or shrunk
@@ -1042,16 +1025,13 @@ func (l *pilotLauncher) adopt(name string, prev *stageExec, nodes int) (*stageEx
 }
 
 func (l *pilotLauncher) jobShape(info assembler.Info) (int, sge.AllocationRule) {
-	nodes, rule := l.pl.cfg.NodesPerMPIJob, sge.SingleNode
-	if info.Name == "contrail" {
-		nodes, rule = l.pl.cfg.ContrailNodes, sge.FillUp
-	} else if !info.MultiNode() {
-		nodes = 1
+	switch n := l.pl.cfg.NodesPerMPIJob; {
+	case info.Name == "contrail":
+		return l.pl.cfg.ContrailNodes, sge.FillUp
+	case n > 1 && info.MultiNode():
+		return n, sge.FillUp
 	}
-	if nodes > 1 {
-		rule = sge.FillUp
-	}
-	return nodes, rule
+	return 1, sge.SingleNode
 }
 
 func (l *pilotLauncher) release(terminateVMs bool) error {
@@ -1069,14 +1049,10 @@ func (l *pilotLauncher) retained() *pilot.Pilot     { return l.p }
 // serves numbers its units from one.
 func (l *pilotLauncher) runner() (*pilot.UnitManager, error) { return pilot.NewUnitManager(l.p) }
 func (l *pilotLauncher) placement(nodes int) string          { return fmt.Sprintf("on %d nodes", nodes) }
-func (l *pilotLauncher) transferNote(d vclock.Duration) string {
-	return fmt.Sprintf("; %v inter-pilot data transfer", d)
-}
 
 // functionLauncher deploys a stage as functions. An invocation is one
-// single-core allocation, so there is no cluster to size, and each of
-// an assembler's jobs is one invocation, split into parallel pieces at
-// the duration cap.
+// single-core allocation, so there is no cluster to size, and a job too
+// long for one is split into parallel pieces at the duration cap.
 type functionLauncher struct {
 	pl *Pipeline
 	um *pilot.UnitManager // once launched
@@ -1088,7 +1064,8 @@ func (l *functionLauncher) launch(name, itype string, _ int) (*stageExec, error)
 		return nil, err
 	}
 	l.um = um
-	return &stageExec{launcher: l, id: um.ID(), store: um.Store(), cores: 1, instance: itype}, nil
+	return &stageExec{launcher: l, id: um.ID(), instance: itype, moveIn: "transfer to object store",
+		store: um.Store(), cores: 1}, nil
 }
 
 func (l *functionLauncher) instanceType(float64) (string, error)              { return "serverless", nil }
@@ -1101,15 +1078,11 @@ func (l *functionLauncher) jobShape(assembler.Info) (int, sge.AllocationRule) {
 func (l *functionLauncher) runner() (*pilot.UnitManager, error) { return l.um, nil }
 func (l *functionLauncher) release(bool) error                  { return l.um.Complete() }
 func (l *functionLauncher) placement(int) string                { return "as functions" }
-func (l *functionLauncher) transferNote(d vclock.Duration) string {
-	return fmt.Sprintf("; %v transfer to object store", d)
-}
 
 // nextStage provisions a stage's vehicle through its launcher: fresh
 // for the first stage, and for a later one by the matching scheme and
-// workflow pattern, migrating the stage's bytes from the previous
-// stage's store. It returns the vehicle and a note about any data
-// transfer performed.
+// workflow pattern, migrating the stage's bytes from the previous one.
+// It returns the vehicle and a note about any data transfer.
 func (pl *Pipeline) nextStage(sp stageSpec, l launcher, itype string, nodes int) (*stageExec, string, error) {
 	if len(pl.sxs) == 0 {
 		sx, err := l.launch(sp.name, itype, nodes)
@@ -1141,7 +1114,7 @@ func (pl *Pipeline) nextStage(sp stageSpec, l launcher, itype string, nodes int)
 	if err := prev.release(true); err != nil {
 		return nil, "", err
 	}
-	return sx, sx.transferNote(d), nil
+	return sx, fmt.Sprintf("; %v %s", d, sx.moveIn), nil
 }
 
 // teardown completes every stage vehicle and terminates all VMs.
