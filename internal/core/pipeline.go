@@ -837,7 +837,6 @@ func (pl *Pipeline) runStage(rep *Report, sp stageSpec) error {
 	sc.attr(obs.AttrInstanceType, sx.instance)
 
 	start := pl.clock.Now()
-	// The stage's unit manager takes the run's obs, journal, budget and cutoff.
 	um, err := sx.runner()
 	var units []*pilot.Unit
 	if err == nil {
