@@ -417,7 +417,8 @@ func bracketScenarios(t *testing.T) []bracketScenario {
 // byte: the trace, metrics, snapshot, summary, timeline, error text and
 // journal file of runs that complete, fail in a unit, fail to launch,
 // are cut off before or during a stage, fall back through an open
-// breaker, run stages as functions, and crash and resume.
+// breaker, run stages as functions, and crash and resume. Every run
+// but the crashed one must also release all it acquired (wantReleased).
 func TestStageBracketPins(t *testing.T) {
 	raw, err := os.ReadFile(bracketPinsFile)
 	if err != nil {
