@@ -12,12 +12,14 @@ COVER_SPECS = internal/cloud:85 internal/pilot:80 internal/core:80
 # Fuzz targets exercised by fuzz-smoke, as package:target: the parsers,
 # the tolerant journal opens against the strict reader, the journal
 # payload decoders against their encoders, the fault grammar against
-# its renderer, the stage-backend list against its rendering, and the
-# seeded containment check against its reference.
+# its renderer, the stage-backend list against its rendering, the
+# seeded containment check against its reference, and the run request
+# decoder (the gateway's JSON body) against a JSON round trip.
 FUZZ_TARGETS = internal/seq:FuzzParseFasta internal/seq:FuzzParseFastq internal/seq:FuzzParseSFA \
 	internal/seq:FuzzForEachCanonical internal/assembler/contrail:FuzzParseRecord \
 	internal/journal:FuzzScan internal/journal:FuzzContinue internal/core:FuzzDecodePA internal/core:FuzzDecodePB \
-	internal/core:FuzzParseStageBackends internal/merge:FuzzDropContained internal/faults:FuzzParseSpec
+	internal/core:FuzzParseStageBackends internal/merge:FuzzDropContained internal/faults:FuzzParseSpec \
+	internal/core:FuzzRequestConfig
 FUZZ_TIME ?= 10s
 
 .PHONY: all build test vet lint lint-fixtures race cover fuzz-smoke sweep-determinism oracle-determinism journal-determinism overload-determinism check bench bench-gate bench-baseline bench-smoke size clean

@@ -9,6 +9,10 @@
 //	rnapipe -profile tiny -assemblers ray,abyss,contrail -scheme S2 \
 //	        -pattern dynamic -evaluate
 //
+// The run-describing flags fill one rnascale.Request, the same value a
+// gateway submission carries, and Request.Config decodes it; a flag
+// the decoder refuses exits 1 before any dataset is generated.
+//
 // -backends moves stages onto the spot market or serverless functions
 // ("PA=spot,PB=serverless", or a bare "spot" for every stage);
 // -frontier sweeps every per-stage backend assignment and prints the
@@ -36,38 +40,39 @@ import (
 
 	"rnascale"
 	"rnascale/internal/obs"
-	"rnascale/internal/vclock"
+	"rnascale/internal/simdata"
 )
 
 func main() {
+	var req rnascale.Request
+	flag.StringVar(&req.Profile, "profile", "tiny", "dataset profile: tiny, bglumae, pcrispa, bglumae-paired")
+	assemblers := flag.String("assemblers", "ray,abyss,contrail", "comma-separated assembler list (MAMP when >1)")
+	flag.StringVar(&req.Scheme, "scheme", "S2", "pilot/VM matching scheme: S1 or S2")
+	flag.StringVar(&req.Pattern, "pattern", "dynamic", "workflow pattern: conventional, static, dynamic")
+	flag.StringVar(&req.InstanceType, "instance-type", "c3.2xlarge", "instance type for static patterns")
+	flag.IntVar(&req.ContrailNodes, "contrail-nodes", 16, "nodes per Contrail job")
+	flag.IntVar(&req.MPINodes, "mpi-nodes", 1, "nodes per MPI assembly job")
+	flag.BoolVar(&req.Evaluate, "evaluate", true, "score the final transcripts against ground truth")
+	flag.BoolVar(&req.Consensus, "consensus", false, "validate contigs by cross-assembler consensus before merging")
+	flag.IntVar(&req.PreprocessShards, "preprocess-shards", 1, "data-parallel pre-processing shard count")
+	flag.StringVar(&req.Backends, "backends", "", `per-stage execution backends, e.g. "PA=spot,PB=serverless" or "spot" for all stages (default on-demand)`)
+	flag.StringVar(&req.Faults, "faults", "", `fault-injection spec, e.g. "crash:p=0.1,after=600;slowxfer:x=0.5"`)
+	flag.Uint64Var(&req.FaultSeed, "seed", 1, "fault-injection and spot-market PRNG seed (same seed replays identically)")
+	deadline := flag.Duration("deadline", 0, "virtual-time run deadline, e.g. 2h30m (0 = none); a run cut off at the deadline exits 3")
+	flag.IntVar(&req.RetryBudget, "retry-budget", 0, "run-wide unit retry budget (0 = unlimited); over-budget retries fail the stage")
+	flag.Float64Var(&req.MaxCostUSD, "max-cost", 0, "refuse to run when the predicted bill exceeds this USD budget (exit 3)")
 	var (
-		profile    = flag.String("profile", "tiny", "dataset profile: tiny, bglumae, pcrispa, bglumae-paired")
-		assemblers = flag.String("assemblers", "ray,abyss,contrail", "comma-separated assembler list (MAMP when >1)")
-		scheme     = flag.String("scheme", "S2", "pilot/VM matching scheme: S1 or S2")
-		pattern    = flag.String("pattern", "dynamic", "workflow pattern: conventional, static, dynamic")
-		itype      = flag.String("instance-type", "c3.2xlarge", "instance type for static patterns")
-		contrailN  = flag.Int("contrail-nodes", 16, "nodes per Contrail job")
-		mpiN       = flag.Int("mpi-nodes", 1, "nodes per MPI assembly job")
-		evaluate   = flag.Bool("evaluate", true, "score the final transcripts against ground truth")
-		consensus  = flag.Bool("consensus", false, "validate contigs by cross-assembler consensus before merging")
-		shards     = flag.Int("preprocess-shards", 1, "data-parallel pre-processing shard count")
 		planOnly   = flag.Bool("plan", false, "predict stage TTCs and cost, then exit without running")
-		backends   = flag.String("backends", "", `per-stage execution backends, e.g. "PA=spot,PB=serverless" or "spot" for all stages (default on-demand)`)
 		frontier   = flag.Bool("frontier", false, "sweep every per-stage backend assignment and print the planner's cost-TTC Pareto frontier, then exit without running")
 		verbose    = flag.Bool("v", false, "print per-assembly details and the pilot timeline")
 		traceOut   = flag.String("trace-out", "", "write a Chrome trace_event JSON of the run to this file (- for stdout)")
 		metricsOut = flag.String("metrics", "", "write the run's metrics in Prometheus text format to this file (- for stdout)")
 		spans      = flag.Bool("spans", false, "print the run's span tree after the summary")
-		faultSpec  = flag.String("faults", "", `fault-injection spec, e.g. "crash:p=0.1,after=600;slowxfer:x=0.5"`)
-		faultSeed  = flag.Uint64("seed", 1, "fault-injection and spot-market PRNG seed (same seed replays identically)")
 		journalOut = flag.String("journal", "", "write a resumable run journal to this file")
 		resumePath = flag.String("resume", "", "resume an interrupted run from its journal (pass the original run's flags too)")
 		jbatch     = flag.Int("journal-batch", 0, "group-commit batch size for journal appends (0 = default; 1 = fsync per append)")
 		jmaxwait   = flag.Duration("journal-maxwait", 0, "how long the journal flusher lingers for an unfilled batch (0 = flush immediately)")
 		verifyPath = flag.String("verify-journal", "", "verify a journal's tamper-evident hash chain, print the report and exit (0 = clean, 2 = damaged)")
-		deadline   = flag.Duration("deadline", 0, "virtual-time run deadline, e.g. 2h30m (0 = none); a run cut off at the deadline exits 3")
-		retryBudg  = flag.Int("retry-budget", 0, "run-wide unit retry budget (0 = unlimited); over-budget retries fail the stage")
-		maxCost    = flag.Float64("max-cost", 0, "refuse to run when the predicted bill exceeds this USD budget (exit 3)")
 	)
 	flag.Parse()
 	if *verifyPath != "" {
@@ -85,64 +90,15 @@ func main() {
 		fatal(fmt.Errorf("-resume continues its journal in place; drop -journal"))
 	}
 
-	ds, err := rnascale.GenerateDataset(rnascale.ProfileName(*profile))
+	req.Assemblers = splitList(*assemblers)
+	req.DeadlineSeconds = deadline.Seconds()
+	cfg, prof, err := req.Config()
 	if err != nil {
 		fatal(err)
 	}
-	cfg := rnascale.DefaultConfig()
-	cfg.Assemblers = splitList(*assemblers)
-	cfg.InstanceType = *itype
-	cfg.ContrailNodes = *contrailN
-	cfg.NodesPerMPIJob = *mpiN
-	cfg.EvaluateAgainstTruth = *evaluate
-	cfg.ConsensusMerge = *consensus
-	cfg.ParallelPreprocessShards = *shards
-	switch strings.ToUpper(*scheme) {
-	case "S1":
-		cfg.Scheme = rnascale.S1
-	case "S2":
-		cfg.Scheme = rnascale.S2
-	default:
-		fatal(fmt.Errorf("unknown scheme %q", *scheme))
-	}
-	switch strings.ToLower(*pattern) {
-	case "conventional":
-		cfg.Pattern = rnascale.Conventional
-	case "static":
-		cfg.Pattern = rnascale.DistributedStatic
-	case "dynamic":
-		cfg.Pattern = rnascale.DistributedDynamic
-	default:
-		fatal(fmt.Errorf("unknown pattern %q", *pattern))
-	}
-	if *backends != "" {
-		bk, err := rnascale.ParseStageBackends(*backends)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Backends = bk
-	}
-	if *deadline < 0 {
-		fatal(fmt.Errorf("negative -deadline %v", *deadline))
-	}
-	if *retryBudg < 0 {
-		fatal(fmt.Errorf("negative -retry-budget %d", *retryBudg))
-	}
-	if *maxCost < 0 {
-		fatal(fmt.Errorf("negative -max-cost %v", *maxCost))
-	}
-	cfg.Deadline = vclock.Duration(deadline.Seconds())
-	cfg.RetryBudget = *retryBudg
-	// The seed drives the fault plan AND the spot market's price walk,
-	// so it applies whenever either consumer is configured — a spot run
-	// without faults must still replay the same market.
-	cfg.FaultSeed = *faultSeed
-	if *faultSpec != "" {
-		plan, err := rnascale.ParseFaultSpec(*faultSpec)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.FaultPlan = plan
+	ds, err := simdata.Generate(prof)
+	if err != nil {
+		fatal(err)
 	}
 
 	fmt.Printf("rnapipe: %s (%d reads, %d transcripts ground truth)\n",
@@ -168,16 +124,16 @@ func main() {
 		fmt.Println(" ", plan)
 		return
 	}
-	if *maxCost > 0 {
+	if req.MaxCostUSD > 0 {
 		// Admission-style preflight: a run the planner prices over
 		// budget is refused before buying any compute.
 		plan, perr := rnascale.Predict(ds, cfg)
 		if perr != nil {
 			fatal(perr)
 		}
-		if plan.CostUSD > *maxCost {
+		if plan.CostUSD > req.MaxCostUSD {
 			fmt.Fprintf(os.Stderr, "rnapipe: %s: predicted cost $%.2f exceeds -max-cost $%.2f\n",
-				rnascale.OutcomeShed, plan.CostUSD, *maxCost)
+				rnascale.OutcomeShed, plan.CostUSD, req.MaxCostUSD)
 			os.Exit(3)
 		}
 	}
@@ -245,7 +201,7 @@ func main() {
 			fmt.Printf("quality vs ground truth: %v\n", rep.Metrics)
 		}
 		if cfg.FaultPlan != nil {
-			fmt.Printf("fault recovery (seed %d): %v\n", *faultSeed, rep.Recovery)
+			fmt.Printf("fault recovery (seed %d): %v\n", req.FaultSeed, rep.Recovery)
 		}
 		if rep.Journal != nil && rep.Journal.Resumed {
 			fmt.Printf("resumed from journal: %d records and %d units replayed, %d units executed live\n",

@@ -606,16 +606,7 @@ type Fig5Row struct {
 // upload, 44 min PA, 1 h 18 m PB on 36 nodes, 41 min PC, total
 // 2 h 47 m and ≈ $20.28.
 func Fig5(sc Scale) ([]Fig5Row, string, error) {
-	full := simdata.BGlumaePaired()
-	var prof simdata.Profile
-	if sc == Quick {
-		prof = simdata.Tiny()
-		prof.FullScale = full.FullScale
-		prof.FullScale.AssemblyKmers = simdata.Tiny().FullScale.AssemblyKmers
-	} else {
-		prof = full
-	}
-	ds, err := simdata.GenerateCached(prof)
+	ds, err := dataset(sc, simdata.BGlumaePaired())
 	if err != nil {
 		return nil, "", err
 	}
@@ -635,7 +626,7 @@ func Fig5(sc Scale) ([]Fig5Row, string, error) {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 5 / sample run: end-to-end pipeline, %s, 3 assemblers × %d k-mers\n",
-		ds.Profile.Organism, len(prof.FullScale.AssemblyKmers))
+		ds.Profile.Organism, len(ds.Profile.FullScale.AssemblyKmers))
 	for _, row := range rows {
 		rep := row.Report
 		fmt.Fprintf(&b, "\nscheme %v (PB on %d nodes):\n", row.Scheme, rep.AssemblyNodes)

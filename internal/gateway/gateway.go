@@ -52,12 +52,10 @@ import (
 	"rnascale/internal/assembler"
 	_ "rnascale/internal/assembler/all" // make every assembler submittable
 	"rnascale/internal/core"
-	"rnascale/internal/faults"
 	"rnascale/internal/journal"
 	"rnascale/internal/obs"
 	"rnascale/internal/seq"
 	"rnascale/internal/simdata"
-	"rnascale/internal/vclock"
 )
 
 // Gateway-level metric names (the per-run rnascale_* metrics live in
@@ -181,50 +179,9 @@ func (e *AdmissionError) Error() string {
 	return fmt.Sprintf("gateway: admission rejected (%s)", e.Reason)
 }
 
-// RunRequest is the submission payload.
-type RunRequest struct {
-	// Profile is a built-in dataset profile name.
-	Profile string `json:"profile"`
-	// Assemblers lists the tools (default: core.DefaultConfig's ray,
-	// abyss and contrail); >1 enables MAMP.
-	Assemblers []string `json:"assemblers"`
-	// Scheme is "S1" or "S2" (default S2).
-	Scheme string `json:"scheme"`
-	// Pattern is "conventional", "static" or "dynamic" (default
-	// dynamic).
-	Pattern string `json:"pattern"`
-	// InstanceType fixes the flavour for static patterns.
-	InstanceType string `json:"instanceType"`
-	// ContrailNodes overrides the per-Contrail-job node count.
-	ContrailNodes int `json:"contrailNodes"`
-	// Evaluate scores the result against the synthetic ground truth.
-	Evaluate bool `json:"evaluate"`
-	// Faults is a deterministic fault-injection spec (see
-	// internal/faults), e.g. "crash:p=0.1,after=600;slowxfer:x=0.5".
-	// Empty disables injection.
-	Faults string `json:"faults,omitempty"`
-	// FaultSeed seeds the fault-injection PRNG; the same seed replays
-	// the same faults.
-	FaultSeed uint64 `json:"faultSeed,omitempty"`
-	// DeadlineSeconds is a virtual-time deadline for the run. Admission
-	// prices the run with the planner and rejects it up front when the
-	// predicted TTC cannot meet the deadline; an admitted run carries
-	// the deadline into the pipeline, which cancels remaining work at
-	// the cutoff. Zero means no deadline.
-	DeadlineSeconds float64 `json:"deadlineSeconds,omitempty"`
-	// MaxCostUSD rejects the run at admission when the predicted cloud
-	// bill exceeds it. Zero means no budget cap.
-	MaxCostUSD float64 `json:"maxCostUSD,omitempty"`
-	// RetryBudget caps run-wide unit retries (see core.Config). Zero
-	// means unlimited.
-	RetryBudget int `json:"retryBudget,omitempty"`
-	// Priority orders runs under brownout shedding: when the queue's
-	// head has waited past the shed watermark, the lowest-priority
-	// queued run is evicted to make room for a higher-priority
-	// arrival, and arrivals that are themselves lowest-priority are
-	// turned away. Higher is more important; default 0.
-	Priority int `json:"priority,omitempty"`
-}
+// RunRequest is the submission payload: the one run request, decoded
+// by core.Request.Config.
+type RunRequest = core.Request
 
 // RunStatus is the externally visible run state.
 type RunStatus string
@@ -525,9 +482,6 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 		out = append(out, profileView{Name: p.Name, Organism: p.Organism,
 			Reads: p.FullScale.Reads, Paired: p.FullScale.Paired})
 	}
-	tiny := simdata.Tiny()
-	out = append(out, profileView{Name: tiny.Name, Organism: tiny.Organism,
-		Reads: tiny.FullScale.Reads, Paired: tiny.FullScale.Paired})
 	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
 	writeJSON(w, http.StatusOK, out)
 }
@@ -986,85 +940,19 @@ func (s *Server) applyLocked(rn *run, ev event) error {
 	return nil
 }
 
-// buildConfig translates a request into a pipeline configuration and
-// dataset. The configuration carries a fresh span tree and metric
-// registry (cfg.Obs), so every run it prepares observes only itself.
+// buildConfig decodes a request and prepares its dataset. The
+// configuration carries a fresh span tree and metric registry
+// (cfg.Obs), so every run it prepares observes only itself.
 func buildConfig(req RunRequest) (core.Config, *simdata.Dataset, error) {
-	name := req.Profile
-	if name == "" {
-		name = "tiny"
-	}
-	var prof simdata.Profile
-	if name == "tiny" {
-		prof = simdata.Tiny()
-	} else {
-		p, ok := simdata.Profiles()[name]
-		if !ok {
-			return core.Config{}, nil, fmt.Errorf("gateway: unknown profile %q", name)
-		}
-		prof = p
+	cfg, prof, err := req.Config()
+	if err != nil {
+		return core.Config{}, nil, err
 	}
 	// Datasets are immutable through the pipeline, so every submission
 	// of the same profile shares one memoized generation.
 	ds, err := simdata.GenerateCached(prof)
 	if err != nil {
 		return core.Config{}, nil, err
-	}
-	cfg := core.DefaultConfig()
-	if len(req.Assemblers) > 0 {
-		cfg.Assemblers = req.Assemblers
-	}
-	for _, a := range cfg.Assemblers {
-		if _, err := assembler.Get(a); err != nil {
-			return core.Config{}, nil, err
-		}
-	}
-	switch strings.ToUpper(req.Scheme) {
-	case "", "S2":
-		cfg.Scheme = core.S2
-	case "S1":
-		cfg.Scheme = core.S1
-	default:
-		return core.Config{}, nil, fmt.Errorf("gateway: unknown scheme %q", req.Scheme)
-	}
-	switch strings.ToLower(req.Pattern) {
-	case "", "dynamic":
-		cfg.Pattern = core.DistributedDynamic
-	case "static":
-		cfg.Pattern = core.DistributedStatic
-	case "conventional":
-		cfg.Pattern = core.Conventional
-	default:
-		return core.Config{}, nil, fmt.Errorf("gateway: unknown pattern %q", req.Pattern)
-	}
-	if req.InstanceType != "" {
-		cfg.InstanceType = req.InstanceType
-	}
-	if req.ContrailNodes > 0 {
-		cfg.ContrailNodes = req.ContrailNodes
-	}
-	cfg.EvaluateAgainstTruth = req.Evaluate
-	if req.DeadlineSeconds < 0 {
-		return core.Config{}, nil, fmt.Errorf("gateway: negative deadline %v", req.DeadlineSeconds)
-	}
-	if req.MaxCostUSD < 0 {
-		return core.Config{}, nil, fmt.Errorf("gateway: negative cost budget %v", req.MaxCostUSD)
-	}
-	if req.RetryBudget < 0 {
-		return core.Config{}, nil, fmt.Errorf("gateway: negative retry budget %d", req.RetryBudget)
-	}
-	// An admitted deadline still rides into the pipeline: prediction
-	// error or injected faults can push a feasible run past its
-	// deadline mid-flight, and the run-level cutoff catches that.
-	cfg.Deadline = vclock.Duration(req.DeadlineSeconds)
-	cfg.RetryBudget = req.RetryBudget
-	if req.Faults != "" {
-		plan, err := faults.ParseSpec(req.Faults)
-		if err != nil {
-			return core.Config{}, nil, fmt.Errorf("gateway: %w", err)
-		}
-		cfg.FaultPlan = plan
-		cfg.FaultSeed = req.FaultSeed
 	}
 	cfg.Obs = obs.New()
 	return cfg, ds, nil

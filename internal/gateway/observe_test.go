@@ -189,6 +189,9 @@ func TestErrorBodiesAreJSON(t *testing.T) {
 		{"unknown assembler", func() *http.Response {
 			return post(`{"profile":"tiny","assemblers":["nope"]}`)
 		}, http.StatusBadRequest},
+		{"unknown instance type", func() *http.Response {
+			return post(`{"profile":"tiny","pattern":"static","instanceType":"bogus.huge"}`)
+		}, http.StatusBadRequest},
 		{"malformed JSON", func() *http.Response {
 			return post(`{"profile":`)
 		}, http.StatusBadRequest},

@@ -189,10 +189,11 @@ func BGlumaePaired() Profile {
 	return p
 }
 
-// Profiles lists every built-in profile by name.
+// Profiles lists every built-in profile by name, the test-size tiny
+// profile included.
 func Profiles() map[string]Profile {
 	out := map[string]Profile{}
-	for _, p := range []Profile{BGlumae(), PCrispa(), BGlumaePaired()} {
+	for _, p := range []Profile{BGlumae(), PCrispa(), BGlumaePaired(), Tiny()} {
 		out[p.Name] = p
 	}
 	return out

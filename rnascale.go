@@ -61,6 +61,8 @@ type (
 	Dataset = simdata.Dataset
 	// Profile describes a synthetic dataset generator.
 	Profile = simdata.Profile
+	// Request describes a run by name; Request.Config decodes it.
+	Request = core.Request
 )
 
 // Matching schemes (paper Fig. 5).
@@ -98,9 +100,6 @@ const (
 
 // LookupProfile resolves a profile by name.
 func LookupProfile(name ProfileName) (Profile, error) {
-	if name == ProfileTiny {
-		return simdata.Tiny(), nil
-	}
 	p, ok := simdata.Profiles()[string(name)]
 	if !ok {
 		return Profile{}, fmt.Errorf("rnascale: unknown profile %q", name)
@@ -169,11 +168,6 @@ const (
 // StageBackends assigns an execution backend to each pipeline stage
 // (Config.Backends). The zero value is all-on-demand.
 type StageBackends = core.StageBackends
-
-// ParseStageBackends parses a "PA=spot,PB=serverless,PC=od" list;
-// omitted stages stay on-demand, and a bare backend name applies to
-// every stage.
-func ParseStageBackends(s string) (StageBackends, error) { return core.ParseStageBackends(s) }
 
 // ExpandBackends crosses a base configuration with every per-stage
 // backend assignment drawn from the given set (all three backends when
