@@ -13,13 +13,15 @@ COVER_SPECS = internal/cloud:85 internal/pilot:80 internal/core:80
 # the tolerant journal opens against the strict reader, the journal
 # payload decoders against their encoders, the fault grammar against
 # its renderer, the stage-backend list against its rendering, the
-# seeded containment check against its reference, and the run request
-# decoder (the gateway's JSON body) against a JSON round trip.
+# seeded containment check against its reference, the run request
+# decoder (the gateway's JSON body) against a JSON round trip, and the
+# de Bruijn graph's one-probe-per-edge sweep against the eight-probe
+# reference.
 FUZZ_TARGETS = internal/seq:FuzzParseFasta internal/seq:FuzzParseFastq internal/seq:FuzzParseSFA \
 	internal/seq:FuzzForEachCanonical internal/assembler/contrail:FuzzParseRecord \
 	internal/journal:FuzzScan internal/journal:FuzzContinue internal/core:FuzzDecodePA internal/core:FuzzDecodePB \
 	internal/core:FuzzParseStageBackends internal/merge:FuzzDropContained internal/faults:FuzzParseSpec \
-	internal/core:FuzzRequestConfig
+	internal/core:FuzzRequestConfig internal/dbg:FuzzEdges
 FUZZ_TIME ?= 10s
 
 .PHONY: all build test vet lint lint-fixtures race cover fuzz-smoke sweep-determinism oracle-determinism journal-determinism overload-determinism check bench bench-gate bench-baseline bench-smoke size clean
@@ -112,12 +114,12 @@ endef
 ORACLE_FLAGS = -count=1 -cpu 1,2,8
 ORACLE_SPECS = internal/mapreduce:TestEngineMatchesReference \
 	internal/seq:MatchesReference|TestKmerTableMatchesMapModel \
-	internal/dbg:TestContigsIndependentOfInsertionOrder|TestEdgeBit|TestClipTipsLengthBoundary \
+	internal/dbg:TestContigsIndependentOfInsertionOrder|TestEdgeBit|TestClipTipsLengthBoundary|TestEdgesMatchEightProbeReference|TestTraversalOrderFromAscendingRun \
 	internal/merge:TestDropContainedMatchesReference \
 	internal/quant:TestAssignMatchesReference \
 	internal/detonate:TestEvaluateMatchesReference \
 	internal/sweep:TestRanges \
-	internal/assembler/mpidbg:TestPCrispaPins|TestOwnerCountsMatchReference|TestSharedSpectrumMatchesPrivate|TestMemoKeysSpectrumByReadsKAndRanks \
+	internal/assembler/mpidbg:TestPCrispaPins|TestOwnerCountsMatchReference|TestMergeOrdersTheSpectrum|TestSharedSpectrumMatchesPrivate|TestMemoKeysSpectrumByReadsKAndRanks \
 	internal/journal:TestScanMatchesReference \
 	internal/core:TestStageBracketPins|TestRetriedUnitAssemblesOnce|TestStoreManifest|TestResumeOfCompleteJournalAssemblesNothing|TestResumeAssemblesOnlyUnjournaledUnits|TestCutoffMidPBBoundsAssembles|TestRunLeavesNoGoroutines|TestAssemblies|TestPlanPins|TestPredictRunsNothing|TestPredictTracksRun|TestJournalPayloadRoundTrip|TestResumedReadsAreReadOnly
 

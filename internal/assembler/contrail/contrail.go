@@ -184,29 +184,15 @@ func (ct *Contrail) Assemble(req assembler.Request) (assembler.Result, error) {
 		return assembler.Result{}, err
 	}
 
-	// --- Job 2: coverage filter ---
-	minCov := int64(p.MinCoverage)
-	filter := mapreduce.Job{
-		Name:        "contrail-filter",
-		NumReducers: req.Nodes * req.CoresPerNode,
-		Map: func(kv mapreduce.KV, emit func(mapreduce.KV)) {
-			rec, err := parseRecord(kv.Value)
-			if err != nil || rec.count < minCov {
-				return
-			}
-			emit(kv)
-		},
-		Reduce: passThroughReduce,
-	}
-
-	// --- Jobs 3..R+2: coin-flip chain compression ---
+	// --- Jobs 1..R+2: build, coverage filter, R rounds of coin-flip chain compression ---
 	rounds := ct.CompressionRounds
 	if rounds <= 0 {
 		rounds = defaultRounds
 	}
-	jobs := []mapreduce.Job{buildJob(k, req.Nodes*req.CoresPerNode), filter}
+	reducers := req.Nodes * req.CoresPerNode
+	jobs := []mapreduce.Job{buildJob(k, reducers), filterJob(int64(p.MinCoverage), reducers)}
 	for r := 0; r < rounds; r++ {
-		jobs = append(jobs, compressionJob(k, r, req.Nodes*req.CoresPerNode))
+		jobs = append(jobs, compressionJob(k, r, reducers))
 	}
 
 	out, elapsed, err := engine.RunChain(jobs, input)
@@ -336,6 +322,22 @@ func buildJob(k, reducers int) mapreduce.Job {
 			}
 			emit(mapreduce.KV{Key: key, Value: merged.marshal()})
 		},
+	}
+}
+
+// filterJob is the second job of the chain: the coverage cutoff.
+func filterJob(minCov int64, reducers int) mapreduce.Job {
+	return mapreduce.Job{
+		Name:        "contrail-filter",
+		NumReducers: reducers,
+		Map: func(kv mapreduce.KV, emit func(mapreduce.KV)) {
+			rec, err := parseRecord(kv.Value)
+			if err != nil || rec.count < minCov {
+				return
+			}
+			emit(kv)
+		},
+		Reduce: passThroughReduce,
 	}
 }
 

@@ -285,3 +285,88 @@ func TestBGlumaePins(t *testing.T) {
 		t.Errorf("contigs digest %s, want %s", got, bglumaeContigsSHA256)
 	}
 }
+
+// roundRecords is the per-round instrument of the compression chain:
+// how many records a round takes in, the k-mer positions they hold,
+// Σ len(seq) − (k−1)·records (a merge of two records keeps it), and
+// how many of their seqs start with the "NODE " tag.
+type roundRecords struct {
+	records, kmers, tagged int
+}
+
+func measureRound(t *testing.T, k int, kvs []mapreduce.KV) roundRecords {
+	t.Helper()
+	var m roundRecords
+	for _, kv := range kvs {
+		rec, err := parseRecord(kv.Value)
+		if err != nil {
+			t.Fatalf("unparsable record %q: %v", kv.Value, err)
+		}
+		m.records++
+		m.kmers += len(rec.seq) - (k - 1)
+		if strings.HasPrefix(rec.seq, "NODE ") {
+			m.tagged++
+		}
+	}
+	return m
+}
+
+// The compression rounds as shipped merge in round 0 only. Every
+// record a round emits carries a "NODE " tag that the next round's map
+// does not strip, so from round 1 on every record's seq starts with the
+// tag, no anchor matches, and the record count never drops again: the
+// finalize job's graph pass does all the joining. Every round keeps
+// the k-mer positions but for the tag, 5 bytes more per record. This
+// pins that behaviour on the tiny profile; the fix turns it into the
+// conservation law.
+func TestCompressionRoundsAfterTheFirstMergeNothing(t *testing.T) {
+	ds, err := simdata.Generate(simdata.Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cleaned, _ := preprocess.Run(ds.Reads, preprocess.DefaultOptions())
+	var input []mapreduce.KV
+	for _, r := range cleaned.Reads {
+		if seq.CountN(r.Seq) == 0 {
+			input = append(input, mapreduce.KV{Key: r.ID, Value: string(r.Seq)})
+		}
+	}
+	const k, reducers = 25, 4
+	e, err := mapreduce.NewEngine(mapreduce.DefaultConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(job mapreduce.Job, in []mapreduce.KV) []mapreduce.KV {
+		res, err := e.Run(job, in)
+		if err != nil {
+			t.Fatalf("%s: %v", job.Name, err)
+		}
+		return res.Output
+	}
+	out := run(filterJob(2, reducers), run(buildJob(k, reducers), input))
+	// rounds[r] is what compression round r takes in; the last entry
+	// is what the finalize job gets.
+	rounds := []roundRecords{measureRound(t, k, out)}
+	for r := 0; r < defaultRounds; r++ {
+		out = run(compressionJob(k, r, reducers), out)
+		rounds = append(rounds, measureRound(t, k, out))
+	}
+	for r, m := range rounds {
+		t.Logf("round %d takes in %d records, %d k-mer positions, %d tagged", r, m.records, m.kmers, m.tagged)
+	}
+	if rounds[0].records == 0 || rounds[0].tagged != 0 {
+		t.Fatalf("round 0 takes in %d records, %d of them tagged; want some, none tagged", rounds[0].records, rounds[0].tagged)
+	}
+	for r := 1; r < len(rounds); r++ {
+		cur, prev := rounds[r], rounds[r-1]
+		if cur.tagged != cur.records {
+			t.Errorf("round %d: %d of %d records start with the NODE tag, want all", r, cur.tagged, cur.records)
+		}
+		if r >= 2 && cur.records < prev.records {
+			t.Errorf("round %d merged: %d records after %d", r-1, cur.records, prev.records)
+		}
+		if want := prev.kmers + 5*cur.records; cur.kmers != want {
+			t.Errorf("round %d: %d k-mer positions, want %d: round %d's %d and one tag per record", r, cur.kmers, want, r-1, prev.kmers)
+		}
+	}
+}

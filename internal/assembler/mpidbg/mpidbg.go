@@ -9,7 +9,10 @@
 //  2. an all-to-all exchange, timed as the routing of those counts,
 //     ends the counting, and each rank hands over its owner's part of
 //     the spectrum;
-//  3. the parts are gathered, and rank 0 applies the coverage cutoff,
+//  3. the parts are gathered, and rank 0 merges them, each already
+//     sorted by key, into one ascending stream, applies the coverage
+//     cutoff and adds the k-mers in that order, so the graph keeps its
+//     traversal order as they land and never sorts it; then it
 //     simplifies the graph and walks it into contigs (the serial phase
 //     that, together with the exchange, limits MPI assemblers'
 //     scale-out in the paper's Fig. 3).
@@ -224,6 +227,45 @@ func (o *owners) survivors(owner int, minCov uint32) []kmerCount {
 	return out
 }
 
+// merge calls fn for every k-mer of parts in ascending order. Each part
+// is sorted by key and no k-mer is in two, as the owners' parts of a
+// spectrum are. It keeps the parts' remainders in a min-heap by their
+// first k-mer, and reads the parts without changing them.
+func merge(parts [][]kmerCount, fn func(kmerCount)) {
+	h := make([][]kmerCount, 0, len(parts))
+	for _, p := range parts {
+		if len(p) > 0 {
+			h = append(h, p)
+		}
+	}
+	down := func(i int) {
+		for {
+			least := i
+			for _, c := range [2]int{2*i + 1, 2*i + 2} {
+				if c < len(h) && h[c][0].km.Less(h[least][0].km) {
+					least = c
+				}
+			}
+			if least == i {
+				return
+			}
+			h[i], h[least] = h[least], h[i]
+			i = least
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for len(h) > 0 {
+		fn(h[0][0])
+		if h[0] = h[0][1:]; len(h[0]) == 0 {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		down(0)
+	}
+}
+
 // spectra counts spectrum calls, so tests can see how many a memo saved.
 var spectra atomic.Int64
 
@@ -343,13 +385,16 @@ func Run(req assembler.Request, info assembler.Info, prof Profile) (assembler.Re
 		c.AlltoAll(make([]any, size), bytes)
 
 		// Phase 3: gather every owner's part of the spectrum; rank 0
-		// applies the coverage cutoff, simplifies and walks.
+		// adds them in key order at the coverage cutoff, simplifies and
+		// walks.
 		survivorBytes := int64(assembler.DistinctKmers(req.FullScale) * 18 / float64(size))
 		all := c.AllGather(spec[c.Rank()], survivorBytes)
 		if c.Rank() == 0 {
+			parts := make([][]kmerCount, len(all))
 			gathered := 0
-			for _, part := range all {
-				for _, kc := range part.([]kmerCount) {
+			for i, part := range all {
+				parts[i] = part.([]kmerCount)
+				for _, kc := range parts[i] {
 					if kc.n >= minCov {
 						gathered++
 					}
@@ -359,13 +404,11 @@ func Run(req assembler.Request, info assembler.Info, prof Profile) (assembler.Re
 			if gerr != nil {
 				return gerr
 			}
-			for _, part := range all {
-				for _, kc := range part.([]kmerCount) {
-					if kc.n >= minCov {
-						g.AddCount(kc.km, kc.n)
-					}
+			merge(parts, func(kc kmerCount) {
+				if kc.n >= minCov {
+					g.AddCount(kc.km, kc.n)
 				}
-			}
+			})
 			c.ComputeUnits(serialUnits, prof.BasesPerCoreSecond)
 			contigs = g.Contigs(prof.Prefix, p.MinContigLen)
 		}

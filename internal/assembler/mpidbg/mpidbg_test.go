@@ -151,6 +151,45 @@ func TestOwnerCountsMatchReference(t *testing.T) {
 	}
 }
 
+// Rank 0's merge of the owners' parts yields every k-mer of the
+// spectrum once, in ascending order — what the sorted concatenation of
+// the parts gives — and leaves the parts, which a memo may share, as
+// they were: at 1 to 16 owners, some of them empty, and at none.
+func TestMergeOrdersTheSpectrum(t *testing.T) {
+	ds, err := simdata.Generate(simdata.Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	coder := seq.MustKmerCoder(25)
+	merged := func(parts [][]kmerCount) []kmerCount {
+		var out []kmerCount
+		merge(parts, func(kc kmerCount) { out = append(out, kc) })
+		return out
+	}
+	for _, ranks := range []int{1, 2, 3, 8, 16} {
+		for _, floor := range []int{1, 3, 40} {
+			spec := spectrum(ds.Reads.Reads[:len(ds.Reads.Reads)/(floor*floor)], coder, ranks, floor)
+			var want []kmerCount
+			kept := make([][]kmerCount, len(spec))
+			for d, part := range spec {
+				want = append(want, part...)
+				kept[d] = slices.Clone(part)
+			}
+			slices.SortFunc(want, func(a, b kmerCount) int { return a.km.Compare(b.km) })
+			if got := merged(spec); !slices.Equal(got, want) {
+				t.Fatalf("ranks=%d floor=%d: merge gives %d k-mers, the sorted parts %d, or another order",
+					ranks, floor, len(got), len(want))
+			}
+			if !reflect.DeepEqual(spec, kept) {
+				t.Fatalf("ranks=%d floor=%d: merge changed the parts", ranks, floor)
+			}
+		}
+	}
+	if got := merged(nil); got != nil {
+		t.Errorf("merge of no parts gave %d k-mers", len(got))
+	}
+}
+
 // One memo hands each request the spectrum of its own reads, k and
 // rank count: read sets that share a first read or a length, ks and
 // rank counts each get their own, counted once.

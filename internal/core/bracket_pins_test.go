@@ -130,7 +130,10 @@ func unitEnds(rep *Report, substr string) (first, last vclock.Time) {
 }
 
 // wantReleased asserts a run left nothing behind: no VM still running,
-// and every pilot, pseudo-pilot and unit in the state store final.
+// every pilot, pseudo-pilot and unit in the state store final, and
+// every span of the trace ended, not before it started, and started no
+// earlier than its parent. (A child may still end after its parent:
+// the PA pilot's span outlives the PA stage's on most pinned runs.)
 func wantReleased(pl *Pipeline) error {
 	if vms := pl.Provider().Running(); len(vms) > 0 {
 		return fmt.Errorf("%d VMs still running, first %s", len(vms), vms[0].ID)
@@ -151,6 +154,30 @@ func wantReleased(pl *Pipeline) error {
 		}
 		if !final {
 			return fmt.Errorf("%s %s left in %s", e.Kind, id, e.To)
+		}
+	}
+	var walk func(s *obs.Span) error
+	walk = func(s *obs.Span) error {
+		if !s.Ended() {
+			return fmt.Errorf("%s span %s started at %v never ended", s.Kind, s.Name, s.Start)
+		}
+		if end := s.EndTime(); end < s.Start {
+			return fmt.Errorf("%s span %s ends at %v, before it starts at %v", s.Kind, s.Name, end, s.Start)
+		}
+		for _, c := range s.Children() {
+			if c.Start < s.Start {
+				return fmt.Errorf("%s span %s starts at %v, before its parent %s span %s at %v",
+					c.Kind, c.Name, c.Start, s.Kind, s.Name, s.Start)
+			}
+			if err := walk(c); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, root := range pl.Obs().Tracer.Roots() {
+		if err := walk(root); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -23,13 +23,20 @@ import (
 // Graph is a canonical-k-mer De Bruijn graph.
 type Graph struct {
 	coder seq.KmerCoder
-	nodes *seq.KmerTable // canonical k-mer -> coverage
+	nodes seq.KmerTable // canonical k-mer -> coverage
 	// order lists the slots of nodes in canonical k-mer order, the
-	// order PopBubbles and Unitigs visit them in. The first traversal
-	// builds it and the rest reuse it: deleting a k-mer leaves it valid
-	// (traversals skip slots whose key is gone), adding a new one may
-	// move every key to another slot and drops it.
+	// order PopBubbles and Unitigs visit them in. Deleting a k-mer
+	// leaves it valid (traversals skip slots whose key is gone). While
+	// the k-mers arrive in ascending order into a table that has
+	// neither grown nor lost one (mpidbg's rank 0 adds its merged
+	// spectrum so), AddCount keeps it from the slots they land in and
+	// no traversal sorts. Any other new k-mer ends that run and drops
+	// order, and the first traversal after sorts the table's k-mers
+	// into it, as every traversal of a graph filled unsorted does.
 	order []int32
+	// run counts the k-mers of that ascending run, or is -1 once it
+	// has ended; tail is the slot of its last k-mer.
+	run, tail int32
 	// adj holds one byte of edge bits per slot of nodes, for the
 	// canonical k-mer in the slot: bit b says that appending base b
 	// (seq's 2-bit code) gives a k-mer the graph holds, bit 4+b that
@@ -50,7 +57,7 @@ func NewSized(k, n int) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Graph{coder: coder, nodes: seq.NewKmerTable(n)}, nil
+	return &Graph{coder: coder, nodes: *seq.NewKmerTable(n)}, nil
 }
 
 // K reports the k-mer size.
@@ -74,9 +81,41 @@ func (g *Graph) AddRead(read []byte) {
 // AddCount merges an externally-counted canonical k-mer (used by the
 // distributed assemblers, whose ranks count partitions separately).
 func (g *Graph) AddCount(canonical seq.Kmer, count uint32) {
-	if g.nodes.Add(canonical, count) {
-		g.order, g.adj = nil, nil
+	slots := g.nodes.Slots()
+	slot, inserted := g.nodes.Add(canonical, count)
+	if !inserted {
+		return
 	}
+	g.adj = nil
+	if g.run < 0 || g.nodes.Slots() != slots || g.run > 0 && !g.key(int(g.tail)).Less(canonical) {
+		g.order, g.run = nil, -1
+		return
+	}
+	g.run++
+	g.tail = int32(slot)
+	switch {
+	case g.run == runStart:
+		// The table holds exactly the run's k-mers: one pass finds
+		// their slots, and order gets room for every k-mer the table
+		// takes before it grows (it keeps a quarter of its slots empty).
+		g.order = make([]int32, 0, g.nodes.Slots()-g.nodes.Slots()/4)
+		g.nodes.Each(func(slot int, _ seq.Kmer, _ uint32) { g.order = append(g.order, int32(slot)) })
+		slices.SortFunc(g.order, func(a, b int32) int { return g.key(int(a)).Compare(g.key(int(b))) })
+	case g.run > runStart:
+		g.order = append(g.order, int32(slot))
+	}
+}
+
+// runStart is how long an ascending run grows before order records it.
+// An order costs an allocation, and k-mers that arrive in read or hash
+// order break a run within a few k-mers, so until then it is counted,
+// not recorded.
+const runStart = 16
+
+// key returns the k-mer held in a slot.
+func (g *Graph) key(slot int) seq.Kmer {
+	km, _, _ := g.nodes.At(slot)
+	return km
 }
 
 // Coverage reports a canonical k-mer's count (0 if absent).
@@ -116,10 +155,12 @@ func (g *Graph) DropBelow(min uint32) {
 	})
 }
 
-// sorted returns the traversal order, building it if no traversal has
-// since the last new k-mer.
+// sorted returns the traversal order, sorting the k-mers into it if
+// neither an ascending run nor a traversal since the last new k-mer has
+// left one.
 func (g *Graph) sorted() []int32 {
 	if g.order == nil {
+		g.run = -1
 		// Sorting the k-mers beside their slots keeps the comparisons
 		// off the table.
 		type entry struct {
@@ -141,39 +182,67 @@ func (g *Graph) sorted() []int32 {
 const bases = "ACGT"
 
 // edges builds the adjacency bytes if no traversal has since the last
-// new k-mer: the one sweep that asks the table about all eight possible
-// neighbours of every k-mer.
+// new k-mer: the one sweep that asks the table about each edge once.
+// Of the eight possible neighbours of a k-mer it asks about those whose
+// canonical form is not below the k-mer's, and sets the edge's bit on
+// both ends; the sweep over each smaller neighbour sets the rest.
 func (g *Graph) edges() {
 	if g.adj != nil {
 		return
 	}
 	g.adj = make([]byte, g.nodes.Slots())
-	has := func(km seq.Kmer) bool {
-		canon, _ := g.coder.Canonical(km)
-		return g.nodes.Find(canon) >= 0
-	}
 	g.nodes.Each(func(slot int, km seq.Kmer, _ uint32) {
-		var a byte
+		// A neighbour's reverse complement is one shift of km's: the
+		// complement of the base km gains, at the other end.
+		rc := g.coder.ReverseComplement(km)
+		first, last := int(g.coder.BaseAt(km, 0)), int(g.coder.BaseAt(km, g.coder.K-1))
 		for b := 0; b < 4; b++ {
-			if next, _ := g.coder.Next(km, bases[b]); has(next) {
-				a |= 1 << b
-			}
-			if prev, _ := g.coder.Prev(km, bases[b]); has(prev) {
-				a |= 16 << b
-			}
+			next, _ := g.coder.Next(km, bases[b])
+			nextRC, _ := g.coder.Prev(rc, bases[3-b])
+			g.link(slot, km, 1<<b, next, nextRC, 4+first)
+			prev, _ := g.coder.Prev(km, bases[b])
+			prevRC, _ := g.coder.Next(rc, bases[3-b])
+			g.link(slot, km, 16<<b, prev, prevRC, last)
 		}
-		g.adj[slot] = a
 	})
+}
+
+// link sets the edge between the canonical k-mer km in slot and its
+// neighbour nb (reverse complement nbRC) if the graph holds nb and nb's
+// canonical form is not below km: bit on km's side, and on nb's the bit
+// numbered back as the oriented nb reads it, as clearEdge clears it.
+func (g *Graph) link(slot int, km seq.Kmer, bit byte, nb, nbRC seq.Kmer, back int) {
+	canon := nb
+	if nbRC.Less(nb) {
+		canon = nbRC
+	}
+	if canon.Less(km) {
+		return
+	}
+	other := g.nodes.Find(canon)
+	if other < 0 {
+		return
+	}
+	g.adj[slot] |= bit
+	if !nbRC.Less(nb) {
+		g.adj[other] |= 1 << back
+	}
+	if !nb.Less(nbRC) {
+		g.adj[other] |= 1 << (7 - back)
+	}
 }
 
 // remove deletes the k-mer held in slot, if one still is, and clears
 // the edge bits its neighbours hold for it. Every deletion goes through
-// here, which is what keeps adj exact once built.
+// here, which is what keeps adj exact once built. It ends an ascending
+// run: the tombstone it leaves may make the next insertion re-lay the
+// table without growing it.
 func (g *Graph) remove(slot int) bool {
 	km, _, ok := g.nodes.At(slot)
 	if !ok {
 		return false
 	}
+	g.run = -1
 	if g.adj != nil {
 		// To the k-mer one base on, km is the neighbour reached by
 		// prepending km's first base; to the one one base back, by

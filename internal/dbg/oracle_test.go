@@ -231,25 +231,88 @@ func twins(t *testing.T, k int, reads [][]byte) (g, ref *Graph) {
 	return pair[0], pair[1]
 }
 
+// referenceEdges is the sweep edges was before it asked about each
+// edge once: all eight possible neighbours of every k-mer, each one
+// canonicalised and looked up on its own.
+func referenceEdges(g *Graph) []byte {
+	adj := make([]byte, g.nodes.Slots())
+	has := func(km seq.Kmer) bool { return refSlotOf(g, km) >= 0 }
+	g.nodes.Each(func(slot int, km seq.Kmer, _ uint32) {
+		var a byte
+		for b := 0; b < 4; b++ {
+			if next, _ := g.coder.Next(km, bases[b]); has(next) {
+				a |= 1 << b
+			}
+			if prev, _ := g.coder.Prev(km, bases[b]); has(prev) {
+				a |= 16 << b
+			}
+		}
+		adj[slot] = a
+	})
+	return adj
+}
+
+// referenceSorted is the sort every traversal order came from before
+// ascending runs: the k-mers present, sorted beside their slots.
+func referenceSorted(g *Graph) []int32 {
+	type entry struct {
+		km   seq.Kmer
+		slot int32
+	}
+	var entries []entry
+	g.nodes.Each(func(slot int, km seq.Kmer, _ uint32) { entries = append(entries, entry{km, int32(slot)}) })
+	slices.SortFunc(entries, func(a, b entry) int { return a.km.Compare(b.km) })
+	order := make([]int32, len(entries))
+	for i, e := range entries {
+		order[i] = e.slot
+	}
+	return order
+}
+
+// checkEdges asserts adj, as given, equals the eight-probe reference
+// over the k-mers g holds.
+func checkEdges(t *testing.T, g *Graph, adj []byte, what string) {
+	t.Helper()
+	want := referenceEdges(g)
+	if bytes.Equal(adj, want) {
+		return
+	}
+	for s := range want {
+		if adj[s] != want[s] {
+			km, _, ok := g.nodes.At(s)
+			t.Fatalf("%s: slot %d (%s, live %v) has edge byte %08b, the eight-probe reference %08b",
+				what, s, g.coder.String(km), ok, adj[s], want[s])
+		}
+	}
+}
+
+// checkOrder asserts the traversal order, less the slots whose k-mer is
+// gone, equals the reference sort.
+func checkOrder(t *testing.T, g *Graph, what string) {
+	t.Helper()
+	var live []int32
+	for _, slot := range g.sorted() {
+		if _, _, ok := g.nodes.At(int(slot)); ok {
+			live = append(live, slot)
+		}
+	}
+	if want := referenceSorted(g); !slices.Equal(live, want) {
+		t.Fatalf("%s: traversal order %v, the reference sort %v", what, live, want)
+	}
+}
+
 // checkAdjExact asserts the adjacency bytes deletions have been
-// maintaining equal a from-scratch rebuild over the surviving k-mers.
+// maintaining, and a from-scratch rebuild over the surviving k-mers,
+// both equal the eight-probe reference.
 func checkAdjExact(t *testing.T, g *Graph, after string) {
 	t.Helper()
 	if g.adj == nil {
 		return
 	}
-	kept := append([]byte(nil), g.adj...)
+	checkEdges(t, g, g.adj, "maintained after "+after)
 	g.adj = nil
 	g.edges()
-	if !bytes.Equal(kept, g.adj) {
-		for s := range kept {
-			if kept[s] != g.adj[s] {
-				km, _, ok := g.nodes.At(s)
-				t.Fatalf("after %s: slot %d (%s, live %v) has edge byte %08b, a rebuild gives %08b",
-					after, s, g.coder.String(km), ok, kept[s], g.adj[s])
-			}
-		}
-	}
+	checkEdges(t, g, g.adj, "rebuilt after "+after)
 }
 
 // checkSameNodes asserts both graphs hold the same k-mers and counts.
@@ -433,4 +496,232 @@ func TestEdgeBitsDroppedOnInsert(t *testing.T) {
 		t.Errorf("%d unitigs before the new k-mer, %d after; want one more", before, got)
 	}
 	checkAdjExact(t, g, "rebuild")
+}
+
+// randomReads shreds a random genome over alphabet into reads on both
+// strands, some with a substituted base (tips and bubbles) or an N.
+func randomReads(rng *rand.Rand, alphabet string, k int) [][]byte {
+	genome := make([]byte, 40+rng.Intn(160))
+	for i := range genome {
+		genome[i] = alphabet[rng.Intn(len(alphabet))]
+	}
+	var reads [][]byte
+	readLen := 2*k + 6
+	for s := 0; s+readLen <= len(genome); s += 1 + rng.Intn(3) {
+		r := append([]byte(nil), genome[s:s+readLen]...)
+		switch rng.Intn(6) {
+		case 0:
+			r[rng.Intn(len(r))] = "ACGT"[rng.Intn(4)]
+		case 1:
+			r = seq.ReverseComplement(r)
+		case 2:
+			r[rng.Intn(len(r))] = 'N'
+		}
+		reads = append(reads, r)
+	}
+	return reads
+}
+
+// spectrumOf counts the reads' canonical k-mers and returns them with
+// their counts in ascending order.
+func spectrumOf(t *testing.T, k int, reads [][]byte) (kmers []seq.Kmer, counts []uint32) {
+	t.Helper()
+	g, err := New(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range reads {
+		g.AddRead(r)
+	}
+	for _, slot := range referenceSorted(g) {
+		km, c, _ := g.nodes.At(int(slot))
+		kmers, counts = append(kmers, km), append(counts, c)
+	}
+	return kmers, counts
+}
+
+// fills are the three ways a graph gets its k-mers: read by read (the
+// sort), ascending into a table sized for them (the order kept as they
+// land), and ascending into a table that grows on the way (the sort
+// again).
+var fills = []struct {
+	name string
+	fill func(t *testing.T, k int, reads [][]byte) *Graph
+}{
+	{"read by read", func(t *testing.T, k int, reads [][]byte) *Graph {
+		g, _ := New(k)
+		for _, r := range reads {
+			g.AddRead(r)
+		}
+		return g
+	}},
+	{"ascending, sized", func(t *testing.T, k int, reads [][]byte) *Graph {
+		kmers, counts := spectrumOf(t, k, reads)
+		g, _ := NewSized(k, len(kmers))
+		for i, km := range kmers {
+			g.AddCount(km, counts[i])
+		}
+		return g
+	}},
+	{"ascending, growing", func(t *testing.T, k int, reads [][]byte) *Graph {
+		kmers, counts := spectrumOf(t, k, reads)
+		g, _ := New(k)
+		for i, km := range kmers {
+			g.AddCount(km, counts[i])
+		}
+		return g
+	}},
+}
+
+// Seeded random graphs over one-, two- and four-letter alphabets, at
+// odd and even k: even k admits palindromic k-mers and k-mers that
+// neighbour their own reverse complement, and a small alphabet makes
+// them and self-loops common. However the graph was filled, its edge
+// bytes equal the eight-probe reference's and its traversal order the
+// reference sort's, after the build and after each round of deletions,
+// and the unitigs do not depend on the fill.
+func TestEdgesMatchEightProbeReference(t *testing.T) {
+	for _, k := range []int{1, 2, 3, 4, 5, 6, 9, 16, 31} {
+		for _, alphabet := range []string{"A", "AT", "AC", "ACGT"} {
+			for seed := int64(0); seed < 4; seed++ {
+				t.Run(fmt.Sprintf("k%d/%s/seed%d", k, alphabet, seed), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(100*int64(k) + 10*int64(len(alphabet)) + seed))
+					reads := randomReads(rng, alphabet, k)
+					var want []Unitig
+					for i, f := range fills {
+						g := f.fill(t, k, reads)
+						checkOrder(t, g, f.name+", build")
+						g.edges()
+						checkEdges(t, g, g.adj, f.name+", build")
+						g.ClipTips(k, 3)
+						checkEdges(t, g, g.adj, f.name+", ClipTips")
+						checkOrder(t, g, f.name+", ClipTips")
+						g.PopBubbles(2*k + 10)
+						checkEdges(t, g, g.adj, f.name+", PopBubbles")
+						checkOrder(t, g, f.name+", PopBubbles")
+						got := g.Unitigs(0)
+						if i == 0 {
+							want = got
+						} else if !slices.EqualFunc(got, want, func(a, b Unitig) bool {
+							return bytes.Equal(a.Seq, b.Seq) && a.MeanCoverage == b.MeanCoverage && a.Kmers == b.Kmers
+						}) {
+							t.Fatalf("%s: unitigs differ from %s's", f.name, fills[0].name)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// A graph filled in ascending order into a table that does not grow
+// keeps its traversal order as the k-mers land: the first traversal
+// finds it built, in the one allocation made for it, and sorts
+// nothing. A k-mer out of order, a growth of the table or an insertion
+// after a deletion ends the run and drops the order, and the next
+// traversal sorts; a run too short to record, or a fill in no order,
+// allocates none.
+func TestTraversalOrderFromAscendingRun(t *testing.T) {
+	const k = 21
+	rng := rand.New(rand.NewSource(7))
+	kmers, counts := spectrumOf(t, k, [][]byte{[]byte(randomSeqStr(rng, 600))})
+	n := len(kmers)
+	add := func(g *Graph, idx ...int) {
+		for _, i := range idx {
+			g.AddCount(kmers[i], counts[i])
+		}
+	}
+	upTo := func(lo, hi int) []int {
+		var idx []int
+		for i := lo; i < hi; i++ {
+			idx = append(idx, i)
+		}
+		return idx
+	}
+	sized := func() *Graph { g, _ := NewSized(k, n); return g }
+
+	t.Run("ascending into a sized table", func(t *testing.T) {
+		g := sized()
+		add(g, upTo(0, runStart)...)
+		if g.order == nil {
+			t.Fatalf("a run of %d k-mers recorded no order", runStart)
+		}
+		first := &g.order[0]
+		add(g, upTo(runStart, n)...)
+		if &g.order[0] != first {
+			t.Error("the order was reallocated while the run grew")
+		}
+		if got := g.sorted(); &got[0] != first {
+			t.Error("the first traversal sorted a graph filled in ascending order")
+		}
+		checkOrder(t, g, "ascending fill")
+		// A traversal leaves the run open: more k-mers above the last
+		// still join the order.
+		g2 := sized()
+		add(g2, upTo(0, n/2)...)
+		g2.Unitigs(0)
+		add(g2, upTo(n/2, n)...)
+		if g2.order == nil || &g2.order[0] != &g2.sorted()[0] {
+			t.Error("k-mers added in order after a traversal dropped the order")
+		}
+		checkOrder(t, g2, "ascending fill around a traversal")
+	})
+	t.Run("a k-mer out of order", func(t *testing.T) {
+		g := sized()
+		add(g, upTo(0, n/2)...)
+		add(g, upTo(n/2+1, n)...)
+		add(g, n/2)
+		if g.order != nil {
+			t.Fatal("a k-mer below the last kept the order")
+		}
+		checkOrder(t, g, "out-of-order insert")
+	})
+	t.Run("a table growth", func(t *testing.T) {
+		g, _ := New(k)
+		slots := g.nodes.Slots()
+		i := 0
+		for ; g.nodes.Slots() == slots; i++ {
+			add(g, i)
+		}
+		if g.order != nil {
+			t.Fatalf("the table grew at k-mer %d and kept the order", i)
+		}
+		add(g, upTo(i, n)...)
+		if g.order != nil {
+			t.Fatal("k-mers added in order after a growth rebuilt the order")
+		}
+		checkOrder(t, g, "growth")
+	})
+	t.Run("an insertion after a deletion", func(t *testing.T) {
+		g := sized()
+		add(g, upTo(0, n/2)...)
+		g.remove(g.nodes.Find(kmers[3]))
+		if g.order == nil {
+			t.Fatal("a deletion dropped the order")
+		}
+		checkOrder(t, g, "deletion")
+		add(g, upTo(n/2, n)...)
+		if g.order != nil {
+			t.Fatal("an insertion after a deletion kept the order")
+		}
+		checkOrder(t, g, "insertion after a deletion")
+	})
+	t.Run("a short run", func(t *testing.T) {
+		g := sized()
+		add(g, upTo(0, runStart-1)...)
+		if g.order != nil {
+			t.Fatalf("a run of %d k-mers allocated an order", runStart-1)
+		}
+		checkOrder(t, g, "short run")
+	})
+	t.Run("no order", func(t *testing.T) {
+		g := sized()
+		for _, i := range rng.Perm(n) {
+			add(g, i)
+			if g.order != nil {
+				t.Fatalf("k-mers in shuffled order allocated an order, at k-mer %d", i)
+			}
+		}
+		checkOrder(t, g, "shuffled fill")
+	})
 }

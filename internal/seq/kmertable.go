@@ -59,10 +59,10 @@ func (t *KmerTable) Len() int { return t.live }
 // Find, At and Each deal in is in [0, Slots()).
 func (t *KmerTable) Slots() int { return len(t.keys) }
 
-// Add adds n to km's count, inserting km with count n if it is absent,
-// and reports whether it inserted — the only operation that can move
-// keys to other slots.
-func (t *KmerTable) Add(km Kmer, n uint32) bool {
+// Add adds n to km's count, inserting km with count n if it is absent.
+// It returns km's slot and reports whether it inserted — the only
+// operation that can move keys to other slots.
+func (t *KmerTable) Add(km Kmer, n uint32) (slot int, inserted bool) {
 	if !isKey(km) {
 		panic("seq: KmerTable key uses the reserved bit pattern")
 	}
@@ -71,7 +71,7 @@ func (t *KmerTable) Add(km Kmer, n uint32) bool {
 		switch t.keys[i] {
 		case km:
 			t.vals[i] += n
-			return false
+			return i, false
 		case emptySlot:
 			if 4*(t.used+1) > 3*len(t.keys) {
 				t.rehash(t.live + 1) // doubles, unless tombstones filled it
@@ -80,7 +80,7 @@ func (t *KmerTable) Add(km Kmer, n uint32) bool {
 			t.keys[i], t.vals[i] = km, n
 			t.live++
 			t.used++
-			return true
+			return i, true
 		}
 	}
 }

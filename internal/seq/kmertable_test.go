@@ -70,8 +70,12 @@ func TestKmerTableMatchesMapModel(t *testing.T) {
 					n := uint32(1 + rng.Intn(9))
 					_, had := model[km]
 					model[km] += n
-					if tab.Add(km, n) == had {
+					slot, inserted := tab.Add(km, n)
+					if inserted == had {
 						t.Fatalf("Add(%v) reported inserted=%v, model had it: %v", km, !had, had)
+					}
+					if found := tab.Find(km); slot != found {
+						t.Fatalf("Add(%v) returned slot %d, Find gives %d", km, slot, found)
 					}
 					if !had {
 						clear(slots) // an insertion may move every key
