@@ -120,6 +120,7 @@ ORACLE_SPECS = internal/mapreduce:TestEngineMatchesReference \
 	internal/detonate:TestEvaluateMatchesReference \
 	internal/sweep:TestRanges \
 	internal/assembler/mpidbg:TestPCrispaPins|TestOwnerCountsMatchReference|TestMergeOrdersTheSpectrum|TestSharedSpectrumMatchesPrivate|TestMemoKeysSpectrumByReadsKAndRanks \
+	internal/assembler/all:TestEstimatesTrackMeasurements \
 	internal/journal:TestScanMatchesReference \
 	internal/core:TestStageBracketPins|TestRetriedUnitAssemblesOnce|TestStoreManifest|TestResumeOfCompleteJournalAssemblesNothing|TestResumeAssemblesOnlyUnjournaledUnits|TestCutoffMidPBBoundsAssembles|TestRunLeavesNoGoroutines|TestAssemblies|TestPlanPins|TestPredictRunsNothing|TestPredictTracksRun|TestJournalPayloadRoundTrip|TestResumedReadsAreReadOnly
 
@@ -161,8 +162,10 @@ sweep-determinism:
 # outliving a run, the PA/PB journal payload codecs as exact inverses,
 # and replayed reads that never write into the journal bytes they
 # alias. The planner, a dry run of the same pilot and SGE
-# machinery: every pinned plan, a Predict that runs nothing, and plans
-# that track their runs, independent of host cores.
+# machinery: every pinned plan, a Predict that runs nothing, plans
+# that track their runs, and each assembler's estimate, the planner's
+# unit of work, equal to its run bit for bit in TTC, memory and traffic
+# (Contrail's TTC within its band), independent of host cores.
 oracle-determinism:
 	$(call determinism,,$(ORACLE_FLAGS),$(ORACLE_SPECS))
 

@@ -14,7 +14,6 @@ package abyss
 import (
 	"rnascale/internal/assembler"
 	"rnascale/internal/assembler/mpidbg"
-	"rnascale/internal/vclock"
 )
 
 // ABySS is the assembler. The zero value uses the calibrated profile.
@@ -42,20 +41,20 @@ func (a *ABySS) Info() assembler.Info {
 
 // Assemble implements assembler.Assembler.
 func (a *ABySS) Assemble(req assembler.Request) (assembler.Result, error) {
-	prof := DefaultProfile()
-	if a.Profile != nil {
-		prof = *a.Profile
-	}
-	return mpidbg.Run(req, a.Info(), prof)
+	return mpidbg.Run(req, a.Info(), a.profile())
 }
 
-// EstimateTTC implements assembler.TTCEstimator.
-func (a *ABySS) EstimateTTC(req assembler.Request) (vclock.Duration, error) {
-	prof := DefaultProfile()
+// Estimate implements assembler.Assembler.
+func (a *ABySS) Estimate(req assembler.Request) (assembler.Result, error) {
+	return mpidbg.Estimate(req, a.Info(), a.profile())
+}
+
+// profile is the override when set, else the calibrated profile.
+func (a *ABySS) profile() mpidbg.Profile {
 	if a.Profile != nil {
-		prof = *a.Profile
+		return *a.Profile
 	}
-	return mpidbg.Estimate(req, prof)
+	return DefaultProfile()
 }
 
 // EstimateHostBytes implements assembler.HostMemoryEstimator.

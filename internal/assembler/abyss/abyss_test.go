@@ -71,7 +71,7 @@ func TestEstimateTracksAssemble(t *testing.T) {
 		Nodes: 2, CoresPerNode: 8, FullScale: simdata.BGlumae().FullScale,
 	}
 	a := &ABySS{}
-	predicted, err := a.EstimateTTC(req)
+	predicted, err := a.Estimate(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,17 +79,16 @@ func TestEstimateTracksAssemble(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio := predicted.Seconds() / res.TTC.Seconds()
-	if ratio < 0.85 || ratio > 1.15 {
-		t.Errorf("estimate %v vs measured %v (ratio %.2f)", predicted, res.TTC, ratio)
+	if predicted.TTC != res.TTC {
+		t.Errorf("estimate %v != measured %v", predicted.TTC, res.TTC)
 	}
 	slow := DefaultProfile()
 	slow.BasesPerCoreSecond /= 4
-	tuned, err := (&ABySS{Profile: &slow}).EstimateTTC(req)
+	tuned, err := (&ABySS{Profile: &slow}).Estimate(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tuned <= predicted {
+	if tuned.TTC <= predicted.TTC {
 		t.Error("override ignored by estimator")
 	}
 }

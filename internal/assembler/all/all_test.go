@@ -24,13 +24,7 @@ func tinyDataset(t *testing.T) *simdata.Dataset {
 // cleanReads strips reads containing N (Contrail requires it, and it
 // keeps the quality comparison uniform).
 func cleanReads(ds *simdata.Dataset) []seq.Read {
-	var out []seq.Read
-	for _, r := range ds.Reads.Reads {
-		if seq.CountN(r.Seq) == 0 {
-			out = append(out, r)
-		}
-	}
-	return out
+	return seq.NFree(ds.Reads.Reads)
 }
 
 func TestTableIInventory(t *testing.T) {

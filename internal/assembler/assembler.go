@@ -146,6 +146,12 @@ func (r *Request) Validate(info Info) error {
 	if len(r.Reads) == 0 {
 		return fmt.Errorf("%s: no reads", info.Name)
 	}
+	return r.ValidateShape(info)
+}
+
+// ValidateShape checks what Validate checks but the reads: the
+// invariants an estimate, which touches no read, relies on.
+func (r *Request) ValidateShape(info Info) error {
 	if r.Params.K < 15 || r.Params.K > seq.MaxK {
 		return fmt.Errorf("%s: k=%d outside [15,%d]", info.Name, r.Params.K, seq.MaxK)
 	}
@@ -177,15 +183,13 @@ type Result struct {
 type Assembler interface {
 	Info() Info
 	Assemble(req Request) (Result, error)
-}
-
-// TTCEstimator is optionally implemented by assemblers that can
-// predict their virtual time-to-completion for a request *without*
-// running — the a-priori estimates the paper names as the
-// prerequisite for a fully dynamically adaptive workflow ("a means
-// for a rough estimate on TTCs of sub tasks a priori").
-type TTCEstimator interface {
-	EstimateTTC(req Request) (vclock.Duration, error)
+	// Estimate reports what Assemble would for the request but the
+	// contigs and their N50 — TTC, memory and traffic — without doing
+	// the data work or touching the reads: the a-priori estimates the
+	// paper names as the prerequisite for a fully dynamically adaptive
+	// workflow ("a means for a rough estimate on TTCs of sub tasks a
+	// priori").
+	Estimate(req Request) (Result, error)
 }
 
 // HostMemoryEstimator is optionally implemented by assemblers that can

@@ -18,6 +18,9 @@ func (f *fakeAssembler) Info() Info { return Info{Name: f.name, GraphType: "DBG"
 func (f *fakeAssembler) Assemble(req Request) (Result, error) {
 	return Result{}, nil
 }
+func (f *fakeAssembler) Estimate(req Request) (Result, error) {
+	return Result{}, nil
+}
 
 func TestRegistry(t *testing.T) {
 	Register(&fakeAssembler{name: "zz-test"})

@@ -38,9 +38,6 @@ import (
 // Contrail is the assembler. The zero value uses the calibrated cost
 // configuration.
 type Contrail struct {
-	// MapRate and ReduceRate override the calibrated Hadoop throughput
-	// (bytes per slot-second) when positive.
-	MapRate, ReduceRate float64
 	// JobSetup overrides the per-job overhead when positive (seconds).
 	JobSetup float64
 	// CompressionRounds overrides the number of compression jobs.
@@ -55,10 +52,10 @@ type Contrail struct {
 // assembly expensive; these rates land the B. Glumae two-node baseline
 // near Table III's 6,720 s.
 const (
-	defaultMapRate    = 2.8e6
-	defaultReduceRate = 9.4e6
-	defaultRounds     = 8
-	defaultSetup      = 330.0
+	mapRate       = 2.8e6
+	reduceRate    = 9.4e6
+	defaultRounds = 8
+	defaultSetup  = 330.0
 )
 
 // Info implements assembler.Assembler.
@@ -174,8 +171,8 @@ func (ct *Contrail) Assemble(req assembler.Request) (assembler.Result, error) {
 		SlotsPerWorker: req.CoresPerNode,
 		JobSetup:       mustDur(ct.JobSetup, defaultSetup),
 		TaskOverhead:   4,
-		MapRate:        mustRate(ct.MapRate, defaultMapRate),
-		ReduceRate:     mustRate(ct.ReduceRate, defaultReduceRate),
+		MapRate:        mapRate,
+		ReduceRate:     reduceRate,
 		SplitBytes:     max(1024, int64(64e6/volumeScale)),
 		VolumeScale:    volumeScale,
 	}
@@ -260,13 +257,18 @@ func (ct *Contrail) Assemble(req assembler.Request) (assembler.Result, error) {
 		return assembler.Result{}, fmt.Errorf("contrail: no contigs (k=%d, min coverage %d)", k, p.MinCoverage)
 	}
 	return assembler.Result{
-		Contigs: contigs,
-		TTC:     elapsed,
-		// Hadoop spills to disk, but the graph reducers still hold
-		// their partition resident.
-		PeakMemoryGBPerNode: assembler.GraphMemoryGB(req.FullScale, req.Nodes) * 1.05,
+		Contigs:             contigs,
+		TTC:                 elapsed,
+		PeakMemoryGBPerNode: memoryGB(req),
 		N50:                 dbg.N50(contigs),
 	}, nil
+}
+
+// memoryGB is the per-node peak of a run and of its estimate: Hadoop
+// spills to disk, but the graph reducers still hold their partition
+// resident.
+func memoryGB(req assembler.Request) float64 {
+	return assembler.GraphMemoryGB(req.FullScale, req.Nodes) * 1.05
 }
 
 // buildJob is the first job of the chain: reads → k-mer node records
@@ -422,20 +424,19 @@ func compressionJob(k, round, reducers int) mapreduce.Job {
 	}
 }
 
-// EstimateTTC implements assembler.TTCEstimator: it mirrors the
-// MapReduce engine's cost arithmetic at full scale without moving any
-// records. Volumes are derived from the dataset statistics: the
-// FASTQ input for the build map, the per-window k-mer records for the
-// build shuffle, and the distinct-k-mer node records for the filter
-// and compression rounds.
-func (ct *Contrail) EstimateTTC(req assembler.Request) (vclock.Duration, error) {
-	if req.Nodes <= 0 || req.CoresPerNode <= 0 {
-		return 0, fmt.Errorf("contrail: estimate allocation %d×%d", req.Nodes, req.CoresPerNode)
+// Estimate implements assembler.Assembler. Its memory is Assemble's,
+// but its TTC mirrors the MapReduce engine's cost arithmetic at full
+// scale without moving any records, since the engine bills the record
+// volumes it measures. Volumes are derived from the dataset
+// statistics: the FASTQ input for the build map, the per-window k-mer
+// records for the build shuffle, and the distinct-k-mer node records
+// for the filter and compression rounds.
+func (ct *Contrail) Estimate(req assembler.Request) (assembler.Result, error) {
+	if err := req.ValidateShape(ct.Info()); err != nil {
+		return assembler.Result{}, err
 	}
 	k := float64(req.Params.K)
 	slots := float64(req.Nodes * req.CoresPerNode)
-	mapRate := mustRate(ct.MapRate, defaultMapRate)
-	redRate := mustRate(ct.ReduceRate, defaultReduceRate)
 	setup := float64(mustDur(ct.JobSetup, defaultSetup))
 	rounds := float64(ct.CompressionRounds)
 	if rounds <= 0 {
@@ -453,12 +454,15 @@ func (ct *Contrail) EstimateTTC(req assembler.Request) (vclock.Duration, error) 
 	distinct := assembler.DistinctKmers(req.FullScale)
 	nodeVolume := distinct * recordBytes
 
-	build := input/(mapRate*slots) + windows*recordBytes/(redRate*slots)
-	filter := nodeVolume/(mapRate*slots) + nodeVolume/(redRate*slots)
-	compress := rounds * (nodeVolume/(mapRate*slots) + nodeVolume/(redRate*slots))
-	finalize := nodeVolume/(10*mapRate*slots) + nodeVolume/(25*redRate)
+	build := input/(mapRate*slots) + windows*recordBytes/(reduceRate*slots)
+	filter := nodeVolume/(mapRate*slots) + nodeVolume/(reduceRate*slots)
+	compress := rounds * (nodeVolume/(mapRate*slots) + nodeVolume/(reduceRate*slots))
+	finalize := nodeVolume/(10*mapRate*slots) + nodeVolume/(25*reduceRate)
 	setups := (3 + rounds) * setup
-	return vclock.Duration(build + filter + compress + finalize + setups), nil
+	return assembler.Result{
+		TTC:                 vclock.Duration(build + filter + compress + finalize + setups),
+		PeakMemoryGBPerNode: memoryGB(req),
+	}, nil
 }
 
 // notBase reports whether r is anything but A, C, G or T.
@@ -472,13 +476,6 @@ func passThroughReduce(key string, values []string, emit func(mapreduce.KV)) {
 	for _, v := range values {
 		emit(mapreduce.KV{Key: key, Value: v})
 	}
-}
-
-func mustRate(v, def float64) float64 {
-	if v > 0 {
-		return v
-	}
-	return def
 }
 
 func mustDur(v, def float64) vclock.Duration {

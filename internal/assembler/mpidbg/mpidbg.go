@@ -7,19 +7,23 @@
 //     or above a floor, the coverage spectrum, which requests sharing
 //     a Memo count once per read set, k and rank count;
 //  2. an all-to-all exchange, timed as the routing of those counts,
-//     ends the counting, and each rank hands over its owner's part of
-//     the spectrum;
-//  3. the parts are gathered, and rank 0 merges them, each already
-//     sorted by key, into one ascending stream, applies the coverage
-//     cutoff and adds the k-mers in that order, so the graph keeps its
-//     traversal order as they land and never sorts it; then it
-//     simplifies the graph and walks it into contigs (the serial phase
-//     that, together with the exchange, limits MPI assemblers'
-//     scale-out in the paper's Fig. 3).
+//     ends the counting;
+//  3. an all-gather, timed as the owners' parts of the spectrum
+//     travelling to every rank, precedes rank 0's serial phase: rank 0
+//     merges the parts the host holds, each already sorted by key,
+//     into one ascending stream, applies the coverage cutoff and adds
+//     the k-mers in that order, so the graph keeps its traversal order
+//     as they land and never sorts it; then it simplifies the graph
+//     and walks it into contigs (the serial phase that, together with
+//     the exchange, limits MPI assemblers' scale-out in the paper's
+//     Fig. 3).
 //
 // The computation is real — the contigs come from the actual reads —
 // while virtual time accrues per rank from the profile's calibrated
-// rates and the full-scale communication volume.
+// rates and the full-scale communication volume. All of that timing
+// lives in one MPI program whose collectives carry no payload, so
+// Estimate runs the same program without the host work and reports
+// Run's TTC, memory and traffic exactly.
 package mpidbg
 
 import (
@@ -33,7 +37,6 @@ import (
 	"rnascale/internal/dbg"
 	"rnascale/internal/mpi"
 	"rnascale/internal/seq"
-	"rnascale/internal/vclock"
 )
 
 // Profile sets one MPI assembler's calibration and quality knobs.
@@ -59,56 +62,15 @@ type Profile struct {
 	Network *mpi.Config
 }
 
-// Estimate predicts the virtual TTC of Run for the same request and
-// profile by pure arithmetic — no ranks are spawned and no sequence
-// is touched. It mirrors Run's accounting: the parallel counting
-// pass, the all-to-all exchange, the survivor gather and the serial
-// graph phase.
-func Estimate(req assembler.Request, prof Profile) (vclock.Duration, error) {
-	// Unlike Run, estimation needs no reads — only the shape of the
-	// request.
-	if req.Params.K < 15 || req.Params.K > seq.MaxK {
-		return 0, fmt.Errorf("mpidbg: estimate k=%d outside [15,%d]", req.Params.K, seq.MaxK)
+// Estimate reports what Run reports for the same request, info and
+// profile but the contigs and their N50: it runs Run's MPI program
+// without the host work, so no read is touched, no graph is built, and
+// the TTC, memory and traffic are Run's by construction.
+func Estimate(req assembler.Request, info assembler.Info, prof Profile) (assembler.Result, error) {
+	if err := req.ValidateShape(info); err != nil {
+		return assembler.Result{}, err
 	}
-	if req.Nodes <= 0 || req.CoresPerNode <= 0 {
-		return 0, fmt.Errorf("mpidbg: estimate allocation %d×%d", req.Nodes, req.CoresPerNode)
-	}
-	p := req.Params.WithDefaults(prof.MinCoverageDefault)
-	ranks := req.Nodes * req.CoresPerNode
-	cfg := mpi.DefaultConfig(ranks)
-	if prof.Network != nil {
-		cfg = *prof.Network
-		cfg.Ranks = ranks
-	}
-	cfg.RanksPerNode = req.CoresPerNode
-
-	fullBases := assembler.FullScaleBases(req.FullScale)
-	winFrac := 1.0
-	if rl := req.FullScale.ReadLen; rl > 0 {
-		winFrac = float64(rl-p.K+1) / float64(rl)
-		if winFrac < 0.02 {
-			winFrac = 0.02
-		}
-	}
-	rate := prof.BasesPerCoreSecond
-	serial := vclock.Duration(fullBases * prof.SerialFraction / rate)
-	parallel := vclock.Duration(fullBases * (1 - prof.SerialFraction) * winFrac / (rate * float64(ranks)))
-
-	// All-to-all: each rank serializes (ranks-1) sends of
-	// wireTotal/ranks² bytes; use the inter-node link when the world
-	// spans nodes.
-	link := cfg.Intra
-	if req.Nodes > 1 {
-		link = cfg.Inter
-	}
-	wireTotal := fullBases * prof.WireBytesPerBase * winFrac
-	perPair := int64(wireTotal / float64(ranks) / float64(ranks))
-	alltoall := vclock.Duration(float64(ranks-1)) * link.Transfer(perPair)
-	// Survivor gather: ring allgather of the distinct-k-mer table.
-	survivorTotal := int64(assembler.DistinctKmers(req.FullScale) * 18)
-	gather := vclock.Duration(float64(ranks-1))*link.Latency + link.Transfer(survivorTotal)
-
-	return serial + parallel + alltoall + gather, nil
+	return execute(req, info, prof, nil)
 }
 
 // HostBytes estimates the host memory Run holds at its peak for a
@@ -336,8 +298,51 @@ func Run(req assembler.Request, info assembler.Info, prof Profile) (assembler.Re
 	if err != nil {
 		return assembler.Result{}, err
 	}
-	ranks := req.Nodes * req.CoresPerNode
+	spec := requestSpectrum(req, coder, req.Nodes*req.CoresPerNode, p.MinCoverage)
+	minCov := uint32(p.MinCoverage)
+	var contigs []seq.FastaRecord
+	// Rank 0 merges every owner's part of the spectrum in key order,
+	// adds the k-mers at the coverage cutoff, simplifies and walks.
+	res, err := execute(req, info, prof, func() error {
+		gathered := 0
+		for _, part := range spec {
+			for _, kc := range part {
+				if kc.n >= minCov {
+					gathered++
+				}
+			}
+		}
+		g, err := dbg.NewSized(p.K, gathered)
+		if err != nil {
+			return err
+		}
+		merge(spec, func(kc kmerCount) {
+			if kc.n >= minCov {
+				g.AddCount(kc.km, kc.n)
+			}
+		})
+		contigs = g.Contigs(prof.Prefix, p.MinContigLen)
+		return nil
+	})
+	if err != nil {
+		return assembler.Result{}, err
+	}
+	if len(contigs) == 0 {
+		return assembler.Result{}, fmt.Errorf("%s: assembly produced no contigs (k=%d, min coverage %d)",
+			info.Name, p.K, p.MinCoverage)
+	}
+	res.Contigs, res.N50 = contigs, dbg.N50(contigs)
+	return res, nil
+}
 
+// execute runs the MPI program Run and Estimate share, which holds all
+// of the assembly's timing, and reports its TTC, memory and traffic.
+// graph, when set, is rank 0's host work on the gathered spectrum; it
+// runs before rank 0 is billed the serial phase, and its error ends
+// the program.
+func execute(req assembler.Request, info assembler.Info, prof Profile, graph func() error) (assembler.Result, error) {
+	p := req.Params.WithDefaults(prof.MinCoverageDefault)
+	ranks := req.Nodes * req.CoresPerNode
 	cfg := mpi.DefaultConfig(ranks)
 	if prof.Network != nil {
 		cfg = *prof.Network
@@ -364,9 +369,6 @@ func Run(req assembler.Request, info assembler.Info, prof Profile) (assembler.Re
 	parallelUnits := fullBases * (1 - prof.SerialFraction) * winFrac
 	wireTotal := fullBases * prof.WireBytesPerBase * winFrac
 
-	var contigs []seq.FastaRecord
-	spec := requestSpectrum(req, coder, ranks, p.MinCoverage)
-	minCov := uint32(p.MinCoverage)
 	res, err := mpi.Run(cfg, func(c *mpi.Comm) error {
 		size := c.Size()
 		// Phase 1: the counting pass over this rank's read shard. The
@@ -384,33 +386,18 @@ func Run(req assembler.Request, info assembler.Info, prof Profile) (assembler.Re
 		}
 		c.AlltoAll(make([]any, size), bytes)
 
-		// Phase 3: gather every owner's part of the spectrum; rank 0
-		// adds them in key order at the coverage cutoff, simplifies and
-		// walks.
-		survivorBytes := int64(assembler.DistinctKmers(req.FullScale) * 18 / float64(size))
-		all := c.AllGather(spec[c.Rank()], survivorBytes)
+		// Phase 3: gather every owner's part of the spectrum. The host
+		// already holds the parts, so this too carries no payload and
+		// is billed at the survivors' full-scale bytes; rank 0 then
+		// builds and walks the graph in its serial phase.
+		c.AllGather(nil, int64(assembler.DistinctKmers(req.FullScale)*18/float64(size)))
 		if c.Rank() == 0 {
-			parts := make([][]kmerCount, len(all))
-			gathered := 0
-			for i, part := range all {
-				parts[i] = part.([]kmerCount)
-				for _, kc := range parts[i] {
-					if kc.n >= minCov {
-						gathered++
-					}
+			if graph != nil {
+				if err := graph(); err != nil {
+					return err
 				}
 			}
-			g, gerr := dbg.NewSized(p.K, gathered)
-			if gerr != nil {
-				return gerr
-			}
-			merge(parts, func(kc kmerCount) {
-				if kc.n >= minCov {
-					g.AddCount(kc.km, kc.n)
-				}
-			})
 			c.ComputeUnits(serialUnits, prof.BasesPerCoreSecond)
-			contigs = g.Contigs(prof.Prefix, p.MinContigLen)
 		}
 		c.Barrier()
 		return nil
@@ -418,20 +405,14 @@ func Run(req assembler.Request, info assembler.Info, prof Profile) (assembler.Re
 	if err != nil {
 		return assembler.Result{}, fmt.Errorf("%s: %w", info.Name, err)
 	}
-	if len(contigs) == 0 {
-		return assembler.Result{}, fmt.Errorf("%s: assembly produced no contigs (k=%d, min coverage %d)",
-			info.Name, p.K, p.MinCoverage)
-	}
 	memFactor := prof.MemoryFactor
 	if memFactor <= 0 {
 		memFactor = 1
 	}
 	return assembler.Result{
-		Contigs:             contigs,
 		TTC:                 res.Elapsed,
 		PeakMemoryGBPerNode: assembler.GraphMemoryGB(req.FullScale, req.Nodes) * memFactor,
 		Messages:            res.Stats.Messages,
 		BytesSent:           res.Stats.BytesSent,
-		N50:                 dbg.N50(contigs),
 	}, nil
 }

@@ -329,23 +329,23 @@ func TestValidationPropagates(t *testing.T) {
 }
 
 func TestEstimateValidation(t *testing.T) {
-	if _, err := Estimate(assembler.Request{Params: assembler.Params{K: 5}, Nodes: 1, CoresPerNode: 1}, testProfile()); err == nil {
+	if _, err := Estimate(assembler.Request{Params: assembler.Params{K: 5}, Nodes: 1, CoresPerNode: 1}, testInfo(), testProfile()); err == nil {
 		t.Error("bad k accepted")
 	}
-	if _, err := Estimate(assembler.Request{Params: assembler.Params{K: 21}}, testProfile()); err == nil {
+	if _, err := Estimate(assembler.Request{Params: assembler.Params{K: 21}}, testInfo(), testProfile()); err == nil {
 		t.Error("no allocation accepted")
 	}
 	// Intra-node path (single node) vs inter-node path.
 	fs := simdata.PCrispa().FullScale
-	single, err := Estimate(assembler.Request{Params: assembler.Params{K: 21}, Nodes: 1, CoresPerNode: 8, FullScale: fs}, testProfile())
+	single, err := Estimate(assembler.Request{Params: assembler.Params{K: 21}, Nodes: 1, CoresPerNode: 8, FullScale: fs}, testInfo(), testProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := Estimate(assembler.Request{Params: assembler.Params{K: 21}, Nodes: 8, CoresPerNode: 8, FullScale: fs}, testProfile())
+	multi, err := Estimate(assembler.Request{Params: assembler.Params{K: 21}, Nodes: 8, CoresPerNode: 8, FullScale: fs}, testInfo(), testProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if single <= 0 || multi <= 0 {
+	if single.TTC <= 0 || multi.TTC <= 0 {
 		t.Error("non-positive estimates")
 	}
 }

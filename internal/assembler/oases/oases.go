@@ -60,18 +60,26 @@ func (o *Oases) Assemble(req assembler.Request) (assembler.Result, error) {
 	if len(contigs) == 0 {
 		return assembler.Result{}, errEmpty{p.K, p.MinCoverage}
 	}
+	res, err := o.Estimate(req)
+	if err != nil {
+		return assembler.Result{}, err
+	}
+	res.Contigs, res.N50 = contigs, dbg.N50(contigs)
+	return res, nil
+}
 
+// Estimate implements assembler.Assembler.
+func (o *Oases) Estimate(req assembler.Request) (assembler.Result, error) {
+	if err := req.ValidateShape(o.Info()); err != nil {
+		return assembler.Result{}, err
+	}
 	rate := o.BasesPerCoreSecond
 	if rate <= 0 {
 		rate = DefaultRate
 	}
-	bases := assembler.FullScaleBases(req.FullScale)
-	ttc := vclock.ComputeCost{UnitsPerSecond: rate}.Time(bases, req.CoresPerNode)
 	return assembler.Result{
-		Contigs:             contigs,
-		TTC:                 ttc,
+		TTC:                 vclock.ComputeCost{UnitsPerSecond: rate}.Time(assembler.FullScaleBases(req.FullScale), req.CoresPerNode),
 		PeakMemoryGBPerNode: assembler.GraphMemoryGB(req.FullScale, 1) * 1.1,
-		N50:                 dbg.N50(contigs),
 	}, nil
 }
 
@@ -79,13 +87,4 @@ type errEmpty struct{ k, minCov int }
 
 func (e errEmpty) Error() string {
 	return "oases: assembly produced no transfrags"
-}
-
-// EstimateTTC implements assembler.TTCEstimator.
-func (o *Oases) EstimateTTC(req assembler.Request) (vclock.Duration, error) {
-	rate := o.BasesPerCoreSecond
-	if rate <= 0 {
-		rate = DefaultRate
-	}
-	return vclock.ComputeCost{UnitsPerSecond: rate}.Time(assembler.FullScaleBases(req.FullScale), req.CoresPerNode), nil
 }

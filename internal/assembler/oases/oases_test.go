@@ -139,7 +139,7 @@ func TestEstimateMatchesCostModel(t *testing.T) {
 		Nodes: 1, CoresPerNode: 8, FullScale: simdata.BGlumae().FullScale,
 	}
 	o := &Oases{}
-	predicted, err := o.EstimateTTC(req)
+	predicted, err := o.Estimate(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestEstimateMatchesCostModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if predicted != res.TTC {
-		t.Errorf("estimate %v != measured %v", predicted, res.TTC)
+	if predicted.TTC != res.TTC {
+		t.Errorf("estimate %v != measured %v", predicted.TTC, res.TTC)
 	}
 }

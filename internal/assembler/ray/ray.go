@@ -15,7 +15,6 @@ package ray
 import (
 	"rnascale/internal/assembler"
 	"rnascale/internal/assembler/mpidbg"
-	"rnascale/internal/vclock"
 )
 
 // Ray is the assembler. The zero value uses the calibrated profile.
@@ -44,20 +43,20 @@ func (r *Ray) Info() assembler.Info {
 
 // Assemble implements assembler.Assembler.
 func (r *Ray) Assemble(req assembler.Request) (assembler.Result, error) {
-	prof := DefaultProfile()
-	if r.Profile != nil {
-		prof = *r.Profile
-	}
-	return mpidbg.Run(req, r.Info(), prof)
+	return mpidbg.Run(req, r.Info(), r.profile())
 }
 
-// EstimateTTC implements assembler.TTCEstimator.
-func (r *Ray) EstimateTTC(req assembler.Request) (vclock.Duration, error) {
-	prof := DefaultProfile()
+// Estimate implements assembler.Assembler.
+func (r *Ray) Estimate(req assembler.Request) (assembler.Result, error) {
+	return mpidbg.Estimate(req, r.Info(), r.profile())
+}
+
+// profile is the override when set, else the calibrated profile.
+func (r *Ray) profile() mpidbg.Profile {
 	if r.Profile != nil {
-		prof = *r.Profile
+		return *r.Profile
 	}
-	return mpidbg.Estimate(req, prof)
+	return DefaultProfile()
 }
 
 // EstimateHostBytes implements assembler.HostMemoryEstimator.

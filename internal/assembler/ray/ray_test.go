@@ -64,7 +64,7 @@ func TestEstimateTracksAssemble(t *testing.T) {
 		Nodes: 2, CoresPerNode: 8, FullScale: simdata.BGlumae().FullScale,
 	}
 	r := &Ray{}
-	predicted, err := r.EstimateTTC(req)
+	predicted, err := r.Estimate(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,18 +72,17 @@ func TestEstimateTracksAssemble(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio := predicted.Seconds() / res.TTC.Seconds()
-	if ratio < 0.85 || ratio > 1.15 {
-		t.Errorf("estimate %v vs measured %v (ratio %.2f)", predicted, res.TTC, ratio)
+	if predicted.TTC != res.TTC {
+		t.Errorf("estimate %v != measured %v", predicted.TTC, res.TTC)
 	}
 	// Profile override flows into the estimate too.
 	fast := DefaultProfile()
 	fast.BasesPerCoreSecond *= 10
-	tuned, err := (&Ray{Profile: &fast}).EstimateTTC(req)
+	tuned, err := (&Ray{Profile: &fast}).Estimate(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tuned >= predicted {
+	if tuned.TTC >= predicted.TTC {
 		t.Error("override ignored by estimator")
 	}
 }

@@ -60,19 +60,27 @@ func (tr *Trinity) Assemble(req assembler.Request) (assembler.Result, error) {
 			delete(counts, km)
 		}
 	}
-	contigs := inchworm(coder, counts, p.MinContigLen)
+	res, err := tr.Estimate(req)
+	if err != nil {
+		return assembler.Result{}, err
+	}
+	res.Contigs = inchworm(coder, counts, p.MinContigLen)
+	res.N50 = dbg.N50(res.Contigs)
+	return res, nil
+}
 
+// Estimate implements assembler.Assembler.
+func (tr *Trinity) Estimate(req assembler.Request) (assembler.Result, error) {
+	if err := req.ValidateShape(tr.Info()); err != nil {
+		return assembler.Result{}, err
+	}
 	rate := tr.BasesPerCoreSecond
 	if rate <= 0 {
 		rate = DefaultRate
 	}
-	bases := assembler.FullScaleBases(req.FullScale)
-	ttc := vclock.ComputeCost{UnitsPerSecond: rate}.Time(bases, req.CoresPerNode)
 	return assembler.Result{
-		Contigs:             contigs,
-		TTC:                 ttc,
+		TTC:                 vclock.ComputeCost{UnitsPerSecond: rate}.Time(assembler.FullScaleBases(req.FullScale), req.CoresPerNode),
 		PeakMemoryGBPerNode: assembler.GraphMemoryGB(req.FullScale, 1) * 1.3, // Inchworm keeps reads resident too
-		N50:                 dbg.N50(contigs),
 	}, nil
 }
 
@@ -197,13 +205,4 @@ func itoa(i int) string {
 		i /= 10
 	}
 	return string(b[p:])
-}
-
-// EstimateTTC implements assembler.TTCEstimator.
-func (tr *Trinity) EstimateTTC(req assembler.Request) (vclock.Duration, error) {
-	rate := tr.BasesPerCoreSecond
-	if rate <= 0 {
-		rate = DefaultRate
-	}
-	return vclock.ComputeCost{UnitsPerSecond: rate}.Time(assembler.FullScaleBases(req.FullScale), req.CoresPerNode), nil
 }

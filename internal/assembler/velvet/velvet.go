@@ -37,27 +37,26 @@ func (v *Velvet) Assemble(req assembler.Request) (assembler.Result, error) {
 	if err != nil {
 		return assembler.Result{}, err
 	}
-	contigs := g.Contigs("velvet", p.MinContigLen)
-
-	rate := v.BasesPerCoreSecond
-	if rate <= 0 {
-		rate = DefaultRate
+	res, err := v.Estimate(req)
+	if err != nil {
+		return assembler.Result{}, err
 	}
-	bases := assembler.FullScaleBases(req.FullScale)
-	ttc := vclock.ComputeCost{UnitsPerSecond: rate}.Time(bases, req.CoresPerNode)
-	return assembler.Result{
-		Contigs:             contigs,
-		TTC:                 ttc,
-		PeakMemoryGBPerNode: assembler.GraphMemoryGB(req.FullScale, 1),
-		N50:                 dbg.N50(contigs),
-	}, nil
+	res.Contigs = g.Contigs("velvet", p.MinContigLen)
+	res.N50 = dbg.N50(res.Contigs)
+	return res, nil
 }
 
-// EstimateTTC implements assembler.TTCEstimator.
-func (v *Velvet) EstimateTTC(req assembler.Request) (vclock.Duration, error) {
+// Estimate implements assembler.Assembler.
+func (v *Velvet) Estimate(req assembler.Request) (assembler.Result, error) {
+	if err := req.ValidateShape(v.Info()); err != nil {
+		return assembler.Result{}, err
+	}
 	rate := v.BasesPerCoreSecond
 	if rate <= 0 {
 		rate = DefaultRate
 	}
-	return vclock.ComputeCost{UnitsPerSecond: rate}.Time(assembler.FullScaleBases(req.FullScale), req.CoresPerNode), nil
+	return assembler.Result{
+		TTC:                 vclock.ComputeCost{UnitsPerSecond: rate}.Time(assembler.FullScaleBases(req.FullScale), req.CoresPerNode),
+		PeakMemoryGBPerNode: assembler.GraphMemoryGB(req.FullScale, 1),
+	}, nil
 }

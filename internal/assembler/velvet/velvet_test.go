@@ -97,7 +97,7 @@ func TestEstimateMatchesCostModel(t *testing.T) {
 		Nodes: 1, CoresPerNode: 8, FullScale: simdata.BGlumae().FullScale,
 	}
 	v := &Velvet{}
-	predicted, err := v.EstimateTTC(req)
+	predicted, err := v.Estimate(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestEstimateMatchesCostModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if predicted != res.TTC {
-		t.Errorf("estimate %v != measured %v (single-node model is exact)", predicted, res.TTC)
+	if predicted.TTC != res.TTC {
+		t.Errorf("estimate %v != measured %v (single-node model is exact)", predicted.TTC, res.TTC)
 	}
 }

@@ -183,6 +183,27 @@ func wantReleased(pl *Pipeline) error {
 	return nil
 }
 
+// wantSettled asserts a finished run's bill is closed: the report's
+// cost is the provider's total and its TTC the clock, and one more
+// virtual hour bills neither dollars nor instance hours, so no VM is
+// billed after teardown. It advances the run's clock, so it runs after
+// the run is pinned.
+func wantSettled(rep *Report, pl *Pipeline) error {
+	prov := pl.Provider()
+	cost, hours := prov.TotalCost(), prov.TotalInstanceHours()
+	if rep.CostUSD != cost {
+		return fmt.Errorf("report costs $%v, the provider bills $%v", rep.CostUSD, cost)
+	}
+	if now := vclock.Duration(pl.clock.Now()); rep.TTC != now {
+		return fmt.Errorf("report TTC %v, clock %v", rep.TTC, now)
+	}
+	pl.clock.Advance(vclock.Hour)
+	if c, h := prov.TotalCost(), prov.TotalInstanceHours(); c != cost || h != hours {
+		return fmt.Errorf("an hour after the run the bill moved from $%v, %v h to $%v, %v h", cost, hours, c, h)
+	}
+	return nil
+}
+
 // bracketBase is the pinned runs' common configuration: all three
 // distributed assemblers on the tiny profile, S1 static so every stage
 // boots its own vehicle, no DETONATE scoring.
@@ -445,7 +466,8 @@ func bracketScenarios(t *testing.T) []bracketScenario {
 // journal file of runs that complete, fail in a unit, fail to launch,
 // are cut off before or during a stage, fall back through an open
 // breaker, run stages as functions, and crash and resume. Every run
-// but the crashed one must also release all it acquired (wantReleased).
+// but the crashed one must also release all it acquired (wantReleased)
+// and close its bill (wantSettled).
 func TestStageBracketPins(t *testing.T) {
 	raw, err := os.ReadFile(bracketPinsFile)
 	if err != nil {
@@ -483,6 +505,9 @@ func computeBracketPins(t *testing.T) map[string]bracketPins {
 			t.Errorf("%s: %v", sc.name, rerr)
 		}
 		got[sc.name] = pinRun(t, rep, pl, err, path)
+		if serr := wantSettled(rep, pl); serr != nil {
+			t.Errorf("%s: %v", sc.name, serr)
+		}
 	}
 
 	// A driver crash mid-PB, then the resume that finishes the run.
@@ -517,5 +542,8 @@ func computeBracketPins(t *testing.T) map[string]bracketPins {
 		t.Errorf("resume/resumed: %v", rerr)
 	}
 	got["resume/resumed"] = pinRun(t, rep, pl, err, path)
+	if serr := wantSettled(rep, pl); serr != nil {
+		t.Errorf("resume/resumed: %v", serr)
+	}
 	return got
 }

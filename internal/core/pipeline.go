@@ -287,22 +287,15 @@ func preprocessShards(cfg Config) int {
 	return max(cfg.ParallelPreprocessShards, 1)
 }
 
-// estimateAssembly is a PB unit's work in a dry run: the assembler's
-// TTC estimate for the request (plus Contrail's SFA conversion), at the
-// graph's per-node memory.
-func estimateAssembly(a assembler.Assembler, req assembler.Request) (pilot.WorkResult, error) {
-	est, ok := a.(assembler.TTCEstimator)
-	if !ok {
-		return pilot.WorkResult{}, fmt.Errorf("core: %s offers no TTC estimation", a.Info().Name)
-	}
-	d, err := est.EstimateTTC(req)
-	if err != nil {
-		return pilot.WorkResult{}, err
-	}
-	if a.Info().Name == "contrail" {
+// assemblyWork is what a PB unit reports of an assembly, run,
+// replayed or estimated: its TTC, plus Contrail's SFA conversion, at
+// the tool's per-node memory.
+func assemblyWork(name string, res assembler.Result) pilot.WorkResult {
+	d := res.TTC
+	if name == "contrail" {
 		d += sfaConversion
 	}
-	return pilot.WorkResult{Duration: d, PeakMemoryGB: assembler.GraphMemoryGB(req.FullScale, req.Nodes)}, nil
+	return pilot.WorkResult{Duration: d, PeakMemoryGB: res.PeakMemoryGBPerNode}
 }
 
 // preprocess runs PA, sharding the raw reads (fragment-preserving) for
@@ -475,7 +468,7 @@ func (pl *Pipeline) assemble(fs simdata.FullScaleStats, cleaned seq.ReadSet, rep
 	var nFree []seq.Read
 	nFreeReads := func() []seq.Read {
 		if nFree == nil {
-			nFree = dropNReads(cleaned.Reads)
+			nFree = seq.NFree(cleaned.Reads)
 		}
 		return nFree
 	}
@@ -531,15 +524,9 @@ func (pl *Pipeline) assemble(fs simdata.FullScaleStats, cleaned seq.ReadSet, rep
 					if err := stageFasta(env.Store, fmt.Sprintf("asm/%s/k%d.contigs.fa", name, k), res.Contigs); err != nil {
 						return pilot.WorkResult{}, err
 					}
-					extra := vclock.Duration(0)
-					if name == "contrail" {
-						extra = sfaConversion
-					}
-					return pilot.WorkResult{
-						Duration:     res.TTC + extra,
-						PeakMemoryGB: res.PeakMemoryGBPerNode,
-						Output:       asmOutput{key, res},
-					}, nil
+					wr := assemblyWork(name, res)
+					wr.Output = asmOutput{key, res}
+					return wr, nil
 				}
 				// The pilot runs the work before it learns whether the job's
 				// node outlived it, so a unit that loses its node comes back
@@ -547,7 +534,8 @@ func (pl *Pipeline) assemble(fs simdata.FullScaleStats, cleaned seq.ReadSet, rep
 				// and repeats only the effects.
 				work := func(env *pilot.ExecEnv) (pilot.WorkResult, error) {
 					if pl.estimate {
-						return estimateAssembly(a, req)
+						res, err := a.Estimate(req)
+						return assemblyWork(name, res), err
 					}
 					if name == "contrail" {
 						if err := stageSFA(env.Store, k); err != nil {
@@ -1177,15 +1165,4 @@ func combineStats(a, b preprocess.Stats) preprocess.Stats {
 		a.MeanReadLen = float64(a.OutputBases) / float64(a.OutputReads)
 	}
 	return a
-}
-
-// dropNReads filters reads containing ambiguous bases.
-func dropNReads(reads []seq.Read) []seq.Read {
-	out := make([]seq.Read, 0, len(reads))
-	for _, r := range reads {
-		if seq.CountN(r.Seq) == 0 {
-			out = append(out, r)
-		}
-	}
-	return out
 }

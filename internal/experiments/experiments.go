@@ -71,13 +71,7 @@ func dataset(sc Scale, full simdata.Profile) (*simdata.Dataset, error) {
 // compare tools on identical input).
 func cleanNFree(ds *simdata.Dataset) []seq.Read {
 	cleaned, _ := preprocess.Run(ds.Reads, preprocess.DefaultOptions())
-	var out []seq.Read
-	for _, r := range cleaned.Reads {
-		if seq.CountN(r.Seq) == 0 {
-			out = append(out, r)
-		}
-	}
-	return out
+	return seq.NFree(cleaned.Reads)
 }
 
 // scaledK picks the assembly k for the scaled reads of a dataset.
@@ -428,7 +422,7 @@ func Fig3(sc Scale, nodeCounts []int) ([]Fig3Point, string, error) {
 	// Fig. 3 uses raw (unpreprocessed) data — except Contrail, which
 	// requires the N-free reads, exactly as in the paper.
 	raw := ds.Reads.Reads
-	nFree := dropN(raw)
+	nFree := seq.NFree(raw)
 	k := scaledK(ds)
 	// One cell per (assembler, node count) grid point; the rendering
 	// below walks the ordered results row by row.
@@ -477,16 +471,6 @@ func Fig3(sc Scale, nodeCounts []int) ([]Fig3Point, string, error) {
 	b.WriteString("paper shape: Ray gains marginally, ABySS is near-flat, Contrail is slowest\n" +
 		"at few nodes and converges toward the MPI tools as nodes are added\n")
 	return pts, b.String(), nil
-}
-
-func dropN(reads []seq.Read) []seq.Read {
-	var out []seq.Read
-	for _, r := range reads {
-		if seq.CountN(r.Seq) == 0 {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -707,38 +691,18 @@ func AblationHadoopTax(sc Scale) (string, error) {
 	var b strings.Builder
 	b.WriteString("Ablation: Contrail per-job overhead (the Hadoop tax), 2 nodes\n")
 	for _, setup := range []float64{5, 60, 330, 900} {
-		ct := &rawContrail{setup: setup}
-		res, err := ct.run(reads, k, ds.Profile.FullScale)
+		res, err := newContrailWithSetup(setup).Assemble(assembler.Request{
+			Reads:  reads,
+			Params: assembler.Params{K: k, MinCoverage: 2},
+			Nodes:  2, CoresPerNode: 8,
+			FullScale: ds.Profile.FullScale,
+		})
 		if err != nil {
 			return "", err
 		}
-		fmt.Fprintf(&b, "  setup %4.0fs: TTC %10v\n", setup, res)
+		fmt.Fprintf(&b, "  setup %4.0fs: TTC %10v\n", setup, res.TTC)
 	}
 	return b.String(), nil
-}
-
-// rawContrail runs contrail with an overridden job setup.
-type rawContrail struct{ setup float64 }
-
-func (rc *rawContrail) run(reads []seq.Read, k int, fs simdata.FullScaleStats) (vclock.Duration, error) {
-	a, err := assembler.Get("contrail")
-	if err != nil {
-		return 0, err
-	}
-	// The registry's contrail is stateless; use a fresh one with the
-	// override via the concrete type (registered in assembler/all).
-	_ = a
-	ct := newContrailWithSetup(rc.setup)
-	res, err := ct.Assemble(assembler.Request{
-		Reads:  reads,
-		Params: assembler.Params{K: k, MinCoverage: 2},
-		Nodes:  2, CoresPerNode: 8,
-		FullScale: fs,
-	})
-	if err != nil {
-		return 0, err
-	}
-	return res.TTC, nil
 }
 
 // AblationJobShape explores the trade-off the paper mentions but

@@ -274,6 +274,10 @@ func (panicky) Assemble(assembler.Request) (assembler.Result, error) {
 	panic("assembler bug")
 }
 
+func (panicky) Estimate(assembler.Request) (assembler.Result, error) {
+	panic("assembler bug")
+}
+
 func init() { assembler.Register(panicky{}) }
 
 // TestBatchPanicFailsOneView: a pipeline panic fails its own run and

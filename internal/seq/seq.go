@@ -81,6 +81,17 @@ func CountN(s []byte) int {
 	return n
 }
 
+// NFree returns the reads without an ambiguous base, in order.
+func NFree(reads []Read) []Read {
+	out := make([]Read, 0, len(reads))
+	for _, r := range reads {
+		if CountN(r.Seq) == 0 {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // Complement returns the complement of an ASCII base; any other byte
 // maps to itself.
 func Complement(b byte) byte { return complement[b] }

@@ -154,3 +154,14 @@ func TestCountN(t *testing.T) {
 		t.Error("IsACGT misclassified")
 	}
 }
+
+func TestNFree(t *testing.T) {
+	reads := []Read{{ID: "a", Seq: []byte("ACGT")}, {ID: "b", Seq: []byte("ACNT")}, {ID: "c", Seq: []byte("GG")}, {ID: "d", Seq: []byte("N")}}
+	ids := ""
+	for _, r := range NFree(reads) {
+		ids += r.ID
+	}
+	if ids != "ac" {
+		t.Errorf("NFree kept %q, want a and c", ids)
+	}
+}
