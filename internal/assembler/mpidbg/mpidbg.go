@@ -341,7 +341,6 @@ func Run(req assembler.Request, info assembler.Info, prof Profile) (assembler.Re
 // runs before rank 0 is billed the serial phase, and its error ends
 // the program.
 func execute(req assembler.Request, info assembler.Info, prof Profile, graph func() error) (assembler.Result, error) {
-	p := req.Params.WithDefaults(prof.MinCoverageDefault)
 	ranks := req.Nodes * req.CoresPerNode
 	cfg := mpi.DefaultConfig(ranks)
 	if prof.Network != nil {
@@ -360,7 +359,7 @@ func execute(req assembler.Request, info assembler.Info, prof Profile, graph fun
 	// the paper's Fig. 4 (lower panel).
 	winFrac := 1.0
 	if rl := req.FullScale.ReadLen; rl > 0 {
-		winFrac = float64(rl-p.K+1) / float64(rl)
+		winFrac = float64(rl-req.Params.K+1) / float64(rl)
 		if winFrac < 0.02 {
 			winFrac = 0.02
 		}
