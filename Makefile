@@ -14,14 +14,15 @@ COVER_SPECS = internal/cloud:85 internal/pilot:80 internal/core:80
 # payload decoders against their encoders, the fault grammar against
 # its renderer, the stage-backend list against its rendering, the
 # seeded containment check against its reference, the run request
-# decoder (the gateway's JSON body) against a JSON round trip, and the
+# decoder (the gateway's JSON body) against a JSON round trip, the
 # de Bruijn graph's one-probe-per-edge sweep against the eight-probe
-# reference.
+# reference, and Contrail's typed build and filter jobs against the
+# text ones.
 FUZZ_TARGETS = internal/seq:FuzzParseFasta internal/seq:FuzzParseFastq internal/seq:FuzzParseSFA \
 	internal/seq:FuzzForEachCanonical internal/assembler/contrail:FuzzParseRecord \
 	internal/journal:FuzzScan internal/journal:FuzzContinue internal/core:FuzzDecodePA internal/core:FuzzDecodePB \
 	internal/core:FuzzParseStageBackends internal/merge:FuzzDropContained internal/faults:FuzzParseSpec \
-	internal/core:FuzzRequestConfig internal/dbg:FuzzEdges
+	internal/core:FuzzRequestConfig internal/dbg:FuzzEdges internal/assembler/contrail:FuzzBuildMatchesText
 FUZZ_TIME ?= 10s
 
 .PHONY: all build test vet lint lint-fixtures race cover fuzz-smoke sweep-determinism oracle-determinism journal-determinism overload-determinism check bench bench-gate bench-baseline bench-smoke size clean
@@ -113,6 +114,7 @@ endef
 # The rebuilt data paths oracle-determinism checks, as package:pattern.
 ORACLE_FLAGS = -count=1 -cpu 1,2,8
 ORACLE_SPECS = internal/mapreduce:TestEngineMatchesReference \
+	internal/assembler/contrail:TestTypedBuildMatchesText \
 	internal/seq:MatchesReference|TestKmerTableMatchesMapModel \
 	internal/dbg:TestContigsIndependentOfInsertionOrder|TestEdgeBit|TestClipTipsLengthBoundary|TestEdgesMatchEightProbeReference|TestTraversalOrderFromAscendingRun \
 	internal/merge:TestDropContainedMatchesReference \
@@ -135,7 +137,9 @@ sweep-determinism:
 # MapReduce engine: over seeded random jobs the Result (output,
 # elapsed, shuffle bytes, task counts) must be exactly the map-based
 # reference's however many host goroutines run the map splits and
-# reduce partitions. The k-mer kernel: the O(1) reverse complement and
+# reduce partitions, and Contrail's build and filter jobs on packed
+# k-mer records must give the text jobs' records, elapsed time, shuffle
+# bytes and task counts. The k-mer kernel: the O(1) reverse complement and
 # the rolling canonical window against the base-by-base loops, the
 # k-mer table against a Go map, contigs against every insertion order,
 # and Ray/ABySS on both full profiles against the contig counts, TTCs,

@@ -20,9 +20,14 @@
 // reads containing nucleotides with N": Assemble rejects unfiltered
 // N-containing input, reproducing the need to pre-process P. Crispa
 // before Contrail could run.
+//
+// The build and filter jobs carry k-mers packed by seq.KmerCoder, so
+// lowercase (soft-masked) bases fold into uppercase k-mers as in every
+// other assembler here; the pipeline's reads are uppercase throughout.
 package contrail
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strconv"
@@ -63,9 +68,11 @@ func (ct *Contrail) Info() assembler.Info {
 	return assembler.Info{Name: "contrail", GraphType: "DBG", Distributed: "Hadoop MapReduce", Version: "0.8.2"}
 }
 
-// record is a graph node flowing through the MR jobs, serialized as
-// "seq|count|L|R" where L and R are edge-base sets on the two ends of
-// the (canonical-oriented) sequence.
+// record is a graph node of the compression rounds and the finalize
+// job, serialized as "seq|count|L|R" where L and R are edge-base sets
+// on the two ends of the (canonical-oriented) sequence. The build and
+// filter jobs carry nodes as packed k-mers (see node); the filter's
+// output becomes text once, in textRecords.
 type record struct {
 	seq   string
 	count int64
@@ -109,18 +116,6 @@ func parseRecord(s string) (record, error) {
 	return record{seq: f[0], count: n, l: f[2], r: rest}, nil
 }
 
-// addBase inserts b into the sorted base set s.
-func addBase(s string, b byte) string {
-	i := 0
-	for i < len(s) && s[i] < b {
-		i++
-	}
-	if i < len(s) && s[i] == b {
-		return s
-	}
-	return s[:i] + string(b) + s[i:]
-}
-
 // canonString returns the canonical form of a k-mer given as a
 // string: the smaller of s and its reverse complement. The two are
 // compared in place, so only a winning reverse complement allocates.
@@ -160,11 +155,10 @@ func (ct *Contrail) Assemble(req assembler.Request) (assembler.Result, error) {
 	}
 
 	// Hadoop cluster sized to the allocation, billed at full scale.
-	input := make([]mapreduce.KV, len(req.Reads))
-	for i := range req.Reads {
-		input[i] = mapreduce.KV{Key: req.Reads[i].ID, Value: string(req.Reads[i].Seq)}
+	var scaledBytes int64
+	for _, read := range req.Reads {
+		scaledBytes += readBytes(read)
 	}
-	scaledBytes := mapreduce.TotalBytes(input)
 	volumeScale := max(1, float64(req.FullScale.SeqDataBytes)/float64(scaledBytes))
 	cfg := mapreduce.Config{
 		Workers:        req.Nodes,
@@ -187,14 +181,17 @@ func (ct *Contrail) Assemble(req assembler.Request) (assembler.Result, error) {
 		rounds = defaultRounds
 	}
 	reducers := req.Nodes * req.CoresPerNode
-	jobs := []mapreduce.Job{buildJob(k, reducers), filterJob(int64(p.MinCoverage), reducers)}
-	for r := 0; r < rounds; r++ {
-		jobs = append(jobs, compressionJob(k, r, reducers))
-	}
-
-	out, elapsed, err := engine.RunChain(jobs, input)
+	out, elapsed, err := buildGraph(engine, req.Reads, seq.MustKmerCoder(k), int64(p.MinCoverage), reducers)
 	if err != nil {
 		return assembler.Result{}, err
+	}
+	for r := 0; r < rounds; r++ {
+		res, err := engine.Run(compressionJob(k, r, reducers), out)
+		if err != nil {
+			return assembler.Result{}, err
+		}
+		out = res.Output
+		elapsed += res.Elapsed
 	}
 
 	// --- Final job: single-reducer contig extraction ---
@@ -271,76 +268,190 @@ func memoryGB(req assembler.Request) float64 {
 	return assembler.GraphMemoryGB(req.FullScale, req.Nodes) * 1.05
 }
 
-// buildJob is the first job of the chain: reads → k-mer node records
-// with their edge sets.
-func buildJob(k, reducers int) mapreduce.Job {
-	return mapreduce.Job{
-		Name:        "contrail-build",
+// node is a k-mer's graph node in the build and filter jobs: how many
+// windows it covers and the bases seen beside it on the left and the
+// right end of the canonical k-mer, as 4-bit masks indexed by 2-bit
+// base code. Its text form is record's.
+type node struct {
+	count int64
+	l, r  uint8
+}
+
+// kmerNode is the build and filter jobs' record.
+type kmerNode = mapreduce.Pair[seq.Kmer, node]
+
+// baseSets renders an edge mask as record's sorted base set.
+var baseSets = [16]string{"", "A", "C", "AC", "G", "AG", "CG", "ACG", "T", "AT", "CT", "ACT", "GT", "AGT", "CGT", "ACGT"}
+
+// readBytes is the billed wire length of a read: its ID and bases as
+// one text record.
+func readBytes(read seq.Read) int64 { return int64(len(read.ID) + len(read.Seq) + 16) }
+
+// nodeJob returns a typed job over k-mer nodes with the record
+// operations that bill, partition and order a node as its text record
+// (key the k-mer, value its marshalled record), so that every job's
+// Elapsed and output are the text job's: the wire length is
+// len(key)+len(value)+16, the partition hash is the engine's FNV-1a of
+// the k-mer's bases, and packed order equals string order. Values of
+// one key, which the jobs fold in any order, sort by count and masks.
+func nodeJob[I any](name string, coder seq.KmerCoder, reducers int) mapreduce.TypedJob[I, seq.Kmer, node] {
+	k := coder.K
+	return mapreduce.TypedJob[I, seq.Kmer, node]{
+		Name:        name,
 		NumReducers: reducers,
-		Map: func(kv mapreduce.KV, emit func(mapreduce.KV)) {
-			// An ambiguous base (only AllowN lets one in) ends the read
-			// there: each ACGT stretch is windowed on its own.
-			for _, read := range strings.FieldsFunc(kv.Value, notBase) {
-				for i := 0; i+k <= len(read); i++ {
-					w := read[i : i+k]
-					c := canonString(w)
-					fwd := c == w
-					rec := record{seq: c, count: 1}
-					if i+k < len(read) {
-						if b := read[i+k]; fwd {
-							rec.r = string(b)
-						} else {
-							rec.l = string(seq.Complement(b))
-						}
-					}
-					if i > 0 {
-						if a := read[i-1]; fwd {
-							rec.l = string(seq.Complement(a))
-						} else {
-							rec.r = string(a)
-						}
-					}
-					// The key is the value's prefix: one string to
-					// retain per record, not two.
-					v := rec.marshal()
-					emit(mapreduce.KV{Key: v[:k], Value: v})
-				}
-			}
+		Bytes: func(kn kmerNode) int64 {
+			n := kn.Value
+			return int64(2*k+3+digits(n.count)+len(baseSets[n.l])+len(baseSets[n.r])) + 16
 		},
-		Reduce: func(key string, values []string, emit func(mapreduce.KV)) {
-			merged := record{seq: key}
-			for _, v := range values {
-				rec, err := parseRecord(v)
-				if err != nil {
-					continue
-				}
-				merged.count += rec.count
-				for i := 0; i < len(rec.l); i++ {
-					merged.l = addBase(merged.l, rec.l[i])
-				}
-				for i := 0; i < len(rec.r); i++ {
-					merged.r = addBase(merged.r, rec.r[i])
-				}
+		Partition: func(km seq.Kmer) uint64 {
+			h := uint64(14695981039346656037)
+			for i := 0; i < k; i++ {
+				h ^= uint64(seq.BaseByte(coder.BaseAt(km, i)))
+				h *= 1099511628211
 			}
-			emit(mapreduce.KV{Key: key, Value: merged.marshal()})
+			return h
+		},
+		Compare: func(a, b kmerNode) int {
+			if c := a.Key.Compare(b.Key); c != 0 {
+				return c
+			}
+			if c := cmp.Compare(a.Value.count, b.Value.count); c != 0 {
+				return c
+			}
+			if c := cmp.Compare(a.Value.l, b.Value.l); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.Value.r, b.Value.r)
 		},
 	}
 }
 
-// filterJob is the second job of the chain: the coverage cutoff.
-func filterJob(minCov int64, reducers int) mapreduce.Job {
-	return mapreduce.Job{
-		Name:        "contrail-filter",
-		NumReducers: reducers,
-		Map: func(kv mapreduce.KV, emit func(mapreduce.KV)) {
-			rec, err := parseRecord(kv.Value)
-			if err != nil || rec.count < minCov {
-				return
+// buildJob is the first job of the chain: reads → k-mer nodes with
+// their edge sets. An ambiguous base (only AllowN lets one in) ends
+// the read's window there: no window spans it and it is no edge.
+func buildJob(coder seq.KmerCoder, reducers int) mapreduce.TypedJob[seq.Read, seq.Kmer, node] {
+	k := coder.K
+	job := nodeJob[seq.Read]("contrail-build", coder, reducers)
+	job.InputBytes = readBytes
+	job.Map = func(read seq.Read, emit func(kmerNode)) {
+		s := read.Seq
+		var km, rc seq.Kmer // the window and its reverse complement
+		valid := 0          // unambiguous bases ending at i
+		for i, b := range s {
+			code, ok := seq.Code(b)
+			if !ok {
+				valid = 0
+				continue
 			}
-			emit(kv)
-		},
-		Reduce: passThroughReduce,
+			km, _ = coder.Next(km, b)
+			rc, _ = coder.Prev(rc, seq.BaseByte(3-code))
+			if valid++; valid < k {
+				continue
+			}
+			canon, fwd := km, !rc.Less(km)
+			if !fwd {
+				canon = rc
+			}
+			n := node{count: 1}
+			if i+1 < len(s) {
+				if right, ok := seq.Code(s[i+1]); ok {
+					if fwd {
+						n.r = 1 << right
+					} else {
+						n.l = 1 << (3 - right)
+					}
+				}
+			}
+			if valid > k {
+				left, _ := seq.Code(s[i-k])
+				if fwd {
+					n.l |= 1 << (3 - left)
+				} else {
+					n.r |= 1 << left
+				}
+			}
+			emit(kmerNode{Key: canon, Value: n})
+		}
 	}
+	job.Reduce = func(km seq.Kmer, values []node, emit func(kmerNode)) {
+		var merged node
+		for _, n := range values {
+			merged.count += n.count
+			merged.l |= n.l
+			merged.r |= n.r
+		}
+		emit(kmerNode{Key: km, Value: merged})
+	}
+	return job
+}
+
+// filterJob is the second job of the chain: the coverage cutoff.
+func filterJob(coder seq.KmerCoder, minCov int64, reducers int) mapreduce.TypedJob[kmerNode, seq.Kmer, node] {
+	job := nodeJob[kmerNode]("contrail-filter", coder, reducers)
+	job.InputBytes = job.Bytes
+	job.Map = func(kn kmerNode, emit func(kmerNode)) {
+		if kn.Value.count >= minCov {
+			emit(kn)
+		}
+	}
+	job.Reduce = func(km seq.Kmer, values []node, emit func(kmerNode)) {
+		for _, n := range values {
+			emit(kmerNode{Key: km, Value: n})
+		}
+	}
+	return job
+}
+
+// buildGraph runs the build and filter jobs over the reads and returns
+// the surviving nodes as text records, with the two jobs' summed
+// virtual time.
+func buildGraph(e *mapreduce.Engine, reads []seq.Read, coder seq.KmerCoder, minCov int64, reducers int) ([]mapreduce.KV, vclock.Duration, error) {
+	built, err := mapreduce.RunTyped(e, buildJob(coder, reducers), reads)
+	if err != nil {
+		return nil, 0, err
+	}
+	kept, err := mapreduce.RunTyped(e, filterJob(coder, minCov, reducers), built.Output)
+	if err != nil {
+		return nil, 0, err
+	}
+	return textRecords(coder, kept.Output), built.Elapsed + kept.Elapsed, nil
+}
+
+// textRecords renders nodes as the text records the compression
+// rounds take: the key is the value's prefix, one string per record.
+func textRecords(coder seq.KmerCoder, nodes []kmerNode) []mapreduce.KV {
+	out := make([]mapreduce.KV, len(nodes))
+	for i, kn := range nodes {
+		v := marshalNode(coder, kn)
+		out[i] = mapreduce.KV{Key: v[:coder.K], Value: v}
+	}
+	return out
+}
+
+// marshalNode is record.marshal of the node's text form.
+func marshalNode(coder seq.KmerCoder, kn kmerNode) string {
+	var sb strings.Builder
+	var num [20]byte
+	sb.Grow(coder.K + len(num) + 11)
+	for i := 0; i < coder.K; i++ {
+		sb.WriteByte(seq.BaseByte(coder.BaseAt(kn.Key, i)))
+	}
+	sb.WriteByte('|')
+	sb.Write(strconv.AppendInt(num[:0], kn.Value.count, 10))
+	sb.WriteByte('|')
+	sb.WriteString(baseSets[kn.Value.l])
+	sb.WriteByte('|')
+	sb.WriteString(baseSets[kn.Value.r])
+	return sb.String()
+}
+
+// digits is the length of n ≥ 0 in decimal.
+func digits(n int64) int {
+	d := 1
+	for ; n >= 10; n /= 10 {
+		d++
+	}
+	return d
 }
 
 // compressionJob builds one coin-flip chain-merge round. A node whose
@@ -463,19 +574,6 @@ func (ct *Contrail) Estimate(req assembler.Request) (assembler.Result, error) {
 		TTC:                 vclock.Duration(build + filter + compress + finalize + setups),
 		PeakMemoryGBPerNode: memoryGB(req),
 	}, nil
-}
-
-// notBase reports whether r is anything but A, C, G or T.
-func notBase(r rune) bool {
-	_, ok := seq.Code(byte(r))
-	return !ok || r > 0x7F
-}
-
-// passThroughReduce re-emits every value under its key.
-func passThroughReduce(key string, values []string, emit func(mapreduce.KV)) {
-	for _, v := range values {
-		emit(mapreduce.KV{Key: key, Value: v})
-	}
 }
 
 func mustDur(v, def float64) vclock.Duration {

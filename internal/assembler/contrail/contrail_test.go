@@ -1,9 +1,12 @@
 package contrail
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -159,19 +162,26 @@ func TestNCheckToggle(t *testing.T) {
 // compression jobs emit is a base, a digit, a separator or a tag.
 func TestAllowNKeepsRecordsClean(t *testing.T) {
 	const k = 5
-	input := []mapreduce.KV{
-		{Key: "mid", Value: "ACGTTNGCATG"},  // both stretches long enough to window
-		{Key: "edge", Value: "NACGTTGN"},    // N as the only neighbour on each side
-		{Key: "short", Value: "ACGNNACNGT"}, // no stretch reaches k
-		{Key: "clean", Value: "ACGTTGCATG"},
+	reads := []seq.Read{
+		{ID: "mid", Seq: []byte("ACGTTNGCATG")},  // both stretches long enough to window
+		{ID: "edge", Seq: []byte("NACGTTGN")},    // N as the only neighbour on each side
+		{ID: "short", Seq: []byte("ACGNNACNGT")}, // no stretch reaches k
+		{ID: "clean", Seq: []byte("ACGTTGCATG")},
 	}
 	e, err := mapreduce.NewEngine(mapreduce.DefaultConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := e.RunChain([]mapreduce.Job{buildJob(k, 4), compressionJob(k, 0, 4), compressionJob(k, 1, 4)}, input)
+	out, _, err := buildGraph(e, reads, seq.MustKmerCoder(k), 1, 4)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for r := 0; r < 2; r++ {
+		res, err := e.Run(compressionJob(k, r, 4), out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = res.Output
 	}
 	if len(out) == 0 {
 		t.Fatal("no records")
@@ -325,12 +335,7 @@ func TestCompressionRoundsAfterTheFirstMergeNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	cleaned, _ := preprocess.Run(ds.Reads, preprocess.DefaultOptions())
-	var input []mapreduce.KV
-	for _, r := range cleaned.Reads {
-		if seq.CountN(r.Seq) == 0 {
-			input = append(input, mapreduce.KV{Key: r.ID, Value: string(r.Seq)})
-		}
-	}
+	reads := seq.NFree(cleaned.Reads)
 	const k, reducers = 25, 4
 	e, err := mapreduce.NewEngine(mapreduce.DefaultConfig(2))
 	if err != nil {
@@ -343,7 +348,10 @@ func TestCompressionRoundsAfterTheFirstMergeNothing(t *testing.T) {
 		}
 		return res.Output
 	}
-	out := run(filterJob(2, reducers), run(buildJob(k, reducers), input))
+	out, _, err := buildGraph(e, reads, seq.MustKmerCoder(k), 2, reducers)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// rounds[r] is what compression round r takes in; the last entry
 	// is what the finalize job gets.
 	rounds := []roundRecords{measureRound(t, k, out)}
@@ -368,5 +376,65 @@ func TestCompressionRoundsAfterTheFirstMergeNothing(t *testing.T) {
 		if want := prev.kmers + 5*cur.records; cur.kmers != want {
 			t.Errorf("round %d: %d k-mer positions, want %d: round %d's %d and one tag per record", r, cur.kmers, want, r-1, prev.kmers)
 		}
+	}
+}
+
+// The typed build folds lowercase (soft-masked) bases into uppercase
+// k-mers, as seq.KmerCoder does for every other assembler: a read and
+// its lowercase twin build the same nodes.
+func TestLowercaseReadBuildsUppercaseNodes(t *testing.T) {
+	const k = 7
+	upper := []byte("ACGTTGCAATCGGNCTAAGCTTACGG")
+	e, err := mapreduce.NewEngine(mapreduce.DefaultConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(s []byte) mapreduce.TypedResult[seq.Kmer, node] {
+		res, err := mapreduce.RunTyped(e, buildJob(seq.MustKmerCoder(k), 3), []seq.Read{{ID: "r", Seq: s}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := build(upper)
+	got := build(bytes.ToLower(upper))
+	if len(want.Output) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("lowercase read built %+v, uppercase %+v", got, want)
+	}
+}
+
+// On the tiny profile the typed build allocates 79 bytes per emitted
+// window: the spilled node, its partition run and the job output. The
+// text build allocated 169, a marshalled string per window on top. The
+// bound, 15 % over the typed figure, keeps text records from creeping
+// back.
+func TestTypedBuildBytesPerWindow(t *testing.T) {
+	ds, err := simdata.Generate(simdata.Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := seq.NFree(ds.Reads.Reads)
+	const k = 25
+	windows := 0
+	for _, r := range reads {
+		windows += max(0, len(r.Seq)-k+1)
+	}
+	e, err := mapreduce.NewEngine(mapreduce.DefaultConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := buildJob(seq.MustKmerCoder(k), 4)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := mapreduce.RunTyped(e, job, reads)
+	runtime.ReadMemStats(&after)
+	if err != nil || len(res.Output) == 0 {
+		t.Fatalf("%d nodes, %v", len(res.Output), err)
+	}
+	perWindow := float64(after.TotalAlloc-before.TotalAlloc) / float64(windows)
+	t.Logf("%d windows, %d nodes, %.1f bytes per window", windows, len(res.Output), perWindow)
+	if perWindow > 91 {
+		t.Errorf("the build allocated %.1f bytes per window, want ≤ 91", perWindow)
 	}
 }

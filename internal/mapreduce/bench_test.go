@@ -21,25 +21,3 @@ func BenchmarkWordCount(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkChain4Jobs(b *testing.B) {
-	identity := Job{
-		Name: "id",
-		Map:  func(kv KV, emit func(KV)) { emit(kv) },
-		Reduce: func(key string, values []string, emit func(KV)) {
-			for _, v := range values {
-				emit(KV{key, v})
-			}
-		},
-	}
-	input := lines(strings.Repeat("x ", 200))
-	e, _ := NewEngine(DefaultConfig(4))
-	jobs := []Job{identity, identity, identity, identity}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := e.RunChain(jobs, input); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

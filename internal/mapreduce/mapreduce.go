@@ -26,29 +26,24 @@ import (
 	"rnascale/internal/vclock"
 )
 
-// KV is one key/value record.
-type KV struct {
-	Key   string
-	Value string
+// Pair is one key/value record.
+type Pair[K comparable, V any] struct {
+	Key   K
+	Value V
 }
 
-// wireBytes estimates a record's serialized size, including framing.
+// KV is one text record, the record type of a Job.
+type KV = Pair[string, string]
+
+// wireBytes estimates a text record's serialized size, including
+// framing.
 func wireBytes(kv KV) int64 { return int64(len(kv.Key) + len(kv.Value) + 16) }
 
-// TotalBytes sums the serialized size of a record set.
-func TotalBytes(kvs []KV) int64 {
-	var n int64
-	for _, kv := range kvs {
-		n += wireBytes(kv)
-	}
-	return n
-}
-
-// Job is one MapReduce job. The engine runs independent map splits,
-// and then independent reduce partitions, on several host goroutines:
-// Map, Combine and Reduce may each be called concurrently for
-// different tasks (never for the same task), so they must not write
-// shared state without synchronization.
+// Job is one MapReduce job over text records. The engine runs
+// independent map splits, and then independent reduce partitions, on
+// several host goroutines: Map, Combine and Reduce may each be called
+// concurrently for different tasks (never for the same task), so they
+// must not write shared state without synchronization.
 type Job struct {
 	Name string
 	// Map transforms one input record into zero or more intermediate
@@ -67,6 +62,29 @@ type Job struct {
 	// NumReducers overrides the reducer task count (default: one per
 	// worker).
 	NumReducers int
+}
+
+// TypedJob is one MapReduce job that maps input records of type I to
+// intermediate records Pair[K, V] and reduces those to output records
+// of the same type. Map, Reduce, Combine and NumReducers follow Job's
+// contract. The other four functions are the record operations the
+// engine needs, and must be pure:
+//   - InputBytes and Bytes are the wire lengths billed for an input
+//     and for an intermediate record;
+//   - Partition hashes a key to pick its reducer;
+//   - Compare totally orders records, by key first, so that equal keys
+//     sort next to each other and values arrive sorted.
+type TypedJob[I any, K comparable, V any] struct {
+	Name        string
+	Map         func(in I, emit func(Pair[K, V]))
+	Reduce      func(key K, values []V, emit func(Pair[K, V]))
+	Combine     func(key K, values []V) []V
+	NumReducers int
+
+	InputBytes func(in I) int64
+	Bytes      func(rec Pair[K, V]) int64
+	Partition  func(key K) uint64
+	Compare    func(a, b Pair[K, V]) int
 }
 
 // Config sizes the simulated Hadoop cluster.
@@ -137,9 +155,9 @@ func (e *Engine) volumeScale() float64 {
 	return e.cfg.VolumeScale
 }
 
-// Result carries a finished job's output and accounting.
-type Result struct {
-	Output []KV
+// TypedResult carries a finished job's output and accounting.
+type TypedResult[K comparable, V any] struct {
+	Output []Pair[K, V]
 	// Elapsed is the job's virtual duration including setup.
 	Elapsed vclock.Duration
 	// MapTasks and ReduceTasks report the task fan-out.
@@ -148,7 +166,29 @@ type Result struct {
 	ShuffleBytes int64
 }
 
-// Run executes one job over the input and returns its sorted output.
+// Result is a text job's TypedResult.
+type Result = TypedResult[string, string]
+
+// Run executes one text job over the input and returns its sorted
+// output: RunTyped with text records, billed at len(key)+len(value)+16
+// bytes, partitioned by an FNV-1a hash of the key and ordered by key,
+// then value.
+func (e *Engine) Run(job Job, input []KV) (Result, error) {
+	return RunTyped(e, TypedJob[KV, string, string]{
+		Name:        job.Name,
+		Map:         job.Map,
+		Reduce:      job.Reduce,
+		Combine:     job.Combine,
+		NumReducers: job.NumReducers,
+		InputBytes:  wireBytes,
+		Bytes:       wireBytes,
+		Partition:   keyHash,
+		Compare:     compareKV,
+	}, input)
+}
+
+// RunTyped executes one job over the input on e's cluster and returns
+// its sorted output.
 //
 // Each record is copied once between map and reduce. A map task
 // spills its records by partition, into chunks that grow without
@@ -161,60 +201,61 @@ type Result struct {
 // execute on up to GOMAXPROCS host goroutines; the virtual-time
 // accounting happens afterwards from integer byte totals, so neither
 // Output nor Elapsed depends on how many ran.
-func (e *Engine) Run(job Job, input []KV) (Result, error) {
+func RunTyped[I any, K comparable, V any](e *Engine, job TypedJob[I, K, V], input []I) (TypedResult[K, V], error) {
+	type rec = Pair[K, V]
 	if job.Map == nil || job.Reduce == nil {
-		return Result{}, fmt.Errorf("mapreduce: job %q missing map or reduce", job.Name)
+		return TypedResult[K, V]{}, fmt.Errorf("mapreduce: job %q missing map or reduce", job.Name)
 	}
 	reducers := job.NumReducers
 	if reducers <= 0 {
 		reducers = e.cfg.Workers
 	}
-	splits := splitInput(input, e.cfg.SplitBytes)
+	splits, mapBytes := splitInput(input, job.InputBytes, e.cfg.SplitBytes)
 
 	// --- Map phase: one spill per split ---
-	mapBytes := make([]int64, len(splits))
-	spills := make([]spill, len(splits))
+	spills := make([]spill[rec], len(splits))
 	parallel(len(splits), func(i int) {
-		mapBytes[i] = TotalBytes(splits[i])
-		sp := make(spill, reducers)
+		sp := make(spill[rec], reducers)
 		spills[i] = sp
-		toSpill := func(out KV) { sp.add(int(keyHash(out.Key)%uint64(reducers)), out) }
+		toSpill := func(out rec) { sp.add(int(job.Partition(out.Key)%uint64(reducers)), out) }
 		if job.Combine == nil {
-			for _, kv := range splits[i] {
-				job.Map(kv, toSpill)
+			for _, in := range splits[i] {
+				job.Map(in, toSpill)
 			}
 			return
 		}
-		var emitted []KV
-		for _, kv := range splits[i] {
-			job.Map(kv, func(out KV) { emitted = append(emitted, out) })
+		var emitted []rec
+		for _, in := range splits[i] {
+			job.Map(in, func(out rec) { emitted = append(emitted, out) })
 		}
-		slices.SortFunc(emitted, compareKV)
-		forEachKey(emitted, func(key string, values []string) {
+		slices.SortFunc(emitted, job.Compare)
+		forEachKey(emitted, func(key K, values []V) {
 			for _, v := range job.Combine(key, values) {
-				toSpill(KV{key, v})
+				toSpill(rec{key, v})
 			}
 		})
 	})
 
 	// --- Shuffle + reduce phase: one sorted run per partition ---
 	partBytes := make([]int64, reducers)
-	outputs := make([][]KV, reducers)
+	outputs := make([][]rec, reducers)
 	parallel(reducers, func(p int) {
 		run := gather(spills, p)
-		partBytes[p] = TotalBytes(run)
-		slices.SortFunc(run, compareKV)
+		for _, r := range run {
+			partBytes[p] += job.Bytes(r)
+		}
+		slices.SortFunc(run, job.Compare)
 		read, w := 0, 0 // records grouped so far; output in run[:w]
-		var extra []KV  // output once it outgrows the records read
-		emit := func(kv KV) {
+		var extra []rec // output once it outgrows the records read
+		emit := func(r rec) {
 			if w < read && extra == nil {
-				run[w] = kv
+				run[w] = r
 				w++
 				return
 			}
-			extra = append(extra, kv)
+			extra = append(extra, r)
 		}
-		forEachKey(run, func(key string, values []string) {
+		forEachKey(run, func(key K, values []V) {
 			read += len(values)
 			job.Reduce(key, values, emit)
 		})
@@ -224,18 +265,18 @@ func (e *Engine) Run(job Job, input []KV) (Result, error) {
 		case 2*len(out) < len(run):
 			out = slices.Clone(out) // keep at most twice the output alive
 		default:
-			clear(run[len(out):]) // drop the reduced records' strings
+			clear(run[len(out):]) // drop what the reduced records point to
 		}
-		if !slices.IsSortedFunc(out, compareKV) {
-			slices.SortFunc(out, compareKV)
+		if !slices.IsSortedFunc(out, job.Compare) {
+			slices.SortFunc(out, job.Compare)
 		}
 		outputs[p] = out
 	})
-	output := mergeSorted(outputs)
+	output := mergeSorted(outputs, job.Compare)
 
 	mapDone, _ := e.phase(e.cfg.MapRate, mapBytes)
 	reduceDone, shuffleBytes := e.phase(e.cfg.ReduceRate, partBytes)
-	return Result{
+	return TypedResult[K, V]{
 		Output:       output,
 		Elapsed:      e.cfg.JobSetup + mapDone + reduceDone,
 		MapTasks:     len(splits),
@@ -284,10 +325,10 @@ const spillChunk = 1 << 12
 // spill is one map task's output: per partition, its records in
 // emission order, in chunks that double up to spillChunk so that
 // collecting them never copies one.
-type spill [][][]KV // [partition][chunk][record]
+type spill[R any] [][][]R // [partition][chunk][record]
 
-// add appends kv to partition p.
-func (sp spill) add(p int, kv KV) {
+// add appends r to partition p.
+func (sp spill[R]) add(p int, r R) {
 	chunks := sp[p]
 	last := len(chunks) - 1
 	if last < 0 || len(chunks[last]) == cap(chunks[last]) {
@@ -295,23 +336,23 @@ func (sp spill) add(p int, kv KV) {
 		if last >= 0 {
 			size = min(2*cap(chunks[last]), spillChunk)
 		}
-		chunks = append(chunks, make([]KV, 0, size))
+		chunks = append(chunks, make([]R, 0, size))
 		last++
 	}
-	chunks[last] = append(chunks[last], kv)
+	chunks[last] = append(chunks[last], r)
 	sp[p] = chunks
 }
 
 // gather moves partition p's records out of the spills, in split
 // order, into one exact-size run, and releases their chunks.
-func gather(spills []spill, p int) []KV {
+func gather[R any](spills []spill[R], p int) []R {
 	n := 0
 	for _, sp := range spills {
 		for _, chunk := range sp[p] {
 			n += len(chunk)
 		}
 	}
-	run := make([]KV, 0, n)
+	run := make([]R, 0, n)
 	for _, sp := range spills {
 		for _, chunk := range sp[p] {
 			run = append(run, chunk...)
@@ -321,11 +362,12 @@ func gather(spills []spill, p int) []KV {
 	return run
 }
 
-// mergeSorted merges sorted runs into a new sorted slice of exactly
-// their total length, nil if that is zero. A winner tree over the run
-// heads picks each next record in ⌈log2 len(runs)⌉ comparisons; equal
-// records are identical, so which run supplies one is invisible.
-func mergeSorted(runs [][]KV) []KV {
+// mergeSorted merges runs sorted by cmp into a new sorted slice of
+// exactly their total length, nil if that is zero. A winner tree over
+// the run heads picks each next record in ⌈log2 len(runs)⌉
+// comparisons; equal records are identical, so which run supplies one
+// is invisible.
+func mergeSorted[R any](runs [][]R, cmp func(a, b R) int) []R {
 	total := 0
 	for _, run := range runs {
 		total += len(run)
@@ -345,7 +387,7 @@ func mergeSorted(runs [][]KV) []KV {
 			return b
 		case b >= len(runs) || len(runs[b]) == 0:
 			return a
-		case compareKV(runs[b][0], runs[a][0]) < 0:
+		case cmp(runs[b][0], runs[a][0]) < 0:
 			return b
 		}
 		return a
@@ -357,7 +399,7 @@ func mergeSorted(runs [][]KV) []KV {
 	for n := leaves - 1; n > 0; n-- {
 		tree[n] = play(tree[2*n], tree[2*n+1])
 	}
-	out := make([]KV, total)
+	out := make([]R, total)
 	for i := range out {
 		w := tree[1]
 		out[i] = runs[w][0]
@@ -372,8 +414,8 @@ func mergeSorted(runs [][]KV) []KV {
 // forEachKey calls fn once per run of consecutive equal keys in the
 // sorted records, with the run's values in a scratch slice that is
 // reused for the next key.
-func forEachKey(sorted []KV, fn func(key string, values []string)) {
-	var values []string
+func forEachKey[K comparable, V any](sorted []Pair[K, V], fn func(key K, values []V)) {
+	var values []V
 	for i := 0; i < len(sorted); {
 		key := sorted[i].Key
 		values = values[:0]
@@ -402,44 +444,31 @@ func parallel(n int, task func(i int)) {
 	wg.Wait()
 }
 
-// RunChain executes jobs sequentially, feeding each job's output to
-// the next, and returns the final output plus the summed duration —
-// the execution pattern of iterative graph algorithms like Contrail.
-func (e *Engine) RunChain(jobs []Job, input []KV) ([]KV, vclock.Duration, error) {
-	cur := input
-	var total vclock.Duration
-	for i := range jobs {
-		res, err := e.Run(jobs[i], cur)
-		if err != nil {
-			return nil, total, fmt.Errorf("mapreduce: chain step %d (%s): %w", i, jobs[i].Name, err)
-		}
-		cur = res.Output
-		total += res.Elapsed
-	}
-	return cur, total, nil
-}
-
 // splitInput partitions records into contiguous splits of roughly
-// maxBytes each (at least one split for non-empty input).
-func splitInput(input []KV, maxBytes int64) [][]KV {
+// maxBytes each (at least one split for non-empty input) and returns
+// each split's byte total.
+func splitInput[I any](input []I, bytes func(I) int64, maxBytes int64) ([][]I, []int64) {
 	if len(input) == 0 {
-		return [][]KV{{}}
+		return [][]I{{}}, []int64{0}
 	}
-	var splits [][]KV
+	var splits [][]I
+	var totals []int64
 	start := 0
 	var acc int64
-	for i, kv := range input {
-		acc += wireBytes(kv)
+	for i, in := range input {
+		acc += bytes(in)
 		if acc >= maxBytes {
 			splits = append(splits, input[start:i+1])
+			totals = append(totals, acc)
 			start = i + 1
 			acc = 0
 		}
 	}
 	if start < len(input) {
 		splits = append(splits, input[start:])
+		totals = append(totals, acc)
 	}
-	return splits
+	return splits, totals
 }
 
 // keyHash is FNV-1a over the key.

@@ -141,17 +141,17 @@ func TestCombinerCutsShuffle(t *testing.T) {
 func TestSplitInput(t *testing.T) {
 	input := lines("aaaa", "bbbb", "cccc", "dddd")
 	per := wireBytes(input[0])
-	splits := splitInput(input, per) // each record fills a split
-	if len(splits) != 4 {
-		t.Errorf("%d splits", len(splits))
+	splits, bytes := splitInput(input, wireBytes, per) // each record fills a split
+	if len(splits) != 4 || !reflect.DeepEqual(bytes, []int64{per, per, per, per}) {
+		t.Errorf("%d splits of %v bytes", len(splits), bytes)
 	}
-	splits = splitInput(input, 1<<40)
-	if len(splits) != 1 {
-		t.Errorf("giant split size: %d splits", len(splits))
+	splits, bytes = splitInput(input, wireBytes, 1<<40)
+	if len(splits) != 1 || !reflect.DeepEqual(bytes, []int64{4 * per}) {
+		t.Errorf("giant split size: %d splits of %v bytes", len(splits), bytes)
 	}
-	splits = splitInput(nil, 100)
-	if len(splits) != 1 || len(splits[0]) != 0 {
-		t.Errorf("empty input splits: %v", splits)
+	splits, bytes = splitInput(nil, wireBytes, 100)
+	if len(splits) != 1 || len(splits[0]) != 0 || !reflect.DeepEqual(bytes, []int64{0}) {
+		t.Errorf("empty input splits: %v of %v bytes", splits, bytes)
 	}
 }
 
@@ -196,38 +196,6 @@ func TestManyWorkersHitOverheadFloor(t *testing.T) {
 	}
 }
 
-func TestRunChainIterates(t *testing.T) {
-	// Each round appends one 'x' to every value; durations add up.
-	round := Job{
-		Name: "append",
-		Map:  func(kv KV, emit func(KV)) { emit(KV{kv.Key, kv.Value + "x"}) },
-		Reduce: func(key string, values []string, emit func(KV)) {
-			for _, v := range values {
-				emit(KV{key, v})
-			}
-		},
-	}
-	e, _ := NewEngine(DefaultConfig(2))
-	out, total, err := e.RunChain([]Job{round, round, round}, lines("seed"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 || out[0].Value != "seedxxx" {
-		t.Errorf("chain output %v", out)
-	}
-	single, err := e.Run(round, lines("seed"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total < 3*single.Elapsed-1 {
-		t.Errorf("chain %v vs 3×%v: per-round cost lost", total, single.Elapsed)
-	}
-	// Chain with a broken job surfaces the error.
-	if _, _, err := e.RunChain([]Job{{Name: "bad"}}, nil); err == nil {
-		t.Error("bad chain step accepted")
-	}
-}
-
 func TestReducerCountControlsPartitions(t *testing.T) {
 	job := wordCount()
 	job.NumReducers = 3
@@ -260,10 +228,17 @@ func referenceRun(e *Engine, job Job, input []KV) Result {
 	if reducers <= 0 {
 		reducers = e.cfg.Workers
 	}
-	splits := splitInput(input, e.cfg.SplitBytes)
+	splits, _ := splitInput(input, wireBytes, e.cfg.SplitBytes)
 	slots := vclock.NewSlotPool(e.cfg.Workers * e.cfg.SlotsPerWorker)
 	smooth := e.volumeScale() > 1
-	totalInput := float64(TotalBytes(input))
+	totalBytes := func(kvs []KV) int64 {
+		var n int64
+		for _, kv := range kvs {
+			n += int64(len(kv.Key) + len(kv.Value) + 16)
+		}
+		return n
+	}
+	totalInput := float64(totalBytes(input))
 
 	interm := make([]map[string][]string, len(splits))
 	for i, sp := range splits {
@@ -278,7 +253,7 @@ func referenceRun(e *Engine, job Job, input []KV) Result {
 			}
 		}
 		interm[i] = m
-		taskBytes := float64(TotalBytes(sp))
+		taskBytes := float64(totalBytes(sp))
 		if smooth {
 			taskBytes = totalInput / float64(len(splits))
 		}
