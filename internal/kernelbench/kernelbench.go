@@ -6,12 +6,13 @@
 // Each kernel is one of the hot paths the ROADMAP's "raw speed" line
 // targets — k-mer scanning, counting and DBG construction, FASTA/FASTQ
 // parsing, the vclock slot scheduler, MPI collective rendezvous and
-// the distributed assembly on top of it, the spot market's price walk,
-// journal appends and the verifying read, a MapReduce job and the
-// Contrail chain on top of it — run over a deterministic workload (a
-// splitmix64-seeded synthetic genome, never math/rand), so that
-// allocs/op and B/op are stable across runs and only ns/op carries
-// machine noise; that split is what the gate's tolerances rest on.
+// the distributed assembly on top of it, Trinity's greedy assembly,
+// the spot market's price walk, journal appends and the verifying
+// read, a MapReduce job and the Contrail chain on top of it — run over
+// a deterministic workload (a splitmix64-seeded synthetic genome, never
+// math/rand), so that allocs/op and B/op are stable across runs and
+// only ns/op carries machine noise; that split is what the gate's
+// tolerances rest on.
 package kernelbench
 
 import (
@@ -24,6 +25,7 @@ import (
 	"rnascale/internal/assembler"
 	"rnascale/internal/assembler/contrail"
 	"rnascale/internal/assembler/ray"
+	"rnascale/internal/assembler/trinity"
 	"rnascale/internal/cloud"
 	"rnascale/internal/dbg"
 	"rnascale/internal/journal"
@@ -370,6 +372,30 @@ func Kernels() []Kernel {
 				}
 				return func() {
 					res, err := (&ray.Ray{}).Assemble(req)
+					if err != nil {
+						panic(err)
+					}
+					if len(res.Contigs) == 0 {
+						panic("kernelbench: no contigs")
+					}
+				}
+			},
+		},
+		{
+			// Trinity's single-node assembly: count canonical k-mers,
+			// drop those under the cutoff, and walk Inchworm's greedy
+			// extensions from every unused seed, most abundant first.
+			Name:  "trinity.assemble",
+			Iters: 20,
+			Setup: func() func() {
+				req := assembler.Request{
+					Reads:  miscall(shred(genome(19, 8192), 80, 6), 20),
+					Params: assembler.Params{K: 21, MinCoverage: 2},
+					Nodes:  1, CoresPerNode: 8,
+					FullScale: simdata.FullScaleStats{SeqDataBytes: 64 << 20},
+				}
+				return func() {
+					res, err := (&trinity.Trinity{}).Assemble(req)
 					if err != nil {
 						panic(err)
 					}
