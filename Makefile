@@ -16,13 +16,15 @@ COVER_SPECS = internal/cloud:85 internal/pilot:80 internal/core:80
 # seeded containment check against its reference, the run request
 # decoder (the gateway's JSON body) against a JSON round trip, the
 # de Bruijn graph's one-probe-per-edge sweep against the eight-probe
-# reference, and Contrail's typed build and filter jobs against the
-# text ones.
+# reference, Contrail's typed build and filter jobs against the text
+# ones, and Trinity's table-based count and walk against the map-based
+# ones.
 FUZZ_TARGETS = internal/seq:FuzzParseFasta internal/seq:FuzzParseFastq internal/seq:FuzzParseSFA \
 	internal/seq:FuzzForEachCanonical internal/assembler/contrail:FuzzParseRecord \
 	internal/journal:FuzzScan internal/journal:FuzzContinue internal/core:FuzzDecodePA internal/core:FuzzDecodePB \
 	internal/core:FuzzParseStageBackends internal/merge:FuzzDropContained internal/faults:FuzzParseSpec \
-	internal/core:FuzzRequestConfig internal/dbg:FuzzEdges internal/assembler/contrail:FuzzBuildMatchesText
+	internal/core:FuzzRequestConfig internal/dbg:FuzzEdges internal/assembler/contrail:FuzzBuildMatchesText \
+	internal/assembler/trinity:FuzzInchwormMatchesMap
 FUZZ_TIME ?= 10s
 
 .PHONY: all build test vet lint lint-fixtures race cover fuzz-smoke sweep-determinism oracle-determinism journal-determinism overload-determinism check bench bench-gate bench-baseline bench-smoke size clean
@@ -115,6 +117,7 @@ endef
 ORACLE_FLAGS = -count=1 -cpu 1,2,8
 ORACLE_SPECS = internal/mapreduce:TestEngineMatchesReference \
 	internal/assembler/contrail:TestTypedBuildMatchesText \
+	internal/assembler/trinity:TestInchwormMatchesMapReference \
 	internal/seq:MatchesReference|TestKmerTableMatchesMapModel \
 	internal/dbg:TestContigsIndependentOfInsertionOrder|TestEdgeBit|TestClipTipsLengthBoundary|TestEdgesMatchEightProbeReference|TestTraversalOrderFromAscendingRun \
 	internal/merge:TestDropContainedMatchesReference \
@@ -139,10 +142,13 @@ sweep-determinism:
 # reference's however many host goroutines run the map splits and
 # reduce partitions, and Contrail's build and filter jobs on packed
 # k-mer records must give the text jobs' records, elapsed time, shuffle
-# bytes and task counts. The k-mer kernel: the O(1) reverse complement and
-# the rolling canonical window against the base-by-base loops, the
-# k-mer table against a Go map, contigs against every insertion order,
-# and Ray/ABySS on both full profiles against the contig counts, TTCs,
+# bytes and task counts. Trinity's count and Inchworm walk on one k-mer
+# table must give the map-based walk's contigs, IDs, TTC and memory on
+# tiny at odd and even k, bglumae, pcrispa and count-tied seeds. The
+# k-mer kernel: the O(1) reverse complement and the rolling canonical
+# window against the base-by-base loops, the FASTA and FASTQ writers
+# against the fmt-based ones, the k-mer table against a Go map,
+# contigs against every insertion order, and Ray/ABySS on both full profiles against the contig counts, TTCs,
 # traffic and digests recorded before the kernel was rebuilt. The
 # post-counting tail: the edge-bit graph's tip clipping, bubble popping
 # and unitig walk against the Find-per-question traversals (and its

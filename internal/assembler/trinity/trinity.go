@@ -13,7 +13,8 @@
 package trinity
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"rnascale/internal/assembler"
 	"rnascale/internal/dbg"
@@ -47,19 +48,25 @@ func (tr *Trinity) Assemble(req assembler.Request) (assembler.Result, error) {
 	if err != nil {
 		return assembler.Result{}, err
 	}
-	// Count canonical k-mers.
-	counts := make(map[seq.Kmer]uint32)
+	// Count canonical k-mers into one table, sized at a fifth of the
+	// windows as mpidbg's owner tables are, then drop those under the
+	// cutoff in place.
+	windows := 0
+	for i := range req.Reads {
+		windows += max(len(req.Reads[i].Seq)-p.K+1, 0)
+	}
+	counts := seq.NewKmerTable(windows / 5)
 	for i := range req.Reads {
 		coder.ForEachCanonical(req.Reads[i].Seq, func(_ int, c seq.Kmer) bool {
-			counts[c]++
+			counts.Add(c, 1)
 			return true
 		})
 	}
-	for km, c := range counts {
+	counts.Each(func(slot int, _ seq.Kmer, c uint32) {
 		if c < uint32(p.MinCoverage) {
-			delete(counts, km)
+			counts.DeleteAt(slot)
 		}
-	}
+	})
 	res, err := tr.Estimate(req)
 	if err != nil {
 		return assembler.Result{}, err
@@ -84,96 +91,83 @@ func (tr *Trinity) Estimate(req assembler.Request) (assembler.Result, error) {
 	}, nil
 }
 
-// inchworm greedily assembles contigs from the count table.
-func inchworm(coder seq.KmerCoder, counts map[seq.Kmer]uint32, minLen int) []seq.FastaRecord {
-	// Seeds in decreasing abundance (ties by k-mer order for
-	// determinism).
+// inchworm greedily assembles contigs from the count table. The walk
+// inserts nothing, so every k-mer keeps its slot and the used set is a
+// slice indexed by slot.
+func inchworm(coder seq.KmerCoder, counts *seq.KmerTable, minLen int) []seq.FastaRecord {
+	// Seeds in decreasing abundance, ties by k-mer order: a total
+	// order, so the table's slot order never reaches the output.
 	type seed struct {
-		km seq.Kmer
-		c  uint32
+		km   seq.Kmer
+		c    uint32
+		slot int32
 	}
-	seeds := make([]seed, 0, len(counts))
-	for km, c := range counts {
-		seeds = append(seeds, seed{km, c})
-	}
-	sort.Slice(seeds, func(a, b int) bool {
-		if seeds[a].c != seeds[b].c {
-			return seeds[a].c > seeds[b].c
-		}
-		return seeds[a].km.Less(seeds[b].km)
+	seeds := make([]seed, 0, counts.Len())
+	counts.Each(func(slot int, km seq.Kmer, c uint32) {
+		seeds = append(seeds, seed{km, c, int32(slot)})
 	})
-	used := make(map[seq.Kmer]bool, len(counts))
-	lookup := func(km seq.Kmer) (seq.Kmer, uint32, bool) {
-		canon, _ := coder.Canonical(km)
-		if used[canon] {
-			return canon, 0, false
+	slices.SortFunc(seeds, func(a, b seed) int {
+		if a.c != b.c {
+			return cmp.Compare(b.c, a.c)
 		}
-		c, ok := counts[canon]
-		return canon, c, ok
+		return a.km.Compare(b.km)
+	})
+	used := make([]bool, counts.Slots())
+	// extend walks from km one base at a time, rightwards (forward) or
+	// leftwards, marking each k-mer it takes as used, and appends the
+	// bases it adds to bases in walk order. The best-count unused
+	// neighbour wins, even at branches.
+	extend := func(km seq.Kmer, forward bool, bases []byte) []byte {
+		for {
+			var best seq.Kmer
+			bestSlot, bestC, bestBase := -1, uint32(0), byte(0)
+			for _, b := range [4]byte{'A', 'C', 'G', 'T'} {
+				var nb seq.Kmer
+				if forward {
+					nb, _ = coder.Next(km, b)
+				} else {
+					nb, _ = coder.Prev(km, b)
+				}
+				canon, _ := coder.Canonical(nb)
+				slot := counts.Find(canon)
+				if slot < 0 || used[slot] {
+					continue
+				}
+				if _, c, _ := counts.At(slot); c > bestC {
+					best, bestSlot, bestC, bestBase = nb, slot, c, b
+				}
+			}
+			if bestSlot < 0 {
+				return bases
+			}
+			used[bestSlot] = true
+			bases = append(bases, bestBase)
+			km = best
+		}
 	}
 	var out []seq.FastaRecord
+	var right, left []byte // reused across seeds; left is in walk order
 	for _, sd := range seeds {
-		if used[sd.km] {
+		if used[sd.slot] {
 			continue
 		}
-		used[sd.km] = true
-		// Extend right greedily: best-count neighbour wins, even at
-		// branches.
-		right := sd.km
-		var rightBases []byte
-		for {
-			var best seq.Kmer
-			var bestCanon seq.Kmer
-			var bestC uint32
-			var bestBase byte
-			for _, b := range [4]byte{'A', 'C', 'G', 'T'} {
-				next, _ := coder.Next(right, b)
-				canon, c, ok := lookup(next)
-				if ok && c > bestC {
-					best, bestCanon, bestC, bestBase = next, canon, c, b
-				}
-			}
-			if bestC == 0 {
-				break
-			}
-			used[bestCanon] = true
-			rightBases = append(rightBases, bestBase)
-			right = best
-		}
-		// Extend left greedily.
-		left := sd.km
-		var leftBases []byte // reversed order
-		for {
-			var best seq.Kmer
-			var bestCanon seq.Kmer
-			var bestC uint32
-			var bestBase byte
-			for _, b := range [4]byte{'A', 'C', 'G', 'T'} {
-				prev, _ := coder.Prev(left, b)
-				canon, c, ok := lookup(prev)
-				if ok && c > bestC {
-					best, bestCanon, bestC, bestBase = prev, canon, c, b
-				}
-			}
-			if bestC == 0 {
-				break
-			}
-			used[bestCanon] = true
-			leftBases = append(leftBases, bestBase)
-			left = best
+		used[sd.slot] = true
+		right = extend(sd.km, true, right[:0])
+		left = extend(sd.km, false, left[:0])
+		n := len(left) + coder.K + len(right)
+		if n < minLen {
+			continue
 		}
 		// Assemble: reversed left bases + seed + right bases.
-		sq := make([]byte, 0, len(leftBases)+coder.K+len(rightBases))
-		for i := len(leftBases) - 1; i >= 0; i-- {
-			sq = append(sq, leftBases[i])
+		sq := make([]byte, 0, n)
+		for i := len(left) - 1; i >= 0; i-- {
+			sq = append(sq, left[i])
 		}
 		sq = append(sq, coder.Decode(sd.km)...)
-		sq = append(sq, rightBases...)
-		if len(sq) >= minLen {
-			out = append(out, seq.FastaRecord{Seq: sq})
-		}
+		sq = append(sq, right...)
+		out = append(out, seq.FastaRecord{Seq: sq})
 	}
-	sort.SliceStable(out, func(a, b int) bool { return len(out[a].Seq) > len(out[b].Seq) })
+	slices.SortStableFunc(out, func(a, b seq.FastaRecord) int { return cmp.Compare(len(b.Seq), len(a.Seq)) })
 	for i := range out {
 		out[i].ID = contigID(i, len(out[i].Seq))
 	}

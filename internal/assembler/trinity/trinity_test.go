@@ -2,6 +2,7 @@ package trinity
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -145,5 +146,35 @@ func TestInfo(t *testing.T) {
 	tr := &Trinity{}
 	if tr.Info().Name != "trinity" || tr.Info().MultiNode() || tr.Info().Version != "2.1.1" {
 		t.Errorf("info %+v", tr.Info())
+	}
+}
+
+// On the tiny profile's cleaned reads at k 21 Assemble allocates 11.2
+// bytes per window, nearly all of it the count table and the seed
+// list. Counting into a Go map allocated 16.0. The bound, 15 % over
+// the table figure, keeps a map from creeping back.
+func TestAssembleBytesPerWindow(t *testing.T) {
+	reads, fs := cleanedReads(t, simdata.Tiny())
+	const k = 21
+	windows := 0
+	for _, r := range reads {
+		windows += max(0, len(r.Seq)-k+1)
+	}
+	req := assembler.Request{
+		Reads: reads, Params: assembler.Params{K: k},
+		Nodes: 1, CoresPerNode: 8, FullScale: fs,
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := (&Trinity{}).Assemble(req)
+	runtime.ReadMemStats(&after)
+	if err != nil || len(res.Contigs) == 0 {
+		t.Fatalf("%d contigs, %v", len(res.Contigs), err)
+	}
+	perWindow := float64(after.TotalAlloc-before.TotalAlloc) / float64(windows)
+	t.Logf("%d windows, %d contigs, %.1f bytes per window", windows, len(res.Contigs), perWindow)
+	if perWindow > 13 {
+		t.Errorf("Assemble allocated %.1f bytes per window, want ≤ 13", perWindow)
 	}
 }

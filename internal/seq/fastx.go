@@ -21,35 +21,28 @@ type FastaRecord struct {
 }
 
 // WriteFasta serializes records with the given line width (0 means a
-// single line per sequence).
+// single line per sequence). A bufio.Writer's error is sticky, so each
+// record's last write reports a failure of any write before it.
 func WriteFasta(w io.Writer, recs []FastaRecord, width int) error {
 	bw := bufio.NewWriter(w)
 	for i := range recs {
-		if _, err := fmt.Fprintf(bw, ">%s\n", recs[i].ID); err != nil {
-			return err
-		}
+		bw.WriteByte('>')
+		bw.WriteString(recs[i].ID)
+		err := bw.WriteByte('\n')
 		s := recs[i].Seq
 		if width <= 0 {
-			if _, err := bw.Write(s); err != nil {
-				return err
+			bw.Write(s)
+			err = bw.WriteByte('\n')
+		} else {
+			for len(s) > 0 {
+				n := min(width, len(s))
+				bw.Write(s[:n])
+				err = bw.WriteByte('\n')
+				s = s[n:]
 			}
-			if err := bw.WriteByte('\n'); err != nil {
-				return err
-			}
-			continue
 		}
-		for len(s) > 0 {
-			n := width
-			if n > len(s) {
-				n = len(s)
-			}
-			if _, err := bw.Write(s[:n]); err != nil {
-				return err
-			}
-			if err := bw.WriteByte('\n'); err != nil {
-				return err
-			}
-			s = s[n:]
+		if err != nil {
+			return err
 		}
 	}
 	return bw.Flush()
@@ -108,18 +101,30 @@ func ParseFasta(r io.Reader) ([]FastaRecord, error) {
 	return recs, nil
 }
 
+// highQual is the quality line of reads without qualities, in chunks.
+var highQual = bytes.Repeat([]byte{PhredToByte(40)}, 256)
+
 // WriteFastq serializes reads in 4-line FASTQ. Reads without
 // qualities get a uniform high quality, so FASTA-derived reads remain
-// serializable.
+// serializable. As in WriteFasta, each record's last write reports a
+// failure of any write before it.
 func WriteFastq(w io.Writer, reads []Read) error {
 	bw := bufio.NewWriter(w)
 	for i := range reads {
 		r := &reads[i]
-		qual := r.Qual
-		if qual == nil {
-			qual = bytes.Repeat([]byte{PhredToByte(40)}, len(r.Seq))
+		bw.WriteByte('@')
+		bw.WriteString(r.ID)
+		bw.WriteByte('\n')
+		bw.Write(r.Seq)
+		bw.WriteString("\n+\n")
+		if r.Qual != nil {
+			bw.Write(r.Qual)
+		} else {
+			for n := len(r.Seq); n > 0; n -= len(highQual) {
+				bw.Write(highQual[:min(n, len(highQual))])
+			}
 		}
-		if _, err := fmt.Fprintf(bw, "@%s\n%s\n+\n%s\n", r.ID, r.Seq, qual); err != nil {
+		if err := bw.WriteByte('\n'); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,11 @@
 package seq
 
 import (
+	"bufio"
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"math/rand"
 	"slices"
 	"testing"
@@ -150,4 +155,133 @@ func FuzzForEachCanonical(f *testing.F) {
 			t.Fatalf("k=%d limit=%d %q: windows %v, the reference gives %v", c.K, limit, s, got, want)
 		}
 	})
+}
+
+// The writers below are what fastx.go shipped before it wrote records
+// straight into the bufio.Writer: a fmt.Fprintf per header or record,
+// and a fresh quality line per read without qualities.
+
+func referenceWriteFasta(w io.Writer, recs []FastaRecord, width int) error {
+	bw := bufio.NewWriter(w)
+	for i := range recs {
+		if _, err := fmt.Fprintf(bw, ">%s\n", recs[i].ID); err != nil {
+			return err
+		}
+		s := recs[i].Seq
+		if width <= 0 {
+			if _, err := bw.Write(s); err != nil {
+				return err
+			}
+			if err := bw.WriteByte('\n'); err != nil {
+				return err
+			}
+			continue
+		}
+		for len(s) > 0 {
+			n := width
+			if n > len(s) {
+				n = len(s)
+			}
+			if _, err := bw.Write(s[:n]); err != nil {
+				return err
+			}
+			if err := bw.WriteByte('\n'); err != nil {
+				return err
+			}
+			s = s[n:]
+		}
+	}
+	return bw.Flush()
+}
+
+func referenceWriteFastq(w io.Writer, reads []Read) error {
+	bw := bufio.NewWriter(w)
+	for i := range reads {
+		r := &reads[i]
+		qual := r.Qual
+		if qual == nil {
+			qual = bytes.Repeat([]byte{PhredToByte(40)}, len(r.Seq))
+		}
+		if _, err := fmt.Fprintf(bw, "@%s\n%s\n+\n%s\n", r.ID, r.Seq, qual); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
+// failAfter accepts n bytes, then fails every write.
+type failAfter struct{ n int }
+
+var errFull = errors.New("device full")
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) > f.n {
+		k := f.n
+		f.n = 0
+		return k, errFull
+	}
+	f.n -= len(p)
+	return len(p), nil
+}
+
+// The writers must emit the fmt-based references' bytes, which the
+// *Size functions predict exactly, over records with empty sequences,
+// nil, empty and full qualities, IDs with spaces and sequences longer
+// than one chunk of synthesized qualities, at line widths 0, 1, 60
+// and 70; and a failing destination must fail both alike.
+func TestWriteFastxMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	ids := []string{"r1", "read 7 extra words", "", "x/2", "contig_0001 len=600"}
+	for round := 0; round < 200; round++ {
+		n := rng.Intn(12)
+		reads := make([]Read, n)
+		recs := make([]FastaRecord, n)
+		for i := range reads {
+			sq := randomSeq(rng, []int{0, 1, 59, 60, 61, 140, 700}[rng.Intn(7)])
+			r := Read{ID: ids[rng.Intn(len(ids))], Seq: sq}
+			switch rng.Intn(3) {
+			case 0:
+				r.Qual = bytes.Repeat([]byte{PhredToByte(rng.Intn(41))}, len(sq))
+			case 1:
+				if len(sq) == 0 {
+					r.Qual = []byte{}
+				}
+			}
+			reads[i] = r
+			recs[i] = FastaRecord{ID: r.ID, Seq: sq}
+		}
+		var got, want bytes.Buffer
+		gotErr, wantErr := WriteFastq(&got, reads), referenceWriteFastq(&want, reads)
+		if gotErr != nil || wantErr != nil || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("round %d: WriteFastq wrote %q (%v), the reference %q (%v)", round, got.Bytes(), gotErr, want.Bytes(), wantErr)
+		}
+		if got.Len() != FastqSize(reads) {
+			t.Fatalf("round %d: FastqSize = %d, WriteFastq wrote %d", round, FastqSize(reads), got.Len())
+		}
+		if got.Len() > 0 {
+			cut := rng.Intn(got.Len())
+			gotErr, wantErr := WriteFastq(&failAfter{cut}, reads), referenceWriteFastq(&failAfter{cut}, reads)
+			if !errors.Is(gotErr, errFull) || !errors.Is(wantErr, errFull) {
+				t.Fatalf("round %d: into a destination full after %d of %d bytes WriteFastq returned %v, the reference %v", round, cut, got.Len(), gotErr, wantErr)
+			}
+		}
+		for _, width := range []int{0, 1, 60, 70} {
+			got.Reset()
+			want.Reset()
+			gotErr, wantErr := WriteFasta(&got, recs, width), referenceWriteFasta(&want, recs, width)
+			if gotErr != nil || wantErr != nil || !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("round %d width %d: WriteFasta wrote %q (%v), the reference %q (%v)", round, width, got.Bytes(), gotErr, want.Bytes(), wantErr)
+			}
+			if got.Len() != FastaSize(recs, width) {
+				t.Fatalf("round %d width %d: FastaSize = %d, WriteFasta wrote %d", round, width, FastaSize(recs, width), got.Len())
+			}
+			if got.Len() > 0 {
+				cut := rng.Intn(got.Len())
+				gotErr, wantErr := WriteFasta(&failAfter{cut}, recs, width), referenceWriteFasta(&failAfter{cut}, recs, width)
+				if !errors.Is(gotErr, errFull) || !errors.Is(wantErr, errFull) {
+					t.Fatalf("round %d width %d: into a destination full after %d of %d bytes WriteFasta returned %v, the reference %v", round, width, cut, got.Len(), gotErr, wantErr)
+				}
+			}
+		}
+	}
 }
