@@ -19,7 +19,7 @@ COVER_SPECS = internal/cloud:85 internal/pilot:80 internal/core:80
 # reference, Contrail's typed build and filter jobs against the text
 # ones, and Trinity's table-based count and walk against the map-based
 # ones.
-FUZZ_TARGETS = internal/seq:FuzzParseFasta internal/seq:FuzzParseFastq internal/seq:FuzzParseSFA \
+FUZZ_TARGETS = internal/seq:FuzzParseFasta internal/seq:FuzzParseFastq \
 	internal/seq:FuzzForEachCanonical internal/assembler/contrail:FuzzParseRecord \
 	internal/journal:FuzzScan internal/journal:FuzzContinue internal/core:FuzzDecodePA internal/core:FuzzDecodePB \
 	internal/core:FuzzParseStageBackends internal/merge:FuzzDropContained internal/faults:FuzzParseSpec \

@@ -1,7 +1,8 @@
 // Package cluster simulates StarCluster, the tool the paper uses to
 // assemble EC2 VMs into an HPC-style cluster: a head node plus worker
-// nodes, an NFS-like shared filesystem, and a Sun Grid Engine queue
-// spanning all nodes.
+// nodes and a Sun Grid Engine queue spanning all nodes. The NFS share
+// the stages exchange data through is modelled only as transfer time
+// (see core's stage handovers); no bytes are stored.
 //
 // Building a cluster boots VMs through the cloud provider, waits for
 // them, and charges a per-node configuration time (the StarCluster
@@ -12,7 +13,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
 	"rnascale/internal/cloud"
 	"rnascale/internal/sge"
@@ -40,10 +40,8 @@ type Cluster struct {
 	itype    cloud.InstanceType
 	backend  cloud.Backend // purchasing model; growth and replacements stay on it
 	head     *cloud.VM
-	workers  []*cloud.VM // includes every node except none — head is workers[0]'s peer; see nodes()
 	all      []*cloud.VM
 	sched    *sge.Scheduler
-	store    *SharedStore
 	nextNode int
 }
 
@@ -80,7 +78,6 @@ func BuildOn(p *cloud.Provider, typeName string, n int, backend cloud.Backend, o
 		backend:  backend,
 		head:     vms[0],
 		all:      vms,
-		store:    NewSharedStore(),
 	}
 	sched, err := sge.New(nil)
 	if err != nil {
@@ -115,7 +112,6 @@ func Adopt(p *cloud.Provider, vms []*cloud.VM, opts Options) (*Cluster, error) {
 		backend:  vms[0].Backend,
 		head:     vms[0],
 		all:      append([]*cloud.VM(nil), vms...),
-		store:    NewSharedStore(),
 	}
 	sched, err := sge.New(nil)
 	if err != nil {
@@ -280,94 +276,8 @@ func (c *Cluster) VMs() []*cloud.VM { return append([]*cloud.VM(nil), c.all...) 
 // Scheduler exposes the cluster's SGE queue.
 func (c *Cluster) Scheduler() *sge.Scheduler { return c.sched }
 
-// Store exposes the shared filesystem.
-func (c *Cluster) Store() *SharedStore { return c.store }
-
 // Provider exposes the owning cloud provider.
 func (c *Cluster) Provider() *cloud.Provider { return c.provider }
 
 // Clock exposes the simulation clock.
 func (c *Cluster) Clock() *vclock.Clock { return c.provider.Clock() }
-
-// SharedStore is the NFS-like shared filesystem every node mounts.
-// Contents live in memory; paths are flat strings by convention
-// ("data/raw.fastq", "asm/ray/k35.contigs.fa").
-//
-// A stored file is an immutable blob: Put takes ownership of the slice
-// it is handed, nothing ever writes to it again, and copies between
-// stores (CopyAll) share the blob instead of duplicating it. Get is
-// the one place bytes are copied, so no caller can reach a stored
-// blob's memory.
-type SharedStore struct {
-	files map[string][]byte
-}
-
-// NewSharedStore returns an empty store.
-func NewSharedStore() *SharedStore {
-	return &SharedStore{files: make(map[string][]byte)}
-}
-
-// Put writes a file, replacing any previous content. The store takes
-// ownership of data: the caller must not modify it afterwards. The
-// same slice may be Put under several paths.
-func (s *SharedStore) Put(path string, data []byte) error {
-	if path == "" {
-		return fmt.Errorf("cluster: empty store path")
-	}
-	s.files[path] = data
-	return nil
-}
-
-// Get reads a file into a copy the caller owns.
-func (s *SharedStore) Get(path string) ([]byte, error) {
-	data, ok := s.files[path]
-	if !ok {
-		return nil, fmt.Errorf("cluster: no such file %q", path)
-	}
-	return append([]byte(nil), data...), nil
-}
-
-// Exists reports whether path is present.
-func (s *SharedStore) Exists(path string) bool {
-	_, ok := s.files[path]
-	return ok
-}
-
-// Delete removes a file; deleting a missing file is a no-op.
-func (s *SharedStore) Delete(path string) { delete(s.files, path) }
-
-// Size reports the byte size of a file, or 0 if absent.
-func (s *SharedStore) Size(path string) int64 {
-	return int64(len(s.files[path]))
-}
-
-// TotalBytes reports the store's total content size.
-func (s *SharedStore) TotalBytes() int64 {
-	var n int64
-	for _, d := range s.files {
-		n += int64(len(d))
-	}
-	return n
-}
-
-// List returns all paths with the given prefix, sorted.
-func (s *SharedStore) List(prefix string) []string {
-	var out []string
-	for p := range s.files {
-		if len(p) >= len(prefix) && p[:len(prefix)] == prefix {
-			out = append(out, p)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// CopyAll carries every file into another store (cross-pilot data
-// movement: an S1 transfer or an S2 carry-over), replacing same-named
-// files there. The stores share the immutable blobs, so the cost is
-// per path, not per byte.
-func (s *SharedStore) CopyAll(dst *SharedStore) {
-	for path, data := range s.files {
-		dst.files[path] = data
-	}
-}

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"bytes"
-	"fmt"
 	"testing"
 
 	"rnascale/internal/cloud"
@@ -130,109 +128,6 @@ func TestClusterRunsSGEJobs(t *testing.T) {
 	}
 	if j.Start != p.Clock().Now() {
 		t.Errorf("job start %v", j.Start)
-	}
-}
-
-func TestSharedStore(t *testing.T) {
-	s := NewSharedStore()
-	if err := s.Put("", []byte("x")); err == nil {
-		t.Error("empty path accepted")
-	}
-	if err := s.Put("data/reads.fastq", []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Get("data/reads.fastq")
-	if err != nil || !bytes.Equal(got, []byte("hello")) {
-		t.Fatalf("get: %q %v", got, err)
-	}
-	// Mutating the returned slice must not affect the store.
-	got[0] = 'X'
-	again, _ := s.Get("data/reads.fastq")
-	if !bytes.Equal(again, []byte("hello")) {
-		t.Error("store aliases caller memory")
-	}
-	if !s.Exists("data/reads.fastq") || s.Exists("nope") {
-		t.Error("Exists wrong")
-	}
-	if s.Size("data/reads.fastq") != 5 || s.Size("nope") != 0 {
-		t.Error("Size wrong")
-	}
-	s.Put("data/other", []byte("ab"))
-	s.Put("asm/c1", []byte("c"))
-	if s.TotalBytes() != 8 {
-		t.Errorf("total %d", s.TotalBytes())
-	}
-	list := s.List("data/")
-	if len(list) != 2 || list[0] != "data/other" || list[1] != "data/reads.fastq" {
-		t.Errorf("list %v", list)
-	}
-	if _, err := s.Get("nope"); err == nil {
-		t.Error("missing file read")
-	}
-	s.Delete("data/other")
-	if s.Exists("data/other") {
-		t.Error("delete failed")
-	}
-	s.Delete("data/other") // no-op
-}
-
-// TestPutTakesOwnership: Put stores the caller's slice itself — the
-// seven callers in core hand over a buffer they never touch again —
-// so staging a file costs no allocation however large it is, and the
-// same blob may sit under several paths.
-func TestPutTakesOwnership(t *testing.T) {
-	s := NewSharedStore()
-	blob := bytes.Repeat([]byte("ACGT"), 1<<18) // 1 MiB
-	s.Put("warm", nil)                          // the map's first bucket is not Put's cost
-	if n := testing.AllocsPerRun(10, func() {
-		if err := s.Put("data/a.sfa", blob); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Put("data/b.sfa", blob); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("Put of a 1 MiB blob under two paths allocated %.0f times, want 0", n)
-	}
-	if &s.files["data/a.sfa"][0] != &blob[0] || &s.files["data/b.sfa"][0] != &blob[0] {
-		t.Error("Put copied the blob instead of taking ownership")
-	}
-	if s.TotalBytes() != 2*int64(len(blob)) {
-		t.Errorf("total %d, want the logical size of both paths", s.TotalBytes())
-	}
-}
-
-// TestCopyAllShares: a copy between pilots' stores carries every file,
-// replaces same-named ones, and shares the immutable blobs — its
-// allocation is per path (the destination's map), not per byte.
-func TestCopyAllShares(t *testing.T) {
-	src, dst := NewSharedStore(), NewSharedStore()
-	const files = 16
-	for i := 0; i < files; i++ {
-		src.Put(fmt.Sprintf("asm/k%d.fa", i), bytes.Repeat([]byte{'A' + byte(i)}, 1<<20))
-	}
-	dst.Put("asm/k0.fa", []byte("stale"))
-	dst.Put("post/kept", []byte("kept"))
-	src.CopyAll(dst)
-	for _, path := range src.List("") {
-		if &dst.files[path][0] != &src.files[path][0] {
-			t.Fatalf("%s was duplicated, not shared", path)
-		}
-	}
-	if got, _ := dst.Get("post/kept"); string(got) != "kept" || len(dst.List("")) != files+1 {
-		t.Errorf("destination holds %v, want the %d copied files plus its own", dst.List(""), files)
-	}
-	// 16 MiB of files: a byte-wise copy would allocate at least once per
-	// file; sharing allocates only when the destination map grows.
-	n := testing.AllocsPerRun(10, func() { src.CopyAll(NewSharedStore()) })
-	if n > files {
-		t.Errorf("copying %d files of 1 MiB allocated %.0f times: O(bytes), want O(paths)", files, n)
-	}
-	// Get still hands out a private copy of a shared blob.
-	got, _ := dst.Get("asm/k1.fa")
-	got[0] = 'X'
-	if again, _ := src.Get("asm/k1.fa"); again[0] != 'B' {
-		t.Error("Get exposed a blob two stores share")
 	}
 }
 

@@ -17,8 +17,7 @@ import (
 // JSON meta followed by the stage's outputs as text: a shard's reads
 // as FASTQ exactly as seq.WriteFastq renders them, an assembly's
 // contigs as single-line FASTA. A resume slices them back out of the
-// journal bytes instead of decoding JSON, and PA's rendering is the
-// very blob the stage stages as data/clean.fastq. The decoders are the
+// journal bytes instead of decoding JSON. The decoders are the
 // exact inverses of the encoders: a header line's text after '@' or
 // '>' is the whole ID, and sequences and qualities alias the payload.
 // PC's payload is JSON.
@@ -114,12 +113,6 @@ func decodePA(b []byte) (paPayload, error) {
 		p.Reads[i].Qual = nil
 	}
 	return p, nil
-}
-
-// paFastq is the FASTQ a PA payload carries.
-func paFastq(b []byte) []byte {
-	_, fq, _ := bytes.Cut(b, []byte{'\n'})
-	return fq
 }
 
 // encodePB renders a PB unit's outputs as its journal payload.

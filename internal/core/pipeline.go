@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -313,10 +312,6 @@ func (pl *Pipeline) preprocess(ds *simdata.Dataset, rep *Report) (seq.ReadSet, e
 	}
 	shardClean := make([]seq.ReadSet, shards)
 	shardStats := make([]preprocess.Stats, shards)
-	// shardBlob is each shard's journal payload, rendered by its live
-	// work or replayed from the journal: the FASTQ in it is what the
-	// fold stages as data/clean.fastq.
-	shardBlob := make([][]byte, shards)
 	fsShard := fs
 	fsShard.SeqDataBytes = fs.SeqDataBytes / int64(shards)
 	var cleaned seq.ReadSet
@@ -350,14 +345,6 @@ func (pl *Pipeline) preprocess(ds *simdata.Dataset, rep *Report) (seq.ReadSet, e
 						func(env *pilot.ExecEnv) (pilot.WorkResult, error) {
 							if !pl.estimate {
 								shardClean[s], shardStats[s] = preprocess.Run(in, cfg.Preprocess)
-								blob, err := encodePA(paPayload{
-									Shard: s, Reads: shardClean[s].Reads,
-									Paired: shardClean[s].Paired, Stats: shardStats[s],
-								})
-								if err != nil {
-									return pilot.WorkResult{}, err
-								}
-								shardBlob[s] = blob
 							}
 							return pilot.WorkResult{
 								Duration:     preModel.Duration(fsShard, env.Slots),
@@ -365,7 +352,12 @@ func (pl *Pipeline) preprocess(ds *simdata.Dataset, rep *Report) (seq.ReadSet, e
 							}, nil
 						},
 						unitCodec{
-							encode: func(pilot.WorkResult) ([]byte, error) { return shardBlob[s], nil },
+							encode: func(pilot.WorkResult) ([]byte, error) {
+								return encodePA(paPayload{
+									Shard: s, Reads: shardClean[s].Reads,
+									Paired: shardClean[s].Paired, Stats: shardStats[s],
+								})
+							},
 							replay: func(rec journal.Record, _ *pilot.ExecEnv) (pilot.WorkResult, error) {
 								p, err := decodePA(rec.Payload)
 								if err != nil {
@@ -373,7 +365,6 @@ func (pl *Pipeline) preprocess(ds *simdata.Dataset, rep *Report) (seq.ReadSet, e
 								}
 								shardClean[s] = seq.ReadSet{Reads: p.Reads, Paired: p.Paired}
 								shardStats[s] = p.Stats
-								shardBlob[s] = rec.Payload
 								return pilot.WorkResult{}, nil
 							},
 						}),
@@ -393,16 +384,15 @@ func (pl *Pipeline) preprocess(ds *simdata.Dataset, rep *Report) (seq.ReadSet, e
 			for _, s := range shardStats {
 				st = combineStats(st, s)
 			}
-			// One shard's reads and FASTQ are the stage's; several are
-			// concatenated in shard order.
+			// One shard's reads are the stage's; several are concatenated
+			// in shard order.
 			cleaned = seq.ReadSet{Paired: ds.Reads.Paired, Reads: shardClean[0].Reads}
-			fq := paFastq(shardBlob[0])
 			if shards > 1 {
-				reads, parts := make([][]seq.Read, shards), make([][]byte, shards)
+				reads := make([][]seq.Read, shards)
 				for s := range shards {
-					reads[s], parts[s] = shardClean[s].Reads, paFastq(shardBlob[s])
+					reads[s] = shardClean[s].Reads
 				}
-				cleaned.Reads, fq = slices.Concat(reads...), bytes.Join(parts, nil)
+				cleaned.Reads = slices.Concat(reads...)
 			}
 			if st.OutputReads == 0 {
 				return "", fmt.Errorf("core: pre-processing removed every read")
@@ -411,9 +401,6 @@ func (pl *Pipeline) preprocess(ds *simdata.Dataset, rep *Report) (seq.ReadSet, e
 				Add(float64(st.OutputReads))
 			pl.counter(MetricBasesProcessed, "Bases surviving pre-processing.", nil).
 				Add(float64(st.OutputBases))
-			if err := sx.store.Put("data/clean.fastq", fq); err != nil {
-				return "", err
-			}
 			rep.PreStats = st
 			return st.String(), nil
 		},
@@ -460,29 +447,15 @@ func (pl *Pipeline) assemble(fs simdata.FullScaleStats, cleaned seq.ReadSet, rep
 	outputs := map[asmKey][]seq.FastaRecord{}
 	// Contrail cannot handle N bases (the paper pre-processes P. Crispa
 	// for exactly this reason): it is fed the N-free subset, via the SFA
-	// conversion the paper charges 1 min for. Both are the same for
-	// every k: the subset is made before any assembly is computed, and
-	// the first Contrail unit to need the SFA, live or replayed, renders
-	// it for the run and each unit stages the one blob under its own
-	// name.
+	// conversion the paper charges 1 min for (sfaConversion). The subset
+	// is the same for every k and is made once, before any assembly is
+	// computed.
 	var nFree []seq.Read
 	nFreeReads := func() []seq.Read {
 		if nFree == nil {
 			nFree = seq.NFree(cleaned.Reads)
 		}
 		return nFree
-	}
-	var sfa []byte
-	stageSFA := func(store *cluster.SharedStore, k int) error {
-		if sfa == nil {
-			reads := nFreeReads()
-			buf := bytes.NewBuffer(make([]byte, 0, seq.SFASize(reads)))
-			if err := seq.WriteSFA(buf, reads); err != nil {
-				return err
-			}
-			sfa = buf.Bytes()
-		}
-		return store.Put(fmt.Sprintf("data/clean.k%d.sfa", k), sfa)
 	}
 	// A unit's assembly is a future, computed ahead of the event loop
 	// within the budget; a unit the journal replays gets none.
@@ -519,34 +492,26 @@ func (pl *Pipeline) assemble(fs simdata.FullScaleStats, cleaned seq.ReadSet, rep
 				}
 				// done records an assembly, live or replayed (a replay's
 				// duration and memory come from the journal).
-				done := func(env *pilot.ExecEnv, res assembler.Result) (pilot.WorkResult, error) {
+				done := func(res assembler.Result) pilot.WorkResult {
 					outputs[key] = res.Contigs
-					if err := stageFasta(env.Store, fmt.Sprintf("asm/%s/k%d.contigs.fa", name, k), res.Contigs); err != nil {
-						return pilot.WorkResult{}, err
-					}
 					wr := assemblyWork(name, res)
 					wr.Output = asmOutput{key, res}
-					return wr, nil
+					return wr
 				}
 				// The pilot runs the work before it learns whether the job's
 				// node outlived it, so a unit that loses its node comes back
 				// for another attempt; every attempt awaits the same future
 				// and repeats only the effects.
-				work := func(env *pilot.ExecEnv) (pilot.WorkResult, error) {
+				work := func(*pilot.ExecEnv) (pilot.WorkResult, error) {
 					if pl.estimate {
 						res, err := a.Estimate(req)
 						return assemblyWork(name, res), err
-					}
-					if name == "contrail" {
-						if err := stageSFA(env.Store, k); err != nil {
-							return pilot.WorkResult{}, err
-						}
 					}
 					res, err := futures.await(future)
 					if err != nil {
 						return pilot.WorkResult{}, err
 					}
-					return done(env, res)
+					return done(res), nil
 				}
 				codec := unitCodec{
 					encode: func(res pilot.WorkResult) ([]byte, error) {
@@ -560,26 +525,19 @@ func (pl *Pipeline) assemble(fs simdata.FullScaleStats, cleaned seq.ReadSet, rep
 							N50:                 out.res.N50,
 						})
 					},
-					replay: func(rec journal.Record, env *pilot.ExecEnv) (pilot.WorkResult, error) {
+					replay: func(rec journal.Record, _ *pilot.ExecEnv) (pilot.WorkResult, error) {
 						p, err := decodePB(rec.Payload)
 						if err != nil {
 							return pilot.WorkResult{}, err
 						}
-						if name == "contrail" {
-							// Re-stage the SFA conversion the original unit
-							// staged, so the shared store's contents match.
-							if err := stageSFA(env.Store, k); err != nil {
-								return pilot.WorkResult{}, err
-							}
-						}
-						return done(env, assembler.Result{
+						return done(assembler.Result{
 							Contigs:             p.Contigs,
 							TTC:                 vclock.Duration(p.TTCSeconds),
 							PeakMemoryGBPerNode: p.PeakMemoryGBPerNode,
 							Messages:            p.Messages,
 							BytesSent:           p.BytesSent,
 							N50:                 p.N50,
-						})
+						}), nil
 					},
 				}
 				descs = append(descs, pilot.UnitDescription{
@@ -671,9 +629,6 @@ func (pl *Pipeline) postprocess(fs simdata.FullScaleStats, cleaned seq.ReadSet,
 			rep.MergeStats = mstats
 		}
 		rep.Transcripts = final
-		if err := stageFasta(env.Store, "post/transcripts.fa", final); err != nil {
-			return pilot.WorkResult{}, err
-		}
 		q, err := quant.Quantify(final, cleaned.Reads, quant.DefaultOptions())
 		if err != nil {
 			return pilot.WorkResult{}, err
@@ -721,7 +676,7 @@ func (pl *Pipeline) postprocess(fs simdata.FullScaleStats, cleaned seq.ReadSet,
 				DiffExpr:     rep.DiffExpr,
 			})
 		},
-		replay: func(rec journal.Record, env *pilot.ExecEnv) (pilot.WorkResult, error) {
+		replay: func(rec journal.Record, _ *pilot.ExecEnv) (pilot.WorkResult, error) {
 			var p pcPayload
 			if err := json.Unmarshal(rec.Payload, &p); err != nil {
 				return pilot.WorkResult{}, err
@@ -732,7 +687,7 @@ func (pl *Pipeline) postprocess(fs simdata.FullScaleStats, cleaned seq.ReadSet,
 			rep.Quant = p.Quant
 			rep.QuantB = p.QuantB
 			rep.DiffExpr = p.DiffExpr
-			return pilot.WorkResult{}, stageFasta(env.Store, "post/transcripts.fa", p.Transcripts)
+			return pilot.WorkResult{}, nil
 		},
 	}
 	return pl.runStage(rep, stageSpec{
@@ -882,13 +837,12 @@ func (pl *Pipeline) abort(rep *Report, sc *stageScope, err error) error {
 }
 
 // stageExec is one stage's launched vehicle: the launcher that made it,
-// and what it filled in. store is NFS on a cluster, an object store for
-// functions; cores is what units size their slot requests by; moveIn
-// names how the previous stage's data reaches the store.
+// and what it filled in. cores is what units size their slot requests
+// by; moveIn names how the previous stage's data reaches it (NFS on a
+// cluster, an object store for functions).
 type stageExec struct {
 	launcher
 	id, instance, moveIn string
-	store                *cluster.SharedStore
 	cores                int
 }
 
@@ -972,7 +926,7 @@ func (l *pilotLauncher) submit(desc pilot.PilotDescription) (*stageExec, error) 
 	l.p = p
 	it := p.Cluster.InstanceType()
 	return &stageExec{launcher: l, id: p.ID, instance: it.Name, moveIn: "inter-pilot data transfer",
-		store: p.Cluster.Store(), cores: it.Cores}, nil
+		cores: it.Cores}, nil
 }
 
 // adopt completes the previous pilot and hands its VMs, grown or shrunk
@@ -1002,13 +956,9 @@ func (l *pilotLauncher) adopt(name string, prev *stageExec, nodes int) (*stageEx
 		pl.clock.Advance(cluster.DefaultOptions().ConfigPerNode)
 		vms = append(vms, extra...)
 	}
-	sx, err := l.submit(pilot.PilotDescription{Name: name, ReuseVMs: vms})
-	if err == nil {
-		// Shared filesystem persists across pilots under S2: no
-		// transfer, just carry the files over.
-		prev.store.CopyAll(sx.store)
-	}
-	return sx, err
+	// The shared filesystem persists across pilots under S2: no
+	// transfer.
+	return l.submit(pilot.PilotDescription{Name: name, ReuseVMs: vms})
 }
 
 func (l *pilotLauncher) jobShape(info assembler.Info) (int, sge.AllocationRule) {
@@ -1052,7 +1002,7 @@ func (l *functionLauncher) launch(name, itype string, _ int) (*stageExec, error)
 	}
 	l.um = um
 	return &stageExec{launcher: l, id: um.ID(), instance: itype, moveIn: "transfer to object store",
-		store: um.Store(), cores: 1}, nil
+		cores: 1}, nil
 }
 
 func (l *functionLauncher) instanceType(float64) (string, error)              { return "serverless", nil }
@@ -1097,7 +1047,6 @@ func (pl *Pipeline) nextStage(sp stageSpec, l launcher, itype string, nodes int)
 	}
 	d := pl.provider.InterNodeTransfer(sp.stageBytes)
 	pl.clock.Advance(d)
-	prev.store.CopyAll(sx.store)
 	if err := prev.release(true); err != nil {
 		return nil, "", err
 	}
@@ -1120,16 +1069,6 @@ func (r *Report) finish(pl *Pipeline) {
 	r.Bill = pl.provider.Bill()
 	r.Events = pl.pm.Store().History()
 	pl.finishObs(r)
-}
-
-// stageFasta renders records at 80 columns into a buffer of exactly
-// their FASTA length and hands the blob to the store.
-func stageFasta(store *cluster.SharedStore, path string, recs []seq.FastaRecord) error {
-	buf := bytes.NewBuffer(make([]byte, 0, seq.FastaSize(recs, 80)))
-	if err := seq.WriteFasta(buf, recs, 80); err != nil {
-		return err
-	}
-	return store.Put(path, buf.Bytes())
 }
 
 // shardReadSet splits reads into n fragment-preserving shards by

@@ -5,18 +5,14 @@ import (
 	"math"
 
 	"rnascale/internal/cloud"
-	"rnascale/internal/cluster"
 	"rnascale/internal/vclock"
 )
 
 // function is a function-backed manager's vehicle: the stage's
-// serverless function and the object store its invocations share.
+// serverless function.
 type function struct {
 	prov *cloud.Provider
 	name string
-	// fs is the object store the functions share (S3-style), standing
-	// in for the cluster's NFS store.
-	fs *cluster.SharedStore
 }
 
 // NewFunctionRunner returns a unit manager whose units run as
@@ -34,7 +30,7 @@ func NewFunctionRunner(prov *cloud.Provider, store *StateStore, name string) (*U
 	if prov.Serverless() == nil {
 		return nil, fmt.Errorf("pilot: serverless backend requested but Options.Serverless is not configured")
 	}
-	fn := &function{prov: prov, name: name, fs: cluster.NewSharedStore()}
+	fn := &function{prov: prov, name: name}
 	um := &UnitManager{
 		store: store, clock: prov.Clock(),
 		id: fmt.Sprintf("faas(%s)", name), policy: "function-per-unit", execNote: "function exec", fn: fn,
@@ -88,7 +84,6 @@ func (fn *function) record(ok bool) {
 func (fn *function) try(u *Unit, at vclock.Time) (end, failAt vclock.Time, err error) {
 	opts := fn.prov.Serverless().Options()
 	env := &ExecEnv{
-		Store: fn.fs,
 		Slots: u.Desc.Slots,
 		Nodes: 1,
 		// Functions are single-node allocations shaped by the largest

@@ -40,9 +40,6 @@ func TestFunctionRunnerHappyPath(t *testing.T) {
 		t.Errorf("runner construction advanced the clock to %v", p.Clock().Now())
 	}
 	work := func(env *ExecEnv) (WorkResult, error) {
-		if env.Store != fr.Store() {
-			t.Error("work did not see the runner's object store")
-		}
 		if env.Nodes != 1 || env.InstanceType.Name != "serverless" {
 			t.Errorf("env %+v", env)
 		}

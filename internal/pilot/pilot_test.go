@@ -237,7 +237,7 @@ func TestUnitLifecycleHappyPath(t *testing.T) {
 	if prov.Clock().Now() != u.End {
 		t.Errorf("clock %v not advanced to %v", prov.Clock().Now(), u.End)
 	}
-	if u.Pilot != p || um.ID() != p.ID || um.Store() != p.Cluster.Store() {
+	if u.Pilot != p || um.ID() != p.ID {
 		t.Error("unit bound to wrong pilot")
 	}
 	if err := um.Complete(); err == nil {

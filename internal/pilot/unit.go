@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"rnascale/internal/cloud"
-	"rnascale/internal/cluster"
 	"rnascale/internal/obs"
 	"rnascale/internal/sge"
 	"rnascale/internal/vclock"
@@ -15,8 +14,6 @@ import (
 // ExecEnv is what a unit's work function sees: the resources its
 // pilot granted.
 type ExecEnv struct {
-	// Store is the pilot cluster's shared filesystem.
-	Store *cluster.SharedStore
 	// SlotsByNode is the SGE placement (node name → slots).
 	SlotsByNode map[string]int
 	// Slots is the total slot count granted.
@@ -181,15 +178,6 @@ func NewUnitManager(p *Pilot) (*UnitManager, error) {
 // ID reports the vehicle's state-store ID: the pilot's, or the
 // function's pseudo-pilot.
 func (um *UnitManager) ID() string { return um.id }
-
-// Store exposes the vehicle's shared store: the pilot cluster's NFS,
-// or the functions' object store.
-func (um *UnitManager) Store() *cluster.SharedStore {
-	if um.fn != nil {
-		return um.fn.fs
-	}
-	return um.pilot.Cluster.Store()
-}
 
 // SetObs attaches an observability bundle for the retry/recovery
 // counters; nil detaches it.
@@ -406,7 +394,6 @@ func (um *UnitManager) tryPilot(u *Unit, at vclock.Time) (end, failAt vclock.Tim
 	um.recoverLostNodes(p, at)
 	it := p.Cluster.InstanceType()
 	env := &ExecEnv{
-		Store:        p.Cluster.Store(),
 		InstanceType: it,
 		Slots:        u.Desc.Slots,
 	}

@@ -8,11 +8,8 @@ import (
 	"strings"
 )
 
-// This file implements FASTA and FASTQ serialization. The pipeline's
-// simulated shared filesystem stores datasets in these formats, and
-// the Contrail assembler additionally consumes the SFA format (see
-// WriteSFA), reproducing the paper's "1 min for file format conversion
-// to SFA from Fastq" step.
+// This file implements FASTA and FASTQ serialization: the pipeline's
+// journal payloads carry a stage's reads and contigs in these formats.
 
 // FastaRecord is a named sequence.
 type FastaRecord struct {
@@ -238,57 +235,4 @@ func fragmentID(id string) string {
 		return id[:len(id)-2]
 	}
 	return id
-}
-
-// WriteSFA writes the simple ">id\tSEQ" one-line-per-read format the
-// Contrail assembler consumes. Converting to SFA is a real step in
-// the paper's sample run.
-func WriteSFA(w io.Writer, reads []Read) error {
-	bw := bufio.NewWriter(w)
-	for i := range reads {
-		if _, err := fmt.Fprintf(bw, ">%s\t%s\n", reads[i].ID, reads[i].Seq); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// SFASize is the exact byte count WriteSFA emits.
-func SFASize(reads []Read) int {
-	n := 0
-	for i := range reads {
-		n += len(reads[i].ID) + len(reads[i].Seq) + 3
-	}
-	return n
-}
-
-// ParseSFA reads the Contrail SFA format.
-func ParseSFA(r io.Reader) ([]Read, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	var reads []Read
-	line := 0
-	for sc.Scan() {
-		line++
-		t := bytes.TrimRight(sc.Bytes(), "\r\n")
-		if len(t) == 0 {
-			continue
-		}
-		if t[0] != '>' {
-			return nil, fmt.Errorf("seq: sfa line %d: expected >, got %q", line, t)
-		}
-		tab := bytes.IndexByte(t, '\t')
-		if tab < 0 {
-			return nil, fmt.Errorf("seq: sfa line %d: missing tab", line)
-		}
-		id := string(t[1:tab])
-		if id == "" {
-			return nil, fmt.Errorf("seq: sfa line %d: empty ID", line)
-		}
-		reads = append(reads, Read{ID: id, Seq: append([]byte(nil), t[tab+1:]...)})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("seq: sfa scan: %w", err)
-	}
-	return reads, nil
 }

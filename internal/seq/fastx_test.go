@@ -123,36 +123,6 @@ func TestFastqIDStopsAtWhitespace(t *testing.T) {
 	}
 }
 
-func TestSFARoundtrip(t *testing.T) {
-	reads := []Read{
-		{ID: "r1", Seq: []byte("ACGTACGT")},
-		{ID: "r2", Seq: []byte("TTTT")},
-	}
-	var buf bytes.Buffer
-	if err := WriteSFA(&buf, reads); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseSFA(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 2 || back[0].ID != "r1" || string(back[1].Seq) != "TTTT" {
-		t.Fatalf("back = %+v", back)
-	}
-}
-
-func TestSFAParseErrors(t *testing.T) {
-	for name, in := range map[string]string{
-		"no-gt":    "r1\tACGT\n",
-		"no-tab":   ">r1 ACGT\n",
-		"empty-id": ">\tACGT\n",
-	} {
-		if _, err := ParseSFA(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: expected error", name)
-		}
-	}
-}
-
 func TestSplitAndInterleavePairs(t *testing.T) {
 	rs := ReadSet{Paired: true, Reads: []Read{
 		{ID: "f0/1", Seq: []byte("AC")}, {ID: "f0/2", Seq: []byte("GT")},
@@ -213,10 +183,6 @@ func TestWriterSizesExact(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteFastq(&buf, reads); err != nil || buf.Len() != FastqSize(reads) {
 		t.Errorf("FastqSize = %d, WriteFastq wrote %d (%v)", FastqSize(reads), buf.Len(), err)
-	}
-	buf.Reset()
-	if err := WriteSFA(&buf, reads); err != nil || buf.Len() != SFASize(reads) {
-		t.Errorf("SFASize = %d, WriteSFA wrote %d (%v)", SFASize(reads), buf.Len(), err)
 	}
 	for _, width := range []int{0, 1, 3, 80} {
 		buf.Reset()

@@ -77,33 +77,3 @@ func FuzzParseFastq(f *testing.F) {
 		}
 	})
 }
-
-func FuzzParseSFA(f *testing.F) {
-	f.Add([]byte(">r1\tACGT\n"))
-	f.Add([]byte(">r1\tAC\n>r2\tGT\n\n"))
-	f.Add([]byte(">r1 ACGT\n")) // missing tab
-	f.Add([]byte("r1\tACGT\n")) // missing >
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		reads, err := ParseSFA(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteSFA(&buf, reads); err != nil {
-			t.Fatalf("write of parsed reads: %v", err)
-		}
-		again, err := ParseSFA(&buf)
-		if err != nil {
-			t.Fatalf("reparse of written reads: %v", err)
-		}
-		if len(again) != len(reads) {
-			t.Fatalf("round trip: %d reads became %d", len(reads), len(again))
-		}
-		for i := range reads {
-			if reads[i].ID != again[i].ID || !bytes.Equal(reads[i].Seq, again[i].Seq) {
-				t.Fatalf("read %d changed: %+v -> %+v", i, reads[i], again[i])
-			}
-		}
-	})
-}

@@ -48,31 +48,6 @@ func TestFastqRoundtripProperty(t *testing.T) {
 	}
 }
 
-// Property: SFA serialization round-trips.
-func TestSFARoundtripProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	f := func(nRaw uint8) bool {
-		reads := quickReads(rng, int(nRaw%20)+1)
-		var buf bytes.Buffer
-		if err := WriteSFA(&buf, reads); err != nil {
-			return false
-		}
-		back, err := ParseSFA(&buf)
-		if err != nil || len(back) != len(reads) {
-			return false
-		}
-		for i := range reads {
-			if back[i].ID != reads[i].ID || !bytes.Equal(back[i].Seq, reads[i].Seq) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: for every supported k, Encode∘Decode is the identity and
 // canonicalization is strand-invariant.
 func TestKmerCodecProperty(t *testing.T) {
