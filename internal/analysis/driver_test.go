@@ -57,7 +57,7 @@ func TestGoldenFixtures(t *testing.T) {
 			if importPath == "" {
 				importPath = "fixture/" + fx.name
 			}
-			pkg, err := loader.LoadDir(dir, importPath)
+			pkg, err := loader.loadDir(dir, importPath)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,14 +99,14 @@ func TestGoldenFixtures(t *testing.T) {
 // explicit fixture directive, and absence of it.
 func TestSimulationClassification(t *testing.T) {
 	loader := fixtureLoader(t)
-	sim, err := loader.LoadDir(filepath.Join("testdata", "src", "wallclock"), "fixture/wallclock")
+	sim, err := loader.loadDir(filepath.Join("testdata", "src", "wallclock"), "fixture/wallclock")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sim.Simulation {
 		t.Error("wallclock fixture should be classified as a simulation package (//rnavet:simulation)")
 	}
-	plain, err := loader.LoadDir(filepath.Join("testdata", "src", "globalrand"), "fixture/globalrand")
+	plain, err := loader.loadDir(filepath.Join("testdata", "src", "globalrand"), "fixture/globalrand")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestSimOnlyChecksSkipNonSimPackages(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "wallclock.go"), []byte(stripped), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := loader.LoadDir(dir, "fixture/notsim")
+	pkg, err := loader.loadDir(dir, "fixture/notsim")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestAllowRemovalResurfacesDiagnostic(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "wallclock.go"), []byte(strings.Join(kept, "\n")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := loader.LoadDir(dir, "fixture/wallclock-stripped")
+	pkg, err := loader.loadDir(dir, "fixture/wallclock-stripped")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,14 +204,7 @@ func TestModuleShipsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
 	}
-	root, err := ModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, loader, err := LoadModule(root, "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs, loader, root := loadShippedModule(t)
 	res, err := Run(pkgs, Options{IOWriter: loader.IOWriter()})
 	if err != nil {
 		t.Fatal(err)

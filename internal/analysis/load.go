@@ -142,16 +142,11 @@ type LoadOptions struct {
 	Focus []string
 }
 
-// LoadModule loads, parses and type-checks every package matched by
-// patterns (typically "./...") in the module containing dir. Test
-// files are excluded: the checks guard production simulation code,
-// and tests legitimately touch wall clocks.
-func LoadModule(dir string, patterns ...string) ([]*Package, *Loader, error) {
-	return LoadModuleOptions(dir, LoadOptions{Patterns: patterns})
-}
-
-// LoadModuleOptions is LoadModule with list caching and package
-// focusing.
+// LoadModuleOptions loads, parses and type-checks every package
+// matched by opts.Patterns in the module containing dir, with optional
+// list caching and package focusing. Test files are excluded: the
+// checks guard production simulation code, and tests legitimately
+// touch wall clocks.
 func LoadModuleOptions(dir string, opts LoadOptions) ([]*Package, *Loader, error) {
 	patterns := opts.Patterns
 	if len(patterns) == 0 {
@@ -265,10 +260,10 @@ func matchFocusPattern(importPath, modulePath, pat string) bool {
 	return false
 }
 
-// LoadDir loads a single directory as one package — the entry point
+// loadDir loads a single directory as one package — the entry point
 // golden-fixture tests use. Simulation classification comes from the
 // //rnavet:simulation directive alone.
-func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
+func (l *Loader) loadDir(dir, importPath string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err

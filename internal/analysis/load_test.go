@@ -67,7 +67,7 @@ func TestLoadModuleAwkwardShapes(t *testing.T) {
 		t.Skip("shells out to go list")
 	}
 	root := awkwardModule(t)
-	pkgs, _, err := LoadModule(root, "./...")
+	pkgs, _, err := LoadModuleOptions(root, LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestLoadModuleFocus(t *testing.T) {
 // missing export data, not panic.
 func TestMissingExportDataDegrades(t *testing.T) {
 	loader := NewLoader(map[string]string{})
-	_, err := loader.LoadDir(filepath.Join("testdata", "src", "wallclock"), "fixture/broken")
+	_, err := loader.loadDir(filepath.Join("testdata", "src", "wallclock"), "fixture/broken")
 	if err == nil {
 		t.Fatal("want a load error when export data is missing")
 	}

@@ -11,7 +11,7 @@ func TestBilledHoursEdges(t *testing.T) {
 	clk := vclock.NewClock(0)
 	p := NewProvider(clk, DefaultOptions())
 	clk.Advance(100 * vclock.Second)
-	vms, err := p.RunInstances("c3.2xlarge", 1)
+	vms, err := p.RunInstancesOn("c3.2xlarge", 1, OnDemand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestHourlyRoundingBilling(t *testing.T) {
 	opts := DefaultOptions()
 	opts.HourlyRounding = true
 	p := NewProvider(clk, opts)
-	vms, err := p.RunInstances("c3.2xlarge", 1)
+	vms, err := p.RunInstancesOn("c3.2xlarge", 1, OnDemand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestSpotBillingIntegratesPriceChanges(t *testing.T) {
 	vm := vms[0]
 	clk.Advance(3 * vclock.Hour)
 	p.Terminate(vm)
-	m := p.SpotMarket()
+	m := p.spot
 	frac := m.AvgFrac(vm.AZ, vm.LaunchedAt, vm.TerminatedAt)
 	want := vm.BilledHours(clk.Now()) * 0.42 * frac
 	var total float64
@@ -128,7 +128,7 @@ func TestMixedBackendBillLines(t *testing.T) {
 	opts.Spot = &SpotOptions{Seed: 6}
 	opts.Serverless = &ServerlessOptions{}
 	p := NewProvider(clk, opts)
-	if _, err := p.RunInstances("c3.2xlarge", 2); err != nil {
+	if _, err := p.RunInstancesOn("c3.2xlarge", 2, OnDemand); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.RunInstancesOn("c3.2xlarge", 1, Spot); err != nil {

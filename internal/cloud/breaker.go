@@ -186,10 +186,10 @@ func (cb *CircuitBreaker) RecordSuccess(b Backend) {
 	}
 }
 
-// State reports a backend's circuit position (closed for untracked
+// state reports a backend's circuit position (closed for untracked
 // backends and a nil breaker). It does not advance open→half-open;
 // only Allow does.
-func (cb *CircuitBreaker) State(b Backend) BreakerState {
+func (cb *CircuitBreaker) state(b Backend) BreakerState {
 	if s := cb.tracked(b); s != nil {
 		return s.state
 	}

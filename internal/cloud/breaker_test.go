@@ -14,21 +14,21 @@ func TestBreakerTripsAfterThreshold(t *testing.T) {
 
 	for i := 0; i < 2; i++ {
 		cb.RecordFailure(Spot)
-		if !cb.Allow(Spot) || cb.State(Spot) != BreakerClosed {
-			t.Fatalf("after %d failures: state %v, want closed and allowed", i+1, cb.State(Spot))
+		if !cb.Allow(Spot) || cb.state(Spot) != BreakerClosed {
+			t.Fatalf("after %d failures: state %v, want closed and allowed", i+1, cb.state(Spot))
 		}
 	}
 	cb.RecordFailure(Spot)
-	if cb.State(Spot) != BreakerOpen {
-		t.Fatalf("after threshold failures: state %v, want open", cb.State(Spot))
+	if cb.state(Spot) != BreakerOpen {
+		t.Fatalf("after threshold failures: state %v, want open", cb.state(Spot))
 	}
 	if cb.Allow(Spot) {
 		t.Fatal("open breaker allowed traffic before cooldown")
 	}
 	// Failures while open are absorbed without resetting openedAt.
 	cb.RecordFailure(Spot)
-	if cb.State(Spot) != BreakerOpen {
-		t.Fatalf("failure while open: state %v, want open", cb.State(Spot))
+	if cb.state(Spot) != BreakerOpen {
+		t.Fatalf("failure while open: state %v, want open", cb.state(Spot))
 	}
 }
 
@@ -38,8 +38,8 @@ func TestBreakerSuccessResetsStreak(t *testing.T) {
 	cb.RecordFailure(Spot)
 	cb.RecordSuccess(Spot)
 	cb.RecordFailure(Spot)
-	if cb.State(Spot) != BreakerClosed {
-		t.Fatalf("interleaved success did not reset the streak: state %v", cb.State(Spot))
+	if cb.state(Spot) != BreakerClosed {
+		t.Fatalf("interleaved success did not reset the streak: state %v", cb.state(Spot))
 	}
 }
 
@@ -57,7 +57,7 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 			clk := vclock.NewClock(0)
 			cb := NewCircuitBreaker(clk, BreakerOptions{Threshold: 1, Cooldown: cool})
 			cb.RecordFailure(Spot)
-			if cb.State(Spot) != BreakerOpen {
+			if cb.state(Spot) != BreakerOpen {
 				t.Fatal("threshold 1 did not trip on first failure")
 			}
 			// Mid-cooldown the circuit stays shut.
@@ -69,16 +69,16 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 			if !cb.Allow(Spot) {
 				t.Fatal("cooldown elapsed but probe refused")
 			}
-			if cb.State(Spot) != BreakerHalfOpen {
-				t.Fatalf("state %v after probe admission, want half-open", cb.State(Spot))
+			if cb.state(Spot) != BreakerHalfOpen {
+				t.Fatalf("state %v after probe admission, want half-open", cb.state(Spot))
 			}
 			if tc.probePasses {
 				cb.RecordSuccess(Spot)
 			} else {
 				cb.RecordFailure(Spot)
 			}
-			if cb.State(Spot) != tc.want {
-				t.Fatalf("after probe: state %v, want %v", cb.State(Spot), tc.want)
+			if cb.state(Spot) != tc.want {
+				t.Fatalf("after probe: state %v, want %v", cb.state(Spot), tc.want)
 			}
 		})
 	}
@@ -88,10 +88,10 @@ func TestBreakerBackendsIndependent(t *testing.T) {
 	clk := vclock.NewClock(0)
 	cb := NewCircuitBreaker(clk, BreakerOptions{Threshold: 1})
 	cb.RecordFailure(Spot)
-	if cb.State(Spot) != BreakerOpen {
+	if cb.state(Spot) != BreakerOpen {
 		t.Fatal("spot did not trip")
 	}
-	if cb.State(Serverless) != BreakerClosed || !cb.Allow(Serverless) {
+	if cb.state(Serverless) != BreakerClosed || !cb.Allow(Serverless) {
 		t.Fatal("spot trip leaked into serverless")
 	}
 }
@@ -103,7 +103,7 @@ func TestBreakerOnDemandUntracked(t *testing.T) {
 	cb := NewCircuitBreaker(clk, BreakerOptions{Threshold: 1})
 	cb.RecordFailure(OnDemand)
 	cb.RecordFailure(OnDemand)
-	if !cb.Allow(OnDemand) || cb.State(OnDemand) != BreakerClosed {
+	if !cb.Allow(OnDemand) || cb.state(OnDemand) != BreakerClosed {
 		t.Fatal("on-demand became refusable")
 	}
 }
@@ -116,7 +116,7 @@ func TestBreakerNilSafe(t *testing.T) {
 	cb.RecordFailure(Spot)
 	cb.RecordSuccess(Spot)
 	cb.SetMetrics(obs.NewRegistry())
-	if cb.State(Spot) != BreakerClosed {
+	if cb.state(Spot) != BreakerClosed {
 		t.Fatal("nil breaker reported a non-closed state")
 	}
 }

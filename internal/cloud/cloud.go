@@ -239,10 +239,6 @@ func NewProvider(clock *vclock.Clock, opts Options) *Provider {
 	return p
 }
 
-// SpotMarket exposes the provider's spot market (nil when the spot
-// backend is not configured).
-func (p *Provider) SpotMarket() *SpotMarket { return p.spot }
-
 // Serverless exposes the provider's function backend (nil when not
 // configured).
 func (p *Provider) Serverless() *Faas { return p.faas }
@@ -258,21 +254,9 @@ func (p *Provider) Breaker() *CircuitBreaker { return p.breaker }
 // Clock exposes the provider's virtual clock.
 func (p *Provider) Clock() *vclock.Clock { return p.clock }
 
-// Options exposes the provider configuration.
-func (p *Provider) Options() Options { return p.opts }
-
 // Faults exposes the provider's fault injector (nil when no fault
 // plan is configured).
 func (p *Provider) Faults() *faults.Injector { return p.opts.Faults }
-
-// RegisterType adds or replaces a catalogue entry.
-func (p *Provider) RegisterType(it InstanceType) error {
-	if it.Name == "" || it.Cores <= 0 || it.MemoryGB <= 0 || it.PricePerHour < 0 {
-		return fmt.Errorf("cloud: invalid instance type %+v", it)
-	}
-	p.catalog[it.Name] = it
-	return nil
-}
 
 // LookupType resolves an instance-type name.
 func (p *Provider) LookupType(name string) (InstanceType, error) {
@@ -294,16 +278,11 @@ func (p *Provider) active() int {
 	return n
 }
 
-// RunInstances requests count on-demand VMs of the named type. The
-// VMs are created in pending state and become running BootLatency
-// later; the call itself does not advance the clock (the API returns
-// immediately, as EC2's does).
-func (p *Provider) RunInstances(typeName string, count int) ([]*VM, error) {
-	return p.RunInstancesOn(typeName, count, OnDemand)
-}
-
-// RunInstancesOn is RunInstances with an explicit purchasing backend.
-// Spot VMs are placed in the currently cheapest AZ, billed at the
+// RunInstancesOn requests count VMs of the named type on a purchasing
+// backend, EC2's RunInstances. The VMs are created in pending state and
+// become running BootLatency later; the call itself does not advance
+// the clock (the API returns immediately, as EC2's does). Spot VMs are
+// placed in the currently cheapest AZ, billed at the
 // market's integrated price over their lifetime, and may be reclaimed
 // by the market (scheduled through the same Interruption machinery a
 // fault plan uses, with the standard advance notice, so pilot
@@ -398,15 +377,6 @@ func (p *Provider) WaitRunning(vms []*VM) vclock.Time {
 	return p.clock.Now()
 }
 
-// Describe returns the VM with the given ID.
-func (p *Provider) Describe(id string) (*VM, error) {
-	vm, ok := p.vms[id]
-	if !ok {
-		return nil, fmt.Errorf("cloud: no such instance %q", id)
-	}
-	return vm, nil
-}
-
 // Terminate shuts down the given VMs at the current time. Terminating
 // a terminated VM is a no-op, as with EC2. A VM whose scheduled
 // interruption already struck dies at the interruption time instead —
@@ -483,19 +453,6 @@ func (p *Provider) Interruptions() []*Interruption {
 func (p *Provider) InterruptionFor(vmID string) (*Interruption, bool) {
 	iv, ok := p.interruptByVM[vmID]
 	return iv, ok
-}
-
-// ReclaimNotices lists unapplied interruptions whose advance warning
-// is visible by `now` — the spot reclamation notices a scheduler could
-// react to before the node actually disappears.
-func (p *Provider) ReclaimNotices(now vclock.Time) []*Interruption {
-	var out []*Interruption
-	for _, iv := range p.interruptions {
-		if !iv.Applied && iv.NoticeAt <= now && iv.At > now {
-			out = append(out, iv)
-		}
-	}
-	return out
 }
 
 // TerminateAll shuts down every non-terminated VM.

@@ -24,7 +24,7 @@ func TestCatalogShapes(t *testing.T) {
 
 func TestRunInstancesLifecycle(t *testing.T) {
 	p := newTestProvider()
-	vms, err := p.RunInstances("c3.2xlarge", 3)
+	vms, err := p.RunInstancesOn("c3.2xlarge", 3, OnDemand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,41 +59,28 @@ func TestRunInstancesLifecycle(t *testing.T) {
 
 func TestRunInstancesErrors(t *testing.T) {
 	p := newTestProvider()
-	if _, err := p.RunInstances("nope", 1); err == nil {
+	if _, err := p.RunInstancesOn("nope", 1, OnDemand); err == nil {
 		t.Error("unknown type accepted")
 	}
-	if _, err := p.RunInstances("c3.2xlarge", 0); err == nil {
+	if _, err := p.RunInstancesOn("c3.2xlarge", 0, OnDemand); err == nil {
 		t.Error("zero count accepted")
 	}
 	opts := DefaultOptions()
 	opts.MaxInstances = 2
 	limited := NewProvider(vclock.NewClock(0), opts)
-	if _, err := limited.RunInstances("c3.2xlarge", 3); err == nil {
+	if _, err := limited.RunInstancesOn("c3.2xlarge", 3, OnDemand); err == nil {
 		t.Error("instance cap not enforced")
 	}
-	vms, err := limited.RunInstances("c3.2xlarge", 2)
+	vms, err := limited.RunInstancesOn("c3.2xlarge", 2, OnDemand)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := limited.RunInstances("c3.2xlarge", 1); err == nil {
+	if _, err := limited.RunInstancesOn("c3.2xlarge", 1, OnDemand); err == nil {
 		t.Error("cap allowed third instance")
 	}
 	limited.Terminate(vms[0])
-	if _, err := limited.RunInstances("c3.2xlarge", 1); err != nil {
+	if _, err := limited.RunInstancesOn("c3.2xlarge", 1, OnDemand); err != nil {
 		t.Errorf("cap should free after terminate: %v", err)
-	}
-}
-
-func TestRegisterType(t *testing.T) {
-	p := newTestProvider()
-	if err := p.RegisterType(InstanceType{Name: "x", Cores: 1, MemoryGB: 1, PricePerHour: 0.1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.LookupType("x"); err != nil {
-		t.Error(err)
-	}
-	if err := p.RegisterType(InstanceType{Name: "", Cores: 1, MemoryGB: 1}); err == nil {
-		t.Error("invalid type accepted")
 	}
 }
 
@@ -102,13 +89,13 @@ func TestFractionalBillingMatchesPaperArithmetic(t *testing.T) {
 	// 2h47m plus 35 VMs for roughly the assembly window. The paper
 	// reports $20.28 ≈ 48.28 c3.2xlarge hours.
 	p := newTestProvider()
-	head, err := p.RunInstances("c3.2xlarge", 1)
+	head, err := p.RunInstancesOn("c3.2xlarge", 1, OnDemand)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.WaitRunning(head)
 	p.Clock().Advance(47*vclock.Minute + 35*vclock.Second) // transfer + preprocess
-	workers, err := p.RunInstances("c3.2xlarge", 35)
+	workers, err := p.RunInstancesOn("c3.2xlarge", 35, OnDemand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +119,7 @@ func TestHourlyRoundingBillsMore(t *testing.T) {
 	opts := DefaultOptions()
 	opts.HourlyRounding = true
 	p := NewProvider(vclock.NewClock(0), opts)
-	vms, _ := p.RunInstances("r3.2xlarge", 2)
+	vms, _ := p.RunInstancesOn("r3.2xlarge", 2, OnDemand)
 	p.WaitRunning(vms)
 	p.Clock().Advance(10 * vclock.Minute)
 	p.Terminate(vms...)
@@ -144,8 +131,8 @@ func TestHourlyRoundingBillsMore(t *testing.T) {
 
 func TestBillGroupsByType(t *testing.T) {
 	p := newTestProvider()
-	a, _ := p.RunInstances("c3.2xlarge", 2)
-	b, _ := p.RunInstances("r3.2xlarge", 1)
+	a, _ := p.RunInstancesOn("c3.2xlarge", 2, OnDemand)
+	b, _ := p.RunInstancesOn("r3.2xlarge", 1, OnDemand)
 	p.WaitRunning(append(append([]*VM{}, a...), b...))
 	p.Clock().Advance(vclock.Hour)
 	p.TerminateAll()
@@ -173,24 +160,12 @@ func TestUploadFromLocal(t *testing.T) {
 	}
 }
 
-func TestDescribe(t *testing.T) {
-	p := newTestProvider()
-	vms, _ := p.RunInstances("m3.medium", 1)
-	got, err := p.Describe(vms[0].ID)
-	if err != nil || got != vms[0] {
-		t.Errorf("Describe: %v %v", got, err)
-	}
-	if _, err := p.Describe("i-zzz"); err == nil {
-		t.Error("bogus ID accepted")
-	}
-}
-
 // Property: billing is monotone in time — advancing the clock never
 // reduces the bill, and terminating VMs freezes their contribution.
 func TestBillingMonotonicityProperty(t *testing.T) {
 	f := func(extraMinutes uint8) bool {
 		p := newTestProvider()
-		vms, _ := p.RunInstances("c3.2xlarge", 2)
+		vms, _ := p.RunInstancesOn("c3.2xlarge", 2, OnDemand)
 		p.WaitRunning(vms)
 		p.Clock().Advance(vclock.Duration(extraMinutes) * vclock.Minute)
 		before := p.TotalCost()
@@ -209,7 +184,7 @@ func TestBillingMonotonicityProperty(t *testing.T) {
 
 func TestVMStatePendingWindow(t *testing.T) {
 	p := newTestProvider()
-	vms, _ := p.RunInstances("c3.2xlarge", 1)
+	vms, _ := p.RunInstancesOn("c3.2xlarge", 1, OnDemand)
 	vm := vms[0]
 	if vm.State(vm.LaunchedAt) != VMPending {
 		t.Error("not pending at launch")

@@ -40,21 +40,21 @@ func TestBootFailureAccountingByReason(t *testing.T) {
 	opts.Faults.SetMetrics(reg)
 
 	// Boot #1 succeeds.
-	if _, err := p.RunInstances("c3.2xlarge", 1); err != nil {
+	if _, err := p.RunInstancesOn("c3.2xlarge", 1, OnDemand); err != nil {
 		t.Fatalf("boot #1: %v", err)
 	}
 	// Boot #2 hits the injected bootfail:n=2 rule.
-	if _, err := p.RunInstances("c3.2xlarge", 1); err == nil {
+	if _, err := p.RunInstancesOn("c3.2xlarge", 1, OnDemand); err == nil {
 		t.Fatal("boot #2 succeeded despite bootfail:n=2")
 	}
 	// Boot #3 hits the FailBoot capacity hook.
-	if _, err := p.RunInstances("c3.2xlarge", 1); err == nil {
+	if _, err := p.RunInstancesOn("c3.2xlarge", 1, OnDemand); err == nil {
 		t.Fatal("boot #3 succeeded despite FailBoot")
 	}
 	// A 4-VM request exceeds MaxInstances=3 (1 active + 4 > 3). The
 	// cap check runs before the boot ordinal advances, so this is the
 	// limit path, not a FailBoot/injected consultation.
-	if _, err := p.RunInstances("c3.2xlarge", 4); err == nil {
+	if _, err := p.RunInstancesOn("c3.2xlarge", 4, OnDemand); err == nil {
 		t.Fatal("cap-exceeded request succeeded")
 	}
 
@@ -90,14 +90,14 @@ func TestCapExceededDoesNotConsumeBootOrdinal(t *testing.T) {
 	opts.Faults = faults.NewInjector(plan, 1, clock)
 	p := NewProvider(clock, opts)
 
-	if _, err := p.RunInstances("c3.2xlarge", 1); err != nil { // boot #1
+	if _, err := p.RunInstancesOn("c3.2xlarge", 1, OnDemand); err != nil { // boot #1
 		t.Fatal(err)
 	}
-	if _, err := p.RunInstances("c3.2xlarge", 5); err == nil { // cap: no ordinal
+	if _, err := p.RunInstancesOn("c3.2xlarge", 5, OnDemand); err == nil { // cap: no ordinal
 		t.Fatal("cap-exceeded request succeeded")
 	}
 	// This is still boot #2 and must hit the n=2 rule.
-	if _, err := p.RunInstances("c3.2xlarge", 1); err == nil {
+	if _, err := p.RunInstancesOn("c3.2xlarge", 1, OnDemand); err == nil {
 		t.Fatal("boot #2 dodged bootfail:n=2 after a cap rejection")
 	}
 }
@@ -114,7 +114,7 @@ func TestInterruptionTerminatesAndBillsToCrashTime(t *testing.T) {
 	opts.Faults = faults.NewInjector(plan, 1, clock)
 	p := NewProvider(clock, opts)
 
-	vms, err := p.RunInstances("c3.2xlarge", 1)
+	vms, err := p.RunInstancesOn("c3.2xlarge", 1, OnDemand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestTerminateClampsToStruckInterruption(t *testing.T) {
 	opts.BootLatency = 0
 	opts.Faults = faults.NewInjector(plan, 1, clock)
 	p := NewProvider(clock, opts)
-	vms, err := p.RunInstances("c3.2xlarge", 1)
+	vms, err := p.RunInstancesOn("c3.2xlarge", 1, OnDemand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,36 +176,6 @@ func TestTerminateClampsToStruckInterruption(t *testing.T) {
 	}
 	if got := p.TotalInstanceHours(); got != 0.5 {
 		t.Fatalf("TotalInstanceHours = %v, want 0.5", got)
-	}
-}
-
-// TestReclaimNotices checks the advance-warning window of a
-// reclamation: invisible before NoticeAt, visible between notice and
-// impact, gone once applied.
-func TestReclaimNotices(t *testing.T) {
-	plan, _ := faults.ParseSpec("reclaim:at=1000,vm=1")
-	clock := vclock.NewClock(0)
-	opts := DefaultOptions()
-	opts.BootLatency = 0
-	opts.Faults = faults.NewInjector(plan, 1, clock)
-	p := NewProvider(clock, opts)
-	if _, err := p.RunInstances("c3.2xlarge", 1); err != nil {
-		t.Fatal(err)
-	}
-	iv := p.Interruptions()[0]
-	if iv.NoticeAt != 1000-vclock.Time(faults.DefaultReclaimNotice) {
-		t.Fatalf("NoticeAt = %v, want %v", iv.NoticeAt, 1000-vclock.Time(faults.DefaultReclaimNotice))
-	}
-	if n := p.ReclaimNotices(800); len(n) != 0 {
-		t.Fatalf("notice visible at t=800: %v", n)
-	}
-	if n := p.ReclaimNotices(900); len(n) != 1 {
-		t.Fatalf("no notice at t=900")
-	}
-	clock.AdvanceTo(1200)
-	p.ApplyInterruption(iv)
-	if n := p.ReclaimNotices(950); len(n) != 0 {
-		t.Fatalf("applied interruption still listed as notice")
 	}
 }
 

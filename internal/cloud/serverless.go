@@ -44,11 +44,6 @@ func DefaultServerlessOptions() ServerlessOptions {
 	}
 }
 
-// WithDefaults returns the options with zero fields normalized to the
-// calibrated defaults — exactly what NewFaas applies internally, so
-// planners can price invocations without building a backend.
-func (o ServerlessOptions) WithDefaults() ServerlessOptions { return o.withDefaults() }
-
 // withDefaults normalizes zero fields.
 func (o ServerlessOptions) withDefaults() ServerlessOptions {
 	d := DefaultServerlessOptions()
@@ -125,8 +120,6 @@ type Faas struct {
 	pools map[string][]vclock.Time
 	// ledger aggregates billing per tier.
 	ledger map[float64]*serverlessLedger
-	cold   int
-	warm   int
 }
 
 type serverlessLedger struct {
@@ -184,13 +177,11 @@ func (s *Faas) Invoke(fn string, memGB float64, dur vclock.Duration) (Invocation
 	}
 	if reuse >= 0 {
 		inv.Latency = s.opts.WarmStart
-		s.warm++
 	} else {
 		inv.Cold = true
 		inv.Latency = s.opts.ColdStart
 		pool = append(pool, 0)
 		reuse = len(pool) - 1
-		s.cold++
 	}
 	pool[reuse] = now.Add(inv.Latency + dur)
 	s.pools[fn] = pool
@@ -205,20 +196,6 @@ func (s *Faas) Invoke(fn string, memGB float64, dur vclock.Duration) (Invocation
 	led.gbHours += tier * dur.Hours()
 	led.usd += inv.USD
 	return inv, nil
-}
-
-// Invocations reports total, cold and warm invocation counts.
-func (s *Faas) Invocations() (total, cold, warm int) {
-	return s.cold + s.warm, s.cold, s.warm
-}
-
-// TotalUSD sums the ledger.
-func (s *Faas) TotalUSD() float64 {
-	var usd float64
-	for _, led := range s.ledger {
-		usd += led.usd
-	}
-	return usd
 }
 
 // billLines renders the ledger as billing rows, one per tier (sorted),

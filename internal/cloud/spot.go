@@ -157,12 +157,6 @@ func NewSpotMarket(opts SpotOptions) *SpotMarket {
 	}
 }
 
-// Options reports the market's (normalized) options.
-func (m *SpotMarket) Options() SpotOptions { return m.opts }
-
-// AZs lists the market's availability zones.
-func (m *SpotMarket) AZs() []string { return append([]string(nil), m.opts.AZs...) }
-
 // step maps a virtual time to its walk step index.
 func (m *SpotMarket) step(t vclock.Time) int {
 	if t <= 0 {

@@ -61,7 +61,7 @@ func TestSpotMarketDeterminism(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		at := vclock.Time(float64(i) * 300)
-		for _, az := range m1.AZs() {
+		for _, az := range m1.opts.AZs {
 			if a, b := m1.PriceFrac(az, at), m2.PriceFrac(az, at); a != b {
 				t.Fatalf("walk diverged at az=%s step=%d: %v vs %v", az, i, a, b)
 			}
@@ -83,8 +83,8 @@ func TestSpotMarketDeterminism(t *testing.T) {
 
 func TestSpotWalkStaysClamped(t *testing.T) {
 	m := NewSpotMarket(SpotOptions{Seed: 3})
-	o := m.Options()
-	for _, az := range m.AZs() {
+	o := m.opts
+	for _, az := range m.opts.AZs {
 		for i := 0; i < 2000; i++ {
 			f := m.fracAt(az, i)
 			if f < o.FloorFrac || f > o.CeilFrac {
@@ -96,7 +96,7 @@ func TestSpotWalkStaysClamped(t *testing.T) {
 
 func TestSpotAvgFrac(t *testing.T) {
 	m := NewSpotMarket(SpotOptions{Seed: 11})
-	step := m.Options().Step
+	step := m.opts.Step
 	// Window within one step bills at that step's price.
 	if got, want := m.AvgFrac("a", 10, 20), m.PriceFrac("a", 10); got != want {
 		t.Errorf("sub-step AvgFrac = %v, want %v", got, want)
@@ -113,7 +113,7 @@ func TestSpotAvgFrac(t *testing.T) {
 		t.Errorf("AvgFrac = %v, want %v", got, want)
 	}
 	// The average sits inside the walk's clamp.
-	o := m.Options()
+	o := m.opts
 	if avg := m.AvgFrac("b", 0, vclock.Time(float64(step)*100)); avg < o.FloorFrac || avg > o.CeilFrac {
 		t.Errorf("long-window average %v outside clamp", avg)
 	}
@@ -129,7 +129,7 @@ func TestSpotCheapestAZDeterministic(t *testing.T) {
 			t.Fatalf("CheapestAZ diverged at %v: %s vs %s", at, a, b)
 		}
 		// It really is the minimum.
-		for _, az := range m1.AZs() {
+		for _, az := range m1.opts.AZs {
 			if m1.PriceFrac(az, at) < m1.PriceFrac(a, at) {
 				t.Fatalf("az %s cheaper than chosen %s at %v", az, a, at)
 			}
@@ -149,7 +149,7 @@ func TestSpotReclaimCoupledToPrice(t *testing.T) {
 	if !ok {
 		t.Fatal("no reclaim with price pinned at ceiling and p=0.9/step")
 	}
-	if at <= 0 || at > vclock.Time(0).Add(hot.Options().Horizon).Add(hot.Options().Step) {
+	if at <= 0 || at > vclock.Time(0).Add(hot.opts.Horizon).Add(hot.opts.Step) {
 		t.Errorf("reclaim at %v outside (0, horizon]", at)
 	}
 	// Deterministic per (seed, vmID): same market state gives same draw.
@@ -176,7 +176,7 @@ func TestRunInstancesOnSpot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := p.SpotMarket().CheapestAZ(0)
+	want := p.spot.CheapestAZ(0)
 	for _, vm := range vms {
 		if vm.Backend != Spot {
 			t.Errorf("%s backend %v", vm.ID, vm.Backend)
@@ -186,7 +186,7 @@ func TestRunInstancesOnSpot(t *testing.T) {
 		}
 	}
 	// On-demand VMs from the same provider stay unmarked.
-	od, err := p.RunInstances("c3.2xlarge", 1)
+	od, err := p.RunInstancesOn("c3.2xlarge", 1, OnDemand)
 	if err != nil {
 		t.Fatal(err)
 	}

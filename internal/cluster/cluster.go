@@ -1,6 +1,6 @@
 // Package cluster simulates StarCluster, the tool the paper uses to
-// assemble EC2 VMs into an HPC-style cluster: a head node plus worker
-// nodes and a Sun Grid Engine queue spanning all nodes. The NFS share
+// assemble EC2 VMs into an HPC-style cluster: nodes joined to one Sun
+// Grid Engine queue. The NFS share
 // the stages exchange data through is modelled only as transfer time
 // (see core's stage handovers); no bytes are stored.
 //
@@ -39,23 +39,16 @@ type Cluster struct {
 	opts     Options
 	itype    cloud.InstanceType
 	backend  cloud.Backend // purchasing model; growth and replacements stay on it
-	head     *cloud.VM
 	all      []*cloud.VM
 	sched    *sge.Scheduler
 	nextNode int
 }
 
-// Build boots n VMs of the given type, waits for them, configures
-// them, and returns a ready cluster whose SGE queue has n nodes of
-// Cores slots each. The first VM acts as the head node (it also runs
-// jobs, as in the paper's sample run where one VM serves PA, PB and
-// PC).
-func Build(p *cloud.Provider, typeName string, n int, opts Options) (*Cluster, error) {
-	return BuildOn(p, typeName, n, cloud.OnDemand, opts)
-}
-
-// BuildOn is Build with an explicit purchasing backend. The cluster
-// remembers its backend, so S2-style growth and fault-recovery
+// BuildOn boots n VMs of the given type on a purchasing backend, waits
+// for them, configures them, and returns a ready cluster whose SGE
+// queue has n nodes of Cores slots each. Every node runs jobs, as in
+// the paper's sample run where one VM serves PA, PB and PC. The
+// cluster remembers its backend, so S2-style growth and fault-recovery
 // replacements boot on the same market the original nodes did.
 func BuildOn(p *cloud.Provider, typeName string, n int, backend cloud.Backend, opts Options) (*Cluster, error) {
 	if n <= 0 {
@@ -76,7 +69,6 @@ func BuildOn(p *cloud.Provider, typeName string, n int, backend cloud.Backend, o
 		opts:     opts,
 		itype:    it,
 		backend:  backend,
-		head:     vms[0],
 		all:      vms,
 	}
 	sched, err := sge.New(nil)
@@ -110,7 +102,6 @@ func Adopt(p *cloud.Provider, vms []*cloud.VM, opts Options) (*Cluster, error) {
 		opts:     opts,
 		itype:    vms[0].Type,
 		backend:  vms[0].Backend,
-		head:     vms[0],
 		all:      append([]*cloud.VM(nil), vms...),
 	}
 	sched, err := sge.New(nil)
@@ -172,8 +163,7 @@ func (c *Cluster) HasVM(id string) bool {
 // RemoveVM withdraws a lost VM from the cluster: its queue node is
 // removed (future allocations only — completed jobs stand) and it is
 // dropped from the member list. The VM itself is not terminated here;
-// an interruption already killed it. Removing the head promotes the
-// next member.
+// an interruption already killed it.
 func (c *Cluster) RemoveVM(dead *cloud.VM) error {
 	idx := -1
 	for i, vm := range c.all {
@@ -194,9 +184,6 @@ func (c *Cluster) RemoveVM(dead *cloud.VM) error {
 		}
 	}
 	c.all = append(c.all[:idx], c.all[idx+1:]...)
-	if c.head == dead && len(c.all) > 0 {
-		c.head = c.all[0]
-	}
 	return nil
 }
 
@@ -220,55 +207,13 @@ func (c *Cluster) ReplaceVM(dead *cloud.VM) (*cloud.VM, error) {
 	return vms[0], nil
 }
 
-// ShrinkTo terminates all but the first keep VMs (the head always
-// survives) and withdraws their queue nodes — the sample run's
-// "other 35 VMs, which are not necessary for PC, are terminated".
-func (c *Cluster) ShrinkTo(keep int) error {
-	if keep < 1 {
-		return fmt.Errorf("cluster: must keep at least the head node")
-	}
-	if keep >= len(c.all) {
-		return nil
-	}
-	doomed := c.all[keep:]
-	names := c.sched.ActiveNodes()
-	// Queue node names embed the VM ID, so match suffixes.
-	byVM := map[string]string{}
-	for _, name := range names {
-		for _, vm := range doomed {
-			if len(name) > len(vm.ID) && name[len(name)-len(vm.ID):] == vm.ID {
-				byVM[vm.ID] = name
-			}
-		}
-	}
-	for _, vm := range doomed {
-		if name, ok := byVM[vm.ID]; ok {
-			if err := c.sched.RemoveNode(name); err != nil {
-				return err
-			}
-		}
-		c.provider.Terminate(vm)
-	}
-	c.all = c.all[:keep]
-	return nil
-}
-
 // Terminate shuts down every cluster VM.
 func (c *Cluster) Terminate() {
 	c.provider.Terminate(c.all...)
 }
 
-// Size reports the current node count.
-func (c *Cluster) Size() int { return len(c.all) }
-
 // InstanceType reports the node flavour.
 func (c *Cluster) InstanceType() cloud.InstanceType { return c.itype }
-
-// Backend reports the purchasing model the cluster's nodes run on.
-func (c *Cluster) Backend() cloud.Backend { return c.backend }
-
-// Head returns the head-node VM.
-func (c *Cluster) Head() *cloud.VM { return c.head }
 
 // VMs lists the cluster's VMs in join order.
 func (c *Cluster) VMs() []*cloud.VM { return append([]*cloud.VM(nil), c.all...) }
@@ -278,6 +223,3 @@ func (c *Cluster) Scheduler() *sge.Scheduler { return c.sched }
 
 // Provider exposes the owning cloud provider.
 func (c *Cluster) Provider() *cloud.Provider { return c.provider }
-
-// Clock exposes the simulation clock.
-func (c *Cluster) Clock() *vclock.Clock { return c.provider.Clock() }

@@ -14,7 +14,7 @@ func newProvider() *cloud.Provider {
 
 func TestBuildAdvancesClockAndRegistersNodes(t *testing.T) {
 	p := newProvider()
-	c, err := Build(p, "c3.2xlarge", 4, DefaultOptions())
+	c, err := BuildOn(p, "c3.2xlarge", 4, cloud.OnDemand, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,14 +22,14 @@ func TestBuildAdvancesClockAndRegistersNodes(t *testing.T) {
 	if now := p.Clock().Now(); now != 150 {
 		t.Errorf("build finished at %v, want 150", now)
 	}
-	if c.Size() != 4 {
-		t.Errorf("size %d", c.Size())
+	if len(c.VMs()) != 4 {
+		t.Errorf("size %d", len(c.VMs()))
 	}
-	if got := c.Scheduler().TotalSlots(); got != 32 {
-		t.Errorf("slots %d, want 32", got)
+	if got := len(c.Scheduler().ActiveNodes()); got != 4 {
+		t.Errorf("%d queue nodes, want 4", got)
 	}
-	if c.Head() == nil || c.Head().Type.Name != "c3.2xlarge" {
-		t.Error("head node wrong")
+	if vms := c.VMs(); len(vms) != 4 || vms[0].Type.Name != "c3.2xlarge" {
+		t.Error("member VMs wrong")
 	}
 	if c.InstanceType().Cores != 8 {
 		t.Error("instance type")
@@ -38,17 +38,17 @@ func TestBuildAdvancesClockAndRegistersNodes(t *testing.T) {
 
 func TestBuildErrors(t *testing.T) {
 	p := newProvider()
-	if _, err := Build(p, "c3.2xlarge", 0, DefaultOptions()); err == nil {
+	if _, err := BuildOn(p, "c3.2xlarge", 0, cloud.OnDemand, DefaultOptions()); err == nil {
 		t.Error("zero nodes accepted")
 	}
-	if _, err := Build(p, "no-such-type", 2, DefaultOptions()); err == nil {
+	if _, err := BuildOn(p, "no-such-type", 2, cloud.OnDemand, DefaultOptions()); err == nil {
 		t.Error("unknown type accepted")
 	}
 }
 
 func TestGrowAndShrink(t *testing.T) {
 	p := newProvider()
-	c, err := Build(p, "c3.2xlarge", 1, DefaultOptions())
+	c, err := BuildOn(p, "c3.2xlarge", 1, cloud.OnDemand, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,30 +56,25 @@ func TestGrowAndShrink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(added) != 35 || c.Size() != 36 {
-		t.Fatalf("grow: %d added, size %d", len(added), c.Size())
+	if len(added) != 35 || len(c.VMs()) != 36 {
+		t.Fatalf("grow: %d added, size %d", len(added), len(c.VMs()))
 	}
-	if got := c.Scheduler().TotalSlots(); got != 36*8 {
-		t.Errorf("slots %d", got)
+	if got := len(c.Scheduler().ActiveNodes()); got != 36 {
+		t.Errorf("%d queue nodes, want 36", got)
 	}
-	if err := c.ShrinkTo(1); err != nil {
+	// Shrinking for PC is what an S2 handover does: the next pilot
+	// adopts the first VM and the rest are terminated.
+	vms := c.VMs()
+	p.Terminate(vms[1:]...)
+	c, err = Adopt(p, vms[:1], DefaultOptions())
+	if err != nil {
 		t.Fatal(err)
-	}
-	if c.Size() != 1 {
-		t.Errorf("post-shrink size %d", c.Size())
 	}
 	if got := len(c.Scheduler().ActiveNodes()); got != 1 {
 		t.Errorf("active SGE nodes %d", got)
 	}
 	if got := len(p.Running()); got != 1 {
 		t.Errorf("running VMs %d", got)
-	}
-	// Shrinking to a size >= current is a no-op.
-	if err := c.ShrinkTo(5); err != nil {
-		t.Error(err)
-	}
-	if err := c.ShrinkTo(0); err == nil {
-		t.Error("shrink to 0 accepted")
 	}
 	if _, err := c.Grow(0); err == nil {
 		t.Error("grow by 0 accepted")
@@ -88,7 +83,7 @@ func TestGrowAndShrink(t *testing.T) {
 
 func TestAdoptReusesVMsWithoutReconfig(t *testing.T) {
 	p := newProvider()
-	vms, err := p.RunInstances("r3.2xlarge", 3)
+	vms, err := p.RunInstancesOn("r3.2xlarge", 3, cloud.OnDemand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +96,11 @@ func TestAdoptReusesVMsWithoutReconfig(t *testing.T) {
 	if p.Clock().Now() != before {
 		t.Error("Adopt advanced the clock")
 	}
-	if c.Scheduler().TotalSlots() != 24 {
-		t.Errorf("slots %d", c.Scheduler().TotalSlots())
+	if got := len(c.Scheduler().ActiveNodes()); got != 3 {
+		t.Errorf("%d queue nodes, want 3", got)
 	}
 	// Adopting pending VMs must fail.
-	fresh, _ := p.RunInstances("r3.2xlarge", 1)
+	fresh, _ := p.RunInstancesOn("r3.2xlarge", 1, cloud.OnDemand)
 	if _, err := Adopt(p, fresh, DefaultOptions()); err == nil {
 		t.Error("adopted a pending VM")
 	}
@@ -116,7 +111,7 @@ func TestAdoptReusesVMsWithoutReconfig(t *testing.T) {
 
 func TestClusterRunsSGEJobs(t *testing.T) {
 	p := newProvider()
-	c, err := Build(p, "c3.2xlarge", 2, DefaultOptions())
+	c, err := BuildOn(p, "c3.2xlarge", 2, cloud.OnDemand, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +128,7 @@ func TestClusterRunsSGEJobs(t *testing.T) {
 
 func TestBuildCostAccrues(t *testing.T) {
 	p := newProvider()
-	c, err := Build(p, "c3.2xlarge", 36, DefaultOptions())
+	c, err := BuildOn(p, "c3.2xlarge", 36, cloud.OnDemand, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,16 +143,16 @@ func TestBuildCostAccrues(t *testing.T) {
 
 func TestRemoveLastVM(t *testing.T) {
 	p := newProvider()
-	c, err := Build(p, "c3.2xlarge", 1, DefaultOptions())
+	c, err := BuildOn(p, "c3.2xlarge", 1, cloud.OnDemand, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	head := c.Head()
+	head := c.VMs()[0]
 	if err := c.RemoveVM(head); err != nil {
 		t.Fatalf("removing the only VM: %v", err)
 	}
-	if c.Size() != 0 {
-		t.Errorf("size %d after removing the last VM", c.Size())
+	if len(c.VMs()) != 0 {
+		t.Errorf("size %d after removing the last VM", len(c.VMs()))
 	}
 	if c.HasVM(head.ID) {
 		t.Error("removed VM still a member")
@@ -173,7 +168,7 @@ func TestRemoveLastVM(t *testing.T) {
 
 func TestReplaceAlreadyRemovedVM(t *testing.T) {
 	p := newProvider()
-	c, err := Build(p, "c3.2xlarge", 2, DefaultOptions())
+	c, err := BuildOn(p, "c3.2xlarge", 2, cloud.OnDemand, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,22 +180,22 @@ func TestReplaceAlreadyRemovedVM(t *testing.T) {
 		t.Fatal("replacement of an already-removed VM accepted")
 	}
 	// The failed replacement booted nothing.
-	if c.Size() != 1 {
-		t.Errorf("size %d after rejected replacement, want 1", c.Size())
+	if len(c.VMs()) != 1 {
+		t.Errorf("size %d after rejected replacement, want 1", len(c.VMs()))
 	}
 	// A VM from a different cluster is equally not a member.
-	other, err := Build(p, "c3.2xlarge", 1, DefaultOptions())
+	other, err := BuildOn(p, "c3.2xlarge", 1, cloud.OnDemand, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ReplaceVM(other.Head()); err == nil {
+	if _, err := c.ReplaceVM(other.VMs()[0]); err == nil {
 		t.Error("replacement of a foreign VM accepted")
 	}
 }
 
 func TestReplaceVMDuringInFlightStage(t *testing.T) {
 	p := newProvider()
-	c, err := Build(p, "c3.2xlarge", 2, DefaultOptions())
+	c, err := BuildOn(p, "c3.2xlarge", 2, cloud.OnDemand, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,18 +220,17 @@ func TestReplaceVMDuringInFlightStage(t *testing.T) {
 	if c.HasVM(dead.ID) || !c.HasVM(repl.ID) {
 		t.Error("membership after replacement wrong")
 	}
-	if c.Size() != 2 || len(c.Scheduler().ActiveNodes()) != 2 {
+	if len(c.VMs()) != 2 || len(c.Scheduler().ActiveNodes()) != 2 {
 		t.Errorf("size %d, queue nodes %d; want 2 and 2",
-			c.Size(), len(c.Scheduler().ActiveNodes()))
+			len(c.VMs()), len(c.Scheduler().ActiveNodes()))
 	}
 	// Recovery is not free: the replacement boots and configures.
 	if got := p.Clock().Now() - before; got < 150 {
 		t.Errorf("replacement took %v, want >= 150s of boot+config", got)
 	}
 	// The in-flight job stands untouched...
-	jobs := c.Scheduler().Jobs()
-	if len(jobs) != 1 || jobs[0].Start != job.Start {
-		t.Errorf("in-flight job disturbed: %+v", jobs)
+	if job.End != job.Start.Add(1000) {
+		t.Errorf("in-flight job disturbed: %+v", job)
 	}
 	// ...and the stage can keep scheduling onto the replacement.
 	if _, err := c.Scheduler().Submit(sge.JobSpec{
@@ -244,16 +238,13 @@ func TestReplaceVMDuringInFlightStage(t *testing.T) {
 	}, p.Clock().Now()); err != nil {
 		t.Fatalf("job after replacement: %v", err)
 	}
-	// Replacing the head promotes the next member.
-	head := c.Head()
-	p.Terminate(head)
-	if _, err := c.ReplaceVM(head); err != nil {
+	// Replacing the first member leaves the second first.
+	first, second := c.VMs()[0], c.VMs()[1]
+	p.Terminate(first)
+	if _, err := c.ReplaceVM(first); err != nil {
 		t.Fatal(err)
 	}
-	if c.Head() == head {
-		t.Error("dead head not demoted")
-	}
-	if !c.HasVM(c.Head().ID) {
-		t.Error("promoted head is not a member")
+	if c.HasVM(first.ID) || c.VMs()[0] != second {
+		t.Errorf("members after replacing the first: %v", c.VMs())
 	}
 }

@@ -74,7 +74,7 @@ func TestRetriedUnitAssemblesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatalf("storm run did not complete: %v", err)
 	}
-	if retries := int(pl.Obs().Metrics.Counter(pilot.MetricRetries, "", nil).Value()); retries != 2 {
+	if retries := int(pl.o.Metrics.Counter(pilot.MetricRetries, "", nil).Value()); retries != 2 {
 		t.Fatalf("the storm cost %d retries, want the 2 it was built for", retries)
 	}
 	if calls, units := countRay.calls.Load(), int64(len(rep.KmersUsed)); calls != units {

@@ -135,7 +135,7 @@ func unitEnds(rep *Report, substr string) (first, last vclock.Time) {
 // earlier than its parent. (A child may still end after its parent:
 // the PA pilot's span outlives the PA stage's on most pinned runs.)
 func wantReleased(pl *Pipeline) error {
-	if vms := pl.Provider().Running(); len(vms) > 0 {
+	if vms := pl.provider.Running(); len(vms) > 0 {
 		return fmt.Errorf("%d VMs still running, first %s", len(vms), vms[0].ID)
 	}
 	last := map[string]pilot.Event{}
@@ -156,11 +156,15 @@ func wantReleased(pl *Pipeline) error {
 			return fmt.Errorf("%s %s left in %s", e.Kind, id, e.To)
 		}
 	}
+	var tree strings.Builder
+	if err := pl.o.Tracer.WriteTree(&tree); err != nil {
+		return err
+	}
+	if strings.Contains(tree.String(), " [open]") {
+		return fmt.Errorf("a span never ended:\n%s", tree.String())
+	}
 	var walk func(s *obs.Span) error
 	walk = func(s *obs.Span) error {
-		if !s.Ended() {
-			return fmt.Errorf("%s span %s started at %v never ended", s.Kind, s.Name, s.Start)
-		}
 		if end := s.EndTime(); end < s.Start {
 			return fmt.Errorf("%s span %s ends at %v, before it starts at %v", s.Kind, s.Name, end, s.Start)
 		}
@@ -175,7 +179,7 @@ func wantReleased(pl *Pipeline) error {
 		}
 		return nil
 	}
-	for _, root := range pl.Obs().Tracer.Roots() {
+	for _, root := range pl.o.Tracer.Roots() {
 		if err := walk(root); err != nil {
 			return err
 		}
@@ -189,7 +193,7 @@ func wantReleased(pl *Pipeline) error {
 // billed after teardown. It advances the run's clock, so it runs after
 // the run is pinned.
 func wantSettled(rep *Report, pl *Pipeline) error {
-	prov := pl.Provider()
+	prov := pl.provider
 	cost, hours := prov.TotalCost(), prov.TotalInstanceHours()
 	if rep.CostUSD != cost {
 		return fmt.Errorf("report costs $%v, the provider bills $%v", rep.CostUSD, cost)

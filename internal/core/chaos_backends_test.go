@@ -151,14 +151,15 @@ func TestChaosBackendSoak(t *testing.T) {
 					}
 				}
 				if r.rep1 != nil && r.rep1.Snapshot != nil {
-					if n := len(r.pl1.Provider().Running()); n != 0 {
+					if n := len(r.pl1.provider.Running()); n != 0 {
 						t.Errorf("seed %d: %d VMs still running after run (err=%v)", seed, n, r.err1)
 					}
 					vmsLost += r.rep1.Recovery.VMsLost
 				}
-				if faas := r.pl1.Provider().Serverless(); faas != nil {
-					_, c, _ := faas.Invocations()
-					cold += c
+				for _, pt := range r.pl1.o.Metrics.Points() {
+					if pt.Name == cloud.MetricFnInvocations && pt.Labels["start"] == "cold" {
+						cold += int(pt.Value)
+					}
 				}
 			}
 			// The scenario must actually bite somewhere in the matrix.
@@ -230,7 +231,7 @@ func TestChaosBackendKillResume(t *testing.T) {
 			}
 
 			// Kill mid-PB, where reclaim/retry state is in flight.
-			pbSpan := plClean.Obs().Tracer.Find(obs.KindStage, "PB")
+			pbSpan := plClean.o.Tracer.Find(obs.KindStage, "PB")
 			if pbSpan == nil {
 				t.Fatal("no PB stage span in twin run")
 			}

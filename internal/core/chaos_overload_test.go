@@ -213,7 +213,7 @@ func TestChaosOverloadSoak(t *testing.T) {
 				}
 				// Teardown is unconditional: cut-off and failed runs may
 				// not leak VMs any more than completed ones.
-				if n := len(r.pl1.Provider().Running()); n != 0 {
+				if n := len(r.pl1.provider.Running()); n != 0 {
 					t.Errorf("seed %d: %d VMs still running after run (err=%v)", seed, n, r.err1)
 				}
 			}
@@ -254,9 +254,9 @@ func TestBreakerConvertsReclaimStorm(t *testing.T) {
 	if err != nil {
 		t.Fatalf("storm run did not complete: %v", err)
 	}
-	if pl.Provider().Breaker().State(cloud.Spot) != cloud.BreakerOpen {
-		t.Errorf("spot breaker state %v after total reclaim storm, want open",
-			pl.Provider().Breaker().State(cloud.Spot))
+	spot := pl.o.Metrics.Gauge(cloud.MetricBreakerState, "", obs.Labels{"backend": cloud.Spot.String()}).Value()
+	if cloud.BreakerState(spot) != cloud.BreakerOpen {
+		t.Errorf("spot breaker state %v after total reclaim storm, want open", cloud.BreakerState(spot))
 	}
 	var fallbacks int
 	for _, st := range rep.Stages {
@@ -270,7 +270,7 @@ func TestBreakerConvertsReclaimStorm(t *testing.T) {
 	// Attempt bound: every unit gets its first attempt for free, so
 	// total attempts ≤ units + retries; the budget caps run-wide
 	// retries, making the whole storm's attempt count bounded.
-	retries := int(pl.Obs().Metrics.Counter(pilot.MetricRetries, "", nil).Value())
+	retries := int(pl.o.Metrics.Counter(pilot.MetricRetries, "", nil).Value())
 	if retries > budget {
 		t.Errorf("run spent %d retries, budget %d", retries, budget)
 	}

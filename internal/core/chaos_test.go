@@ -134,7 +134,7 @@ func TestChaosSoak(t *testing.T) {
 				// still be running (crashed VMs were applied, survivors
 				// terminated).
 				if rep1 != nil && rep1.Snapshot != nil {
-					if n := len(pl1.Provider().Running()); n != 0 {
+					if n := len(pl1.provider.Running()); n != 0 {
 						t.Errorf("seed %d: %d VMs still running after run (err=%v)", seed, n, err1)
 					}
 				}
@@ -163,7 +163,7 @@ func TestMidPBCrashRecoveryDemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pbSpan := plClean.Obs().Tracer.Find(obs.KindStage, "PB")
+	pbSpan := plClean.o.Tracer.Find(obs.KindStage, "PB")
 	if pbSpan == nil {
 		t.Fatal("no PB stage span in clean run")
 	}
@@ -211,7 +211,7 @@ func TestMidPBCrashRecoveryDemo(t *testing.T) {
 
 	// The retry and the node loss are visible in the span tree.
 	var tree bytes.Buffer
-	if err := pl.Obs().Tracer.WriteTree(&tree); err != nil {
+	if err := pl.o.Tracer.WriteTree(&tree); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(tree.String(), "AGENT_RETRYING") {
@@ -223,8 +223,8 @@ func TestMidPBCrashRecoveryDemo(t *testing.T) {
 
 	// The replacement VM's hours land in the bill: one more instance
 	// than the clean run, and at least as many billed hours.
-	cleanHours := plClean.Provider().TotalInstanceHours()
-	faultHours := pl.Provider().TotalInstanceHours()
+	cleanHours := plClean.provider.TotalInstanceHours()
+	faultHours := pl.provider.TotalInstanceHours()
 	if faultHours < cleanHours {
 		t.Errorf("faulted run billed %.2f instance-hours < clean %.2f", faultHours, cleanHours)
 	}

@@ -69,12 +69,12 @@ func capture(t *testing.T, rep *Report, pl *Pipeline) runArtifacts {
 	t.Helper()
 	var a runArtifacts
 	var buf bytes.Buffer
-	if err := pl.Obs().Tracer.WriteChromeTrace(&buf); err != nil {
+	if err := pl.o.Tracer.WriteChromeTrace(&buf); err != nil {
 		t.Fatalf("trace: %v", err)
 	}
 	a.trace = buf.String()
 	buf.Reset()
-	if err := pl.Obs().Metrics.WritePrometheus(&buf); err != nil {
+	if err := pl.o.Metrics.WritePrometheus(&buf); err != nil {
 		t.Fatalf("metrics: %v", err)
 	}
 	a.metrics = buf.String()
@@ -184,7 +184,7 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 	var kills []kill
 	// Pick one kill point inside each stage off the clean span tree.
 	for _, stage := range []string{"PA", "PB", "PC"} {
-		sp := rayOnly.pl.Obs().Tracer.Find(obs.KindStage, stage)
+		sp := rayOnly.pl.o.Tracer.Find(obs.KindStage, stage)
 		if sp == nil {
 			t.Fatalf("no %s stage span in clean run", stage)
 		}
@@ -246,7 +246,12 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 				t.Fatal("crashed journal claims completion")
 			}
 			survived := len(lg.Records)
-			survivedUnits := lg.Units()
+			survivedUnits := 0
+			for _, r := range lg.Records {
+				if r.Kind == journal.KindUnit {
+					survivedUnits++
+				}
+			}
 			if survived == 0 || survived >= totalRecords {
 				t.Fatalf("crashed journal holds %d records, clean run wrote %d", survived, totalRecords)
 			}
@@ -358,7 +363,7 @@ func TestResumeAfterTornTail(t *testing.T) {
 	want := capture(t, clean, plClean)
 	wantBody := journalBody(t, filepath.Join(dir, "clean.journal"))
 
-	sp := plClean.Obs().Tracer.Find(obs.KindStage, "PB")
+	sp := plClean.o.Tracer.Find(obs.KindStage, "PB")
 	if sp == nil {
 		t.Fatal("no PB stage span in clean run")
 	}
@@ -813,7 +818,7 @@ func TestChaosDriverCrashResumeSoak(t *testing.T) {
 			return c, fmt.Errorf("seed %d twin: %w", seed, err)
 		}
 		var buf bytes.Buffer
-		if err := plTwin.Obs().Tracer.WriteChromeTrace(&buf); err != nil {
+		if err := plTwin.o.Tracer.WriteChromeTrace(&buf); err != nil {
 			return c, err
 		}
 		c.wantTrace = buf.String()
@@ -843,7 +848,7 @@ func TestChaosDriverCrashResumeSoak(t *testing.T) {
 		}
 		c.stats = *rep.Journal
 		buf.Reset()
-		if err := pl.Obs().Tracer.WriteChromeTrace(&buf); err != nil {
+		if err := pl.o.Tracer.WriteChromeTrace(&buf); err != nil {
 			return c, err
 		}
 		c.gotTrace = buf.String()

@@ -124,14 +124,6 @@ func New(cfg Config) *Pipeline {
 	return pl
 }
 
-// Provider exposes the simulated cloud (for inspection in tests and
-// benches).
-func (pl *Pipeline) Provider() *cloud.Provider { return pl.provider }
-
-// Obs exposes the pipeline's observability bundle (tracer + metric
-// registry).
-func (pl *Pipeline) Obs() *obs.Obs { return pl.o }
-
 // Run executes the full workflow over a dataset and returns the
 // report. On stage failure the partial report is returned along with
 // the error, so callers can inspect how far the run got (Table IV's

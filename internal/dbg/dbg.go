@@ -60,9 +60,6 @@ func NewSized(k, n int) (*Graph, error) {
 	return &Graph{coder: coder, nodes: *seq.NewKmerTable(n)}, nil
 }
 
-// K reports the k-mer size.
-func (g *Graph) K() int { return g.coder.K }
-
 // Len reports the number of distinct canonical k-mers.
 func (g *Graph) Len() int { return g.nodes.Len() }
 

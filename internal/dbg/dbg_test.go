@@ -35,7 +35,7 @@ func TestNewValidation(t *testing.T) {
 		t.Error("k>MaxK accepted")
 	}
 	g, err := New(21)
-	if err != nil || g.K() != 21 {
+	if err != nil || g.coder.K != 21 {
 		t.Fatalf("New(21): %v", err)
 	}
 }
@@ -256,7 +256,7 @@ func TestN50(t *testing.T) {
 func TestCoverageAndDrop(t *testing.T) {
 	g, _ := New(5)
 	coder := g.Coder()
-	km, _ := coder.Encode([]byte("ACGTA"))
+	km := kmerOf(coder, "ACGTA")
 	canon, _ := coder.Canonical(km)
 	g.AddCount(canon, 3)
 	if g.Coverage(canon) != 3 {
@@ -266,4 +266,14 @@ func TestCoverageAndDrop(t *testing.T) {
 	if g.Len() != 0 {
 		t.Error("DropBelow kept low-coverage node")
 	}
+}
+
+// kmerOf packs s, exactly K unambiguous bases, through the coder's
+// rolling window.
+func kmerOf(c seq.KmerCoder, s string) seq.Kmer {
+	var km seq.Kmer
+	for i := range len(s) {
+		km, _ = c.Next(km, s[i])
+	}
+	return km
 }

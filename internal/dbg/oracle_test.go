@@ -281,7 +281,7 @@ func checkEdges(t *testing.T, g *Graph, adj []byte, what string) {
 		if adj[s] != want[s] {
 			km, _, ok := g.nodes.At(s)
 			t.Fatalf("%s: slot %d (%s, live %v) has edge byte %08b, the eight-probe reference %08b",
-				what, s, g.coder.String(km), ok, adj[s], want[s])
+				what, s, string(g.coder.Decode(km)), ok, adj[s], want[s])
 		}
 	}
 }
@@ -323,7 +323,7 @@ func checkSameNodes(t *testing.T, g, ref *Graph, after string) {
 	}
 	ref.nodes.Each(func(_ int, km seq.Kmer, c uint32) {
 		if got := g.Coverage(km); got != c {
-			t.Fatalf("after %s: %s has coverage %d, reference %d", after, ref.coder.String(km), got, c)
+			t.Fatalf("after %s: %s has coverage %d, reference %d", after, string(ref.coder.Decode(km)), got, c)
 		}
 	})
 }
@@ -482,7 +482,7 @@ func TestEdgeBitsDroppedOnInsert(t *testing.T) {
 	if g.adj == nil || g.order == nil {
 		t.Fatal("a traversal left no adjacency bytes or order behind")
 	}
-	km, _ := g.coder.Encode([]byte("ACGGT"))
+	km := kmerOf(g.coder, "ACGGT")
 	canon, _ := g.coder.Canonical(km)
 	g.AddCount(canon, 3)
 	if g.adj == nil || g.order == nil {

@@ -221,20 +221,6 @@ func (p *Plan) String() string {
 	return strings.Join(parts, ";")
 }
 
-// Classes lists the plan's distinct fault classes, sorted.
-func (p *Plan) Classes() []Class {
-	seen := map[Class]bool{}
-	for _, r := range p.Rules {
-		seen[r.Class] = true
-	}
-	out := make([]Class, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
-}
-
 // MetricFaultsInjected counts faults at the moment they take effect,
 // labelled by class.
 const MetricFaultsInjected = "rnascale_faults_injected_total"
@@ -245,7 +231,6 @@ const MetricFaultsInjected = "rnascale_faults_injected_total"
 // function of (seed, entity ID, virtual time), so replays are exact.
 type Injector struct {
 	plan    Plan
-	seed    uint64
 	rng     *RNG
 	clock   *vclock.Clock
 	metrics *obs.Registry
@@ -258,7 +243,7 @@ func NewInjector(plan *Plan, seed uint64, clock *vclock.Clock) *Injector {
 	if plan == nil || len(plan.Rules) == 0 {
 		return nil
 	}
-	return &Injector{plan: *plan, seed: seed, rng: NewRNG(seed), clock: clock}
+	return &Injector{plan: *plan, rng: NewRNG(seed), clock: clock}
 }
 
 // SetMetrics attaches a registry for the faults_injected counter; nil
@@ -268,12 +253,6 @@ func (in *Injector) SetMetrics(reg *obs.Registry) {
 		in.metrics = reg
 	}
 }
-
-// Seed reports the injector's seed.
-func (in *Injector) Seed() uint64 { return in.seed }
-
-// Plan reports the injector's plan.
-func (in *Injector) Plan() Plan { return in.plan }
 
 // CountInjected records one applied fault of the given class. The
 // provider calls this when a scheduled interruption actually strikes;

@@ -253,14 +253,6 @@ func TestNilInjectorIsInert(t *testing.T) {
 	}
 }
 
-func TestPlanClasses(t *testing.T) {
-	plan, _ := ParseSpec("slowxfer:x=0.5;crash:at=9;crash:at=10")
-	got := plan.Classes()
-	if len(got) != 2 || got[0] != ClassCrash || got[1] != ClassSlowXfer {
-		t.Fatalf("Classes() = %v", got)
-	}
-}
-
 // counterValue reads one labelled counter from a registry.
 func counterValue(t *testing.T, reg *obs.Registry, name, labelKey, labelVal string) float64 {
 	t.Helper()

@@ -75,13 +75,13 @@ func TestSubmitFloodBounded(t *testing.T) {
 	if rejected == 0 {
 		t.Error("64 instant submissions against a 2-deep queue saw no 429")
 	}
-	s.Wait()
-	if got := int(s.Metrics().Counter(MetricRuns, "", nil).Value()); got != 0 {
+	s.runsWG.Wait()
+	if got := int(s.metrics.Counter(MetricRuns, "", nil).Value()); got != 0 {
 		// MetricRuns is labelled by status; the unlabelled series must
 		// stay untouched.
 		t.Errorf("unlabelled runs counter = %d", got)
 	}
-	done := int(s.Metrics().Counter(MetricRuns, "", map[string]string{"status": "done"}).Value())
+	done := int(s.metrics.Counter(MetricRuns, "", map[string]string{"status": "done"}).Value())
 	if done != accepted {
 		t.Errorf("%d runs done, %d accepted", done, accepted)
 	}

@@ -119,15 +119,6 @@ func queueWaitBuckets() []float64 {
 // does not choose one.
 const DefaultMaxQueued = 64
 
-// ErrQueueFull is returned by run submission when the queue is at its
-// bound; the HTTP layer maps it to 429 Too Many Requests. Submissions
-// actually surface a *QueueFullError (which Is ErrQueueFull) carrying
-// the live Retry-After hint.
-var ErrQueueFull = errors.New("gateway: run queue full")
-
-// ErrShed is the identity of *ShedError for errors.Is.
-var ErrShed = errors.New("gateway: submission shed")
-
 // errClosed rejects submissions after Close.
 var errClosed = errors.New("gateway: server closed")
 
@@ -141,10 +132,6 @@ func (e *QueueFullError) Error() string {
 	return fmt.Sprintf("gateway: run queue full; retry in %ds", e.RetryAfterSecs)
 }
 
-// Is makes errors.Is(err, ErrQueueFull) keep working for callers that
-// match the sentinel.
-func (e *QueueFullError) Is(target error) bool { return target == ErrQueueFull }
-
 // ShedError rejects a submission turned away by brownout shedding:
 // the queue is past its wait watermark and nothing queued ranks below
 // the arrival. Maps to 503 with a Retry-After hint.
@@ -155,9 +142,6 @@ type ShedError struct {
 func (e *ShedError) Error() string {
 	return fmt.Sprintf("gateway: shed under brownout (queue wait over watermark); retry in %ds", e.RetryAfterSecs)
 }
-
-// Is makes errors.Is(err, ErrShed) work.
-func (e *ShedError) Is(target error) bool { return target == ErrShed }
 
 // AdmissionError rejects a submission the planner priced as
 // infeasible: predicted TTC past the deadline, or predicted cost over
@@ -313,8 +297,8 @@ func (s *Server) SetBrownout(watermark time.Duration) { //rnavet:allow vtimeleak
 }
 
 // SetMaxQueued bounds the submission queue: POSTs arriving while
-// maxQueued runs already wait for a worker are rejected with
-// ErrQueueFull (HTTP 429). Zero rejects every submission outright;
+// maxQueued runs already wait for a worker are rejected with a
+// *QueueFullError (HTTP 429). Zero rejects every submission outright;
 // there is no unbounded setting.
 func (s *Server) SetMaxQueued(n int) {
 	s.mu.Lock()
@@ -357,9 +341,6 @@ func (s *Server) worker() {
 	}
 }
 
-// Metrics exposes the server-level registry.
-func (s *Server) Metrics() *obs.Registry { return s.metrics }
-
 // queueClock reads the wall clock for queue-wait accounting. This is
 // the only wall-clock read in the package: everything inside a run is
 // virtual time, but time spent waiting for a worker is real time.
@@ -379,10 +360,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/api/metrics", only(http.MethodGet, s.handleMetrics))
 	return mux
 }
-
-// Wait blocks until every submitted run has finished (used by tests
-// and graceful shutdown).
-func (s *Server) Wait() { s.runsWG.Wait() }
 
 // Close stops accepting submissions, drains the queue, waits for the
 // worker pool to exit, and closes the event log, returning its close

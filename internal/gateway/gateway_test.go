@@ -97,7 +97,7 @@ func TestSubmitAndComplete(t *testing.T) {
 	if view.ID == "" || view.Status != StatusQueued {
 		t.Fatalf("submission view %+v", view)
 	}
-	s.Wait()
+	s.runsWG.Wait()
 	var done RunView
 	if code := getJSON(t, ts.URL+"/api/runs/"+view.ID, &done); code != 200 {
 		t.Fatalf("status %d", code)
@@ -143,7 +143,7 @@ func TestSubmitWithFaultPlan(t *testing.T) {
 		Faults:     "unitflake:p=0.9,n=1",
 		FaultSeed:  3,
 	})
-	s.Wait()
+	s.runsWG.Wait()
 	var done RunView
 	if code := getJSON(t, ts.URL+"/api/runs/"+view.ID, &done); code != 200 {
 		t.Fatalf("status %d", code)
@@ -156,7 +156,7 @@ func TestSubmitWithFaultPlan(t *testing.T) {
 	}
 	// A run without a plan reports no recovery field.
 	plain := submitRun(t, ts, RunRequest{Profile: "tiny", Assemblers: []string{"velvet"}})
-	s.Wait()
+	s.runsWG.Wait()
 	var plainDone RunView
 	getJSON(t, ts.URL+"/api/runs/"+plain.ID, &plainDone)
 	if plainDone.Recovery != "" {
@@ -233,7 +233,7 @@ func TestFailedRunSurfacesError(t *testing.T) {
 		Pattern:      "static",
 		InstanceType: "c3.2xlarge",
 	})
-	s.Wait()
+	s.runsWG.Wait()
 	var done RunView
 	getJSON(t, ts.URL+"/api/runs/"+view.ID, &done)
 	if done.Status != StatusFailed {
@@ -302,7 +302,7 @@ func TestConcurrentRuns(t *testing.T) {
 	// All complete despite the 2-worker limit.
 	deadline := time.After(2 * time.Minute)
 	donech := make(chan struct{})
-	go func() { s.Wait(); close(donech) }()
+	go func() { s.runsWG.Wait(); close(donech) }()
 	select {
 	case <-donech:
 	case <-deadline:

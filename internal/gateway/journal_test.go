@@ -69,7 +69,7 @@ func TestGatewayRestartReAdoptsInFlightRun(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1 := newJournaledServer(t, dir)
 	view := submitRun(t, ts1, crashingRun())
-	s1.Wait()
+	s1.runsWG.Wait()
 	s1.Close()
 	ts1.Close()
 
@@ -102,7 +102,7 @@ func TestGatewayRestartReAdoptsInFlightRun(t *testing.T) {
 	}
 
 	s2, ts2 := newJournaledServer(t, dir)
-	s2.Wait()
+	s2.runsWG.Wait()
 
 	var views []RunView
 	if code := getJSON(t, ts2.URL+"/api/runs", &views); code != 200 {
@@ -139,7 +139,7 @@ func TestGatewayRestartReAdoptsInFlightRun(t *testing.T) {
 	if next.ID == view.ID {
 		t.Fatalf("new submission reused id %s", next.ID)
 	}
-	s2.Wait()
+	s2.runsWG.Wait()
 }
 
 // TestGatewayRestartKeepsHistoryAndQueue: terminal runs survive a
@@ -149,7 +149,7 @@ func TestGatewayRestartKeepsHistoryAndQueue(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1 := newJournaledServer(t, dir)
 	done := submitRun(t, ts1, RunRequest{Profile: "tiny", Assemblers: []string{"ray"}})
-	s1.Wait()
+	s1.runsWG.Wait()
 	s1.Close()
 	ts1.Close()
 
@@ -176,7 +176,7 @@ func TestGatewayRestartKeepsHistoryAndQueue(t *testing.T) {
 	preCompact := lastSegmentPath(t, dir)
 
 	s2, ts2 := newJournaledServer(t, dir)
-	s2.Wait()
+	s2.runsWG.Wait()
 	var views []RunView
 	getJSON(t, ts2.URL+"/api/runs", &views)
 	byID := map[string]RunView{}
@@ -197,7 +197,7 @@ func TestGatewayRestartKeepsHistoryAndQueue(t *testing.T) {
 	if next.ID != "run-00010" {
 		t.Errorf("next id %s, want run-00010", next.ID)
 	}
-	s2.Wait()
+	s2.runsWG.Wait()
 
 	// Restart compacted the inherited history into a fresh snapshot
 	// segment: the segment the dead gateway wrote is gone, and the
@@ -217,7 +217,7 @@ func TestTraceOfHistoryRun(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1 := newJournaledServer(t, dir)
 	done := submitRun(t, ts1, RunRequest{Profile: "tiny", Assemblers: []string{"ray"}})
-	s1.Wait()
+	s1.runsWG.Wait()
 	s1.Close()
 	ts1.Close()
 
@@ -241,7 +241,7 @@ func TestProofEndpoint(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newJournaledServer(t, dir)
 	view := submitRun(t, ts, RunRequest{Profile: "tiny", Assemblers: []string{"ray"}})
-	s.Wait()
+	s.runsWG.Wait()
 
 	var body struct {
 		Verify journal.VerifyResult `json:"verify"`
@@ -298,7 +298,7 @@ func TestProofConsistentWhileAppending(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newJournaledServer(t, dir)
 	view := submitRun(t, ts, RunRequest{Profile: "tiny", Assemblers: []string{"ray"}})
-	s.Wait()
+	s.runsWG.Wait()
 
 	_, w, err := journal.Continue(filepath.Join(dir, view.ID+".journal"))
 	if err != nil {
@@ -363,7 +363,7 @@ func TestResumeEndpoint(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newJournaledServer(t, dir)
 	view := submitRun(t, ts, crashingRun())
-	s.Wait()
+	s.runsWG.Wait()
 
 	var failed RunView
 	getJSON(t, ts.URL+"/api/runs/"+view.ID, &failed)
@@ -383,7 +383,7 @@ func TestResumeEndpoint(t *testing.T) {
 	if _, ok := body["error"]; !ok {
 		t.Error("409 body lacks error field")
 	}
-	s.Wait()
+	s.runsWG.Wait()
 
 	var resumed RunView
 	getJSON(t, ts.URL+"/api/runs/"+view.ID, &resumed)
@@ -407,7 +407,7 @@ func TestResumeEndpoint(t *testing.T) {
 func TestResumeWithoutJournal(t *testing.T) {
 	s, ts := newTestServer(t)
 	view := submitRun(t, ts, crashingRun())
-	s.Wait()
+	s.runsWG.Wait()
 	code, body := postResume(t, ts, view.ID)
 	if code != http.StatusConflict {
 		t.Fatalf("resume status %d (%v), want 409", code, body)
@@ -420,7 +420,7 @@ func TestResumeWithoutJournal(t *testing.T) {
 // metricValue reads one unlabeled sample from the server registry.
 func metricValue(t *testing.T, s *Server, name string) float64 {
 	t.Helper()
-	for _, p := range s.Metrics().Points() {
+	for _, p := range s.metrics.Points() {
 		if p.Name == name && len(p.Labels) == 0 {
 			return p.Value
 		}

@@ -12,7 +12,7 @@ import (
 func TestMetricsEndpoint(t *testing.T) {
 	s, ts := newTestServer(t)
 	view := submitRun(t, ts, RunRequest{Profile: "tiny", Assemblers: []string{"velvet"}})
-	s.Wait()
+	s.runsWG.Wait()
 
 	resp, err := http.Get(ts.URL + "/api/metrics")
 	if err != nil {
@@ -69,12 +69,12 @@ func TestMetricCardinalityConstant(t *testing.T) {
 		return len(strings.Split(strings.TrimSpace(string(body)), "\n"))
 	}
 	submitRun(t, ts, RunRequest{Profile: "tiny", Assemblers: []string{"velvet"}})
-	s.Wait()
+	s.runsWG.Wait()
 	base := scrapeLines()
 	for i := 0; i < 6; i++ {
 		submitRun(t, ts, RunRequest{Profile: "tiny", Assemblers: []string{"velvet"}})
 	}
-	s.Wait()
+	s.runsWG.Wait()
 	if after := scrapeLines(); after != base {
 		t.Errorf("exposition grew from %d to %d lines over repeated runs", base, after)
 	}
@@ -97,11 +97,11 @@ func TestQueueWaitObservedPerRun(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("batch status %d", resp.StatusCode)
 	}
-	s.Wait()
+	s.runsWG.Wait()
 
 	var count, sum float64
 	var found bool
-	for _, p := range s.Metrics().Points() {
+	for _, p := range s.metrics.Points() {
 		switch p.Name {
 		case MetricRunsQueueWait + "_count":
 			count, found = p.Value, true
@@ -123,7 +123,7 @@ func TestQueueWaitObservedPerRun(t *testing.T) {
 func TestTraceEndpoint(t *testing.T) {
 	s, ts := newTestServer(t)
 	view := submitRun(t, ts, RunRequest{Profile: "tiny", Assemblers: []string{"velvet"}})
-	s.Wait()
+	s.runsWG.Wait()
 
 	resp, err := http.Get(ts.URL + "/api/runs/" + view.ID + "/trace")
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"slices"
 	"strings"
@@ -16,10 +17,11 @@ import (
 	"rnascale/internal/obs"
 )
 
-// waitReturns reports whether s.Wait returns within a generous bound.
+// waitReturns reports whether every submitted run finishes within a
+// generous bound.
 func waitReturns(s *Server) bool {
 	done := make(chan struct{})
-	go func() { s.Wait(); close(done) }()
+	go func() { s.runsWG.Wait(); close(done) }()
 	select {
 	case <-done:
 		return true
@@ -37,8 +39,26 @@ func newHTTPServer(t *testing.T, s *Server) *httptest.Server {
 	return ts
 }
 
+// logBytes sums the sizes of the event log's segment files in dir.
+func logBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for _, e := range entries {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += info.Size()
+	}
+	return n
+}
+
 func inflightValue(s *Server) float64 {
-	return s.Metrics().Gauge(MetricRunsInflight, "", nil).Value()
+	return s.metrics.Gauge(MetricRunsInflight, "", nil).Value()
 }
 
 // TestTransitionTable walks every (status × event) pair through
@@ -92,8 +112,8 @@ func TestTransitionTable(t *testing.T) {
 	states := []string{"new", "queued", "running", "done", "failed", "shed", "replayed queued", "replayed running"}
 	for _, state := range states {
 		for _, e := range events {
-			s := newIdleServer(1)
-			if err := s.EnableJournal(t.TempDir()); err != nil {
+			s, dir := newIdleServer(1), t.TempDir()
+			if err := s.EnableJournal(dir); err != nil {
 				t.Fatal(err)
 			}
 			s.mu.Lock()
@@ -111,12 +131,12 @@ func TestTransitionTable(t *testing.T) {
 				}
 			}
 			id, view, queue := rn.view.ID, rn.view, slices.Clone(s.queue)
-			gauge, head := inflightValue(s), s.events.ChainHead()
+			gauge, logged := inflightValue(s), logBytes(t, dir)
 			err := s.applyLocked(rn, e.ev)
 			got := rn.view
 			changed := !reflect.DeepEqual(got, view) || !slices.Equal(s.queue, queue) ||
-				inflightValue(s) != gauge || s.events.ChainHead() != head
-			afterHead, afterQueue := s.events.ChainHead(), slices.Clone(s.queue)
+				inflightValue(s) != gauge || logBytes(t, dir) != logged
+			afterLogged, afterQueue := logBytes(t, dir), slices.Clone(s.queue)
 			s.mu.Unlock()
 
 			pair := state + " × " + e.name
@@ -130,7 +150,7 @@ func TestTransitionTable(t *testing.T) {
 				t.Errorf("%s: legal event refused: %v", pair, err)
 			case ok && got.Status != want:
 				t.Errorf("%s: landed on %s, want %s", pair, got.Status, want)
-			case ok && afterHead == head:
+			case ok && afterLogged == logged:
 				t.Errorf("%s: appended no event record", pair)
 			case ok && want == StatusQueued && !slices.Contains(afterQueue, id):
 				t.Errorf("%s: run %s is queued but not in the queue %v", pair, id, afterQueue)
@@ -177,7 +197,7 @@ func TestBatchRespectsWorkerBound(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || len(views) != 2 {
 		t.Fatalf("batch status %d, %d views", resp.StatusCode, len(views))
 	}
-	s.Wait()
+	s.runsWG.Wait()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +246,7 @@ func TestReadoptionFailureCounted(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1 := newJournaledServer(t, dir)
 	submitRun(t, ts1, tinyReq())
-	s1.Wait()
+	s1.runsWG.Wait()
 	s1.Close()
 	ts1.Close()
 
@@ -247,7 +267,7 @@ func TestReadoptionFailureCounted(t *testing.T) {
 	}
 
 	s2, ts2 := newJournaledServer(t, dir)
-	s2.Wait()
+	s2.runsWG.Wait()
 	var v RunView
 	if code := getJSON(t, ts2.URL+"/api/runs/run-00009", &v); code != http.StatusOK {
 		t.Fatalf("lookup status %d", code)
@@ -255,7 +275,7 @@ func TestReadoptionFailureCounted(t *testing.T) {
 	if v.Status != StatusFailed || !strings.Contains(v.Error, "re-adoption") {
 		t.Errorf("unrebuildable run is %s (%q), want failed with a re-adoption error", v.Status, v.Error)
 	}
-	if got := s2.Metrics().Counter(MetricRuns, "", obs.Labels{"status": "failed"}).Value(); got != 1 {
+	if got := s2.metrics.Counter(MetricRuns, "", obs.Labels{"status": "failed"}).Value(); got != 1 {
 		t.Errorf(`runs_total{status="failed"} = %v, want 1`, got)
 	}
 	if got := inflightValue(s2); got != 0 {
@@ -305,7 +325,7 @@ func TestBatchPanicFailsOneView(t *testing.T) {
 	if views[1].Status != StatusDone {
 		t.Errorf("sibling run: %s (%s), want done", views[1].Status, views[1].Error)
 	}
-	s.Wait()
+	s.runsWG.Wait()
 	if got := inflightValue(s); got != 0 {
 		t.Errorf("inflight = %v, want 0", got)
 	}

@@ -304,14 +304,3 @@ func (l *Log) LastVTime() float64 {
 	}
 	return max
 }
-
-// Units returns the number of unit-completion records in the journal.
-func (l *Log) Units() int {
-	n := 0
-	for _, r := range l.Records {
-		if r.Kind == KindUnit {
-			n++
-		}
-	}
-	return n
-}

@@ -50,9 +50,6 @@ func TestRoundTrip(t *testing.T) {
 	if got := lg.LastVTime(); got != 200 {
 		t.Errorf("LastVTime = %v, want 200", got)
 	}
-	if got := lg.Units(); got != 1 {
-		t.Errorf("Units = %d, want 1", got)
-	}
 	u := lg.Records[2]
 	if string(u.Payload) != string(payload) || u.DurationSeconds != 90.5 {
 		t.Errorf("unit record did not round-trip: %+v", u)

@@ -224,23 +224,6 @@ func (s *Segmented) Compact(snapshot []Record) error {
 	return nil
 }
 
-// ChainHead returns the chain head of the current segment.
-func (s *Segmented) ChainHead() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.w == nil {
-		return ""
-	}
-	return s.w.ChainHead()
-}
-
-// Segments returns the indices of the existing segment files, sorted.
-func (s *Segmented) Segments() ([]int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return segmentIndices(s.dir, s.prefix)
-}
-
 // Close closes the current segment's writer. Safe to call more than
 // once.
 func (s *Segmented) Close() error {

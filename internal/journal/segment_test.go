@@ -35,7 +35,7 @@ func TestSegmentedRotationAndReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	segs, err := s.Segments()
+	segs, err := segmentIndices(s.dir, s.prefix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestSegmentedDetectsMissingSegment(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	segs, err := s.Segments()
+	segs, err := segmentIndices(s.dir, s.prefix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSegmentedDetectsTruncatedMiddleSegment(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	segs, err := s.Segments()
+	segs, err := segmentIndices(s.dir, s.prefix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestSegmentedCompact(t *testing.T) {
 	if err := s.Compact(snapshot); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := s.Segments()
+	segs, err := segmentIndices(s.dir, s.prefix)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -379,26 +379,12 @@ func (w *Writer) fillWindow(max int) {
 	}
 }
 
-// Seq returns the sequence number the next Append will stamp.
-func (w *Writer) Seq() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.seq
-}
-
 // ChainHead returns the chain digest of the last stamped record (the
 // value Verify reports for an intact journal).
 func (w *Writer) ChainHead() string {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return string(w.chainHex[:])
-}
-
-// Err returns the writer's sticky append error, nil while healthy.
-func (w *Writer) Err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
 }
 
 // Close drains pending appends, stops the flusher and closes the

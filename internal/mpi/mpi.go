@@ -153,9 +153,6 @@ func (c *Comm) Size() int { return c.world.cfg.Ranks }
 // Node reports the node index hosting this rank.
 func (c *Comm) Node() int { return c.rank / c.world.cfg.RanksPerNode }
 
-// Clock reports this rank's virtual time.
-func (c *Comm) Clock() vclock.Time { return c.vt }
-
 // Compute advances this rank's clock by d of local computation.
 func (c *Comm) Compute(d vclock.Duration) {
 	if d < 0 {
@@ -287,33 +284,6 @@ func (c *Comm) Barrier() {
 		w.collOutM = nil
 		w.collTime = w.collVT.Add(w.barrierCost())
 	})
-}
-
-// Bcast distributes root's payload to every rank and returns it.
-func (c *Comm) Bcast(root int, payload any, bytes int64) any {
-	in := any(nil)
-	if c.rank == root {
-		in = payload
-	}
-	out, _ := c.collective(in, nil, func(w *World) {
-		w.collOutM = nil
-		w.collOut = make([]any, w.cfg.Ranks)
-		for i := range w.collOut {
-			w.collOut[i] = w.collBuf[root]
-		}
-		// Binomial-tree broadcast: log2(n) transfer steps.
-		n := w.cfg.Ranks
-		depth := 0
-		for 1<<depth < n {
-			depth++
-		}
-		link := w.cfg.Intra
-		if n > w.cfg.RanksPerNode {
-			link = w.cfg.Inter
-		}
-		w.collTime = w.collVT.Add(vclock.Duration(float64(depth)) * link.Transfer(bytes))
-	})
-	return out
 }
 
 // AllGather collects every rank's payload; each rank receives the full

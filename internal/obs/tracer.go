@@ -68,17 +68,6 @@ func (s *Span) SetAttrf(key, format string, args ...any) {
 	s.SetAttr(key, fmt.Sprintf(format, args...))
 }
 
-// Attr reads an attribute back.
-func (s *Span) Attr(key string) (string, bool) {
-	if s == nil {
-		return "", false
-	}
-	s.tracer.mu.Lock()
-	defer s.tracer.mu.Unlock()
-	v, ok := s.attrs[key]
-	return v, ok
-}
-
 // Event records a point-in-time annotation.
 func (s *Span) Event(at vclock.Time, name, note string) {
 	if s == nil {
@@ -106,16 +95,6 @@ func (s *Span) End(at vclock.Time) {
 		at = s.Start
 	}
 	s.end = at
-}
-
-// Ended reports whether the span was closed.
-func (s *Span) Ended() bool {
-	if s == nil {
-		return false
-	}
-	s.tracer.mu.Lock()
-	defer s.tracer.mu.Unlock()
-	return s.ended
 }
 
 // EndTime reports the span's end. For an unended span it reports the
@@ -154,13 +133,6 @@ func (s *Span) Children() []*Span {
 	s.tracer.mu.Lock()
 	defer s.tracer.mu.Unlock()
 	return append([]*Span(nil), s.children...)
-}
-
-// Events returns a copy of the span's point events.
-func (s *Span) Events() []SpanEvent {
-	s.tracer.mu.Lock()
-	defer s.tracer.mu.Unlock()
-	return append([]SpanEvent(nil), s.events...)
 }
 
 // Attrs returns the attribute keys and values in sorted-key order.

@@ -59,12 +59,3 @@ func (b *RetryBudget) Allow(at vclock.Time) bool {
 	}
 	return false
 }
-
-// Remaining reports the whole tokens left (without refilling). A nil
-// budget reports a sentinel -1, meaning unlimited.
-func (b *RetryBudget) Remaining() int {
-	if b == nil {
-		return -1
-	}
-	return int(b.tokens)
-}

@@ -204,16 +204,13 @@ func TestNodeLossResubmission(t *testing.T) {
 	}
 	// The crashed VM stopped billing at the crash and carries the
 	// reason.
-	dead, err := prov.Describe("i-000001")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dead.TerminatedAt != 500 || dead.InterruptReason != string(faults.ClassCrash) {
+	dead := prov.Interruptions()[0].VM
+	if dead.ID != "i-000001" || dead.TerminatedAt != 500 || dead.InterruptReason != string(faults.ClassCrash) {
 		t.Errorf("dead VM terminated %v reason %q", dead.TerminatedAt, dead.InterruptReason)
 	}
 	// A replacement exists and the pilot went Degraded and back.
-	if _, err := prov.Describe("i-000003"); err != nil {
-		t.Errorf("no replacement VM: %v", err)
+	if !p.Cluster.HasVM("i-000003") {
+		t.Error("no replacement VM i-000003 in the cluster")
 	}
 	var sawDegraded, sawReactivated bool
 	for _, e := range m.Store().History() {

@@ -69,16 +69,6 @@ func (b *SpanBridge) SetParent(s *obs.Span) {
 	b.mu.Unlock()
 }
 
-// SpanFor returns the span mirrored for an entity ID, or nil.
-func (b *SpanBridge) SpanFor(id string) *obs.Span {
-	if b == nil {
-		return nil
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.spans[id]
-}
-
 // onEvent handles one state-store event. It runs under the store's
 // lock, so it only touches the bridge and the tracer.
 func (b *SpanBridge) onEvent(e Event) {

@@ -54,13 +54,12 @@ func (p *Pilot) State() PilotState {
 	return PilotState(s)
 }
 
-// Manager launches and cancels pilots — the PilotManager of
+// Manager launches and completes pilots — the PilotManager of
 // RADICAL-Pilot, with the cloud provider as its (only) resource.
 type Manager struct {
 	provider *cloud.Provider
 	store    *StateStore
 	copts    cluster.Options
-	pilots   []*Pilot
 	nextID   int
 	obs      *obs.Obs
 }
@@ -89,9 +88,6 @@ func (m *Manager) instrumentScheduler(c *cluster.Cluster) {
 		"SGE job queue wait (submit to start), virtual seconds.", nil, nil)
 	c.Scheduler().SetObserver(func(j *sge.Job) { h.Observe(j.QueueWait().Seconds()) })
 }
-
-// Provider exposes the cloud provider.
-func (m *Manager) Provider() *cloud.Provider { return m.provider }
 
 // SubmitPilot launches a pilot: it boots or adopts VMs, builds the
 // cluster and drives the pilot to PMGR_ACTIVE. The virtual clock
@@ -136,28 +132,12 @@ func (m *Manager) SubmitPilot(desc PilotDescription) (*Pilot, error) {
 	if err := m.store.Transition(id, string(PilotActive), p.ActiveAt, "agent up"); err != nil {
 		return nil, err
 	}
-	m.pilots = append(m.pilots, p)
 	return p, nil
 }
 
-// CancelPilot drives a pilot to CANCELED. Under scheme S1 the pilot's
-// VMs are terminated; under S2 they stay running for the next pilot.
-func (m *Manager) CancelPilot(p *Pilot) error {
-	if p.State().Final() {
-		return nil
-	}
-	now := m.provider.Clock().Now()
-	if err := m.store.Transition(p.ID, string(PilotCanceled), now, "canceled by manager"); err != nil {
-		return err
-	}
-	if p.OwnsVMs && p.Cluster != nil {
-		p.Cluster.Terminate()
-	}
-	return nil
-}
-
-// CompletePilot drives a pilot to DONE (its workload finished). VM
-// handling matches CancelPilot.
+// CompletePilot drives a pilot to DONE (its workload finished). Under
+// scheme S1 the pilot's VMs are terminated; under S2 they stay running
+// for the next pilot.
 func (m *Manager) CompletePilot(p *Pilot) error {
 	if p.State().Final() {
 		return nil
@@ -171,6 +151,3 @@ func (m *Manager) CompletePilot(p *Pilot) error {
 	}
 	return nil
 }
-
-// Pilots lists every pilot submitted through this manager.
-func (m *Manager) Pilots() []*Pilot { return append([]*Pilot(nil), m.pilots...) }

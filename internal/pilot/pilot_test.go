@@ -100,18 +100,7 @@ func TestStateStoreEnforcesLegality(t *testing.T) {
 	}
 }
 
-func TestStateStoreWatch(t *testing.T) {
-	s := NewStateStore()
-	ch := s.Watch()
-	s.Register(KindUnit, "u1", string(UnitNew), 5)
-	s.Transition("u1", string(UnitScheduling), 6, "go")
-	e1, e2 := <-ch, <-ch
-	if e1.To != string(UnitNew) || e2.To != string(UnitScheduling) || e2.At != 6 {
-		t.Errorf("events %v %v", e1, e2)
-	}
-}
-
-func TestSubmitPilotS1BuildsAndCancelTerminates(t *testing.T) {
+func TestSubmitPilotS1BuildsAndCompleteTerminates(t *testing.T) {
 	prov, m := newRig()
 	p, err := m.SubmitPilot(PilotDescription{Name: "PB", InstanceType: "c3.2xlarge", Nodes: 4})
 	if err != nil {
@@ -126,23 +115,23 @@ func TestSubmitPilotS1BuildsAndCancelTerminates(t *testing.T) {
 	if got := len(prov.Running()); got != 4 {
 		t.Fatalf("running VMs %d", got)
 	}
-	if err := m.CancelPilot(p); err != nil {
+	if err := m.CompletePilot(p); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(prov.Running()); got != 0 {
-		t.Errorf("VMs after cancel: %d", got)
+		t.Errorf("VMs after completion: %d", got)
 	}
-	if p.State() != PilotCanceled {
+	if p.State() != PilotDone {
 		t.Errorf("state %s", p.State())
 	}
-	if err := m.CancelPilot(p); err != nil {
-		t.Errorf("double cancel: %v", err)
+	if err := m.CompletePilot(p); err != nil {
+		t.Errorf("double completion: %v", err)
 	}
 }
 
 func TestSubmitPilotS2ReusesVMs(t *testing.T) {
 	prov, m := newRig()
-	vms, err := prov.RunInstances("r3.2xlarge", 2)
+	vms, err := prov.RunInstancesOn("r3.2xlarge", 2, cloud.OnDemand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,9 +288,9 @@ func TestUnitValidation(t *testing.T) {
 	if _, err := um.Submit([]UnitDescription{{Name: "x", Slots: 0, Work: work}}); err == nil {
 		t.Error("zero slots accepted")
 	}
-	m.CancelPilot(p)
+	m.CompletePilot(p)
 	if _, err := NewUnitManager(p); err == nil {
-		t.Error("canceled pilot accepted")
+		t.Error("completed pilot accepted")
 	}
 }
 

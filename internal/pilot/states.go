@@ -128,13 +128,12 @@ func (e Event) String() string {
 // controlled and monitored via the back-end database system that
 // updates run-time information on the fly"). It records every state
 // transition, enforces state-machine legality, and fans events out to
-// watchers.
+// subscribers.
 type StateStore struct {
 	mu        sync.Mutex
 	states    map[string]string // entity ID -> current state
 	kinds     map[string]EntityKind
 	history   []Event
-	watchers  []chan Event
 	observers []func(Event)
 }
 
@@ -189,12 +188,6 @@ func (s *StateStore) emit(e Event) {
 	for _, fn := range s.observers {
 		fn(e)
 	}
-	for _, w := range s.watchers {
-		select {
-		case w <- e:
-		default: // slow watcher: drop rather than deadlock the store
-		}
-	}
 }
 
 // State reports an entity's current state.
@@ -213,21 +206,10 @@ func (s *StateStore) History() []Event {
 }
 
 // Subscribe registers a synchronous observer invoked with every
-// future event, in order and without loss — unlike Watch, which may
-// drop under backpressure. The callback runs with the store's lock
-// held, so it must not call back into the store.
+// future event, in order and without loss. The callback runs with the
+// store's lock held, so it must not call back into the store.
 func (s *StateStore) Subscribe(fn func(Event)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.observers = append(s.observers, fn)
-}
-
-// Watch returns a channel receiving future events (buffered; events
-// overflowing the buffer are dropped for that watcher).
-func (s *StateStore) Watch() <-chan Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ch := make(chan Event, 1024)
-	s.watchers = append(s.watchers, ch)
-	return ch
 }

@@ -38,7 +38,7 @@ func BenchmarkKmerForEachCanonical(b *testing.B) {
 func BenchmarkKmerCanonical(b *testing.B) {
 	c := MustKmerCoder(47)
 	rng := rand.New(rand.NewSource(2))
-	km, _ := c.Encode(randomSeq(rng, 47))
+	km, _ := c.encode(randomSeq(rng, 47))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

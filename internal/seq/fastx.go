@@ -212,27 +212,3 @@ func SplitPairs(rs ReadSet) (r1, r2 []Read, err error) {
 	}
 	return r1, r2, nil
 }
-
-// InterleavePairs merges mate files back into the interleaved layout
-// the pipeline uses, validating that fragment IDs correspond.
-func InterleavePairs(r1, r2 []Read) (ReadSet, error) {
-	if len(r1) != len(r2) {
-		return ReadSet{}, fmt.Errorf("seq: %d mate-1 reads vs %d mate-2", len(r1), len(r2))
-	}
-	rs := ReadSet{Paired: true, Reads: make([]Read, 0, 2*len(r1))}
-	for i := range r1 {
-		if fragmentID(r1[i].ID) != fragmentID(r2[i].ID) {
-			return ReadSet{}, fmt.Errorf("seq: mate mismatch at %d: %q vs %q", i, r1[i].ID, r2[i].ID)
-		}
-		rs.Reads = append(rs.Reads, r1[i], r2[i])
-	}
-	return rs, nil
-}
-
-// fragmentID strips a trailing /1 or /2 mate suffix.
-func fragmentID(id string) string {
-	if len(id) > 2 && id[len(id)-2] == '/' && (id[len(id)-1] == '1' || id[len(id)-1] == '2') {
-		return id[:len(id)-2]
-	}
-	return id
-}

@@ -45,9 +45,9 @@ func MustKmerCoder(k int) KmerCoder {
 	return c
 }
 
-// Encode packs the first K bases of s. It returns ok=false when s is
+// encode packs the first K bases of s. It returns ok=false when s is
 // shorter than K or contains an ambiguous base within the window.
-func (c KmerCoder) Encode(s []byte) (Kmer, bool) {
+func (c KmerCoder) encode(s []byte) (Kmer, bool) {
 	if len(s) < c.K {
 		return Kmer{}, false
 	}
@@ -64,7 +64,7 @@ func (c KmerCoder) Encode(s []byte) (Kmer, bool) {
 
 // shiftAppend shifts the k-mer left by one base and appends code at
 // the 3' end, dropping the 5' base if the k-mer is full. The caller
-// maintains the "full" invariant; within Encode the partial k-mer
+// maintains the "full" invariant; within encode the partial k-mer
 // never exceeds K bases.
 func (c KmerCoder) shiftAppend(km Kmer, code byte) Kmer {
 	km.Hi = km.Hi<<2 | km.Lo>>62
@@ -142,9 +142,6 @@ func (c KmerCoder) Decode(km Kmer) []byte {
 	}
 	return out
 }
-
-// String renders a k-mer under this coder.
-func (c KmerCoder) String(km Kmer) string { return string(c.Decode(km)) }
 
 // ReverseComplement returns the reverse complement of the k-mer: the
 // 3' base of the input, complemented, becomes the 5' base of the

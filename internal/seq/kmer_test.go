@@ -29,11 +29,11 @@ func TestKmerEncodeDecodeRoundtrip(t *testing.T) {
 		c := MustKmerCoder(k)
 		for trial := 0; trial < 50; trial++ {
 			s := randomSeq(rng, k)
-			km, ok := c.Encode(s)
+			km, ok := c.encode(s)
 			if !ok {
 				t.Fatalf("k=%d: encode failed for %s", k, s)
 			}
-			if got := c.String(km); got != string(s) {
+			if got := string(c.Decode(km)); got != string(s) {
 				t.Fatalf("k=%d roundtrip: got %s want %s", k, got, s)
 			}
 		}
@@ -42,10 +42,10 @@ func TestKmerEncodeDecodeRoundtrip(t *testing.T) {
 
 func TestKmerEncodeRejects(t *testing.T) {
 	c := MustKmerCoder(5)
-	if _, ok := c.Encode([]byte("ACG")); ok {
+	if _, ok := c.encode([]byte("ACG")); ok {
 		t.Error("short input accepted")
 	}
-	if _, ok := c.Encode([]byte("ACGNT")); ok {
+	if _, ok := c.encode([]byte("ACGNT")); ok {
 		t.Error("N accepted")
 	}
 }
@@ -53,14 +53,14 @@ func TestKmerEncodeRejects(t *testing.T) {
 func TestKmerNextSlidesWindow(t *testing.T) {
 	c := MustKmerCoder(4)
 	s := []byte("ACGTACGG")
-	km, _ := c.Encode(s)
+	km, _ := c.encode(s)
 	for i := 4; i < len(s); i++ {
 		var ok bool
 		km, ok = c.Next(km, s[i])
 		if !ok {
 			t.Fatalf("Next rejected %c", s[i])
 		}
-		if got, want := c.String(km), string(s[i-3:i+1]); got != want {
+		if got, want := string(c.Decode(km)), string(s[i-3:i+1]); got != want {
 			t.Fatalf("window at %d: got %s want %s", i, got, want)
 		}
 	}
@@ -74,14 +74,14 @@ func TestKmerPrevSlidesWindowBack(t *testing.T) {
 		c := MustKmerCoder(k)
 		rng := rand.New(rand.NewSource(int64(k)))
 		s := randomSeq(rng, k+6)
-		km, _ := c.Encode(s[6:])
+		km, _ := c.encode(s[6:])
 		for i := 5; i >= 0; i-- {
 			var ok bool
 			km, ok = c.Prev(km, s[i])
 			if !ok {
 				t.Fatalf("k=%d: Prev rejected %c", k, s[i])
 			}
-			if got, want := c.String(km), string(s[i:i+k]); got != want {
+			if got, want := string(c.Decode(km)), string(s[i:i+k]); got != want {
 				t.Fatalf("k=%d window at %d: got %s want %s", k, i, got, want)
 			}
 		}
@@ -97,7 +97,7 @@ func TestKmerPrevNextInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 200; i++ {
 		s := randomSeq(rng, 36)
-		km, _ := c.Encode(s[:35])
+		km, _ := c.encode(s[:35])
 		next, _ := c.Next(km, s[35])
 		back, _ := c.Prev(next, s[0])
 		if back != km {
@@ -108,9 +108,9 @@ func TestKmerPrevNextInverse(t *testing.T) {
 
 func TestKmerLexicographicOrder(t *testing.T) {
 	c := MustKmerCoder(40) // two-word path
-	a, _ := c.Encode([]byte("AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAC"))
-	b, _ := c.Encode([]byte("AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAG"))
-	z, _ := c.Encode([]byte("TAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"))
+	a, _ := c.encode([]byte("AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAC"))
+	b, _ := c.encode([]byte("AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAG"))
+	z, _ := c.encode([]byte("TAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"))
 	if !a.Less(b) || b.Less(a) {
 		t.Error("a<b violated")
 	}
@@ -127,9 +127,9 @@ func TestKmerReverseComplementMatchesBytes(t *testing.T) {
 		c := MustKmerCoder(k)
 		f := func() bool {
 			s := randomSeq(rng, k)
-			km, _ := c.Encode(s)
+			km, _ := c.encode(s)
 			want := string(ReverseComplement(s))
-			got := c.String(c.ReverseComplement(km))
+			got := string(c.Decode(c.ReverseComplement(km)))
 			return got == want
 		}
 		for i := 0; i < 100; i++ {
@@ -146,7 +146,7 @@ func TestKmerCanonicalProperty(t *testing.T) {
 	c := MustKmerCoder(35)
 	f := func() bool {
 		s := randomSeq(rng, 35)
-		km, _ := c.Encode(s)
+		km, _ := c.encode(s)
 		rc := c.ReverseComplement(km)
 		c1, _ := c.Canonical(km)
 		c2, _ := c.Canonical(rc)
@@ -170,7 +170,7 @@ func TestKmerForEachSkipsN(t *testing.T) {
 	s := []byte("ACGTNAAGT")
 	var got []string
 	c.ForEachCanonical(s, func(pos int, canon Kmer) bool {
-		got = append(got, c.String(canon))
+		got = append(got, string(c.Decode(canon)))
 		return true
 	})
 	want := []string{"ACG", "ACG", "AAG", "ACT"} // ACG, CGT | AAG, AGT
@@ -197,7 +197,7 @@ func TestKmerForEachPositions(t *testing.T) {
 	var pos []int
 	c.ForEachCanonical(s, func(p int, canon Kmer) bool {
 		pos = append(pos, p)
-		if got, want := c.String(canon), canonicalString(s[p:p+4]); got != want {
+		if got, want := string(c.Decode(canon)), canonicalString(s[p:p+4]); got != want {
 			t.Errorf("pos %d: %s want %s", p, got, want)
 		}
 		return true
@@ -213,7 +213,7 @@ func TestKmerHashDistribution(t *testing.T) {
 	buckets := make([]int, 16)
 	const n = 4096
 	for i := 0; i < n; i++ {
-		km, _ := c.Encode(randomSeq(rng, 21))
+		km, _ := c.encode(randomSeq(rng, 21))
 		buckets[km.Hash()%16]++
 	}
 	for b, cnt := range buckets {

@@ -93,10 +93,10 @@ func TestReverseComplementMatchesReference(t *testing.T) {
 			cases = append(cases, randomSeq(rng, k))
 		}
 		for _, s := range cases {
-			km, _ := c.Encode(s)
+			km, _ := c.encode(s)
 			got, want := c.ReverseComplement(km), referenceReverseComplement(c, km)
 			if got != want {
-				t.Fatalf("k=%d %s: reverse complement %s, the base loop gives %s", k, s, c.String(got), c.String(want))
+				t.Fatalf("k=%d %s: reverse complement %s, the base loop gives %s", k, s, string(c.Decode(got)), string(c.Decode(want)))
 			}
 			if c.ReverseComplement(got) != km {
 				t.Fatalf("k=%d %s: reverse complement is not an involution", k, s)

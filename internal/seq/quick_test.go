@@ -56,11 +56,11 @@ func TestKmerCodecProperty(t *testing.T) {
 		k := int(kRaw)%MaxK + 1
 		c := MustKmerCoder(k)
 		s := randomSeq(rng, k)
-		km, ok := c.Encode(s)
+		km, ok := c.encode(s)
 		if !ok || !bytes.Equal(c.Decode(km), s) {
 			return false
 		}
-		rcKm, ok := c.Encode(ReverseComplement(s))
+		rcKm, ok := c.encode(ReverseComplement(s))
 		if !ok {
 			return false
 		}
@@ -80,12 +80,12 @@ func TestKmerNextConsistencyProperty(t *testing.T) {
 		k := int(kRaw)%62 + 2
 		c := MustKmerCoder(k)
 		s := randomSeq(rng, k+1)
-		km, _ := c.Encode(s[:k])
+		km, _ := c.encode(s[:k])
 		next, ok := c.Next(km, s[k])
 		if !ok {
 			return false
 		}
-		want, _ := c.Encode(s[1:])
+		want, _ := c.encode(s[1:])
 		return next == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

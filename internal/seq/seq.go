@@ -60,16 +60,6 @@ func Code(b byte) (byte, bool) {
 // outside [0,3]; codes only originate from this package.
 func BaseByte(code byte) byte { return baseOf[code] }
 
-// IsACGT reports whether every byte of s is an unambiguous base.
-func IsACGT(s []byte) bool {
-	for _, b := range s {
-		if codeOf[b] == 0xFF {
-			return false
-		}
-	}
-	return true
-}
-
 // CountN reports the number of ambiguous (non-ACGT) bytes in s.
 func CountN(s []byte) int {
 	n := 0
@@ -106,38 +96,6 @@ func ReverseComplement(s []byte) []byte {
 	return out
 }
 
-// ReverseComplementInPlace reverse-complements s without allocating.
-func ReverseComplementInPlace(s []byte) {
-	i, j := 0, len(s)-1
-	for i < j {
-		s[i], s[j] = complement[s[j]], complement[s[i]]
-		i++
-		j--
-	}
-	if i == j {
-		s[i] = complement[s[i]]
-	}
-}
-
-// GCContent reports the fraction of G and C bases among unambiguous
-// bases of s, or 0 for an empty/all-N sequence.
-func GCContent(s []byte) float64 {
-	gc, acgt := 0, 0
-	for _, b := range s {
-		switch codeOf[b] {
-		case BaseC, BaseG:
-			gc++
-			acgt++
-		case BaseA, BaseT:
-			acgt++
-		}
-	}
-	if acgt == 0 {
-		return 0
-	}
-	return float64(gc) / float64(acgt)
-}
-
 // Read is a single sequencing read: an identifier, its bases, and
 // per-base Phred+33 qualities. Qual may be nil for FASTA-derived
 // sequences.
@@ -159,19 +117,6 @@ func (r *Read) Validate() error {
 		return fmt.Errorf("seq: read %s has %d bases but %d qualities", r.ID, len(r.Seq), len(r.Qual))
 	}
 	return nil
-}
-
-// MeanQuality reports the mean Phred score of the read, or 0 when it
-// carries no qualities.
-func (r *Read) MeanQuality() float64 {
-	if len(r.Qual) == 0 {
-		return 0
-	}
-	sum := 0
-	for _, q := range r.Qual {
-		sum += int(q) - PhredOffset
-	}
-	return float64(sum) / float64(len(r.Qual))
 }
 
 // PhredOffset is the ASCII offset of Phred+33 quality encoding.

@@ -42,11 +42,6 @@ func TestReverseComplement(t *testing.T) {
 		if got := string(ReverseComplement([]byte(c.in))); got != c.want {
 			t.Errorf("RC(%q) = %q, want %q", c.in, got, c.want)
 		}
-		inPlace := []byte(c.in)
-		ReverseComplementInPlace(inPlace)
-		if string(inPlace) != c.want {
-			t.Errorf("RC-in-place(%q) = %q, want %q", c.in, inPlace, c.want)
-		}
 	}
 }
 
@@ -64,20 +59,11 @@ func TestReverseComplementInvolution(t *testing.T) {
 }
 
 func TestGCContent(t *testing.T) {
-	if gc := GCContent([]byte("GGCC")); gc != 1 {
-		t.Errorf("GGCC gc=%v", gc)
-	}
-	if gc := GCContent([]byte("AATT")); gc != 0 {
-		t.Errorf("AATT gc=%v", gc)
-	}
-	if gc := GCContent([]byte("ACGT")); gc != 0.5 {
-		t.Errorf("ACGT gc=%v", gc)
-	}
-	if gc := GCContent([]byte("NNNN")); gc != 0 {
-		t.Errorf("NNNN gc=%v", gc)
-	}
-	if gc := GCContent([]byte("GN")); gc != 1 {
-		t.Errorf("GN gc=%v (N must be excluded from denominator)", gc)
+	for s, want := range map[string]float64{"GGCC": 1, "AATT": 0, "ACGT": 0.5, "NNNN": 0, "GN": 1} {
+		// N is excluded from the denominator.
+		if gc := ComputeStats(ReadSet{Reads: []Read{{ID: "r", Seq: []byte(s)}}}).GCContent; gc != want {
+			t.Errorf("%s gc=%v, want %v", s, gc, want)
+		}
 	}
 }
 
@@ -134,14 +120,14 @@ func TestPhred(t *testing.T) {
 		t.Error("phred clamping failed")
 	}
 	r := Read{ID: "r", Seq: []byte("AC"), Qual: []byte{PhredToByte(10), PhredToByte(30)}}
-	if mq := r.MeanQuality(); mq != 20 {
+	if mq := ComputeStats(ReadSet{Reads: []Read{r}}).MeanQuality; mq != 20 {
 		t.Errorf("mean quality = %v", mq)
 	}
 }
 
 func TestMeanQualityNoQual(t *testing.T) {
 	r := Read{ID: "r", Seq: []byte("AC")}
-	if r.MeanQuality() != 0 {
+	if ComputeStats(ReadSet{Reads: []Read{r}}).MeanQuality != 0 {
 		t.Error("nil qual should mean 0")
 	}
 }
@@ -149,9 +135,6 @@ func TestMeanQualityNoQual(t *testing.T) {
 func TestCountN(t *testing.T) {
 	if n := CountN([]byte("ACGNNT")); n != 2 {
 		t.Errorf("CountN = %d", n)
-	}
-	if !IsACGT([]byte("ACGT")) || IsACGT([]byte("ACGN")) {
-		t.Error("IsACGT misclassified")
 	}
 }
 

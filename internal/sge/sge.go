@@ -77,32 +77,6 @@ type JobSpec struct {
 	MemoryGBPerSlot float64
 }
 
-// JobState is the lifecycle of a scheduled job at a point in time.
-type JobState int
-
-const (
-	// Queued means the job has not started yet at the queried time.
-	Queued JobState = iota
-	// Running means the queried time falls within [Start, End).
-	Running
-	// Done means the job has finished.
-	Done
-)
-
-// String implements fmt.Stringer.
-func (s JobState) String() string {
-	switch s {
-	case Queued:
-		return "qw"
-	case Running:
-		return "r"
-	case Done:
-		return "done"
-	default:
-		return fmt.Sprintf("JobState(%d)", int(s))
-	}
-}
-
 // Job is a scheduled job with its placement decision.
 type Job struct {
 	ID     int
@@ -114,32 +88,9 @@ type Job struct {
 	SlotsByNode map[string]int
 }
 
-// State reports the job's state at time t.
-func (j *Job) State(t vclock.Time) JobState {
-	switch {
-	case t < j.Start:
-		return Queued
-	case t < j.End:
-		return Running
-	default:
-		return Done
-	}
-}
-
-// Nodes reports the names of allocated nodes in lexicographic order.
-func (j *Job) Nodes() []string {
-	out := make([]string, 0, len(j.SlotsByNode))
-	for n := range j.SlotsByNode {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Scheduler is the batch queue. It is not safe for concurrent use.
 type Scheduler struct {
 	nodes    []*node
-	jobs     []*Job
 	nextID   int
 	observer func(*Job)
 }
@@ -207,17 +158,6 @@ func (s *Scheduler) ActiveNodes() []string {
 	return out
 }
 
-// TotalSlots reports the slot capacity of active hosts.
-func (s *Scheduler) TotalSlots() int {
-	total := 0
-	for _, n := range s.nodes {
-		if !n.removed {
-			total += n.spec.Slots
-		}
-	}
-	return total
-}
-
 // slotRef identifies one slot of one node during allocation.
 type slotRef struct {
 	node *node
@@ -257,7 +197,6 @@ func (s *Scheduler) Submit(spec JobSpec, at vclock.Time) (*Job, error) {
 	}
 	s.nextID++
 	job := &Job{ID: s.nextID, Spec: spec, Submit: at, Start: start, End: end, SlotsByNode: byNode}
-	s.jobs = append(s.jobs, job)
 	if s.observer != nil {
 		s.observer(job)
 	}
@@ -368,37 +307,4 @@ func (s *Scheduler) placeSpanning(spec JobSpec, at vclock.Time, candidates []slo
 		sort.SliceStable(free, func(a, b int) bool { return free[a].slot < free[b].slot })
 	}
 	return start, free[:spec.Slots]
-}
-
-// Jobs returns every scheduled job in submit order.
-func (s *Scheduler) Jobs() []*Job { return append([]*Job(nil), s.jobs...) }
-
-// Makespan reports when the last scheduled job finishes, or 0 with no
-// jobs.
-func (s *Scheduler) Makespan() vclock.Time {
-	var m vclock.Time
-	for _, j := range s.jobs {
-		if j.End > m {
-			m = j.End
-		}
-	}
-	return m
-}
-
-// Utilization reports busy-slot-seconds divided by capacity-seconds
-// over [0, Makespan] for active nodes; 0 when nothing ran.
-func (s *Scheduler) Utilization() float64 {
-	span := s.Makespan()
-	if span == 0 {
-		return 0
-	}
-	var busy vclock.Duration
-	for _, j := range s.jobs {
-		busy += vclock.Duration(float64(j.Spec.Duration) * float64(j.Spec.Slots))
-	}
-	capacity := float64(s.TotalSlots()) * float64(span)
-	if capacity == 0 {
-		return 0
-	}
-	return float64(busy) / capacity
 }

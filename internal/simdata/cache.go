@@ -3,7 +3,6 @@ package simdata
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // datasetCache memoizes Generate results so a sweep whose cells share
@@ -19,9 +18,8 @@ import (
 // Dataset over shared backing arrays, and the experiment tables only
 // read. Callers that need to mutate a dataset must use Generate.
 var datasetCache struct {
-	mu          sync.Mutex
-	entries     map[string]*cacheEntry
-	generations atomic.Int64
+	mu      sync.Mutex
+	entries map[string]*cacheEntry
 }
 
 type cacheEntry struct {
@@ -52,13 +50,7 @@ func GenerateCached(p Profile) (*Dataset, error) {
 	}
 	datasetCache.mu.Unlock()
 	e.once.Do(func() {
-		datasetCache.generations.Add(1)
 		e.ds, e.err = Generate(p)
 	})
 	return e.ds, e.err
 }
-
-// CacheGenerations reports how many underlying Generate calls the
-// cache has performed since process start (tests assert one per
-// distinct profile; operators read it as a cache-miss counter).
-func CacheGenerations() int64 { return datasetCache.generations.Load() }

@@ -96,25 +96,6 @@ func Max(a, b Time) Time {
 	return b
 }
 
-// MaxAll returns the latest of the given times, or 0 for no arguments.
-func MaxAll(ts ...Time) Time {
-	var m Time
-	for _, t := range ts {
-		if t > m {
-			m = t
-		}
-	}
-	return m
-}
-
-// Min returns the earlier of two times.
-func Min(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Clock is a manual monotonic virtual clock. The zero value is a clock
 // at time 0, ready to use. Clock is not safe for concurrent use; the
 // simulated runtimes that share one are sequential by construction.
@@ -166,9 +147,6 @@ func NewSlotPool(n int) *SlotPool {
 	return &SlotPool{avail: make([]Time, n)}
 }
 
-// Size reports the number of slots in the pool.
-func (p *SlotPool) Size() int { return len(p.avail) }
-
 // Acquire reserves k slots for duration d, no earlier than time at.
 // It returns the scheduled start time. Acquire panics if k exceeds the
 // pool size; callers model oversized requests as failures before
@@ -198,17 +176,6 @@ func (p *SlotPool) Acquire(k int, at Time, d Duration) (start Time) {
 		p.avail[i] = end
 	}
 	return start
-}
-
-// NextFree reports the earliest time at which k slots are
-// simultaneously free, without reserving them.
-func (p *SlotPool) NextFree(k int) Time {
-	if k <= 0 || k > len(p.avail) {
-		panic(fmt.Sprintf("vclock: next-free %d of %d slots", k, len(p.avail)))
-	}
-	sorted := append([]Time(nil), p.avail...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-	return sorted[k-1]
 }
 
 // Horizon reports the time at which every slot becomes free — the

@@ -72,15 +72,6 @@ func TestTimeArithmetic(t *testing.T) {
 	if got := Max(later, zero); got != later {
 		t.Errorf("Max picked %v", got)
 	}
-	if got := Min(later, zero); got != zero {
-		t.Errorf("Min picked %v", got)
-	}
-	if got := MaxAll(); got != 0 {
-		t.Errorf("MaxAll() = %v, want 0", got)
-	}
-	if got := MaxAll(3, 9, 5); got != 9 {
-		t.Errorf("MaxAll = %v, want 9", got)
-	}
 }
 
 func TestClockMonotonic(t *testing.T) {
@@ -144,18 +135,16 @@ func TestSlotPoolGangScheduling(t *testing.T) {
 	}
 }
 
+// TestSlotPoolNextFree: a k-slot request starts when the k-th
+// earliest slot frees.
 func TestSlotPoolNextFree(t *testing.T) {
-	p := NewSlotPool(3)
-	p.Acquire(1, 0, 10)
-	p.Acquire(1, 0, 20)
-	if got := p.NextFree(1); got != 0 {
-		t.Errorf("NextFree(1) = %v, want 0", got)
-	}
-	if got := p.NextFree(2); got != 10 {
-		t.Errorf("NextFree(2) = %v, want 10", got)
-	}
-	if got := p.NextFree(3); got != 20 {
-		t.Errorf("NextFree(3) = %v, want 20", got)
+	for k, want := range []Time{0, 10, 20} {
+		p := NewSlotPool(3)
+		p.Acquire(1, 0, 10)
+		p.Acquire(1, 0, 20)
+		if got := p.Acquire(k+1, 0, 1); got != want {
+			t.Errorf("%d-slot start %v, want %v", k+1, got, want)
+		}
 	}
 }
 
