@@ -146,8 +146,8 @@ func transcriptome(seed uint64, n int) [][]byte {
 func Kernels() []Kernel {
 	return []Kernel{
 		{
-			// k-mer counting: the distinct-canonical-k-mer scan behind
-			// the Table IV memory model.
+			// k-mer counting: the distinct-canonical-k-mer scan into one
+			// seq.KmerTable.
 			Name:  "seq.count_distinct",
 			Iters: 40,
 			Setup: func() func() {

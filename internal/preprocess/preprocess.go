@@ -189,9 +189,8 @@ type CostModel struct {
 	// BytesPerCoreSecond is the per-core cleaning throughput.
 	BytesPerCoreSecond float64
 	// MemBaseGB + MemPerInputGB model the resident footprint.
-	MemBaseGB    float64
-	MemPerInput  float64 // GB of RSS per GB of input
-	MemPerOutput float64 // reserved for future use; kept for clarity
+	MemBaseGB   float64
+	MemPerInput float64 // GB of RSS per GB of input
 }
 
 // DefaultCostModel is calibrated to the paper: the sample run cleaned

@@ -245,15 +245,21 @@ func (c KmerCoder) ForEachCanonical(s []byte, fn func(pos int, canon Kmer) bool)
 }
 
 // CountDistinct returns the number of distinct canonical k-mers across
-// the reads. It is the driver of the memory-footprint model used for
-// Table IV.
+// the reads, counted into one KmerTable sized for a key per window, so
+// the count never re-lays it. It is the counting scan the seq kernels
+// time; Table IV's memory model is assembler.DistinctKmers, a closed
+// form.
 func (c KmerCoder) CountDistinct(reads []Read) int {
-	set := make(map[Kmer]struct{})
+	windows := 0
+	for i := range reads {
+		windows += max(len(reads[i].Seq)-c.K+1, 0)
+	}
+	t := NewKmerTable(windows)
 	for i := range reads {
 		c.ForEachCanonical(reads[i].Seq, func(_ int, canon Kmer) bool {
-			set[canon] = struct{}{}
+			t.Add(canon, 1)
 			return true
 		})
 	}
-	return len(set)
+	return t.Len()
 }

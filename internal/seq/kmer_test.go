@@ -239,13 +239,56 @@ func TestKmerHashQuick(t *testing.T) {
 func TestCountDistinct(t *testing.T) {
 	c := MustKmerCoder(3)
 	reads := []Read{
-		{ID: "a", Seq: []byte("ACGT")}, // ACG, CGT -> canonical {ACG(=CGT rc? ACG rc=CGT) } both canonicalize to ACG
+		{ID: "a", Seq: []byte("ACGT")},
 		{ID: "b", Seq: []byte("ACGT")},
 	}
 	got := c.CountDistinct(reads)
 	// ACG and CGT are reverse complements of each other => one canonical k-mer.
 	if got != 1 {
 		t.Errorf("distinct = %d, want 1", got)
+	}
+
+	// Against a map of each window's canonical k-mer, on seeded reads
+	// with N bases, reads shorter than k, and at even k reads holding
+	// palindromes (k-mers that are their own reverse complement).
+	rng := rand.New(rand.NewSource(11))
+	for _, k := range []int{2, 4, 5, 21, 32, 63} {
+		c := MustKmerCoder(k)
+		var reads []Read
+		for i := 0; i < 60; i++ {
+			s := randomSeq(rng, rng.Intn(150))
+			for j := range s {
+				if rng.Intn(30) == 0 {
+					s[j] = 'N'
+				}
+			}
+			if k%2 == 0 && i%3 == 0 {
+				half := randomSeq(rng, k/2)
+				s = append(s, append(half, ReverseComplement(half)...)...)
+			}
+			reads = append(reads, Read{ID: "r", Seq: s})
+		}
+		want := map[Kmer]bool{}
+		palindromes := 0
+		for _, r := range reads {
+			for p := 0; p+k <= len(r.Seq); p++ {
+				km, ok := c.encode(r.Seq[p : p+k])
+				if !ok {
+					continue
+				}
+				if km == c.ReverseComplement(km) {
+					palindromes++
+				}
+				canon, _ := c.Canonical(km)
+				want[canon] = true
+			}
+		}
+		if k%2 == 0 && palindromes == 0 {
+			t.Fatalf("k=%d: no palindrome among the reads", k)
+		}
+		if got := c.CountDistinct(reads); got != len(want) {
+			t.Errorf("k=%d: %d distinct, the map reference holds %d", k, got, len(want))
+		}
 	}
 }
 
