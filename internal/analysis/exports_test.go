@@ -22,29 +22,32 @@ var keepExports = map[string]string{
 	"rnascale/internal/seq.ReadSet.Validate":    "the read-set invariant (even pairing, valid reads) that the simdata, preprocess and assembler tests assert on their outputs",
 }
 
-var (
-	moduleOnce    sync.Once
-	modulePkgs    []*Package
-	moduleLoader  *Loader
-	moduleRootDir string
-	moduleErr     error
-)
-
-// loadShippedModule loads and type-checks the module's non-test
-// sources once per test binary; TestModuleShipsClean and
+// shippedModule is the module's non-test sources, loaded and
+// type-checked once per test binary: TestModuleShipsClean and
 // TestNoTestOnlyExports share the load.
+type shippedModule struct {
+	pkgs   []*Package
+	loader *Loader
+	root   string
+}
+
+var loadShipped = sync.OnceValues(func() (shippedModule, error) {
+	root, err := ModuleRoot(".")
+	if err != nil {
+		return shippedModule{}, err
+	}
+	pkgs, loader, err := LoadModuleOptions(root, LoadOptions{})
+	return shippedModule{pkgs, loader, root}, err
+})
+
+// loadShippedModule returns the shared load, failing t on an error.
 func loadShippedModule(t *testing.T) ([]*Package, *Loader, string) {
 	t.Helper()
-	moduleOnce.Do(func() {
-		moduleRootDir, moduleErr = ModuleRoot(".")
-		if moduleErr == nil {
-			modulePkgs, moduleLoader, moduleErr = LoadModuleOptions(moduleRootDir, LoadOptions{})
-		}
-	})
-	if moduleErr != nil {
-		t.Fatal(moduleErr)
+	m, err := loadShipped()
+	if err != nil {
+		t.Fatal(err)
 	}
-	return modulePkgs, moduleLoader, moduleRootDir
+	return m.pkgs, m.loader, m.root
 }
 
 // funcKey names a function or concrete method the way keepExports

@@ -1,8 +1,8 @@
 // Package cluster simulates StarCluster, the tool the paper uses to
 // assemble EC2 VMs into an HPC-style cluster: nodes joined to one Sun
-// Grid Engine queue. The NFS share
-// the stages exchange data through is modelled only as transfer time
-// (see core's stage handovers); no bytes are stored.
+// Grid Engine queue. The NFS share the stages exchange data through is
+// modelled only as transfer time (see core's stage handovers); no
+// bytes are stored.
 //
 // Building a cluster boots VMs through the cloud provider, waits for
 // them, and charges a per-node configuration time (the StarCluster
