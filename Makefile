@@ -115,7 +115,7 @@ endef
 
 # The rebuilt data paths oracle-determinism checks, as package:pattern.
 ORACLE_FLAGS = -count=1 -cpu 1,2,8
-ORACLE_SPECS = internal/mapreduce:TestEngineMatchesReference \
+ORACLE_SPECS = internal/mapreduce:TestEngineMatchesReference|TestFoldMatchesUnfolded \
 	internal/assembler/contrail:TestTypedBuildMatchesText \
 	internal/assembler/trinity:TestInchwormMatchesMapReference \
 	internal/seq:MatchesReference|TestKmerTableMatchesMapModel \
@@ -140,7 +140,9 @@ sweep-determinism:
 # MapReduce engine: over seeded random jobs the Result (output,
 # elapsed, shuffle bytes, task counts) must be exactly the map-based
 # reference's however many host goroutines run the map splits and
-# reduce partitions, and Contrail's build and filter jobs on packed
+# reduce partitions, a job that folds each key's values before the
+# reduce sort must give the unfolded job's Result, and Contrail's build
+# and filter jobs on packed
 # k-mer records must give the text jobs' records, elapsed time, shuffle
 # bytes and task counts. Trinity's count and Inchworm walk on one k-mer
 # table must give the map-based walk's contigs, IDs, TTC and memory on

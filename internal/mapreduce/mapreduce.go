@@ -74,11 +74,20 @@ type Job struct {
 //   - Partition hashes a key to pick its reducer;
 //   - Compare totally orders records, by key first, so that equal keys
 //     sort next to each other and values arrive sorted.
+//
+// Fold, if set, merges two values of one key; it must be associative
+// and commutative, and Reduce must give the same output for a key's
+// values as for the one value they fold to. A reduce task then folds
+// its records to one per key before sorting them and calls Reduce with
+// that value alone. The fold happens after the task's records are
+// billed, so Elapsed and ShuffleBytes are the unfolded job's. A job
+// sets Fold or Combine, not both.
 type TypedJob[I any, K comparable, V any] struct {
 	Name        string
 	Map         func(in I, emit func(Pair[K, V]))
 	Reduce      func(key K, values []V, emit func(Pair[K, V]))
 	Combine     func(key K, values []V) []V
+	Fold        func(a, b V) V
 	NumReducers int
 
 	InputBytes func(in I) int64
@@ -192,19 +201,38 @@ func (e *Engine) Run(job Job, input []KV) (Result, error) {
 //
 // Each record is copied once between map and reduce. A map task
 // spills its records by partition, into chunks that grow without
-// copying; a reduce task gathers its partition's chunks, in split
-// order and then emission order as a Hadoop reducer fetches them, into
-// one exact-size run, sorts it in place, reduces consecutive equal keys
-// writing its output over the records already read, and sorts that
-// output. The job's output is a k-way merge of those sorted outputs
-// into one exact-size slice. Map splits, then reduce partitions,
-// execute on up to GOMAXPROCS host goroutines; the virtual-time
-// accounting happens afterwards from integer byte totals, so neither
-// Output nor Elapsed depends on how many ran.
+// copying; a reduce task takes its partition's chunks, in split order
+// and then emission order as a Hadoop reducer fetches them, folds them
+// in place to one record per key if the job has a Fold, and gathers
+// what is left into one exact-size run. It sorts the run in place,
+// reduces consecutive equal keys writing its output over the records
+// already read, and sorts that output. The job's output is a k-way
+// merge of those sorted outputs into one exact-size slice. Map splits,
+// then reduce partitions, execute on up to GOMAXPROCS host goroutines;
+// the virtual-time accounting happens afterwards from integer byte
+// totals, so neither Output nor Elapsed depends on how many ran.
 func RunTyped[I any, K comparable, V any](e *Engine, job TypedJob[I, K, V], input []I) (TypedResult[K, V], error) {
 	type rec = Pair[K, V]
-	if job.Map == nil || job.Reduce == nil {
-		return TypedResult[K, V]{}, fmt.Errorf("mapreduce: job %q missing map or reduce", job.Name)
+	missing := ""
+	switch {
+	case job.Map == nil:
+		missing = "Map"
+	case job.Reduce == nil:
+		missing = "Reduce"
+	case job.InputBytes == nil:
+		missing = "InputBytes"
+	case job.Bytes == nil:
+		missing = "Bytes"
+	case job.Partition == nil:
+		missing = "Partition"
+	case job.Compare == nil:
+		missing = "Compare"
+	}
+	if missing != "" {
+		return TypedResult[K, V]{}, fmt.Errorf("mapreduce: job %q has no %s function", job.Name, missing)
+	}
+	if job.Combine != nil && job.Fold != nil {
+		return TypedResult[K, V]{}, fmt.Errorf("mapreduce: job %q sets both Combine and Fold", job.Name)
 	}
 	reducers := job.NumReducers
 	if reducers <= 0 {
@@ -214,7 +242,7 @@ func RunTyped[I any, K comparable, V any](e *Engine, job TypedJob[I, K, V], inpu
 
 	// --- Map phase: one spill per split ---
 	spills := make([]spill[rec], len(splits))
-	parallel(len(splits), func(i int) {
+	parallel(len(splits), func(_, i int) {
 		sp := make(spill[rec], reducers)
 		spills[i] = sp
 		toSpill := func(out rec) { sp.add(int(job.Partition(out.Key)%uint64(reducers)), out) }
@@ -239,11 +267,21 @@ func RunTyped[I any, K comparable, V any](e *Engine, job TypedJob[I, K, V], inpu
 	// --- Shuffle + reduce phase: one sorted run per partition ---
 	partBytes := make([]int64, reducers)
 	outputs := make([][]rec, reducers)
-	parallel(reducers, func(p int) {
-		run := gather(spills, p)
-		for _, r := range run {
-			partBytes[p] += job.Bytes(r)
+	indexes := make([]map[K]int, reducers) // per host goroutine, for Fold
+	parallel(reducers, func(g, p int) {
+		chunks := take(spills, p)
+		for _, chunk := range chunks {
+			for _, r := range chunk {
+				partBytes[p] += job.Bytes(r)
+			}
 		}
+		if job.Fold != nil {
+			if indexes[g] == nil {
+				indexes[g] = make(map[K]int)
+			}
+			chunks = fold(chunks, indexes[g], job.Fold)
+		}
+		run := gather(chunks)
 		slices.SortFunc(run, job.Compare)
 		read, w := 0, 0 // records grouped so far; output in run[:w]
 		var extra []rec // output once it outgrows the records read
@@ -320,7 +358,10 @@ func compareKV(a, b KV) int {
 }
 
 // spillChunk caps the records per chunk of a spill.
-const spillChunk = 1 << 12
+const (
+	spillChunkBits = 12
+	spillChunk     = 1 << spillChunkBits
+)
 
 // spill is one map task's output: per partition, its records in
 // emission order, in chunks that double up to spillChunk so that
@@ -343,23 +384,60 @@ func (sp spill[R]) add(p int, r R) {
 	sp[p] = chunks
 }
 
-// gather moves partition p's records out of the spills, in split
-// order, into one exact-size run, and releases their chunks.
-func gather[R any](spills []spill[R], p int) []R {
-	n := 0
+// take moves partition p's chunks out of the spills, in split order.
+func take[R any](spills []spill[R], p int) [][]R {
+	var chunks [][]R
 	for _, sp := range spills {
-		for _, chunk := range sp[p] {
-			n += len(chunk)
-		}
-	}
-	run := make([]R, 0, n)
-	for _, sp := range spills {
-		for _, chunk := range sp[p] {
-			run = append(run, chunk...)
-		}
+		chunks = append(chunks, sp[p]...)
 		sp[p] = nil
 	}
+	return chunks
+}
+
+// gather copies the chunks' records, in order, into one exact-size
+// run. (slices.Concat would too, but under the race detector it
+// allocates the run twice.)
+func gather[R any](chunks [][]R) []R {
+	n := 0
+	for _, chunk := range chunks {
+		n += len(chunk)
+	}
+	run := make([]R, 0, n)
+	for _, chunk := range chunks {
+		run = append(run, chunk...)
+	}
 	return run
+}
+
+// fold merges each key's records, in order, into the first of them,
+// moving that one to the front of the chunks, and returns the chunks
+// cut to the records kept: one per key, in the order the keys first
+// appear. The index maps a key to its record's place, chunk number <<
+// spillChunkBits | offset, which fits because no chunk holds more than
+// spillChunk records. index is scratch, empty on entry and on return.
+func fold[K comparable, V any](chunks [][]Pair[K, V], index map[K]int, merge func(a, b V) V) [][]Pair[K, V] {
+	if len(chunks) == 0 {
+		return nil
+	}
+	c, o := 0, 0 // the next kept record's place, never past the one read
+	for _, chunk := range chunks {
+		for _, r := range chunk {
+			if at, ok := index[r.Key]; ok {
+				kept := &chunks[at>>spillChunkBits][at&(spillChunk-1)]
+				kept.Value = merge(kept.Value, r.Value)
+				continue
+			}
+			for o == len(chunks[c]) {
+				c, o = c+1, 0
+			}
+			index[r.Key] = c<<spillChunkBits | o
+			chunks[c][o] = r
+			o++
+		}
+	}
+	clear(index)
+	chunks[c] = chunks[c][:o]
+	return chunks[:c+1]
 }
 
 // mergeSorted merges runs sorted by cmp into a new sorted slice of
@@ -426,18 +504,20 @@ func forEachKey[K comparable, V any](sorted []Pair[K, V], fn func(key K, values 
 	}
 }
 
-// parallel runs task(0) … task(n-1) on up to GOMAXPROCS goroutines
-// and returns when all have finished. Tasks write only to their own
-// index of the caller's result slices.
-func parallel(n int, task func(i int)) {
+// parallel runs task(g, 0) … task(g, n-1) on up to GOMAXPROCS
+// goroutines and returns when all have finished. g < n numbers the
+// goroutine running the task, so that tasks may reuse per-goroutine
+// scratch; which goroutine runs which task varies from call to call.
+// Tasks write only to their own index of the caller's result slices.
+func parallel(n int, task func(g, i int)) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := min(n, runtime.GOMAXPROCS(0)); w > 0; w-- {
+	for g := range min(n, runtime.GOMAXPROCS(0)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				task(i)
+				task(g, i)
 			}
 		}()
 	}

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"rnascale/internal/vclock"
@@ -105,6 +106,26 @@ func TestMissingFunctions(t *testing.T) {
 	e, _ := NewEngine(DefaultConfig(1))
 	if _, err := e.Run(Job{Name: "nil"}, nil); err == nil {
 		t.Error("nil map/reduce accepted")
+	}
+	for _, c := range []struct {
+		name  string
+		spoil func(*TypedJob[[]uint16, uint16, int])
+	}{
+		{"InputBytes", func(j *TypedJob[[]uint16, uint16, int]) { j.InputBytes = nil }},
+		{"Bytes", func(j *TypedJob[[]uint16, uint16, int]) { j.Bytes = nil }},
+		{"Partition", func(j *TypedJob[[]uint16, uint16, int]) { j.Partition = nil }},
+		{"Compare", func(j *TypedJob[[]uint16, uint16, int]) { j.Compare = nil }},
+		{"Combine and Fold", func(j *TypedJob[[]uint16, uint16, int]) {
+			j.Combine = func(_ uint16, values []int) []int { return []int{sum(values)} }
+		}},
+	} {
+		job := countJob(true)
+		job.Name = "spoilt-" + c.name
+		c.spoil(&job)
+		_, err := RunTyped(e, job, [][]uint16{{1, 2, 1}})
+		if err == nil || !strings.Contains(err.Error(), job.Name) || !strings.Contains(err.Error(), strings.Fields(c.name)[0]) {
+			t.Errorf("%s: err = %v, want an error naming the job and %s", c.name, err, c.name)
+		}
 	}
 }
 
@@ -456,6 +477,119 @@ func TestEngineMatchesReference(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s:\n got %+v\nwant %+v", name, got, want)
+		}
+	}
+}
+
+// sum adds up the values.
+func sum(values []int) int {
+	total := 0
+	for _, v := range values {
+		total += v
+	}
+	return total
+}
+
+// countJob is a typed counting job over lines of keys: every key is
+// emitted with a value of 1 to 3, billed by that value, so that a fold
+// billed after it would bill less; the reduce emits each key's sum,
+// and for an odd sum a record under another key, so that the output
+// sort has work to do. With fold it folds values by adding them.
+func countJob(fold bool) TypedJob[[]uint16, uint16, int] {
+	job := TypedJob[[]uint16, uint16, int]{
+		Name: "count",
+		Map: func(keys []uint16, emit func(Pair[uint16, int])) {
+			for i, k := range keys {
+				emit(Pair[uint16, int]{k, 1 + (i+int(k))%3})
+			}
+		},
+		Reduce: func(key uint16, values []int, emit func(Pair[uint16, int])) {
+			n := sum(values)
+			emit(Pair[uint16, int]{key, n})
+			if n%2 == 1 {
+				emit(Pair[uint16, int]{key ^ 0x55, -n})
+			}
+		},
+		InputBytes: func(keys []uint16) int64 { return int64(16 + 2*len(keys)) },
+		Bytes:      func(r Pair[uint16, int]) int64 { return int64(8 + r.Value) },
+		Partition:  func(k uint16) uint64 { return uint64(k) * 0x9E3779B97F4A7C15 >> 7 },
+		Compare: func(a, b Pair[uint16, int]) int {
+			if a.Key != b.Key {
+				return int(a.Key) - int(b.Key)
+			}
+			return a.Value - b.Value
+		},
+	}
+	if fold {
+		job.Fold = func(a, b int) int { return a + b }
+	}
+	return job
+}
+
+// Property: over seeded keys that repeat across splits and partitions,
+// a job with a Fold gives the unfolded job's Result in every field:
+// the fold changes what a reduce task sorts, never the output or what
+// is billed. Every split size from one record per split to one split,
+// 0 (one per worker) to 17 reducers and volume scales below, at and
+// above 1 are covered, and under Fold every key reaches Reduce as one
+// value. `make oracle-determinism` runs it under the race detector with
+// -cpu 1,2,8.
+func TestFoldMatchesUnfolded(t *testing.T) {
+	seed := uint64(0)
+	for _, split := range []int64{1, 96, 1 << 30} {
+		for reducers := 0; reducers <= 17; reducers++ {
+			for _, scale := range []float64{0, 0.5, 1, 40} {
+				seed++
+				r := &splitmix{s: seed}
+				var input [][]uint16 // empty for one case in seven
+				if r.intn(7) > 0 {
+					input = make([][]uint16, 1+r.intn(40))
+				}
+				distinct := 1 + r.intn(60)
+				for i := range input {
+					input[i] = make([]uint16, r.intn(20))
+					for j := range input[i] {
+						input[i][j] = uint16(r.intn(distinct))
+					}
+				}
+				cfg := DefaultConfig(1 + r.intn(5))
+				cfg.SlotsPerWorker = 1 + r.intn(3)
+				cfg.SplitBytes = split
+				cfg.VolumeScale = scale
+				e, err := NewEngine(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("seed=%d lines=%d keys=%d split=%d reducers=%d scale=%g workers=%d",
+					seed, len(input), distinct, split, reducers, scale, cfg.Workers)
+
+				plain := countJob(false)
+				plain.NumReducers = reducers
+				want, err := RunTyped(e, plain, input)
+				if err != nil {
+					t.Fatalf("%s: unfolded: %v", name, err)
+				}
+				folded := countJob(true)
+				folded.NumReducers = reducers
+				var multi atomic.Int64
+				reduce := folded.Reduce
+				folded.Reduce = func(key uint16, values []int, emit func(Pair[uint16, int])) {
+					if len(values) != 1 {
+						multi.Add(1)
+					}
+					reduce(key, values, emit)
+				}
+				got, err := RunTyped(e, folded, input)
+				if err != nil {
+					t.Fatalf("%s: folded: %v", name, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s:\n got %+v\nwant %+v", name, got, want)
+				}
+				if n := multi.Load(); n > 0 {
+					t.Fatalf("%s: %d keys reached Reduce unfolded", name, n)
+				}
+			}
 		}
 	}
 }
