@@ -271,10 +271,16 @@ func memoryGB(req assembler.Request) float64 {
 // node is a k-mer's graph node in the build and filter jobs: how many
 // windows it covers and the bases seen beside it on the left and the
 // right end of the canonical k-mer, as 4-bit masks indexed by 2-bit
-// base code. Its text form is record's.
+// base code. Its text form is record's. The count is a uint32, as
+// seq.KmerTable's are, so that a kmerNode takes 24 bytes, not 32.
 type node struct {
-	count int64
+	count uint32
 	l, r  uint8
+}
+
+// merge is the node of the windows of a and of b together.
+func (a node) merge(b node) node {
+	return node{count: a.count + b.count, l: a.l | b.l, r: a.r | b.r}
 }
 
 // kmerNode is the build and filter jobs' record.
@@ -294,6 +300,7 @@ func readBytes(read seq.Read) int64 { return int64(len(read.ID) + len(read.Seq) 
 // len(key)+len(value)+16, the partition hash is the engine's FNV-1a of
 // the k-mer's bases, and packed order equals string order. Values of
 // one key, which the jobs fold in any order, sort by count and masks.
+// The hash reads the bases as marshalNode does, from the packed words.
 func nodeJob[I any](name string, coder seq.KmerCoder, reducers int) mapreduce.TypedJob[I, seq.Kmer, node] {
 	k := coder.K
 	return mapreduce.TypedJob[I, seq.Kmer, node]{
@@ -304,9 +311,10 @@ func nodeJob[I any](name string, coder seq.KmerCoder, reducers int) mapreduce.Ty
 			return int64(2*k+3+digits(n.count)+len(baseSets[n.l])+len(baseSets[n.r])) + 16
 		},
 		Partition: func(km seq.Kmer) uint64 {
+			var buf [seq.MaxK]byte
 			h := uint64(14695981039346656037)
-			for i := 0; i < k; i++ {
-				h ^= uint64(seq.BaseByte(coder.BaseAt(km, i)))
+			for _, b := range coder.AppendBases(buf[:0], km) {
+				h ^= uint64(b)
 				h *= 1099511628211
 			}
 			return h
@@ -328,7 +336,9 @@ func nodeJob[I any](name string, coder seq.KmerCoder, reducers int) mapreduce.Ty
 
 // buildJob is the first job of the chain: reads → k-mer nodes with
 // their edge sets. An ambiguous base (only AllowN lets one in) ends
-// the read's window there: no window spans it and it is no edge.
+// the read's window there: no window spans it and it is no edge. Each
+// window's node is billed and shuffled, and each reduce task folds its
+// nodes per k-mer before sorting them.
 func buildJob(coder seq.KmerCoder, reducers int) mapreduce.TypedJob[seq.Read, seq.Kmer, node] {
 	k := coder.K
 	job := nodeJob[seq.Read]("contrail-build", coder, reducers)
@@ -373,12 +383,11 @@ func buildJob(coder seq.KmerCoder, reducers int) mapreduce.TypedJob[seq.Read, se
 			emit(kmerNode{Key: canon, Value: n})
 		}
 	}
+	job.Fold = node.merge
 	job.Reduce = func(km seq.Kmer, values []node, emit func(kmerNode)) {
 		var merged node
 		for _, n := range values {
-			merged.count += n.count
-			merged.l |= n.l
-			merged.r |= n.r
+			merged = merged.merge(n)
 		}
 		emit(kmerNode{Key: km, Value: merged})
 	}
@@ -390,7 +399,7 @@ func filterJob(coder seq.KmerCoder, minCov int64, reducers int) mapreduce.TypedJ
 	job := nodeJob[kmerNode]("contrail-filter", coder, reducers)
 	job.InputBytes = job.Bytes
 	job.Map = func(kn kmerNode, emit func(kmerNode)) {
-		if kn.Value.count >= minCov {
+		if int64(kn.Value.count) >= minCov {
 			emit(kn)
 		}
 	}
@@ -431,13 +440,12 @@ func textRecords(coder seq.KmerCoder, nodes []kmerNode) []mapreduce.KV {
 // marshalNode is record.marshal of the node's text form.
 func marshalNode(coder seq.KmerCoder, kn kmerNode) string {
 	var sb strings.Builder
-	var num [20]byte
+	var bases [seq.MaxK]byte
+	var num [10]byte
 	sb.Grow(coder.K + len(num) + 11)
-	for i := 0; i < coder.K; i++ {
-		sb.WriteByte(seq.BaseByte(coder.BaseAt(kn.Key, i)))
-	}
+	sb.Write(coder.AppendBases(bases[:0], kn.Key))
 	sb.WriteByte('|')
-	sb.Write(strconv.AppendInt(num[:0], kn.Value.count, 10))
+	sb.Write(strconv.AppendUint(num[:0], uint64(kn.Value.count), 10))
 	sb.WriteByte('|')
 	sb.WriteString(baseSets[kn.Value.l])
 	sb.WriteByte('|')
@@ -445,8 +453,8 @@ func marshalNode(coder seq.KmerCoder, kn kmerNode) string {
 	return sb.String()
 }
 
-// digits is the length of n ≥ 0 in decimal.
-func digits(n int64) int {
+// digits is the length of n in decimal.
+func digits(n uint32) int {
 	d := 1
 	for ; n >= 10; n /= 10 {
 		d++

@@ -136,11 +136,28 @@ func (c KmerCoder) BaseAt(km Kmer, i int) byte {
 
 // Decode unpacks the k-mer into ASCII bases.
 func (c KmerCoder) Decode(km Kmer) []byte {
-	out := make([]byte, c.K)
-	for i := 0; i < c.K; i++ {
-		out[i] = BaseByte(c.BaseAt(km, i))
+	return c.AppendBases(make([]byte, 0, c.K), km)
+}
+
+// AppendBases appends the k-mer's ASCII bases, 5' end first, to dst
+// and returns the extended slice. It shifts each packed word down a
+// base at a time rather than locating every base on its own.
+func (c KmerCoder) AppendBases(dst []byte, km Kmer) []byte {
+	n := c.K
+	if n > 32 {
+		dst = appendWord(dst, km.Hi, n-32)
+		n = 32
 	}
-	return out
+	return appendWord(dst, km.Lo, n)
+}
+
+// appendWord appends the n bases packed in the low 2n bits of w, most
+// significant first.
+func appendWord(dst []byte, w uint64, n int) []byte {
+	for s := 2 * (n - 1); s >= 0; s -= 2 {
+		dst = append(dst, baseOf[w>>uint(s)&3])
+	}
+	return dst
 }
 
 // ReverseComplement returns the reverse complement of the k-mer: the
