@@ -167,8 +167,8 @@ sweep-determinism:
 # mis-declared payload lengths and a sample of a real one — same
 # verified prefix, records, damage report, chain head and Merkle root.
 # The pipeline, whose PB computes assemblies ahead of the event loop:
-# every stage-bracket exit, the store manifests and the
-# one-assembly-per-unit count pinned at any host core count, a resume assembling exactly the units its journal lacks,
+# every stage-bracket exit and the one-assembly-per-unit count pinned
+# at any host core count, a resume assembling exactly the units its journal lacks,
 # a cut-off PB computing at most one assembly per core beyond the units
 # it reached, the futures' budget, order and join, and no goroutine
 # outliving a run, the PA/PB journal payload codecs as exact inverses,

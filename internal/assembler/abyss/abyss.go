@@ -14,13 +14,11 @@ package abyss
 import (
 	"rnascale/internal/assembler"
 	"rnascale/internal/assembler/mpidbg"
+	"rnascale/internal/cloud"
 )
 
-// ABySS is the assembler. The zero value uses the calibrated profile.
-type ABySS struct {
-	// Profile overrides the calibration when non-nil.
-	Profile *mpidbg.Profile
-}
+// ABySS is the assembler, calibrated by DefaultProfile.
+type ABySS struct{}
 
 // DefaultProfile is ABySS's calibrated cost/quality profile.
 func DefaultProfile() mpidbg.Profile {
@@ -31,6 +29,7 @@ func DefaultProfile() mpidbg.Profile {
 		WireBytesPerBase:   10,
 		MinCoverageDefault: 2,
 		MemoryFactor:       0.95,
+		Inter:              cloud.DefaultOptions().InterNode,
 	}
 }
 
@@ -41,20 +40,12 @@ func (a *ABySS) Info() assembler.Info {
 
 // Assemble implements assembler.Assembler.
 func (a *ABySS) Assemble(req assembler.Request) (assembler.Result, error) {
-	return mpidbg.Run(req, a.Info(), a.profile())
+	return mpidbg.Run(req, a.Info(), DefaultProfile())
 }
 
 // Estimate implements assembler.Assembler.
 func (a *ABySS) Estimate(req assembler.Request) (assembler.Result, error) {
-	return mpidbg.Estimate(req, a.Info(), a.profile())
-}
-
-// profile is the override when set, else the calibrated profile.
-func (a *ABySS) profile() mpidbg.Profile {
-	if a.Profile != nil {
-		return *a.Profile
-	}
-	return DefaultProfile()
+	return mpidbg.Estimate(req, a.Info(), DefaultProfile())
 }
 
 // EstimateHostBytes implements assembler.HostMemoryEstimator.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rnascale/internal/assembler"
+	"rnascale/internal/assembler/mpidbg"
 	"rnascale/internal/assembler/ray"
 	"rnascale/internal/simdata"
 )
@@ -84,11 +85,11 @@ func TestEstimateTracksAssemble(t *testing.T) {
 	}
 	slow := DefaultProfile()
 	slow.BasesPerCoreSecond /= 4
-	tuned, err := (&ABySS{Profile: &slow}).Estimate(req)
+	tuned, err := mpidbg.Estimate(req, a.Info(), slow)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tuned.TTC <= predicted.TTC {
-		t.Error("override ignored by estimator")
+		t.Error("profile rate ignored by estimator")
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"rnascale/internal/assembler"
 	"rnascale/internal/assembler/abyss"
+	"rnascale/internal/assembler/mpidbg"
 	"rnascale/internal/simdata"
 )
 
@@ -14,19 +15,19 @@ import (
 // workflow. For every tool but Contrail the estimate runs the run's own
 // cost code, so it must equal what Assemble reports bit for bit in TTC,
 // memory, messages and bytes, over both full-scale profiles, node and
-// core counts, two k and a profile override. Contrail's engine bills
+// core counts, two k and a slowed ABySS profile. Contrail's engine bills
 // the record volumes it measures, which its closed-form estimate only
 // approximates: its TTC stays within a band, its memory is exact.
 func TestEstimatesTrackMeasurements(t *testing.T) {
 	reads := cleanReads(tinyDataset(t))
 	slow := abyss.DefaultProfile()
 	slow.BasesPerCoreSecond /= 4
-	override := &abyss.ABySS{Profile: &slow}
-	tools := append(assembler.List(), override)
+	slowed := &profiled{prof: slow}
+	tools := append(assembler.List(), slowed)
 	for _, prof := range []simdata.Profile{simdata.BGlumae(), simdata.PCrispa()} {
 		for _, a := range tools {
 			name := a.Info().Name
-			if a == override {
+			if a == slowed {
 				name += " (slow profile)"
 			}
 			nodeCounts, coreCounts := []int{1, 2, 4, 8}, []int{1, 8}
@@ -56,6 +57,21 @@ func TestEstimatesTrackMeasurements(t *testing.T) {
 			}
 		}
 	}
+}
+
+// profiled is ABySS run and estimated under prof, through the MPI
+// program both share.
+type profiled struct {
+	abyss.ABySS
+	prof mpidbg.Profile
+}
+
+func (p *profiled) Assemble(req assembler.Request) (assembler.Result, error) {
+	return mpidbg.Run(req, p.Info(), p.prof)
+}
+
+func (p *profiled) Estimate(req assembler.Request) (assembler.Result, error) {
+	return mpidbg.Estimate(req, p.Info(), p.prof)
 }
 
 // estimateMatches compares a's estimate of req with its run.

@@ -43,10 +43,9 @@ import (
 // Contrail is the assembler. The zero value uses the calibrated cost
 // configuration.
 type Contrail struct {
-	// JobSetup overrides the per-job overhead when positive (seconds).
+	// JobSetup overrides the per-job overhead when positive (seconds);
+	// the Hadoop-tax ablation sweeps it.
 	JobSetup float64
-	// CompressionRounds overrides the number of compression jobs.
-	CompressionRounds int
 	// AllowN disables the strict N check (for tests of the check
 	// itself, the paper's pipeline always pre-processes first).
 	AllowN bool
@@ -57,10 +56,10 @@ type Contrail struct {
 // assembly expensive; these rates land the B. Glumae two-node baseline
 // near Table III's 6,720 s.
 const (
-	mapRate       = 2.8e6
-	reduceRate    = 9.4e6
-	defaultRounds = 8
-	defaultSetup  = 330.0
+	mapRate           = 2.8e6
+	reduceRate        = 9.4e6
+	compressionRounds = 8
+	defaultSetup      = 330.0
 )
 
 // Info implements assembler.Assembler.
@@ -176,16 +175,12 @@ func (ct *Contrail) Assemble(req assembler.Request) (assembler.Result, error) {
 	}
 
 	// --- Jobs 1..R+2: build, coverage filter, R rounds of coin-flip chain compression ---
-	rounds := ct.CompressionRounds
-	if rounds <= 0 {
-		rounds = defaultRounds
-	}
 	reducers := req.Nodes * req.CoresPerNode
 	out, elapsed, err := buildGraph(engine, req.Reads, seq.MustKmerCoder(k), int64(p.MinCoverage), reducers)
 	if err != nil {
 		return assembler.Result{}, err
 	}
-	for r := 0; r < rounds; r++ {
+	for r := range compressionRounds {
 		res, err := engine.Run(compressionJob(k, r, reducers), out)
 		if err != nil {
 			return assembler.Result{}, err
@@ -557,10 +552,6 @@ func (ct *Contrail) Estimate(req assembler.Request) (assembler.Result, error) {
 	k := float64(req.Params.K)
 	slots := float64(req.Nodes * req.CoresPerNode)
 	setup := float64(mustDur(ct.JobSetup, defaultSetup))
-	rounds := float64(ct.CompressionRounds)
-	if rounds <= 0 {
-		rounds = defaultRounds
-	}
 
 	input := float64(req.FullScale.SeqDataBytes)
 	bases := assembler.FullScaleBases(req.FullScale)
@@ -575,9 +566,9 @@ func (ct *Contrail) Estimate(req assembler.Request) (assembler.Result, error) {
 
 	build := input/(mapRate*slots) + windows*recordBytes/(reduceRate*slots)
 	filter := nodeVolume/(mapRate*slots) + nodeVolume/(reduceRate*slots)
-	compress := rounds * (nodeVolume/(mapRate*slots) + nodeVolume/(reduceRate*slots))
+	compress := compressionRounds * (nodeVolume/(mapRate*slots) + nodeVolume/(reduceRate*slots))
 	finalize := nodeVolume/(10*mapRate*slots) + nodeVolume/(25*reduceRate)
-	setups := (3 + rounds) * setup
+	setups := (3 + compressionRounds) * setup
 	return assembler.Result{
 		TTC:                 vclock.Duration(build + filter + compress + finalize + setups),
 		PeakMemoryGBPerNode: memoryGB(req),

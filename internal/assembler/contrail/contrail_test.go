@@ -115,7 +115,7 @@ func TestCompressionPreservesKmerContent(t *testing.T) {
 }
 
 func TestCompressionRoundMergesChains(t *testing.T) {
-	// A single linear chain: after enough coin-flip rounds the record
+	// A single linear chain: after the coin-flip rounds the record
 	// count must drop substantially.
 	const k = 15
 	genome := "ACGTTGCAATCGGCTAAGCTTACGGATCCTTAGGCAACTG"
@@ -123,7 +123,7 @@ func TestCompressionRoundMergesChains(t *testing.T) {
 	for i := 0; i+24 <= len(genome); i++ {
 		reads = append(reads, seq.Read{ID: "r", Seq: []byte(genome[i : i+24])})
 	}
-	res, err := (&Contrail{CompressionRounds: 10}).Assemble(assembler.Request{
+	res, err := (&Contrail{}).Assemble(assembler.Request{
 		Reads: reads, Params: assembler.Params{K: k, MinCoverage: 1, MinContigLen: 2 * k},
 		Nodes: 1, CoresPerNode: 4, FullScale: simdata.Tiny().FullScale,
 	})
@@ -355,7 +355,7 @@ func TestCompressionRoundsAfterTheFirstMergeNothing(t *testing.T) {
 	// rounds[r] is what compression round r takes in; the last entry
 	// is what the finalize job gets.
 	rounds := []roundRecords{measureRound(t, k, out)}
-	for r := 0; r < defaultRounds; r++ {
+	for r := 0; r < compressionRounds; r++ {
 		out = run(compressionJob(k, r, reducers), out)
 		rounds = append(rounds, measureRound(t, k, out))
 	}

@@ -37,6 +37,7 @@ import (
 	"rnascale/internal/dbg"
 	"rnascale/internal/mpi"
 	"rnascale/internal/seq"
+	"rnascale/internal/vclock"
 )
 
 // Profile sets one MPI assembler's calibration and quality knobs.
@@ -58,8 +59,9 @@ type Profile struct {
 	MinCoverageDefault int
 	// MemoryFactor scales the common graph-memory model.
 	MemoryFactor float64
-	// Network overrides the MPI link model; nil uses defaults.
-	Network *mpi.Config
+	// Inter is the link between two nodes of the cluster; ranks on
+	// one node use the MPI default intra-node link.
+	Inter vclock.CommCost
 }
 
 // Estimate reports what Run reports for the same request, info and
@@ -343,11 +345,7 @@ func Run(req assembler.Request, info assembler.Info, prof Profile) (assembler.Re
 func execute(req assembler.Request, info assembler.Info, prof Profile, graph func() error) (assembler.Result, error) {
 	ranks := req.Nodes * req.CoresPerNode
 	cfg := mpi.DefaultConfig(ranks)
-	if prof.Network != nil {
-		cfg = *prof.Network
-		cfg.Ranks = ranks
-	}
-	cfg.RanksPerNode = req.CoresPerNode
+	cfg.RanksPerNode, cfg.Inter = req.CoresPerNode, prof.Inter
 
 	fullBases := assembler.FullScaleBases(req.FullScale)
 	// The distributed counting pass scans one window per base position
@@ -404,13 +402,9 @@ func execute(req assembler.Request, info assembler.Info, prof Profile, graph fun
 	if err != nil {
 		return assembler.Result{}, fmt.Errorf("%s: %w", info.Name, err)
 	}
-	memFactor := prof.MemoryFactor
-	if memFactor <= 0 {
-		memFactor = 1
-	}
 	return assembler.Result{
 		TTC:                 res.Elapsed,
-		PeakMemoryGBPerNode: assembler.GraphMemoryGB(req.FullScale, req.Nodes) * memFactor,
+		PeakMemoryGBPerNode: assembler.GraphMemoryGB(req.FullScale, req.Nodes) * prof.MemoryFactor,
 		Messages:            res.Stats.Messages,
 		BytesSent:           res.Stats.BytesSent,
 	}, nil

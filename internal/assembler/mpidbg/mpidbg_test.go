@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"rnascale/internal/assembler"
+	"rnascale/internal/cloud"
 	"rnascale/internal/seq"
 	"rnascale/internal/simdata"
 	"rnascale/internal/vclock"
@@ -20,6 +21,8 @@ func testProfile() Profile {
 		SerialFraction:     0.5,
 		WireBytesPerBase:   8,
 		MinCoverageDefault: 1,
+		MemoryFactor:       1,
+		Inter:              cloud.DefaultOptions().InterNode,
 	}
 }
 

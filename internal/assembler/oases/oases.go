@@ -19,10 +19,7 @@ import (
 )
 
 // Oases is the assembler. The zero value is ready to use.
-type Oases struct {
-	// BasesPerCoreSecond overrides the throughput calibration.
-	BasesPerCoreSecond float64
-}
+type Oases struct{}
 
 // DefaultRate is Oases's per-core throughput in bases/second (Velvet
 // plus the transfrag pass).
@@ -73,12 +70,8 @@ func (o *Oases) Estimate(req assembler.Request) (assembler.Result, error) {
 	if err := req.ValidateShape(o.Info()); err != nil {
 		return assembler.Result{}, err
 	}
-	rate := o.BasesPerCoreSecond
-	if rate <= 0 {
-		rate = DefaultRate
-	}
 	return assembler.Result{
-		TTC:                 vclock.ComputeCost{UnitsPerSecond: rate}.Time(assembler.FullScaleBases(req.FullScale), req.CoresPerNode),
+		TTC:                 vclock.ComputeCost{UnitsPerSecond: DefaultRate}.Time(assembler.FullScaleBases(req.FullScale), req.CoresPerNode),
 		PeakMemoryGBPerNode: assembler.GraphMemoryGB(req.FullScale, 1) * 1.1,
 	}, nil
 }

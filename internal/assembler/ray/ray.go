@@ -15,14 +15,11 @@ package ray
 import (
 	"rnascale/internal/assembler"
 	"rnascale/internal/assembler/mpidbg"
+	"rnascale/internal/cloud"
 )
 
-// Ray is the assembler. The zero value uses the calibrated profile.
-type Ray struct {
-	// Profile overrides the calibration when non-nil (ablation
-	// benches use this).
-	Profile *mpidbg.Profile
-}
+// Ray is the assembler, calibrated by DefaultProfile.
+type Ray struct{}
 
 // DefaultProfile is Ray's calibrated cost/quality profile.
 func DefaultProfile() mpidbg.Profile {
@@ -33,6 +30,7 @@ func DefaultProfile() mpidbg.Profile {
 		WireBytesPerBase:   12,
 		MinCoverageDefault: 4,
 		MemoryFactor:       1.0,
+		Inter:              cloud.DefaultOptions().InterNode,
 	}
 }
 
@@ -43,20 +41,12 @@ func (r *Ray) Info() assembler.Info {
 
 // Assemble implements assembler.Assembler.
 func (r *Ray) Assemble(req assembler.Request) (assembler.Result, error) {
-	return mpidbg.Run(req, r.Info(), r.profile())
+	return mpidbg.Run(req, r.Info(), DefaultProfile())
 }
 
 // Estimate implements assembler.Assembler.
 func (r *Ray) Estimate(req assembler.Request) (assembler.Result, error) {
-	return mpidbg.Estimate(req, r.Info(), r.profile())
-}
-
-// profile is the override when set, else the calibrated profile.
-func (r *Ray) profile() mpidbg.Profile {
-	if r.Profile != nil {
-		return *r.Profile
-	}
-	return DefaultProfile()
+	return mpidbg.Estimate(req, r.Info(), DefaultProfile())
 }
 
 // EstimateHostBytes implements assembler.HostMemoryEstimator.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rnascale/internal/assembler"
+	"rnascale/internal/assembler/mpidbg"
 	"rnascale/internal/simdata"
 )
 
@@ -41,16 +42,16 @@ func TestProfileOverride(t *testing.T) {
 	}
 	fast := DefaultProfile()
 	fast.BasesPerCoreSecond *= 10
-	tuned, err := (&Ray{Profile: &fast}).Assemble(req)
+	tuned, err := mpidbg.Run(req, (&Ray{}).Info(), fast)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tuned.TTC >= stock.TTC {
-		t.Errorf("10× rate override did not speed up: %v vs %v", tuned.TTC, stock.TTC)
+		t.Errorf("10× rate profile did not speed up: %v vs %v", tuned.TTC, stock.TTC)
 	}
 	// Identical biology either way.
 	if len(tuned.Contigs) != len(stock.Contigs) {
-		t.Error("profile override changed the assembly result")
+		t.Error("profile rate changed the assembly result")
 	}
 }
 
@@ -75,14 +76,14 @@ func TestEstimateTracksAssemble(t *testing.T) {
 	if predicted.TTC != res.TTC {
 		t.Errorf("estimate %v != measured %v", predicted.TTC, res.TTC)
 	}
-	// Profile override flows into the estimate too.
+	// A changed profile flows into the estimate too.
 	fast := DefaultProfile()
 	fast.BasesPerCoreSecond *= 10
-	tuned, err := (&Ray{Profile: &fast}).Estimate(req)
+	tuned, err := mpidbg.Estimate(req, r.Info(), fast)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tuned.TTC >= predicted.TTC {
-		t.Error("override ignored by estimator")
+		t.Error("profile rate ignored by estimator")
 	}
 }

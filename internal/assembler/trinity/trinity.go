@@ -23,11 +23,7 @@ import (
 )
 
 // Trinity is the assembler. The zero value is ready to use.
-type Trinity struct {
-	// BasesPerCoreSecond is the Inchworm throughput (default
-	// DefaultRate).
-	BasesPerCoreSecond float64
-}
+type Trinity struct{}
 
 // DefaultRate is Trinity's per-core throughput in bases/second.
 // Trinity is markedly slower than Velvet on the same input.
@@ -81,12 +77,8 @@ func (tr *Trinity) Estimate(req assembler.Request) (assembler.Result, error) {
 	if err := req.ValidateShape(tr.Info()); err != nil {
 		return assembler.Result{}, err
 	}
-	rate := tr.BasesPerCoreSecond
-	if rate <= 0 {
-		rate = DefaultRate
-	}
 	return assembler.Result{
-		TTC:                 vclock.ComputeCost{UnitsPerSecond: rate}.Time(assembler.FullScaleBases(req.FullScale), req.CoresPerNode),
+		TTC:                 vclock.ComputeCost{UnitsPerSecond: DefaultRate}.Time(assembler.FullScaleBases(req.FullScale), req.CoresPerNode),
 		PeakMemoryGBPerNode: assembler.GraphMemoryGB(req.FullScale, 1) * 1.3, // Inchworm keeps reads resident too
 	}, nil
 }

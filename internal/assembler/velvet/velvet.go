@@ -13,11 +13,7 @@ import (
 )
 
 // Velvet is the assembler. The zero value is ready to use.
-type Velvet struct {
-	// BasesPerCoreSecond is the graph-construction throughput
-	// (default calibrated in DefaultRate).
-	BasesPerCoreSecond float64
-}
+type Velvet struct{}
 
 // DefaultRate is Velvet's per-core throughput in bases/second.
 const DefaultRate = 1.1e6
@@ -51,12 +47,8 @@ func (v *Velvet) Estimate(req assembler.Request) (assembler.Result, error) {
 	if err := req.ValidateShape(v.Info()); err != nil {
 		return assembler.Result{}, err
 	}
-	rate := v.BasesPerCoreSecond
-	if rate <= 0 {
-		rate = DefaultRate
-	}
 	return assembler.Result{
-		TTC:                 vclock.ComputeCost{UnitsPerSecond: rate}.Time(assembler.FullScaleBases(req.FullScale), req.CoresPerNode),
+		TTC:                 vclock.ComputeCost{UnitsPerSecond: DefaultRate}.Time(assembler.FullScaleBases(req.FullScale), req.CoresPerNode),
 		PeakMemoryGBPerNode: assembler.GraphMemoryGB(req.FullScale, 1),
 	}, nil
 }

@@ -59,12 +59,12 @@ func TestRejectsMultiNode(t *testing.T) {
 	}
 }
 
-func TestCostScalesWithCoresAndRate(t *testing.T) {
+func TestCostScalesWithCores(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	_, reads := shred(rng, 300, 40, 2)
 	fs := simdata.BGlumae().FullScale
-	run := func(v *Velvet, cores int) float64 {
-		res, err := v.Assemble(assembler.Request{
+	run := func(cores int) float64 {
+		res, err := (&Velvet{}).Assemble(assembler.Request{
 			Reads: reads, Params: assembler.Params{K: 21, MinCoverage: 1},
 			Nodes: 1, CoresPerNode: cores, FullScale: fs,
 		})
@@ -73,11 +73,8 @@ func TestCostScalesWithCoresAndRate(t *testing.T) {
 		}
 		return res.TTC.Seconds()
 	}
-	if !(run(&Velvet{}, 16) < run(&Velvet{}, 8)) {
+	if !(run(16) < run(8)) {
 		t.Error("more cores not faster")
-	}
-	if !(run(&Velvet{BasesPerCoreSecond: 2 * DefaultRate}, 8) < run(&Velvet{}, 8)) {
-		t.Error("faster rate not faster")
 	}
 }
 

@@ -135,12 +135,6 @@ type Options struct {
 	// no cap. Exceeding the cap makes RunInstances fail, modelling an
 	// EC2 account limit.
 	MaxInstances int
-	// FailBoot, when non-nil, is consulted with each boot's ordinal
-	// (1-based across the provider's lifetime); returning true makes
-	// that RunInstances call fail with a capacity error. Used for
-	// fault-injection tests ("InsufficientInstanceCapacity" in EC2
-	// terms).
-	FailBoot func(bootOrdinal int) bool
 	// Faults, when non-nil, drives seed-deterministic fault injection:
 	// injected boot capacity errors, scheduled VM interruptions (crash
 	// or spot reclamation) and degraded ingress transfers (see
@@ -311,10 +305,6 @@ func (p *Provider) RunInstancesOn(typeName string, count int, backend Backend) (
 			p.active(), count, p.opts.MaxInstances)
 	}
 	p.boots++
-	if p.opts.FailBoot != nil && p.opts.FailBoot(p.boots) {
-		p.countBootFailure(typeName, BootFailCapacity)
-		return nil, fmt.Errorf("cloud: insufficient instance capacity for %s (boot #%d)", typeName, p.boots)
-	}
 	if p.opts.Faults.BootFails(p.boots, typeName, p.clock.Now()) {
 		p.countBootFailure(typeName, BootFailInjected)
 		return nil, fmt.Errorf("cloud: insufficient instance capacity for %s (injected, boot #%d)", typeName, p.boots)

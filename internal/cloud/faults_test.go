@@ -20,10 +20,9 @@ func bootFailures(reg *obs.Registry, reason string) float64 {
 }
 
 // TestBootFailureAccountingByReason is the RunInstances audit: the
-// three rejection paths (account limit, FailBoot capacity hook,
-// injected fault) must land on distinct reason labels, exactly one
-// increment per rejection — so a fault plan can never double-count
-// against the pre-existing paths.
+// two rejection paths (account limit, injected fault) must land on
+// distinct reason labels, exactly one increment per rejection — so a
+// fault plan can never double-count against the limit.
 func TestBootFailureAccountingByReason(t *testing.T) {
 	plan, err := faults.ParseSpec("bootfail:n=2")
 	if err != nil {
@@ -32,7 +31,6 @@ func TestBootFailureAccountingByReason(t *testing.T) {
 	clock := vclock.NewClock(0)
 	opts := DefaultOptions()
 	opts.MaxInstances = 3
-	opts.FailBoot = func(n int) bool { return n == 3 }
 	opts.Faults = faults.NewInjector(plan, 1, clock)
 	p := NewProvider(clock, opts)
 	reg := obs.NewRegistry()
@@ -47,25 +45,29 @@ func TestBootFailureAccountingByReason(t *testing.T) {
 	if _, err := p.RunInstancesOn("c3.2xlarge", 1, OnDemand); err == nil {
 		t.Fatal("boot #2 succeeded despite bootfail:n=2")
 	}
-	// Boot #3 hits the FailBoot capacity hook.
-	if _, err := p.RunInstancesOn("c3.2xlarge", 1, OnDemand); err == nil {
-		t.Fatal("boot #3 succeeded despite FailBoot")
-	}
 	// A 4-VM request exceeds MaxInstances=3 (1 active + 4 > 3). The
 	// cap check runs before the boot ordinal advances, so this is the
-	// limit path, not a FailBoot/injected consultation.
+	// limit path, not an injected consultation.
 	if _, err := p.RunInstancesOn("c3.2xlarge", 4, OnDemand); err == nil {
 		t.Fatal("cap-exceeded request succeeded")
 	}
 
 	for reason, want := range map[string]float64{
 		BootFailLimit:    1,
-		BootFailCapacity: 1,
 		BootFailInjected: 1,
 	} {
 		if got := bootFailures(reg, reason); got != want {
 			t.Errorf("boot_failures{reason=%q} = %v, want %v", reason, got, want)
 		}
+	}
+	var rejected float64
+	for _, pt := range reg.Points() {
+		if pt.Name == MetricBootFailures {
+			rejected += pt.Value
+		}
+	}
+	if rejected != 2 {
+		t.Errorf("boot_failures_total = %v over every reason, want 2", rejected)
 	}
 	// The injected failure must also be the only fault counted.
 	var injected float64

@@ -24,15 +24,13 @@ const (
 )
 
 // Boot-failure reasons, the "reason" label on MetricBootFailures. The
-// three RunInstances rejection paths are distinct so a fault plan's
+// two RunInstances rejection paths are distinct so a fault plan's
 // injected failures can never be confused with (or double-counted
-// against) account-limit or capacity rejections.
+// against) account-limit rejections.
 const (
 	// BootFailLimit is the account instance-limit rejection
 	// (Options.MaxInstances exceeded).
 	BootFailLimit = "limit"
-	// BootFailCapacity is the FailBoot-hook capacity error.
-	BootFailCapacity = "capacity"
 	// BootFailInjected is a fault-plan-injected capacity error.
 	BootFailInjected = "injected"
 )

@@ -15,6 +15,9 @@ import (
 
 	"rnascale/internal/assembler"
 	_ "rnascale/internal/assembler/all" // register Table I inventory
+	"rnascale/internal/assembler/contrail"
+	"rnascale/internal/assembler/mpidbg"
+	"rnascale/internal/assembler/ray"
 	"rnascale/internal/cloud"
 	"rnascale/internal/core"
 	"rnascale/internal/detonate"
@@ -691,7 +694,7 @@ func AblationHadoopTax(sc Scale) (string, error) {
 	var b strings.Builder
 	b.WriteString("Ablation: Contrail per-job overhead (the Hadoop tax), 2 nodes\n")
 	for _, setup := range []float64{5, 60, 330, 900} {
-		res, err := newContrailWithSetup(setup).Assemble(assembler.Request{
+		res, err := (&contrail.Contrail{JobSetup: setup}).Assemble(assembler.Request{
 			Reads:  reads,
 			Params: assembler.Params{K: k, MinCoverage: 2},
 			Nodes:  2, CoresPerNode: 8,
@@ -857,16 +860,18 @@ func AblationNetwork(sc Scale) (string, error) {
 	k := scaledK(ds)
 	var b strings.Builder
 	b.WriteString("Ablation: Ray scale-out vs inter-node network (TTC at 2 / 16 nodes)\n")
+	info := (&ray.Ray{}).Info()
 	for _, bw := range []float64{10e6, 120e6, 1200e6} {
-		ray := newRayWithNetwork(bw)
+		prof := ray.DefaultProfile()
+		prof.Inter.Bandwidth = bw
 		var ttcs []vclock.Duration
 		for _, nodes := range []int{2, 16} {
-			res, err := ray.Assemble(assembler.Request{
+			res, err := mpidbg.Run(assembler.Request{
 				Reads:  ds.Reads.Reads,
 				Params: assembler.Params{K: k, MinCoverage: 2},
 				Nodes:  nodes, CoresPerNode: 8,
 				FullScale: ds.Profile.FullScale,
-			})
+			}, info, prof)
 			if err != nil {
 				return "", err
 			}

@@ -1,8 +1,16 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"rnascale/internal/assembler"
+	"rnascale/internal/assembler/contrail"
+	"rnascale/internal/assembler/ray"
+	"rnascale/internal/seq"
+	"rnascale/internal/simdata"
+	"rnascale/internal/vclock"
 )
 
 func TestTable1ListsPaperTools(t *testing.T) {
@@ -296,6 +304,7 @@ func TestBackendGridFrontier(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
+	out := map[string]string{}
 	for name, fn := range map[string]func(Scale) (string, error){
 		"schemes":  AblationSchemes,
 		"dynamic":  AblationDynamicSizing,
@@ -310,6 +319,39 @@ func TestAblations(t *testing.T) {
 		}
 		if len(s) < 40 {
 			t.Errorf("%s output suspiciously short: %q", name, s)
+		}
+		out[name] = s
+	}
+	// Each sweep's default row is the registered assembler's run: the
+	// swept value starts from the calibrated constant, not a copy.
+	pcrispa, err := dataset(Quick, simdata.PCrispa())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bglumae, err := dataset(Quick, simdata.BGlumae())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ttc := func(a assembler.Assembler, ds *simdata.Dataset, reads []seq.Read, nodes int) vclock.Duration {
+		res, err := a.Assemble(assembler.Request{
+			Reads:  reads,
+			Params: assembler.Params{K: scaledK(ds), MinCoverage: 2},
+			Nodes:  nodes, CoresPerNode: 8,
+			FullScale: ds.Profile.FullScale,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.TTC
+	}
+	rows := map[string]string{
+		"network": fmt.Sprintf("  120 MB/s: %10v / %10v ",
+			ttc(&ray.Ray{}, pcrispa, pcrispa.Reads.Reads, 2), ttc(&ray.Ray{}, pcrispa, pcrispa.Reads.Reads, 16)),
+		"hadoop": fmt.Sprintf("  setup  330s: TTC %10v\n", ttc(&contrail.Contrail{}, bglumae, cleanNFree(bglumae), 2)),
+	}
+	for name, row := range rows {
+		if !strings.Contains(out[name], row) {
+			t.Errorf("%s ablation lacks the calibrated row %q:\n%s", name, row, out[name])
 		}
 	}
 }

@@ -119,9 +119,9 @@ type Config struct {
 	VolumeScale float64
 }
 
-// DefaultConfig returns a cluster of n workers with Hadoop-1-era
-// overheads, calibrated so that Contrail's Table III baseline (6,720 s
-// at 2 nodes) and Fig. 3 convergence emerge.
+// DefaultConfig returns a cluster of n workers, two slots each, with
+// Hadoop-1-era job and task overheads and generic record rates, for
+// jobs with no calibration of their own. Contrail sets its own Config.
 func DefaultConfig(n int) Config {
 	return Config{
 		Workers:        n,

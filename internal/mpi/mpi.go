@@ -35,14 +35,15 @@ type Config struct {
 	MailboxDepth int
 }
 
-// DefaultConfig returns a single-node world of n ranks with link
-// parameters calibrated to the paper's EC2 placement groups.
+// DefaultConfig returns a single-node world of n ranks with the
+// intra-node link of the paper's EC2 instances. No rank of it reads
+// Inter: a caller that spreads the world over nodes sets RanksPerNode
+// and the provider's inter-node link.
 func DefaultConfig(n int) Config {
 	return Config{
 		Ranks:        n,
 		RanksPerNode: n,
 		Intra:        vclock.CommCost{Latency: 2e-6, Bandwidth: 3e9},
-		Inter:        vclock.CommCost{Latency: 5e-4, Bandwidth: 120e6},
 	}
 }
 

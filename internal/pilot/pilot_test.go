@@ -7,6 +7,7 @@ import (
 
 	"rnascale/internal/cloud"
 	"rnascale/internal/cluster"
+	"rnascale/internal/faults"
 	"rnascale/internal/sge"
 	"rnascale/internal/vclock"
 )
@@ -373,9 +374,14 @@ func TestUnitRetryExhaustion(t *testing.T) {
 }
 
 func TestPilotBootFailureInjection(t *testing.T) {
+	plan, err := faults.ParseSpec("bootfail:n=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := vclock.NewClock(0)
 	opts := cloud.DefaultOptions()
-	opts.FailBoot = func(n int) bool { return n == 1 }
-	prov := cloud.NewProvider(vclock.NewClock(0), opts)
+	opts.Faults = faults.NewInjector(plan, 1, clock)
+	prov := cloud.NewProvider(clock, opts)
 	m := NewManager(prov, NewStateStore(), cluster.DefaultOptions())
 	// First boot fails → pilot FAILED.
 	if _, err := m.SubmitPilot(PilotDescription{InstanceType: "c3.2xlarge", Nodes: 2}); err == nil {

@@ -131,58 +131,25 @@ func TestMapReportsLowestIndexError(t *testing.T) {
 	}
 }
 
-func TestCollectCapturesPanics(t *testing.T) {
+func TestMapCapturesPanics(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		out := sweep.Collect(5, func(i int) (string, error) {
+		out, err := sweep.Map(5, func(i int) (string, error) {
 			if i == 2 {
 				panic("cell exploded")
 			}
 			return fmt.Sprintf("ok-%d", i), nil
 		}, sweep.Options{Workers: workers})
-		for i, o := range out {
-			if o.Index != i {
-				t.Fatalf("workers=%d: outcome %d has index %d", workers, i, o.Index)
-			}
-			if i == 2 {
-				var pe *sweep.PanicError
-				if !errors.As(o.Err, &pe) {
-					t.Fatalf("workers=%d: cell 2 err = %v, want PanicError", workers, o.Err)
-				}
-				if pe.Cell != 2 || pe.Value != "cell exploded" || len(pe.Stack) == 0 {
-					t.Errorf("workers=%d: panic detail %+v", workers, pe)
-				}
-				continue
-			}
-			if o.Err != nil || o.Value != fmt.Sprintf("ok-%d", i) {
-				t.Errorf("workers=%d: cell %d = %+v", workers, i, o)
-			}
+		var pe *sweep.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: err = %v, want PanicError", workers, err)
 		}
-	}
-}
-
-// TestProgressTicksExactlyOnce checks the progress counter is
-// serialized and deterministic in content: done ticks 1..n once each,
-// for any worker count.
-func TestProgressTicksExactlyOnce(t *testing.T) {
-	for _, workers := range []int{1, 3, 8} {
-		var calls []int
-		_, err := sweep.Map(10, func(i int) (int, error) { return i * i, nil },
-			sweep.Options{Workers: workers, OnProgress: func(done, total int) {
-				if total != 10 {
-					t.Fatalf("total = %d", total)
-				}
-				calls = append(calls, done)
-			}})
-		if err != nil {
-			t.Fatal(err)
+		if pe.Cell != 2 || pe.Value != "cell exploded" || len(pe.Stack) == 0 {
+			t.Errorf("workers=%d: panic detail %+v", workers, pe)
 		}
-		if len(calls) != 10 {
-			t.Fatalf("workers=%d: %d progress calls", workers, len(calls))
-		}
-		for i, d := range calls {
-			if d != i+1 {
-				t.Fatalf("workers=%d: progress sequence %v", workers, calls)
-			}
+		// Every other cell still ran; the panicking one holds the zero value.
+		want := []string{"ok-0", "ok-1", "", "ok-3", "ok-4"}
+		if !reflect.DeepEqual(out, want) {
+			t.Errorf("workers=%d: values %q, want %q", workers, out, want)
 		}
 	}
 }
