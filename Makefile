@@ -127,6 +127,8 @@ ORACLE_SPECS = internal/mapreduce:TestEngineMatchesReference|TestFoldMatchesUnfo
 	internal/assembler/mpidbg:TestPCrispaPins|TestOwnerCountsMatchReference|TestMergeOrdersTheSpectrum|TestSharedSpectrumMatchesPrivate|TestMemoKeysSpectrumByReadsKAndRanks \
 	internal/assembler/all:TestEstimatesTrackMeasurements \
 	internal/journal:TestScanMatchesReference \
+	internal/vclock:TestAcquireMatchesReference \
+	internal/sge:TestSingleNodeMatchesReference|TestSpanningMatchesReference \
 	internal/core:TestStageBracketPins|TestRetriedUnitAssemblesOnce|TestResumeOfCompleteJournalAssemblesNothing|TestResumeAssemblesOnlyUnjournaledUnits|TestCutoffMidPBBoundsAssembles|TestRunLeavesNoGoroutines|TestAssemblies|TestPlanPins|TestPredictRunsNothing|TestPredictTracksRun|TestJournalPayloadRoundTrip|TestResumedReadsAreReadOnly
 
 # sweep-determinism pins the parallel-executor contract under the
@@ -165,7 +167,12 @@ sweep-determinism:
 # journal reader: the single-pass scan against a copying reference
 # reader, over every byte flip and truncation of a small journal, its
 # mis-declared payload lengths and a sample of a real one — same
-# verified prefix, records, damage report, chain head and Merkle root.
+# verified prefix, records, damage report, chain head and Merkle root —
+# and the streaming Verify against the scan on each. The schedulers:
+# the slot pool's sorted free times and SGE's in-place single-node and
+# spanning placement against the sort-everything bodies they replaced,
+# over seeded random clusters and submissions — same start times, same
+# slots chosen.
 # The pipeline, whose PB computes assemblies ahead of the event loop:
 # every stage-bracket exit and the one-assembly-per-unit count pinned
 # at any host core count, a resume assembling exactly the units its journal lacks,

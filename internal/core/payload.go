@@ -93,8 +93,12 @@ func decodePA(b []byte) (paPayload, error) {
 	if err := json.Unmarshal(line, &meta); err != nil {
 		return p, fmt.Errorf("core: PA payload meta: %w", err)
 	}
+	// The IDs go into one string, each ended by a newline (no header
+	// line holds one), and are sliced out of it once all are read.
+	var ids strings.Builder
 	if n := bytes.Count(fq, []byte{'\n'}) / 4; n > 0 {
 		p.Reads = make([]seq.Read, 0, n)
+		ids.Grow(min(n*bytes.IndexByte(fq, '\n'), len(fq)))
 	}
 	var rec [4][]byte
 	for len(fq) > 0 {
@@ -104,7 +108,14 @@ func decodePA(b []byte) (paPayload, error) {
 		if len(rec[3]) != len(rec[1]) {
 			return paPayload{}, fmt.Errorf("core: PA payload: read %d has %d qualities for %d bases", len(p.Reads), len(rec[3]), len(rec[1]))
 		}
-		p.Reads = append(p.Reads, seq.Read{ID: string(rec[0][1:]), Seq: rec[1], Qual: rec[3]})
+		ids.Write(rec[0][1:])
+		ids.WriteByte('\n')
+		p.Reads = append(p.Reads, seq.Read{Seq: rec[1], Qual: rec[3]})
+	}
+	all := ids.String()
+	for i := range p.Reads {
+		j := strings.IndexByte(all, '\n')
+		p.Reads[i].ID, all = all[:j], all[j+1:]
 	}
 	for _, i := range meta.NoQual {
 		if i < 0 || i >= len(p.Reads) {

@@ -244,12 +244,7 @@ func scan(b []byte) (lg *Log, goodEnd int, bad error) {
 	if len(lg.Records) == 0 && bad != nil && legacy(b) {
 		bad = errLegacy
 	}
-	if goodEnd < len(b) || missingNewline {
-		lg.Repair = &Repair{TruncatedBytes: len(b) - goodEnd, RepairedNewline: missingNewline}
-		if bad != nil {
-			lg.Repair.Reason = bad.Error()
-		}
-	}
+	lg.Repair = damage(len(b)-goodEnd, missingNewline, bad)
 	return lg, goodEnd, bad
 }
 

@@ -62,8 +62,10 @@ func merkleRoot(level [][sha256.Size]byte) [sha256.Size]byte {
 }
 
 // Root returns the Merkle root over the log's records, hex-encoded.
-func (l *Log) Root() string {
-	root := merkleRoot(l.leaves)
+func (l *Log) Root() string { return rootHex(l.leaves) }
+
+func rootHex(leaves [][sha256.Size]byte) string {
+	root := merkleRoot(leaves)
 	return hex.EncodeToString(root[:])
 }
 

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -192,8 +193,10 @@ func refVerify(t testing.TB, b []byte) (VerifyResult, []Record) {
 // damage report, chain head and Merkle root. canonical says every
 // record that can verify was written by a Writer, so re-marshalling a
 // record reproduces its stored header and the two definitions of a
-// leaf (stored bytes, re-marshalled record) must give one root.
-func agree(t testing.TB, what string, b []byte, canonical bool) {
+// leaf (stored bytes, re-marshalled record) must give one root. The
+// bytes are then written to file and streamed through Verify
+// (agreeVerify).
+func agree(t testing.TB, file, what string, b []byte, canonical bool) {
 	t.Helper()
 	want, wantRecs := refVerify(t, b)
 	lg, goodEnd, bad := scan(b)
@@ -210,6 +213,35 @@ func agree(t testing.TB, what string, b []byte, canonical bool) {
 	}
 	if len(lg.Records) != len(wantRecs) || (len(wantRecs) > 0 && !reflect.DeepEqual(lg.Records, wantRecs)) {
 		t.Fatalf("%s: records differ from the reference's\n got  %+v\n want %+v", what, lg.Records, wantRecs)
+	}
+	agreeVerify(t, file, what, b, lg, bad)
+}
+
+// agreeVerify writes b to file and holds Verify, which streams it, to
+// the slice scan of b (lg, ended by bad) and to Inspect: the same
+// report, field for field, or the same legacy-format refusal. Verify
+// runs at its own read buffer and at one that takes at least 64 fills
+// to read b, down to bufio's smallest, which splits payloads across
+// fills and, on small inputs, header lines too.
+func agreeVerify(t testing.TB, file, what string, b []byte, lg *Log, bad error) {
+	t.Helper()
+	if err := os.WriteFile(file, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := lg.Verified()
+	for _, size := range []int{verifyBuffer, max(16, len(b)/64)} {
+		got, err := verify(file, size)
+		switch {
+		case errors.Is(bad, errLegacy):
+			if !errors.Is(err, errLegacy) {
+				t.Fatalf("%s: Verify (%d-byte buffer) of a legacy journal says %v, %+v", what, size, err, got)
+			}
+		case err != nil || got != want:
+			t.Fatalf("%s: Verify (%d-byte buffer) differs from the scan (%v)\n got  %+v\n want %+v", what, size, err, got, want)
+		}
+	}
+	if inspected, err := Inspect(file); (err == nil) != (lg.usable("", bad) == nil) || (err == nil && inspected.Verified() != want) {
+		t.Fatalf("%s: Inspect (%v) differs from the scan (%v)", what, err, lg.usable("", bad))
 	}
 }
 
@@ -339,15 +371,16 @@ func TestScanMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agree(t, "small intact", small, true)
+	file := filepath.Join(t.TempDir(), "scan.journal")
+	agree(t, file, "small intact", small, true)
 	for i := range small {
 		for _, mask := range []byte{0x01, 0x20, 0x80} {
 			mut := bytes.Clone(small)
 			mut[i] ^= mask
-			agree(t, fmt.Sprintf("small byte %d ^ %#x", i, mask), mut, true)
-			agree(t, fmt.Sprintf("small byte %d ^ %#x rechained", i, mask), rechain(mut), false)
+			agree(t, file, fmt.Sprintf("small byte %d ^ %#x", i, mask), mut, true)
+			agree(t, file, fmt.Sprintf("small byte %d ^ %#x rechained", i, mask), rechain(mut), false)
 		}
-		agree(t, fmt.Sprintf("small truncated to %d", i), small[:i], true)
+		agree(t, file, fmt.Sprintf("small truncated to %d", i), small[:i], true)
 	}
 
 	// Shapes no single flip reaches: blank lines, mis-declared payload
@@ -376,7 +409,21 @@ func TestScanMatchesReference(t *testing.T) {
 		shapes[name+", last record"] = editRecord(t, small, 5, e[0], e[1])
 	}
 	for name, b := range shapes {
-		agree(t, name, b, false)
+		agree(t, file, name, b, false)
+	}
+
+	// A legacy journal, whole and cut inside its first line, is refused
+	// by Verify as by the scan.
+	legacy, err := os.ReadFile(filepath.Join("testdata", "tiny-contrail.v2.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range [][]byte{legacy, legacy[:bytes.IndexByte(legacy, '\n')]} {
+		lg, _, bad := scan(b)
+		if !errors.Is(bad, errLegacy) {
+			t.Fatalf("scan of a %d-byte legacy journal: %v", len(b), bad)
+		}
+		agreeVerify(t, file, fmt.Sprintf("legacy journal, %d bytes", len(b)), b, lg, bad)
 	}
 
 	// The real journal: whole-journal agreement at every record
@@ -387,7 +434,7 @@ func TestScanMatchesReference(t *testing.T) {
 	// against record under the true predecessor chain, and drawn per
 	// record so the pre-processing payload does not take most of them.
 	real := realJournal(t)
-	agree(t, "real intact", real, true)
+	agree(t, file, "real intact", real, true)
 	ends = recordEnds(t, real)
 	mut := bytes.Clone(real)
 	rng := rand.New(rand.NewSource(2121))
@@ -400,14 +447,19 @@ func TestScanMatchesReference(t *testing.T) {
 				continue
 			}
 			mut[p] ^= 0x04
-			agree(t, fmt.Sprintf("real byte %d flipped", p), mut, true)
+			agree(t, file, fmt.Sprintf("real byte %d flipped", p), mut, true)
 			mut[p] ^= 0x04
-			agree(t, fmt.Sprintf("real truncated to %d", p), real[:p], true)
+			agree(t, file, fmt.Sprintf("real truncated to %d", p), real[:p], true)
 		}
 		for n := 0; n < 2000/len(ends); n++ {
 			p, mask := off+rng.Intn(end-off), byte(1)<<rng.Intn(8)
 			mut[p] ^= mask
-			agreeRecord(t, fmt.Sprintf("real record %d byte %d ^ %#x", idx, p-off, mask), mut[off:], idx, prev)
+			what := fmt.Sprintf("real record %d byte %d ^ %#x", idx, p-off, mask)
+			agreeRecord(t, what, mut[off:], idx, prev)
+			if n%16 == 0 {
+				lg, _, bad := scan(mut)
+				agreeVerify(t, file, what, mut, lg, bad)
+			}
 			mut[p] ^= mask
 		}
 		r, err := refVerifyRecord(real[off:], idx, prev)
@@ -421,7 +473,9 @@ func TestScanMatchesReference(t *testing.T) {
 // TestPayloadAliasesReadBuffer pins the zero-copy contract: a record's
 // payload is a sub-slice of the bytes that were scanned, capped at its
 // own end, and reading a journal costs a small multiple of its size
-// however large its payloads are.
+// however large its payloads are. Verify, which streams, costs a
+// constant: its read buffer and per-record state, on the real journal
+// as on one whose single payload is 4 MiB.
 func TestPayloadAliasesReadBuffer(t *testing.T) {
 	b := realJournal(t)
 	lg, goodEnd, bad := scan(b)
@@ -445,27 +499,50 @@ func TestPayloadAliasesReadBuffer(t *testing.T) {
 	if payloads == 0 {
 		t.Fatal("fixture has no payloads")
 	}
-	path := filepath.Join(t.TempDir(), "run.journal")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.journal")
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for name, read := range map[string]func() error{
-		"Verify":  func() error { _, err := Verify(path); return err },
-		"Inspect": func() error { _, err := Inspect(path); return err },
-		"Open":    func() error { _, err := Open(path); return err },
+	big := filepath.Join(dir, "big.journal")
+	w, err := Create(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, payload := range [][]byte{nil, bytes.Repeat([]byte("ACGT"), 1<<20), []byte(`{"unit":2}`)} {
+		rec := Record{Kind: KindUnit, Stage: "PA", Unit: fmt.Sprint(i), Payload: payload}
+		if i == 0 {
+			rec = Record{Kind: KindHeader}
+		}
+		if _, err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const verifyLimit = verifyBuffer + 32<<10
+	for _, c := range []struct {
+		read       func(string) error
+		name, path string
+		limit      int
+	}{
+		{func(p string) error { _, err := Verify(p); return err }, "Verify", path, verifyLimit},
+		{func(p string) error { _, err := Verify(p); return err }, "Verify", big, verifyLimit},
+		{func(p string) error { _, err := Inspect(p); return err }, "Inspect", path, len(b) * 3 / 2},
+		{func(p string) error { _, err := Open(p); return err }, "Open", path, len(b) * 3 / 2},
 	} {
 		const runs = 4
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
-			if err := read(); err != nil {
+			if err := c.read(c.path); err != nil {
 				t.Fatal(err)
 			}
 		}
 		runtime.ReadMemStats(&after)
-		if got, limit := int((after.TotalAlloc-before.TotalAlloc)/runs), len(b)*3/2; got > limit {
-			t.Errorf("%s of a %d-byte journal allocated %d bytes, want ≤ %d (one read buffer plus per-record state)",
-				name, len(b), got, limit)
+		if got := int((after.TotalAlloc - before.TotalAlloc) / runs); got > c.limit {
+			t.Errorf("%s of %s allocated %d bytes, want ≤ %d", c.name, filepath.Base(c.path), got, c.limit)
 		}
 	}
 }
@@ -500,9 +577,10 @@ func FuzzScan(f *testing.F) {
 	for _, b := range scanSeeds(f) {
 		f.Add(b)
 	}
+	file := filepath.Join(f.TempDir(), "fuzz.journal")
 	f.Fuzz(func(t *testing.T, b []byte) {
-		agree(t, "fuzz input", b, false)
-		agree(t, "fuzz input, rechained", rechain(b), false)
+		agree(t, file, "fuzz input", b, false)
+		agree(t, file, "fuzz input, rechained", rechain(b), false)
 	})
 }
 

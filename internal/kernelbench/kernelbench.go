@@ -19,6 +19,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strconv"
 	"sync"
 
@@ -542,26 +544,39 @@ func Kernels() []Kernel {
 			// payload framing, one hash per record's bytes, chain link
 			// and Merkle leaf) over 64 records carrying 64 KB payloads,
 			// from memory — the shape of a pipeline journal, whose bytes
-			// are nearly all payload.
+			// are nearly all payload. Read holds the whole journal: the
+			// records' payloads alias it.
+			Name:  "journal.read",
+			Iters: 20,
+			Setup: func() func() {
+				data := verifyJournal()
+				return func() {
+					lg, err := journal.Read(bytes.NewReader(data))
+					if err != nil || len(lg.Records) != 64 {
+						panic(fmt.Sprintf("kernelbench: journal read back %v", err))
+					}
+				}
+			},
+		},
+		{
+			// The same journal verified from a file, streamed through
+			// one read buffer: what `rnapipe -verify-journal` and the
+			// replay benchmark run, which holds no payload.
 			Name:  "journal.verify",
 			Iters: 20,
 			Setup: func() func() {
-				payload := genome(9, 64<<10)
-				var data bytes.Buffer
-				w := journal.NewWriter(&data)
-				for i := 0; i < 64; i++ {
-					rec := journal.Record{Kind: journal.KindUnit, Stage: "PB", Unit: "unit-0001", VTime: float64(i), Payload: payload}
-					if i == 0 {
-						rec = journal.Record{Kind: journal.KindHeader}
-					}
-					if _, err := w.Append(rec); err != nil {
-						panic(err)
-					}
+				dir, err := scratchDir()
+				if err != nil {
+					panic(err)
+				}
+				path := filepath.Join(dir, "verify.journal")
+				if err := os.WriteFile(path, verifyJournal(), 0o644); err != nil {
+					panic(err)
 				}
 				return func() {
-					lg, err := journal.Read(bytes.NewReader(data.Bytes()))
-					if err != nil || len(lg.Records) != 64 {
-						panic(fmt.Sprintf("kernelbench: journal read back %v", err))
+					vr, err := journal.Verify(path)
+					if err != nil || !vr.Clean() || vr.Records != 64 {
+						panic(fmt.Sprintf("kernelbench: journal verify %v: %v", err, vr))
 					}
 				}
 			},
@@ -647,3 +662,25 @@ func Kernels() []Kernel {
 		},
 	}
 }
+
+// verifyJournal is the journal kernels' input: a header record, then
+// 63 unit records each carrying the same 64 KB payload.
+func verifyJournal() []byte {
+	payload := genome(9, 64<<10)
+	var data bytes.Buffer
+	w := journal.NewWriter(&data)
+	for i := 0; i < 64; i++ {
+		rec := journal.Record{Kind: journal.KindUnit, Stage: "PB", Unit: "unit-0001", VTime: float64(i), Payload: payload}
+		if i == 0 {
+			rec = journal.Record{Kind: journal.KindHeader}
+		}
+		if _, err := w.Append(rec); err != nil {
+			panic(err)
+		}
+	}
+	return data.Bytes()
+}
+
+// scratchDir is where file-backed kernels keep their inputs, made on
+// first use; the package's tests remove it when they finish.
+var scratchDir = sync.OnceValues(func() (string, error) { return os.MkdirTemp("", "kernelbench-") })

@@ -1,9 +1,19 @@
 package kernelbench
 
 import (
+	"os"
 	"runtime"
 	"testing"
 )
+
+// TestMain removes the inputs file-backed kernels wrote.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if dir, err := scratchDir(); err == nil {
+		os.RemoveAll(dir)
+	}
+	os.Exit(code)
+}
 
 // BenchmarkKernels measures every registered kernel. Setup runs once
 // per kernel outside b.Run, so the workload's allocations never reach

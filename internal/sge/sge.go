@@ -14,8 +14,9 @@
 package sge
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"rnascale/internal/vclock"
 )
@@ -93,6 +94,10 @@ type Scheduler struct {
 	nodes    []*node
 	nextID   int
 	observer func(*Job)
+	// Placement scratch every Submit reuses: the candidate slots and
+	// their free times.
+	cands []slotRef
+	times []vclock.Time
 }
 
 // SetObserver registers a callback invoked synchronously with every
@@ -168,26 +173,9 @@ type slotRef struct {
 // the placement. Submission fails when the request can never be
 // satisfied (more slots than exist, or no memory-feasible placement).
 func (s *Scheduler) Submit(spec JobSpec, at vclock.Time) (*Job, error) {
-	if spec.Slots <= 0 {
-		return nil, fmt.Errorf("sge: job %q requests %d slots", spec.Name, spec.Slots)
-	}
-	if spec.Duration < 0 {
-		return nil, fmt.Errorf("sge: job %q has negative duration", spec.Name)
-	}
-	candidates := s.feasibleSlots(spec)
-	if len(candidates) < spec.Slots {
-		return nil, fmt.Errorf("sge: job %q needs %d slots, only %d feasible in queue %v",
-			spec.Name, spec.Slots, len(candidates), s.ActiveNodes())
-	}
-	var start vclock.Time
-	var chosen []slotRef
-	if spec.Rule == SingleNode {
-		start, chosen = s.placeSingleNode(spec, at, candidates)
-		if chosen == nil {
-			return nil, fmt.Errorf("sge: job %q: no single node offers %d slots", spec.Name, spec.Slots)
-		}
-	} else {
-		start, chosen = s.placeSpanning(spec, at, candidates)
+	start, chosen, err := s.place(spec, at)
+	if err != nil {
+		return nil, err
 	}
 	end := start.Add(spec.Duration)
 	byNode := map[string]int{}
@@ -203,11 +191,37 @@ func (s *Scheduler) Submit(spec JobSpec, at vclock.Time) (*Job, error) {
 	return job, nil
 }
 
-// feasibleSlots lists every slot on active, memory-feasible nodes.
+// place decides when the job starts and on which slots, reserving
+// nothing. The slots alias the scheduler's scratch.
+func (s *Scheduler) place(spec JobSpec, at vclock.Time) (vclock.Time, []slotRef, error) {
+	if spec.Slots <= 0 {
+		return 0, nil, fmt.Errorf("sge: job %q requests %d slots", spec.Name, spec.Slots)
+	}
+	if spec.Duration < 0 {
+		return 0, nil, fmt.Errorf("sge: job %q has negative duration", spec.Name)
+	}
+	candidates := s.feasibleSlots(spec)
+	if len(candidates) < spec.Slots {
+		return 0, nil, fmt.Errorf("sge: job %q needs %d slots, only %d feasible in queue %v",
+			spec.Name, spec.Slots, len(candidates), s.ActiveNodes())
+	}
+	if spec.Rule != SingleNode {
+		start, chosen := s.placeSpanning(spec, at, candidates)
+		return start, chosen, nil
+	}
+	start, chosen := s.placeSingleNode(spec, at, candidates)
+	if chosen == nil {
+		return 0, nil, fmt.Errorf("sge: job %q: no single node offers %d slots", spec.Name, spec.Slots)
+	}
+	return start, chosen, nil
+}
+
+// feasibleSlots lists every slot on active, memory-feasible nodes,
+// node by node, in the scheduler's scratch.
 // Memory feasibility is conservative: a node qualifies if it could
 // hold the job's per-slot demand for every slot it might contribute.
 func (s *Scheduler) feasibleSlots(spec JobSpec) []slotRef {
-	var out []slotRef
+	out := s.cands[:0]
 	for _, n := range s.nodes {
 		if n.removed {
 			continue
@@ -227,30 +241,28 @@ func (s *Scheduler) feasibleSlots(spec JobSpec) []slotRef {
 			out = append(out, slotRef{node: n, slot: i})
 		}
 	}
+	s.cands = out
 	return out
 }
 
 // placeSingleNode finds the node that can run the whole job earliest.
+// A node's candidates are one contiguous run (feasibleSlots lists them
+// node by node); each run is sorted in place by free time, so the
+// chosen slots are the front of the winning run.
 func (s *Scheduler) placeSingleNode(spec JobSpec, at vclock.Time, candidates []slotRef) (vclock.Time, []slotRef) {
-	perNode := map[*node][]slotRef{}
-	var order []*node
-	for _, ref := range candidates {
-		if _, seen := perNode[ref.node]; !seen {
-			order = append(order, ref.node)
-		}
-		perNode[ref.node] = append(perNode[ref.node], ref)
-	}
 	var best []slotRef
 	var bestStart vclock.Time
-	found := false
-	for _, n := range order {
-		refs := perNode[n]
+	for len(candidates) > 0 {
+		n, run := candidates[0].node, 1
+		for run < len(candidates) && candidates[run].node == n {
+			run++
+		}
+		refs := candidates[:run]
+		candidates = candidates[run:]
 		if len(refs) < spec.Slots {
 			continue
 		}
-		sort.Slice(refs, func(a, b int) bool {
-			return n.avail[refs[a].slot] < n.avail[refs[b].slot]
-		})
+		slices.SortFunc(refs, func(a, b slotRef) int { return cmp.Compare(n.avail[a.slot], n.avail[b.slot]) })
 		pick := refs[:spec.Slots]
 		start := at
 		for _, ref := range pick {
@@ -258,44 +270,26 @@ func (s *Scheduler) placeSingleNode(spec JobSpec, at vclock.Time, candidates []s
 				start = t
 			}
 		}
-		if !found || start < bestStart {
-			found = true
+		if best == nil || start < bestStart {
 			bestStart = start
-			best = append([]slotRef(nil), pick...)
+			best = pick
 		}
-	}
-	if !found {
-		return 0, nil
 	}
 	return bestStart, best
 }
 
 // placeSpanning finds the earliest time at which spec.Slots slots are
 // simultaneously free across nodes, then picks slots according to the
-// allocation rule.
+// allocation rule. From the spec.Slots-th earliest free time on, that
+// many slots are free, so it is the start unless at is later.
 func (s *Scheduler) placeSpanning(spec JobSpec, at vclock.Time, candidates []slotRef) (vclock.Time, []slotRef) {
-	// Candidate start times: submission time plus every slot-free time.
-	times := []vclock.Time{at}
+	s.times = s.times[:0]
 	for _, ref := range candidates {
-		if t := ref.node.avail[ref.slot]; t > at {
-			times = append(times, t)
-		}
+		s.times = append(s.times, ref.node.avail[ref.slot])
 	}
-	sort.Slice(times, func(a, b int) bool { return times[a] < times[b] })
-	var start vclock.Time
-	for _, t := range times {
-		free := 0
-		for _, ref := range candidates {
-			if ref.node.avail[ref.slot] <= t {
-				free++
-			}
-		}
-		if free >= spec.Slots {
-			start = t
-			break
-		}
-	}
-	free := make([]slotRef, 0, len(candidates))
+	slices.Sort(s.times)
+	start := max(at, s.times[spec.Slots-1])
+	free := candidates[:0]
 	for _, ref := range candidates {
 		if ref.node.avail[ref.slot] <= start {
 			free = append(free, ref)
@@ -304,7 +298,7 @@ func (s *Scheduler) placeSpanning(spec JobSpec, at vclock.Time, candidates []slo
 	if spec.Rule == RoundRobin {
 		// Interleave: sort by (slot index, node order) so consecutive
 		// picks land on different nodes.
-		sort.SliceStable(free, func(a, b int) bool { return free[a].slot < free[b].slot })
+		slices.SortStableFunc(free, func(a, b slotRef) int { return cmp.Compare(a.slot, b.slot) })
 	}
 	return start, free[:spec.Slots]
 }

@@ -22,7 +22,6 @@ package vclock
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Time is a point in virtual time, in seconds since the start of a
@@ -136,7 +135,9 @@ func (c *Clock) AdvanceTo(t Time) Time {
 //
 // The zero value is unusable; create pools with NewSlotPool.
 type SlotPool struct {
-	avail []Time // next free time per slot, unsorted
+	// avail holds each slot's next free time in ascending order. Slots
+	// are interchangeable, so only the multiset matters.
+	avail []Time
 }
 
 // NewSlotPool returns a pool of n slots, all free at time 0.
@@ -158,21 +159,18 @@ func (p *SlotPool) Acquire(k int, at Time, d Duration) (start Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("vclock: acquire negative duration %v", d))
 	}
-	idx := make([]int, len(p.avail))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return p.avail[idx[a]] < p.avail[idx[b]] })
 	// The k earliest-free slots determine the start: all k must be free.
-	chosen := idx[:k]
-	start = at
-	for _, i := range chosen {
-		if p.avail[i] > start {
-			start = p.avail[i]
-		}
-	}
+	start = max(at, p.avail[k-1])
 	end := start.Add(d)
-	for _, i := range chosen {
+	// They become free at end, no earlier than any of them was: the
+	// slots after them that free up by end move down, and the k follow.
+	rest := p.avail[k:]
+	n := 0
+	for n < len(rest) && rest[n] <= end {
+		n++
+	}
+	copy(p.avail, rest[:n])
+	for i := n; i < n+k; i++ {
 		p.avail[i] = end
 	}
 	return start
@@ -180,15 +178,7 @@ func (p *SlotPool) Acquire(k int, at Time, d Duration) (start Time) {
 
 // Horizon reports the time at which every slot becomes free — the
 // makespan of all work scheduled so far.
-func (p *SlotPool) Horizon() Time {
-	var m Time
-	for _, t := range p.avail {
-		if t > m {
-			m = t
-		}
-	}
-	return m
-}
+func (p *SlotPool) Horizon() Time { return p.avail[len(p.avail)-1] }
 
 // CommCost models a link with fixed per-message latency and a
 // bandwidth in bytes per virtual second. The zero value is a free,

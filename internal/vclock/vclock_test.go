@@ -2,6 +2,9 @@ package vclock
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -235,5 +238,59 @@ func TestSlotPoolConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refAcquire is Acquire as it was before the pool kept its free times
+// sorted: every call ranks all slots by free time with sort.Slice and
+// reserves the k earliest-free ones.
+func refAcquire(avail []Time, k int, at Time, d Duration) (start Time) {
+	idx := make([]int, len(avail))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool { return avail[idx[a]] < avail[idx[b]] })
+	chosen := idx[:k]
+	start = at
+	for _, i := range chosen {
+		if avail[i] > start {
+			start = avail[i]
+		}
+	}
+	end := start.Add(d)
+	for _, i := range chosen {
+		avail[i] = end
+	}
+	return start
+}
+
+// TestAcquireMatchesReference holds Acquire to refAcquire over seeded
+// random pools and request sequences, with free times drawn from a
+// few values so that ties are common: after every request the same
+// start time, the same free times slot for slot once sorted (slots are
+// interchangeable) and the same Horizon.
+func TestAcquireMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(40)
+		p, ref := NewSlotPool(n), make([]Time, n)
+		var at Time
+		for step := 0; step < 200; step++ {
+			k := 1 + rng.Intn(n)
+			if rng.Intn(3) > 0 {
+				k = 1 + rng.Intn(min(n, 4))
+			}
+			at += Time(rng.Intn(3))
+			d := Duration(rng.Intn(4) * 5)
+			want := refAcquire(ref, k, at, d)
+			if got := p.Acquire(k, at, d); got != want {
+				t.Fatalf("seed %d step %d: Acquire(%d, %v, %v) starts at %v, reference %v", seed, step, k, at, d, got, want)
+			}
+			sorted := slices.Clone(ref)
+			slices.Sort(sorted)
+			if !slices.Equal(p.avail, sorted) || p.Horizon() != sorted[n-1] {
+				t.Fatalf("seed %d step %d: free times %v (horizon %v), reference %v", seed, step, p.avail, p.Horizon(), sorted)
+			}
+		}
 	}
 }
