@@ -95,10 +95,13 @@ cover:
 	done
 
 # fuzz-smoke runs each fuzz target briefly; failures minimize
-# into the target package's testdata/fuzz as regression inputs.
+# into the target package's testdata/fuzz as regression inputs. New
+# coverage is minimized for at most a second, so the fuzz time goes to
+# executions: at Go's 60 s default one slow input can spend the whole
+# run being minimized.
 fuzz-smoke:
 	@for spec in $(FUZZ_TARGETS); do \
-		$(GO) test ./$${spec%%:*} -run '^$$' -fuzz "^$${spec##*:}$$" -fuzztime=$(FUZZ_TIME) || exit 1; \
+		$(GO) test ./$${spec%%:*} -run '^$$' -fuzz "^$${spec##*:}$$" -fuzztime=$(FUZZ_TIME) -fuzzminimizetime=1s || exit 1; \
 	done
 
 # determinism expands to one `go test -race` recipe line per
@@ -121,6 +124,7 @@ ORACLE_SPECS = internal/mapreduce:TestEngineMatchesReference|TestFoldMatchesUnfo
 	internal/seq:MatchesReference|TestKmerTableMatchesMapModel \
 	internal/dbg:TestContigsIndependentOfInsertionOrder|TestEdgeBit|TestClipTipsLengthBoundary|TestEdgesMatchEightProbeReference|TestTraversalOrderFromAscendingRun \
 	internal/merge:TestDropContainedMatchesReference \
+	internal/preprocess:TestDedupMatchesMapReference \
 	internal/quant:TestAssignMatchesReference \
 	internal/detonate:TestEvaluateMatchesReference \
 	internal/sweep:TestRanges \
@@ -148,7 +152,9 @@ sweep-determinism:
 # k-mer records must give the text jobs' records, elapsed time, shuffle
 # bytes and task counts. Trinity's count and Inchworm walk on one k-mer
 # table must give the map-based walk's contigs, IDs, TTC and memory on
-# tiny at odd and even k, bglumae, pcrispa and count-tied seeds. The
+# tiny at odd and even k, bglumae, pcrispa and count-tied seeds.
+# Pre-processing's duplicate table must keep the reads, order and
+# Stats that a map keyed on each fragment's bases keeps. The
 # k-mer kernel: the O(1) reverse complement and the rolling canonical
 # window against the base-by-base loops, the FASTA and FASTQ writers
 # against the fmt-based ones, the k-mer table against a Go map,

@@ -37,6 +37,7 @@
 package gateway
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -206,15 +207,19 @@ type RunView struct {
 // run is the internal record. cfg and ds hold the prepared work for a
 // queued run (cfg.Obs is the run's own span tree and registry); the
 // run leaving the queue clears ds so the dataset is not pinned past
-// the run (profiles are memoized in simdata anyway). Under
-// EnableJournal, journalPath is the run's pipeline journal and
-// resumeFrom (when set) tells the worker to continue that journal
-// instead of starting over.
+// the run (profiles are memoized in simdata anyway), and a terminal
+// transition clears cfg, so a finished run holds its view and the
+// bytes its endpoints serve — fasta, its transcripts in FASTA when it
+// is done, and trace, its Chrome trace — and not its report, tracer
+// or journal writer. Under EnableJournal, journalPath is the run's
+// pipeline journal and resumeFrom (when set) tells the worker to
+// continue that journal instead of starting over.
 type run struct {
 	view        RunView
-	report      *core.Report
 	cfg         core.Config
 	ds          *simdata.Dataset
+	fasta       []byte
+	trace       []byte
 	journalPath string
 	resumeFrom  string
 	// done is non-nil exactly while the run is live in this process
@@ -335,10 +340,25 @@ func (s *Server) worker() {
 		s.mu.Unlock()
 
 		rep, err := executeRun(cfg, ds, journalPath, resumeFrom)
+		fasta, trace := render(rep, err, cfg.Obs)
 		s.mu.Lock()
-		_ = s.applyLocked(rn, event{kind: evFinished, rep: rep, err: err}) // only this worker finishes rn
+		_ = s.applyLocked(rn, event{kind: evFinished, rep: rep, err: err, fasta: fasta, trace: trace}) // only this worker finishes rn
 		s.mu.Unlock()
 	}
+}
+
+// render turns a finished run into the bytes its endpoints serve: the
+// transcripts in FASTA (nil unless the run is done) and the Chrome
+// trace. Each buffer is sized once, so the run keeps no slack.
+func render(rep *core.Report, err error, o *obs.Obs) (fasta, trace []byte) {
+	if err == nil && rep != nil {
+		b := bytes.NewBuffer(make([]byte, 0, seq.FastaSize(rep.Transcripts, 80)))
+		_ = seq.WriteFasta(b, rep.Transcripts, 80) // a bytes.Buffer write cannot fail
+		fasta = b.Bytes()
+	}
+	var b bytes.Buffer
+	_ = o.Tracer.WriteChromeTrace(&b) // a bytes.Buffer write cannot fail
+	return fasta, b.Bytes()
 }
 
 // queueClock reads the wall clock for queue-wait accounting. This is
@@ -539,10 +559,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	rn, ok := s.runs[id]
 	var view RunView
-	var rep *core.Report
+	var fasta, trace []byte
 	var o *obs.Obs
 	if ok {
-		view, rep, o = rn.view, rn.report, rn.cfg.Obs
+		view, fasta, trace, o = rn.view, rn.fasta, rn.trace, rn.cfg.Obs
 	}
 	s.mu.Unlock()
 	switch {
@@ -550,20 +570,25 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "no run %q", id)
 	case !nested:
 		writeJSON(w, http.StatusOK, view)
-	case sub == "transcripts" && (view.Status != StatusDone || rep == nil):
+	case sub == "transcripts" && (view.Status != StatusDone || fasta == nil):
 		writeErr(w, http.StatusConflict, "run %s is %s", id, view.Status)
 	case sub == "transcripts":
 		w.Header().Set("Content-Type", "text/x-fasta")
-		_ = seq.WriteFasta(w, rep.Transcripts, 80)
-	case sub == "trace" && o == nil:
-		// A run replayed from the event log kept its view, not its
-		// tracer.
-		writeErr(w, http.StatusConflict, "run %s has no trace: it was replayed from the event log", id)
-	case sub == "trace":
-		// The tracer is safe to export mid-run: unfinished spans are
-		// marked open, so a user can watch a run take shape.
+		_, _ = w.Write(fasta)
+	case sub == "trace" && trace != nil:
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(trace)
+	case sub == "trace" && o != nil:
+		// A live run's tracer is safe to export mid-run: unfinished
+		// spans are marked open, so a user can watch a run take shape.
 		w.Header().Set("Content-Type", "application/json")
 		_ = o.Tracer.WriteChromeTrace(w)
+	case sub == "trace" && view.Status == StatusShed:
+		writeErr(w, http.StatusConflict, "run %s has no trace: it was shed before it ran", id)
+	case sub == "trace":
+		// A run replayed from the event log kept its view, not its
+		// trace.
+		writeErr(w, http.StatusConflict, "run %s has no trace: it was replayed from the event log", id)
 	case sub == "proof":
 		s.handleProof(w, r, id)
 	default:
@@ -782,11 +807,13 @@ const (
 )
 
 // event is one transition: its kind plus, for evFinished, the
-// pipeline's report and error, and for evAbandoned, the cause.
+// pipeline's report and error and the rendered transcripts and trace,
+// and for evAbandoned, the cause.
 type event struct {
-	kind eventKind
-	rep  *core.Report
-	err  error
+	kind         eventKind
+	rep          *core.Report
+	err          error
+	fasta, trace []byte
 }
 
 // applyLocked is the run table's one transition function. It checks
@@ -825,6 +852,7 @@ func (s *Server) applyLocked(rn *run, ev event) error {
 	switch ev.kind {
 	case evSubmitted, evRequeued:
 		rn.view.Error = ""
+		rn.fasta, rn.trace = nil, nil
 		rn.enqueuedAt = now
 		s.queue = append(s.queue, id)
 	case evStarted, evShed:
@@ -843,7 +871,7 @@ func (s *Server) applyLocked(rn *run, ev event) error {
 		}
 	case evFinished:
 		s.recordServiceLocked(now.Sub(rn.startedAt).Seconds())
-		rn.report = ev.rep
+		rn.fasta, rn.trace = ev.fasta, ev.trace
 		if ev.err != nil {
 			rn.view.Error = ev.err.Error()
 		}
@@ -896,6 +924,9 @@ func (s *Server) applyLocked(rn *run, ev event) error {
 		inflight.Add(1)
 		s.cond.Signal()
 	case live && to != StatusQueued && to != StatusRunning:
+		// A terminal run lets go of its prepared work: the report, span
+		// tree, registry and closed journal writer all hang off cfg.
+		rn.cfg = core.Config{}
 		// The gauge settles before Wait or a batch waiting on the run
 		// can return and scrape it.
 		inflight.Add(-1)

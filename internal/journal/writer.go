@@ -44,10 +44,14 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// pendingAppend is one enqueued record awaiting durability.
+// pendingAppend is one enqueued record awaiting durability: its
+// header line, copied out of the writer's scratch, and the caller's
+// payload, aliased where it lies — Append returns only after the
+// flusher is done with it.
 type pendingAppend struct {
-	line []byte
-	done chan error
+	head    []byte
+	payload []byte
+	done    chan error
 }
 
 // Writer appends records to a journal, stamping each with its
@@ -75,11 +79,12 @@ type Writer struct {
 	err     error             // sticky fail-stop error
 	closed  bool
 	pending []pendingAppend
+	spare   []pendingAppend // the flusher's drained queue array, reused
 
 	// Append's scratch, guarded by mu and reused for every record: the
 	// record and header being marshalled, the encoder and buffer its
-	// bytes are built in (let go after a record larger than
-	// maxKeptLine), and the SHA-256 state, leaf and hex chain digest.
+	// header line is built in (never its payload), and the SHA-256
+	// state, leaf and hex chain digest.
 	rec      Record
 	hdr      header
 	line     bytes.Buffer
@@ -92,15 +97,15 @@ type Writer struct {
 	// with no fsync to amortize they write synchronously instead.
 	wake        chan struct{}
 	flusherDone chan struct{}
-	buf         []byte // flusher's reusable coalescing buffer
+	buf         []byte // flusher's coalescing buffer, made by the first batch
 }
 
-// maxKeptLine bounds the record buffer a Writer keeps between appends.
-// A larger record — a stage's worth of reads or contigs — gets a
-// buffer that is released with it, so a writer that outlives its run
-// (the gateway holds one per finished run) never pins its largest
-// record.
-const maxKeptLine = 64 << 10
+// flushBufSize is the capacity of the flusher's coalescing buffer.
+// Header lines and payloads that fit share one write; a payload that
+// does not is written where the caller holds it, never copied. The
+// buffer never grows, so a writer keeps the same few KiB whatever the
+// largest record or batch it has committed.
+const flushBufSize = 4 << 10
 
 // NewWriter returns a Writer over an arbitrary sink (no durability
 // beyond the sink itself). With no fsync to amortize, appends write
@@ -235,35 +240,26 @@ func (w *Writer) Append(rec Record) (Record, error) {
 	w.h.Write(w.leaf[:])
 	w.h.Sum(w.chain[:0])
 	hex.Encode(w.chainHex[:], w.chain[:])
-	// Splice the chain in as the header's final field, in place, then
-	// lay the payload and its newline after the header line.
+	// Splice the chain in as the header's final field, in place. The
+	// payload and its newline follow the header line in the sink.
 	w.line.Truncate(len(head) - 1)
-	w.line.Grow(chainSuffixLen + 2 + len(rec.Payload))
 	w.line.WriteString(chainOpen)
 	w.line.Write(w.chainHex[:])
 	w.line.WriteString(chainClose + "\n")
-	if len(rec.Payload) > 0 {
-		w.line.Write(rec.Payload)
-		w.line.WriteByte('\n')
-	}
 	rec.Chain = string(w.chainHex[:])
 	w.seq++
 	w.rec.Payload = nil
-	line := w.line.Bytes()
-	if w.line.Cap() > maxKeptLine {
-		w.line = bytes.Buffer{} // the line leaves with its buffer
-	} else if w.wake != nil {
-		line = bytes.Clone(line) // the flusher reads it after the next append reuses the buffer
-	}
 
 	if w.wake == nil {
 		// Unsynced sink: write through synchronously.
-		err := w.writeLocked(line)
+		err := w.writeLocked(w.line.Bytes(), rec.Payload)
 		w.mu.Unlock()
 		return rec, err
 	}
 	done := make(chan error, 1)
-	w.pending = append(w.pending, pendingAppend{line: line, done: done})
+	// The header is copied (the next append reuses w.line); the payload
+	// is not: the caller cannot touch it before done reports.
+	w.pending = append(w.pending, pendingAppend{head: bytes.Clone(w.line.Bytes()), payload: rec.Payload, done: done})
 	w.mu.Unlock()
 	select {
 	case w.wake <- struct{}{}:
@@ -272,19 +268,28 @@ func (w *Writer) Append(rec Record) (Record, error) {
 	return rec, <-done
 }
 
-// writeLocked is the synchronous path for unsynced writers; the
-// caller holds w.mu. A write error poisons the writer: partial bytes
-// may have reached the sink.
-func (w *Writer) writeLocked(line []byte) error {
-	if _, err := w.w.Write(line); err != nil {
+// writeLocked is the synchronous path for unsynced writers: the header
+// line, then the payload and its newline, each written where it lies.
+// The caller holds w.mu. A write error poisons the writer: partial
+// bytes may have reached the sink.
+func (w *Writer) writeLocked(head, payload []byte) error {
+	_, err := w.w.Write(head)
+	if err == nil && len(payload) > 0 {
+		if _, err = w.w.Write(payload); err == nil {
+			_, err = w.w.Write(newline)
+		}
+	}
+	if err != nil {
 		w.err = fmt.Errorf("journal: append record %d: %w", w.seq-1, err)
 		return w.err
 	}
 	return nil
 }
 
-// flusher drains pending appends in batches: one write+fsync per
-// batch, every batch member notified with the outcome.
+// flusher drains pending appends in batches: one fsync per batch,
+// every batch member notified with the outcome. A batch of small
+// records is one write; each payload larger than the coalescing
+// buffer adds a write of its own.
 func (w *Writer) flusher() {
 	defer close(w.flusherDone)
 	for {
@@ -329,16 +334,19 @@ func (w *Writer) flushOnce() bool {
 	if n > max {
 		n = max
 	}
-	batch := w.pending[:n:n]
-	w.pending = w.pending[n:]
+	queued := w.pending
+	batch := queued[:n:n]
+	if n == len(queued) {
+		// Appenders queue into the spare array while this one is written;
+		// it becomes the spare once the batch is done.
+		w.pending = w.spare
+		w.spare = nil
+	} else {
+		w.pending = queued[n:]
+	}
 	w.mu.Unlock()
 
-	buf := w.buf[:0]
-	for _, p := range batch {
-		buf = append(buf, p.line...)
-	}
-	w.buf = buf
-	_, werr := w.w.Write(buf)
+	werr := w.writeBatch(batch)
 	if werr == nil && w.syncFn != nil {
 		werr = w.syncFn()
 	}
@@ -355,7 +363,59 @@ func (w *Writer) flushOnce() bool {
 	for _, p := range batch {
 		p.done <- werr
 	}
+	if n == len(queued) {
+		clear(batch) // let go of the payloads
+		w.spare = queued[:0]
+	}
 	return true
+}
+
+// writeBatch writes a batch's records in order: each header line, then
+// its payload and newline. Pieces that fit collect in w.buf and go down
+// together; a payload that does not fit is written where it lies,
+// after whatever the buffer held before it.
+func (w *Writer) writeBatch(batch []pendingAppend) error {
+	if w.buf == nil {
+		w.buf = make([]byte, 0, flushBufSize)
+	}
+	for _, p := range batch {
+		err := w.put(p.head)
+		if err == nil && len(p.payload) > 0 {
+			if err = w.put(p.payload); err == nil {
+				err = w.put(newline)
+			}
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return w.drain()
+}
+
+// put queues b behind the buffered bytes, writing them first when b
+// does not fit, and writing b itself when it is larger than the buffer.
+func (w *Writer) put(b []byte) error {
+	if len(w.buf)+len(b) > cap(w.buf) {
+		if err := w.drain(); err != nil {
+			return err
+		}
+		if len(b) > cap(w.buf) {
+			_, err := w.w.Write(b)
+			return err
+		}
+	}
+	w.buf = append(w.buf, b...)
+	return nil
+}
+
+// drain writes and empties the coalescing buffer.
+func (w *Writer) drain() error {
+	if len(w.buf) == 0 {
+		return nil
+	}
+	_, err := w.w.Write(w.buf)
+	w.buf = w.buf[:0]
+	return err
 }
 
 // fillWindow lingers up to MaxWait for the batch to fill. Wake

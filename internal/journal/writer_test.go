@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -224,40 +225,80 @@ func TestAppendAfterClose(t *testing.T) {
 	}
 }
 
-// TestLargePayloadRoundTrip: payloads beyond bufio.Scanner's default
-// 64 KiB token cap — which used to fail the read with an opaque
-// "token too long" — round-trip through the reader's scan, and
-// the writer lets go of a record that size instead of pinning it in
-// its reusable line buffer (the gateway holds a writer per finished
-// run).
-func TestLargePayloadRoundTrip(t *testing.T) {
+// bigPayload is a 1 MiB JSON payload.
+func bigPayload() []byte {
 	big := make([]byte, 0, 1<<20+64)
 	big = append(big, `{"blob":"`...)
 	for len(big) < 1<<20 {
 		big = append(big, "0123456789abcdef"...)
 	}
-	big = append(big, `"}`...)
+	return append(big, `"}`...)
+}
 
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+// TestLargePayloadRoundTrip: payloads beyond bufio.Scanner's default
+// 64 KiB token cap — which used to fail the read with an opaque
+// "token too long" — round-trip through the reader's scan, written
+// both through and group-committed, and neither writer keeps a buffer
+// the size of the record once it is down.
+func TestLargePayloadRoundTrip(t *testing.T) {
+	big := bigPayload()
+	for _, synced := range []bool{false, true} {
+		name := "unsynced"
+		if synced {
+			name = "synced"
+		}
+		t.Run(name, func(t *testing.T) {
+			sink := &countingSink{}
+			w := NewWriter(&sink.buf)
+			if synced {
+				w = NewSyncedWriter(sink, sink.sync, Options{})
+			}
+			if _, err := w.Append(Record{Kind: KindHeader}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.Append(Record{Kind: KindUnit, Payload: big}); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if w.line.Cap() > flushBufSize || cap(w.buf) > flushBufSize || w.rec.Payload != nil {
+				t.Errorf("writer holds the 1 MiB record: line buffer %d bytes, flush buffer %d, payload %d",
+					w.line.Cap(), cap(w.buf), len(w.rec.Payload))
+			}
+			lg, err := Read(bytes.NewReader(sink.buf.Bytes()))
+			if err != nil {
+				t.Fatalf("read 1 MiB payload: %v", err)
+			}
+			if !bytes.Equal(lg.Records[1].Payload, big) {
+				t.Fatal("large payload did not round-trip")
+			}
+		})
+	}
+}
+
+// TestGroupCommitDoesNotCopyPayloads: a group-committed append
+// allocates its header line and completion channel, never a copy of
+// its payload — the flusher writes the payload where the caller holds
+// it.
+func TestGroupCommitDoesNotCopyPayloads(t *testing.T) {
+	big := bigPayload()
+	w := NewSyncedWriter(io.Discard, func() error { return nil }, Options{})
+	defer w.Close()
 	if _, err := w.Append(Record{Kind: KindHeader}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Append(Record{Kind: KindUnit, Payload: big}); err != nil {
-		t.Fatal(err)
+	const appends = 32
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < appends; i++ {
+		if _, err := w.Append(Record{Kind: KindUnit, Unit: "u", Payload: big}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if w.line.Cap() > maxKeptLine || w.rec.Payload != nil {
-		t.Errorf("writer still holds the 1 MiB record: line buffer %d bytes, payload %d", w.line.Cap(), len(w.rec.Payload))
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	lg, err := Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("read 1 MiB payload: %v", err)
-	}
-	if !bytes.Equal(lg.Records[1].Payload, big) {
-		t.Fatal("large payload did not round-trip")
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / appends; per >= 16<<10 {
+		t.Errorf("a group-committed append of a 1 MiB payload allocates %d bytes, want under 16 KiB", per)
 	}
 }
 

@@ -540,6 +540,43 @@ func Kernels() []Kernel {
 			},
 		},
 		{
+			// Contended group commit of payload-bearing records: 8
+			// goroutines each appending 8 records of 64 KiB, the shape of
+			// a pipeline journal's stage records. Sync is a no-op, so the
+			// kernel measures what the flusher does with the payloads; it
+			// writes each where the appender holds it, copying none.
+			Name:  "journal.append_payload",
+			Iters: 20,
+			Setup: func() func() {
+				payload := genome(10, 64<<10)
+				return func() {
+					w := journal.NewSyncedWriter(io.Discard, func() error { return nil }, journal.Options{})
+					var wg sync.WaitGroup
+					for g := 0; g < 8; g++ {
+						wg.Add(1)
+						go func(g int) {
+							defer wg.Done()
+							for i := 0; i < 8; i++ {
+								if _, err := w.Append(journal.Record{
+									Kind:    journal.KindUnit,
+									Stage:   "PB",
+									Unit:    fmt.Sprintf("unit-%d", g),
+									VTime:   float64(i),
+									Payload: payload,
+								}); err != nil {
+									panic(err)
+								}
+							}
+						}(g)
+					}
+					wg.Wait()
+					if err := w.Close(); err != nil {
+						panic(err)
+					}
+				}
+			},
+		},
+		{
 			// Journal read side: the single verifying scan (header JSON,
 			// payload framing, one hash per record's bytes, chain link
 			// and Merkle leaf) over 64 records carrying 64 KB payloads,

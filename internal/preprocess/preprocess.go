@@ -11,7 +11,9 @@
 package preprocess
 
 import (
+	"bytes"
 	"fmt"
+	"hash/maphash"
 	"strings"
 
 	"rnascale/internal/seq"
@@ -70,11 +72,10 @@ func Run(rs seq.ReadSet, opts Options) (seq.ReadSet, Stats) {
 	// Each fragment is trimmed straight into the tail of reads, which
 	// has room for every input read, and dropped by cutting it off.
 	reads := make([]seq.Read, 0, len(rs.Reads))
-	var seen map[string]bool
+	var seen fragmentSet
 	if opts.Dedup {
-		seen = make(map[string]bool, len(rs.Reads)/stride)
+		seen = newFragmentSet(len(rs.Reads) / stride)
 	}
-	var key []byte // the fragment's dedup key, reused
 	for i := 0; i+stride <= len(rs.Reads); i += stride {
 		n := len(reads)
 		reads = reads[:n+stride]
@@ -98,18 +99,9 @@ func Run(rs seq.ReadSet, opts Options) (seq.ReadSet, Stats) {
 			reads = reads[:n]
 			continue
 		}
-		if opts.Dedup {
-			key = key[:0]
-			for _, r := range reads[n:] {
-				key = append(key, r.Seq...)
-				key = append(key, '|')
-			}
-			if seen[string(key)] {
-				st.DroppedDup += stride
-				reads = reads[:n]
-				continue
-			}
-			seen[string(key)] = true
+		if opts.Dedup && seen.dup(reads, n, stride) {
+			st.DroppedDup += stride
+			reads = reads[:n]
 		}
 	}
 	out := seq.ReadSet{Paired: rs.Paired}
@@ -124,6 +116,58 @@ func Run(rs seq.ReadSet, opts Options) (seq.ReadSet, Stats) {
 		st.MeanReadLen = float64(st.OutputBases) / float64(st.OutputReads)
 	}
 	return out, st
+}
+
+// fragmentSet finds exact duplicate fragments without a string per
+// fragment: an open-addressed table of kept fragments' start indices
+// into the kept reads, probed by a hash of the fragment's sequences and
+// compared base for base on every hit, so the hash (seeded per set)
+// never decides what is kept. Kept fragments never move, so their
+// indices stay valid while Run cuts dropped ones off the tail.
+type fragmentSet struct {
+	slots []uint32 // a kept fragment's start index + 1; 0 is empty
+	mask  uint64
+	h     maphash.Hash
+}
+
+// newFragmentSet sizes the table for n fragments at most half full.
+func newFragmentSet(n int) fragmentSet {
+	size := 2
+	for size < 2*n {
+		size <<= 1
+	}
+	return fragmentSet{slots: make([]uint32, size), mask: uint64(size - 1)}
+}
+
+// dup reports whether the fragment reads[n:n+stride] has the bases of
+// one already in the set, and adds it when it has not.
+func (f *fragmentSet) dup(reads []seq.Read, n, stride int) bool {
+	frag := reads[n : n+stride]
+	f.h.Reset()
+	for _, r := range frag {
+		f.h.Write(r.Seq)
+		f.h.WriteByte('|')
+	}
+	for i := f.h.Sum64() & f.mask; ; i = (i + 1) & f.mask {
+		at := int(f.slots[i])
+		if at == 0 {
+			f.slots[i] = uint32(n + 1)
+			return false
+		}
+		if sameBases(reads[at-1:at-1+stride], frag) {
+			return true
+		}
+	}
+}
+
+// sameBases reports whether two fragments have equal mates.
+func sameBases(a, b []seq.Read) bool {
+	for j := range a {
+		if !bytes.Equal(a[j].Seq, b[j].Seq) {
+			return false
+		}
+	}
+	return true
 }
 
 // trimRead cuts low-quality 3' bases.

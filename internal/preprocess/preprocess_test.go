@@ -2,6 +2,8 @@ package preprocess
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -237,5 +239,143 @@ func TestCostModelCalibration(t *testing.T) {
 	}
 	if m.Duration(fs, 0) <= 0 {
 		t.Error("zero cores must fall back to one")
+	}
+}
+
+// runMapReference is Run as it was before the fragment table: the same
+// filters, with duplicates found by a map keyed on each surviving
+// fragment's sequences. TestDedupMatchesMapReference holds Run to it.
+func runMapReference(rs seq.ReadSet, opts Options) (seq.ReadSet, Stats) {
+	st := Stats{InputReads: len(rs.Reads), InputBases: rs.TotalBases()}
+	stride := 1
+	if rs.Paired {
+		stride = 2
+	}
+	reads := make([]seq.Read, 0, len(rs.Reads))
+	var seen map[string]bool
+	if opts.Dedup {
+		seen = make(map[string]bool, len(rs.Reads)/stride)
+	}
+	var key []byte
+	for i := 0; i+stride <= len(rs.Reads); i += stride {
+		n := len(reads)
+		reads = reads[:n+stride]
+		ok := true
+		for j, r := range rs.Reads[i : i+stride] {
+			tr := trimRead(r, opts.TrimQuality)
+			st.TrimmedBases += int64(len(r.Seq) - len(tr.Seq))
+			if len(tr.Seq) < opts.MinLength {
+				st.DroppedShort += stride
+				ok = false
+				break
+			}
+			if frac := float64(seq.CountN(tr.Seq)) / float64(len(tr.Seq)); frac > opts.MaxNFraction {
+				st.DroppedNRich += stride
+				ok = false
+				break
+			}
+			reads[n+j] = tr
+		}
+		if !ok {
+			reads = reads[:n]
+			continue
+		}
+		if opts.Dedup {
+			key = key[:0]
+			for _, r := range reads[n:] {
+				key = append(key, r.Seq...)
+				key = append(key, '|')
+			}
+			if seen[string(key)] {
+				st.DroppedDup += stride
+				reads = reads[:n]
+				continue
+			}
+			seen[string(key)] = true
+		}
+	}
+	out := seq.ReadSet{Paired: rs.Paired}
+	if len(reads) > 0 {
+		out.Reads = reads[:len(reads):len(reads)]
+	}
+	st.OutputReads = len(out.Reads)
+	st.OutputBases = out.TotalBases()
+	if st.OutputReads > 0 {
+		st.MeanReadLen = float64(st.OutputBases) / float64(st.OutputReads)
+	}
+	return out, st
+}
+
+// dupHeavyReads draws n reads from a small pool of sequences, so exact
+// duplicates are common, and varies them the ways the filters see:
+// a low-quality 3' tail of random bases that trimming cuts back to a
+// pooled sequence, N-rich reads, and reads too short to keep.
+func dupHeavyReads(seed int64, n int) []seq.Read {
+	r := rand.New(rand.NewSource(seed))
+	bases := func(k int, alphabet string) []byte {
+		b := make([]byte, k)
+		for i := range b {
+			b[i] = alphabet[r.Intn(len(alphabet))]
+		}
+		return b
+	}
+	pool := make([][]byte, 12)
+	for i := range pool {
+		pool[i] = bases(20+r.Intn(40), "ACGT")
+	}
+	reads := make([]seq.Read, n)
+	for i := range reads {
+		s := bytes.Clone(pool[r.Intn(len(pool))])
+		switch r.Intn(6) {
+		case 0: // N-rich
+			for j := range s {
+				if r.Intn(4) == 0 {
+					s[j] = 'N'
+				}
+			}
+		case 1: // short
+			s = s[:r.Intn(len(s))]
+		}
+		q := bytes.Repeat([]byte{seq.PhredToByte(35)}, len(s))
+		if r.Intn(3) == 0 { // a low-quality tail trimming removes
+			tail := r.Intn(8) + 1
+			s = append(s, bases(tail, "ACGTN")...)
+			q = append(q, bytes.Repeat([]byte{seq.PhredToByte(r.Intn(15))}, tail)...)
+		}
+		reads[i] = seq.Read{ID: fmt.Sprintf("r%d", i), Seq: s, Qual: q}
+	}
+	return reads
+}
+
+// TestDedupMatchesMapReference: over seeded single and paired read sets
+// rich in exact duplicates, duplicates trimming makes equal, N-rich
+// and short fragments, and the tiny profile's reads, Run keeps the
+// same reads in the same order with the same Stats as the map-keyed
+// reference, under stock and loosened filters.
+func TestDedupMatchesMapReference(t *testing.T) {
+	ds, err := simdata.GenerateCached(simdata.Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, sets := []string{"tiny"}, []seq.ReadSet{ds.Reads}
+	for seed := int64(1); seed <= 6; seed++ {
+		reads := dupHeavyReads(seed, 200+int(seed)*150)
+		names = append(names, fmt.Sprintf("single/%d", seed), fmt.Sprintf("paired/%d", seed))
+		sets = append(sets, seq.ReadSet{Reads: reads}, seq.ReadSet{Paired: true, Reads: reads})
+	}
+	loose := Options{TrimQuality: 10, MinLength: 5, MaxNFraction: 0.5, Dedup: true}
+	for i, rs := range sets {
+		name := names[i]
+		for _, opts := range []Options{DefaultOptions(), loose} {
+			got, gotSt := Run(rs, opts)
+			want, wantSt := runMapReference(rs, opts)
+			if !reflect.DeepEqual(got, want) || gotSt != wantSt {
+				t.Errorf("%s %+v: %d reads %+v, reference %d reads %+v",
+					name, opts, len(got.Reads), gotSt, len(want.Reads), wantSt)
+			}
+			if opts == loose && gotSt.DroppedDup == 0 {
+				t.Errorf("%s: no duplicates dropped; the set exercises nothing", name)
+			}
+		}
 	}
 }
