@@ -27,7 +27,7 @@ FUZZ_TARGETS = internal/seq:FuzzParseFasta internal/seq:FuzzParseFastq \
 	internal/assembler/trinity:FuzzInchwormMatchesMap
 FUZZ_TIME ?= 10s
 
-.PHONY: all build test vet lint lint-fixtures race cover fuzz-smoke sweep-determinism oracle-determinism journal-determinism overload-determinism check bench bench-gate bench-baseline bench-smoke size clean
+.PHONY: all build test vet lint lint-fixtures race cover fuzz-smoke sweep-determinism oracle-determinism journal-determinism overload-determinism check bench paper-pins bench-gate bench-baseline bench-smoke size clean
 
 # Coverage profiles land here instead of littering the repo root.
 BUILD_DIR = build
@@ -228,13 +228,25 @@ overload-determinism:
 # (go vet, gofmt and the rnavet determinism analyzer), the full test suite
 # under the race detector, the coverage floors, the sweep and
 # MapReduce-engine determinism contracts, the journal resume contract,
-# a fuzz smoke pass, the kernel benchmark regression gate and a smoke
-# run of the whole-system benchmark.
-check: vet lint race cover sweep-determinism oracle-determinism journal-determinism overload-determinism fuzz-smoke bench-gate bench-smoke
+# a fuzz smoke pass, the full-scale paper tables against their golden,
+# the kernel benchmark regression gate and a smoke run of the
+# whole-system benchmark.
+check: vet lint race cover sweep-determinism oracle-determinism journal-determinism overload-determinism fuzz-smoke paper-pins bench-gate bench-smoke
 
 # bench regenerates the paper tables at quick scale.
 bench:
 	$(GO) run ./cmd/benchtab -experiment all
+
+# paper-pins regenerates every paper table and figure at full scale
+# (about a minute) and fails unless the output equals the committed
+# cmd/benchtab/testdata/full.golden byte for byte; the quick-scale twin
+# is TestQuickGolden. After a deliberate change to a paper value,
+# rewrite the golden with `benchtab -experiment all -scale full`.
+paper-pins:
+	@mkdir -p $(BUILD_DIR)
+	$(GO) build -o $(BUILD_DIR)/benchtab ./cmd/benchtab
+	$(BUILD_DIR)/benchtab -experiment all -scale full > $(BUILD_DIR)/full.txt
+	cmp $(BUILD_DIR)/full.txt cmd/benchtab/testdata/full.golden
 
 # bench-gate measures the hot kernels (internal/kernelbench's
 # fixed-seed BenchmarkKernels, 10 ops each) and fails if any regressed

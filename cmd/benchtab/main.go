@@ -24,6 +24,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -43,7 +44,20 @@ func main() {
 	if strings.ToLower(*scale) == "full" {
 		sc = experiments.Full
 	}
+	if err := write(os.Stdout, *exp, sc); err != nil {
+		fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
+		os.Exit(1)
+	}
+}
 
+// order lists the experiments "all" runs, in print order.
+var order = []string{"table1", "table2", "table3", "table4", "table5",
+	"fig1", "fig2", "fig3", "fig4a", "fig4b", "fig5", "backends", "ablations"}
+
+// write runs experiment exp ("all" runs every one in order) at scale
+// sc and prints each table to w under a rule. It stops at the first
+// unknown name or failing experiment; what came before stays printed.
+func write(w io.Writer, exp string, sc experiments.Scale) error {
 	runners := map[string]func() (string, error){
 		"table1": func() (string, error) { return experiments.Table1(), nil },
 		"table2": experiments.Table2,
@@ -80,25 +94,21 @@ func main() {
 			return b.String(), nil
 		},
 	}
-	order := []string{"table1", "table2", "table3", "table4", "table5",
-		"fig1", "fig2", "fig3", "fig4a", "fig4b", "fig5", "backends", "ablations"}
-
-	names := []string{strings.ToLower(*exp)}
+	names := []string{strings.ToLower(exp)}
 	if names[0] == "all" {
 		names = order
 	}
 	for _, name := range names {
 		run, ok := runners[name]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "benchtab: unknown experiment %q (have %v)\n", name, order)
-			os.Exit(1)
+			return fmt.Errorf("unknown experiment %q (have %v)", name, order)
 		}
 		out, err := run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %s: %v\n", name, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %v", name, err)
 		}
-		fmt.Println("================================================================")
-		fmt.Println(out)
+		fmt.Fprintln(w, "================================================================")
+		fmt.Fprintln(w, out)
 	}
+	return nil
 }
