@@ -18,8 +18,8 @@
 // -frontier sweeps every per-stage backend assignment and prints the
 // planner's cost–TTC Pareto frontier without running anything.
 //
-// -journal makes the run resumable (-journal-batch / -journal-maxwait
-// tune group-commit), -resume continues an interrupted run — repairing
+// -journal makes the run resumable (-journal-batch tunes group
+// commit), -resume continues an interrupted run — repairing
 // a crash-torn journal tail first — and -verify-journal audits a
 // journal's tamper-evident hash chain without running anything.
 //
@@ -71,7 +71,6 @@ func main() {
 		journalOut = flag.String("journal", "", "write a resumable run journal to this file")
 		resumePath = flag.String("resume", "", "resume an interrupted run from its journal (pass the original run's flags too)")
 		jbatch     = flag.Int("journal-batch", 0, "group-commit batch size for journal appends (0 = default; 1 = fsync per append)")
-		jmaxwait   = flag.Duration("journal-maxwait", 0, "how long the journal flusher lingers for an unfilled batch (0 = flush immediately)")
 		verifyPath = flag.String("verify-journal", "", "verify a journal's tamper-evident hash chain, print the report and exit (0 = clean, 2 = damaged)")
 	)
 	flag.Parse()
@@ -144,8 +143,7 @@ func main() {
 		rep, err = rnascale.Resume(ds, cfg, *resumePath)
 	} else {
 		if *journalOut != "" {
-			w, jerr := rnascale.CreateJournalOptions(*journalOut,
-				rnascale.JournalOptions{BatchSize: *jbatch, MaxWait: *jmaxwait})
+			w, jerr := rnascale.CreateJournalOptions(*journalOut, rnascale.JournalOptions{BatchSize: *jbatch})
 			if jerr != nil {
 				fatal(jerr)
 			}

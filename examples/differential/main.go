@@ -76,7 +76,7 @@ func main() {
 		countsB[byID[a.ID]] = a.Count
 	}
 
-	rows, err := diffexpr.Test(ids, countsA, countsB, diffexpr.DefaultOptions())
+	rows, err := diffexpr.Test(ids, countsA, countsB)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,7 +8,7 @@
 // them, and charges a per-node configuration time (the StarCluster
 // bootstrap: image customization, SGE installation, NFS export). The
 // paper notes it had to build a customized StarCluster AMI; that cost
-// is captured in Options.ConfigPerNode.
+// is captured in ConfigPerNode.
 package cluster
 
 import (
@@ -19,24 +19,15 @@ import (
 	"rnascale/internal/vclock"
 )
 
-// Options configure cluster construction.
-type Options struct {
-	// ConfigPerNode is the StarCluster bootstrap time charged per node
-	// (overlapped across nodes, so the wall cost of a build is a single
-	// ConfigPerNode after the slowest boot).
-	ConfigPerNode vclock.Duration
-}
-
-// DefaultOptions is calibrated to StarCluster-era bootstraps: about
-// 90 s to configure a node once booted.
-func DefaultOptions() Options {
-	return Options{ConfigPerNode: 90 * vclock.Second}
-}
+// ConfigPerNode is the StarCluster bootstrap time charged per node
+// once booted, calibrated to StarCluster-era bootstraps. It overlaps
+// across nodes, so the wall cost of a build or a growth is a single
+// ConfigPerNode after the slowest boot.
+const ConfigPerNode = 90 * vclock.Second
 
 // Cluster is a built cluster.
 type Cluster struct {
 	provider *cloud.Provider
-	opts     Options
 	itype    cloud.InstanceType
 	backend  cloud.Backend // purchasing model; growth and replacements stay on it
 	all      []*cloud.VM
@@ -50,7 +41,7 @@ type Cluster struct {
 // the paper's sample run where one VM serves PA, PB and PC. The
 // cluster remembers its backend, so S2-style growth and fault-recovery
 // replacements boot on the same market the original nodes did.
-func BuildOn(p *cloud.Provider, typeName string, n int, backend cloud.Backend, opts Options) (*Cluster, error) {
+func BuildOn(p *cloud.Provider, typeName string, n int, backend cloud.Backend) (*Cluster, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cluster: build with %d nodes", n)
 	}
@@ -63,31 +54,14 @@ func BuildOn(p *cloud.Provider, typeName string, n int, backend cloud.Backend, o
 		return nil, err
 	}
 	p.WaitRunning(vms)
-	p.Clock().Advance(opts.ConfigPerNode)
-	c := &Cluster{
-		provider: p,
-		opts:     opts,
-		itype:    it,
-		backend:  backend,
-		all:      vms,
-	}
-	sched, err := sge.New(nil)
-	if err != nil {
-		return nil, err
-	}
-	c.sched = sched
-	for _, vm := range vms {
-		if err := c.addSGENode(vm, p.Clock().Now()); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
+	p.Clock().Advance(ConfigPerNode)
+	return newCluster(p, vms, it, backend, p.Clock().Now())
 }
 
 // Adopt builds a cluster around already-running VMs without booting
 // new ones — the S2 matching scheme, where a new pilot reuses the
 // previous pilot's machines. Configuration time is not charged again.
-func Adopt(p *cloud.Provider, vms []*cloud.VM, opts Options) (*Cluster, error) {
+func Adopt(p *cloud.Provider, vms []*cloud.VM) (*Cluster, error) {
 	if len(vms) == 0 {
 		return nil, fmt.Errorf("cluster: adopt with no VMs")
 	}
@@ -97,20 +71,19 @@ func Adopt(p *cloud.Provider, vms []*cloud.VM, opts Options) (*Cluster, error) {
 			return nil, fmt.Errorf("cluster: adopt non-running VM %s (%v)", vm.ID, vm.State(now))
 		}
 	}
-	c := &Cluster{
-		provider: p,
-		opts:     opts,
-		itype:    vms[0].Type,
-		backend:  vms[0].Backend,
-		all:      append([]*cloud.VM(nil), vms...),
-	}
+	return newCluster(p, append([]*cloud.VM(nil), vms...), vms[0].Type, vms[0].Backend, now)
+}
+
+// newCluster makes a cluster of vms, joining each to a fresh SGE queue at
+// time at.
+func newCluster(p *cloud.Provider, vms []*cloud.VM, it cloud.InstanceType, backend cloud.Backend, at vclock.Time) (*Cluster, error) {
 	sched, err := sge.New(nil)
 	if err != nil {
 		return nil, err
 	}
-	c.sched = sched
+	c := &Cluster{provider: p, itype: it, backend: backend, all: vms, sched: sched}
 	for _, vm := range vms {
-		if err := c.addSGENode(vm, now); err != nil {
+		if err := c.addSGENode(vm, at); err != nil {
 			return nil, err
 		}
 	}
@@ -138,7 +111,7 @@ func (c *Cluster) Grow(k int) ([]*cloud.VM, error) {
 		return nil, err
 	}
 	c.provider.WaitRunning(vms)
-	c.provider.Clock().Advance(c.opts.ConfigPerNode)
+	c.provider.Clock().Advance(ConfigPerNode)
 	now := c.provider.Clock().Now()
 	for _, vm := range vms {
 		if err := c.addSGENode(vm, now); err != nil {

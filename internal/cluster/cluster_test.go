@@ -14,7 +14,7 @@ func newProvider() *cloud.Provider {
 
 func TestBuildAdvancesClockAndRegistersNodes(t *testing.T) {
 	p := newProvider()
-	c, err := BuildOn(p, "c3.2xlarge", 4, cloud.OnDemand, DefaultOptions())
+	c, err := BuildOn(p, "c3.2xlarge", 4, cloud.OnDemand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,17 +38,17 @@ func TestBuildAdvancesClockAndRegistersNodes(t *testing.T) {
 
 func TestBuildErrors(t *testing.T) {
 	p := newProvider()
-	if _, err := BuildOn(p, "c3.2xlarge", 0, cloud.OnDemand, DefaultOptions()); err == nil {
+	if _, err := BuildOn(p, "c3.2xlarge", 0, cloud.OnDemand); err == nil {
 		t.Error("zero nodes accepted")
 	}
-	if _, err := BuildOn(p, "no-such-type", 2, cloud.OnDemand, DefaultOptions()); err == nil {
+	if _, err := BuildOn(p, "no-such-type", 2, cloud.OnDemand); err == nil {
 		t.Error("unknown type accepted")
 	}
 }
 
 func TestGrowAndShrink(t *testing.T) {
 	p := newProvider()
-	c, err := BuildOn(p, "c3.2xlarge", 1, cloud.OnDemand, DefaultOptions())
+	c, err := BuildOn(p, "c3.2xlarge", 1, cloud.OnDemand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestGrowAndShrink(t *testing.T) {
 	// adopts the first VM and the rest are terminated.
 	vms := c.VMs()
 	p.Terminate(vms[1:]...)
-	c, err = Adopt(p, vms[:1], DefaultOptions())
+	c, err = Adopt(p, vms[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestAdoptReusesVMsWithoutReconfig(t *testing.T) {
 	}
 	p.WaitRunning(vms)
 	before := p.Clock().Now()
-	c, err := Adopt(p, vms, DefaultOptions())
+	c, err := Adopt(p, vms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,17 +101,17 @@ func TestAdoptReusesVMsWithoutReconfig(t *testing.T) {
 	}
 	// Adopting pending VMs must fail.
 	fresh, _ := p.RunInstancesOn("r3.2xlarge", 1, cloud.OnDemand)
-	if _, err := Adopt(p, fresh, DefaultOptions()); err == nil {
+	if _, err := Adopt(p, fresh); err == nil {
 		t.Error("adopted a pending VM")
 	}
-	if _, err := Adopt(p, nil, DefaultOptions()); err == nil {
+	if _, err := Adopt(p, nil); err == nil {
 		t.Error("adopted empty VM list")
 	}
 }
 
 func TestClusterRunsSGEJobs(t *testing.T) {
 	p := newProvider()
-	c, err := BuildOn(p, "c3.2xlarge", 2, cloud.OnDemand, DefaultOptions())
+	c, err := BuildOn(p, "c3.2xlarge", 2, cloud.OnDemand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestClusterRunsSGEJobs(t *testing.T) {
 
 func TestBuildCostAccrues(t *testing.T) {
 	p := newProvider()
-	c, err := BuildOn(p, "c3.2xlarge", 36, cloud.OnDemand, DefaultOptions())
+	c, err := BuildOn(p, "c3.2xlarge", 36, cloud.OnDemand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestBuildCostAccrues(t *testing.T) {
 
 func TestRemoveLastVM(t *testing.T) {
 	p := newProvider()
-	c, err := BuildOn(p, "c3.2xlarge", 1, cloud.OnDemand, DefaultOptions())
+	c, err := BuildOn(p, "c3.2xlarge", 1, cloud.OnDemand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestRemoveLastVM(t *testing.T) {
 
 func TestReplaceAlreadyRemovedVM(t *testing.T) {
 	p := newProvider()
-	c, err := BuildOn(p, "c3.2xlarge", 2, cloud.OnDemand, DefaultOptions())
+	c, err := BuildOn(p, "c3.2xlarge", 2, cloud.OnDemand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestReplaceAlreadyRemovedVM(t *testing.T) {
 		t.Errorf("size %d after rejected replacement, want 1", len(c.VMs()))
 	}
 	// A VM from a different cluster is equally not a member.
-	other, err := BuildOn(p, "c3.2xlarge", 1, cloud.OnDemand, DefaultOptions())
+	other, err := BuildOn(p, "c3.2xlarge", 1, cloud.OnDemand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestReplaceAlreadyRemovedVM(t *testing.T) {
 
 func TestReplaceVMDuringInFlightStage(t *testing.T) {
 	p := newProvider()
-	c, err := BuildOn(p, "c3.2xlarge", 2, cloud.OnDemand, DefaultOptions())
+	c, err := BuildOn(p, "c3.2xlarge", 2, cloud.OnDemand)
 	if err != nil {
 		t.Fatal(err)
 	}

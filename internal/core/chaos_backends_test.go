@@ -56,7 +56,9 @@ func backendScenarios() []backendScenario {
 			resumeSeed: 4,
 			configure: func(cfg *Config, seed uint64) {
 				cfg.Backends = allSpot
-				cfg.Cloud = &cloud.Options{Spot: stormSpot(seed)}
+				copts := cloud.DefaultOptions()
+				copts.Spot = stormSpot(seed)
+				cfg.Cloud = &copts
 			},
 		},
 		{

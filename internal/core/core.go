@@ -155,7 +155,9 @@ type Config struct {
 	// dataset's ground-truth transcriptome (not billed: evaluation is
 	// offline analysis, not a pipeline stage).
 	EvaluateAgainstTruth bool
-	// Cloud overrides the provider options (zero value = defaults).
+	// Cloud, when non-nil, replaces every provider option (boot
+	// latency, links, markets); start from cloud.DefaultOptions to
+	// change one. Nil uses the defaults.
 	Cloud *cloud.Options
 	// Obs, when non-nil, receives the run's spans and metrics; nil
 	// gets a private bundle, reachable afterwards via Pipeline.Obs or

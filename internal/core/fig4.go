@@ -3,11 +3,6 @@ package core
 import (
 	"fmt"
 
-	"rnascale/internal/assembler"
-	"rnascale/internal/cloud"
-	"rnascale/internal/cluster"
-	"rnascale/internal/pilot"
-	"rnascale/internal/sge"
 	"rnascale/internal/simdata"
 	"rnascale/internal/vclock"
 )
@@ -24,76 +19,38 @@ type MultiKResult struct {
 }
 
 // MultiKMakespan runs one assembler's multiple-k-mer jobs (each on
-// NodesPerJob nodes) over a cluster of the given size through the
-// pilot + SGE machinery, and reports the stage makespan. This is the
-// second kind of parallelism the paper identifies in the assembly
-// step: task-level parallelism across k values, on top of each job's
-// internal scale-out.
+// nodesPerJob nodes) on the raw reads through the pipeline's PB stage,
+// over a static S2 cluster of the given size, and reports the stage
+// makespan. This is the second kind of parallelism the paper identifies
+// in the assembly step: task-level parallelism across k values, on top
+// of each job's internal scale-out. Every caller passes Ray; another
+// tool gets PB's own treatment (Contrail its N-free reads and SFA
+// conversion).
 func MultiKMakespan(ds *simdata.Dataset, asmName string, kmers []int, nodes, nodesPerJob int, itype string) (MultiKResult, error) {
 	if len(kmers) == 0 {
 		return MultiKResult{}, fmt.Errorf("core: no k values")
 	}
-	if nodesPerJob <= 0 {
-		nodesPerJob = 1
+	cfg := Config{
+		Scheme: S2, Pattern: DistributedStatic, Assemblers: []string{asmName}, InstanceType: itype,
+		AssemblyNodesOverride: nodes, NodesPerMPIJob: nodesPerJob, Kmers: kmers, MinCoverage: 2,
 	}
-	a, err := assembler.Get(asmName)
-	if err != nil {
+	if err := checkAssemblers(cfg.Assemblers); err != nil {
 		return MultiKResult{}, err
 	}
-	clock := vclock.NewClock(0)
-	provider := cloud.NewProvider(clock, cloud.DefaultOptions())
-	pm := pilot.NewManager(provider, pilot.NewStateStore(), cluster.DefaultOptions())
-	p, err := pm.SubmitPilot(pilot.PilotDescription{Name: "fig4b", InstanceType: itype, Nodes: nodes})
-	if err != nil {
+	pl := New(cfg)
+	defer pl.teardown()
+	// PB sizes its jobs by the cleaned bytes; Fig. 4 assembles the raw
+	// reads.
+	fs := ds.Profile.FullScale
+	fs.PostPreprocessBytes = fs.SeqDataBytes
+	rep := &Report{KmersUsed: kmers}
+	if _, err := pl.assemble(fs, ds.Reads, rep); err != nil {
 		return MultiKResult{}, err
 	}
-	cores := p.Cluster.InstanceType().Cores
-	um, err := pilot.NewUnitManager(p)
-	if err != nil {
-		return MultiKResult{}, err
+	pb := rep.Stages[len(rep.Stages)-1]
+	res := MultiKResult{Nodes: nodes, Kmers: kmers, Makespan: pb.End.Sub(pb.Start)}
+	for _, a := range rep.Assemblies {
+		res.PerJob = append(res.PerJob, a.TTC)
 	}
-	start := clock.Now()
-	res := MultiKResult{Nodes: nodes, Kmers: kmers, PerJob: make([]vclock.Duration, len(kmers))}
-	var descs []pilot.UnitDescription
-	for i, k := range kmers {
-		i, k := i, k
-		rule := sge.SingleNode
-		if nodesPerJob > 1 {
-			rule = sge.FillUp
-		}
-		descs = append(descs, pilot.UnitDescription{
-			Name:  fmt.Sprintf("%s-k%d", asmName, k),
-			Slots: nodesPerJob * cores,
-			Rule:  rule,
-			Work: func(env *pilot.ExecEnv) (pilot.WorkResult, error) {
-				ar, err := a.Assemble(assembler.Request{
-					Reads:        ds.Reads.Reads,
-					Params:       assembler.Params{K: k, MinCoverage: 2},
-					Nodes:        nodesPerJob,
-					CoresPerNode: cores,
-					FullScale:    ds.Profile.FullScale,
-				})
-				if err != nil {
-					return pilot.WorkResult{}, err
-				}
-				res.PerJob[i] = ar.TTC
-				return pilot.WorkResult{Duration: ar.TTC, PeakMemoryGB: ar.PeakMemoryGBPerNode}, nil
-			},
-		})
-	}
-	units, err := um.Submit(descs)
-	if err != nil {
-		return MultiKResult{}, err
-	}
-	if err := um.Run(); err != nil {
-		return MultiKResult{}, err
-	}
-	for _, u := range units {
-		if u.State() != pilot.UnitDone {
-			return MultiKResult{}, fmt.Errorf("core: %s failed: %v", u.ID, u.Err)
-		}
-	}
-	res.Makespan = clock.Now().Sub(start)
-	pm.CompletePilot(p)
 	return res, nil
 }

@@ -90,7 +90,7 @@ func New(cfg Config) *Pipeline {
 	provider := cloud.NewProvider(clock, copts)
 	provider.SetMetrics(o.Metrics)
 	store := pilot.NewStateStore()
-	pm := pilot.NewManager(provider, store, cluster.DefaultOptions())
+	pm := pilot.NewManager(provider, store)
 	pm.SetObs(o)
 	pl := &Pipeline{
 		cfg:      cfg,
@@ -172,10 +172,8 @@ func (pl *Pipeline) Run(ds *simdata.Dataset) (rep *Report, err error) {
 	if err != nil {
 		return rep, err
 	}
-	for _, name := range cfg.Assemblers {
-		if _, err := assembler.Get(name); err != nil {
-			return rep, err
-		}
+	if err := checkAssemblers(cfg.Assemblers); err != nil {
+		return rep, err
 	}
 	if cfg.Pattern == Conventional && cfg.Backends.AnyServerless() {
 		return rep, fmt.Errorf("%w (%s)", errConventionalServerless, cfg.Backends)
@@ -398,6 +396,16 @@ func (pl *Pipeline) preprocess(ds *simdata.Dataset, rep *Report) (seq.ReadSet, e
 		},
 	})
 	return cleaned, err
+}
+
+// checkAssemblers refuses a run naming a tool the registry lacks.
+func checkAssemblers(names []string) error {
+	for _, name := range names {
+		if _, err := assembler.Get(name); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // asmKey names one PB job: an assembler at one k.
@@ -649,7 +657,7 @@ func (pl *Pipeline) postprocess(fs simdata.FullScaleStats, cleaned seq.ReadSet,
 			for _, a := range qb.Abundances {
 				cb[idx[a.ID]] = a.Count
 			}
-			rows, err := diffexpr.Test(ids, ca, cb, diffexpr.DefaultOptions())
+			rows, err := diffexpr.Test(ids, ca, cb)
 			if err != nil {
 				return pilot.WorkResult{}, fmt.Errorf("differential expression: %w", err)
 			}
@@ -945,7 +953,7 @@ func (l *pilotLauncher) adopt(name string, prev *stageExec, nodes int) (*stageEx
 			return nil, err
 		}
 		pl.provider.WaitRunning(extra)
-		pl.clock.Advance(cluster.DefaultOptions().ConfigPerNode)
+		pl.clock.Advance(cluster.ConfigPerNode)
 		vms = append(vms, extra...)
 	}
 	// The shared filesystem persists across pilots under S2: no

@@ -12,17 +12,14 @@ import (
 	"sort"
 )
 
-// Options configure the test.
-type Options struct {
-	// Pseudocount stabilizes fold changes of low counts.
-	Pseudocount float64
-	// FDR is the Benjamini–Hochberg target rate for the Significant
+// The test uses the customary settings.
+const (
+	// pseudocount stabilizes fold changes of low counts.
+	pseudocount = 1
+	// fdr is the Benjamini–Hochberg target rate for the Significant
 	// flag.
-	FDR float64
-}
-
-// DefaultOptions use the customary pseudocount 1 and 5% FDR.
-func DefaultOptions() Options { return Options{Pseudocount: 1, FDR: 0.05} }
+	fdr = 0.05
+)
 
 // Row is one transcript's differential-expression result.
 type Row struct {
@@ -36,18 +33,12 @@ type Row struct {
 }
 
 // Test compares two conditions' count vectors (indexed identically).
-func Test(ids []string, countsA, countsB []int64, opts Options) ([]Row, error) {
+func Test(ids []string, countsA, countsB []int64) ([]Row, error) {
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("diffexpr: no transcripts")
 	}
 	if len(countsA) != len(ids) || len(countsB) != len(ids) {
 		return nil, fmt.Errorf("diffexpr: %d ids, %d/%d counts", len(ids), len(countsA), len(countsB))
-	}
-	if opts.Pseudocount <= 0 {
-		opts.Pseudocount = 1
-	}
-	if opts.FDR <= 0 || opts.FDR >= 1 {
-		opts.FDR = 0.05
 	}
 	var totalA, totalB float64
 	for i := range ids {
@@ -67,17 +58,17 @@ func Test(ids []string, countsA, countsB []int64, opts Options) ([]Row, error) {
 		a := float64(countsA[i]) * scaleA
 		b := float64(countsB[i]) * scaleB
 		rows[i] = Row{ID: ids[i], CountA: countsA[i], CountB: countsB[i]}
-		rows[i].Log2FC = math.Log2((a + opts.Pseudocount) / (b + opts.Pseudocount))
+		rows[i].Log2FC = math.Log2((a + pseudocount) / (b + pseudocount))
 		// Two-proportion z-test on normalized counts (Poisson normal
 		// approximation): z = (a-b)/sqrt(a+b).
 		if a+b > 0 {
-			z := (a - b) / math.Sqrt(a+b+2*opts.Pseudocount)
+			z := (a - b) / math.Sqrt(a+b+2*pseudocount)
 			rows[i].PValue = 2 * normalTail(math.Abs(z))
 		} else {
 			rows[i].PValue = 1
 		}
 	}
-	applyBH(rows, opts.FDR)
+	applyBH(rows)
 	// Strongest changes first.
 	sort.SliceStable(rows, func(x, y int) bool {
 		if rows[x].QValue != rows[y].QValue {
@@ -125,7 +116,7 @@ func normalTail(z float64) float64 {
 }
 
 // applyBH computes Benjamini–Hochberg q-values and sets Significant.
-func applyBH(rows []Row, fdr float64) {
+func applyBH(rows []Row) {
 	n := len(rows)
 	order := make([]int, n)
 	for i := range order {

@@ -9,7 +9,7 @@ func TestObviousDifferenceDetected(t *testing.T) {
 	ids := []string{"up", "flat1", "flat2", "down"}
 	a := []int64{1000, 500, 300, 10}
 	b := []int64{10, 500, 300, 1000}
-	rows, err := Test(ids, a, b, DefaultOptions())
+	rows, err := Test(ids, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestLibrarySizeNormalization(t *testing.T) {
 	ids := []string{"t1", "t2"}
 	a := []int64{100, 200}
 	b := []int64{1000, 2000}
-	rows, err := Test(ids, a, b, DefaultOptions())
+	rows, err := Test(ids, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestLibrarySizeNormalization(t *testing.T) {
 
 func TestPValuesAndQValuesInRange(t *testing.T) {
 	ids := []string{"a", "b", "c"}
-	rows, err := Test(ids, []int64{5, 100, 40}, []int64{7, 90, 45}, DefaultOptions())
+	rows, err := Test(ids, []int64{5, 100, 40}, []int64{7, 90, 45})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestBHMonotonicity(t *testing.T) {
 	}
 	ids[0] = "signal"
 	a[0], b[0] = 2000, 50
-	rows, err := Test(ids, a, b, DefaultOptions())
+	rows, err := Test(ids, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,16 +99,16 @@ func TestBHMonotonicity(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := Test(nil, nil, nil, DefaultOptions()); err == nil {
+	if _, err := Test(nil, nil, nil); err == nil {
 		t.Error("empty accepted")
 	}
-	if _, err := Test([]string{"x"}, []int64{1}, []int64{1, 2}, DefaultOptions()); err == nil {
+	if _, err := Test([]string{"x"}, []int64{1}, []int64{1, 2}); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := Test([]string{"x"}, []int64{-1}, []int64{1}, DefaultOptions()); err == nil {
+	if _, err := Test([]string{"x"}, []int64{-1}, []int64{1}); err == nil {
 		t.Error("negative counts accepted")
 	}
-	if _, err := Test([]string{"x"}, []int64{0}, []int64{1}, DefaultOptions()); err == nil {
+	if _, err := Test([]string{"x"}, []int64{0}, []int64{1}); err == nil {
 		t.Error("zero-total condition accepted")
 	}
 }
@@ -122,12 +122,5 @@ func TestNormalTail(t *testing.T) {
 	}
 	if normalTail(10) > 1e-20 {
 		t.Error("far tail not tiny")
-	}
-}
-
-func TestDefaultsBackfill(t *testing.T) {
-	rows, err := Test([]string{"x", "y"}, []int64{3, 5}, []int64{4, 6}, Options{})
-	if err != nil || len(rows) != 2 {
-		t.Fatalf("zero options: %v", err)
 	}
 }

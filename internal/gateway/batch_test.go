@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"rnascale/internal/obs"
 )
 
 // TestQueueBoundRejects pins the backpressure contract: a queue bound
@@ -187,4 +189,33 @@ func TestBatchValidation(t *testing.T) {
 		t.Errorf("batch 429 body: %v %v", e, err)
 	}
 	r.Body.Close()
+}
+
+// TestBatchAdmission: a batch runs the same admission as POST
+// /api/runs. An entry the planner prices past its deadline refuses the
+// whole batch with 422 naming the entry, counts one deadline
+// rejection, and creates no run record.
+func TestBatchAdmission(t *testing.T) {
+	s, ts := newTestServer(t)
+	body := `{"runs":[{"profile":"tiny","assemblers":["velvet"]},{"profile":"tiny","assemblers":["velvet"],"deadlineSeconds":1}]}`
+	resp, err := http.Post(ts.URL+"/api/batch", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422", resp.StatusCode)
+	}
+	var e map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || !strings.HasPrefix(e["error"], "run 1: ") {
+		t.Errorf("error %q (%v), want one naming run 1", e["error"], err)
+	}
+	if v := s.metrics.Counter(MetricRunsRejected, "", obs.Labels{"reason": RejectDeadline}).Value(); v != 1 {
+		t.Errorf("%s{reason=%q} = %v, want 1", MetricRunsRejected, RejectDeadline, v)
+	}
+	var all []RunView
+	getJSON(t, ts.URL+"/api/runs", &all)
+	if len(all) != 0 {
+		t.Errorf("refused batch left %d run records", len(all))
+	}
 }

@@ -644,27 +644,32 @@ func (s *Server) shedCount() {
 	s.metrics.Counter(MetricRunsShed, "Gateway runs dropped by brownout shedding.", nil).Inc()
 }
 
-// admit prices the request with the planner when it carries a
-// deadline or cost budget, rejecting infeasible work before it takes
-// a queue slot. The same comparison the pipeline would lose against
-// at its cutoff happens here against the prediction: a run the
-// planner says cannot meet its deadline is never admitted, and a run
-// it says can is never rejected for it.
-func admit(req RunRequest, cfg core.Config, ds *simdata.Dataset) error {
-	if req.DeadlineSeconds <= 0 && req.MaxCostUSD <= 0 {
-		return nil
+// admit builds a request's run config and prices it with the planner
+// when it carries a deadline or cost budget, rejecting infeasible work
+// before it takes a queue slot; every submission path comes in here,
+// and a rejection is counted. The same comparison the pipeline would
+// lose against at its cutoff happens here against the prediction: a
+// run the planner says cannot meet its deadline is never admitted, and
+// a run it says can is never rejected for it.
+func (s *Server) admit(req RunRequest) (core.Config, *simdata.Dataset, error) {
+	cfg, ds, err := buildConfig(req)
+	if err != nil || (req.DeadlineSeconds <= 0 && req.MaxCostUSD <= 0) {
+		return cfg, ds, err
 	}
 	plan, err := core.Predict(ds, cfg)
 	if err != nil {
-		return fmt.Errorf("gateway: cannot price submission for admission: %w", err)
+		return cfg, ds, fmt.Errorf("gateway: cannot price submission for admission: %w", err)
 	}
+	var ae *AdmissionError
 	if req.DeadlineSeconds > 0 && plan.TTC.Seconds() > req.DeadlineSeconds {
-		return &AdmissionError{Reason: RejectDeadline, Predicted: plan.TTC.Seconds(), Limit: req.DeadlineSeconds}
+		ae = &AdmissionError{Reason: RejectDeadline, Predicted: plan.TTC.Seconds(), Limit: req.DeadlineSeconds}
+	} else if req.MaxCostUSD > 0 && plan.CostUSD > req.MaxCostUSD {
+		ae = &AdmissionError{Reason: RejectCost, Predicted: plan.CostUSD, Limit: req.MaxCostUSD}
+	} else {
+		return cfg, ds, nil
 	}
-	if req.MaxCostUSD > 0 && plan.CostUSD > req.MaxCostUSD {
-		return &AdmissionError{Reason: RejectCost, Predicted: plan.CostUSD, Limit: req.MaxCostUSD}
-	}
-	return nil
+	s.rejected(ae.Reason)
+	return cfg, ds, ae
 }
 
 // submit validates and enqueues a run. A full queue rejects the
@@ -676,15 +681,8 @@ func admit(req RunRequest, cfg core.Config, ds *simdata.Dataset) error {
 // over-aged queue sheds its lowest-priority run to admit
 // higher-priority work.
 func (s *Server) submit(req RunRequest) (RunView, error) {
-	cfg, ds, err := buildConfig(req)
+	cfg, ds, err := s.admit(req)
 	if err != nil {
-		return RunView{}, err
-	}
-	if err := admit(req, cfg, ds); err != nil {
-		var ae *AdmissionError
-		if errors.As(err, &ae) {
-			s.rejected(ae.Reason)
-		}
 		return RunView{}, err
 	}
 	s.mu.Lock()
@@ -722,8 +720,9 @@ func (s *Server) submit(req RunRequest) (RunView, error) {
 // handleBatch accepts {"runs": [...]} and answers, once every run is
 // terminal, with their views in submission order. A batch shares the
 // bounded queue and the worker pool with POST /api/runs: every request
-// is validated before any is enqueued (one bad entry rejects the batch
-// with 400), and a batch larger than the queue's free room is refused
+// is validated and admitted before any is enqueued (one bad entry
+// rejects the batch with 400, one the planner prices as infeasible
+// with 422), and a batch larger than the queue's free room is refused
 // whole with 429.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req struct {
@@ -741,8 +740,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	dss := make([]*simdata.Dataset, len(req.Runs))
 	for i, rr := range req.Runs {
 		var err error
-		if cfgs[i], dss[i], err = buildConfig(rr); err != nil {
-			writeErr(w, http.StatusBadRequest, "run %d: %v", i, err)
+		if cfgs[i], dss[i], err = s.admit(rr); err != nil {
+			code := http.StatusBadRequest
+			if _, ok := err.(*AdmissionError); ok {
+				code = http.StatusUnprocessableEntity
+			}
+			writeErr(w, code, "run %d: %v", i, err)
 			return
 		}
 	}

@@ -39,6 +39,7 @@ func tinyReq() RunRequest {
 // planner says can meet its deadline and budget, and never admits one
 // it says cannot.
 func TestAdmissionFeasibilityProperty(t *testing.T) {
+	s := newIdleServer(1)
 	for _, profile := range []string{"tiny", "bglumae"} {
 		base := RunRequest{Profile: profile, Assemblers: []string{"velvet"}}
 		cfg, ds, err := buildConfig(base)
@@ -57,11 +58,7 @@ func TestAdmissionFeasibilityProperty(t *testing.T) {
 				req := base
 				req.DeadlineSeconds = predTTC * df
 				req.MaxCostUSD = predCost * cf
-				rcfg, rds, err := buildConfig(req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := admit(req, rcfg, rds)
+				_, _, got := s.admit(req)
 
 				deadlineInfeasible := req.DeadlineSeconds > 0 && predTTC > req.DeadlineSeconds
 				costInfeasible := req.MaxCostUSD > 0 && predCost > req.MaxCostUSD

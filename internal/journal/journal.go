@@ -18,7 +18,7 @@
 // Two mechanisms make the journal production-shaped:
 //
 //   - Group commit. Concurrent Append calls coalesce into one
-//     write+fsync (see Options.BatchSize / Options.MaxWait), so the
+//     write+fsync (see Options.BatchSize), so the
 //     per-append durability contract is unchanged while the fsync
 //     cost is amortized across appenders. A writer that hits a
 //     write or sync error is poisoned: every later Append returns

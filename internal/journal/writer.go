@@ -11,7 +11,6 @@ import (
 	"io"
 	"os"
 	"sync"
-	"time"
 )
 
 // DefaultBatchSize is the group-commit batch bound when the caller
@@ -22,19 +21,15 @@ const DefaultBatchSize = 64
 // ErrClosed is returned by Append on a closed writer.
 var ErrClosed = errors.New("journal: writer closed")
 
-// Options tunes the group-commit window of a durable Writer.
+// Options tunes the group commit of a durable Writer. A flush takes
+// whatever has queued the moment the flusher is free, so batching
+// emerges under contention (appends arriving during an fsync ride the
+// next one) and a lone appender never waits.
 type Options struct {
 	// BatchSize caps the records coalesced into one write+fsync.
 	// <= 0 means DefaultBatchSize; 1 degenerates to the classic
 	// fsync-per-append writer.
 	BatchSize int
-	// MaxWait is how long a flush lingers to fill its batch after the
-	// first record arrives. Zero (the default) flushes whatever has
-	// queued the moment the flusher is free — batching then emerges
-	// naturally under contention (appends arriving during an fsync
-	// ride the next one) and a lone appender never waits. Positive
-	// values trade per-append latency for fuller batches.
-	MaxWait time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -324,16 +319,7 @@ func (w *Writer) flushOnce() bool {
 		}
 		return true
 	}
-	max := w.opts.BatchSize
-	if w.opts.MaxWait > 0 && len(w.pending) < max && !w.closed {
-		w.mu.Unlock()
-		w.fillWindow(max)
-		w.mu.Lock()
-	}
-	n := len(w.pending)
-	if n > max {
-		n = max
-	}
+	n := min(len(w.pending), w.opts.BatchSize)
 	queued := w.pending
 	batch := queued[:n:n]
 	if n == len(queued) {
@@ -416,27 +402,6 @@ func (w *Writer) drain() error {
 	_, err := w.w.Write(w.buf)
 	w.buf = w.buf[:0]
 	return err
-}
-
-// fillWindow lingers up to MaxWait for the batch to fill. Wake
-// signals consumed here are not lost: the caller re-examines pending
-// under the lock, and the drain loop runs until pending is empty.
-func (w *Writer) fillWindow(max int) {
-	deadline := time.NewTimer(w.opts.MaxWait)
-	defer deadline.Stop()
-	for {
-		w.mu.Lock()
-		full := len(w.pending) >= max || w.closed
-		w.mu.Unlock()
-		if full {
-			return
-		}
-		select {
-		case <-w.wake:
-		case <-deadline.C:
-			return
-		}
-	}
 }
 
 // ChainHead returns the chain digest of the last stamped record (the

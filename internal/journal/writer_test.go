@@ -301,32 +301,3 @@ func TestGroupCommitDoesNotCopyPayloads(t *testing.T) {
 		t.Errorf("a group-committed append of a 1 MiB payload allocates %d bytes, want under 16 KiB", per)
 	}
 }
-
-// TestMaxWaitFillsBatches: with a positive MaxWait the flusher
-// lingers for stragglers; the test only pins that appends still
-// complete and syncs stay below one-per-append.
-func TestMaxWaitFillsBatches(t *testing.T) {
-	sink := &countingSink{}
-	w := NewSyncedWriter(sink, sink.sync, Options{BatchSize: 16, MaxWait: 2 * time.Millisecond})
-	var wg sync.WaitGroup
-	const n = 32
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := w.Append(Record{Kind: KindUnit, Unit: fmt.Sprintf("u%d", i)}); err != nil {
-				t.Errorf("append: %v", err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := bytes.Count(sink.buf.Bytes(), []byte("\n")); got != n {
-		t.Fatalf("sink holds %d records, want %d", got, n)
-	}
-	if s := sink.syncs.Load(); s >= n {
-		t.Errorf("%d syncs for %d appends: MaxWait window never batched", s, n)
-	}
-}

@@ -30,10 +30,11 @@ type Config struct {
 	// Intra and Inter are the communication cost models within a node
 	// and across nodes.
 	Intra, Inter vclock.CommCost
-	// MailboxDepth is the per-pair channel buffer; sends beyond it
-	// block until the receiver drains (default 4096).
-	MailboxDepth int
 }
+
+// mailboxDepth is the per-pair channel buffer; sends beyond it block
+// until the receiver drains.
+const mailboxDepth = 4096
 
 // DefaultConfig returns a single-node world of n ranks with the
 // intra-node link of the paper's EC2 instances. No rank of it reads
@@ -112,9 +113,6 @@ func Run(cfg Config, fn func(*Comm) error) (Result, error) {
 	}
 	if cfg.RanksPerNode <= 0 {
 		cfg.RanksPerNode = cfg.Ranks
-	}
-	if cfg.MailboxDepth <= 0 {
-		cfg.MailboxDepth = 4096
 	}
 	w := &World{cfg: cfg, boxes: make(map[[2]int]chan message)}
 	w.collCond = sync.NewCond(&w.collMu)
@@ -196,7 +194,7 @@ func (w *World) box(src, dst int) chan message {
 	key := [2]int{src, dst}
 	ch, ok := w.boxes[key]
 	if !ok {
-		ch = make(chan message, w.cfg.MailboxDepth)
+		ch = make(chan message, mailboxDepth)
 		w.boxes[key] = ch
 	}
 	return ch

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"rnascale/internal/cloud"
-	"rnascale/internal/cluster"
 	"rnascale/internal/faults"
 	"rnascale/internal/obs"
 	"rnascale/internal/sge"
@@ -181,7 +180,7 @@ func TestNodeLossResubmission(t *testing.T) {
 	opts := cloud.DefaultOptions()
 	opts.Faults = inj
 	prov := cloud.NewProvider(clock, opts)
-	m := NewManager(prov, NewStateStore(), cluster.DefaultOptions())
+	m := NewManager(prov, NewStateStore())
 	p := activePilot(t, m, 2) // VMs i-000001, i-000002
 	um := newUnitManager(t, p)
 	um.SetObs(o)
@@ -255,7 +254,7 @@ func TestRetriedUnitSpanTreeGolden(t *testing.T) {
 	store := NewStateStore()
 	NewSpanBridge(store, o)
 	prov := cloud.NewProvider(vclock.NewClock(0), cloud.DefaultOptions())
-	m := NewManager(prov, store, cluster.DefaultOptions())
+	m := NewManager(prov, store)
 	p := activePilot(t, m, 1)
 	um := newUnitManager(t, p)
 	um.SetObs(o)

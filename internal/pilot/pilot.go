@@ -59,15 +59,14 @@ func (p *Pilot) State() PilotState {
 type Manager struct {
 	provider *cloud.Provider
 	store    *StateStore
-	copts    cluster.Options
 	nextID   int
 	obs      *obs.Obs
 }
 
 // NewManager returns a pilot manager over the given provider and
 // shared state store.
-func NewManager(p *cloud.Provider, store *StateStore, copts cluster.Options) *Manager {
-	return &Manager{provider: p, store: store, copts: copts}
+func NewManager(p *cloud.Provider, store *StateStore) *Manager {
+	return &Manager{provider: p, store: store}
 }
 
 // Store exposes the shared state store.
@@ -112,11 +111,11 @@ func (m *Manager) SubmitPilot(desc PilotDescription) (*Pilot, error) {
 		if desc.Nodes != 0 && desc.Nodes != len(desc.ReuseVMs) {
 			err = fmt.Errorf("pilot: %d nodes requested but %d VMs offered for reuse", desc.Nodes, len(desc.ReuseVMs))
 		} else {
-			c, err = cluster.Adopt(m.provider, desc.ReuseVMs, m.copts)
+			c, err = cluster.Adopt(m.provider, desc.ReuseVMs)
 		}
 		p.OwnsVMs = false
 	} else {
-		c, err = cluster.BuildOn(m.provider, desc.InstanceType, desc.Nodes, desc.Backend, m.copts)
+		c, err = cluster.BuildOn(m.provider, desc.InstanceType, desc.Nodes, desc.Backend)
 		p.OwnsVMs = !desc.RetainVMs
 	}
 	if err != nil {

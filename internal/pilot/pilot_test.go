@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"rnascale/internal/cloud"
-	"rnascale/internal/cluster"
 	"rnascale/internal/faults"
 	"rnascale/internal/sge"
 	"rnascale/internal/vclock"
@@ -14,7 +13,7 @@ import (
 
 func newRig() (*cloud.Provider, *Manager) {
 	p := cloud.NewProvider(vclock.NewClock(0), cloud.DefaultOptions())
-	m := NewManager(p, NewStateStore(), cluster.DefaultOptions())
+	m := NewManager(p, NewStateStore())
 	return p, m
 }
 
@@ -382,7 +381,7 @@ func TestPilotBootFailureInjection(t *testing.T) {
 	opts := cloud.DefaultOptions()
 	opts.Faults = faults.NewInjector(plan, 1, clock)
 	prov := cloud.NewProvider(clock, opts)
-	m := NewManager(prov, NewStateStore(), cluster.DefaultOptions())
+	m := NewManager(prov, NewStateStore())
 	// First boot fails → pilot FAILED.
 	if _, err := m.SubmitPilot(PilotDescription{InstanceType: "c3.2xlarge", Nodes: 2}); err == nil {
 		t.Fatal("boot failure not surfaced")

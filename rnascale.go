@@ -241,8 +241,7 @@ type JournalStats = core.JournalStats
 type DriverCrashError = core.DriverCrashError
 
 // JournalOptions tunes the journal's group-commit batching: how many
-// concurrent appends coalesce into one write+fsync, and how long the
-// flusher lingers for stragglers. Batching changes when fsyncs
+// concurrent appends coalesce into one write+fsync. Batching changes when fsyncs
 // happen, never what is written — the journal bytes are identical at
 // any batch size.
 type JournalOptions = journal.Options
