@@ -661,11 +661,12 @@ func (s *Server) admit(req RunRequest) (core.Config, *simdata.Dataset, error) {
 		return cfg, ds, fmt.Errorf("gateway: cannot price submission for admission: %w", err)
 	}
 	var ae *AdmissionError
-	if req.DeadlineSeconds > 0 && plan.TTC.Seconds() > req.DeadlineSeconds {
+	switch {
+	case req.DeadlineSeconds > 0 && plan.TTC.Seconds() > req.DeadlineSeconds:
 		ae = &AdmissionError{Reason: RejectDeadline, Predicted: plan.TTC.Seconds(), Limit: req.DeadlineSeconds}
-	} else if req.MaxCostUSD > 0 && plan.CostUSD > req.MaxCostUSD {
+	case req.MaxCostUSD > 0 && plan.CostUSD > req.MaxCostUSD:
 		ae = &AdmissionError{Reason: RejectCost, Predicted: plan.CostUSD, Limit: req.MaxCostUSD}
-	} else {
+	default:
 		return cfg, ds, nil
 	}
 	s.rejected(ae.Reason)
@@ -742,7 +743,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		var err error
 		if cfgs[i], dss[i], err = s.admit(rr); err != nil {
 			code := http.StatusBadRequest
-			if _, ok := err.(*AdmissionError); ok {
+			var ae *AdmissionError
+			if errors.As(err, &ae) {
 				code = http.StatusUnprocessableEntity
 			}
 			writeErr(w, code, "run %d: %v", i, err)
