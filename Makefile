@@ -278,10 +278,12 @@ bench-smoke:
 	cd bench && $(GO) test .
 
 # size prints the non-test Go lines of each package outside bench/ and
-# testdata, their total, and the //rnavet:allow directives in product
+# testdata, their total, the //rnavet:allow directives in product
 # code (standalone or trailing a code line; the analyzer's own docs
-# only mention them). It is the one source for a change's line claims
-# and stays out of check: it measures, it never fails.
+# only mention them), and the exported fields of product structs named
+# *Options or *Config (`A, B T` counts two): the settable surface. It
+# is the one source for a change's line claims and stays out of check:
+# it measures, it never fails.
 SIZE_FIND = find . \( -path ./bench -o -name testdata -o -name '.*' ! -name . \) -prune -o \
 	-name '*.go' ! -name '*_test.go' -print
 size:
@@ -290,6 +292,7 @@ size:
 		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'
 	@$(SIZE_FIND) | xargs grep -hE '^\s*//rnavet:allow [a-z]+|^\s*[^/[:space:]].*//rnavet:allow [a-z]+' | wc -l | \
 		awk '{ printf "%7d  //rnavet:allow directives\n", $$1 }'
+	@$(SIZE_FIND) | sort | xargs awk '/^type [A-Za-z0-9_]*(Options|Config) struct \{/ { f = 1; next } f && /^\}/ { f = 0 } f && match($$0, /^\t[A-Z][A-Za-z0-9_]*(, [A-Z][A-Za-z0-9_]*)*/) { n += split(substr($$0, 2, RLENGTH - 1), a, ", ") } END { printf "%7d  settable *Options/*Config fields\n", n }'
 
 clean:
 	rm -rf $(BUILD_DIR)

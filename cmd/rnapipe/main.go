@@ -18,10 +18,10 @@
 // -frontier sweeps every per-stage backend assignment and prints the
 // planner's cost–TTC Pareto frontier without running anything.
 //
-// -journal makes the run resumable (-journal-batch tunes group
-// commit), -resume continues an interrupted run — repairing
-// a crash-torn journal tail first — and -verify-journal audits a
-// journal's tamper-evident hash chain without running anything.
+// -journal makes the run resumable, -resume continues an interrupted
+// run — repairing a crash-torn journal tail first — and
+// -verify-journal audits a journal's tamper-evident hash chain without
+// running anything.
 //
 // -deadline imposes a virtual-time deadline (remaining work is
 // cancelled at the cutoff), -retry-budget caps run-wide unit retries,
@@ -70,7 +70,6 @@ func main() {
 		spans      = flag.Bool("spans", false, "print the run's span tree after the summary")
 		journalOut = flag.String("journal", "", "write a resumable run journal to this file")
 		resumePath = flag.String("resume", "", "resume an interrupted run from its journal (pass the original run's flags too)")
-		jbatch     = flag.Int("journal-batch", 0, "group-commit batch size for journal appends (0 = default; 1 = fsync per append)")
 		verifyPath = flag.String("verify-journal", "", "verify a journal's tamper-evident hash chain, print the report and exit (0 = clean, 2 = damaged)")
 	)
 	flag.Parse()
@@ -143,7 +142,7 @@ func main() {
 		rep, err = rnascale.Resume(ds, cfg, *resumePath)
 	} else {
 		if *journalOut != "" {
-			w, jerr := rnascale.CreateJournalOptions(*journalOut, rnascale.JournalOptions{BatchSize: *jbatch})
+			w, jerr := rnascale.CreateJournal(*journalOut)
 			if jerr != nil {
 				fatal(jerr)
 			}

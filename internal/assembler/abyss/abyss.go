@@ -29,7 +29,7 @@ func DefaultProfile() mpidbg.Profile {
 		WireBytesPerBase:   10,
 		MinCoverageDefault: 2,
 		MemoryFactor:       0.95,
-		Inter:              cloud.DefaultOptions().InterNode,
+		Inter:              cloud.InterNode,
 	}
 }
 

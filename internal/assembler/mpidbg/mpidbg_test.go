@@ -22,7 +22,7 @@ func testProfile() Profile {
 		WireBytesPerBase:   8,
 		MinCoverageDefault: 1,
 		MemoryFactor:       1,
-		Inter:              cloud.DefaultOptions().InterNode,
+		Inter:              cloud.InterNode,
 	}
 }
 

@@ -30,7 +30,7 @@ func DefaultProfile() mpidbg.Profile {
 		WireBytesPerBase:   12,
 		MinCoverageDefault: 4,
 		MemoryFactor:       1.0,
-		Inter:              cloud.DefaultOptions().InterNode,
+		Inter:              cloud.InterNode,
 	}
 }
 

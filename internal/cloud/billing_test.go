@@ -9,7 +9,7 @@ import (
 
 func TestBilledHoursEdges(t *testing.T) {
 	clk := vclock.NewClock(0)
-	p := NewProvider(clk, DefaultOptions())
+	p := NewProvider(clk, Options{})
 	clk.Advance(100 * vclock.Second)
 	vms, err := p.RunInstancesOn("c3.2xlarge", 1, OnDemand)
 	if err != nil {
@@ -41,32 +41,10 @@ func TestBilledHoursEdges(t *testing.T) {
 	}
 }
 
-func TestHourlyRoundingBilling(t *testing.T) {
-	clk := vclock.NewClock(0)
-	opts := DefaultOptions()
-	opts.HourlyRounding = true
-	p := NewProvider(clk, opts)
-	vms, err := p.RunInstancesOn("c3.2xlarge", 1, OnDemand)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clk.Advance(61 * vclock.Minute) // 1 h 1 min → rounds to 2 h
-	p.Terminate(vms[0])
-	lines := p.Bill()
-	if len(lines) != 1 || lines[0].InstanceHours != 2 {
-		t.Fatalf("rounded bill = %+v, want 2 instance-hours", lines)
-	}
-	if math.Abs(lines[0].USD-2*0.42) > 1e-12 {
-		t.Errorf("rounded USD = %v", lines[0].USD)
-	}
-}
-
 func TestSpotBillingTracksMarketPrice(t *testing.T) {
 	// A constant-price market bills exactly price × frac × hours.
 	clk := vclock.NewClock(0)
-	opts := DefaultOptions()
-	opts.Spot = &SpotOptions{Seed: 6, InitialFrac: 0.4, FloorFrac: 0.399, CeilFrac: 0.401, Volatility: 1e-9}
-	p := NewProvider(clk, opts)
+	p := NewProvider(clk, Options{Spot: &SpotOptions{Seed: 6, InitialFrac: 0.4, FloorFrac: 0.399, CeilFrac: 0.401, Volatility: 1e-9}})
 	vms, err := p.RunInstancesOn("c3.2xlarge", 1, Spot)
 	if err != nil {
 		t.Fatal(err)
@@ -95,9 +73,7 @@ func TestSpotBillingIntegratesPriceChanges(t *testing.T) {
 	// VM's lifetime — i.e. mid-lifetime price changes are integrated,
 	// not sampled at termination.
 	clk := vclock.NewClock(0)
-	opts := DefaultOptions()
-	opts.Spot = &SpotOptions{Seed: 17, Volatility: 0.25, InitialFrac: 0.5}
-	p := NewProvider(clk, opts)
+	p := NewProvider(clk, Options{Spot: &SpotOptions{Seed: 17, Volatility: 0.25, InitialFrac: 0.5}})
 	vms, err := p.RunInstancesOn("c3.2xlarge", 1, Spot)
 	if err != nil {
 		t.Fatal(err)
@@ -124,10 +100,7 @@ func TestSpotBillingIntegratesPriceChanges(t *testing.T) {
 
 func TestMixedBackendBillLines(t *testing.T) {
 	clk := vclock.NewClock(0)
-	opts := DefaultOptions()
-	opts.Spot = &SpotOptions{Seed: 6}
-	opts.Serverless = &ServerlessOptions{}
-	p := NewProvider(clk, opts)
+	p := NewProvider(clk, Options{Spot: &SpotOptions{Seed: 6}})
 	if _, err := p.RunInstancesOn("c3.2xlarge", 2, OnDemand); err != nil {
 		t.Fatal(err)
 	}

@@ -10,13 +10,17 @@
 //
 // Billing is fractional by instance-seconds, which is the model that
 // reproduces the paper's sample-run arithmetic (48.3 instance-hours of
-// c3.2xlarge × $0.42 ≈ $20.28); an optional per-hour-rounding mode is
-// provided for studying the coarser 2016-era EC2 billing.
+// c3.2xlarge × $0.42 ≈ $20.28).
+//
+// The model's calibrated values are package constants, fitted once to
+// the paper's sample run: a 4.4 GB upload took 3 min 35 s (≈ 20.5 MB/s
+// ingress) and EC2 instances of the era took about a minute to boot.
+// Options carries only what a caller varies: an account limit, a fault
+// plan and a spot market.
 package cloud
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"rnascale/internal/faults"
@@ -118,19 +122,22 @@ func (vm *VM) BilledHours(now vclock.Time) float64 {
 	return end.Sub(vm.LaunchedAt).Hours()
 }
 
-// Options configure a Provider.
+// bootLatency is the pending→running delay of every VM.
+const bootLatency = 60 * vclock.Second
+
+// The provider's links. ingress runs from the submitting local server
+// into the cloud (the dataset upload); InterNode runs between two VMs
+// in the same cluster placement group, and is the one definition the
+// MPI assemblers' worlds share with the provider's handovers. Neither
+// is ever assigned.
+var (
+	ingress   = vclock.CommCost{Latency: 2, Bandwidth: 20.5e6}
+	InterNode = vclock.CommCost{Latency: 0.0005, Bandwidth: 120e6}
+)
+
+// Options configure a Provider. The zero value is the calibrated
+// on-demand provider.
 type Options struct {
-	// BootLatency is the pending→running delay for each VM.
-	BootLatency vclock.Duration
-	// Ingress models the link from the submitting local server into
-	// the cloud (used for dataset upload).
-	Ingress vclock.CommCost
-	// InterNode models the link between two VMs in the same cluster
-	// placement group.
-	InterNode vclock.CommCost
-	// HourlyRounding switches billing from fractional instance-seconds
-	// to the coarse round-up-to-the-hour model.
-	HourlyRounding bool
 	// MaxInstances caps concurrently running+pending VMs; zero means
 	// no cap. Exceeding the cap makes RunInstances fail, modelling an
 	// EC2 account limit.
@@ -144,20 +151,6 @@ type Options struct {
 	// seed-deterministic per-AZ price walk with price-coupled
 	// reclamation (see SpotOptions).
 	Spot *SpotOptions
-	// Serverless, when non-nil, enables the function backend (see
-	// ServerlessOptions).
-	Serverless *ServerlessOptions
-}
-
-// DefaultOptions reflect the environment calibrated from the paper's
-// sample run: a 4.4 GB upload took 3 min 35 s (≈ 20.5 MB/s ingress),
-// and EC2 instances of the era took about a minute to boot.
-func DefaultOptions() Options {
-	return Options{
-		BootLatency: 60 * vclock.Second,
-		Ingress:     vclock.CommCost{Latency: 2, Bandwidth: 20.5e6},
-		InterNode:   vclock.CommCost{Latency: 0.0005, Bandwidth: 120e6},
-	}
 }
 
 // Provider is the simulated IaaS endpoint. It is not safe for
@@ -177,10 +170,10 @@ type Provider struct {
 	interruptions []*Interruption
 	interruptByVM map[string]*Interruption
 
-	// spot and faas back the non-on-demand purchasing models; nil when
-	// the corresponding option is unset.
+	// spot backs the spot market, nil when Options.Spot is unset; faas
+	// is the function backend, which every provider has.
 	spot *SpotMarket
-	faas *Faas
+	faas faas
 
 	// breaker, when set, observes per-backend failures (spot reclaims,
 	// serverless attempt failures) so callers can route around a
@@ -220,6 +213,7 @@ func NewProvider(clock *vclock.Clock, opts Options) *Provider {
 		catalog:       make(map[string]InstanceType),
 		vms:           make(map[string]*VM),
 		interruptByVM: make(map[string]*Interruption),
+		faas:          faas{clock: clock, pools: map[string][]vclock.Time{}, ledger: map[float64]*serverlessLedger{}},
 	}
 	for _, it := range DefaultCatalog() {
 		p.catalog[it.Name] = it
@@ -227,15 +221,8 @@ func NewProvider(clock *vclock.Clock, opts Options) *Provider {
 	if opts.Spot != nil {
 		p.spot = NewSpotMarket(*opts.Spot)
 	}
-	if opts.Serverless != nil {
-		p.faas = NewFaas(clock, *opts.Serverless)
-	}
 	return p
 }
-
-// Serverless exposes the provider's function backend (nil when not
-// configured).
-func (p *Provider) Serverless() *Faas { return p.faas }
 
 // SetBreaker attaches a per-backend circuit breaker; the provider
 // feeds it spot-reclaim failures and clean spot terminations. Nil
@@ -274,7 +261,7 @@ func (p *Provider) active() int {
 
 // RunInstancesOn requests count VMs of the named type on a purchasing
 // backend, EC2's RunInstances. The VMs are created in pending state and
-// become running BootLatency later; the call itself does not advance
+// become running bootLatency later; the call itself does not advance
 // the clock (the API returns immediately, as EC2's does). Spot VMs are
 // placed in the currently cheapest AZ, billed at the
 // market's integrated price over their lifetime, and may be reclaimed
@@ -323,7 +310,7 @@ func (p *Provider) RunInstancesOn(typeName string, count int, backend Backend) (
 			Backend:    backend,
 			AZ:         az,
 			LaunchedAt: now,
-			RunningAt:  now.Add(p.opts.BootLatency),
+			RunningAt:  now.Add(bootLatency),
 			state:      VMRunning, // state field tracks terminal transitions; State(t) handles pending
 		}
 		p.vms[vm.ID] = vm
@@ -468,7 +455,7 @@ func (p *Provider) Running() []*VM {
 // server into the cloud and advances the clock by the transfer time.
 // It returns the transfer duration.
 func (p *Provider) UploadFromLocal(n int64) vclock.Duration {
-	d := p.opts.Faults.DegradeTransfer(p.opts.Ingress.Transfer(n))
+	d := p.opts.Faults.DegradeTransfer(ingress.Transfer(n))
 	p.clock.Advance(d)
 	p.countIngress(n)
 	return d
@@ -477,7 +464,7 @@ func (p *Provider) UploadFromLocal(n int64) vclock.Duration {
 // InterNodeTransfer reports (without advancing the clock) the time to
 // move n bytes between two VMs.
 func (p *Provider) InterNodeTransfer(n int64) vclock.Duration {
-	return p.opts.InterNode.Transfer(n)
+	return InterNode.Transfer(n)
 }
 
 // BillLine is one row of the billing report.
@@ -520,9 +507,6 @@ func (p *Provider) Bill() []BillLine {
 	for _, id := range p.order {
 		vm := p.vms[id]
 		hours := vm.BilledHours(now)
-		if p.opts.HourlyRounding {
-			hours = math.Ceil(hours)
-		}
 		backend := ""
 		if vm.Backend != OnDemand {
 			backend = vm.Backend.String()
@@ -543,20 +527,17 @@ func (p *Provider) Bill() []BillLine {
 	for _, k := range keys {
 		out = append(out, *agg[k])
 	}
-	if p.faas != nil {
-		out = append(out, p.faas.billLines()...)
-	}
-	return out
+	return append(out, p.faas.billLines()...)
 }
 
-// Invoke runs one serverless function invocation (see
-// Serverless.Invoke) and emits invocation metrics. It errors when the
-// serverless backend is not configured.
+// Invoke runs one serverless function invocation of dur virtual
+// compute with memGB peak memory, starting now, and emits invocation
+// metrics. The clock is NOT advanced (the caller owns concurrency and
+// wall-time accounting); the invocation's latency, tier and cost are
+// returned. Durations above FnMaxDuration are rejected — callers split
+// the work instead.
 func (p *Provider) Invoke(fn string, memGB float64, dur vclock.Duration) (Invocation, error) {
-	if p.faas == nil {
-		return Invocation{}, fmt.Errorf("cloud: serverless backend requested but Options.Serverless is not configured")
-	}
-	inv, err := p.faas.Invoke(fn, memGB, dur)
+	inv, err := p.faas.invoke(fn, memGB, dur)
 	if err != nil {
 		return Invocation{}, err
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 func newTestProvider() *Provider {
-	return NewProvider(vclock.NewClock(0), DefaultOptions())
+	return NewProvider(vclock.NewClock(0), Options{})
 }
 
 func TestCatalogShapes(t *testing.T) {
@@ -65,9 +65,7 @@ func TestRunInstancesErrors(t *testing.T) {
 	if _, err := p.RunInstancesOn("c3.2xlarge", 0, OnDemand); err == nil {
 		t.Error("zero count accepted")
 	}
-	opts := DefaultOptions()
-	opts.MaxInstances = 2
-	limited := NewProvider(vclock.NewClock(0), opts)
+	limited := NewProvider(vclock.NewClock(0), Options{MaxInstances: 2})
 	if _, err := limited.RunInstancesOn("c3.2xlarge", 3, OnDemand); err == nil {
 		t.Error("instance cap not enforced")
 	}
@@ -112,20 +110,6 @@ func TestFractionalBillingMatchesPaperArithmetic(t *testing.T) {
 	hours := p.TotalInstanceHours()
 	if hours < 40 || hours > 55 {
 		t.Errorf("instance-hours = %.2f, want ≈ 48", hours)
-	}
-}
-
-func TestHourlyRoundingBillsMore(t *testing.T) {
-	opts := DefaultOptions()
-	opts.HourlyRounding = true
-	p := NewProvider(vclock.NewClock(0), opts)
-	vms, _ := p.RunInstancesOn("r3.2xlarge", 2, OnDemand)
-	p.WaitRunning(vms)
-	p.Clock().Advance(10 * vclock.Minute)
-	p.Terminate(vms...)
-	// 11 minutes each → rounded to 1 hour each.
-	if got := p.TotalCost(); math.Abs(got-2*0.70) > 1e-9 {
-		t.Errorf("hourly cost = %v, want 1.40", got)
 	}
 }
 

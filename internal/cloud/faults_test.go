@@ -29,7 +29,7 @@ func TestBootFailureAccountingByReason(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock := vclock.NewClock(0)
-	opts := DefaultOptions()
+	var opts Options
 	opts.MaxInstances = 3
 	opts.Faults = faults.NewInjector(plan, 1, clock)
 	p := NewProvider(clock, opts)
@@ -87,7 +87,7 @@ func TestBootFailureAccountingByReason(t *testing.T) {
 func TestCapExceededDoesNotConsumeBootOrdinal(t *testing.T) {
 	plan, _ := faults.ParseSpec("bootfail:n=2")
 	clock := vclock.NewClock(0)
-	opts := DefaultOptions()
+	var opts Options
 	opts.MaxInstances = 2
 	opts.Faults = faults.NewInjector(plan, 1, clock)
 	p := NewProvider(clock, opts)
@@ -111,10 +111,7 @@ func TestCapExceededDoesNotConsumeBootOrdinal(t *testing.T) {
 func TestInterruptionTerminatesAndBillsToCrashTime(t *testing.T) {
 	plan, _ := faults.ParseSpec("crash:at=3600,vm=1")
 	clock := vclock.NewClock(0)
-	opts := DefaultOptions()
-	opts.BootLatency = 0
-	opts.Faults = faults.NewInjector(plan, 1, clock)
-	p := NewProvider(clock, opts)
+	p := NewProvider(clock, Options{Faults: faults.NewInjector(plan, 1, clock)})
 
 	vms, err := p.RunInstancesOn("c3.2xlarge", 1, OnDemand)
 	if err != nil {
@@ -160,10 +157,7 @@ func TestInterruptionTerminatesAndBillsToCrashTime(t *testing.T) {
 func TestTerminateClampsToStruckInterruption(t *testing.T) {
 	plan, _ := faults.ParseSpec("crash:at=1800,vm=1")
 	clock := vclock.NewClock(0)
-	opts := DefaultOptions()
-	opts.BootLatency = 0
-	opts.Faults = faults.NewInjector(plan, 1, clock)
-	p := NewProvider(clock, opts)
+	p := NewProvider(clock, Options{Faults: faults.NewInjector(plan, 1, clock)})
 	vms, err := p.RunInstancesOn("c3.2xlarge", 1, OnDemand)
 	if err != nil {
 		t.Fatal(err)
@@ -185,11 +179,9 @@ func TestTerminateClampsToStruckInterruption(t *testing.T) {
 func TestDegradedTransfer(t *testing.T) {
 	plan, _ := faults.ParseSpec("slowxfer:x=0.5")
 	clock := vclock.NewClock(0)
-	opts := DefaultOptions()
-	opts.Faults = faults.NewInjector(plan, 1, clock)
-	p := NewProvider(clock, opts)
+	p := NewProvider(clock, Options{Faults: faults.NewInjector(plan, 1, clock)})
 
-	base := opts.Ingress.Transfer(1e9)
+	base := ingress.Transfer(1e9)
 	got := p.UploadFromLocal(1e9)
 	if got != 2*base {
 		t.Fatalf("degraded upload took %v, want %v (2x)", got, 2*base)

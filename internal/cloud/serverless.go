@@ -7,82 +7,34 @@ import (
 	"rnascale/internal/vclock"
 )
 
-// ServerlessOptions parameterize the function-as-a-service backend.
-type ServerlessOptions struct {
-	// MemoryTiersGB are the purchasable function sizes, ascending; an
-	// invocation bills at the smallest tier holding its peak memory.
-	// Empty defaults to {1, 2, 4, 8, 16}.
-	MemoryTiersGB []float64
-	// PricePerGBHour is the compute rate (default $0.06/GB-hour, the
-	// Lambda-era $0.0000166667 per GB-second).
-	PricePerGBHour float64
-	// PricePerInvocation is the flat per-request fee (default $2e-7).
-	PricePerInvocation float64
-	// ColdStart/WarmStart are the invocation latencies without and with
-	// a warm execution environment (defaults 20 s and 0.2 s — the
-	// "resource-intensive aligner in FaaS" papers measure cold starts
-	// in the tens of seconds for large packages).
-	ColdStart, WarmStart vclock.Duration
-	// KeepWarm is how long a freed environment stays reusable
-	// (default 15 min).
-	KeepWarm vclock.Duration
-	// MaxDuration is the hard per-invocation duration cap (default
-	// 15 min); work predicted to run longer must be split.
-	MaxDuration vclock.Duration
-}
+// The function backend's calibration. An invocation bills at the
+// smallest memory tier holding its peak memory, a per-request fee plus
+// GB-hours at the Lambda-era $0.0000166667 per GB-second. Cold starts
+// are in the tens of seconds: the serverless-STAR paper (arXiv
+// 2504.05078) measures them for a resource-intensive aligner's large
+// package; a reused warm environment starts in 0.2 s.
+const (
+	fnPricePerGBHour     = 0.06
+	fnPricePerInvocation = 2e-7
+	// FnColdStart is the latency of an invocation that provisions a new
+	// execution environment.
+	FnColdStart = 20 * vclock.Second
+	fnWarmStart = vclock.Duration(0.2)
+	// fnKeepWarm is how long a freed environment stays reusable.
+	fnKeepWarm = 15 * vclock.Minute
+	// FnMaxDuration is the hard per-invocation duration cap; work
+	// predicted to run longer must be split.
+	FnMaxDuration = 15 * vclock.Minute
+)
 
-// DefaultServerlessOptions returns the calibrated FaaS defaults.
-func DefaultServerlessOptions() ServerlessOptions {
-	return ServerlessOptions{
-		MemoryTiersGB:      []float64{1, 2, 4, 8, 16},
-		PricePerGBHour:     0.06,
-		PricePerInvocation: 2e-7,
-		ColdStart:          20 * vclock.Second,
-		WarmStart:          vclock.Duration(0.2),
-		KeepWarm:           15 * vclock.Minute,
-		MaxDuration:        15 * vclock.Minute,
-	}
-}
-
-// withDefaults normalizes zero fields.
-func (o ServerlessOptions) withDefaults() ServerlessOptions {
-	d := DefaultServerlessOptions()
-	if len(o.MemoryTiersGB) == 0 {
-		o.MemoryTiersGB = d.MemoryTiersGB
-	}
-	if o.PricePerGBHour <= 0 {
-		o.PricePerGBHour = d.PricePerGBHour
-	}
-	if o.PricePerInvocation <= 0 {
-		o.PricePerInvocation = d.PricePerInvocation
-	}
-	if o.ColdStart <= 0 {
-		o.ColdStart = d.ColdStart
-	}
-	if o.WarmStart <= 0 {
-		o.WarmStart = d.WarmStart
-	}
-	if o.KeepWarm <= 0 {
-		o.KeepWarm = d.KeepWarm
-	}
-	if o.MaxDuration <= 0 {
-		o.MaxDuration = d.MaxDuration
-	}
-	sort.Float64s(o.MemoryTiersGB)
-	return o
-}
-
-// MaxTierGB reports the largest purchasable function size.
-func (o ServerlessOptions) MaxTierGB() float64 {
-	o = o.withDefaults()
-	return o.MemoryTiersGB[len(o.MemoryTiersGB)-1]
-}
+// FnMemoryTiersGB are the purchasable function sizes, ascending. It is
+// never assigned.
+var FnMemoryTiersGB = [...]float64{1, 2, 4, 8, 16}
 
 // TierFor reports the smallest tier holding memGB, or false when the
 // demand exceeds the largest tier.
-func (o ServerlessOptions) TierFor(memGB float64) (float64, bool) {
-	o = o.withDefaults()
-	for _, t := range o.MemoryTiersGB {
+func TierFor(memGB float64) (float64, bool) {
+	for _, t := range FnMemoryTiersGB {
 		if memGB <= t {
 			return t, true
 		}
@@ -90,10 +42,9 @@ func (o ServerlessOptions) TierFor(memGB float64) (float64, bool) {
 	return 0, false
 }
 
-// InvocationUSD prices one invocation of dur at a tier.
-func (o ServerlessOptions) InvocationUSD(tierGB float64, dur vclock.Duration) float64 {
-	o = o.withDefaults()
-	return o.PricePerInvocation + tierGB*dur.Hours()*o.PricePerGBHour
+// invocationUSD prices one invocation of dur at a tier.
+func invocationUSD(tierGB float64, dur vclock.Duration) float64 {
+	return fnPricePerInvocation + tierGB*dur.Hours()*fnPricePerGBHour
 }
 
 // Invocation is the outcome of one function invocation.
@@ -108,14 +59,13 @@ type Invocation struct {
 	USD float64
 }
 
-// Faas is the function backend's execution-environment pool and
+// faas is the function backend's execution-environment pool and
 // billing ledger. Environment reuse is deterministic: an invocation
 // reuses the most recently freed eligible environment of its function,
 // so the cold/warm sequence is a pure function of the invocation
 // sequence.
-type Faas struct {
+type faas struct {
 	clock *vclock.Clock
-	opts  ServerlessOptions
 	// pools maps function name → environment free-at times.
 	pools map[string][]vclock.Time
 	// ledger aggregates billing per tier.
@@ -128,36 +78,19 @@ type serverlessLedger struct {
 	usd         float64
 }
 
-// NewFaas builds the backend over a clock.
-func NewFaas(clock *vclock.Clock, opts ServerlessOptions) *Faas {
-	return &Faas{
-		clock:  clock,
-		opts:   opts.withDefaults(),
-		pools:  map[string][]vclock.Time{},
-		ledger: map[float64]*serverlessLedger{},
-	}
-}
-
-// Options reports the normalized options.
-func (s *Faas) Options() ServerlessOptions { return s.opts }
-
-// Invoke runs one function invocation of `dur` virtual compute with
-// `memGB` peak memory, starting now. The clock is NOT advanced (the
-// caller owns concurrency and wall-time accounting); the invocation's
-// latency, tier and cost are returned. Durations above MaxDuration
-// are rejected — callers split the work instead.
-func (s *Faas) Invoke(fn string, memGB float64, dur vclock.Duration) (Invocation, error) {
+// invoke is Provider.Invoke without the metrics.
+func (s *faas) invoke(fn string, memGB float64, dur vclock.Duration) (Invocation, error) {
 	if dur < 0 {
 		return Invocation{}, fmt.Errorf("cloud: serverless invocation with negative duration %v", dur)
 	}
-	if dur > s.opts.MaxDuration {
+	if dur > FnMaxDuration {
 		return Invocation{}, fmt.Errorf("cloud: serverless invocation of %v exceeds the %v duration cap (split the unit)",
-			dur, s.opts.MaxDuration)
+			dur, FnMaxDuration)
 	}
-	tier, ok := s.opts.TierFor(memGB)
+	tier, ok := TierFor(memGB)
 	if !ok {
 		return Invocation{}, fmt.Errorf("cloud: serverless peak memory %.1f GB exceeds the largest %.0f GB tier",
-			memGB, s.opts.MaxTierGB())
+			memGB, FnMemoryTiersGB[len(FnMemoryTiersGB)-1])
 	}
 	now := s.clock.Now()
 	inv := Invocation{TierGB: tier}
@@ -167,7 +100,7 @@ func (s *Faas) Invoke(fn string, memGB float64, dur vclock.Duration) (Invocation
 	pool := s.pools[fn][:0]
 	reuse := -1
 	for _, freeAt := range s.pools[fn] {
-		if freeAt.Add(s.opts.KeepWarm) < now {
+		if freeAt.Add(fnKeepWarm) < now {
 			continue // expired
 		}
 		pool = append(pool, freeAt)
@@ -176,17 +109,17 @@ func (s *Faas) Invoke(fn string, memGB float64, dur vclock.Duration) (Invocation
 		}
 	}
 	if reuse >= 0 {
-		inv.Latency = s.opts.WarmStart
+		inv.Latency = fnWarmStart
 	} else {
 		inv.Cold = true
-		inv.Latency = s.opts.ColdStart
+		inv.Latency = FnColdStart
 		pool = append(pool, 0)
 		reuse = len(pool) - 1
 	}
 	pool[reuse] = now.Add(inv.Latency + dur)
 	s.pools[fn] = pool
 
-	inv.USD = s.opts.InvocationUSD(tier, dur)
+	inv.USD = invocationUSD(tier, dur)
 	led := s.ledger[tier]
 	if led == nil {
 		led = &serverlessLedger{}
@@ -200,7 +133,7 @@ func (s *Faas) Invoke(fn string, memGB float64, dur vclock.Duration) (Invocation
 
 // billLines renders the ledger as billing rows, one per tier (sorted),
 // with Instances = invocation count and InstanceHours = GB-hours.
-func (s *Faas) billLines() []BillLine {
+func (s *faas) billLines() []BillLine {
 	tiers := make([]float64, 0, len(s.ledger))
 	for t := range s.ledger {
 		tiers = append(tiers, t)

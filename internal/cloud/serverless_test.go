@@ -10,13 +10,10 @@ import (
 
 func newFaasProvider() (*Provider, *vclock.Clock) {
 	clk := vclock.NewClock(0)
-	opts := DefaultOptions()
-	opts.Serverless = &ServerlessOptions{}
-	return NewProvider(clk, opts), clk
+	return NewProvider(clk, Options{}), clk
 }
 
 func TestServerlessTierSelection(t *testing.T) {
-	o := DefaultServerlessOptions()
 	cases := []struct {
 		mem  float64
 		want float64
@@ -32,13 +29,10 @@ func TestServerlessTierSelection(t *testing.T) {
 		{16.1, 0, false},
 	}
 	for _, c := range cases {
-		got, ok := o.TierFor(c.mem)
+		got, ok := TierFor(c.mem)
 		if got != c.want || ok != c.ok {
 			t.Errorf("TierFor(%v) = %v, %v; want %v, %v", c.mem, got, ok, c.want, c.ok)
 		}
-	}
-	if o.MaxTierGB() != 16 {
-		t.Errorf("MaxTierGB = %v", o.MaxTierGB())
 	}
 }
 
@@ -49,7 +43,7 @@ func TestServerlessColdWarmSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !inv1.Cold || inv1.Latency != p.Serverless().Options().ColdStart {
+	if !inv1.Cold || inv1.Latency != FnColdStart {
 		t.Errorf("first invocation %+v, want cold", inv1)
 	}
 	if inv1.TierGB != 4 {
@@ -69,7 +63,7 @@ func TestServerlessColdWarmSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inv3.Cold || inv3.Latency != p.Serverless().Options().WarmStart {
+	if inv3.Cold || inv3.Latency != fnWarmStart {
 		t.Errorf("post-idle invocation %+v, want warm", inv3)
 	}
 	// Functions have separate pools.
@@ -81,7 +75,7 @@ func TestServerlessColdWarmSequence(t *testing.T) {
 		t.Error("different function reused another function's environment")
 	}
 	// After KeepWarm expires, environments go away again.
-	clk.Advance(p.Serverless().Options().KeepWarm + 10*vclock.Minute)
+	clk.Advance(fnKeepWarm + 10*vclock.Minute)
 	inv5, err := p.Invoke("assemble", 3, 60*vclock.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +87,7 @@ func TestServerlessColdWarmSequence(t *testing.T) {
 
 func TestServerlessDurationCapAndErrors(t *testing.T) {
 	p, _ := newFaasProvider()
-	cap := p.Serverless().Options().MaxDuration
+	cap := FnMaxDuration
 	if _, err := p.Invoke("f", 1, cap+vclock.Second); err == nil || !strings.Contains(err.Error(), "split") {
 		t.Errorf("over-cap invocation: %v", err)
 	}
@@ -108,24 +102,18 @@ func TestServerlessDurationCapAndErrors(t *testing.T) {
 		t.Errorf("at-cap invocation rejected: %v", err)
 	}
 	// Errors do not bill.
-	if got := p.TotalCost(); got != p.Serverless().Options().InvocationUSD(1, cap) {
+	if got := p.TotalCost(); got != invocationUSD(1, cap) {
 		t.Errorf("failed invocations billed: %v", got)
-	}
-	// No serverless backend configured.
-	bare := newTestProvider()
-	if _, err := bare.Invoke("f", 1, vclock.Second); err == nil || !strings.Contains(err.Error(), "Options.Serverless") {
-		t.Errorf("invoke without backend: %v", err)
 	}
 }
 
 func TestServerlessPerInvocationBilling(t *testing.T) {
 	p, _ := newFaasProvider()
-	o := p.Serverless().Options()
 	// One 90 s invocation at the 2 GB tier.
 	if _, err := p.Invoke("f", 1.5, 90*vclock.Second); err != nil {
 		t.Fatal(err)
 	}
-	want := o.PricePerInvocation + 2*(90.0/3600.0)*o.PricePerGBHour
+	want := fnPricePerInvocation + 2*(90.0/3600.0)*fnPricePerGBHour
 	if got := p.TotalCost(); math.Abs(got-want) > 1e-15 {
 		t.Errorf("bill = %v, want %v", got, want)
 	}
@@ -133,7 +121,7 @@ func TestServerlessPerInvocationBilling(t *testing.T) {
 	if _, err := p.Invoke("f", 1.5, 0); err != nil {
 		t.Fatal(err)
 	}
-	want += o.PricePerInvocation
+	want += fnPricePerInvocation
 	if got := p.TotalCost(); math.Abs(got-want) > 1e-15 {
 		t.Errorf("bill after zero-duration = %v, want %v", got, want)
 	}

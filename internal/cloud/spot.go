@@ -56,17 +56,24 @@ func ParseBackend(s string) (Backend, error) {
 	}
 }
 
+// The spot market's fixed shape: three availability zones with
+// independent price walks, a walk step of 5 min, and a 12 h horizon
+// bounding how far ahead of a VM's boot reclaim draws are evaluated —
+// a VM that survives its horizon keeps running.
+const (
+	spotStep    = 5 * vclock.Minute
+	spotHorizon = 12 * vclock.Hour
+)
+
+// spotAZs is never assigned.
+var spotAZs = [...]string{"a", "b", "c"}
+
 // SpotOptions parameterize the spot market simulation.
 type SpotOptions struct {
 	// Seed drives the market's own splittable PRNG (independent of the
 	// fault injector's streams, so adding a spot market never perturbs
 	// an existing fault plan's draws).
 	Seed uint64
-	// AZs are the availability zones with independent price walks.
-	// Empty defaults to three zones.
-	AZs []string
-	// Step is the price-walk step interval (default 5 min).
-	Step vclock.Duration
 	// InitialFrac is the starting price as a fraction of the on-demand
 	// price (default 0.35).
 	InitialFrac float64
@@ -81,36 +88,23 @@ type SpotOptions struct {
 	// probability when the walk pins the ceiling (default 0.12).
 	ReclaimKnee       float64
 	MaxReclaimPerStep float64
-	// Horizon bounds how far ahead of a VM's boot reclaim draws are
-	// evaluated (default 12 h) — a VM that survives its horizon keeps
-	// running.
-	Horizon vclock.Duration
 }
 
 // DefaultSpotOptions returns the calibrated market defaults.
 func DefaultSpotOptions() SpotOptions {
 	return SpotOptions{
-		AZs:               []string{"a", "b", "c"},
-		Step:              5 * vclock.Minute,
 		InitialFrac:       0.35,
 		FloorFrac:         0.2,
 		CeilFrac:          1.1,
 		Volatility:        0.08,
 		ReclaimKnee:       0.5,
 		MaxReclaimPerStep: 0.12,
-		Horizon:           12 * vclock.Hour,
 	}
 }
 
 // withDefaults normalizes zero fields.
 func (o SpotOptions) withDefaults() SpotOptions {
 	d := DefaultSpotOptions()
-	if len(o.AZs) == 0 {
-		o.AZs = d.AZs
-	}
-	if o.Step <= 0 {
-		o.Step = d.Step
-	}
 	if o.InitialFrac <= 0 {
 		o.InitialFrac = d.InitialFrac
 	}
@@ -128,9 +122,6 @@ func (o SpotOptions) withDefaults() SpotOptions {
 	}
 	if o.MaxReclaimPerStep <= 0 {
 		o.MaxReclaimPerStep = d.MaxReclaimPerStep
-	}
-	if o.Horizon <= 0 {
-		o.Horizon = d.Horizon
 	}
 	return o
 }
@@ -162,7 +153,7 @@ func (m *SpotMarket) step(t vclock.Time) int {
 	if t <= 0 {
 		return 0
 	}
-	return int(float64(t) / float64(m.opts.Step))
+	return int(float64(t) / float64(spotStep))
 }
 
 // fracAt extends the memoized walk for an AZ through step i and
@@ -208,7 +199,7 @@ func (m *SpotMarket) AvgFrac(az string, from, to vclock.Time) float64 {
 	if to <= from {
 		return m.PriceFrac(az, from)
 	}
-	step := float64(m.opts.Step)
+	step := float64(spotStep)
 	i0, i1 := m.step(from), m.step(to)
 	if i0 == i1 {
 		return m.fracAt(az, i0)
@@ -226,9 +217,9 @@ func (m *SpotMarket) AvgFrac(az string, from, to vclock.Time) float64 {
 // CheapestAZ reports the AZ with the lowest price at t (ties broken
 // lexicographically, so the choice is deterministic).
 func (m *SpotMarket) CheapestAZ(t vclock.Time) string {
-	best := m.opts.AZs[0]
+	best := spotAZs[0]
 	bestFrac := m.PriceFrac(best, t)
-	for _, az := range m.opts.AZs[1:] {
+	for _, az := range spotAZs[1:] {
 		f := m.PriceFrac(az, t)
 		if f < bestFrac || (f == bestFrac && az < best) {
 			best, bestFrac = az, f
@@ -263,7 +254,7 @@ func (m *SpotMarket) reclaimP(frac float64) float64 {
 // or on fault-plan draws.
 func (m *SpotMarket) ReclaimAt(vmID, az string, from vclock.Time) (vclock.Time, bool) {
 	first := m.step(from) + 1 // never reclaim within the boot step
-	last := m.step(from.Add(m.opts.Horizon))
+	last := m.step(from.Add(spotHorizon))
 	for i := first; i <= last; i++ {
 		p := m.reclaimP(m.fracAt(az, i))
 		if p <= 0 {
@@ -271,7 +262,7 @@ func (m *SpotMarket) ReclaimAt(vmID, az string, from vclock.Time) (vclock.Time, 
 		}
 		r := m.rng.Split("reclaim", vmID, strconv.Itoa(i))
 		if r.Float64() < p {
-			return vclock.Time(float64(i) * float64(m.opts.Step)), true
+			return vclock.Time(float64(i) * float64(spotStep)), true
 		}
 	}
 	return 0, false

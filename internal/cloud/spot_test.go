@@ -10,9 +10,7 @@ import (
 )
 
 func newSpotProvider(seed uint64) *Provider {
-	opts := DefaultOptions()
-	opts.Spot = &SpotOptions{Seed: seed}
-	return NewProvider(vclock.NewClock(0), opts)
+	return NewProvider(vclock.NewClock(0), Options{Spot: &SpotOptions{Seed: seed}})
 }
 
 func TestParseBackend(t *testing.T) {
@@ -61,7 +59,7 @@ func TestSpotMarketDeterminism(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		at := vclock.Time(float64(i) * 300)
-		for _, az := range m1.opts.AZs {
+		for _, az := range spotAZs {
 			if a, b := m1.PriceFrac(az, at), m2.PriceFrac(az, at); a != b {
 				t.Fatalf("walk diverged at az=%s step=%d: %v vs %v", az, i, a, b)
 			}
@@ -84,7 +82,7 @@ func TestSpotMarketDeterminism(t *testing.T) {
 func TestSpotWalkStaysClamped(t *testing.T) {
 	m := NewSpotMarket(SpotOptions{Seed: 3})
 	o := m.opts
-	for _, az := range m.opts.AZs {
+	for _, az := range spotAZs {
 		for i := 0; i < 2000; i++ {
 			f := m.fracAt(az, i)
 			if f < o.FloorFrac || f > o.CeilFrac {
@@ -96,7 +94,7 @@ func TestSpotWalkStaysClamped(t *testing.T) {
 
 func TestSpotAvgFrac(t *testing.T) {
 	m := NewSpotMarket(SpotOptions{Seed: 11})
-	step := m.opts.Step
+	step := spotStep
 	// Window within one step bills at that step's price.
 	if got, want := m.AvgFrac("a", 10, 20), m.PriceFrac("a", 10); got != want {
 		t.Errorf("sub-step AvgFrac = %v, want %v", got, want)
@@ -129,7 +127,7 @@ func TestSpotCheapestAZDeterministic(t *testing.T) {
 			t.Fatalf("CheapestAZ diverged at %v: %s vs %s", at, a, b)
 		}
 		// It really is the minimum.
-		for _, az := range m1.opts.AZs {
+		for _, az := range spotAZs {
 			if m1.PriceFrac(az, at) < m1.PriceFrac(a, at) {
 				t.Fatalf("az %s cheaper than chosen %s at %v", az, a, at)
 			}
@@ -149,7 +147,7 @@ func TestSpotReclaimCoupledToPrice(t *testing.T) {
 	if !ok {
 		t.Fatal("no reclaim with price pinned at ceiling and p=0.9/step")
 	}
-	if at <= 0 || at > vclock.Time(0).Add(hot.opts.Horizon).Add(hot.opts.Step) {
+	if at <= 0 || at > vclock.Time(0).Add(spotHorizon).Add(spotStep) {
 		t.Errorf("reclaim at %v outside (0, horizon]", at)
 	}
 	// Deterministic per (seed, vmID): same market state gives same draw.
@@ -208,9 +206,7 @@ func TestRunInstancesOnErrors(t *testing.T) {
 func TestSpotMarketReclaimSchedulesInterruption(t *testing.T) {
 	// A hot market with aggressive reclaim probability must schedule a
 	// ClassReclaim interruption with the standard notice lead.
-	opts := DefaultOptions()
-	opts.Spot = &SpotOptions{Seed: 4, InitialFrac: 1.0, FloorFrac: 0.99, CeilFrac: 1.01, ReclaimKnee: 0.5, MaxReclaimPerStep: 0.9}
-	p := NewProvider(vclock.NewClock(0), opts)
+	p := NewProvider(vclock.NewClock(0), Options{Spot: &SpotOptions{Seed: 4, InitialFrac: 1.0, FloorFrac: 0.99, CeilFrac: 1.01, ReclaimKnee: 0.5, MaxReclaimPerStep: 0.9}})
 	vms, err := p.RunInstancesOn("c3.2xlarge", 1, Spot)
 	if err != nil {
 		t.Fatal(err)
@@ -232,9 +228,7 @@ func TestSpotMarketReclaimSchedulesInterruption(t *testing.T) {
 		t.Errorf("notice lead %v exceeds standard %v", lead, faults.DefaultReclaimNotice)
 	}
 	// Calm market schedules nothing.
-	calm := DefaultOptions()
-	calm.Spot = &SpotOptions{Seed: 4, InitialFrac: 0.2, FloorFrac: 0.199, CeilFrac: 0.201, ReclaimKnee: 0.5}
-	pc := NewProvider(vclock.NewClock(0), calm)
+	pc := NewProvider(vclock.NewClock(0), Options{Spot: &SpotOptions{Seed: 4, InitialFrac: 0.2, FloorFrac: 0.199, CeilFrac: 0.201, ReclaimKnee: 0.5}})
 	cv, err := pc.RunInstancesOn("c3.2xlarge", 1, Spot)
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +246,7 @@ func TestSpotFaultPlanTakesEarlierInterruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk := vclock.NewClock(0)
-	opts := DefaultOptions()
+	var opts Options
 	opts.Faults = faults.NewInjector(plan, 99, clk)
 	opts.Spot = &SpotOptions{Seed: 4, InitialFrac: 1.0, FloorFrac: 0.99, CeilFrac: 1.01, ReclaimKnee: 0.5, MaxReclaimPerStep: 0.9}
 	p := NewProvider(clk, opts)

@@ -9,7 +9,7 @@ import (
 )
 
 func newProvider() *cloud.Provider {
-	return cloud.NewProvider(vclock.NewClock(0), cloud.DefaultOptions())
+	return cloud.NewProvider(vclock.NewClock(0), cloud.Options{})
 }
 
 func TestBuildAdvancesClockAndRegistersNodes(t *testing.T) {

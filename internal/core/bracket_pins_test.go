@@ -362,9 +362,7 @@ func bracketScenarios(t *testing.T) []bracketScenario {
 		c.FaultPlan = spec("bootfail:n=1")
 	})
 	add("launch/max-instances-PB", ds, wantErr("core: launching PB"), func(c *Config) {
-		opts := cloud.DefaultOptions()
-		opts.MaxInstances = 4
-		c.Cloud = &opts
+		c.Cloud = &cloud.Options{MaxInstances: 4}
 	})
 
 	// Cutoffs, placed off a clean run of the base configuration: at a

@@ -56,9 +56,7 @@ func backendScenarios() []backendScenario {
 			resumeSeed: 4,
 			configure: func(cfg *Config, seed uint64) {
 				cfg.Backends = allSpot
-				copts := cloud.DefaultOptions()
-				copts.Spot = stormSpot(seed)
-				cfg.Cloud = &copts
+				cfg.Cloud = &cloud.Options{Spot: stormSpot(seed)}
 			},
 		},
 		{

@@ -142,8 +142,7 @@ type Config struct {
 	// as before the backend dimension existed. Serverless stages are
 	// incompatible with the Conventional pattern (there is no single
 	// cluster to share). When a stage uses spot and Cloud carries no
-	// SpotOptions, a default market seeded from FaultSeed is created;
-	// likewise for serverless and ServerlessOptions.
+	// SpotOptions, a default market seeded from FaultSeed is created.
 	Backends StageBackends
 	// ConditionB, when non-nil, provides a second sample condition:
 	// the PC stage additionally quantifies it against the assembled
@@ -155,9 +154,8 @@ type Config struct {
 	// dataset's ground-truth transcriptome (not billed: evaluation is
 	// offline analysis, not a pipeline stage).
 	EvaluateAgainstTruth bool
-	// Cloud, when non-nil, replaces every provider option (boot
-	// latency, links, markets); start from cloud.DefaultOptions to
-	// change one. Nil uses the defaults.
+	// Cloud, when non-nil, replaces the provider options (account
+	// limit, spot market). Nil is the calibrated on-demand provider.
 	Cloud *cloud.Options
 	// Obs, when non-nil, receives the run's spans and metrics; nil
 	// gets a private bundle, reachable afterwards via Pipeline.Obs or
@@ -337,15 +335,6 @@ func (c Config) withDefaults() Config {
 		}
 	}
 	return c
-}
-
-// cloudOptions is the provider configuration: the override, or the
-// defaults.
-func (c Config) cloudOptions() cloud.Options {
-	if c.Cloud != nil {
-		return *c.Cloud
-	}
-	return cloud.DefaultOptions()
 }
 
 // Outcome classifies how a run ended, beyond error/no-error: overload

@@ -418,7 +418,7 @@ func TestShardReadSet(t *testing.T) {
 }
 
 func TestChooseInstanceType(t *testing.T) {
-	p := cloud.NewProvider(vclock.NewClock(0), cloud.DefaultOptions())
+	p := cloud.NewProvider(vclock.NewClock(0), cloud.Options{})
 	it, err := ChooseInstanceType(p, 40, 8)
 	if err != nil || it.Name != "r3.2xlarge" {
 		t.Errorf("40GB/8c -> %v %v, want r3.2xlarge", it, err)
@@ -446,7 +446,7 @@ func TestAssemblyNodesFor(t *testing.T) {
 func TestTableIVMatrix(t *testing.T) {
 	bg := simdata.BGlumae().FullScale
 	pc := simdata.PCrispa().FullScale
-	c3, _ := ChooseInstanceType(cloud.NewProvider(vclock.NewClock(0), cloud.DefaultOptions()), 10, 8)
+	c3, _ := ChooseInstanceType(cloud.NewProvider(vclock.NewClock(0), cloud.Options{}), 10, 8)
 	_ = c3
 	type cell struct {
 		task Task

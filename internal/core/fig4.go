@@ -12,7 +12,6 @@ import (
 // per-k jobs over a small cluster.
 type MultiKResult struct {
 	Nodes    int
-	Kmers    []int
 	Makespan vclock.Duration
 	// PerJob lists each k's individual TTC in k order.
 	PerJob []vclock.Duration
@@ -48,7 +47,7 @@ func MultiKMakespan(ds *simdata.Dataset, asmName string, kmers []int, nodes, nod
 		return MultiKResult{}, err
 	}
 	pb := rep.Stages[len(rep.Stages)-1]
-	res := MultiKResult{Nodes: nodes, Kmers: kmers, Makespan: pb.End.Sub(pb.Start)}
+	res := MultiKResult{Nodes: nodes, Makespan: pb.End.Sub(pb.Start)}
 	for _, a := range rep.Assemblies {
 		res.PerJob = append(res.PerJob, a.TTC)
 	}

@@ -67,15 +67,15 @@ type Pipeline struct {
 func New(cfg Config) *Pipeline {
 	cfg = cfg.withDefaults()
 	clock := vclock.NewClock(0)
-	copts := cfg.cloudOptions()
-	// Stage backends may need markets the caller didn't configure:
-	// default them. The spot market is seeded from FaultSeed so a run
-	// is a pure function of its config.
+	var copts cloud.Options
+	if cfg.Cloud != nil {
+		copts = *cfg.Cloud
+	}
+	// A spot stage may need a market the caller didn't configure:
+	// default it, seeded from FaultSeed so a run is a pure function of
+	// its config.
 	if cfg.Backends.AnySpot() && copts.Spot == nil {
 		copts.Spot = &cloud.SpotOptions{Seed: cfg.FaultSeed}
-	}
-	if cfg.Backends.AnyServerless() && copts.Serverless == nil {
-		copts.Serverless = &cloud.ServerlessOptions{}
 	}
 	o := cfg.Obs
 	if o == nil {

@@ -177,9 +177,7 @@ func TestNodeLossResubmission(t *testing.T) {
 	}
 	inj := faults.NewInjector(plan, 7, clock)
 	inj.SetMetrics(o.Metrics)
-	opts := cloud.DefaultOptions()
-	opts.Faults = inj
-	prov := cloud.NewProvider(clock, opts)
+	prov := cloud.NewProvider(clock, cloud.Options{Faults: inj})
 	m := NewManager(prov, NewStateStore())
 	p := activePilot(t, m, 2) // VMs i-000001, i-000002
 	um := newUnitManager(t, p)
@@ -253,7 +251,7 @@ func TestRetriedUnitSpanTreeGolden(t *testing.T) {
 	o := obs.New()
 	store := NewStateStore()
 	NewSpanBridge(store, o)
-	prov := cloud.NewProvider(vclock.NewClock(0), cloud.DefaultOptions())
+	prov := cloud.NewProvider(vclock.NewClock(0), cloud.Options{})
 	m := NewManager(prov, store)
 	p := activePilot(t, m, 1)
 	um := newUnitManager(t, p)

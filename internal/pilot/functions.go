@@ -19,17 +19,13 @@ type function struct {
 // serverless function invocations instead of SGE jobs — the
 // function-per-unit backend. It registers a pseudo-pilot named for
 // the stage in the state store, so spans, transitions and the journal
-// see the same event shapes a VM-backed stage produces. The provider
-// must have the serverless backend configured.
+// see the same event shapes a VM-backed stage produces.
 //
 // A unit whose reported runtime exceeds the per-invocation duration
 // cap is split into ceil(duration/cap) parallel piece invocations;
 // the unit's wall time is the slowest piece's start latency plus its
 // share of the compute.
 func NewFunctionRunner(prov *cloud.Provider, store *StateStore, name string) (*UnitManager, error) {
-	if prov.Serverless() == nil {
-		return nil, fmt.Errorf("pilot: serverless backend requested but Options.Serverless is not configured")
-	}
 	fn := &function{prov: prov, name: name}
 	um := &UnitManager{
 		store: store, clock: prov.Clock(),
@@ -82,26 +78,26 @@ func (fn *function) record(ok bool) {
 // pieces as the duration cap demands, and each piece invokes the
 // stage's function in parallel.
 func (fn *function) try(u *Unit, at vclock.Time) (end, failAt vclock.Time, err error) {
-	opts := fn.prov.Serverless().Options()
+	maxTier := cloud.FnMemoryTiersGB[len(cloud.FnMemoryTiersGB)-1]
 	env := &ExecEnv{
 		Slots: u.Desc.Slots,
 		Nodes: 1,
 		// Functions are single-node allocations shaped by the largest
 		// memory tier; per-unit memory is checked against the tier table
 		// below, not here.
-		InstanceType: cloud.InstanceType{Name: "serverless", Cores: u.Desc.Slots, MemoryGB: opts.MaxTierGB()},
+		InstanceType: cloud.InstanceType{Name: "serverless", Cores: u.Desc.Slots, MemoryGB: maxTier},
 	}
 	res, err := work(fn.prov, u, env, at)
 	if err != nil {
 		return 0, at, err
 	}
-	if _, ok := opts.TierFor(res.PeakMemoryGB); !ok {
+	if _, ok := cloud.TierFor(res.PeakMemoryGB); !ok {
 		return 0, at, fmt.Errorf("out of memory: peak %.1f GB exceeds the largest %.0f GB function tier",
-			res.PeakMemoryGB, opts.MaxTierGB())
+			res.PeakMemoryGB, maxTier)
 	}
 	pieces := 1
-	if res.Duration > opts.MaxDuration {
-		pieces = int(math.Ceil(float64(res.Duration) / float64(opts.MaxDuration)))
+	if res.Duration > cloud.FnMaxDuration {
+		pieces = int(math.Ceil(float64(res.Duration) / float64(cloud.FnMaxDuration)))
 	}
 	pieceDur := res.Duration / vclock.Duration(pieces)
 	var wall vclock.Duration

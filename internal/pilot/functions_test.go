@@ -10,10 +10,7 @@ import (
 )
 
 func newFaasRig() (*cloud.Provider, *StateStore) {
-	opts := cloud.DefaultOptions()
-	opts.Serverless = &cloud.ServerlessOptions{}
-	p := cloud.NewProvider(vclock.NewClock(0), opts)
-	return p, NewStateStore()
+	return cloud.NewProvider(vclock.NewClock(0), cloud.Options{}), NewStateStore()
 }
 
 // invocations counts the serverless invocations on p's bill.
@@ -25,13 +22,6 @@ func invocations(p *cloud.Provider) int {
 		}
 	}
 	return n
-}
-
-func TestFunctionRunnerRequiresBackend(t *testing.T) {
-	p := cloud.NewProvider(vclock.NewClock(0), cloud.DefaultOptions())
-	if _, err := NewFunctionRunner(p, NewStateStore(), "pa"); err == nil {
-		t.Fatal("runner built without a serverless backend")
-	}
 }
 
 func TestFunctionRunnerHappyPath(t *testing.T) {
@@ -78,8 +68,7 @@ func TestFunctionRunnerHappyPath(t *testing.T) {
 	}
 	// Both units burst at t=0, both cold (no warm env available), so
 	// the stage's wall time is coldStart + duration.
-	opts := p.Serverless().Options()
-	want := vclock.Time(0).Add(opts.ColdStart + 2*vclock.Minute)
+	want := vclock.Time(0).Add(cloud.FnColdStart + 2*vclock.Minute)
 	if got := p.Clock().Now(); got != want {
 		t.Errorf("stage ended at %v, want %v", got, want)
 	}
@@ -123,8 +112,7 @@ func TestFunctionRunnerSplitsLongUnits(t *testing.T) {
 	if n := invocations(p); n != 3 {
 		t.Errorf("%d invocations, want 3 parallel pieces", n)
 	}
-	opts := p.Serverless().Options()
-	want := vclock.Time(0).Add(opts.ColdStart + 40*vclock.Minute/3)
+	want := vclock.Time(0).Add(cloud.FnColdStart + 40*vclock.Minute/3)
 	if got := units[0].End; got != want {
 		t.Errorf("unit end %v, want %v (slowest piece)", got, want)
 	}
@@ -167,10 +155,7 @@ func TestFunctionRunnerRetriesFlakes(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk := vclock.NewClock(0)
-	opts := cloud.DefaultOptions()
-	opts.Serverless = &cloud.ServerlessOptions{}
-	opts.Faults = faults.NewInjector(plan, 42, clk)
-	p := cloud.NewProvider(clk, opts)
+	p := cloud.NewProvider(clk, cloud.Options{Faults: faults.NewInjector(plan, 42, clk)})
 	store := NewStateStore()
 	fr, err := NewFunctionRunner(p, store, "pc")
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 )
 
 func newRig() (*cloud.Provider, *Manager) {
-	p := cloud.NewProvider(vclock.NewClock(0), cloud.DefaultOptions())
+	p := cloud.NewProvider(vclock.NewClock(0), cloud.Options{})
 	m := NewManager(p, NewStateStore())
 	return p, m
 }
@@ -378,9 +378,7 @@ func TestPilotBootFailureInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock := vclock.NewClock(0)
-	opts := cloud.DefaultOptions()
-	opts.Faults = faults.NewInjector(plan, 1, clock)
-	prov := cloud.NewProvider(clock, opts)
+	prov := cloud.NewProvider(clock, cloud.Options{Faults: faults.NewInjector(plan, 1, clock)})
 	m := NewManager(prov, NewStateStore())
 	// First boot fails → pilot FAILED.
 	if _, err := m.SubmitPilot(PilotDescription{InstanceType: "c3.2xlarge", Nodes: 2}); err == nil {

@@ -17,11 +17,42 @@ type FastaRecord struct {
 	Seq []byte
 }
 
-// WriteFasta serializes records with the given line width (0 means a
-// single line per sequence). A bufio.Writer's error is sticky, so each
-// record's last write reports a failure of any write before it.
-func WriteFasta(w io.Writer, recs []FastaRecord, width int) error {
+// fastxWriter is what WriteFasta and WriteFastq write into: a writer
+// whose errors are sticky, so each record's last write reports a
+// failure of any write before it.
+type fastxWriter interface {
+	io.Writer
+	io.ByteWriter
+	io.StringWriter
+}
+
+// buffered returns w itself when it is a *bytes.Buffer (which never
+// fails) or a *bufio.Writer (whose errors are sticky), and otherwise a
+// new bufio.Writer over w, returned a second time for the caller to
+// flush. A caller's own bufio.Writer is left unflushed.
+func buffered(w io.Writer) (fastxWriter, *bufio.Writer) {
+	switch w := w.(type) {
+	case *bytes.Buffer:
+		return w, nil
+	case *bufio.Writer:
+		return w, nil
+	}
 	bw := bufio.NewWriter(w)
+	return bw, bw
+}
+
+// flush flushes the bufio.Writer buffered made, if any.
+func flush(own *bufio.Writer) error {
+	if own == nil {
+		return nil
+	}
+	return own.Flush()
+}
+
+// WriteFasta serializes records with the given line width (0 means a
+// single line per sequence).
+func WriteFasta(w io.Writer, recs []FastaRecord, width int) error {
+	bw, own := buffered(w)
 	for i := range recs {
 		bw.WriteByte('>')
 		bw.WriteString(recs[i].ID)
@@ -42,7 +73,7 @@ func WriteFasta(w io.Writer, recs []FastaRecord, width int) error {
 			return err
 		}
 	}
-	return bw.Flush()
+	return flush(own)
 }
 
 // FastaSize is the exact byte count WriteFasta emits, so a caller
@@ -103,10 +134,9 @@ var highQual = bytes.Repeat([]byte{PhredToByte(40)}, 256)
 
 // WriteFastq serializes reads in 4-line FASTQ. Reads without
 // qualities get a uniform high quality, so FASTA-derived reads remain
-// serializable. As in WriteFasta, each record's last write reports a
-// failure of any write before it.
+// serializable.
 func WriteFastq(w io.Writer, reads []Read) error {
-	bw := bufio.NewWriter(w)
+	bw, own := buffered(w)
 	for i := range reads {
 		r := &reads[i]
 		bw.WriteByte('@')
@@ -125,7 +155,7 @@ func WriteFastq(w io.Writer, reads []Read) error {
 			return err
 		}
 	}
-	return bw.Flush()
+	return flush(own)
 }
 
 // FastqSize is the exact byte count WriteFastq emits.

@@ -175,3 +175,36 @@ func TestWriterSizesExact(t *testing.T) {
 		}
 	}
 }
+
+// TestWritersIntoSizedBufferAllocateNothing: rendering into a buffer
+// already grown to FastaSize/FastqSize writes straight into it, with no
+// bufio.Writer of the writers' own in between.
+func TestWritersIntoSizedBufferAllocateNothing(t *testing.T) {
+	reads := []Read{
+		{ID: "r1", Seq: []byte("ACGTACGT"), Qual: []byte("IIIIIIII")},
+		{ID: "read/2", Seq: bytes.Repeat([]byte("T"), 300)}, // synthesized qualities
+	}
+	recs := []FastaRecord{
+		{ID: "c1", Seq: bytes.Repeat([]byte("ACGT"), 40)},
+		{ID: "contig2", Seq: bytes.Repeat([]byte("G"), 81)},
+	}
+	var fq, fa bytes.Buffer
+	fq.Grow(FastqSize(reads))
+	fa.Grow(FastaSize(recs, 80))
+	if n := testing.AllocsPerRun(20, func() {
+		fq.Reset()
+		if err := WriteFastq(&fq, reads); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("WriteFastq into a sized buffer: %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		fa.Reset()
+		if err := WriteFasta(&fa, recs, 80); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("WriteFasta into a sized buffer: %v allocations, want 0", n)
+	}
+}

@@ -240,12 +240,6 @@ type JournalStats = core.JournalStats
 // checkpoint. The journal written so far survives; pass it to Resume.
 type DriverCrashError = core.DriverCrashError
 
-// JournalOptions tunes the journal's group-commit batching: how many
-// concurrent appends coalesce into one write+fsync. Batching changes when fsyncs
-// happen, never what is written — the journal bytes are identical at
-// any batch size.
-type JournalOptions = journal.Options
-
 // JournalVerifyResult is the forensic report of a journal
 // chain-verification pass: the verified record count, the first bad
 // sequence number when the hash chain breaks, the chain head and the
@@ -255,12 +249,6 @@ type JournalVerifyResult = journal.VerifyResult
 // CreateJournal opens a write-ahead run journal at path for
 // Config.Journal. Close it after the run returns.
 func CreateJournal(path string) (*Journal, error) { return journal.Create(path) }
-
-// CreateJournalOptions is CreateJournal with explicit group-commit
-// options.
-func CreateJournalOptions(path string, opts JournalOptions) (*Journal, error) {
-	return journal.CreateOptions(path, opts)
-}
 
 // VerifyJournal checks the journal at path against its tamper-evident
 // hash chain without modifying it. Corruption is reported in the
