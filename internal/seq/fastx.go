@@ -50,7 +50,8 @@ func flush(own *bufio.Writer) error {
 }
 
 // WriteFasta serializes records with the given line width (0 means a
-// single line per sequence).
+// single line per sequence). It writes into a *bytes.Buffer or a
+// *bufio.Writer directly, leaving the latter for the caller to flush.
 func WriteFasta(w io.Writer, recs []FastaRecord, width int) error {
 	bw, own := buffered(w)
 	for i := range recs {
@@ -134,7 +135,8 @@ var highQual = bytes.Repeat([]byte{PhredToByte(40)}, 256)
 
 // WriteFastq serializes reads in 4-line FASTQ. Reads without
 // qualities get a uniform high quality, so FASTA-derived reads remain
-// serializable.
+// serializable. As WriteFasta, it writes into a *bytes.Buffer or a
+// *bufio.Writer directly.
 func WriteFastq(w io.Writer, reads []Read) error {
 	bw, own := buffered(w)
 	for i := range reads {
